@@ -4,35 +4,22 @@ The harness helpers (env knobs, ``record``/``record_merge``, ``run_once``)
 were promoted into the public package so the CLI and the benchmarks share
 one implementation and the knob catalogue is lint-checkable
 (``contract-env-docs``; see docs/FIGURES.md).  This shim keeps the
-historical import path working for the non-figure benchmarks and pins the
-results directory to the repo's ``benchmarks/results`` regardless of the
-pytest working directory.
+historical import path working for the non-figure benchmarks.
+
+Results land in ``REPRO_BENCH_RESULTS``, which ``benchmarks/conftest.py``
+points at a per-session temporary directory unless the caller set it, so a
+plain test run never rewrites the committed ``benchmarks/results``.
 
 Scaling knobs (environment variables): ``REPRO_BENCH_SHOTS``,
 ``REPRO_BENCH_DISTANCES``, ``REPRO_BENCH_SEED`` — documented with defaults
 in docs/FIGURES.md.
 """
 
-from __future__ import annotations
-
-from pathlib import Path
-
 from repro.figures.bench import (  # noqa: F401  (re-exported for the harness)
     bench_distances,
     bench_seed,
     bench_shots,
+    record,
+    record_merge,
     run_once,
 )
-from repro.figures import bench as _bench
-
-RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def record(name: str, data) -> None:
-    """Persist benchmark output under ``benchmarks/results`` (shim)."""
-    _bench.record(name, data, results_dir=RESULTS_DIR)
-
-
-def record_merge(name: str, sections: dict) -> None:
-    """Merge per-section rows into one results JSON (shim)."""
-    _bench.record_merge(name, sections, results_dir=RESULTS_DIR)

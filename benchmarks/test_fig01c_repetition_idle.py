@@ -3,8 +3,6 @@
 from repro.figures import build_figure, format_table
 from repro.figures.bench import bench_seed, bench_shots, record_figure, run_once
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig1c_repetition_idle(benchmark):
     result = run_once(
@@ -15,7 +13,7 @@ def test_fig1c_repetition_idle(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     rows = result.rows  # sorted by idle_ns
     # shape: LER grows sharply with the idling period (paper: 1e-2 -> ~1e-1)

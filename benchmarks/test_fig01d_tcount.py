@@ -9,8 +9,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig1d_tcount_headroom(benchmark):
     result = run_once(
@@ -25,7 +23,7 @@ def test_fig1d_tcount_headroom(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     headroom = result.rows[0]["norm_t_count"]
     print(f"normalized T count (Active vs Passive): {headroom:.2f}x (paper: up to 2.40x)")

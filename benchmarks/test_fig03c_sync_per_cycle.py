@@ -3,13 +3,11 @@
 from repro.figures import build_figure, format_table
 from repro.figures.bench import record_figure, run_once
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig3c_syncs_per_cycle(benchmark):
     result = run_once(benchmark, build_figure, "fig3c", store=False)
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     rates = {r["workload"]: r["syncs_per_cycle"] for r in result.rows}
     # paper shape: every workload synchronizes, qft/qpe are the hungriest,

@@ -6,13 +6,11 @@ from repro.figures import build_figure, format_table
 from repro.figures.bench import record_figure, run_once
 from repro.noise import GOOGLE, IBM
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig4b_qldpc_slack(benchmark):
     result = run_once(benchmark, build_figure, "fig4b", store=False)
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     for name, hw in (("ibm", IBM), ("google", GOOGLE)):
         rows = sorted(

@@ -3,7 +3,6 @@
 from repro.figures import build_figure, format_table
 from repro.figures.bench import record_figure, run_once
 
-from _helpers import RESULTS_DIR
 
 PAPER_VALUES = [None, 5, 11, 22, 26, 52, 34, 68]
 
@@ -11,6 +10,6 @@ PAPER_VALUES = [None, 5, 11, 22, 26, 52, 34, 68]
 def test_fig10_extra_rounds(benchmark):
     result = run_once(benchmark, build_figure, "fig10", store=False)
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     assert [row["extra_rounds"] for row in result.rows] == PAPER_VALUES

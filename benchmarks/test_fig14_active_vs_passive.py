@@ -22,8 +22,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def _run(benchmark, figure, shots):
     result = run_once(
@@ -34,7 +32,7 @@ def _run(benchmark, figure, shots):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
     return result.rows
 
 

@@ -14,8 +14,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig15_cost_of_sync(benchmark):
     result = run_once(
@@ -30,7 +28,7 @@ def test_fig15_cost_of_sync(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     rows = result.rows
     by_key = {(r["distance"], r["policy"]): r["ler_joint"] for r in rows}

@@ -16,8 +16,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig17_active_intra(benchmark):
     result = run_once(
@@ -32,7 +30,7 @@ def test_fig17_active_intra(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     # the paper's point: Active-intra hovers near 1x (sometimes below),
     # never approaching Active's gains, because measure qubits also idle.

@@ -14,8 +14,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig18_additional_rounds(benchmark):
     result = run_once(
@@ -30,7 +28,7 @@ def test_fig18_additional_rounds(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     lers = {
         r["extra_rounds"]: r["ler_no_slack"]

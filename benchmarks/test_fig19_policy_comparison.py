@@ -14,8 +14,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig19_policy_comparison(benchmark):
     result = run_once(
@@ -30,7 +28,7 @@ def test_fig19_policy_comparison(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     by_key = {(r["policy"], r["tau_ns"]): r["reduction"] for r in result.rows}
     # every policy's reduction is a sane positive ratio

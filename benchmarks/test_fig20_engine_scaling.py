@@ -3,15 +3,13 @@
 from repro.figures import build_figure, format_table
 from repro.figures.bench import bench_seed, record_figure, run_once
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig20_engine_scaling(benchmark):
     result = run_once(
         benchmark, build_figure, "fig20", {"seed": bench_seed()}, store=False
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     times = {
         r["patches"]: r["cpu_time_s"] for r in result.rows if r["kind"] == "timing"

@@ -5,8 +5,6 @@ import numpy as np
 from repro.figures import build_figure, format_table
 from repro.figures.bench import bench_seed, bench_shots, record_figure, run_once
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig21_neutral_atom(benchmark):
     result = run_once(
@@ -17,7 +15,7 @@ def test_fig21_neutral_atom(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     rows = result.rows
     active = [r["reduction"] for r in rows if r["policy"] == "active"]

@@ -9,8 +9,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def test_fig22_decoder_speedup(benchmark):
     result = run_once(
@@ -25,7 +23,7 @@ def test_fig22_decoder_speedup(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     for r in result.rows:
         # Active's flatter per-round syndromes hit the LUT at least as often

@@ -14,8 +14,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def test_table1_error_counts(benchmark):
     result = run_once(
@@ -30,7 +28,7 @@ def test_table1_error_counts(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     table = result.rows
     # paper shape: Active reduces the error count in aggregate, and errors

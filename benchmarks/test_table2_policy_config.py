@@ -14,8 +14,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def test_table2_policy_config(benchmark):
     result = run_once(
@@ -30,7 +28,7 @@ def test_table2_policy_config(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     by_policy = {r["policy"]: r for r in result.rows}
     # the schedule arithmetic must match the paper's Table 2 exactly

@@ -14,8 +14,6 @@ from repro.figures.bench import (
     run_once,
 )
 
-from _helpers import RESULTS_DIR
-
 
 def test_table4_mean_reductions(benchmark):
     result = run_once(
@@ -30,7 +28,7 @@ def test_table4_mean_reductions(benchmark):
         store=False,
     )
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     for r in result.rows:
         # Active and Hybrid must at least be competitive with Passive

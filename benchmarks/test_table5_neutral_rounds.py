@@ -3,13 +3,11 @@
 from repro.figures import build_figure, format_table
 from repro.figures.bench import record_figure, run_once
 
-from _helpers import RESULTS_DIR
-
 
 def test_table5_neutral_rounds(benchmark):
     result = run_once(benchmark, build_figure, "table5", store=False)
     print("\n" + format_table(result.document()))
-    record_figure(result, results_dir=RESULTS_DIR)
+    record_figure(result)
 
     rows = result.rows
     # every configuration is solvable and needs multiple multi-ms rounds —

@@ -190,6 +190,30 @@ class LerResult:
         return out
 
 
+def _synthesize(config: SurgeryLerConfig, policy: _BasePolicy):
+    """Plan ``policy`` for ``config`` and build its lattice-surgery circuit."""
+    noise = NoiseModel(hardware=config.hardware, p=config.p)
+    scenario = SyncScenario(
+        t_p_ns=config.hardware.cycle_time_ns,
+        t_pp_ns=(
+            config.t_pp_ns if config.t_pp_ns is not None else config.hardware.cycle_time_ns
+        ),
+        tau_ns=config.tau_ns,
+        base_rounds=config.resolved_base_rounds(),
+    )
+    plan = policy.plan(scenario)
+    spec = SurgerySpec(
+        distance=config.distance,
+        noise=noise,
+        ls_basis=config.ls_basis,
+        rounds_pre=None,  # timelines encode the per-patch round counts
+        timeline_p=plan.timeline_p,
+        timeline_pp=plan.timeline_pp,
+        include_seam_detector=config.include_seam_detector,
+    )
+    return plan, surgery_experiment(spec)
+
+
 class _Pipeline:
     """Cached circuit analysis: matching graph + sampler + decoder."""
 
@@ -198,28 +222,13 @@ class _Pipeline:
         # delta (decode_stats["pipeline_analyses"]), never as shared truth
         global PIPELINE_ANALYSES  # lint: ok[contract-worker-globals]
         PIPELINE_ANALYSES += 1
-        noise = NoiseModel(hardware=config.hardware, p=config.p)
-        scenario = SyncScenario(
-            t_p_ns=config.hardware.cycle_time_ns,
-            t_pp_ns=(
-                config.t_pp_ns if config.t_pp_ns is not None else config.hardware.cycle_time_ns
-            ),
-            tau_ns=config.tau_ns,
-            base_rounds=config.resolved_base_rounds(),
-        )
-        self.plan = policy.plan(scenario)
-        spec = SurgerySpec(
-            distance=config.distance,
-            noise=noise,
-            ls_basis=config.ls_basis,
-            rounds_pre=None,  # timelines encode the per-patch round counts
-            timeline_p=self.plan.timeline_p,
-            timeline_pp=self.plan.timeline_pp,
-            include_seam_detector=config.include_seam_detector,
-        )
-        self.artifacts = surgery_experiment(spec)
-        self._summary = None
-        self._init_decode(circuit_to_dem(self.artifacts.circuit), self.artifacts.detector_basis)
+        with obs.span("ler.analyze"):
+            with obs.span("ler.analyze.circuit"):
+                self.plan, self.artifacts = _synthesize(config, policy)
+            with obs.span("ler.analyze.dem"):
+                dem = circuit_to_dem(self.artifacts.circuit)
+            self._summary = None
+            self._init_decode(dem, self.artifacts.detector_basis)
 
     @classmethod
     def from_payload(cls, payload: "PipelinePayload") -> "_Pipeline":
@@ -243,8 +252,9 @@ class _Pipeline:
         self.basis = basis
         #: decode-kernel backend carried by a warm handoff (None otherwise)
         self.payload_backend = None
-        self.graph: MatchingGraph = build_matching_graph(dem, basis=basis)
-        self.sampler = DemSampler(dem)
+        with obs.span("ler.analyze.graph"):
+            self.graph: MatchingGraph = build_matching_graph(dem, basis=basis)
+            self.sampler = DemSampler(dem)
         self._detector_mask = np.array(
             [b == basis for b in dem.detector_basis], dtype=bool
         )

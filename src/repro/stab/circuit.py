@@ -138,6 +138,10 @@ class Circuit:
         elif gate.kind in (GateKind.CLIFFORD_1, GateKind.RESET, GateKind.MEASURE, GateKind.NOISE_1):
             if len(targets) == 0:
                 raise ValueError(f"{name} needs at least one target")
+            if gate.kind != GateKind.NOISE_1 and len(set(targets)) != len(targets):
+                # the simulators apply each layer as one vectorized update,
+                # which would act once on a repeated qubit instead of twice
+                raise ValueError(f"{name} cannot target the same qubit twice")
         if gate.num_probabilities != len(args):
             raise ValueError(
                 f"{name} takes {gate.num_probabilities} probability args, got {len(args)}"

@@ -5,24 +5,34 @@ circuit, each with a probability, the set of detectors it flips, and the set
 of logical observables it flips.  It is the interface between circuits and
 decoders, exactly as in Stim.
 
-Extraction strategy: every Pauli component of every noise channel is treated
-as one column of a wide Pauli-frame propagation batch.  Component *k* is
-injected right before its own instruction executes; all later gates act on
-every column.  The measurement flips of column *k* then give that component's
-detector/observable signature deterministically.  Components with identical
-signatures are merged with XOR-probability combination.
+Extraction strategy: one backward pass over the circuit, as in Stim's error
+analyser (Gidney, arXiv:2103.02202).  Each qubit carries two sensitivity
+bitsets (Python ints; detector ``j`` is bit ``j``, observable ``k`` is bit
+``num_detectors + k``): the detectors and observables an X (resp. Z) flip
+on that qubit *at the current point* would toggle.  Walking from the end:
+
+* a measurement adds its record's bitset to the qubit's X sensitivity (Z
+  for ``MX``); a reset (``R``/``RX``, and the reset half of ``MR``) clears
+  both, since no earlier flip survives it;
+* a Clifford applies the transpose of its forward frame rule, pairs of a
+  two-qubit instruction in reverse order (they act sequentially);
+* a noise channel reads off each Pauli case's signature as the XOR of its
+  qubits' sensitivities.
+
+Cases with identical signatures are merged with XOR-probability combination,
+in forward enumeration order (instruction, target, case) so the combined
+probabilities do not depend on the walk direction, and only the distinct
+signatures are expanded into index tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .._util import combine_flip_probabilities
 from .circuit import Circuit
-from .frame import compile_instruction
-from .gates import GateKind, TWO_QUBIT_PAULIS
+from .frame import _KIND_BY_NAME
+from .gates import GateKind, ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
 
 __all__ = ["DemError", "DetectorErrorModel", "circuit_to_dem"]
 
@@ -83,200 +93,138 @@ class DetectorErrorModel:
         )
 
 
-def circuit_to_dem(
-    circuit: Circuit,
-    *,
-    chunk_size: int = 32768,
-    min_probability: float = 0.0,
-) -> DetectorErrorModel:
+def circuit_to_dem(circuit: Circuit, *, min_probability: float = 0.0) -> DetectorErrorModel:
     """Extract the detector error model of ``circuit``.
 
     Args:
         circuit: the noisy circuit.
-        chunk_size: number of error components propagated per pass (memory
-            knob; each pass re-walks the instruction list).
         min_probability: mechanisms with probability at or below this value
             are dropped after merging.
     """
-    components = _enumerate_components(circuit)
-    plan = [compile_instruction(inst) for inst in circuit.instructions]
-    kinds = [inst.gate.kind for inst in circuit.instructions]
+    ndet = circuit.num_detectors
+    # measurement record -> bitset of the detectors/observables it feeds
+    rec_sig = [0] * circuit.num_measurements
+    for j, info in enumerate(circuit.detectors):
+        for r in info.rec:
+            rec_sig[r] ^= 1 << j
+    for inst in circuit.instructions:
+        if inst.name == "OBSERVABLE_INCLUDE":
+            for r in inst.rec:
+                rec_sig[r] ^= 1 << (ndet + inst.obs_index)
 
-    merged: dict[tuple[tuple[int, ...], tuple[int, ...]], list[float]] = {}
-    for start in range(0, len(components), chunk_size):
-        chunk = components[start : start + chunk_size]
-        det_sigs, obs_sigs = _propagate_chunk(circuit, plan, kinds, chunk)
-        for k, comp in enumerate(chunk):
-            key = (det_sigs[k], obs_sigs[k])
-            if key == ((), ()):
-                continue  # invisible error (flips nothing observable)
-            merged.setdefault(key, []).append(comp.probability)
+    xs = [0] * circuit.num_qubits
+    zs = [0] * circuit.num_qubits
+    cursor = circuit.num_measurements
+    # signature -> case probabilities, in reverse enumeration order
+    merged: dict[int, list[float]] = {}
+    for inst in reversed(circuit.instructions):
+        family = inst.gate.kind
+        if family == GateKind.ANNOTATION:
+            continue
+        t = inst.targets
+        if family == GateKind.NOISE_2:
+            p = inst.args[0] / 15.0
+            for i in range(len(t) - 2, -1, -2):
+                a, b = t[i], t[i + 1]
+                va = (0, xs[a], zs[a], xs[a] ^ zs[a])
+                vb = (0, xs[b], zs[b], xs[b] ^ zs[b])
+                for ma, mb in _PAIR_CASES_REVERSED:
+                    sig = va[ma] ^ vb[mb]
+                    if sig:
+                        merged.setdefault(sig, []).append(p)
+            continue
+        if family == GateKind.NOISE_1:
+            cases = _single_qubit_cases(inst)[::-1]
+            for q in reversed(t):
+                view = (0, xs[q], zs[q], xs[q] ^ zs[q])
+                for m, p in cases:
+                    sig = view[m]
+                    if sig:
+                        merged.setdefault(sig, []).append(p)
+            continue
+        kind = _KIND_BY_NAME[inst.name]
+        if kind == "cx":
+            for i in range(len(t) - 2, -1, -2):
+                a, b = t[i], t[i + 1]
+                xs[a] ^= xs[b]
+                zs[b] ^= zs[a]
+        elif kind in ("m", "mx", "mr"):
+            cursor -= len(t)
+            sens = zs if kind == "mx" else xs
+            for i, q in enumerate(t):
+                if kind == "mr":
+                    xs[q] = zs[q] = 0
+                sens[q] ^= rec_sig[cursor + i]
+        elif kind == "r":
+            for q in t:
+                xs[q] = zs[q] = 0
+        elif kind == "h":
+            for q in t:
+                xs[q], zs[q] = zs[q], xs[q]
+        elif kind == "s":
+            for q in t:
+                xs[q] ^= zs[q]
+        elif kind == "sqrt_x":
+            for q in t:
+                zs[q] ^= xs[q]
+        elif kind == "cz":
+            for i in range(len(t) - 2, -1, -2):
+                a, b = t[i], t[i + 1]
+                xs[a] ^= zs[b]
+                xs[b] ^= zs[a]
+        elif kind == "swap":
+            for i in range(len(t) - 2, -1, -2):
+                a, b = t[i], t[i + 1]
+                xs[a], xs[b] = xs[b], xs[a]
+                zs[a], zs[b] = zs[b], zs[a]
+        elif kind != "skip":  # pragma: no cover
+            raise AssertionError(f"unhandled kind {kind}")
 
+    det_mask = (1 << ndet) - 1
     errors = []
-    for (dets, obs), ps in sorted(merged.items()):
+    for sig, ps in merged.items():
+        ps.reverse()
         p = combine_flip_probabilities(ps)
         if p > min_probability:
-            errors.append(DemError(p, dets, obs))
+            errors.append(DemError(p, _bit_indices(sig & det_mask), _bit_indices(sig >> ndet)))
+    errors.sort(key=lambda e: (e.detectors, e.observables))
     return DetectorErrorModel(
         errors=errors,
-        num_detectors=circuit.num_detectors,
+        num_detectors=ndet,
         num_observables=circuit.num_observables,
         detector_coords=[info.coords for info in circuit.detectors],
         detector_basis=[info.basis for info in circuit.detectors],
     )
 
 
-@dataclass(frozen=True)
-class _Component:
-    """One Pauli case of one noise-channel application."""
-
-    inst_index: int
-    qubits: tuple[int, ...]
-    xflips: tuple[bool, ...]
-    zflips: tuple[bool, ...]
-    probability: float
+def _pauli_index(x: bool, z: bool) -> int:
+    """Index of a Pauli into a qubit's ``(0, X sens, Z sens, Y sens)`` view."""
+    return int(x) | int(z) << 1
 
 
-def _enumerate_components(circuit: Circuit) -> list[_Component]:
-    comps: list[_Component] = []
-    for pos, inst in enumerate(circuit.instructions):
-        kind = inst.gate.kind
-        if kind == GateKind.NOISE_1:
-            for q in inst.targets:
-                comps.extend(_one_qubit_cases(pos, q, inst))
-        elif kind == GateKind.NOISE_2:
-            p15 = inst.args[0] / 15.0
-            for i in range(0, len(inst.targets), 2):
-                a, b = inst.targets[i], inst.targets[i + 1]
-                for (x1, z1), (x2, z2) in TWO_QUBIT_PAULIS:
-                    comps.append(_Component(pos, (a, b), (x1, x2), (z1, z2), p15))
-    return comps
+#: the 15 two-qubit cases as view-index pairs, last case first
+_PAIR_CASES_REVERSED = [
+    (_pauli_index(*pa), _pauli_index(*pb)) for pa, pb in reversed(TWO_QUBIT_PAULIS)
+]
 
 
-def _one_qubit_cases(pos: int, q: int, inst) -> list[_Component]:
-    name = inst.name
-    if name == "X_ERROR":
-        return [_Component(pos, (q,), (True,), (False,), inst.args[0])]
-    if name == "Z_ERROR":
-        return [_Component(pos, (q,), (False,), (True,), inst.args[0])]
-    if name == "Y_ERROR":
-        return [_Component(pos, (q,), (True,), (True,), inst.args[0])]
-    if name == "DEPOLARIZE1":
-        p3 = inst.args[0] / 3.0
-        return [
-            _Component(pos, (q,), (True,), (False,), p3),
-            _Component(pos, (q,), (True,), (True,), p3),
-            _Component(pos, (q,), (False,), (True,), p3),
-        ]
-    if name == "PAULI_CHANNEL_1":
-        px, py, pz = inst.args
-        out = []
-        if px > 0:
-            out.append(_Component(pos, (q,), (True,), (False,), px))
-        if py > 0:
-            out.append(_Component(pos, (q,), (True,), (True,), py))
-        if pz > 0:
-            out.append(_Component(pos, (q,), (False,), (True,), pz))
-        return out
-    raise ValueError(f"unhandled noise channel {name}")  # pragma: no cover
+def _single_qubit_cases(inst) -> list[tuple[int, float]]:
+    """(view index, probability) of each case of a one-qubit channel, in order."""
+    args = inst.args
+    if inst.name == "DEPOLARIZE1":
+        cases = [("X", args[0] / 3.0), ("Y", args[0] / 3.0), ("Z", args[0] / 3.0)]
+    elif inst.name == "PAULI_CHANNEL_1":
+        cases = [(pauli, p) for pauli, p in zip("XYZ", args) if p > 0]
+    else:  # X_ERROR / Y_ERROR / Z_ERROR
+        cases = [(inst.name[0], args[0])]
+    return [(_pauli_index(*ONE_QUBIT_PAULIS[pauli]), p) for pauli, p in cases]
 
 
-def _propagate_chunk(circuit: Circuit, plan, kinds, chunk):
-    """Propagate one chunk of components; returns per-component signatures."""
-    width = len(chunk)
-    nq = circuit.num_qubits
-    x = np.zeros((nq, width), dtype=bool)
-    z = np.zeros((nq, width), dtype=bool)
-    ndet = circuit.num_detectors
-    nobs = circuit.num_observables
-    det = np.zeros((ndet, width), dtype=bool)
-    obs = np.zeros((nobs, width), dtype=bool)
-
-    # group component injections by instruction index
-    inject: dict[int, list[int]] = {}
-    for k, comp in enumerate(chunk):
-        inject.setdefault(comp.inst_index, []).append(k)
-
-    # measurement -> (detector rows, observable rows) fanout
-    det_fanout: dict[int, list[int]] = {}
-    for j, info in enumerate(circuit.detectors):
-        for r in info.rec:
-            det_fanout.setdefault(r, []).append(j)
-    obs_fanout: dict[int, list[int]] = {}
-    for inst in circuit.instructions:
-        if inst.name == "OBSERVABLE_INCLUDE":
-            for r in inst.rec:
-                obs_fanout.setdefault(r, []).append(inst.obs_index)
-
-    cursor = 0
-    for pos, ops in enumerate(plan):
-        for k in inject.get(pos, ()):
-            comp = chunk[k]
-            for q, xf, zf in zip(comp.qubits, comp.xflips, comp.zflips):
-                if xf:
-                    x[q, k] ^= True
-                if zf:
-                    z[q, k] ^= True
-        for op in ops:
-            kind = op.kind
-            if kind in (
-                "skip",
-                "x_error",
-                "z_error",
-                "y_error",
-                "depolarize1",
-                "depolarize2",
-                "pauli_channel_1",
-            ):
-                continue
-            if kind == "cx":
-                x[op.b] ^= x[op.a]
-                z[op.a] ^= z[op.b]
-            elif kind in ("m", "mx", "mr"):
-                src = z if kind == "mx" else x
-                for i, q in enumerate(op.a):
-                    rec = cursor + i
-                    flips = src[q]
-                    for d in det_fanout.get(rec, ()):
-                        det[d] ^= flips
-                    for o in obs_fanout.get(rec, ()):
-                        obs[o] ^= flips
-                cursor += op.a.size
-                if kind == "mr":
-                    x[op.a] = False
-                    z[op.a] = False
-            elif kind == "r":
-                x[op.a] = False
-                z[op.a] = False
-            elif kind == "h":
-                tmp = x[op.a].copy()
-                x[op.a] = z[op.a]
-                z[op.a] = tmp
-            elif kind == "s":
-                z[op.a] ^= x[op.a]
-            elif kind == "sqrt_x":
-                x[op.a] ^= z[op.a]
-            elif kind == "cz":
-                z[op.b] ^= x[op.a]
-                z[op.a] ^= x[op.b]
-            elif kind == "swap":
-                for arr in (x, z):
-                    tmp = arr[op.a].copy()
-                    arr[op.a] = arr[op.b]
-                    arr[op.b] = tmp
-            else:  # pragma: no cover
-                raise AssertionError(f"unhandled kind {kind}")
-
-    det_sigs = _columns_to_tuples(det)
-    obs_sigs = _columns_to_tuples(obs)
-    return det_sigs, obs_sigs
-
-
-def _columns_to_tuples(mat: np.ndarray) -> list[tuple[int, ...]]:
-    if mat.shape[0] == 0:
-        return [()] * mat.shape[1]
-    rows, cols = np.nonzero(mat)
-    out: list[list[int]] = [[] for _ in range(mat.shape[1])]
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        out[c].append(r)
-    return [tuple(v) for v in out]
+def _bit_indices(bits: int) -> tuple[int, ...]:
+    """Ascending indices of the set bits of ``bits``."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)

@@ -52,6 +52,25 @@ def test_two_qubit_targets_must_pair():
     assert c.num_qubits == 4
 
 
+@pytest.mark.parametrize("name", ["H", "S", "SQRT_X", "X", "R", "RX", "M", "MX", "MR"])
+def test_single_qubit_layers_reject_repeated_targets(name):
+    # a repeated qubit means "apply twice", which the vectorized simulators
+    # would silently apply once
+    c = Circuit()
+    with pytest.raises(ValueError, match="same qubit twice"):
+        c.append(name, [0, 1, 0])
+    c.append(name, [0, 1])
+    assert c.num_qubits == 2
+
+
+def test_noise_and_chained_two_qubit_layers_may_repeat_qubits():
+    c = Circuit()
+    c.append("X_ERROR", [0, 0], [0.1])
+    c.append("DEPOLARIZE2", [0, 1, 1, 2], [0.1])
+    c.append("CX", [0, 1, 1, 2])
+    assert len(c) == 3
+
+
 def test_observable_requires_index():
     c = Circuit()
     c.append("R", [0])

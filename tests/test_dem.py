@@ -69,14 +69,6 @@ def test_invisible_errors_dropped():
     assert len(dem.errors) == 0
 
 
-def test_chunked_extraction_matches_unchunked():
-    circuit = _rep_code_circuit(rounds=3)
-    full = circuit_to_dem(circuit, chunk_size=1_000_000)
-    tiny = circuit_to_dem(circuit, chunk_size=3)
-    key = lambda d: sorted((e.detectors, e.observables, round(e.probability, 12)) for e in d.errors)
-    assert key(full) == key(tiny)
-
-
 def test_min_probability_filter():
     c = Circuit()
     c.append("R", [0])

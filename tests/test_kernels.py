@@ -17,7 +17,7 @@ import builtins
 import numpy as np
 import pytest
 
-from conftest import build_dense_syndromes
+from factories import build_dense_syndromes
 from repro.codes.repetition import repetition_experiment
 from repro.decoders import (
     BatchDecodingEngine,

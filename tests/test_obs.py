@@ -360,3 +360,57 @@ def test_result_obs_spans_never_reach_stored_records(tmp_path):
         obs.reset()
     for record in _records(report).values():
         assert "obs_spans" not in json.dumps(record)
+
+
+def test_cold_pipeline_records_analysis_spans_and_predicts_identically():
+    """A cold analysis nests circuit/dem/graph under ``ler.analyze``; tracing
+    it changes neither the model nor a single prediction."""
+    import numpy as np
+
+    from repro.core.policies import make_policy
+    from repro.decoders.batch import decode_batch_dedup
+    from repro.experiments.ler import (
+        SurgeryLerConfig,
+        clear_pipeline_cache,
+        pipeline_payload,
+        prepared_pipeline,
+        _Pipeline,
+    )
+
+    config = SurgeryLerConfig(distance=3, hardware=GOOGLE, policy_name="active", tau_ns=500.0)
+
+    def analyze_and_decode():
+        clear_pipeline_cache()
+        pipe = prepared_pipeline(config, make_policy("active"))
+        det, _ = pipe.sampler.sample(400, rng=5)
+        return pipe, decode_batch_dedup(pipe.decoder("unionfind"), pipe.mask_detectors(det))
+
+    untraced_pipe, untraced = analyze_and_decode()
+    obs.configure()
+    try:
+        with obs.collect() as cold:
+            traced_pipe, traced = analyze_and_decode()
+        payload = pipeline_payload(config, make_policy("active"))
+        with obs.collect() as warm:
+            _Pipeline.from_payload(payload)
+    finally:
+        obs.reset()
+        clear_pipeline_cache()
+
+    assert traced_pipe.dem.errors == untraced_pipe.dem.errors
+    assert np.array_equal(traced, untraced)
+
+    (parent,) = [e for e in cold.events if e["name"] == "ler.analyze"]
+    children = [e for e in cold.events if e["name"].startswith("ler.analyze.")]
+    assert sorted(e["name"] for e in children) == [
+        "ler.analyze.circuit",
+        "ler.analyze.dem",
+        "ler.analyze.graph",
+    ]
+    for child in children:
+        assert parent["ts"] <= child["ts"]
+        assert child["ts"] + child["dur"] <= parent["ts"] + parent["dur"]
+    # a warm handoff skips synthesis and extraction: only the graph child
+    assert [e["name"] for e in warm.events if e["name"].startswith("ler.")] == [
+        "ler.analyze.graph"
+    ]
