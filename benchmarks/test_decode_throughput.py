@@ -19,16 +19,18 @@ mode, the dedup hit rate, and the speedups.  Scaling knobs:
 baselines are timed on a subset because their *rate* is shot-count
 independent, while dedup throughput legitimately grows with batch size).
 
-``test_decode_backend_throughput`` additionally races the decode-kernel
-*backends* (``python`` scalar pass vs ``numpy`` whole-batch union-find) on
-the kernel subsystem's acceptance configuration — d=7 at p=3e-3, where
-syndromes are heavy and dedup alone buys little — asserting bit-identical
-predictions and a >= 3x backend speedup.  ``test_wrapped_backend_throughput``
-(marked ``slow``) races the *wrapped* paths on the same configuration: the
-predecoded and hierarchical decoders under their scalar fallback vs the
-batched kernels (``BatchedPredecode`` / ``BatchedHierarchical``), asserting
-bit-identical predictions + ``PredecodeStats`` and a >= 2x predecoded-path
-speedup.  Both write per-decoder sections of
+``test_decode_backend_throughput`` additionally races every *available*
+decode-kernel backend (``python`` scalar pass, ``numpy`` whole-batch
+union-find, ``cext`` C union-find) on the kernel subsystem's acceptance
+configuration — d=7 at p=3e-3, where syndromes are heavy and dedup alone
+buys little — plus d=5, 9 and 11 at a tenth of the shots, asserting
+bit-identical predictions and a >= 2x numpy speedup.  Rows are keyed by
+the backend that actually ran; an unavailable backend records nothing.
+``test_wrapped_backend_throughput`` (marked ``slow``) races the *wrapped*
+paths on the same configuration: the predecoded and hierarchical decoders
+under their scalar fallback vs the batched kernels (``BatchedPredecode`` /
+``BatchedHierarchical``), asserting bit-identical predictions +
+``PredecodeStats`` and a >= 2x predecoded-path speedup.  Both write per-decoder sections of
 ``benchmarks/results/decode_backends.json``.  Knob:
 ``REPRO_BACKEND_BENCH_SHOTS`` (default 50_000).
 """
@@ -305,74 +307,91 @@ def test_decode_throughput(benchmark):
 # ---------------------------------------------------------------------------
 
 
-def _d7_case(shots: int, seed: int):
-    """The kernel subsystem's acceptance configuration: d=7 at p=3e-3.
+def _surface_case(distance: int, shots: int, seed: int):
+    """A d-round memory experiment at p=3e-3 (d=7: the acceptance config).
 
-    Mean syndrome weight ~7.5, >90% of rows distinct — the regime where
-    per-syndrome dispatch dominates and dedup cannot help, so whole-batch
-    vectorization is the only lever left.
+    At d=7 the mean syndrome weight is ~7.5 with >90% of rows distinct —
+    the regime where per-syndrome dispatch dominates and dedup cannot help,
+    so a faster whole-matrix kernel is the only lever left.
     """
     noise = NoiseModel(hardware=GOOGLE, p=3e-3, idle_scale=0.0)
-    art = memory_experiment(7, 7, noise)
+    art = memory_experiment(distance, distance, noise)
     dem = circuit_to_dem(art.circuit)
     graph = build_matching_graph(dem, basis="Z")
     det, _ = DemSampler(dem).sample(shots, rng=seed)
     return graph, det
 
 
-def _bench_decode_backends(shots: int, seed: int) -> dict:
-    graph, det = _d7_case(shots, seed)
+#: distances of the per-d backend throughput table (docs/DECODERS.md)
+BACKEND_DISTANCES = (5, 7, 9, 11)
 
-    rates = {}
-    predictions = {}
-    stats = {}
-    repeats = {"python": 2, "numpy": 3, "numba": 3}
-    for backend in ("python", "numpy", "numba"):
+
+def _bench_backend_point(distance: int, shots: int, seed: int, backends) -> dict:
+    """Union-find shots/s of every backend at one distance, parity-checked."""
+    graph, det = _surface_case(distance, shots, seed)
+    rates, predictions, stats = {}, {}, {}
+    for backend in backends:
         decoder = UnionFindDecoder(graph)
         state = {}
 
-        def _run():
+        def _run(decoder=decoder, backend=backend):
             engine = BatchDecodingEngine(decoder, dedup=True, cache_size=0,
                                          backend=backend)
             state["engine"] = engine
             return engine.decode_batch(det)
 
-        _run()  # warm the bound kernel (and any jit) before timing
+        if backend != "python":
+            _run()  # warm the bound kernel before timing
         rates[backend], predictions[backend] = _best_rate(
-            _run, det.shape[0], repeats=repeats[backend]
+            _run, det.shape[0], repeats=2 if backend == "python" else 3
         )
         stats[backend] = state["engine"].stats
 
+    for backend in backends:
+        assert np.array_equal(predictions[backend], predictions["python"]), (
+            f"the {backend} backend must be bit-identical to the python backend "
+            f"(d={distance})"
+        )
+        assert stats[backend].decode_calls == stats["python"].decode_calls
+    row = {"distance": distance, "shots": shots,
+           "distinct_syndromes": stats["python"].distinct_syndromes}
+    for backend in backends:
+        row[f"{backend}_shots_per_sec"] = rates[backend]
+        if backend != "python":
+            row[f"{backend}_speedup_vs_python"] = rates[backend] / rates["python"]
+    return row
+
+
+def _bench_decode_backends(shots: int, seed: int) -> dict:
     from repro.decoders import kernels
 
-    assert np.array_equal(predictions["python"], predictions["numpy"]), (
-        "the numpy backend must be bit-identical to the python backend"
+    # key every row by the backend that actually runs: an available backend
+    # resolves to itself, and an unavailable one is not measured at all
+    backends = ["python"] + sorted(
+        {kernels.resolve(name).name for name in kernels.available()} - {"python"}
     )
-    assert np.array_equal(predictions["python"], predictions["numba"])
-    assert stats["python"].decode_calls == stats["numpy"].decode_calls
-
+    by_distance = {}
+    for distance in BACKEND_DISTANCES:
+        n = shots if distance == 7 else max(1000, shots // 10)
+        by_distance[str(distance)] = _bench_backend_point(distance, n, seed, backends)
+    d7 = dict(by_distance["7"])
+    del d7["distance"], d7["shots"]
     return {
         "config": {"decoder": "unionfind", "distance": 7, "p": 3e-3, "shots": shots},
-        "backends_available": kernels.available(),
-        "distinct_syndromes": stats["python"].distinct_syndromes,
-        "python_shots_per_sec": rates["python"],
-        "numpy_shots_per_sec": rates["numpy"],
-        "numba_shots_per_sec": rates["numba"],
-        "numpy_speedup_vs_python": rates["numpy"] / rates["python"],
-        "numba_speedup_vs_python": rates["numba"] / rates["python"],
+        "backends_available": backends,
+        **d7,
+        "by_distance": by_distance,
     }
 
 
 def test_decode_backend_throughput(benchmark):
     shots = int(os.environ.get("REPRO_BACKEND_BENCH_SHOTS", 50_000))
     row = run_once(benchmark, _bench_decode_backends, shots, bench_seed())
-    print(
-        f"\npython {row['python_shots_per_sec']:,.0f}/s   "
-        f"numpy {row['numpy_shots_per_sec']:,.0f}/s   "
-        f"numba {row['numba_shots_per_sec']:,.0f}/s   "
-        f"(numpy {row['numpy_speedup_vs_python']:.2f}x vs python, "
-        f"{row['distinct_syndromes']} distinct rows)"
-    )
+    for d, point in row["by_distance"].items():
+        rates = "   ".join(
+            f"{b} {point[f'{b}_shots_per_sec']:,.0f}/s" for b in row["backends_available"]
+        )
+        print(f"\nd={d}: {rates}   ({point['distinct_syndromes']} distinct rows)")
     record_merge("decode_backends", {"unionfind": row})
 
     if shots >= 50_000:
@@ -382,10 +401,10 @@ def test_decode_backend_throughput(benchmark):
         # still fails if the whole-batch vectorized path stops engaging
         # (that reads ~1x); the recorded ratio is the tracked number.
         assert row["numpy_speedup_vs_python"] >= 2.0
-        # numba degrades to (at least) the numpy kernel, never below it
-        # (0.7: two same-kernel measurements on this class of machine can
-        # differ by ~15% each way run to run)
-        assert row["numba_speedup_vs_python"] >= 0.7 * row["numpy_speedup_vs_python"]
+        if "cext" in row["backends_available"]:
+            # the C kernel measures ~10x the numpy kernel; it must never
+            # fall behind it
+            assert row["cext_speedup_vs_python"] >= row["numpy_speedup_vs_python"]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +413,7 @@ def test_decode_backend_throughput(benchmark):
 
 
 def _bench_wrapped_backends(shots: int, seed: int) -> dict:
-    graph, det = _d7_case(shots, seed)
+    graph, det = _surface_case(7, shots, seed)
 
     def _make(name):
         if name == "predecoded":

@@ -45,6 +45,7 @@ DEFAULT_CONFIG: dict = {
     # prediction-affecting modules tracked by the salt-drift lock (globs)
     "salt_modules": [
         "src/repro/decoders/**/*.py",
+        "src/repro/decoders/**/*.c",
         "src/repro/store/keys.py",
         "src/repro/stab/sampler.py",
         "src/repro/stab/dem.py",
@@ -146,7 +147,11 @@ class LintContext:
         return False
 
     def expand_files(self, paths) -> list[str]:
-        """Flatten files/dirs/globs into sorted repo-relative ``*.py`` paths."""
+        """Flatten files/dirs/globs into sorted repo-relative paths.
+
+        A directory contributes its ``*.py`` files; a file or glob matches as
+        given (the salt-drift lock tracks the C kernel source this way).
+        """
         out: set = set()
         for path in paths:
             p = Path(path)

@@ -11,7 +11,8 @@ this package) mapping each prediction-affecting module to a digest of its
 *code* — comments, docstrings and blank lines are stripped before hashing,
 so documentation edits never trigger it, and the text-based normalization
 is identical across Python versions (an ``ast.dump`` digest would not be:
-the AST grammar grows fields between minor versions).
+the AST grammar grows fields between minor versions).  Tracked non-Python
+sources (the C union-find kernel) get a plain digest of their full text.
 
 Workflow when the rule fires:
 
@@ -36,12 +37,16 @@ from .base import LintContext, Rule
 __all__ = ["SaltDrift", "module_digest", "read_lock", "update_lock", "current_salt"]
 
 
-def module_digest(source: str) -> str:
+def module_digest(source: str, path: str = "") -> str:
     """sha256 over the module's code with comments/docstrings/blanks removed.
 
     Purely text-based (tokenize only locates comment spans), so the digest
     of identical source is identical on every supported Python version.
+    A ``path`` naming a non-Python file (e.g. ``uf.c``, which tokenize
+    cannot parse) is hashed as plain text, comments and all.
     """
+    if path and not path.endswith(".py"):
+        return hashlib.sha256(source.encode()).hexdigest()
     doc_lines: set = set()
     try:
         tree = ast.parse(source)
@@ -122,7 +127,9 @@ def update_lock(ctx: LintContext) -> str:
             "(docs/ANALYSIS.md).  Never edit by hand."
         ),
         "salt": salt,
-        "modules": {rel: module_digest(ctx.source(rel) or "") for rel in _tracked_modules(ctx)},
+        "modules": {
+            rel: module_digest(ctx.source(rel) or "", rel) for rel in _tracked_modules(ctx)
+        },
     }
     path = ctx.abs(ctx.config["lock"])
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -177,7 +184,7 @@ class SaltDrift(Rule):
         locked = lock.get("modules", {})
         tracked = _tracked_modules(ctx)
         for rel in tracked:
-            digest = module_digest(ctx.source(rel) or "")
+            digest = module_digest(ctx.source(rel) or "", rel)
             if rel not in locked:
                 findings.append(
                     self.finding(

@@ -905,7 +905,7 @@ def main(argv=None) -> int:
         "--decode-backend",
         default=None,
         metavar="NAME",
-        help="decode-kernel backend for this sweep (python/numpy/numba/auto);"
+        help="decode-kernel backend for this sweep (python/numpy/cext/auto);"
         " bit-identical across backends, so stored records are unaffected",
     )
     sweep_run.add_argument(
@@ -1204,7 +1204,8 @@ def main(argv=None) -> int:
         metavar="NAME",
         help=(
             "decode-kernel backend: python (scalar reference), numpy "
-            "(vectorized whole-batch), numba (jitted, degrades to numpy), "
+            "(vectorized whole-batch), cext (C union-find built with the "
+            "system compiler, degrades to numpy), "
             "or auto (default: fastest available); all backends produce "
             "bit-identical results"
         ),

@@ -17,7 +17,8 @@ Layers on top of the base class:
   pipeline (:mod:`repro.experiments.ler`).
 * :mod:`~repro.decoders.kernels` — pluggable decode-kernel backends for the
   distinct-syndrome matrix: ``python`` (scalar reference), ``numpy``
-  (vectorized whole-batch union-find), ``numba`` (jitted, soft import).
+  (vectorized whole-batch union-find), ``cext`` (C union-find built with
+  the system compiler; degrades to ``numpy`` without one).
   Backends are bit-identical; select via ``REPRO_DECODE_BACKEND``, the CLI
   ``--decode-backend`` flag, or the ``backend=`` arguments (docs/DECODERS.md).
 * Concrete decoders: :class:`UnionFindDecoder` (workhorse),

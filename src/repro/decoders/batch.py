@@ -23,8 +23,8 @@ an empty or tiny syndrome, so a 100k-shot batch contains only a few thousand
   the scalar per-syndrome pass, ``numpy`` binds whole-matrix kernels for
   every stock decoder family (batched union-find, batched predecode with
   matrix-form residual handoff, the hierarchical LUT row-split, and the
-  shared-Dijkstra MWPM kernel), ``numba`` jits the numpy kernels'
-  primitives when numba is importable.  All backends are bit-identical —
+  shared-Dijkstra MWPM kernel), ``cext`` swaps the union-find kernel for a
+  scalar C one built with the system compiler.  All backends are bit-identical —
   including decoder-side statistics such as
   :class:`~repro.decoders.predecoder.PredecodeStats`; selection:
   ``backend=`` argument > ``REPRO_DECODE_BACKEND`` > ``auto``.

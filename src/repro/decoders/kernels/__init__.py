@@ -15,7 +15,9 @@ python    the scalar per-syndrome pass, always available (the fallback)
 numpy     vectorized whole-batch kernels (:mod:`.batched_unionfind` for
           stock union-find; :mod:`.batched_wrappers` for the predecoded,
           hierarchical and MWPM paths)
-numba     numpy kernels with jitted primitives; degrades to ``numpy``
+cext      the numpy kernels with stock union-find decoded by a scalar C
+          kernel (:mod:`.cext`, ``uf.c`` built on first use with the system
+          compiler); degrades to ``numpy`` without a compiler
 ========  ==============================================================
 
 Backends advertise *capability flags* (``KernelBackend.capabilities``: the
@@ -31,14 +33,14 @@ Selection precedence, resolved by :func:`resolve`:
    ``SweepSpec``; the experiments layer defaults it from
    ``repro.experiments.ler.DECODE_DEFAULTS``),
 2. the ``REPRO_DECODE_BACKEND`` environment variable,
-3. ``auto`` — the fastest available backend (``numba`` > ``numpy`` >
+3. ``auto`` — the fastest available backend (``cext`` > ``numpy`` >
    ``python``).
 
-An unavailable backend degrades along its ``fallback`` chain (``numba`` ->
+An unavailable backend degrades along its ``fallback`` chain (``cext`` ->
 ``numpy`` -> ``python``), so naming a backend whose soft dependency is
 missing still decodes correctly; the degradation is announced by a single
 ``RuntimeWarning`` per process naming the backend that actually resolved
-(so CI logs show which kernel ran the parity matrix).  Third-party backends (a C extension, a
+(so CI logs show which kernel ran the parity matrix).  Third-party backends (a
 GPU kernel, ...) plug in through :func:`register` without touching the
 engine.  Full catalogue and knobs: ``docs/DECODERS.md``.
 """
@@ -48,7 +50,7 @@ from __future__ import annotations
 import os
 import warnings
 
-from .backends import NumbaBackend, NumpyBackend, PythonBackend
+from .backends import CextBackend, NumpyBackend, PythonBackend
 from .base import KernelBackend
 from .batched_unionfind import BatchedUnionFind
 from .batched_wrappers import BatchedHierarchical, BatchedMWPM, BatchedPredecode
@@ -57,7 +59,7 @@ __all__ = [
     "KernelBackend",
     "PythonBackend",
     "NumpyBackend",
-    "NumbaBackend",
+    "CextBackend",
     "BatchedUnionFind",
     "BatchedPredecode",
     "BatchedHierarchical",
@@ -73,7 +75,7 @@ __all__ = [
 ]
 
 #: preference order of the ``auto`` backend (first available wins)
-AUTO_ORDER = ("numba", "numpy", "python")
+AUTO_ORDER = ("cext", "numpy", "python")
 
 _REGISTRY: dict[str, KernelBackend] = {}
 
@@ -170,4 +172,4 @@ def capabilities(name: str | None = None) -> frozenset:
 
 register(PythonBackend())
 register(NumpyBackend())
-register(NumbaBackend())
+register(CextBackend())

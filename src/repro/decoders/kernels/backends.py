@@ -1,4 +1,4 @@
-"""The built-in decode-kernel backends: ``python``, ``numpy``, ``numba``.
+"""The built-in decode-kernel backends: ``python``, ``numpy``, ``cext``.
 
 * ``python`` — the always-available fallback.  It binds nothing, which
   makes the dedup engine run today's scalar per-syndrome pass unchanged.
@@ -22,11 +22,15 @@
 
   Decoders it has no kernel for — and any subclass that overrides a
   decode-path method — fall back to their scalar pass.
-* ``numba`` — the numpy kernels with the union-find pointer chase jitted.
-  Soft dependency: when numba is not importable the backend reports
-  unavailable and selection degrades to ``numpy`` — results are identical
-  either way, and the registry warns once per process naming the backend
-  that actually resolved.
+* ``cext`` — the numpy backend with the stock union-find kernel swapped for
+  :class:`~repro.decoders.kernels.cext.CextUnionFind`, a scalar C
+  transcription of the decoder built on first use with the system
+  compiler.  Predecoded and hierarchical decoders over union-find pick it
+  up as their inner kernel; MWPM keeps ``BatchedMWPM``.  Soft dependency:
+  with no compiler, or a failing build, the backend reports unavailable
+  and selection degrades to ``numpy`` — results are identical either way,
+  and the registry warns once per process naming the backend that
+  actually resolved.
 
 Kernels are cached *on the decoder instance* (one slot per backend name),
 so binding is cheap after the first call and a cached kernel never outlives
@@ -35,11 +39,15 @@ its decoder.
 
 from __future__ import annotations
 
+from . import cext
 from .base import KernelBackend
 from .batched_unionfind import BatchedUnionFind
 from .batched_wrappers import BatchedHierarchical, BatchedMWPM, BatchedPredecode
 
-__all__ = ["PythonBackend", "NumpyBackend", "NumbaBackend"]
+__all__ = ["PythonBackend", "NumpyBackend", "CextBackend"]
+
+#: the decode-path methods a stock ``UnionFindDecoder`` must not override
+_UNIONFIND_PATH = ("decode", "_decode_one_defects", "_decode_defects", "_peel")
 
 
 def _is_stock(decoder, base, attrs: tuple[str, ...]) -> bool:
@@ -70,7 +78,6 @@ class NumpyBackend(KernelBackend):
 
     name = "numpy"
     fallback = "python"
-    jit = False
     capabilities = frozenset({"unionfind", "predecoded", "hierarchical", "mwpm"})
 
     def available(self) -> bool:
@@ -103,12 +110,8 @@ class NumpyBackend(KernelBackend):
         from ..predecoder import PredecodedDecoder
         from ..unionfind import UnionFindDecoder
 
-        if _is_stock(
-            decoder,
-            UnionFindDecoder,
-            ("decode", "_decode_one_defects", "_decode_defects", "_peel"),
-        ):
-            return BatchedUnionFind(decoder, jit=self.jit)
+        if _is_stock(decoder, UnionFindDecoder, _UNIONFIND_PATH):
+            return BatchedUnionFind(decoder)
         if _is_stock(
             decoder, PredecodedDecoder, ("decode", "_decode_one", "_decode_rows")
         ):
@@ -127,17 +130,19 @@ class NumpyBackend(KernelBackend):
         return None
 
 
-class NumbaBackend(NumpyBackend):
-    """Numba-jitted variant of the numpy kernels (soft import)."""
+class CextBackend(NumpyBackend):
+    """The numpy kernels with stock union-find decoded by the C kernel."""
 
-    name = "numba"
+    name = "cext"
     fallback = "numpy"
-    jit = True
 
     def available(self) -> bool:
-        """True when numba imports; otherwise selection degrades to numpy."""
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return True
+        """True when ``uf.c`` builds and loads; otherwise degrade to numpy."""
+        return cext.library() is not None
+
+    def _make(self, decoder):
+        from ..unionfind import UnionFindDecoder
+
+        if _is_stock(decoder, UnionFindDecoder, _UNIONFIND_PATH):
+            return cext.CextUnionFind(decoder)
+        return super()._make(decoder)

@@ -49,7 +49,7 @@ def _sorted_unique(key: np.ndarray) -> np.ndarray:
     return key[np.r_[True, key[1:] != key[:-1]]]
 
 
-def _roots_numpy(parent: np.ndarray, pr: np.ndarray, pn: np.ndarray) -> np.ndarray:
+def _roots(parent: np.ndarray, pr: np.ndarray, pn: np.ndarray) -> np.ndarray:
     """Union-find roots of the ``(pr, pn)`` node pairs.
 
     Pointer-chases only the pairs that have not converged yet — after path
@@ -73,46 +73,15 @@ def _roots_numpy(parent: np.ndarray, pr: np.ndarray, pn: np.ndarray) -> np.ndarr
         idx, cpr, cur = idx[more], cpr[more], nxt[more]
 
 
-def _make_numba_roots():
-    """A jitted drop-in for :func:`_roots_numpy`, or None without numba.
-
-    The pointer chase is the one hot primitive that gathers element-by-
-    element; numba walks each chain without materializing the lockstep
-    intermediate arrays.  The returned roots are identical by construction.
-    """
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.njit(cache=True)
-    def _chase(parent, pr, pn, out):  # pragma: no cover - needs numba
-        for i in range(pr.size):
-            row = pr[i]
-            r = parent[row, pn[i]]
-            while parent[row, r] != r:
-                r = parent[row, r]
-            out[i] = r
-
-    def _roots(parent, pr, pn):  # pragma: no cover - needs numba
-        out = np.empty(pr.size, dtype=parent.dtype)
-        _chase(parent, pr, pn, out)
-        return out
-
-    return _roots
-
-
 class BatchedUnionFind:
     """Vectorized whole-matrix decode kernel for one ``UnionFindDecoder``.
 
     Instances are bound to a decoder (same graph, same integer weights) and
     are stateless between calls; unlike the scalar decoder they are safe to
-    call concurrently.  ``jit=True`` swaps the root-resolution primitive for
-    a numba-compiled one when numba is importable and silently keeps the
-    numpy implementation otherwise — results are identical either way.
+    call concurrently.
     """
 
-    def __init__(self, decoder, *, block_rows: int = 2048, jit: bool = False):
+    def __init__(self, decoder, *, block_rows: int = 2048):
         graph = decoder.graph
         indptr, eids = graph.adjacency()
         self.graph = graph
@@ -146,13 +115,6 @@ class BatchedUnionFind:
         # smallest table dtype that provably cannot overflow
         max_w = int(self._w.max()) if self._w.size else 0
         self._growth_dtype = np.int16 if 4 * max_w < 32767 else np.int32
-        self._roots = _roots_numpy
-        self.jitted = False
-        if jit:
-            jit_roots = _make_numba_roots()
-            if jit_roots is not None:
-                self._roots = jit_roots
-                self.jitted = True
 
     def __call__(self, rows: np.ndarray, counts=None) -> np.ndarray:
         return self.decode_rows(rows, counts)
@@ -248,7 +210,7 @@ class BatchedUnionFind:
             if okey.size == 0:
                 break
             occ_r, occ_n = okey // N, okey % N
-            roots = self._roots(parent, occ_r, occ_n)
+            roots = _roots(parent, occ_r, occ_n)
             parent[occ_r, occ_n] = roots  # path compression
             act = actroot[occ_r, roots]
             if not act.any():
@@ -288,7 +250,7 @@ class BatchedUnionFind:
             # occupancy test is needed: parity is nonzero only at cluster
             # roots, and an unoccupied endpoint is its own zero-parity root.)
             other = self._eu[fe] + self._ev[fe] - fn
-            ro = self._roots(parent, fr, other)
+            ro = _roots(parent, fr, other)
             two = actroot[fr, ro] & (ro != fm)
 
             # event-driven growth: every row jumps to its next completion.
@@ -325,7 +287,7 @@ class BatchedUnionFind:
             np.concatenate([sr * N + self._eu[se], sr * N + self._ev[se]])
         )
         nr, nn = nkey // N, nkey % N
-        ckey = nr * N + self._roots(parent, nr, nn)
+        ckey = nr * N + _roots(parent, nr, nn)
         return skey, nkey, ckey
 
     def _union_completed(self, parent, parity, occupied, bnd, actroot, okey,
@@ -365,10 +327,10 @@ class BatchedUnionFind:
             lo = np.minimum(ra[diff], rb[diff])
             hi = np.maximum(ra[diff], rb[diff])
             parent[acr, hi] = lo
-            ra = self._roots(parent, acr, acu)
-            rb = self._roots(parent, acr, acv)
+            ra = _roots(parent, acr, acu)
+            rb = _roots(parent, acr, acv)
         orow, onode = oldkey // N, oldkey % N
-        nroot = self._roots(parent, orow, onode)
+        nroot = _roots(parent, orow, onode)
         moved = nroot != onode
         if moved.any():
             mr, mo, mn = orow[moved], onode[moved], nroot[moved]

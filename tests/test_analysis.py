@@ -197,7 +197,17 @@ def test_committed_lock_matches_tree():
     salt, _ = current_salt(ctx)
     assert lock["salt"] == salt
     for rel, digest in lock["modules"].items():
-        assert module_digest(ctx.source(rel)) == digest, rel
+        assert module_digest(ctx.source(rel), rel) == digest, rel
+    # the C kernel source is tracked too
+    assert "src/repro/decoders/kernels/uf.c" in lock["modules"]
+
+
+def test_module_digest_hashes_non_python_sources_as_text():
+    c_source = "int f(int x) { return x + 1; } /* note */\n"
+    d0 = module_digest(c_source, "kernels/uf.c")
+    assert d0 != module_digest(c_source.replace("x + 1", "x + 2"), "kernels/uf.c")
+    # not the Python normalization: tokenize cannot parse C
+    assert d0 != module_digest(c_source)
 
 
 # --------------------------------------------------------------- sandboxes
@@ -247,6 +257,19 @@ def test_mutation_decoder_edit_without_salt_bump_fails(tmp_path, capsys):
     assert cli.main(["lint", "--root", str(box)]) == 1
     out = capsys.readouterr().out
     assert "src/repro/decoders/kernels/batched_unionfind.py:1:" in out
+    assert "salt-drift" in out and "STORE_SALT" in out
+
+
+def test_mutation_c_kernel_edit_without_salt_bump_fails(tmp_path, capsys):
+    box = make_sandbox(tmp_path)
+    uf = box / "src" / "repro" / "decoders" / "kernels" / "uf.c"
+    src = uf.read_text()
+    needle = "if (g >= w[e])"
+    assert needle in src
+    uf.write_text(src.replace(needle, "if (g > w[e])"))
+    assert cli.main(["lint", "--root", str(box)]) == 1
+    out = capsys.readouterr().out
+    assert "src/repro/decoders/kernels/uf.c:1:" in out
     assert "salt-drift" in out and "STORE_SALT" in out
 
 

@@ -8,11 +8,15 @@ matrix also asserts the predecoder's offload statistics
 (:class:`PredecodeStats`) match the scalar pass bit for bit.  The batched
 union-find kernel is additionally fuzzed on random syndrome matrices (where
 cluster growth and peeling interact far more than at physical error rates)
-and exercised across block boundaries; backend *degradation* (missing soft
-dependencies) is tested by monkeypatching the imports away.
+and exercised across block boundaries; the C kernel of the ``cext`` backend
+is fuzzed against the scalar decoder on the benchmark's d=3 Extra Rounds
+graph.  Backend *degradation* (no C compiler, a failing build) is tested by
+monkeypatching the compiler lookup away.
 """
 
-import builtins
+import shutil
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -36,13 +40,31 @@ from repro.decoders.kernels import (
     BatchedMWPM,
     BatchedPredecode,
     BatchedUnionFind,
+    CextBackend,
     KernelBackend,
-    NumbaBackend,
     NumpyBackend,
     PythonBackend,
+    cext,
 )
+from repro.core.policies import make_policy
+from repro.decoders.graph import MatchingGraph
+from repro.experiments.ler import SurgeryLerConfig, prepared_pipeline
 from repro.noise import GOOGLE, NoiseModel
 from repro.stab import DemSampler, circuit_to_dem
+
+requires_cc = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler on PATH"
+)
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """A host without ``cc``: the cached C build is dropped for the test."""
+    monkeypatch.setattr(shutil, "which", lambda cmd, *args, **kwargs: None)
+    monkeypatch.setattr(kernels, "_FALLBACK_WARNED", set())
+    cext.library.cache_clear()
+    yield
+    cext.library.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +73,16 @@ from repro.stab import DemSampler, circuit_to_dem
 
 
 def test_builtin_backends_registered():
-    assert {"python", "numpy", "numba"} <= set(kernels.names())
+    assert {"python", "numpy", "cext"} <= set(kernels.names())
     assert "python" in kernels.available()
     assert "numpy" in kernels.available()  # numpy is a hard dependency
+
+
+def test_cext_builds_whenever_a_compiler_is_present():
+    """A silently failed build would turn the parity matrix into numpy-vs-numpy."""
+    assert kernels.get("cext").available() == (shutil.which("cc") is not None)
+    if shutil.which("cc") is not None:
+        assert kernels.resolve("auto").name == "cext"
 
 
 def test_get_unknown_backend_is_a_clear_error():
@@ -84,10 +113,10 @@ def test_capability_flags():
         "hierarchical",
         "mwpm",
     }
-    # resolution first: the flags reported for numba are those of the
-    # backend actually used (numba itself when importable, else numpy) —
+    # resolution first: the flags reported for cext are those of the
+    # backend actually used (cext itself when it builds, else numpy) —
     # identical sets either way
-    assert kernels.capabilities("numba") == kernels.capabilities("numpy")
+    assert kernels.capabilities("cext") == kernels.capabilities("numpy")
 
 
 def test_register_custom_backend_and_replace_guard():
@@ -167,93 +196,132 @@ def test_numpy_backend_skips_overridden_decode_paths(parity_grid):
     assert kernel.inner is None
 
 
-def test_numba_backend_jit_flag_degrades(parity_grid):
+@requires_cc
+def test_cext_backend_swaps_only_the_unionfind_kernel(parity_grid):
     graph, _ = parity_grid[(3, 2e-3)]
-    kernel = NumbaBackend().bind(UnionFindDecoder(graph))
-    assert isinstance(kernel, BatchedUnionFind)
+    backend = CextBackend()
+    dec = UnionFindDecoder(graph)
+    kernel = backend.bind(dec)
+    assert isinstance(kernel, cext.CextUnionFind)
+    assert backend.bind(dec) is kernel  # cached per decoder instance
+    # wrappers over union-find pick the C kernel up as their inner kernel
+    pk = backend.bind(PredecodedDecoder(graph, UnionFindDecoder(graph)))
+    assert isinstance(pk, BatchedPredecode)
+    assert isinstance(pk.inner, cext.CextUnionFind)
+    hk = backend.bind(HierarchicalDecoder(graph, lut_size_bytes=4096))
+    assert isinstance(hk, BatchedHierarchical)
+    assert isinstance(hk.inner, cext.CextUnionFind)
+    # MWPM keeps the numpy backend's kernel; overridden paths stay scalar
+    assert isinstance(backend.bind(MWPMDecoder(graph)), BatchedMWPM)
+
+    class _CountingUF(UnionFindDecoder):
+        def decode(self, detectors):
+            return super().decode(detectors)
+
+    assert backend.bind(_CountingUF(graph)) is None
+
+
+# ---------------------------------------------------------------------------
+# backend degradation: no compiler, failing builds
+# ---------------------------------------------------------------------------
+
+
+def test_missing_compiler_reports_honestly_and_degrades(no_compiler):
+    assert not kernels.get("cext").available()
+    assert "cext" not in kernels.available()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert kernels.resolve("cext").name == "numpy"
+        assert kernels.resolve("cext").name == "numpy"
+        assert kernels.resolve("auto").name == "numpy"
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [
+        "decode backend 'cext' is unavailable (missing dependency); falling "
+        "back to 'numpy' — results are bit-identical, only throughput differs"
+    ]
+
+
+def test_failing_compile_degrades_instead_of_raising(tmp_path, monkeypatch):
+    broken = tmp_path / "uf.c"
+    broken.write_text("this is not C\n")
+    cache = tmp_path / "cache"
+    assert cext.build(broken, cache=cache) is None
+    # the failed compile leaves nothing behind for a later load to trip on
+    assert list(cache.iterdir()) == []
+
+    monkeypatch.setattr(cext, "SOURCE", broken)
+    monkeypatch.setattr(cext, "cache_dir", lambda: cache)
+    monkeypatch.setattr(kernels, "_FALLBACK_WARNED", set())
+    cext.library.cache_clear()
     try:
-        import numba  # noqa: F401
-
-        assert kernel.jitted  # pragma: no cover - numba present
-    except ImportError:
-        assert not kernel.jitted  # silently fell back to the numpy chase
-
-
-# ---------------------------------------------------------------------------
-# backend degradation: missing soft dependencies
-# ---------------------------------------------------------------------------
+        assert not kernels.get("cext").available()
+        with pytest.warns(RuntimeWarning, match="'cext'.*falling back to 'numpy'"):
+            assert kernels.resolve("cext").name == "numpy"
+    finally:
+        cext.library.cache_clear()
 
 
-def test_missing_numba_reports_honestly_and_degrades(monkeypatch):
-    real_import = builtins.__import__
+@requires_cc
+def test_cext_build_is_cached_atomically(tmp_path):
+    cache = tmp_path / "cache"
+    assert cext.build(cext.SOURCE, cache=cache) is not None
+    built = list(cache.iterdir())
+    # one finished library named by its 16-hex key, no temporary leftovers
+    assert len(built) == 1 and built[0].suffix == ".so"
+    assert len(built[0].stem) == 16
+    stamp = built[0].stat().st_mtime_ns
+    assert cext.build(cext.SOURCE, cache=cache) is not None
+    assert list(cache.iterdir()) == built
+    assert built[0].stat().st_mtime_ns == stamp  # reused, not rebuilt
 
-    def no_numba(name, *args, **kwargs):
-        if name == "numba":
-            raise ImportError("numba is not installed")
-        return real_import(name, *args, **kwargs)
 
-    monkeypatch.setattr(builtins, "__import__", no_numba)
-    assert not kernels.get("numba").available()
-    assert "numba" not in kernels.available()
-    assert kernels.resolve("numba").name == "numpy"
-    assert kernels.resolve("auto").name == "numpy"
+@requires_cc
+def test_unwritable_cache_falls_back_to_a_private_build(tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    assert cext.build(cext.SOURCE, cache=blocker / "kernels") is not None
 
 
-def test_fallback_chain_walks_numba_numpy_python(monkeypatch):
-    real_import = builtins.__import__
-
-    def no_numba(name, *args, **kwargs):
-        if name == "numba":
-            raise ImportError("numba is not installed")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numba)
+def test_fallback_chain_walks_cext_numpy_python(no_compiler, monkeypatch):
     monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
     assert kernels.available() == ["python"]
-    # the two-hop chain: numba -> numpy -> python
-    assert kernels.resolve("numba").name == "python"
+    # the two-hop chain: cext -> numpy -> python
+    assert kernels.resolve("cext").name == "python"
     assert kernels.resolve("numpy").name == "python"
     assert kernels.resolve("auto").name == "python"
     assert kernels.capabilities("numpy") == frozenset()
 
 
-def test_degradation_warns_once_per_process_naming_the_fallback(monkeypatch):
+def test_degradation_warns_once_per_process_naming_the_fallback(
+    no_compiler, monkeypatch
+):
     """CI logs must show which backend actually ran the parity matrix."""
-    import warnings
-
-    real_import = builtins.__import__
-
-    def no_numba(name, *args, **kwargs):
-        if name == "numba":
-            raise ImportError("numba is not installed")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numba)
-    monkeypatch.setattr(kernels, "_FALLBACK_WARNED", set())
-    with pytest.warns(RuntimeWarning, match="'numba'.*falling back to 'numpy'"):
-        assert kernels.resolve("numba").name == "numpy"
+    with pytest.warns(RuntimeWarning, match="'cext'.*falling back to 'numpy'"):
+        assert kernels.resolve("cext").name == "numpy"
     # second resolution of the same degradation is quiet (once per process)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert kernels.resolve("numba").name == "numpy"
+        assert kernels.resolve("cext").name == "numpy"
         # available backends and `auto` never warn
         assert kernels.resolve("auto").name == "numpy"
         assert kernels.resolve("numpy").name == "numpy"
     # a *different* degradation pair warns again
     monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
     with pytest.warns(RuntimeWarning, match="falling back to 'python'"):
-        assert kernels.resolve("numba").name == "python"
+        assert kernels.resolve("cext").name == "python"
 
 
-def test_degraded_backend_still_decodes_identically(parity_grid, monkeypatch):
+def test_degraded_backend_still_decodes_identically(
+    parity_grid, no_compiler, monkeypatch
+):
     graph, det = parity_grid[(3, 2e-3)]
     reference = BatchDecodingEngine(
         UnionFindDecoder(graph), backend="python"
     ).decode_batch(det)
     monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
-    degraded = BatchDecodingEngine(
-        UnionFindDecoder(graph), backend="numba"
-    ).decode_batch(det)
+    with pytest.warns(RuntimeWarning, match="falling back to 'python'"):
+        degraded = BatchDecodingEngine(
+            UnionFindDecoder(graph), backend="cext"
+        ).decode_batch(det)
     assert np.array_equal(degraded, reference)
 
 
@@ -384,6 +452,9 @@ def test_kernel_handles_empty_and_all_zero_input(parity_grid):
         lambda g: BatchedMWPM(MWPMDecoder(g)),
         lambda g: BatchedPredecode(PredecodedDecoder(g, UnionFindDecoder(g))),
         lambda g: BatchedHierarchical(HierarchicalDecoder(g, lut_size_bytes=4096)),
+        pytest.param(
+            lambda g: cext.CextUnionFind(UnionFindDecoder(g)), marks=requires_cc
+        ),
     ],
 )
 def test_kernels_reject_bad_shapes(parity_grid, make_kernel):
@@ -414,6 +485,110 @@ def test_mwpm_kernel_dijkstra_cache_is_stable_across_batches(parity_grid):
     assert np.array_equal(first, again)
     fresh = BatchedMWPM(MWPMDecoder(graph)).decode_rows(det[:200])
     assert np.array_equal(first, fresh)
+
+
+# ---------------------------------------------------------------------------
+# the C union-find kernel (cext backend)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def extra_rounds_graph():
+    """The benchmark sweep's d=3 Extra Rounds graph (tau = 1000 ns, E = 985)."""
+    cfg = SurgeryLerConfig(
+        distance=3,
+        hardware=GOOGLE.with_cycle_time(1000.0),
+        policy_name="extra_rounds",
+        tau_ns=1000.0,
+        t_pp_ns=1050.0,
+    )
+    graph = prepared_pipeline(cfg, make_policy("extra_rounds")).graph
+    assert graph.num_edges == 985
+    return graph
+
+
+def _scalar_masks(decoder, rows):
+    return np.array([decoder.decode(row) for row in rows], dtype=np.uint64)
+
+
+@requires_cc
+def test_cext_kernel_fuzz_parity(extra_rounds_graph):
+    """Dense and boundary-heavy rows decode exactly like the scalar pass."""
+    graph = extra_rounds_graph
+    dec = UnionFindDecoder(graph)
+    kernel = cext.CextUnionFind(dec)
+    for density in (0.01, 0.05, 0.2, 0.5):
+        det = build_dense_syndromes(graph, 200, density, seed=int(density * 1000) + 7)
+        assert np.array_equal(kernel.decode_rows(det), _scalar_masks(dec, det)), density
+    # boundary-heavy: defects only on nodes with a boundary edge, where
+    # clusters neutralize by touching the boundary instead of each other
+    near = np.union1d(
+        graph.edge_u[graph.edge_v == graph.boundary_node],
+        graph.edge_v[graph.edge_u == graph.boundary_node],
+    )
+    near = near[near != graph.boundary_node]
+    rng = np.random.default_rng(11)
+    det = np.zeros((300, graph.num_detectors), dtype=bool)
+    det[:, near] = rng.random((300, near.size)) < 0.4
+    assert np.array_equal(kernel.decode_rows(det), _scalar_masks(dec, det))
+    assert np.array_equal(kernel.decode_rows(det), BatchedUnionFind(dec).decode_rows(det))
+
+
+@requires_cc
+def test_cext_kernel_gives_up_on_isolated_odd_clusters(extra_rounds_graph):
+    """An odd cluster with no frontier left hits the scalar "give up" exit."""
+    graph = extra_rounds_graph
+    # cut detector 0 off the graph entirely: a defect there can never
+    # neutralize, and the growth loop must stop once it is the only active
+    # cluster left
+    keep = (graph.edge_u != 0) & (graph.edge_v != 0)
+    cut = MatchingGraph(
+        num_detectors=graph.num_detectors,
+        num_observables=graph.num_observables,
+        edge_u=graph.edge_u[keep],
+        edge_v=graph.edge_v[keep],
+        edge_prob=graph.edge_prob[keep],
+        edge_weight=graph.edge_weight[keep],
+        edge_obs=graph.edge_obs[keep],
+    )
+    dec = UnionFindDecoder(cut)
+    kernel = cext.CextUnionFind(dec)
+    det = build_dense_syndromes(cut, 200, 0.03, seed=5)
+    det[:, 0] = True
+    assert np.array_equal(kernel.decode_rows(det), _scalar_masks(dec, det))
+    single = np.zeros((1, cut.num_detectors), dtype=bool)
+    single[0, 0] = True
+    assert kernel.decode_rows(single).tolist() == [0] == _scalar_masks(dec, single).tolist()
+
+
+@requires_cc
+def test_cext_kernel_is_safe_across_threads(parity_grid):
+    """Scratch is allocated per call, so concurrent decodes cannot interfere."""
+    graph, det = parity_grid[(5, 1e-3)]
+    kernel = cext.CextUnionFind(UnionFindDecoder(graph))
+    rows = np.unique(det, axis=0)
+    expected = kernel.decode_rows(rows)
+    results = [None, None]
+
+    def work(slot):
+        results[slot] = [kernel.decode_rows(rows) for _ in range(5)]
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for masks in results[0] + results[1]:
+        assert np.array_equal(masks, expected)
+
+
+@requires_cc
+def test_cext_kernel_handles_empty_and_all_zero_input(parity_grid):
+    graph, _ = parity_grid[(3, 2e-3)]
+    kernel = cext.CextUnionFind(UnionFindDecoder(graph))
+    empty = kernel.decode_rows(np.zeros((0, graph.num_detectors), dtype=bool))
+    assert empty.shape == (0,) and empty.dtype == np.uint64
+    assert not kernel.decode_rows(np.zeros((5, graph.num_detectors), dtype=bool)).any()
 
 
 # ---------------------------------------------------------------------------

@@ -528,21 +528,22 @@ def test_sweep_under_missing_backend_produces_identical_records(
 ):
     """Backend degradation must not leak into stored results.
 
-    With the numpy backend monkeypatched away, naming ``numba`` resolves
-    all the way down the fallback chain to ``python`` — and the sweep's
+    With the cext and numpy backends monkeypatched away, naming ``cext``
+    resolves all the way down the fallback chain to ``python`` — and the sweep's
     stored records must be key-identical and content-identical to a
     reference sweep pinned to ``python``.
     """
-    from repro.decoders.kernels import NumpyBackend
+    from repro.decoders.kernels import CextBackend, NumpyBackend
 
     base = _spec(p=5e-3, max_shots=1500)
     reference = run_sweep(
         dataclasses.replace(base, backend="python"), ResultStore(tmp_path / "ref")
     )
     reset_warm_state()
+    monkeypatch.setattr(CextBackend, "available", lambda self: False)
     monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
     degraded = run_sweep(
-        dataclasses.replace(base, backend="numba"), ResultStore(tmp_path / "deg")
+        dataclasses.replace(base, backend="cext"), ResultStore(tmp_path / "deg")
     )
     for a, b in zip(reference.outcomes, degraded.outcomes):
         assert a.key == b.key  # backend never reaches the point key
