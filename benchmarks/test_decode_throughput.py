@@ -10,7 +10,7 @@ Measures union-find decoding of a d=5, p=1e-3 surface-code memory experiment
 * ``per_shot`` — the current decoder driven one shot at a time
   (``dedup=False``), isolating the hot-path speedups from the batching win.
 * ``dedup_engine`` — the :class:`~repro.decoders.batch.BatchDecodingEngine`
-  with syndrome dedup and the memo cache, as used by ``run_surgery_ler``.
+  with syndrome dedup, as used by ``run_surgery_ler``.
 
 Writes ``benchmarks/results/decode_throughput.json`` with shots/sec for each
 mode, the dedup hit rate, and the speedups.  Scaling knobs:
@@ -250,9 +250,8 @@ def _bench_decode_throughput(shots: int, baseline_shots: int, seed: int) -> dict
     state = {}
 
     def _run_engine():
-        # fresh engine per repeat: each run decodes one full cold batch;
-        # no memo cache — it only pays across batches, and this is one batch
-        eng = BatchDecodingEngine(decoder, dedup=True, cache_size=0)
+        # fresh engine per repeat: each run decodes one full cold batch
+        eng = BatchDecodingEngine(decoder, dedup=True)
         state["engine"] = eng
         return eng.decode_batch(det)
 
@@ -335,8 +334,7 @@ def _bench_backend_point(distance: int, shots: int, seed: int, backends) -> dict
         state = {}
 
         def _run(decoder=decoder, backend=backend):
-            engine = BatchDecodingEngine(decoder, dedup=True, cache_size=0,
-                                         backend=backend)
+            engine = BatchDecodingEngine(decoder, dedup=True, backend=backend)
             state["engine"] = engine
             return engine.decode_batch(det)
 
@@ -440,9 +438,7 @@ def _bench_wrapped_backends(shots: int, seed: int) -> dict:
                     # predecode statistics accumulate on the instance; each
                     # repeat must describe exactly one cold batch
                     decoder.stats = PredecodeStats()
-                engine = BatchDecodingEngine(
-                    decoder, dedup=True, cache_size=0, backend=backend
-                )
+                engine = BatchDecodingEngine(decoder, dedup=True, backend=backend)
                 return engine.decode_batch(det)
 
             _run()  # warm the bound kernels (jit, BatchedMWPM Dijkstra rows)

@@ -126,8 +126,6 @@ def _bench(batch_shots: int, batches: int, tmp_root) -> dict:
         "interrupted_shots": interrupted.shots_decoded,
         "resume_seconds": resume_s,
         "resume_shots": resumed.shots_decoded,
-        "cache_hits": cold.summary()["cache_hits"],
-        "cache_misses": cold.summary()["cache_misses"],
         "cold_shard_analyses": cold_analyses,
         "warm_shard_worker_analyses": warm_worker_analyses,
         "warm_shard_total_analyses": warm_total,

@@ -15,6 +15,7 @@ break that would crash at import time still lints cleanly to a finding.
 from __future__ import annotations
 
 import ast
+import re
 
 from .astutil import dotted_name, import_aliases, literal_str
 from .base import LintContext, Rule
@@ -397,39 +398,61 @@ class ContractFigureRegistry(Rule):
 
 
 class ContractEnvDocs(Rule):
-    """Every ``REPRO_*`` knob read in src/ is documented in docs/.
+    """``REPRO_*`` knobs read in src/ and the docs catalogue agree both ways.
 
     The env catalogue is the public surface multi-host operators configure
     with; an undocumented knob is a behaviour switch nobody can discover.
     The rule extracts literal env names from every read site under the
     configured source paths and requires each to appear verbatim in some
-    markdown file under the docs trees.
+    markdown file under the docs trees.  In reverse, every knob named in a
+    docs table row must be read somewhere under the source paths or the
+    benchmark harness: a row for a knob nothing reads documents a switch
+    that does nothing.
     """
+
+    #: read sites outside the source paths that keep a documented knob alive
+    #: (the benchmark harness reads its own REPRO_*_BENCH_* scaling knobs)
+    extra_read_paths = ("benchmarks",)
 
     name = "contract-env-docs"
     scope = "repo"
-    description = "every REPRO_* env knob read in src/ appears in the docs catalogue"
+    description = (
+        "every REPRO_* env knob read in src/ appears in the docs catalogue,"
+        " and every knob in a docs table row is read"
+    )
 
     def check_repo(self, ctx: LintContext) -> list:
         """Cross-check literal REPRO_* read sites against the docs tree."""
         prefix = ctx.config["env_prefix"]
+        knob = re.compile(rf"`({re.escape(prefix)}[A-Z0-9_]+)`")
         docs_text = ""
+        rows = []  # (markdown file, line, knob) per knob named in a table row
         for docs_dir in ctx.config["docs"]:
             base = ctx.abs(docs_dir)
             if base.is_dir():
                 for md in sorted(base.rglob("*.md")):
                     try:
-                        docs_text += md.read_text()
+                        text = md.read_text()
                     except OSError:
                         continue
+                    docs_text += text
+                    for lineno, line in enumerate(text.splitlines(), 1):
+                        if line.lstrip().startswith("|"):
+                            rows += [(md, lineno, k) for k in knob.findall(line)]
         findings = []
-        for relpath in ctx.expand_files(ctx.config["paths"]):
+        must_document = set(ctx.expand_files(ctx.config["paths"]))
+        readers = [*ctx.config["paths"], *self.extra_read_paths]
+        read = set()
+        for relpath in ctx.expand_files(readers):
             tree = ctx.tree(relpath)
             if tree is None:
                 continue
             aliases = import_aliases(tree)
             for node, name in env_read_sites(tree, aliases):
-                if name and name.startswith(prefix) and name not in docs_text:
+                if not name or not name.startswith(prefix):
+                    continue
+                read.add(name)
+                if relpath in must_document and name not in docs_text:
                     findings.append(
                         self.finding(
                             ctx, relpath, node,
@@ -438,4 +461,14 @@ class ContractEnvDocs(Rule):
                             "(docs/SWEEPS.md or docs/DECODERS.md)",
                         )
                     )
+        for md, lineno, name in rows:
+            if name not in read:
+                findings.append(
+                    self.finding(
+                        ctx, md, lineno,
+                        f"env knob {name!r} is documented here but nothing under "
+                        f"{', '.join(readers)} reads it; drop the stale row or "
+                        "wire the knob up",
+                    )
+                )
         return findings

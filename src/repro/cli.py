@@ -447,13 +447,13 @@ def _sweep_status(args) -> int:
                 ds = rec.get("decode_stats") or {}
                 secs = float(ds.get("decode_seconds", 0) or 0)
                 shots = int(rec.get("shots", 0))
-                lookups = int(ds.get("cache_hits", 0)) + int(ds.get("cache_misses", 0))
-                hit_rate = int(ds.get("cache_hits", 0)) / lookups if lookups else 0.0
+                distinct = int(ds.get("distinct_syndromes", 0))
+                distinct_ratio = distinct / shots if shots else 0.0
                 throughput = shots / secs if secs > 0 else 0.0
                 print(
                     f"      decode_s={secs:.3f} "
                     f"decode_calls={int(ds.get('decode_calls', 0))} "
-                    f"cache_hit_rate={hit_rate:.1%} "
+                    f"distinct_ratio={distinct_ratio:.3f} "
                     f"shots_per_s={throughput:,.0f}"
                 )
                 # mid-run progress from the commit-ahead batch log: batches
@@ -939,8 +939,9 @@ def main(argv=None) -> int:
     sweep_status.add_argument(
         "--verbose",
         action="store_true",
-        help="also report stored per-point decode time, decode calls, cache"
-        " hit rate and shots/s from the committed records (read-only)",
+        help="also report stored per-point decode time, decode calls,"
+        " distinct_ratio (distinct syndromes / shots) and shots/s from the"
+        " committed records (read-only)",
     )
     sweep_export = sweep_sub.add_parser(
         "export",

@@ -11,10 +11,10 @@ producing bit-identical predictions.
 
 Layers on top of the base class:
 
-* :class:`~repro.decoders.batch.BatchDecodingEngine` — dedup + an optional
-  bounded LRU :class:`~repro.decoders.batch.SyndromeCache` that persists
-  across batches, plus throughput statistics; used by the streaming LER
-  pipeline (:mod:`repro.experiments.ler`).
+* :class:`~repro.decoders.batch.BatchDecodingEngine` — dedup plus
+  throughput statistics accumulated across batches (each batch decodes its
+  own distinct syndromes; nothing is memoized between batches); used by the
+  streaming LER pipeline (:mod:`repro.experiments.ler`).
 * :mod:`~repro.decoders.kernels` — pluggable decode-kernel backends for the
   distinct-syndrome matrix: ``python`` (scalar reference), ``numpy``
   (vectorized whole-batch union-find), ``cext`` (C union-find built with
@@ -33,7 +33,6 @@ from .batch import (
     BatchDecodeStats,
     BatchDecodingEngine,
     Decoder,
-    SyndromeCache,
     decode_batch_dedup,
     expand_obs_masks,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "BatchDecodeStats",
     "BatchDecodingEngine",
     "Decoder",
-    "SyndromeCache",
     "decode_batch_dedup",
     "expand_obs_masks",
     "MatchingGraph",

@@ -1,23 +1,23 @@
-"""Batch decoding engine: syndrome dedup, memo caching, shared decoder base.
+"""Batch decoding engine: syndrome dedup and the shared decoder base.
 
 At the physical error rates this project sweeps (p ~ 1e-3) most shots carry
 an empty or tiny syndrome, so a 100k-shot batch contains only a few thousand
-*distinct* detector rows.  The engine exploits that three ways:
+*distinct* detector rows.  The engine decodes each of them once:
 
 * :class:`Decoder` — the shared base class of every decoder.  Its
-  ``decode_batch`` packs the boolean detector rows (:func:`repro._util.pack_bits`),
-  groups identical rows with ``np.unique(axis=0)``, decodes each distinct
-  syndrome exactly once, and scatters the observable masks back over the
-  batch with one vectorized bitmask->bool expansion
-  (:func:`expand_obs_masks`).  Predictions are bit-identical to the
-  per-shot loop because every decoder here is deterministic.
-* :class:`SyndromeCache` — an optional bounded LRU memo from packed syndrome
-  bytes to observable mask that persists *across* batches, so a streaming
-  pipeline pays for each recurring syndrome once per sweep, not once per
-  batch.
-* :class:`BatchDecodingEngine` — wraps a decoder with dedup + cache and
+  ``decode_batch`` has one shape: pack the boolean detector rows
+  (:func:`repro._util.pack_bits`), group identical rows, decode the distinct
+  rows in one ``decode_rows(rows, counts)`` call (a backend kernel, the
+  decoder's ``_decode_rows`` hook, or the scalar per-row pass), and scatter
+  the observable masks back over the batch with one vectorized
+  bitmask->bool expansion (:func:`expand_obs_masks`).  Predictions are
+  bit-identical to the per-shot loop because every decoder here is
+  deterministic.
+* :class:`BatchDecodingEngine` — wraps a decoder with a dedup policy and
   tracks throughput statistics (:class:`BatchDecodeStats`): shots, distinct
-  syndromes, cache hits, decode calls and wall-clock decode time.
+  syndromes, decode calls and wall-clock decode time.  There is no memo
+  across batches: each batch decodes its own distinct rows, so the counters
+  depend only on the sampled shots.
 * decode-kernel **backends** (:mod:`repro.decoders.kernels`) — the distinct-
   syndrome matrix is decoded through a pluggable backend: ``python`` runs
   the scalar per-syndrome pass, ``numpy`` binds whole-matrix kernels for
@@ -38,7 +38,6 @@ duplicate multiplicity (e.g. the predecoder's offload statistics) overrides
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ from .._util import pack_bits, unpack_bits
 
 __all__ = [
     "Decoder",
-    "SyndromeCache",
     "BatchDecodeStats",
     "BatchDecodingEngine",
     "expand_obs_masks",
@@ -98,44 +96,6 @@ def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return packed[order[starts]], inverse
 
 
-class SyndromeCache:
-    """Bounded LRU memo: packed syndrome bytes -> observable bitmask."""
-
-    def __init__(self, max_entries: int = 1 << 16):
-        if max_entries < 1:
-            raise ValueError("cache needs at least one entry")
-        self.max_entries = max_entries
-        self._table: OrderedDict[bytes, int] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def get(self, key: bytes) -> tuple[bool, int]:
-        """``(hit, mask)``; a hit refreshes the entry's recency."""
-        mask = self._table.get(key)
-        if mask is None:
-            self.misses += 1
-            return False, 0
-        self._table.move_to_end(key)
-        self.hits += 1
-        return True, mask
-
-    def put(self, key: bytes, mask: int) -> None:
-        """Insert/refresh an entry, evicting the least recently used on overflow."""
-        self._table[key] = mask
-        self._table.move_to_end(key)
-        while len(self._table) > self.max_entries:
-            self._table.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept)."""
-        self._table.clear()
-
-
 @dataclass
 class BatchDecodeStats:
     """Aggregate throughput counters for one engine (or one sweep)."""
@@ -143,21 +103,13 @@ class BatchDecodeStats:
     shots: int = 0
     batches: int = 0
     distinct_syndromes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     decode_calls: int = 0
     decode_seconds: float = 0.0
 
     @property
     def dedup_hit_rate(self) -> float:
-        """Fraction of shots whose decode was avoided by grouping/memoization."""
+        """Fraction of shots whose decode was avoided by syndrome grouping."""
         return 1.0 - self.decode_calls / self.shots if self.shots else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Memo-cache hit rate over the distinct syndromes that consulted it."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
 
     @property
     def shots_per_second(self) -> float:
@@ -192,22 +144,16 @@ class Decoder:
     #: optional whole-matrix fast path: ``_decode_rows(rows, counts) -> masks``
     #: taking the full ``(distinct, num_detectors)`` bool matrix and per-row
     #: shot multiplicities, returning one observable bitmask per row.  Used
-    #: by the dedup path (when no memo cache is attached) so a subclass can
+    #: by the dedup path when no backend kernel is bound, so a subclass can
     #: vectorize across the whole distinct-syndrome set — e.g. the
     #: predecoder's batched local pass.
     _decode_rows = None
-
-    #: set False by subclasses whose per-decode bookkeeping (e.g. offload
-    #: statistics weighted by multiplicity) would be silently skipped on a
-    #: memo-cache hit; the dedup path then ignores any cache it was given
-    supports_syndrome_cache = True
 
     def decode_batch(
         self,
         detectors: np.ndarray,
         *,
         dedup: bool = True,
-        cache: SyndromeCache | None = None,
         backend: str | None = None,
     ) -> np.ndarray:
         """Decode ``(shots, num_detectors)`` outcomes to ``(shots, nobs)`` bools.
@@ -216,7 +162,26 @@ class Decoder:
         None resolves ``REPRO_DECODE_BACKEND`` and then ``auto``.  Backends
         are bit-identical — they change wall time, never predictions.
         """
-        return decode_batch_dedup(self, detectors, dedup=dedup, cache=cache, backend=backend)
+        return decode_batch_dedup(self, detectors, dedup=dedup, backend=backend)
+
+
+def _scalar_decode_rows(decoder, decode_one):
+    """The per-row reference pass, shaped like a kernel: ``(rows, counts) -> masks``."""
+    decode_defects = getattr(decoder, "_decode_one_defects", None)
+
+    def decode_rows(rows: np.ndarray, counts: list[int]) -> list[int]:
+        if decode_defects is None:
+            return [decode_one(rows[i], c) for i, c in enumerate(counts)]
+        # one vectorized nonzero for every distinct row instead of one per row
+        rnz, cnz = np.nonzero(rows)
+        starts = np.searchsorted(rnz, np.arange(len(counts) + 1)).tolist()
+        cols = cnz.tolist()
+        return [
+            decode_defects(cols[starts[i] : starts[i + 1]], c)
+            for i, c in enumerate(counts)
+        ]
+
+    return decode_rows
 
 
 def decode_batch_dedup(
@@ -224,7 +189,6 @@ def decode_batch_dedup(
     detectors: np.ndarray,
     *,
     dedup: bool = True,
-    cache: SyndromeCache | None = None,
     stats: BatchDecodeStats | None = None,
     backend: str | None = None,
 ) -> np.ndarray:
@@ -234,7 +198,8 @@ def decode_batch_dedup(
     ``decode``).  With ``dedup=False`` this is the reference per-shot loop.
     ``backend`` selects a decode-kernel backend for the distinct-syndrome
     matrix (see :mod:`repro.decoders.kernels`); when the resolved backend has
-    no kernel for this decoder, the scalar pass runs unchanged.
+    no kernel for this decoder, the decoder's ``_decode_rows`` hook or else
+    the scalar per-row pass decodes the same matrix.
     """
     det = np.asarray(detectors, dtype=bool)
     if det.ndim != 2:
@@ -245,12 +210,6 @@ def decode_batch_dedup(
             f"({decoder.graph.num_detectors}); project full-DEM samples first "
             "(e.g. pipeline.mask_detectors)"
         )
-    if cache is not None and not getattr(decoder, "supports_syndrome_cache", True):
-        # cache hits would skip the decoder's per-shot bookkeeping (e.g. the
-        # predecoder's multiplicity-weighted offload statistics); dropping
-        # the cache here also routes such decoders onto the plain whole-
-        # matrix kernel path below, never the kernel+cache partition
-        cache = None
     shots = det.shape[0]
     nobs = decoder.graph.num_observables
     decode_one = getattr(decoder, "_decode_one", None) or (
@@ -279,92 +238,30 @@ def decode_batch_dedup(
         rows = unpack_bits(uniq, det.shape[1])
     from . import kernels  # deferred: kernels imports decoder classes
 
+    # one call for every distinct syndrome: a backend kernel, else the
+    # decoder's own whole-matrix hook (e.g. the vectorized predecoder), else
+    # the scalar per-row pass
+    n = len(counts)
+    args = {"rows": n}
     decode_rows = kernels.bind(decoder, backend)
-    if decode_rows is None and cache is None:
+    if decode_rows is None:
         decode_rows = getattr(decoder, "_decode_rows", None)
-    if decode_rows is not None and cache is not None:
-        # backend kernel + memo cache: serve the cached distinct rows, decode
-        # the misses in one whole-matrix call, remember them.  Counters match
-        # the scalar cached pass (hits/misses per distinct row, one decode
-        # call per miss); only the LRU refresh order differs, because every
-        # lookup happens before the first insert.
-        n = uniq.shape[0]
-        row_masks = np.zeros(n, dtype=np.uint64)
-        miss = []
-        with obs.span("decode.cache", lambda: {"rows": n}):
-            for i in range(n):
-                hit, mask = cache.get(uniq[i].tobytes())
-                if hit:
-                    row_masks[i] = mask
-                else:
-                    miss.append(i)
-        if miss:
-            with obs.span("decode.kernel", lambda: {"rows": len(miss)}):
-                decoded = np.asarray(
-                    decode_rows(rows[miss], [counts[i] for i in miss]),
-                    dtype=np.uint64,
-                )
-            row_masks[miss] = decoded
-            for j, i in enumerate(miss):
-                cache.put(uniq[i].tobytes(), int(decoded[j]))
-        if stats is not None:
-            stats.distinct_syndromes += n
-            stats.cache_hits += n - len(miss)
-            stats.cache_misses += len(miss)
-            stats.decode_calls += len(miss)
-        return expand_obs_masks(row_masks, nobs)[inverse]
-    if decode_rows is not None:
-        # whole-matrix fast path (a backend kernel, or the decoder's own
-        # ``_decode_rows`` hook such as the vectorized predecoder): one call
-        # for every distinct syndrome, no per-row python dispatch
-        with obs.span("decode.kernel", lambda: {"rows": int(uniq.shape[0])}):
-            row_masks = decode_rows(rows, counts)
-        if stats is not None:
-            stats.distinct_syndromes += uniq.shape[0]
-            stats.decode_calls += uniq.shape[0]
-        return expand_obs_masks(np.asarray(row_masks, dtype=np.uint64), nobs)[inverse]
-    decode_defects = getattr(decoder, "_decode_one_defects", None)
-    if decode_defects is not None:
-        # one vectorized nonzero for every distinct row instead of one per row
-        rnz, cnz = np.nonzero(rows)
-        starts = np.searchsorted(rnz, np.arange(uniq.shape[0] + 1)).tolist()
-        defect_cols = cnz.tolist()
-    masks: list[int] = []
-    decoded = 0
-    # the scalar fallback interleaves memo-cache lookups with per-row
-    # decodes, so one span covers both (args record the row count)
-    with obs.span("decode.kernel", lambda: {"rows": int(uniq.shape[0]), "path": "scalar"}):
-        for i in range(uniq.shape[0]):
-            if cache is not None:
-                key = uniq[i].tobytes()
-                hit, mask = cache.get(key)
-                if hit:
-                    if stats is not None:
-                        stats.cache_hits += 1
-                    masks.append(mask)
-                    continue
-                if stats is not None:
-                    stats.cache_misses += 1
-            if decode_defects is not None:
-                mask = decode_defects(defect_cols[starts[i] : starts[i + 1]], counts[i])
-            else:
-                mask = decode_one(rows[i], counts[i])
-            if cache is not None:
-                cache.put(key, mask)
-            decoded += 1
-            masks.append(mask)
+    if decode_rows is None:
+        decode_rows = _scalar_decode_rows(decoder, decode_one)
+        args["path"] = "scalar"
+    with obs.span("decode.kernel", lambda: args):
+        row_masks = decode_rows(rows, counts)
     if stats is not None:
-        stats.decode_calls += decoded
-        stats.distinct_syndromes += uniq.shape[0]
-    return expand_obs_masks(np.array(masks, dtype=np.uint64), nobs)[inverse]
+        stats.distinct_syndromes += n
+        stats.decode_calls += n
+    return expand_obs_masks(np.asarray(row_masks, dtype=np.uint64), nobs)[inverse]
 
 
 class BatchDecodingEngine:
-    """A decoder plus dedup policy, cross-batch memo cache, and statistics.
+    """A decoder plus dedup policy and statistics.
 
     The streaming LER pipeline creates one engine per configuration and feeds
-    it every sampled batch; the cache (when enabled) carries recurring
-    syndromes across batch boundaries.
+    it every sampled batch; the statistics accumulate across batches.
     """
 
     def __init__(
@@ -372,35 +269,21 @@ class BatchDecodingEngine:
         decoder,
         *,
         dedup: bool = True,
-        cache_size: int = 0,
-        cache: SyndromeCache | None = None,
         backend: str | None = None,
     ):
         self.decoder = decoder
         self.dedup = dedup
         #: decode-kernel backend name (None: REPRO_DECODE_BACKEND, then auto)
         self.backend = backend
-        # the memo cache only exists on the dedup path; the per-shot
-        # reference loop must stay a true per-shot loop.  An explicit
-        # ``cache`` instance overrides ``cache_size`` — sweep orchestration
-        # passes one shared per-configuration-family cache so recurring
-        # syndromes persist across sweep points, not just across batches.
-        if not dedup:
-            self.cache = None
-        elif cache is not None:
-            self.cache = cache
-        else:
-            self.cache = SyndromeCache(cache_size) if cache_size > 0 else None
         self.stats = BatchDecodeStats()
 
     def decode_batch(self, detectors: np.ndarray) -> np.ndarray:
-        """Decode one batch through the engine, updating cache and statistics."""
+        """Decode one batch through the engine, updating its statistics."""
         with obs.stopwatch() as sw:
             out = decode_batch_dedup(
                 self.decoder,
                 detectors,
                 dedup=self.dedup,
-                cache=self.cache,
                 stats=self.stats,
                 backend=self.backend,
             )

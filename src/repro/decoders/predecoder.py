@@ -224,11 +224,7 @@ class PredecodedDecoder(Decoder):
     ``decode_batch`` is inherited from :class:`~repro.decoders.batch.Decoder`;
     the offload statistics stay exact under syndrome dedup because each
     distinct syndrome's contribution is weighted by its shot multiplicity.
-    Cross-batch memo caching is declined (``supports_syndrome_cache=False``):
-    a cache hit would skip that bookkeeping and undercount the statistics.
     """
-
-    supports_syndrome_cache = False
 
     def __init__(self, graph: MatchingGraph, slow_decoder):
         self.graph = graph

@@ -7,10 +7,10 @@ configuration (bounded LRU), so sweeps pay the circuit-analysis cost once.
 
 :func:`run_surgery_ler` is a *streaming* pipeline: it samples, decodes and
 accumulates failures one batch at a time through a
-:class:`~repro.decoders.batch.BatchDecodingEngine` (syndrome dedup plus an
-optional cross-batch memo cache), so memory stays bounded by ``batch_size``
-even for million-shot runs.  With ``decode_workers > 1`` the shots of the
-single configuration are sharded across a process pool
+:class:`~repro.decoders.batch.BatchDecodingEngine` (syndrome dedup), so
+memory stays bounded by ``batch_size`` even for million-shot runs.  With
+``decode_workers > 1`` the shots of the single configuration are sharded
+across a process pool
 (:func:`repro.experiments.parallel.run_sharded_ler`) with
 ``np.random.SeedSequence.spawn`` child streams.
 """
@@ -78,8 +78,6 @@ BATCH_STAT_KEYS = (
     "batches",
     "distinct_syndromes",
     "decode_calls",
-    "cache_hits",
-    "cache_misses",
     "decode_seconds",
     "pipeline_analyses",
 )
@@ -90,7 +88,6 @@ BATCH_STAT_KEYS = (
 DECODE_DEFAULTS: dict = {
     "dedup": bool(env_int("REPRO_DECODE_DEDUP", 1)),
     "workers": env_int("REPRO_DECODE_WORKERS", 1),
-    "cache_size": env_int("REPRO_DECODE_CACHE", 1 << 15),
     # decode-kernel backend (repro.decoders.kernels): "auto" picks the
     # fastest available; every backend is bit-identical to "python"
     "backend": env_str("REPRO_DECODE_BACKEND", "auto"),
@@ -393,17 +390,15 @@ def run_surgery_ler(
     decoder: str = "unionfind",
     batch_size: int = 65536,
     dedup: bool | None = None,
-    cache_size: int | None = None,
     decode_workers: int | None = None,
     backend: str | None = None,
     pipeline: "_Pipeline | None" = None,
-    syndrome_cache=None,
 ) -> LerResult:
     """Sample and decode ``shots`` shots of one configuration, streaming.
 
     Batches of at most ``batch_size`` shots are sampled, decoded and reduced
     to failure counts immediately, so peak memory is independent of
-    ``shots``.  ``dedup``/``cache_size``/``decode_workers``/``backend``
+    ``shots``.  ``dedup``/``decode_workers``/``backend``
     default to :data:`DECODE_DEFAULTS`; with ``decode_workers > 1`` the run
     is sharded across a process pool (bit-identical for any worker count
     >= 2 given the same seed).  The sharded path draws from
@@ -414,16 +409,14 @@ def run_surgery_ler(
     knob affects wall time only.
 
     ``pipeline`` injects a pre-analyzed pipeline (from
-    :func:`prepared_pipeline` or :meth:`_Pipeline.from_payload`) and
-    ``syndrome_cache`` a shared cross-point :class:`SyndromeCache`; both
-    force the serial in-process path (shard workers use them so a worker
-    never re-shards or re-analyzes).
+    :func:`prepared_pipeline` or :meth:`_Pipeline.from_payload`) and forces
+    the serial in-process path (shard workers use it so a worker never
+    re-shards or re-analyzes).
     """
     dedup = DECODE_DEFAULTS["dedup"] if dedup is None else dedup
-    cache_size = DECODE_DEFAULTS["cache_size"] if cache_size is None else cache_size
     workers = DECODE_DEFAULTS["workers"] if decode_workers is None else decode_workers
     backend = DECODE_DEFAULTS["backend"] if backend is None else backend
-    if workers > 1 and shots > 1 and pipeline is None and syndrome_cache is None:
+    if workers > 1 and shots > 1 and pipeline is None:
         from .parallel import run_sharded_ler  # local import: avoids a cycle
 
         # the shard count stays DEFAULT_NUM_SHARDS regardless of `workers`:
@@ -437,20 +430,13 @@ def run_surgery_ler(
             decoder=decoder,
             dedup=dedup,
             batch_size=batch_size,
-            cache_size=cache_size,
             backend=backend,
         )
 
     rng = resolve_rng(rng)
     pipe = pipeline if pipeline is not None else prepared_pipeline(config, policy)
     decoder_obj = pipe.decoder(decoder)
-    engine = BatchDecodingEngine(
-        decoder_obj,
-        dedup=dedup,
-        cache_size=cache_size,
-        cache=syndrome_cache,
-        backend=backend,
-    )
+    engine = BatchDecodingEngine(decoder_obj, dedup=dedup, backend=backend)
     # predecode offload statistics accumulate on the (cached) decoder across
     # runs; snapshot them so this result reports only its own delta
     predecode_stats = getattr(decoder_obj, "stats", None)
@@ -482,9 +468,6 @@ def run_surgery_ler(
         "batches": stats.batches,
         "distinct_syndromes": stats.distinct_syndromes,
         "decode_calls": stats.decode_calls,
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
-        "cache_hit_rate": stats.cache_hit_rate,
         "dedup_hit_rate": stats.dedup_hit_rate,
         "decode_seconds": stats.decode_seconds,
     }

@@ -22,6 +22,7 @@ syndrome dedup, so a shard's cost scales with its *distinct* syndromes.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import pickle
@@ -32,10 +33,8 @@ from dataclasses import dataclass
 from .. import obs
 from .._util import spawn_seeds
 from ..core.policies import _BasePolicy, make_policy, policy_fields
-from ..decoders.batch import SyndromeCache
 from . import ler as _ler
 from .ler import (
-    DECODE_DEFAULTS,
     LerResult,
     PipelinePayload,
     SurgeryLerConfig,
@@ -113,8 +112,8 @@ class InlineExecutor:
     The single-core counterpart of :func:`pool_executor`: schedulers built
     on :func:`submit_task` work unchanged, but tasks skip pickling and IPC
     entirely — they execute in-process (against the module-global warm
-    pipeline/cache state, like the serial path of
-    :func:`run_sweep_parallel`) when their :class:`InlineFuture` is forced.
+    pipelines, like the serial path of :func:`run_sweep_parallel`) when
+    their :class:`InlineFuture` is forced.
     """
 
     def submit(self, fn, /, *args, **kwargs):
@@ -133,14 +132,6 @@ class InlineExecutor:
 #: bounded like the in-process pipeline LRU
 _WARM_PIPELINES: "OrderedDict[tuple, object]" = OrderedDict()
 
-#: worker-process cache: (pipeline key, decoder name) -> SyndromeCache
-#: shared by every task of that configuration family this worker executes
-#: (cross-batch and cross-sweep-point memoization).  The decoder name is
-#: part of the key: different decoders may map the same syndrome to
-#: different observable masks, and a shared entry would leak one decoder's
-#: answers into the other's results.
-_WARM_CACHES: "OrderedDict[tuple, SyndromeCache]" = OrderedDict()
-
 
 def install_payload(payload: PipelinePayload) -> None:
     """Install one payload into this process's warm-pipeline LRU.
@@ -149,10 +140,19 @@ def install_payload(payload: PipelinePayload) -> None:
     tasks in-process (the serial path of :func:`run_sweep_parallel`, the
     inline executor of the sweep schedulers) install the payload object
     directly, so a task whose ``pipeline_key`` matches skips circuit
-    analysis without any serialization round-trip.
+    analysis without any serialization round-trip.  When the payload was
+    packaged from this process's own pipeline LRU (the DEM is the very same
+    object), that pipeline's graph, sampler and decoders are reused instead
+    of being rebuilt; an unpickled payload never matches.
     """
     if payload.key not in _WARM_PIPELINES:
-        _WARM_PIPELINES[payload.key] = _ler._Pipeline.from_payload(payload)
+        cached = _ler._PIPELINE_CACHE.get(payload.key)
+        if cached is not None and cached.dem is payload.dem:
+            pipe = copy.copy(cached)
+            pipe.payload_backend = payload.backend
+        else:
+            pipe = _ler._Pipeline.from_payload(payload)
+        _WARM_PIPELINES[payload.key] = pipe
     _WARM_PIPELINES.move_to_end(payload.key)
     limit = max(1, _ler.PIPELINE_CACHE_SIZE)
     while len(_WARM_PIPELINES) > limit:
@@ -175,25 +175,9 @@ def warm_worker(payload_blobs: tuple[bytes, ...]) -> None:
         _install_payload(pickle.loads(blob))
 
 
-def _family_cache(pipeline_key: tuple, decoder: str, size: int) -> SyndromeCache | None:
-    """This process's persistent syndrome cache for one (family, decoder)."""
-    if size <= 0:
-        return None
-    key = (pipeline_key, decoder)
-    cache = _WARM_CACHES.get(key)
-    if cache is None:
-        cache = _WARM_CACHES[key] = SyndromeCache(size)
-    _WARM_CACHES.move_to_end(key)
-    limit = max(1, _ler.PIPELINE_CACHE_SIZE)
-    while len(_WARM_CACHES) > limit:
-        _WARM_CACHES.popitem(last=False)
-    return cache
-
-
 def reset_warm_state() -> None:
-    """Drop warm pipelines and family caches (tests, memory pressure)."""
+    """Drop warm pipelines (tests, memory pressure)."""
     _WARM_PIPELINES.clear()
-    _WARM_CACHES.clear()
 
 #: default shard count for one configuration: fixed (never derived from the
 #: worker count or host CPU topology) so a seeded result is reproducible on
@@ -218,7 +202,6 @@ class SweepTask:
     decoder: str = "unionfind"
     dedup: bool | None = None
     batch_size: int = 65536
-    cache_size: int | None = None
     #: decode-kernel backend; None defers to the warm payload's backend and
     #: then the worker's own DECODE_DEFAULTS
     backend: str | None = None
@@ -239,7 +222,7 @@ class SweepTask:
 
 def _run_task(task: SweepTask) -> LerResult:
     policy = make_policy(task.policy_name, **dict(task.policy_kwargs))
-    pipeline = cache = None
+    pipeline = None
     if task.pipeline_key is not None:
         if task.pipeline_key not in _WARM_PIPELINES:
             if task.payload_blob is not None:
@@ -248,14 +231,6 @@ def _run_task(task: SweepTask) -> LerResult:
                 with open(task.payload_path, "rb") as f:
                     warm_worker((f.read(),))
         pipeline = _WARM_PIPELINES.get(task.pipeline_key)
-        if pipeline is not None and task.dedup is not False:
-            cache = _family_cache(
-                task.pipeline_key,
-                task.decoder,
-                DECODE_DEFAULTS["cache_size"]
-                if task.cache_size is None
-                else task.cache_size,
-            )
     # shards must agree on the decode backend: an explicit task backend wins,
     # then the backend the coordinator stamped into the warm payload
     backend = task.backend
@@ -275,11 +250,9 @@ def _run_task(task: SweepTask) -> LerResult:
             decoder=task.decoder,
             dedup=task.dedup,
             batch_size=task.batch_size,
-            cache_size=task.cache_size,
             decode_workers=1,
             backend=backend,
             pipeline=pipeline,
-            syndrome_cache=cache,
         )
     # analyses this task actually triggered in this process (0 when served
     # from the warm handoff or the in-process pipeline LRU)
@@ -328,8 +301,8 @@ def execute_tasks(pool: ProcessPoolExecutor, tasks: list[SweepTask]) -> list[Ler
 
     Workers warm themselves lazily from each task's ``payload_blob`` on
     first contact with a configuration, so a single long-lived pool keeps
-    its pipelines and per-family syndrome caches alive across every batch,
-    convergence round and sweep point it serves.
+    its pipelines alive across every batch, convergence round and sweep
+    point it serves.
     """
     results = list(pool.map(_run_task, tasks))
     absorb_result_spans(results)
@@ -346,10 +319,8 @@ def run_sweep_parallel(
 
     ``payloads`` warms every worker with pre-analyzed pipelines
     (:func:`warm_worker`); tasks whose ``pipeline_key`` matches a payload
-    then skip circuit analysis and share one persistent
-    :class:`SyndromeCache` per (configuration family, decoder).  On the
-    serial path the payloads are installed in-process, without the pickle
-    round-trip.
+    then skip circuit analysis.  On the serial path the payloads are
+    installed in-process, without the pickle round-trip.
     """
     if not tasks:
         return []
@@ -379,7 +350,6 @@ def shard_tasks(
     decoder: str = "unionfind",
     dedup: bool | None = None,
     batch_size: int = 65536,
-    cache_size: int | None = None,
     backend: str | None = None,
     pipeline_key: tuple | None = None,
 ) -> list[SweepTask]:
@@ -409,7 +379,6 @@ def shard_tasks(
                 decoder=decoder,
                 dedup=dedup,
                 batch_size=batch_size,
-                cache_size=cache_size,
                 backend=backend,
                 pipeline_key=pipeline_key,
             )
@@ -428,7 +397,6 @@ def run_sharded_ler(
     decoder: str = "unionfind",
     dedup: bool | None = None,
     batch_size: int = 65536,
-    cache_size: int | None = None,
     backend: str | None = None,
     payload: "PipelinePayload | None | bool" = None,
 ) -> LerResult:
@@ -459,7 +427,6 @@ def run_sharded_ler(
         decoder=decoder,
         dedup=dedup,
         batch_size=batch_size,
-        cache_size=cache_size,
         backend=backend,
         pipeline_key=None if payload is None else payload.key,
     )
@@ -488,8 +455,6 @@ def run_sharded_ler(
     totals["dedup_hit_rate"] = (
         1.0 - totals["decode_calls"] / shots if shots else 0.0
     )
-    lookups = totals["cache_hits"] + totals["cache_misses"]
-    totals["cache_hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
     # predecode offload statistics (present when the decoder wraps a
     # predecoder) pool like the failure counts: plain sums over shards
     predecode = [r.decode_stats.get("predecode") for r in results]

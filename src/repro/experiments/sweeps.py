@@ -43,9 +43,8 @@ Consequences:
 * **Warm workers** — the orchestrator analyzes each configuration once and
   hands workers a serialized DEM (:class:`~repro.experiments.ler.PipelinePayload`);
   workers rebuild the decode pipeline without re-running circuit analysis
-  and keep one :class:`~repro.decoders.batch.SyndromeCache` per
-  configuration family across every batch and sweep point they execute.
-  Cache hit/miss totals are surfaced in the stored records.
+  and keep it across every batch and sweep point they execute.  The
+  inline executor reuses the coordinator's own analyzed pipeline outright.
 """
 
 from __future__ import annotations
@@ -362,12 +361,6 @@ class SweepReport:
             ),
             "pipeline_analyses_parent": self.analyses_parent,
             "pipeline_analyses_workers": self.analyses_workers,
-            "cache_hits": sum(
-                int(r.get("decode_stats", {}).get("cache_hits", 0)) for r in recs
-            ),
-            "cache_misses": sum(
-                int(r.get("decode_stats", {}).get("cache_misses", 0)) for r in recs
-            ),
             "interrupted": self.interrupted,
             "speculate": self.speculate,
             "batches_replayed": self.batches_replayed,
@@ -619,8 +612,8 @@ class _SweepRun:
         Serial mode installs the payload in-process (module-global warm
         state); pooled mode sends tasks carrying the payload's spool path to
         the run-wide pool, where each worker installs it on first contact.
-        In both modes the per-family :class:`SyndromeCache` persists across
-        batches, rounds and points.
+        In both modes the installed pipeline persists across batches, rounds
+        and points.
         """
         tasks = [
             self._make_task(
@@ -718,15 +711,7 @@ class _SweepRun:
             self._update_batch_plan(record)
         obs.count("sweep.batches_replayed" if replayed else "sweep.batches_applied")
 
-    def _refresh_stats(self, record: dict) -> None:
-        stats = record["decode_stats"]
-        lookups = stats.get("cache_hits", 0) + stats.get("cache_misses", 0)
-        stats["cache_hit_rate"] = (
-            stats.get("cache_hits", 0) / lookups if lookups else 0.0
-        )
-
     def _checkpoint(self, key: str, record: dict) -> None:
-        self._refresh_stats(record)
         record["updated_at"] = _wallclock()
         self.store.put(key, record)
         self.progress(
@@ -742,7 +727,6 @@ class _SweepRun:
         now lives in the point record); speculative overshoot is kept for
         future replays.
         """
-        self._refresh_stats(record)
         record.update(converged=True, stop_reason=reason, updated_at=_wallclock())
         self.store.put(key, record)
         self.store.delete_batches(key, below=record["batches"])

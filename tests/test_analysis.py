@@ -337,6 +337,18 @@ def test_mutation_undocumented_env_knob_fails(tmp_path):
     assert any("REPRO_UNDOCUMENTED_PROBE" in f.message for f in report.findings)
 
 
+def test_mutation_documented_but_unread_env_knob_fails(tmp_path):
+    box = make_sandbox(tmp_path)
+    sweeps = box / "docs" / "SWEEPS.md"
+    lines = sweeps.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("| `REPRO_"))
+    lines.insert(row, "| `REPRO_UNREAD_PROBE` | `0` | a knob nothing reads |")
+    sweeps.write_text("\n".join(lines) + "\n")
+    report = run_lint(root=box, only=["contract-env-docs"])
+    assert [(f.path, f.line) for f in report.findings] == [("docs/SWEEPS.md", row + 1)]
+    assert "REPRO_UNREAD_PROBE" in report.findings[0].message
+
+
 def test_mutation_spec_without_benchmark_wrapper_fails(tmp_path):
     box = make_sandbox(tmp_path)
     builders = box / "src" / "repro" / "figures" / "builders.py"

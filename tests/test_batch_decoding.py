@@ -1,8 +1,8 @@
 """Batch decoding engine tests: dedup equivalence, caching, streaming, sharding.
 
 Covers the decoder-equivalence contract (``decode_batch(dets)`` equals the
-per-shot ``decode`` loop for every decoder), the syndrome memo cache, the
-streaming LER pipeline and its regression fixes (empty sampling, fair-coin
+per-shot ``decode`` loop for every decoder), the engine's decode counters,
+the streaming LER pipeline and its regression fixes (empty sampling, fair-coin
 errors, explicit detector masking, bounded pipeline cache), and the
 worker-count independence of sharded parallel decoding.
 """
@@ -19,7 +19,6 @@ from repro.decoders import (
     LookupTableDecoder,
     MWPMDecoder,
     PredecodedDecoder,
-    SyndromeCache,
     UnionFindDecoder,
     build_matching_graph,
     expand_obs_masks,
@@ -123,20 +122,13 @@ def test_decode_batch_on_random_syndromes(surface_fixture):
     assert np.array_equal(dec.decode_batch(det), reference)
 
 
-def test_predecoder_declines_memo_cache_to_keep_stats_exact(surface_fixture):
+def test_predecoder_stats_count_repeated_batches(surface_fixture):
     graph, det = surface_fixture
     dec = PredecodedDecoder(graph, UnionFindDecoder(graph))
-    engine = BatchDecodingEngine(dec, dedup=True, cache_size=1 << 14)
+    engine = BatchDecodingEngine(dec, dedup=True)
     engine.decode_batch(det[:1000])
-    engine.decode_batch(det[:1000])  # identical batch: cache hits would skip stats
+    engine.decode_batch(det[:1000])  # identical batch: every shot counted again
     assert dec.stats.shots == 2000
-    assert engine.stats.cache_hits == 0
-
-
-def test_engine_without_dedup_builds_no_cache(surface_fixture):
-    graph, _ = surface_fixture
-    engine = BatchDecodingEngine(UnionFindDecoder(graph), dedup=False, cache_size=1 << 14)
-    assert engine.cache is None
 
 
 def test_predecoder_stats_exact_under_dedup(surface_fixture):
@@ -150,7 +142,7 @@ def test_predecoder_stats_exact_under_dedup(surface_fixture):
 
 
 # ---------------------------------------------------------------------------
-# dedup + memo cache mechanics
+# dedup mechanics and engine counters
 # ---------------------------------------------------------------------------
 
 
@@ -177,73 +169,48 @@ def test_dedup_decodes_each_distinct_syndrome_once(surface_fixture):
     assert dec.calls == distinct < det.shape[0]
 
 
-def test_syndrome_cache_lru_eviction():
-    cache = SyndromeCache(max_entries=2)
-    cache.put(b"a", 1)
-    cache.put(b"b", 2)
-    assert cache.get(b"a") == (True, 1)  # refresh 'a'
-    cache.put(b"c", 3)  # evicts 'b', the least recently used
-    assert cache.get(b"b") == (False, 0)
-    assert cache.get(b"a") == (True, 1)
-    assert cache.get(b"c") == (True, 3)
-    assert len(cache) == 2
-    assert cache.evictions == 1
-
-
-def test_engine_cache_persists_across_batches(surface_fixture):
+def test_engine_stats_accumulate_across_batches(surface_fixture):
     graph, det = surface_fixture
     dec = _CountingUnionFind(graph)
-    engine = BatchDecodingEngine(dec, dedup=True, cache_size=1 << 14)
+    engine = BatchDecodingEngine(dec, dedup=True)
     first = engine.decode_batch(det[:800])
     calls_after_first = dec.calls
-    second = engine.decode_batch(det[:800])  # identical batch: all memo hits
-    assert dec.calls == calls_after_first
+    second = engine.decode_batch(det[:800])  # identical batch: decoded afresh
+    assert dec.calls == 2 * calls_after_first
     assert np.array_equal(first, second)
-    assert engine.stats.cache_hits > 0
     assert engine.stats.batches == 2
     assert engine.stats.shots == 1600
+    assert engine.stats.decode_calls == dec.calls
     assert 0.0 < engine.stats.dedup_hit_rate < 1.0
 
 
-def test_engine_cache_hit_miss_counters_at_high_p():
-    # p = 5e-3: syndromes are heavy enough that within-batch dedup decays,
-    # which is exactly where the cross-batch memo cache has to earn its keep
+def test_engine_decode_counters_at_high_p():
+    # p = 5e-3: syndromes are heavy enough that within-batch dedup decays
     noise = NoiseModel(hardware=GOOGLE, p=5e-3, idle_scale=0.0)
     art = memory_experiment(3, 3, noise)
     dem = circuit_to_dem(art.circuit)
     graph = build_matching_graph(dem, basis="Z")
     det, _ = DemSampler(dem).sample(6000, rng=21)
-    engine = BatchDecodingEngine(UnionFindDecoder(graph), dedup=True, cache_size=1 << 14)
+    engine = BatchDecodingEngine(UnionFindDecoder(graph), dedup=True)
+    per_batch = []
     for start in range(0, det.shape[0], 1500):
-        engine.decode_batch(det[start : start + 1500])
+        batch = det[start : start + 1500]
+        engine.decode_batch(batch)
+        per_batch.append(np.unique(np.packbits(batch, axis=-1), axis=0).shape[0])
     stats = engine.stats
-    assert stats.cache_hits > 0
-    assert stats.cache_misses > 0
-    assert stats.cache_hits + stats.cache_misses == stats.distinct_syndromes
-    assert stats.decode_calls == stats.cache_misses
-    assert stats.cache_hit_rate == pytest.approx(
-        stats.cache_hits / (stats.cache_hits + stats.cache_misses)
-    )
+    # every batch decodes its own distinct rows once, nothing carries over
+    assert stats.batches == len(per_batch) == 4
+    assert stats.distinct_syndromes == sum(per_batch)
+    assert stats.decode_calls == stats.distinct_syndromes
+    assert stats.dedup_hit_rate == pytest.approx(1.0 - sum(per_batch) / stats.shots)
     # dedup alone leaves plenty of distinct rows at this p
     assert stats.distinct_syndromes / stats.shots > 0.1
-
-
-def test_injected_cache_is_shared_between_engines(surface_fixture):
-    graph, det = surface_fixture
-    shared = SyndromeCache(1 << 14)
-    first = BatchDecodingEngine(UnionFindDecoder(graph), dedup=True, cache=shared)
-    first.decode_batch(det[:800])
-    second = BatchDecodingEngine(UnionFindDecoder(graph), dedup=True, cache=shared)
-    out = second.decode_batch(det[:800])
-    assert second.stats.cache_misses == 0  # fully served by the first engine's work
-    assert second.stats.cache_hits == second.stats.distinct_syndromes > 0
-    assert np.array_equal(out, first.decode_batch(det[:800]))
 
 
 def test_engine_without_dedup_matches_engine_with_dedup(surface_fixture):
     graph, det = surface_fixture
     det = det[:400]
-    fast = BatchDecodingEngine(UnionFindDecoder(graph), dedup=True, cache_size=256)
+    fast = BatchDecodingEngine(UnionFindDecoder(graph), dedup=True)
     slow = BatchDecodingEngine(UnionFindDecoder(graph), dedup=False)
     assert np.array_equal(fast.decode_batch(det), slow.decode_batch(det))
     assert slow.stats.decode_calls == det.shape[0]
@@ -376,12 +343,6 @@ def test_streaming_matches_single_batch_decode():
     streamed = run_surgery_ler(cfg, pol, 3000, rng=9, batch_size=3000, dedup=False)
     assert [e.successes for e in whole.estimates] == [
         e.successes for e in streamed.estimates
-    ]
-    nodedup_nocache = run_surgery_ler(
-        cfg, pol, 3000, rng=9, batch_size=3000, cache_size=0
-    )
-    assert [e.successes for e in whole.estimates] == [
-        e.successes for e in nodedup_nocache.estimates
     ]
     assert whole.decode_stats["decode_calls"] < 3000
 

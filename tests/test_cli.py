@@ -432,9 +432,8 @@ def test_sweep_run_writes_trace_and_metrics(capsys, tmp_path, sweep_spec_file):
     assert doc["traceEvents"]
     kinds = {ev["name"] for ev in doc["traceEvents"]}
     assert "ler.sample" in kinds and "store.commit" in kinds
-    # a warm SyndromeCache can satisfy every shot (no kernel span opens),
-    # but one of the two decode phases is always present
-    assert kinds & {"decode.kernel", "decode.cache"}
+    # every decoded batch runs the kernel over its distinct syndromes
+    assert "decode.kernel" in kinds
 
     snap = obs.load_metrics(metrics)
     assert snap["histograms"]
@@ -514,7 +513,8 @@ def test_sweep_status_verbose_reports_decode_stats(capsys, tmp_path, sweep_spec_
     )
     verbose = capsys.readouterr().out
     assert "decode_s=" in verbose
-    assert "cache_hit_rate=" in verbose
+    assert "distinct_ratio=" in verbose
+    assert "cache_hit_rate=" not in verbose
     assert "shots_per_s=" in verbose
     # per-point progress from the commit-ahead batch log (converged points
     # report completion instead of an estimate)

@@ -1,5 +1,5 @@
 """Sweep orchestrator tests: resume determinism, adaptive stopping, warm
-workers, store read-through for figure sweeps, and cross-point cache stats."""
+workers, store read-through for figure sweeps, and per-point decode stats."""
 
 import dataclasses
 import json
@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import make_policy
 from repro.experiments import figures
 from repro.experiments import ler as ler_module
@@ -300,25 +301,64 @@ def test_payload_pipeline_matches_analyzed_pipeline():
 
 
 # ---------------------------------------------------------------------------
-# cross-point syndrome-cache persistence with hit/miss statistics
+# per-family warm pipelines and deterministic decode counters
 # ---------------------------------------------------------------------------
 
 
 def test_family_cache_persists_across_sweep_batches(tmp_path):
-    # p = 5e-3: dedup within one batch decays, the cross-batch memo matters
+    # one analysis in the coordinator serves every batch of the point
     spec = _spec(p=5e-3, batch_shots=500, max_shots=2000)
+    ler_module.clear_pipeline_cache()
     report = run_sweep(spec, ResultStore(tmp_path))
     stats = report.outcomes[0].record["decode_stats"]
-    assert stats["cache_hits"] > 0  # later batches hit earlier batches' work
-    assert stats["cache_misses"] > 0
-    assert stats["cache_hits"] + stats["cache_misses"] == stats["distinct_syndromes"]
-    assert stats["decode_calls"] == stats["cache_misses"]
-    assert 0.0 < stats["cache_hit_rate"] < 1.0
+    assert stats["batches"] == 4
+    assert report.analyses_parent == 1
+    assert report.analyses_workers == 0
+    # each batch decodes its own distinct syndromes once
+    assert stats["decode_calls"] == stats["distinct_syndromes"] > 0
+
+
+@pytest.mark.parametrize("speculate", [0, 1])
+def test_inline_sweep_builds_each_point_graph_once(tmp_path, speculate):
+    # the inline executor reuses the coordinator's analyzed pipeline instead
+    # of rebuilding its matching graph and sampler from the payload
+    spec = _spec(
+        taus_ns=(500.0, 1000.0),
+        policies=(PolicySpec("passive"), PolicySpec("active")),
+        max_shots=1000,
+    )
+    ler_module.clear_pipeline_cache()
+    recorder = obs.configure()
+    try:
+        report = run_sweep(spec, ResultStore(tmp_path), workers=1, speculate=speculate)
+        graphs = sum(1 for e in recorder.events if e["name"] == "ler.analyze.graph")
+    finally:
+        obs.disable()
+    points = len(spec.points())
+    assert points == 4 and report.analyses_parent == points
+    assert graphs == points
+
+
+def test_decode_counters_match_across_worker_counts(tmp_path):
+    # without a warm-state memo the counters depend only on (spec, seed)
+    spec = _spec(
+        taus_ns=(500.0, 1000.0), p=5e-3, batch_shots=400, max_shots=1200
+    )
+    serial = run_sweep(spec, ResultStore(tmp_path / "serial"), workers=1)
+    reset_warm_state()
+    pooled = run_sweep(spec, ResultStore(tmp_path / "pooled"), workers=2)
+    by_key = {o.key: o.record["decode_stats"] for o in pooled.outcomes}
+    assert len(by_key) == len(serial.outcomes) == 2
+    for o in serial.outcomes:
+        a, b = o.record["decode_stats"], by_key[o.key]
+        for k in ("distinct_syndromes", "decode_calls"):
+            assert a[k] == b[k], k
+        assert a["decode_calls"] == a["distinct_syndromes"] > 0
 
 
 def test_family_caches_are_isolated_per_decoder(tmp_path):
     # same configuration decoded with two decoders in one process: the
-    # per-family caches must not leak one decoder's masks into the other
+    # per-family warm pipeline must not leak one decoder's masks into the other
     cfg = SurgeryLerConfig(
         distance=2, hardware=GOOGLE, policy_name="passive", tau_ns=500.0, p=5e-3
     )
@@ -326,19 +366,20 @@ def test_family_caches_are_isolated_per_decoder(tmp_path):
                  batch_shots=1000, decoder="unionfind")
     tainted = ensure_point(ResultStore(tmp_path / "mwpm"), cfg, "passive", (),
                            seed=9, batch_shots=1000, decoder="mwpm")
-    reset_warm_state()  # a fresh process cannot see the unionfind cache
+    reset_warm_state()  # a fresh process cannot see the unionfind run
     clean = ensure_point(ResultStore(tmp_path / "mwpm2"), cfg, "passive", (),
                          seed=9, batch_shots=1000, decoder="mwpm")
     assert tainted["failures"] == clean["failures"]
 
 
 def test_family_cache_survives_rounds_in_pooled_mode(tmp_path):
-    # the run-wide pool keeps worker caches alive across convergence rounds,
-    # so pooled sweeps see cross-batch hits too (not just the serial path)
+    # the run-wide pool keeps worker pipelines alive across convergence
+    # rounds: no worker ever re-analyzes the circuit
     spec = _spec(p=5e-3, batch_shots=500, max_shots=3000)
     report = run_sweep(spec, ResultStore(tmp_path), workers=2)
     stats = report.outcomes[0].record["decode_stats"]
-    assert stats["cache_hits"] > 0
+    assert stats["batches"] == 6
+    assert stats["decode_calls"] == stats["distinct_syndromes"] > 0
     assert report.analyses_workers == 0
 
 
