@@ -7,27 +7,23 @@ Quantifies the two wins of the store-backed orchestrator
   zero new shots and answers in a small fraction of the cold wall time; an
   interrupted sweep resumed from its checkpoint reproduces the uninterrupted
   numbers bit-for-bit while paying only for the missing batches.
-* **Warm shard workers** — handing workers a serialized DEM
-  (:class:`~repro.experiments.ler.PipelinePayload`) keeps the expensive
-  circuit analysis in the coordinator: one analysis total, versus one per
-  worker process on the cold path, versus ``num_shards`` units of decode
-  work.  The benchmark asserts warm analyses < shards and < cold analyses.
+* **Warm hand-off** — a pooled sweep hands its workers a serialized DEM
+  (:class:`~repro.experiments.ler.PipelinePayload`), which keeps the
+  expensive circuit analysis in the coordinator: one point decoded as
+  several batches on a 2-process pool costs one analysis in the
+  coordinator and none in the workers.
 
 Writes ``benchmarks/results/sweep_resume.json``.  Scaling knobs:
 ``REPRO_SWEEP_BENCH_SHOTS`` (per batch, default 4000) and
 ``REPRO_SWEEP_BENCH_BATCHES`` (default 4).
 """
 
+import dataclasses
 import os
 import time
 
-from repro.core import make_policy
-from repro.experiments.ler import (
-    SurgeryLerConfig,
-    clear_pipeline_cache,
-    pipeline_payload,
-)
-from repro.experiments.parallel import reset_warm_state, run_sharded_ler
+from repro.experiments.ler import clear_pipeline_cache
+from repro.experiments.parallel import reset_warm_state
 from repro.experiments.sweeps import PolicySpec, SweepSpec, run_sweep
 from repro.noise import GOOGLE
 from repro.store import ResultStore
@@ -81,44 +77,24 @@ def _bench(batch_shots: int, batches: int, tmp_root) -> dict:
         assert outcome.record["failures"] == ref[outcome.key]["failures"]
         assert outcome.record["shots"] == ref[outcome.key]["shots"]
 
-    # warm-worker handoff vs per-worker re-analysis on one sharded config
-    cfg = SurgeryLerConfig(
-        distance=3, hardware=GOOGLE, policy_name="passive", tau_ns=500.0, p=2e-3
+    # warm hand-off: one point, several batches, a 2-process pool
+    workers = 2
+    one_point = dataclasses.replace(
+        spec, taus_ns=spec.taus_ns[:1], policies=spec.policies[:1]
     )
-    pol = make_policy("passive")
-    num_shards, workers = 8, 2
     reset_warm_state()
     clear_pipeline_cache()
-    cold_shard = run_sharded_ler(
-        cfg, pol, batch_shots * 2, rng=1, num_shards=num_shards, max_workers=workers
-    )
-    cold_analyses = cold_shard.decode_stats["pipeline_analyses"]
-    reset_warm_state()
-    clear_pipeline_cache()
-    payload = pipeline_payload(cfg, pol)  # the one (coordinator-side) analysis
-    clear_pipeline_cache()
-    warm_shard = run_sharded_ler(
-        cfg,
-        pol,
-        batch_shots * 2,
-        rng=1,
-        num_shards=num_shards,
-        max_workers=workers,
-        payload=payload,
-    )
-    warm_worker_analyses = warm_shard.decode_stats["pipeline_analyses"]
-    warm_total = warm_worker_analyses + 1  # + the coordinator's single analysis
-    assert [e.successes for e in warm_shard.estimates] == [
-        e.successes for e in cold_shard.estimates
-    ]
+    t0 = time.perf_counter()
+    handoff = run_sweep(one_point, ResultStore(tmp_root / "handoff"), workers=workers)
+    handoff_s = time.perf_counter() - t0
+    assert handoff.batches_decoded == batches
 
     return {
         "config": {
             "points": n_points,
             "batch_shots": batch_shots,
             "batches_per_point": batches,
-            "num_shards": num_shards,
-            "shard_workers": workers,
+            "handoff_workers": workers,
         },
         "cold_sweep_seconds": cold_s,
         "store_rerun_seconds": rerun_s,
@@ -126,9 +102,9 @@ def _bench(batch_shots: int, batches: int, tmp_root) -> dict:
         "interrupted_shots": interrupted.shots_decoded,
         "resume_seconds": resume_s,
         "resume_shots": resumed.shots_decoded,
-        "cold_shard_analyses": cold_analyses,
-        "warm_shard_worker_analyses": warm_worker_analyses,
-        "warm_shard_total_analyses": warm_total,
+        "handoff_seconds": handoff_s,
+        "handoff_parent_analyses": handoff.analyses_parent,
+        "handoff_worker_analyses": handoff.analyses_workers,
     }
 
 
@@ -141,15 +117,15 @@ def test_sweep_resume_and_warm_handoff(benchmark, tmp_path):
         f"store re-run {row['store_rerun_seconds']:.3f}s "
         f"({row['rerun_speedup']:.0f}x)   "
         f"resume after interrupt {row['resume_seconds']:.2f}s   "
-        f"analyses cold={row['cold_shard_analyses']} "
-        f"warm={row['warm_shard_total_analyses']} "
-        f"(shards={row['config']['num_shards']})"
+        f"warm hand-off x{row['config']['handoff_workers']} workers "
+        f"{row['handoff_seconds']:.2f}s, analyses "
+        f"parent={row['handoff_parent_analyses']} "
+        f"workers={row['handoff_worker_analyses']}"
     )
     record("sweep_resume", row)
 
     # the acceptance bar: re-running a finished sweep is essentially free,
-    # and the warm handoff does measurably fewer analyses than shards
+    # and pool workers never re-analyze a configuration they were handed
     assert row["store_rerun_seconds"] < row["cold_sweep_seconds"]
-    assert row["warm_shard_worker_analyses"] == 0
-    assert row["warm_shard_total_analyses"] < row["config"]["num_shards"]
-    assert row["warm_shard_total_analyses"] <= row["cold_shard_analyses"]
+    assert row["handoff_worker_analyses"] == 0
+    assert row["handoff_parent_analyses"] == 1

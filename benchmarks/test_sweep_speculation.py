@@ -1,25 +1,23 @@
-"""Speculative sweep scheduler microbenchmark: concurrent vs sequential.
+"""Sweep scheduler microbenchmark: inline executor vs a speculative pool.
 
-The sequential scheduler runs a sweep's points one at a time and, within a
-point, decodes a round of batches, waits for *all* of them, evaluates the
-stopping rule, then dispatches the next round — the pool idles at every
-round barrier and across every point boundary.  The concurrent scheduler
-(:func:`repro.experiments.sweeps.run_sweep` with ``speculate >= 1``) keeps
-one warm pool saturated: points interleave, and up to ``depth`` batches per
-point decode while the stopping rule is still evaluating earlier ones.
+Every sweep runs through one scheduler
+(:func:`repro.experiments.sweeps.run_sweep`).  The baseline is the inline
+run — ``run_sweep(spec, store)``: one process, one batch in flight, zero
+IPC.  The measured run keeps a warm pool of ``workers`` processes
+saturated: points interleave, and up to ``depth`` batches per point decode
+while the stopping rule is still evaluating earlier ones.
 
 This benchmark runs the same >= 4-point adaptive (``target_rse``) sweep
-through both schedulers at the same worker count, asserts the stored
-records are bit-identical (the tentpole invariant), and records the
-wall-clock comparison in ``benchmarks/results/sweep_speculation.json``.
+both ways, asserts the stored records are bit-identical (the scheduler
+parity invariant), and records the wall-clock comparison in
+``benchmarks/results/sweep_speculation.json``.
 
 Timing *ratios are recorded, never asserted* — machine variance is ~±15%
 and CI runners are noisy; the hard gate is parity, the numbers are for the
 humans reading the results directory (docs/CI.md explains the policy).
 
 On hosts without real parallelism the worker default drops to 1, which
-selects the zero-IPC inline executor for the speculative run — the case the
-concurrent scheduler must never lose to the sequential one.
+selects the inline executor for the speculative run as well.
 
 Scaling knobs: ``REPRO_SPEC_BENCH_SHOTS`` (per batch, default 2000),
 ``REPRO_SPEC_BENCH_WORKERS`` (default ``min(4, cpu_count)``) and
@@ -51,7 +49,7 @@ pytestmark = pytest.mark.slow
 def _spec(batch_shots: int) -> SweepSpec:
     # d=5 batches are decode-bound (dispatch/pickle overhead is negligible
     # against them), and the d=3/d=5 mix makes point runtimes uneven — which
-    # is exactly where interleaving beats the point-serial scheduler
+    # is exactly where interleaving points pays off
     return SweepSpec(
         name="speculation-bench",
         distances=(3, 5),
@@ -81,14 +79,11 @@ def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
     assert n_points >= 4
 
     serial, serial_s = _timed_sweep(spec, ResultStore(tmp_root / "serial"))
-    sequential, sequential_s = _timed_sweep(
-        spec, ResultStore(tmp_root / "seq"), workers=workers
-    )
     # the speculative run records obs spans (no trace/metrics files — just
     # the in-memory recorder) so the result row can say where the time went:
     # dispatch vs apply vs pool idle (docs/OBSERVABILITY.md).  Tracing is
     # bit-neutral, so the parity gate below still compares against the
-    # untraced serial reference.
+    # untraced inline reference.
     obs.configure()
     try:
         speculative, speculative_s = _timed_sweep(
@@ -98,13 +93,10 @@ def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
     finally:
         obs.reset()
 
-    ref = {o.key: o.record for o in serial.outcomes}
-    parity_ok = True
-    for report in (sequential, speculative):
-        for outcome in report.outcomes:
-            parity_ok = parity_ok and record_parity_view(
-                outcome.record
-            ) == record_parity_view(ref[outcome.key])
+    ref = {o.key: record_parity_view(o.record) for o in serial.outcomes}
+    parity_ok = all(
+        record_parity_view(o.record) == ref[o.key] for o in speculative.outcomes
+    )
 
     return {
         "config": {
@@ -115,16 +107,14 @@ def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
             "workers": workers,
             "speculate_depth": depth,
             "executor": "inline" if workers <= 1 else "pool",
-            # pools cannot beat the serial path on a single core; readers
-            # need this to interpret the recorded ratios
+            # pools cannot beat the inline run on a single core; readers
+            # need this to interpret the recorded ratio
             "cpu_count": os.cpu_count(),
         },
         "serial_seconds": serial_s,
-        "sequential_seconds": sequential_s,
         "speculative_seconds": speculative_s,
         # recorded, not asserted: see the module docstring / docs/CI.md
-        "speedup": sequential_s / speculative_s if speculative_s > 0 else 0.0,
-        "speedup_vs_serial": serial_s / speculative_s if speculative_s > 0 else 0.0,
+        "speedup": serial_s / speculative_s if speculative_s > 0 else 0.0,
         "shots_decoded": speculative.shots_decoded,
         "batches_overshoot": speculative.batches_overshoot,
         "parity_ok": parity_ok,
@@ -145,13 +135,11 @@ def test_speculative_scheduler_throughput(benchmark, tmp_path):
     depth = int(os.environ.get("REPRO_SPEC_BENCH_DEPTH", 4))
     row = run_once(benchmark, _bench, batch_shots, workers, depth, tmp_path)
     print(
-        f"\nserial {row['serial_seconds']:.2f}s   "
-        f"sequential x{row['config']['workers']} workers "
-        f"{row['sequential_seconds']:.2f}s   "
-        f"speculative depth {row['config']['speculate_depth']} "
+        f"\ninline {row['serial_seconds']:.2f}s   "
+        f"x{row['config']['workers']} workers speculative depth "
+        f"{row['config']['speculate_depth']} "
         f"{row['speculative_seconds']:.2f}s   "
-        f"speedup {row['speedup']:.2f}x (vs serial "
-        f"{row['speedup_vs_serial']:.2f}x)   "
+        f"speedup {row['speedup']:.2f}x   "
         f"overshoot {row['batches_overshoot']} batches"
     )
     idle = row["phases"].get("sweep.idle", {}).get("total_s", 0.0)

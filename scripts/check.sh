@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Fast verification gate: the full tier-1 test suite plus the store/sweep
-# tests, the speculative-scheduler parity suite (tests/test_speculation.py
-# — concurrent and sequential schedulers bit-identical for any worker
-# count/depth), the decode-kernel backend parity matrix (tests/test_kernels.py
+# tests, the scheduler parity suite (tests/test_speculation.py — oracle vs
+# concurrent: stored records equal the scheduler-free tests/sweep_oracle.py
+# for any worker count/depth), the decode-kernel backend parity matrix (tests/test_kernels.py
 # — every backend must stay bit-identical to the python reference pass), the
 # cross-decoder contract suite (tests/test_decoder_contract.py — defect-
 # parity preservation, dedup/backend metamorphic identities), and the

@@ -72,7 +72,7 @@ REQUIRED_KEYS = {
     },
     "sweep_speculation.json": {
         "config",
-        "sequential_seconds",
+        "serial_seconds",
         "speculative_seconds",
         "speedup",
         "parity_ok",

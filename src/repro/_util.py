@@ -8,7 +8,6 @@ import numpy as np
 
 __all__ = [
     "resolve_rng",
-    "spawn_seeds",
     "xor_probability",
     "combine_flip_probabilities",
     "pack_bits",
@@ -24,21 +23,6 @@ def resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
-
-
-def spawn_seeds(rng, n: int) -> list:
-    """``n`` independent child seeds/streams from any RNG specification.
-
-    Accepts what :func:`resolve_rng` accepts plus a ``SeedSequence``; the
-    children are deterministic for a given spec (``None`` draws fresh
-    entropy), picklable, and each is itself a valid ``rng`` argument — the
-    basis of worker-count-independent sharded runs.
-    """
-    if n < 0:
-        raise ValueError("cannot spawn a negative number of seeds")
-    if isinstance(rng, (np.random.Generator, np.random.SeedSequence)):
-        return list(rng.spawn(n))
-    return list(np.random.SeedSequence(rng).spawn(n))
 
 
 def xor_probability(p: float, q: float) -> float:

@@ -73,7 +73,7 @@ DEFAULT_CONFIG: dict = {
         "src/repro/experiments/parallel.py",
         "src/repro/experiments/ler.py",
     ],
-    "worker_seeds": ["warm_worker", "submit_task"],
+    "worker_seeds": ["submit_task"],
 }
 
 

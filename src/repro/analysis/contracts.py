@@ -222,9 +222,10 @@ class ContractBackendRegistry(Rule):
 class ContractWorkerGlobals(Rule):
     """Worker-side functions must not rebind module globals.
 
-    Functions reachable from the pool entry points (``worker_seeds`` in
-    the lint config, by default ``warm_worker``/``submit_task``) execute
-    inside every pool worker *and* in the coordinator on the serial path;
+    Functions reachable from the pool entry point (``worker_seeds`` in
+    the lint config, by default ``submit_task``, which reaches the task
+    runner and the payload install it triggers) execute inside every pool
+    worker *and* in the coordinator on the inline executor;
     a ``global`` rebind there is per-process state that silently diverges
     between the two, the classic source of "works serial, drifts pooled"
     bugs.  Reachability is a lightweight module-local call graph over the
@@ -236,7 +237,7 @@ class ContractWorkerGlobals(Rule):
 
     name = "contract-worker-globals"
     scope = "repo"
-    description = "functions reachable from warm_worker/submit_task do not rebind module globals"
+    description = "functions reachable from submit_task do not rebind module globals"
 
     def check_repo(self, ctx: LintContext) -> list:
         """Walk the worker call graph and flag ``global`` rebinds."""
@@ -299,8 +300,8 @@ class ContractWorkerGlobals(Rule):
                             f"{fn.name}() runs worker-side (reachable from "
                             f"{'/'.join(ctx.config['worker_seeds'])}) and rebinds "
                             f"module global(s) {', '.join(sub.names)}; per-process "
-                            "mutation diverges between pool workers and the serial "
-                            "path — return the value, or acknowledge a deliberate "
+                            "mutation diverges between pool workers and the "
+                            "coordinator — return the value, or acknowledge a deliberate "
                             "per-process counter with a pragma",
                         )
                     )

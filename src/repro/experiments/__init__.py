@@ -8,7 +8,7 @@ from .ler import (
     prepared_pipeline,
     run_surgery_ler,
 )
-from .parallel import SweepTask, merge_results, run_sharded_ler, run_sweep_parallel
+from .parallel import SweepTask
 from .stats import RateEstimate, ratio_of_rates, wilson_interval
 from .sweeps import PolicySpec, SweepReport, SweepSpec, ensure_point, run_sweep
 
@@ -20,9 +20,6 @@ __all__ = [
     "prepared_pipeline",
     "run_surgery_ler",
     "SweepTask",
-    "merge_results",
-    "run_sharded_ler",
-    "run_sweep_parallel",
     "RateEstimate",
     "ratio_of_rates",
     "wilson_interval",

@@ -9,6 +9,9 @@ rows/series the paper reports.
 
 from __future__ import annotations
 
+import itertools
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +22,7 @@ from ..casestudies.cultivation import cultivation_slack_distribution
 from ..casestudies.qldpc_slack import qldpc_surface_slack
 from ..codes.repetition import repetition_experiment
 from ..core.planner import PatchState, plan_k_patch_sync
-from ..core.policies import PolicyNotApplicableError, make_policy
+from ..core.policies import make_policy
 from ..core.slack import extra_rounds_solution, hybrid_solution
 from ..decoders.graph import build_matching_graph
 from ..decoders.hierarchical import measure_decoder_latencies
@@ -36,8 +39,10 @@ from ..workloads.sync_estimate import (
     program_ler_increase,
     syncs_per_cycle_table,
 )
-from .ler import DECODE_DEFAULTS, SurgeryLerConfig, prepared_pipeline, run_surgery_ler
+from ..store import ResultStore, default_store
+from .ler import DECODE_DEFAULTS, SurgeryLerConfig, prepared_pipeline
 from .stats import RateEstimate
+from .sweeps import ensure_point, point_record_estimates
 
 __all__ = [
     "fig1c_repetition_idle",
@@ -64,22 +69,8 @@ __all__ = [
     "table5_neutral_atom_rounds",
 ]
 
-def _sweep_rng(rng):
-    """Resolve ``rng`` unless store read-through should see the raw seed.
-
-    :func:`sweep_policies` only uses the result store when it receives an
-    *integer* seed (content-addressed keys cannot be derived from Generator
-    state), so figure drivers that loop over several ``sweep_policies``
-    calls must not eagerly resolve an int seed into a Generator while a
-    store is active.  Without an active store this is exactly
-    :func:`repro._util.resolve_rng`.
-    """
-    from ..store import default_store
-
-    if isinstance(rng, int) and not isinstance(rng, bool) and default_store() is not None:
-        return rng
-    return resolve_rng(rng)
-
+#: default seed of the LER sweep drivers (the figure registry's ``seed``)
+DEFAULT_SEED = 2025
 
 #: Sherbrooke qubits used in the paper's footnote 1 (T1=330.77us, T2=72.68us)
 SHERBROOKE = HardwareConfig(
@@ -376,81 +367,66 @@ def sweep_policies(
     policy_kwargs: dict | None = None,
     decoder: str = "unionfind",
     store=None,
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ) -> list[PolicySweepPoint]:
     """Run an LER sweep over policies x distances x slacks.
 
-    When a result store is active (an explicit ``store``, one set with
-    :func:`repro.store.set_default_store`, or the ``REPRO_STORE_ROOT``
-    environment knob) *and* ``rng`` is an integer seed, every point reads
-    through the store: already-decoded points cost zero new shots, new
-    points are decoded and persisted.  Store-backed points draw from
-    per-point seed streams keyed by content hash (required for
-    order-independent caching), so their numbers differ from the shared
-    sequential stream the storeless path samples — pick one mode per study.
+    Every point is a store record keyed by its configuration, policy,
+    decoder, seed ``rng`` and ``shots``, decoded through the sweep scheduler
+    (:func:`repro.experiments.sweeps.ensure_point`), so its numbers depend
+    only on (spec, seed).  The store is ``store``, else the active default
+    store (:func:`repro.store.set_default_store` or ``REPRO_STORE_ROOT``);
+    with neither, a temporary store lives for the duration of this call and
+    gives the same numbers.  Already-decoded points cost zero new shots.
+    ``rng`` must be an int seed: point records cannot be keyed by
+    Generator state.
     """
-    if store is None:
-        from ..store import default_store
-
-        store = default_store()
-    use_store = store is not None and isinstance(rng, int) and not isinstance(rng, bool)
-    seed = rng if use_store else None
-    rng = resolve_rng(rng)
+    if not isinstance(rng, int) or isinstance(rng, bool):
+        raise TypeError(
+            f"sweep_policies needs an int seed, got {type(rng).__name__}: "
+            "LER points are store records keyed by (spec, seed)"
+        )
     out = []
-    for d in distances:
-        for tau in taus_ns:
-            for name in policies:
-                kwargs = (policy_kwargs or {}).get(name, {})
-                policy = make_policy(name, **kwargs)
-                config = SurgeryLerConfig(
+    with ExitStack() as stack:
+        if store is None:
+            store = default_store()
+        if store is None:
+            store = ResultStore(
+                stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-ler-"))
+            )
+        for d, tau, name in itertools.product(distances, taus_ns, policies):
+            policy_args = tuple(sorted((policy_kwargs or {}).get(name, {}).items()))
+            config = SurgeryLerConfig(
+                distance=d,
+                hardware=hardware,
+                policy_name=name,
+                tau_ns=float(tau),
+                ls_basis=ls_basis,
+                t_pp_ns=t_pp_ns,
+                base_rounds=base_rounds,
+                policy_args=policy_args,
+            )
+            record = ensure_point(
+                store,
+                config,
+                name,
+                policy_args,
+                decoder=decoder,
+                seed=rng,
+                batch_shots=shots,
+            )
+            if record.get("status") == "not_applicable":
+                continue
+            out.append(
+                PolicySweepPoint(
                     distance=d,
-                    hardware=hardware,
-                    policy_name=name,
                     tau_ns=float(tau),
-                    ls_basis=ls_basis,
-                    t_pp_ns=t_pp_ns,
-                    base_rounds=base_rounds,
-                    policy_args=tuple(sorted(kwargs.items())),
+                    policy=name,
+                    shots=int(record["shots"]),
+                    estimates=point_record_estimates(record),
+                    plan=dict(record.get("plan_summary", {})),
                 )
-                if use_store:
-                    from .sweeps import ensure_point, point_record_estimates
-
-                    record = ensure_point(
-                        store,
-                        config,
-                        name,
-                        tuple(sorted(kwargs.items())),
-                        decoder=decoder,
-                        seed=seed,
-                        batch_shots=shots,
-                    )
-                    if record.get("status") == "not_applicable":
-                        continue
-                    out.append(
-                        PolicySweepPoint(
-                            distance=d,
-                            tau_ns=float(tau),
-                            policy=name,
-                            shots=int(record["shots"]),
-                            estimates=point_record_estimates(record),
-                            plan=dict(record.get("plan_summary", {})),
-                        )
-                    )
-                    continue
-                try:
-                    res = run_surgery_ler(config, policy, shots, rng, decoder=decoder)
-                except PolicyNotApplicableError:
-                    continue
-                out.append(
-                    PolicySweepPoint(
-                        distance=d,
-                        tau_ns=float(tau),
-                        policy=name,
-                        shots=shots,
-                        estimates=res.estimates,
-                        plan=res.plan_summary,
-                    )
-                )
+            )
     return out
 
 
@@ -461,7 +437,7 @@ def fig14_active_vs_passive(
     *,
     hardware: HardwareConfig = IBM,
     ls_basis: str = "Z",
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """Reduction in LER (Passive/Active) per distance, slack, observable."""
     points = sweep_policies(
@@ -496,7 +472,7 @@ def fig15_cost_of_synchronization(
     shots: int = 20_000,
     *,
     hardware: HardwareConfig = GOOGLE,
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """LER of ideal vs Active vs Passive systems (Z-basis LS)."""
     points = sweep_policies(
@@ -522,7 +498,7 @@ def table1_error_counts(
     shots: int = 100_000,
     *,
     hardware: HardwareConfig = TABLE1_HARDWARE,
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """Logical-error counts, Passive vs Active (Table 1 at reduced scale)."""
     points = sweep_policies(
@@ -557,7 +533,7 @@ def table4_mean_reductions(
     hardware: HardwareConfig | None = None,
     t_pp_values_ns=(1050.0, 1100.0, 1150.0),
     eps_ns: float = 400.0,
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """Mean LER reduction of Active / Extra Rounds / Hybrid vs Passive.
 
@@ -565,7 +541,6 @@ def table4_mean_reductions(
     T_P' representing 1/2/3 extra CNOT layers (1050/1100/1150 ns), on
     Google-like coherence times.
     """
-    rng = _sweep_rng(rng)
     hardware = hardware or GOOGLE.with_cycle_time(1000.0)
     rows = []
     for d in distances:
@@ -608,10 +583,9 @@ def fig16_workload_ler_increase(
     shots: int = 20_000,
     *,
     hardware: HardwareConfig = GOOGLE,
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """Relative program-LER increase per workload for Passive/Active."""
-    rng = _sweep_rng(rng)
     points = sweep_policies(
         ("ideal", "active", "passive"), (distance,), (500.0, 1000.0), shots,
         hardware=hardware, rng=rng,
@@ -645,7 +619,7 @@ def fig17_active_intra(
     shots: int = 20_000,
     *,
     hardware: HardwareConfig = IBM,
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """Reduction of Active-intra vs Passive (can dip below 1)."""
     points = sweep_policies(
@@ -674,11 +648,10 @@ def fig18_additional_rounds(
     shots: int = 20_000,
     *,
     hardware: HardwareConfig = IBM,
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """(a) Active benefit when slack spreads over d+1+R rounds;
     (b) LER growth with rounds in the absence of any slack."""
-    rng = _sweep_rng(rng)
     reduction_rows = []
     ler_rows = []
     for r in extra_rounds:
@@ -713,14 +686,13 @@ def fig19_policy_comparison(
     *,
     hardware: HardwareConfig | None = None,
     t_pp_values_ns=(1050.0, 1100.0, 1150.0),
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """LER reduction vs Passive for Active / Extra Rounds / Hybrid(eps).
 
     Paper configuration: T_P = 1000 ns, T_P' in {1050, 1100, 1150} ns (one to
     three extra CNOT layers), averaged over the cycle-time combinations.
     """
-    rng = _sweep_rng(rng)
     hardware = hardware or GOOGLE.with_cycle_time(1000.0)
     accum: dict[tuple[str, float], list[float]] = {}
     for t_pp in t_pp_values_ns:
@@ -799,10 +771,9 @@ def fig21_neutral_atom(
     shots: int = 20_000,
     *,
     t_pp_ms: float = 2.2,
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """Reduction vs Passive on a QuEra-like system (Active, Hybrid eps)."""
-    rng = _sweep_rng(rng)
     hw = QUERA.with_cycle_time(2.0e6)
     t_pp = t_pp_ms * 1e6
     rows = []
@@ -965,14 +936,13 @@ def table2_policy_configuration(
     shots: int = 100_000,
     *,
     distance: int = 5,
-    rng=None,
+    rng: int = DEFAULT_SEED,
 ):
     """Idling period / extra rounds / LER for the Table 2 configuration.
 
     T_P = 1000 ns, T_P' = 1325 ns, tau = 1000 ns, eps = 400 ns (the paper
     uses d = 7 and 20M shots; distance and shots scale down here).
     """
-    rng = _sweep_rng(rng)
     hw = GOOGLE.with_cycle_time(1000.0)
     rows = []
     for name, kwargs in (

@@ -8,11 +8,10 @@ configuration (bounded LRU), so sweeps pay the circuit-analysis cost once.
 :func:`run_surgery_ler` is a *streaming* pipeline: it samples, decodes and
 accumulates failures one batch at a time through a
 :class:`~repro.decoders.batch.BatchDecodingEngine` (syndrome dedup), so
-memory stays bounded by ``batch_size`` even for million-shot runs.  With
-``decode_workers > 1`` the shots of the single configuration are sharded
-across a process pool
-(:func:`repro.experiments.parallel.run_sharded_ler`) with
-``np.random.SeedSequence.spawn`` child streams.
+memory stays bounded by ``batch_size`` even for million-shot runs.  It is
+always serial; parallel decoding of many batches goes through the sweep
+scheduler (:func:`repro.experiments.sweeps.run_sweep`), where every batch
+is seeded by ``(seed, point key, batch index)``.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ __all__ = [
 _PIPELINE_CACHE: "OrderedDict[tuple, _Pipeline]" = OrderedDict()
 
 #: process-wide count of full circuit analyses (surgery synthesis + DEM
-#: extraction) performed by this process.  Shard workers report the delta per
+#: extraction) performed by this process.  Pool workers report the delta per
 #: task so orchestration layers can verify that warm pipeline handoffs
 #: actually avoid re-analysis (see ``benchmarks/test_sweep_resume.py``).
 PIPELINE_ANALYSES: int = 0
@@ -82,12 +81,10 @@ BATCH_STAT_KEYS = (
     "pipeline_analyses",
 )
 
-#: process-wide decode-engine defaults, overridable per call; the CLI's
-#: ``--decode-workers``/``--no-dedup``/``--decode-backend`` flags and the
-#: ``REPRO_DECODE_*`` environment knobs land here
+#: process-wide decode-engine defaults, overridable per call; read once from
+#: the ``REPRO_DECODE_*`` environment knobs
 DECODE_DEFAULTS: dict = {
     "dedup": bool(env_int("REPRO_DECODE_DEDUP", 1)),
-    "workers": env_int("REPRO_DECODE_WORKERS", 1),
     # decode-kernel backend (repro.decoders.kernels): "auto" picks the
     # fastest available; every backend is bit-identical to "python"
     "backend": env_str("REPRO_DECODE_BACKEND", "auto"),
@@ -96,7 +93,7 @@ DECODE_DEFAULTS: dict = {
 }
 
 
-#: decoder-name registry used by every pipeline (serial, shard workers,
+#: decoder-name registry used by every pipeline (serial, pool workers,
 #: sweeps): name -> builder(graph).  Names round-trip through SweepTask /
 #: SweepSpec / store records as plain strings, so adding an entry here is
 #: all it takes to open a decoder to the whole orchestration stack.
@@ -241,14 +238,11 @@ class _Pipeline:
         self.artifacts = None
         self._summary = dict(payload.plan_summary)
         self._init_decode(payload.dem, payload.basis)
-        self.payload_backend = payload.backend
         return self
 
     def _init_decode(self, dem, basis: str) -> None:
         self.dem = dem
         self.basis = basis
-        #: decode-kernel backend carried by a warm handoff (None otherwise)
-        self.payload_backend = None
         with obs.span("ler.analyze.graph"):
             self.graph: MatchingGraph = build_matching_graph(dem, basis=basis)
             self.sampler = DemSampler(dem)
@@ -333,14 +327,12 @@ def clear_pipeline_cache() -> None:
 class PipelinePayload:
     """Serializable result of one circuit analysis, for worker handoff.
 
-    Carries everything a shard worker needs to decode — the detector error
+    Carries everything a pool worker needs to decode — the detector error
     model, its CSS basis and the plan summary — without the circuit or the
     policy plan, so the expensive analysis (surgery synthesis + DEM
     extraction) runs once in the coordinating process instead of once per
     worker.  ``key`` is the pipeline identity used for worker-side caching
-    (same key as the in-process pipeline LRU).  ``backend`` is the decode-
-    kernel backend the coordinator selected; shard workers default to it so
-    every shard of a configuration decodes through the same backend.
+    (same key as the in-process pipeline LRU).
     """
 
     key: tuple
@@ -348,12 +340,9 @@ class PipelinePayload:
     dem: object
     basis: str
     plan_summary: dict
-    backend: str | None = None
 
 
-def pipeline_payload(
-    config: SurgeryLerConfig, policy: _BasePolicy, *, backend: str | None = None
-) -> PipelinePayload:
+def pipeline_payload(config: SurgeryLerConfig, policy: _BasePolicy) -> PipelinePayload:
     """Analyze ``config`` (or reuse the cache) and package it for handoff."""
     pipe = prepared_pipeline(config, policy)
     return PipelinePayload(
@@ -362,7 +351,6 @@ def pipeline_payload(
         dem=pipe.dem,
         basis=pipe.basis,
         plan_summary=pipe.plan_summary(),
-        backend=backend,
     )
 
 
@@ -390,7 +378,7 @@ def run_surgery_ler(
     decoder: str = "unionfind",
     batch_size: int = 65536,
     dedup: bool | None = None,
-    decode_workers: int | None = None,
+    decode_workers: int = 1,
     backend: str | None = None,
     pipeline: "_Pipeline | None" = None,
 ) -> LerResult:
@@ -398,41 +386,23 @@ def run_surgery_ler(
 
     Batches of at most ``batch_size`` shots are sampled, decoded and reduced
     to failure counts immediately, so peak memory is independent of
-    ``shots``.  ``dedup``/``decode_workers``/``backend``
-    default to :data:`DECODE_DEFAULTS`; with ``decode_workers > 1`` the run
-    is sharded across a process pool (bit-identical for any worker count
-    >= 2 given the same seed).  The sharded path draws from
-    ``SeedSequence.spawn`` child streams, so its results are statistically
-    equivalent to — but not bit-identical with — the serial single-stream
-    path.  ``backend`` names a decode-kernel backend
-    (:mod:`repro.decoders.kernels`); backends are bit-identical, so this
-    knob affects wall time only.
+    ``shots``.  ``dedup``/``backend`` default to :data:`DECODE_DEFAULTS`.
+    ``backend`` names a decode-kernel backend (:mod:`repro.decoders.kernels`);
+    backends are bit-identical, so this knob affects wall time only.
+    ``decode_workers`` must be 1: to decode on a process pool, run the
+    configuration as a sweep point with ``run_sweep(workers=N)``.
 
     ``pipeline`` injects a pre-analyzed pipeline (from
-    :func:`prepared_pipeline` or :meth:`_Pipeline.from_payload`) and forces
-    the serial in-process path (shard workers use it so a worker never
-    re-shards or re-analyzes).
+    :func:`prepared_pipeline` or :meth:`_Pipeline.from_payload`), so a pool
+    worker never re-analyzes a configuration it was handed.
     """
-    dedup = DECODE_DEFAULTS["dedup"] if dedup is None else dedup
-    workers = DECODE_DEFAULTS["workers"] if decode_workers is None else decode_workers
-    backend = DECODE_DEFAULTS["backend"] if backend is None else backend
-    if workers > 1 and shots > 1 and pipeline is None:
-        from .parallel import run_sharded_ler  # local import: avoids a cycle
-
-        # the shard count stays DEFAULT_NUM_SHARDS regardless of `workers`:
-        # results must depend only on (rng, num_shards), never on pool size
-        return run_sharded_ler(
-            config,
-            policy,
-            shots,
-            rng,
-            max_workers=workers,
-            decoder=decoder,
-            dedup=dedup,
-            batch_size=batch_size,
-            backend=backend,
+    if decode_workers != 1:
+        raise ValueError(
+            f"decode_workers={decode_workers!r}: run_surgery_ler decodes "
+            "serially; use run_sweep(workers=N) to decode on a process pool"
         )
-
+    dedup = DECODE_DEFAULTS["dedup"] if dedup is None else dedup
+    backend = DECODE_DEFAULTS["backend"] if backend is None else backend
     rng = resolve_rng(rng)
     pipe = pipeline if pipeline is not None else prepared_pipeline(config, policy)
     decoder_obj = pipe.decoder(decoder)

@@ -19,23 +19,25 @@ Consequences:
   observable's Wilson interval is tight (relative half-width <=
   ``target_rse``) or the shot cap is hit.  Convergence is evaluated batch by
   batch in index order, so the stopping decision is independent of the
-  worker count (a parallel round may decode a few batches past the stopping
-  point; they are discarded, not accumulated).  With
+  worker count (batches decoded past the stopping point stay in the
+  commit-ahead log; they are never accumulated).  With
   ``adaptive_batching=True`` batch *sizes* also adapt: once one more batch
   improves the tracked RSE by <= 10%, the next batch doubles (capped at
   ``max_batch_shots``), with the deterministic size schedule checkpointed in
   the record so resume and worker counts still cannot change results.
-* **Concurrent / speculative** — with ``run_sweep(..., speculate=depth)``
-  one warm pool is shared by *all* points of the sweep, points are
-  interleaved instead of sequential, and while the stopping rule evaluates
-  batch *k* of a point, batches ``k+1 .. k+depth`` are already decoding.
-  Results are *applied* strictly in batch-index order through the same
-  accumulation path as the sequential scheduler, so estimates and stored
-  records are bit-identical for any worker count and speculation depth;
-  batches that complete after the stopping rule fired are committed to the
-  store's per-batch *commit-ahead log* (deterministic in ``(seed, point
-  key, batch index, size)``) where any later pass — sequential or
-  speculative — replays them instead of decoding again.
+* **One scheduler** — every sweep, and every single point
+  (:func:`ensure_point`, the figure read-through), runs through
+  :meth:`_SweepRun.run_concurrent`: one executor is shared by *all* points
+  of the sweep, a pool interleaves points, and while the stopping rule
+  evaluates batch *k* of a point, batches ``k+1 .. k+depth`` are already
+  decoding (``depth`` is ``speculate``, or the worker count when
+  ``speculate=0``).  Results are *applied* strictly in batch-index order, so
+  estimates and stored records are bit-identical for any worker count and
+  speculation depth — equal to decoding the batches one by one in index
+  order; batches that complete after the stopping rule fired are committed
+  to the store's per-batch *commit-ahead log* (deterministic in ``(seed,
+  point key, batch index, size)``) where any later pass replays them
+  instead of decoding again.
 * **Exportable / collectable** — :func:`export_records` (CLI ``repro sweep
   export``) emits stored records in the benchmark-harness JSON row format
   without decoding anything, and ``repro sweep gc --older-than DAYS``
@@ -71,10 +73,8 @@ from .parallel import (
     InlineExecutor,
     SweepTask,
     absorb_result_spans,
-    execute_tasks,
     install_payload,
     pool_executor,
-    run_sweep_parallel,
     submit_task,
 )
 from .stats import RateEstimate, wilson_interval
@@ -119,10 +119,11 @@ def _wallclock() -> float:
 def record_parity_view(record: dict) -> dict:
     """A stored record minus its execution-dependent fields.
 
-    This is the view the parity contract quantifies over: sequential,
-    pooled and speculative schedulers must produce *identical* parity views
-    for every point (tests/test_speculation.py and the speculation
-    microbenchmark both compare through this helper).
+    This is the view the parity contract quantifies over: inline, pooled
+    and speculative runs must produce *identical* parity views for every
+    point, equal to an in-order batch-by-batch decode
+    (tests/test_speculation.py and the speculation microbenchmark both
+    compare through this helper).
     """
     return {
         k: v
@@ -131,8 +132,8 @@ def record_parity_view(record: dict) -> dict:
     }
 
 #: decode-stat counters accumulated batch-by-batch into stored records
-#: (shared with the shard aggregation in :mod:`.parallel` and the per-batch
-#: commit-ahead records via :meth:`~repro.experiments.ler.LerResult.batch_stats`)
+#: (shared with the per-batch commit-ahead records via
+#: :meth:`~repro.experiments.ler.LerResult.batch_stats`)
 _ACCUM_KEYS = _ler.BATCH_STAT_KEYS
 
 
@@ -172,8 +173,8 @@ class SweepSpec:
     decoder: str = "unionfind"
     #: decode-kernel backend (repro.decoders.kernels).  Deliberately *not*
     #: part of the point key: backends are bit-identical, so records decoded
-    #: under different backends are interchangeable.  Carried into the warm
-    #: worker payloads so every shard of a point uses the same backend.
+    #: under different backends are interchangeable.  Carried on every batch
+    #: task, so every batch of a point decodes through the same backend.
     backend: str | None = None
     seed: int = 2025
     #: shots decoded (and checkpointed) per batch; part of every point key
@@ -330,7 +331,8 @@ class SweepReport:
     #: full circuit analyses inside pool workers (0 with warm handoff)
     analyses_workers: int = 0
     interrupted: bool = False
-    #: speculation depth this pass ran with (0 = sequential scheduler)
+    #: speculation depth requested for this pass (0 = one batch in flight
+    #: per worker)
     speculate: int = 0
     #: run-ledger id of this invocation (None when the ledger is disabled)
     run_id: str | None = None
@@ -435,15 +437,9 @@ class _BatchBudget:
         self.limit = limit
         self.used = 0
 
-    def take(self, n: int) -> int:
-        """How many of ``n`` requested batches may still run."""
-        if self.limit is None:
-            return n
-        allowed = max(0, min(n, self.limit - self.used))
-        return allowed
-
-    def spend(self, n: int) -> None:
-        self.used += n
+    def spend(self) -> None:
+        """Count one dispatched batch against the cap."""
+        self.used += 1
 
     @property
     def exhausted(self) -> bool:
@@ -451,12 +447,12 @@ class _BatchBudget:
 
 
 class _ConcurrentPoint:
-    """Per-point state machine of the concurrent (speculative) scheduler.
+    """Per-point state machine of the sweep scheduler.
 
     Tracks the gap between what has been *dispatched* for a point and what
     has been *applied* to its record.  Results are applied strictly in batch
-    index order (the same order the sequential scheduler decodes them), so
-    however futures complete, the record evolves identically.
+    index order, so however futures complete, the record evolves
+    identically.
     """
 
     def __init__(self, pt, key, record, payload, payload_path, committed):
@@ -519,9 +515,7 @@ class _SweepRun:
         self.resume = resume
         #: ``workers <= 1`` selects the inline executor: batch tasks run
         #: in-process through the same submit_task interface, with zero
-        #: pickling/IPC — on a single-core host the concurrent scheduler is
-        #: then never slower than the sequential one (``--workers 0`` is the
-        #: CLI's explicit spelling)
+        #: pickling/IPC (``--workers 0`` is the CLI's explicit spelling)
         self.inline = workers <= 1
         self.workers = max(1, workers)
         self.speculate = speculate
@@ -535,8 +529,8 @@ class _SweepRun:
         #: one executor for the whole run (lazily created): a warm process
         #: pool, or the in-process inline executor when ``workers <= 1``.
         #: Pool workers warm themselves per configuration from the tasks'
-        #: payload spool files, so pipelines and per-family syndrome caches
-        #: survive across batches, convergence rounds and sweep points
+        #: payload spool files, so pipelines survive across batches and
+        #: sweep points
         self._pool = None
         #: payload spool: key -> pickled-payload file path, written once per
         #: point so the serialized DEM crosses the IPC boundary once per
@@ -587,9 +581,9 @@ class _SweepRun:
         """One batch task, seeded purely by ``(spec seed, key, index)``.
 
         ``payload_path`` is the point's payload spool file (None on the
-        inline/serial paths, where the payload is already installed
-        in-process): tasks ship the small path string per batch, and each
-        pool worker reads the serialized DEM once per configuration.
+        inline executor, where the payload is already installed in-process):
+        tasks ship the small path string per batch, and each pool worker
+        reads the serialized DEM once per configuration.
         """
         return SweepTask(
             config=pt.config,
@@ -603,33 +597,7 @@ class _SweepRun:
             payload_path=payload_path,
         )
 
-    def _run_batches(
-        self, payload, payload_path, pt: SweepPoint, key: str, first_batch: int,
-        n: int, batch_shots: int,
-    ):
-        """Decode batches ``first_batch .. first_batch+n-1`` of one point.
-
-        Serial mode installs the payload in-process (module-global warm
-        state); pooled mode sends tasks carrying the payload's spool path to
-        the run-wide pool, where each worker installs it on first contact.
-        In both modes the installed pipeline persists across batches, rounds
-        and points.
-        """
-        tasks = [
-            self._make_task(
-                pt, key, payload, payload_path, first_batch + i, batch_shots
-            )
-            for i in range(n)
-        ]
-        if self.workers == 1:
-            return run_sweep_parallel(tasks, max_workers=1, payloads=[payload])
-        pool = self._executor()
-        # the sequential scheduler's round barrier: the coordinator blocks
-        # here until the whole round returns (cf. sweep.idle in _await_some)
-        with obs.span("sweep.idle", lambda: {"inflight": len(tasks)}):
-            return execute_tasks(pool, tasks)
-
-    # -- shared per-point bookkeeping (sequential and concurrent paths) ----
+    # -- per-point bookkeeping ---------------------------------------------
 
     def _prepare_point(self, pt: SweepPoint):
         """Load/refresh one point's record and analyze its pipeline.
@@ -664,9 +632,7 @@ class _SweepRun:
         analyses_before = _ler.PIPELINE_ANALYSES
         try:
             payload = _ler.pipeline_payload(
-                pt.config,
-                make_policy(pt.policy_name, **dict(pt.policy_kwargs)),
-                backend=spec.backend,
+                pt.config, make_policy(pt.policy_name, **dict(pt.policy_kwargs))
             )
         except PolicyNotApplicableError as exc:
             record = _fresh_record(spec, pt, key, nobs=0)
@@ -689,9 +655,8 @@ class _SweepRun:
     def _apply_batch(self, record: dict, br: dict, *, replayed: bool) -> None:
         """Fold one batch record into the point record, in index order.
 
-        This is the *only* way shots enter an estimate on any scheduler
-        path, so sequential, pooled and speculative runs accumulate
-        identically.  ``replayed`` batches came from the commit-ahead log
+        This is the *only* way shots enter an estimate, so inline, pooled
+        and speculative runs accumulate identically.  ``replayed`` batches came from the commit-ahead log
         (decoded by an earlier pass), so their worker-side analysis counts
         don't belong to this invocation.
         """
@@ -720,8 +685,7 @@ class _SweepRun:
         )
 
     def _finalize_point(self, key: str, record: dict, reason: str | None) -> None:
-        """Persist a converged point — the single finish path of BOTH
-        schedulers, so cross-scheduler record parity cannot drift.
+        """Persist a converged point.
 
         The applied prefix of the commit-ahead log is trimmed (that data
         now lives in the point record); speculative overshoot is kept for
@@ -784,113 +748,20 @@ class _SweepRun:
             "decode_stats": result.batch_stats(),
         }
 
-    # -- per-point orchestration (sequential scheduler) --------------------
-
-    def run_point(self, pt: SweepPoint) -> PointOutcome:
-        spec = self.spec
-        key, record, payload, resolved = self._prepare_point(pt)
-        if resolved:
-            self.ledger.point_store_served(
-                key, status=record.get("status"), shots=record.get("shots", 0)
-            )
-            return self._outcome(pt, key, record)
-        self.ledger.point_start(
-            key,
-            config=record.get("config"),
-            shots=record.get("shots", 0),
-            max_shots=spec.max_shots,
-        )
-
-        # spooled once per point; every batch task of this point carries the
-        # path and each pool worker installs the payload on first contact
-        payload_path = self._spool_payload(key, payload) if self.workers > 1 else None
-        #: batch indices a previous (possibly speculative) pass committed
-        committed = self._replayable(key)
-        new_shots = 0
-        new_batches = 0
-        while True:
-            done, reason = _converged(record["failures"], record["shots"], spec)
-            if done:
-                self._finalize_point(key, record, reason)
-                break
-            size = self._planned_batch_shots(record)
-            if record["batches"] in committed:
-                # replay an already-decoded batch from the commit-ahead log
-                # (speculative overshoot of an interrupted run) instead of
-                # decoding it again; a size mismatch (adaptive sizing grew
-                # the plan past the old dispatch) falls through to a decode
-                index = record["batches"]
-                committed.discard(index)
-                br = self._committed_batch(key, index, len(record["failures"]))
-                if br is not None and int(br["shots"]) == size:
-                    self._apply_batch(record, br, replayed=True)
-                    self.report.batches_replayed += 1
-                    self.ledger.batch(key, index, int(br["shots"]), "replayed")
-                    self._checkpoint(key, record)
-                    continue
-            remaining = max(1, -(-(spec.max_shots - record["shots"]) // size))
-            want = min(self.workers, remaining)
-            allowed = self.budget.take(want)
-            if allowed == 0:
-                self.report.interrupted = True
-                record.update(updated_at=_wallclock())
-                self.store.put(key, record)
-                break
-            first_index = record["batches"]
-            results = self._run_batches(
-                payload, payload_path, pt, key, record["batches"], allowed, size
-            )
-            self.budget.spend(allowed)
-            discard = False
-            for offset, res in enumerate(results):
-                if res is None:
-                    continue
-                if not discard and res.shots != self._planned_batch_shots(record):
-                    # adaptive sizing grew the plan mid-round: this batch
-                    # (and the rest of the round) was dispatched at a stale
-                    # size, so it is discarded and re-decoded at the planned
-                    # size — the applied (index, size) sequence is a pure
-                    # function of the prefix, independent of worker count
-                    discard = True
-                if discard:
-                    # decoded but never applied (stale size, or the stopping
-                    # rule fired earlier in the round) — ledger bookkeeping
-                    # only, the record is untouched
-                    self.ledger.batch(
-                        key, first_index + offset, res.shots, "overshoot",
-                        worker_pid=res.decode_stats.get("worker_pid"),
-                    )
-                    continue
-                self._apply_batch(record, self._batch_record_of(res), replayed=False)
-                self.ledger.batch(
-                    key, first_index + offset, res.shots, "decoded",
-                    worker_pid=res.decode_stats.get("worker_pid"),
-                )
-                new_shots += res.shots
-                new_batches += 1
-                done, _ = _converged(record["failures"], record["shots"], spec)
-                if done:
-                    discard = True  # later batches of this round are discarded
-            self._checkpoint(key, record)
-            self.ledger.maybe_heartbeat()
-        self.report.shots_decoded += new_shots
-        self.report.batches_decoded += new_batches
-        return self._outcome(pt, key, record, new_shots=new_shots)
-
-    # -- concurrent scheduler with speculative batch decoding --------------
+    # -- the scheduler -----------------------------------------------------
 
     def run_concurrent(self, points: list[SweepPoint]) -> None:
         """Run every point on one shared executor, points interleaved.
 
-        The speculative counterpart of the sequential point loop: while the
-        stopping rule is still digesting batch *k* of a point, batches
-        ``k+1 .. k+depth`` of that point (and pending batches of every other
-        point) are already decoding.  Completed batches are committed to the
+        While the stopping rule is still digesting batch *k* of a point,
+        batches ``k+1 .. k+depth`` of that point (and pending batches of
+        every other point) are already decoding; ``depth`` is ``speculate``,
+        or the worker count when ``speculate=0``, so a pooled single-point
+        run keeps every worker busy.  Completed batches are committed to the
         store's per-batch log immediately; they are *applied* to point
-        records strictly in batch-index order through the same
-        :meth:`_apply_batch` / :func:`_converged` path the sequential
-        scheduler uses, so estimates, shot counts and stored records are
-        bit-identical to a sequential run for any worker count and any
+        records strictly in batch-index order through :meth:`_apply_batch` /
+        :func:`_converged`, so estimates, shot counts and stored records
+        equal an in-order batch-by-batch decode for any worker count and any
         speculation depth.  Batches that complete after their point's
         stopping rule fired stay in the log (deterministic in
         ``(seed, key, index, size)`` — a later resume or tightened
@@ -900,9 +771,12 @@ class _SweepRun:
         :class:`InlineExecutor`: dispatch creates lazy futures, and
         :meth:`_await_some` forces them in submission order — speculative
         futures of a point whose stopping rule already fired are cancelled
-        unrun, so the inline scheduler decodes exactly the sequential batch
+        unrun, so the inline scheduler decodes exactly the in-order batch
         set with zero pickling/IPC.  (Cancelled batches do *not* refund the
-        ``batch_limit`` budget: dispatch counts against the cap.)
+        ``batch_limit`` budget: dispatch counts against the cap.)  Inline,
+        at most ``depth`` points are active at once — there is no pool to
+        keep busy — so the default depth-1 inline run finishes one point
+        before it admits the next.
 
         ``admission="cost"`` (the default) admits points by estimated
         remaining decode work, biggest first, so the long-tail point starts
@@ -916,10 +790,13 @@ class _SweepRun:
         every unfinished point's partial record, so a later resume replays
         instead of re-decoding.
         """
-        depth = max(1, self.speculate)
+        depth = self.speculate or self.workers
+        # points in flight at once: a pool also keeps ``workers`` points'
+        # analyses ahead of decoding; inline there is nothing to overlap
+        capacity = depth if self.inline else self.workers + depth
         self._executor()
         queue = list(enumerate(points))
-        if self.admission == "cost":
+        if self.admission == "cost" and len(queue) > 1:
             costs = {pos: self._admission_cost(pt) for pos, pt in queue}
             # stable sort: ties (e.g. fresh points of one uniform spec) stay
             # in sweep order
@@ -935,8 +812,8 @@ class _SweepRun:
                 while (
                     queue
                     and not self.budget.exhausted
-                    and len(futures) < self.workers + depth
-                    and len(active) < self.workers + depth
+                    and len(futures) < capacity
+                    and len(active) < capacity
                 ):
                     pos, pt = queue.pop(0)
                     key, record, payload, resolved = self._prepare_point(pt)
@@ -1085,9 +962,9 @@ class _SweepRun:
         the *other* completed futures are still received (committed to the
         log) before the first exception propagates — a worker crash never
         discards sibling work that already finished.  Inline mode forces the
-        earliest-submitted live future instead (exactly the order the
-        sequential scheduler would decode), after cancelling speculative
-        futures of already-finished points unrun.
+        earliest-submitted live future instead (batch-index order within a
+        point), after cancelling speculative futures of already-finished
+        points unrun.
         """
         if self.inline:
             self._await_inline(futures)
@@ -1127,7 +1004,7 @@ class _SweepRun:
                 state.sizes.pop(index, None)
         if not futures:
             return
-        fut = next(iter(futures))  # earliest submitted = sequential order
+        fut = next(iter(futures))  # earliest submitted = index order
         state, index = futures.pop(fut)
         fut.force()
         try:
@@ -1166,8 +1043,8 @@ class _SweepRun:
             index = min(state.redo) if state.redo else state.next_index
             # never *speculate* past the shot cap: project the unapplied
             # batches at the sizes they were dispatched at.  The in-order
-            # batch (the one the record needs next) is exempt — sequential
-            # always decodes at least one batch while unconverged, and
+            # batch (the one the record needs next) is exempt — an
+            # unconverged point always decodes at least one more batch, and
             # gating it on pending stale-size batches that can never be
             # applied ahead of it would deadlock the scheduler.
             if index != record["batches"] and (
@@ -1187,9 +1064,9 @@ class _SweepRun:
                     if index == state.next_index:
                         state.next_index += 1
                     continue
-            if self.budget.take(1) < 1:
+            if self.budget.exhausted:
                 return
-            self.budget.spend(1)
+            self.budget.spend()
             size = self._planned_batch_shots(record)
             with obs.span("sweep.dispatch", lambda: {"index": index, "shots": size}):
                 fut = submit_task(
@@ -1266,8 +1143,8 @@ class _SweepRun:
                 state.sizes.pop(index, None)
                 if int(br["shots"]) != self._planned_batch_shots(record):
                     # stale speculative size: adaptive sizing grew the plan
-                    # after dispatch — sequential would never decode this
-                    # batch at this size, so discard and redo at the plan.
+                    # after dispatch — an in-order decode would never see
+                    # this batch at this size, so discard and redo at the plan.
                     # The discard IS progress: it frees a depth-window slot
                     # so the next dispatch pass can re-issue the batch (the
                     # scheduler would otherwise stall when nothing is in
@@ -1359,17 +1236,17 @@ def run_sweep(
     ``resume=False`` discards partial (non-converged) records and recomputes
     them from batch 0 — the result is bit-identical either way, resuming just
     skips the already-decoded prefix.  ``workers`` > 1 decodes batches on a
-    warm process pool.  ``speculate`` >= 1 switches to the concurrent
-    scheduler (:meth:`_SweepRun.run_concurrent`): one pool shared by *all*
-    points with up to ``speculate`` batches in flight per point while the
-    stopping rule is still evaluating earlier ones — estimates and stored
-    records stay bit-identical to the sequential scheduler for any
-    ``(workers, speculate)``; completed-but-excluded batches land in the
-    store's commit-ahead log, where later passes replay them for free.
-    With ``workers <= 1`` the concurrent scheduler decodes in-process through
-    the inline executor (no pool, no pickling) and cancels unneeded
-    speculation lazily, so it does exactly the sequential decode work.
-    ``admission`` orders concurrent point admission: ``"cost"`` (default)
+    warm process pool shared by *all* points
+    (:meth:`_SweepRun.run_concurrent`); ``speculate`` >= 1 keeps up to that
+    many batches in flight per point while the stopping rule is still
+    evaluating earlier ones (0 means one per worker).  Estimates and stored
+    records are bit-identical for any ``(workers, speculate)``;
+    completed-but-excluded batches land in the store's commit-ahead log,
+    where later passes replay them for free.  With ``workers <= 1`` the
+    scheduler decodes in-process through the inline executor (no pool, no
+    pickling) and cancels unneeded speculation lazily, so it decodes
+    exactly the batches the estimates need.
+    ``admission`` orders point admission: ``"cost"`` (default)
     starts the points with the most estimated remaining work first,
     ``"sweep"`` keeps grid order — stored records are bit-identical either
     way, only wall-clock shape differs.
@@ -1408,14 +1285,7 @@ def run_sweep(
         run.report.run_id = writer.run_id
     status = "error"
     try:
-        if speculate > 0:
-            run.run_concurrent(spec.points())
-        else:
-            for pt in spec.points():
-                if run.budget.exhausted:
-                    run.report.interrupted = True
-                    break
-                run.run_point(pt)
+        run.run_concurrent(spec.points())
         status = "interrupted" if run.report.interrupted else "ok"
     finally:
         run.close()
@@ -1528,13 +1398,13 @@ def ensure_point(
     target_rse: float | None = None,
     observable: int | None = None,
     resume: bool = True,
-    workers: int = 1,
 ) -> dict:
     """Read-through accessor for one point (the figure-function entry path).
 
-    Returns the stored record, decoding only the missing batches.  With the
-    defaults (``max_shots = batch_shots``, no RSE target) this is exactly
-    "one batch of ``batch_shots`` shots, cached forever".
+    Returns the stored record, decoding only the missing batches in-process
+    through the sweep scheduler.  With the defaults (``max_shots =
+    batch_shots``, no RSE target) this is exactly "one batch of
+    ``batch_shots`` shots, cached forever".
     """
     max_shots = batch_shots if max_shots is None else max_shots
     spec = SweepSpec(
@@ -1556,7 +1426,7 @@ def ensure_point(
         target_rse=target_rse,
         observable=observable,
     )
-    run = _SweepRun(spec, store, resume=resume, workers=workers)
+    run = _SweepRun(spec, store, resume=resume)
     pt = SweepPoint(
         config=config,
         policy_name=policy_name,
@@ -1564,6 +1434,7 @@ def ensure_point(
         decoder=decoder,
     )
     try:
-        return run.run_point(pt).record
+        run.run_concurrent([pt])
     finally:
         run.close()
+    return run.report.outcomes[0].record

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -87,9 +88,10 @@ def build_figure(
     """Build figure ``name`` (canonical or alias), store-served if possible.
 
     ``store=None`` uses the active default store (``set_default_store`` /
-    ``REPRO_STORE_ROOT``); ``store=False`` forces a storeless build — no
-    cache reads or writes, always decode, the shared-sequential-stream
-    numbers the pytest benchmark harness asserts on.  ``strict``
+    ``REPRO_STORE_ROOT``); ``store=False`` builds without a persistent
+    store or figure cache — always decode, through a temporary store, so
+    the rows equal a store-backed build's (this is the build the pytest
+    benchmark harness asserts on).  ``strict``
     controls whether unknown override keys raise (single-figure builds) or
     are dropped (bulk ``--all`` overrides).  ``workers``/``speculate`` are
     forwarded to ``run_sweep`` when pre-warming declared sweeps.
@@ -97,8 +99,10 @@ def build_figure(
     spec = get(name)
     params = spec.resolve_params(overrides, strict=strict)
     if store is False:
-        store = None
-    elif store is None:
+        with tempfile.TemporaryDirectory(prefix="repro-figure-") as root:
+            rows = _run_builder(spec, params, ResultStore(root))
+        return FigureResult(spec, params, [export.plain(r) for r in rows])
+    if store is None:
         store = default_store()
     key = figure_cache_key(spec.name, params) if store is not None and spec.cacheable else None
     if key is not None:
@@ -140,6 +144,11 @@ def _build_rows(
                 speculate=speculate,
                 ledger=False,
             )
+    return _run_builder(spec, params, store)
+
+
+def _run_builder(spec: FigureSpec, params: Mapping[str, Any], store) -> list:
+    """Run the spec's builder with ``store`` as the active default store."""
     previous = default_store()
     set_default_store(store)
     try:

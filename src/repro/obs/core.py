@@ -23,7 +23,7 @@ Three primitives:
   from any number of workers in any order are identical (worker-count
   independence is a tested invariant, like the estimate parity contract).
 
-Worker plumbing: a shard worker wraps each task in :func:`collect`, which
+Worker plumbing: a pool worker wraps each task in :func:`collect`, which
 drains the events the task emitted; they travel back to the coordinator on
 ``LerResult.obs_spans`` and are merged with :func:`absorb`.  Timestamps
 come from ``time.perf_counter_ns`` (CLOCK_MONOTONIC on Linux — system-wide,

@@ -59,8 +59,8 @@ DEFAULT_HISTORY = Path("benchmarks") / "history" / "history.jsonl"
 #: ``warm_vs_cold_x``) — checked before the latency suffixes, so a ratio
 #: name never falls through to a smaller-is-better match
 _UP_SUFFIXES = ("_per_sec", "_per_s", "_hz", "_ratio", "_x")
-#: name fragments that mark a series as throughput-like (``speedup`` and
-#: ``speedup_vs_serial`` in sweep_speculation.json match here)
+#: name fragments that mark a series as throughput-like (``speedup`` in
+#: sweep_speculation.json matches here)
 _UP_FRAGMENTS = ("speedup",)
 #: name suffixes that mark a series as latency-like (smaller is better)
 _DOWN_SUFFIXES = (

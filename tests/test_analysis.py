@@ -327,6 +327,26 @@ def test_mutation_worker_global_rebind_fails(tmp_path):
     )
 
 
+def test_mutation_worker_global_rebind_in_install_payload_fails(tmp_path):
+    # install_payload is reached from submit_task through the task runner's
+    # spool-file install, so the single default seed still covers it
+    box = make_sandbox(tmp_path)
+    par = box / "src" / "repro" / "experiments" / "parallel.py"
+    src = par.read_text()
+    needle = "def install_payload(payload: PipelinePayload) -> None:\n"
+    assert needle in src
+    par.write_text(
+        src.replace(needle, needle + "    global _INSTALL_PROBE\n    _INSTALL_PROBE = 1\n")
+    )
+    report = run_lint(root=box, only=["contract-worker-globals"])
+    assert any(
+        f.path == "src/repro/experiments/parallel.py"
+        and "install_payload" in f.message
+        and "_INSTALL_PROBE" in f.message
+        for f in report.findings
+    )
+
+
 def test_mutation_undocumented_env_knob_fails(tmp_path):
     box = make_sandbox(tmp_path)
     ler = box / "src" / "repro" / "experiments" / "ler.py"

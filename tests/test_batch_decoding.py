@@ -1,10 +1,10 @@
-"""Batch decoding engine tests: dedup equivalence, caching, streaming, sharding.
+"""Batch decoding engine tests: dedup equivalence, counters, streaming.
 
 Covers the decoder-equivalence contract (``decode_batch(dets)`` equals the
 per-shot ``decode`` loop for every decoder), the engine's decode counters,
 the streaming LER pipeline and its regression fixes (empty sampling, fair-coin
 errors, explicit detector masking, bounded pipeline cache), and the
-worker-count independence of sharded parallel decoding.
+serial-only ``decode_workers`` contract of ``run_surgery_ler``.
 """
 
 import numpy as np
@@ -27,7 +27,6 @@ from repro.decoders.hierarchical import HierarchicalDecoder
 from repro.experiments import ler as ler_module
 from repro.experiments import run_surgery_ler
 from repro.experiments.ler import SurgeryLerConfig, _pad_predictions, prepared_pipeline
-from repro.experiments.parallel import run_sharded_ler, shard_tasks
 from repro.noise import GOOGLE, NoiseModel
 from repro.stab import DemSampler, circuit_to_dem
 from repro.stab.dem import DemError, DetectorErrorModel
@@ -372,66 +371,16 @@ def test_pipeline_cache_key_is_stable_across_instances():
 
 
 # ---------------------------------------------------------------------------
-# sharded parallel decode: worker-count independence
+# run_surgery_ler is serial: pooled decoding goes through run_sweep
 # ---------------------------------------------------------------------------
 
 
-def test_shard_tasks_partition_is_deterministic():
-    tasks = shard_tasks(_config(), "passive", (), 103, 42, num_shards=4)
-    again = shard_tasks(_config(), "passive", (), 103, 42, num_shards=4)
-    assert [t.shots for t in tasks] == [26, 26, 26, 25]
-    assert sum(t.shots for t in tasks) == 103
-    for t1, t2 in zip(tasks, again):
-        assert t1.seed.spawn_key == t2.seed.spawn_key
-        assert t1.seed.entropy == t2.seed.entropy
-    # more shards than shots collapses gracefully
-    tiny = shard_tasks(_config(), "passive", (), 2, 0, num_shards=8)
-    assert [t.shots for t in tiny] == [1, 1]
-
-
-def test_sharded_decode_bit_identical_across_worker_counts():
+def test_run_surgery_ler_accepts_only_one_decode_worker():
     cfg = _config()
     pol = make_policy("passive")
-    serial = run_sharded_ler(cfg, pol, 2000, rng=7, num_shards=4, max_workers=1)
-    parallel = run_sharded_ler(cfg, pol, 2000, rng=7, num_shards=4, max_workers=4)
-    assert [e.successes for e in serial.estimates] == [
-        e.successes for e in parallel.estimates
-    ]
-    assert serial.shots == parallel.shots == 2000
-    assert all(e.trials == 2000 for e in serial.estimates)
-    assert serial.decode_stats["shards"] == 4
-
-
-def test_run_surgery_ler_delegates_to_sharded_path():
-    cfg = _config()
-    pol = make_policy("passive")
-    via_kwarg = run_surgery_ler(cfg, pol, 1200, rng=3, decode_workers=2)
-    direct = run_sharded_ler(cfg, pol, 1200, rng=3, max_workers=2)
-    assert [e.successes for e in via_kwarg.estimates] == [
-        e.successes for e in direct.estimates
-    ]
-    assert via_kwarg.shots == 1200
-    # sharded stats expose the same keys as the serial path (plus "shards")
-    serial = run_surgery_ler(cfg, pol, 1200, rng=3, decode_workers=1)
-    assert set(serial.decode_stats) <= set(via_kwarg.decode_stats)
-    assert 0.0 <= via_kwarg.decode_stats["dedup_hit_rate"] <= 1.0
-
-
-def test_decode_workers_never_changes_results():
-    # the shard count is fixed, so scaling the pool cannot change the answer
-    cfg = _config()
-    pol = make_policy("passive")
-    two = run_surgery_ler(cfg, pol, 1300, rng=5, decode_workers=2)
-    four = run_surgery_ler(cfg, pol, 1300, rng=5, decode_workers=4)
-    assert [e.successes for e in two.estimates] == [e.successes for e in four.estimates]
-    assert two.decode_stats["shards"] == four.decode_stats["shards"]
-
-
-def test_sharded_zero_shots_matches_serial_shape():
-    cfg = _config()
-    sharded = run_sharded_ler(cfg, make_policy("passive"), 0, rng=1)
-    serial = run_surgery_ler(cfg, make_policy("passive"), 0, rng=1)
-    assert sharded.shots == serial.shots == 0
-    assert len(sharded.estimates) == len(serial.estimates) > 0
-    assert all(e.trials == 0 for e in sharded.estimates)
-    assert set(serial.decode_stats) == set(sharded.decode_stats)
+    one = run_surgery_ler(cfg, pol, 300, rng=3, decode_workers=1)
+    default = run_surgery_ler(cfg, pol, 300, rng=3)
+    assert [e.successes for e in one.estimates] == [e.successes for e in default.estimates]
+    for workers in (0, 2, None):
+        with pytest.raises(ValueError, match=r"run_sweep\(workers=N\)"):
+            run_surgery_ler(cfg, pol, 300, rng=3, decode_workers=workers)

@@ -8,64 +8,6 @@ import pytest
 from repro import cli
 
 
-def test_list_runs(capsys):
-    assert cli.main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "fig10" in out
-    assert "table5" in out
-
-
-def test_driver_registry_covers_figures():
-    for key in ("fig10", "fig11", "fig14", "fig22", "table1", "table5", "fig3c"):
-        assert key in cli.DRIVERS
-
-
-def test_run_fast_driver(capsys, tmp_path):
-    assert cli.main(["run", "fig10", "--out", str(tmp_path)]) == 0
-    data = json.loads((tmp_path / "fig10.json").read_text())
-    assert [row["extra_rounds"] for row in data] == [None, 5, 11, 22, 26, 52, 34, 68]
-
-
-def test_run_unknown_driver():
-    assert cli.main(["run", "figurine"]) == 2
-
-
-def test_run_with_shots(capsys, tmp_path):
-    assert cli.main(["run", "fig4a", "--shots", "2000", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "fig4a.json").exists()
-
-
-def test_decode_engine_flags_apply_during_run_and_restore(capsys, tmp_path, monkeypatch):
-    from repro.experiments import ler
-
-    monkeypatch.setitem(ler.DECODE_DEFAULTS, "workers", 1)
-    monkeypatch.setitem(ler.DECODE_DEFAULTS, "dedup", True)
-    seen = {}
-    original = cli.run_driver
-
-    def spy(*args, **kwargs):
-        seen.update(ler.DECODE_DEFAULTS)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_driver", spy)
-    assert (
-        cli.main(
-            ["run", "fig10", "--out", str(tmp_path), "--decode-workers", "3", "--no-dedup"]
-        )
-        == 0
-    )
-    # flags were live while the driver ran ...
-    assert seen["workers"] == 3 and seen["dedup"] is False
-    # ... and restored afterwards so later in-process calls aren't tainted
-    assert ler.DECODE_DEFAULTS["workers"] == 1
-    assert ler.DECODE_DEFAULTS["dedup"] is True
-
-
-def test_decode_workers_must_be_positive():
-    with pytest.raises(SystemExit):
-        cli.main(["run", "fig10", "--decode-workers", "0"])
-
-
 # ---------------------------------------------------------------------------
 # sweep subcommand
 # ---------------------------------------------------------------------------
@@ -137,28 +79,6 @@ def test_sweep_run_overrides_spec_fields(capsys, tmp_path, sweep_spec_file):
         == 0
     )
     assert '"shots_decoded": 1600' in capsys.readouterr().out
-
-
-def test_run_decode_backend_flag_applies_and_restores(capsys, tmp_path, monkeypatch):
-    from repro.experiments import ler
-
-    monkeypatch.setitem(ler.DECODE_DEFAULTS, "backend", "auto")
-    seen = {}
-    original = cli.run_driver
-
-    def spy(*args, **kwargs):
-        seen.update(ler.DECODE_DEFAULTS)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_driver", spy)
-    assert cli.main(["run", "fig10", "--out", str(tmp_path), "--decode-backend", "python"]) == 0
-    assert seen["backend"] == "python"
-    assert ler.DECODE_DEFAULTS["backend"] == "auto"  # restored afterwards
-
-
-def test_run_decode_backend_rejects_unknown_names():
-    with pytest.raises(SystemExit):
-        cli.main(["run", "fig10", "--decode-backend", "fortran"])
 
 
 def test_sweep_export_writes_benchmark_rows(capsys, tmp_path, sweep_spec_file):

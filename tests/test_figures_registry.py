@@ -9,7 +9,8 @@ Four layers:
   schema checks;
 * **store behaviour** — a warm store serves rebuilds from the figure cache
   with zero decoding (asserted via store mtime-diff *and* a builder swapped
-  for one that raises) and ``store=False`` never touches a store;
+  for one that raises), ``store=False`` never touches a persistent store,
+  and every ``ler-sweep`` spec gives the same rows with and without one;
 * **CLI** — ``repro figures list|build``, including exit 2 on unknown
   names/params and ``build --all`` against a warm store.
 """
@@ -202,10 +203,30 @@ def test_param_change_misses_the_cache(tmp_path):
 
 def test_storeless_build_ignores_default_store(tmp_path, monkeypatch):
     # REPRO_STORE_ROOT active in the environment must not leak into
-    # store=False builds — the benchmark numbers are shared-stream storeless
+    # store=False builds, which persist nothing
     monkeypatch.setenv("REPRO_STORE_ROOT", str(tmp_path / "env-store"))
     result = build_figure("fig10", store=False)
     assert result.served_from_store is False
+    assert not (tmp_path / "env-store").exists()
+
+
+#: a small LER configuration every ler-sweep spec accepts (bulk overrides
+#: drop the keys a schema lacks): one d=3 point set at 400 shots
+SMALL_LER = {"shots": 400, "distances": (3,), "distance": 3}
+
+
+@pytest.mark.parametrize("name", categories()["ler-sweep"])
+def test_storeless_rows_equal_store_backed_rows(name, tmp_path, monkeypatch):
+    # one number per (spec, seed): a storeless build reads through a
+    # temporary store, so it must give exactly the rows a fresh persistent
+    # store gives — and it must persist nothing, even with an env store set
+    monkeypatch.setenv("REPRO_STORE_ROOT", str(tmp_path / "env-store"))
+    storeless = build_figure(name, SMALL_LER, store=False, strict=False)
+    stored = build_figure(
+        name, SMALL_LER, store=ResultStore(tmp_path / "store"), strict=False
+    )
+    assert storeless.rows
+    assert storeless.rows == stored.rows
     assert not (tmp_path / "env-store").exists()
 
 

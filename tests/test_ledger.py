@@ -4,7 +4,7 @@ Four families of guarantees:
 
 * **Bit-neutrality** — the ledger records *about* a sweep without touching
   it: stored point records are byte-identical with the ledger on vs. off,
-  across the sequential and speculative schedulers at 1 and 4 workers, and
+  at speculation depth 0 and 4 on 1 and 4 workers, and
   a ledger-off run leaves no ``runs/`` directory at all.
 * **Accounting** — ledger batch events are emitted at exactly the sites
   where the sweep report's counters increment, so totals always agree.
@@ -83,7 +83,7 @@ def _pinned_writer(store, spec, **kwargs):
 
 
 def test_ledger_bit_neutral_across_schedulers(tmp_path):
-    """{ledger on, off} x {sequential, --speculate 4} x {1, 4 workers}."""
+    """{ledger on, off} x {--speculate 0, --speculate 4} x {1, 4 workers}."""
     spec = _spec()
     store_ref = ResultStore(tmp_path / "ref")
     reference = _records(run_sweep(spec, store_ref, ledger=False))
@@ -349,7 +349,7 @@ def test_inline_executor_reports_coordinator_pid_provenance(tmp_path):
     """workers<=1 + speculate runs the zero-IPC inline executor: every
     decoded batch must carry the coordinator's own pid as provenance (no
     pool process ever exists), spans must still record, and parity with the
-    sequential scheduler must hold."""
+    depth-0 run must hold."""
     spec = _spec(policies=(PolicySpec("passive"),), max_shots=800)
     obs.reset()
     obs.configure(trace_path=tmp_path / "t.json")

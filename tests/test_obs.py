@@ -9,8 +9,7 @@ Three families of guarantees:
 * **Zero-cost when off** — disabled tracing hands back shared no-op
   singletons and never evaluates lazy span attributes.
 * **Bit-neutrality** — tracing on vs. off changes nothing in predictions
-  or stored records, across the sequential and speculative schedulers at
-  1 and 4 workers; worker spans travel back and merge into one timeline.
+  or stored records, at speculation depth 0 and 4 on 1 and 4 workers; worker spans travel back and merge into one timeline.
 """
 
 import json
@@ -294,7 +293,7 @@ def _records(report):
 
 
 def test_tracing_bit_identity_across_schedulers(tmp_path):
-    """{sequential, --speculate 4} x {1, 4 workers}, traced vs. untraced."""
+    """{--speculate 0, --speculate 4} x {1, 4 workers}, traced vs. untraced."""
     spec = _spec()
     reference = _records(run_sweep(spec, ResultStore(tmp_path / "ref")))
     assert not obs.enabled()  # the reference run really was untraced

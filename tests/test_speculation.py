@@ -1,12 +1,15 @@
-"""Speculative scheduler parity: the concurrent scheduler must be
-bit-identical to the sequential one for any worker count and speculation
-depth — estimates, per-point shot counts and stored record contents — and
+"""Scheduler parity: the sweep scheduler must store exactly what the
+scheduler-free oracle (``sweep_oracle.py``: batches decoded one by one in
+index order) computes, for any worker count and speculation depth —
+estimates, per-point shot counts and stored record contents — and
 interrupted speculative runs must resume bit-identically (replaying the
 commit-ahead log instead of re-decoding)."""
 
 import dataclasses
+import itertools
 
 import pytest
+from sweep_oracle import oracle_records
 
 from repro.experiments.parallel import reset_warm_state
 from repro.experiments.sweeps import (
@@ -56,19 +59,19 @@ def _records(report):
 
 
 # ---------------------------------------------------------------------------
-# the acceptance criterion: {sequential, depth 1, depth 4} x {inline, pool}
-# (workers 0 and 1 run the zero-IPC inline executor, workers 4 a real pool)
+# the acceptance criterion: oracle vs {depth 0, 1, 4} x {inline, pool}
+# (workers 0 and 1 run the zero-IPC inline executor, workers 4 a real pool;
+# depth 0 keeps one batch in flight per worker)
 # ---------------------------------------------------------------------------
 
 
 def test_speculative_parity_matrix(tmp_path):
     spec = _spec()
-    reference = run_sweep(spec, ResultStore(tmp_path / "ref"))
-    ref_records = _records(reference)
+    ref_records = oracle_records(spec)
     assert len(ref_records) == len(spec.points())
     assert any(r["batches"] > 1 for r in ref_records.values())  # rule actually adapts
 
-    for speculate in (1, 4):
+    for speculate in (0, 1, 4):
         for workers in (0, 1, 4):
             reset_warm_state()
             store = ResultStore(tmp_path / f"s{speculate}w{workers}")
@@ -85,19 +88,19 @@ def test_speculative_parity_matrix(tmp_path):
                     (e.successes, e.trials) for e in point_record_estimates(rec)
                 ] == [(e.successes, e.trials) for e in point_record_estimates(ref)]
                 # full record contents, minus execution-dependent stats
-                assert _scrub(rec) == _scrub(ref), (speculate, workers)
+                assert _scrub(rec) == ref, (speculate, workers)
                 # what the scheduler wrote is what the report carries
-                assert _scrub(store.get(key)) == _scrub(ref)
+                assert _scrub(store.get(key)) == ref
 
 
 def test_outcomes_emitted_in_sweep_order(tmp_path):
     spec = _spec(max_shots=800, target_rse=None)
-    sequential = run_sweep(spec, ResultStore(tmp_path / "a"))
+    inline = run_sweep(spec, ResultStore(tmp_path / "a"))
     reset_warm_state()
-    concurrent = run_sweep(
-        spec, ResultStore(tmp_path / "b"), workers=4, speculate=2
-    )
-    assert [o.key for o in concurrent.outcomes] == [o.key for o in sequential.outcomes]
+    pooled = run_sweep(spec, ResultStore(tmp_path / "b"), workers=4, speculate=2)
+    expected = [pt.key(seed=spec.seed, batch_shots=spec.batch_shots) for pt in spec.points()]
+    assert [o.key for o in inline.outcomes] == expected
+    assert [o.key for o in pooled.outcomes] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +113,8 @@ def test_interrupted_speculative_run_resumes_bit_identically(tmp_path):
     clean = _records(run_sweep(spec, ResultStore(tmp_path / "clean")))
 
     for resume_kwargs in (
-        dict(workers=1, speculate=0),  # resume on the sequential scheduler
-        dict(workers=2, speculate=3),  # resume on the concurrent scheduler
+        dict(workers=1, speculate=0),  # resume inline, one batch in flight
+        dict(workers=2, speculate=3),  # resume on a speculative pool
     ):
         reset_warm_state()
         store = ResultStore(tmp_path / f"int-{resume_kwargs['speculate']}")
@@ -225,8 +228,9 @@ def test_adaptive_batching_speculative_parity(tmp_path):
         max_shots=8000,
         target_rse=0.1,
     )
-    reference = _records(run_sweep(spec, ResultStore(tmp_path / "ref")))
-    for speculate, workers in ((1, 4), (4, 1), (4, 4)):
+    reference = oracle_records(spec)
+    assert any(r["batch_shots_next"] > spec.batch_shots for r in reference.values())
+    for speculate, workers in itertools.product((0, 1, 4), (0, 1, 4)):
         reset_warm_state()
         report = run_sweep(
             spec,
@@ -237,7 +241,7 @@ def test_adaptive_batching_speculative_parity(tmp_path):
         got = _records(report)
         for key, ref in reference.items():
             rec = got[key]
-            assert _scrub(rec) == _scrub(ref), (speculate, workers)
+            assert _scrub(rec) == ref, (speculate, workers)
             assert rec["batch_shots_next"] == ref["batch_shots_next"]
 
 

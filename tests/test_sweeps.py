@@ -12,7 +12,7 @@ from repro.core import make_policy
 from repro.experiments import figures
 from repro.experiments import ler as ler_module
 from repro.experiments.ler import SurgeryLerConfig, pipeline_payload
-from repro.experiments.parallel import reset_warm_state, run_sharded_ler
+from repro.experiments.parallel import reset_warm_state
 from repro.experiments.sweeps import (
     PolicySpec,
     SweepSpec,
@@ -252,37 +252,23 @@ def test_sweep_policies_reads_through_store(tmp_path):
 
 
 def test_sweep_policies_without_store_unchanged(tmp_path):
-    # a Generator rng (or no active store) keeps the legacy sequential path
-    a = figures.sweep_policies(
-        ("passive",), (2,), (500.0,), 800, hardware=GOOGLE, rng=np.random.default_rng(3)
-    )
+    # no store active: a temporary store gives the same numbers a persistent
+    # one does, and a Generator rng is rejected (records are keyed by seed)
+    a = figures.sweep_policies(("passive",), (2,), (500.0,), 800, hardware=GOOGLE, rng=3)
     set_default_store(ResultStore(tmp_path))
-    b = figures.sweep_policies(
-        ("passive",), (2,), (500.0,), 800, hardware=GOOGLE, rng=np.random.default_rng(3)
-    )
+    b = figures.sweep_policies(("passive",), (2,), (500.0,), 800, hardware=GOOGLE, rng=3)
     set_default_store(None)
     assert [e.successes for e in a[0].estimates] == [e.successes for e in b[0].estimates]
+    with pytest.raises(TypeError, match="int seed"):
+        figures.sweep_policies(
+            ("passive",), (2,), (500.0,), 800, hardware=GOOGLE,
+            rng=np.random.default_rng(3),
+        )
 
 
 # ---------------------------------------------------------------------------
-# warm shard workers (pre-analyzed pipeline handoff)
+# warm workers (pre-analyzed pipeline handoff)
 # ---------------------------------------------------------------------------
-
-
-def test_sharded_ler_accepts_payload_and_matches(tmp_path):
-    cfg = _config()
-    pol = make_policy("passive")
-    plain = run_sharded_ler(cfg, pol, 2000, rng=7, num_shards=4, max_workers=2)
-    reset_warm_state()
-    payload = pipeline_payload(cfg, pol)
-    warm = run_sharded_ler(
-        cfg, pol, 2000, rng=7, num_shards=4, max_workers=2, payload=payload
-    )
-    assert [e.successes for e in warm.estimates] == [
-        e.successes for e in plain.estimates
-    ]
-    assert warm.decode_stats["pipeline_analyses"] == 0
-    assert warm.decode_stats["shards"] == 4
 
 
 def test_payload_pipeline_matches_analyzed_pipeline():
@@ -546,22 +532,6 @@ def test_sweep_backend_is_bit_identical_and_reaches_workers(tmp_path):
     assert a["key"] == b["key"]  # backend is not part of the point key
     assert a["failures"] == b["failures"]
     assert a["shots"] == b["shots"]
-
-
-def test_payload_carries_backend_to_shards(tmp_path):
-    cfg = SurgeryLerConfig(
-        distance=2, hardware=GOOGLE, policy_name="passive", tau_ns=500.0
-    )
-    payload = pipeline_payload(cfg, make_policy("passive"), backend="python")
-    assert payload.backend == "python"
-    res = run_sharded_ler(
-        cfg, make_policy("passive"), 1000, rng=3, num_shards=4,
-        max_workers=2, payload=payload,
-    )
-    ref = run_sharded_ler(
-        cfg, make_policy("passive"), 1000, rng=3, num_shards=4, max_workers=1
-    )
-    assert [e.successes for e in res.estimates] == [e.successes for e in ref.estimates]
 
 
 def test_sweep_under_missing_backend_produces_identical_records(
