@@ -10,8 +10,6 @@ __all__ = [
     "resolve_rng",
     "xor_probability",
     "combine_flip_probabilities",
-    "pack_bits",
-    "unpack_bits",
     "env_int",
     "env_float",
     "env_str",
@@ -39,17 +37,6 @@ def combine_flip_probabilities(probs) -> float:
     for p in probs:
         acc *= 1.0 - 2.0 * float(p)
     return (1.0 - acc) / 2.0
-
-
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean array along its last axis into uint8 words."""
-    return np.packbits(np.asarray(bits, dtype=bool), axis=-1)
-
-
-def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; ``n`` is the original last-axis length."""
-    out = np.unpackbits(np.asarray(words, dtype=np.uint8), axis=-1)
-    return out[..., :n].astype(bool)
 
 
 def env_int(name: str, default: int) -> int:

@@ -3,9 +3,11 @@
 Every decoder derives from :class:`~repro.decoders.batch.Decoder`: it
 implements ``decode(detectors) -> int`` (an observable-flip bitmask) and
 inherits a ``decode_batch`` that deduplicates identical syndromes — packs the
-boolean detector rows, groups them with ``np.unique(axis=0)``, decodes each
-distinct syndrome once, and scatters the masks back with one vectorized
-bitmask->bool expansion.  At the p ~ 1e-3 error rates of the paper's sweeps
+boolean detector rows into ``uint64`` words
+(:mod:`~repro.decoders.kernels.plane`), groups identical words with a hash
+table, decodes each distinct syndrome once, and scatters the masks back
+with one vectorized bitmask->bool expansion.  :func:`decode_words` is the
+same path for already-packed rows, as the LER pipeline samples them.  At the p ~ 1e-3 error rates of the paper's sweeps
 this collapses a 100k-shot batch to a few thousand decode calls while
 producing bit-identical predictions.
 
@@ -34,6 +36,7 @@ from .batch import (
     BatchDecodingEngine,
     Decoder,
     decode_batch_dedup,
+    decode_words,
     expand_obs_masks,
 )
 from .graph import MatchingGraph, build_matching_graph, graphlike_distance
@@ -54,6 +57,7 @@ __all__ = [
     "BatchDecodingEngine",
     "Decoder",
     "decode_batch_dedup",
+    "decode_words",
     "expand_obs_masks",
     "MatchingGraph",
     "build_matching_graph",

@@ -4,15 +4,17 @@ At the physical error rates this project sweeps (p ~ 1e-3) most shots carry
 an empty or tiny syndrome, so a 100k-shot batch contains only a few thousand
 *distinct* detector rows.  The engine decodes each of them once:
 
-* :class:`Decoder` — the shared base class of every decoder.  Its
-  ``decode_batch`` has one shape: pack the boolean detector rows
-  (:func:`repro._util.pack_bits`), group identical rows, decode the distinct
-  rows in one ``decode_rows(rows, counts)`` call (a backend kernel, the
-  decoder's ``_decode_rows`` hook, or the scalar per-row pass), and scatter
-  the observable masks back over the batch with one vectorized
-  bitmask->bool expansion (:func:`expand_obs_masks`).  Predictions are
-  bit-identical to the per-shot loop because every decoder here is
-  deterministic.
+* :func:`decode_words` — the one batch path, on the packed syndrome data
+  plane (:mod:`repro.decoders.kernels.plane`): group identical ``uint64``
+  detector rows (a C hash table, or a numpy ``lexsort``), decode the
+  distinct rows in one ``decode_rows(rows, counts)`` call (a backend
+  kernel, the decoder's ``_decode_rows`` hook, or the scalar per-row pass;
+  only bool-row kernels get the distinct rows unpacked), and scatter the
+  observable bitmasks back over the batch.  Predictions are bit-identical
+  to the per-shot loop because every decoder here is deterministic.
+* :class:`Decoder` — the shared base class of every decoder.  Its bool
+  ``decode_batch`` packs the rows, runs :func:`decode_words` and expands
+  the masks with :func:`expand_obs_masks`.
 * :class:`BatchDecodingEngine` — wraps a decoder with a dedup policy and
   tracks throughput statistics (:class:`BatchDecodeStats`): shots, distinct
   syndromes, decode calls and wall-clock decode time.  There is no memo
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from .._util import pack_bits, unpack_bits
+from .kernels import plane
 
 __all__ = [
     "Decoder",
@@ -51,6 +53,7 @@ __all__ = [
     "BatchDecodingEngine",
     "expand_obs_masks",
     "decode_batch_dedup",
+    "decode_words",
 ]
 
 
@@ -65,35 +68,6 @@ def expand_obs_masks(masks: np.ndarray, num_observables: int) -> np.ndarray:
         return np.zeros((masks.size, 0), dtype=bool)
     bits = np.left_shift(np.uint64(1), np.arange(num_observables, dtype=np.uint64))
     return (masks[:, None] & bits[None, :]) != 0
-
-
-def _unique_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct packed rows and per-shot inverse indices.
-
-    Equivalent grouping to ``np.unique(packed, axis=0, return_inverse=True)``
-    (group order may differ) but several times faster: rows are padded to
-    whole ``uint64`` words and sorted with one ``np.lexsort`` instead of the
-    generic void-dtype comparison sort.
-    """
-    n, width = packed.shape
-    if n == 1 or width == 0:
-        return packed[:1], np.zeros(n, dtype=np.int64)
-    pad = (-width) % 8
-    if pad:
-        padded = np.zeros((n, width + pad), dtype=np.uint8)
-        padded[:, :width] = packed
-    else:
-        padded = np.ascontiguousarray(packed)
-    words = padded.view(np.uint64)
-    order = np.lexsort(tuple(words[:, i] for i in range(words.shape[1] - 1, -1, -1)))
-    sorted_words = words[order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.any(sorted_words[1:] != sorted_words[:-1], axis=1, out=starts[1:])
-    group_of_sorted = np.cumsum(starts) - 1
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = group_of_sorted
-    return packed[order[starts]], inverse
 
 
 @dataclass
@@ -192,15 +166,20 @@ def decode_batch_dedup(
     stats: BatchDecodeStats | None = None,
     backend: str | None = None,
 ) -> np.ndarray:
-    """Dedup-and-scatter batch decode around any :class:`Decoder`-like object.
+    """Dedup-and-scatter batch decode of bool rows around any decoder.
 
-    ``decoder`` needs ``graph.num_observables`` and ``_decode_one`` (or plain
-    ``decode``).  With ``dedup=False`` this is the reference per-shot loop.
-    ``backend`` selects a decode-kernel backend for the distinct-syndrome
-    matrix (see :mod:`repro.decoders.kernels`); when the resolved backend has
-    no kernel for this decoder, the decoder's ``_decode_rows`` hook or else
-    the scalar per-row pass decodes the same matrix.
+    The bool front end of :func:`decode_words`: packs ``(shots,
+    num_detectors)`` outcomes into words and expands the per-shot
+    observable masks to a ``(shots, num_observables)`` bool array.
     """
+    masks = decode_words(
+        decoder, _pack_rows(decoder, detectors), dedup=dedup, stats=stats, backend=backend
+    )
+    return expand_obs_masks(masks, decoder.graph.num_observables)
+
+
+def _pack_rows(decoder, detectors: np.ndarray) -> np.ndarray:
+    """Check ``(shots, num_detectors)`` bool rows against the graph and pack them."""
     det = np.asarray(detectors, dtype=bool)
     if det.ndim != 2:
         raise ValueError(f"expected a (shots, num_detectors) array, got shape {det.shape}")
@@ -210,8 +189,40 @@ def decode_batch_dedup(
             f"({decoder.graph.num_detectors}); project full-DEM samples first "
             "(e.g. pipeline.mask_detectors)"
         )
-    shots = det.shape[0]
-    nobs = decoder.graph.num_observables
+    return plane.pack_words(det)
+
+
+def decode_words(
+    decoder,
+    words: np.ndarray,
+    *,
+    dedup: bool = True,
+    stats: BatchDecodeStats | None = None,
+    backend: str | None = None,
+) -> np.ndarray:
+    """Observable bitmask per shot of a packed ``(shots, n_words)`` batch.
+
+    ``words`` uses the :mod:`~repro.decoders.kernels.plane` layout over the
+    graph's detectors.  ``decoder`` needs ``graph`` and ``_decode_one`` (or
+    plain ``decode``).  With ``dedup=False`` this is the reference per-shot
+    loop.  Otherwise identical rows are grouped on the words, and the
+    distinct rows go to one ``decode_rows(rows, counts)`` call: the bound
+    backend kernel (see :mod:`repro.decoders.kernels`) — reading the words
+    directly when it has a ``decode_packed`` method — else the decoder's
+    ``_decode_rows`` hook, else the scalar per-row pass.  Only kernels that
+    take bool rows get the distinct rows unpacked.
+    """
+    from . import kernels  # deferred: kernels imports decoder classes
+
+    words = np.asarray(words, dtype=np.uint64)
+    num_detectors = decoder.graph.num_detectors
+    width = plane.n_words(num_detectors)
+    if words.ndim != 2 or words.shape[1] != width:
+        raise ValueError(
+            f"expected (shots, {width}) detector words for {num_detectors} "
+            f"graph detectors, got shape {words.shape}"
+        )
+    shots = words.shape[0]
     decode_one = getattr(decoder, "_decode_one", None) or (
         lambda row, multiplicity=1: decoder.decode(row)
     )
@@ -219,9 +230,10 @@ def decode_batch_dedup(
         stats.shots += shots
         stats.batches += 1
     if shots == 0:
-        return np.zeros((0, nobs), dtype=bool)
+        return np.zeros(0, dtype=np.uint64)
 
     if not dedup:
+        det = plane.unpack_words(words, num_detectors)
         masks = np.zeros(shots, dtype=np.uint64)
         with obs.span("decode.kernel", lambda: {"rows": shots, "path": "per-shot"}):
             for s in range(shots):
@@ -229,32 +241,35 @@ def decode_batch_dedup(
         if stats is not None:
             stats.distinct_syndromes += shots
             stats.decode_calls += shots
-        return expand_obs_masks(masks, nobs)
-
-    with obs.span("decode.dedup", lambda: {"shots": shots}):
-        packed = pack_bits(det)
-        uniq, inverse = _unique_rows(packed)
-        counts = np.bincount(inverse, minlength=uniq.shape[0]).tolist()
-        rows = unpack_bits(uniq, det.shape[1])
-    from . import kernels  # deferred: kernels imports decoder classes
+        return masks
 
     # one call for every distinct syndrome: a backend kernel, else the
     # decoder's own whole-matrix hook (e.g. the vectorized predecoder), else
     # the scalar per-row pass
-    n = len(counts)
-    args = {"rows": n}
+    args = {}
     decode_rows = kernels.bind(decoder, backend)
+    packed = getattr(decode_rows, "decode_packed", None)
+    if packed is not None:
+        decode_rows = packed
     if decode_rows is None:
         decode_rows = getattr(decoder, "_decode_rows", None)
     if decode_rows is None:
         decode_rows = _scalar_decode_rows(decoder, decode_one)
         args["path"] = "scalar"
+    with obs.span("decode.dedup", lambda: {"shots": shots}):
+        first, inverse = plane.dedup(words)
+        counts = np.bincount(inverse, minlength=first.size).tolist()
+        distinct = words[first]
+        if packed is None:
+            distinct = plane.unpack_words(distinct, num_detectors)
+    n = len(counts)
+    args["rows"] = n
     with obs.span("decode.kernel", lambda: args):
-        row_masks = decode_rows(rows, counts)
+        row_masks = decode_rows(distinct, counts)
     if stats is not None:
         stats.distinct_syndromes += n
         stats.decode_calls += n
-    return expand_obs_masks(np.asarray(row_masks, dtype=np.uint64), nobs)[inverse]
+    return np.asarray(row_masks, dtype=np.uint64)[inverse]
 
 
 class BatchDecodingEngine:
@@ -277,15 +292,20 @@ class BatchDecodingEngine:
         self.backend = backend
         self.stats = BatchDecodeStats()
 
-    def decode_batch(self, detectors: np.ndarray) -> np.ndarray:
-        """Decode one batch through the engine, updating its statistics."""
+    def decode_words(self, words: np.ndarray) -> np.ndarray:
+        """Decode one packed batch to per-shot observable masks, updating statistics."""
         with obs.stopwatch() as sw:
-            out = decode_batch_dedup(
+            out = decode_words(
                 self.decoder,
-                detectors,
+                words,
                 dedup=self.dedup,
                 stats=self.stats,
                 backend=self.backend,
             )
         self.stats.decode_seconds += sw.seconds
         return out
+
+    def decode_batch(self, detectors: np.ndarray) -> np.ndarray:
+        """Bool form of :meth:`decode_words`: ``(shots, nobs)`` predictions."""
+        masks = self.decode_words(_pack_rows(self.decoder, detectors))
+        return expand_obs_masks(masks, self.decoder.graph.num_observables)

@@ -20,6 +20,12 @@ cext      the numpy kernels with stock union-find decoded by a scalar C
           compiler); degrades to ``numpy`` without a compiler
 ========  ==============================================================
 
+Batches reach the kernels on the packed syndrome data plane (:mod:`.plane`:
+``uint64`` detector words, C dart-XOR and hash dedup from the same ``uf.c``
+build, numpy fallbacks).  A kernel with a ``decode_packed`` method (the
+``cext`` union-find) reads the words; every other kernel gets the distinct
+rows unpacked to bool.
+
 Backends advertise *capability flags* (``KernelBackend.capabilities``: the
 decoder families they can bind — ``unionfind``, ``predecoded``,
 ``hierarchical``, ``mwpm``); :func:`capabilities` reports the resolved

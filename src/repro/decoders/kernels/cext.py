@@ -2,10 +2,12 @@
 
 ``uf.c`` (shipped next to this module) is a per-row transcription of
 :class:`~repro.decoders.unionfind.UnionFindDecoder`'s growth and peel in
-plain C.  :func:`library` compiles it once per source/flags/compiler
-combination with the system compiler (``cc -O2 -shared -fPIC``; no
-``-march=native``, so a cached build runs on any host sharing the cache)
-and loads it with :mod:`ctypes`:
+plain C, over bool rows or bit-packed ``uint64`` rows; it also carries the
+packed data plane's dart-XOR and row-dedup helpers (:mod:`.plane`).
+:func:`library` compiles it once per source/flags/compiler combination
+with the system compiler (``cc -O2 -shared -fPIC``; no ``-march=native``,
+so a cached build runs on any host sharing the cache) and loads it with
+:mod:`ctypes`:
 
 * builds are cached under ``~/.cache/repro/kernels/<key>.so``, where
   ``key`` is the first 16 hex digits of sha256(source, flags,
@@ -46,9 +48,24 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
-#: uf_decode_rows(n_rows, rows, n_nodes, n_edges, indptr, eids, eu, ev, w,
-#: eobs, boundary, max_rounds, out)
-_ARGTYPES = [_I64, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR]
+#: the exported functions: name -> (restype, argtypes)
+_EXPORTS = {
+    # (n_rows, rows, n_nodes, n_edges, indptr, eids, eu, ev, w, eobs,
+    #  boundary, max_rounds, out)
+    "uf_decode_rows": (
+        ctypes.c_int,
+        [_I64, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR],
+    ),
+    # (n_rows, words, n_words, n_nodes, ...same as uf_decode_rows)
+    "uf_decode_packed": (
+        ctypes.c_int,
+        [_I64, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR],
+    ),
+    # (n_err, counts, rows, ptr, word_idx, word_bits, n_words, out)
+    "plane_xor_darts": (None, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _PTR]),
+    # (n_rows, words, n_words, inverse, first) -> n_groups
+    "plane_dedup": (_I64, [_I64, _PTR, _I64, _PTR, _PTR]),
+}
 
 
 def cache_dir() -> Path:
@@ -65,8 +82,13 @@ def _run(cmd: list[str]) -> subprocess.CompletedProcess | None:
 
 def _load(path: Path):
     lib = ctypes.CDLL(str(path))
-    lib.uf_decode_rows.argtypes = _ARGTYPES
-    lib.uf_decode_rows.restype = ctypes.c_int
+    for name, (restype, argtypes) in _EXPORTS.items():
+        try:
+            fn = getattr(lib, name)
+        except AttributeError as exc:  # a foreign build: treat as unloadable
+            raise OSError(f"{path} does not export {name}") from exc
+        fn.restype = restype
+        fn.argtypes = argtypes
     return lib
 
 
@@ -153,7 +175,7 @@ class CextUnionFind:
         graph = decoder.graph
         indptr, eids = graph.adjacency()
         self.graph = graph
-        self._fn = lib.uf_decode_rows
+        self._lib = lib
         self._indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self._eids = np.ascontiguousarray(eids, dtype=np.int64)
         self._eu = np.ascontiguousarray(graph.edge_u, dtype=np.int64)
@@ -164,6 +186,14 @@ class CextUnionFind:
 
     def __call__(self, rows: np.ndarray, counts=None) -> np.ndarray:
         return self.decode_rows(rows, counts)
+
+    def _graph_args(self) -> tuple:
+        return (
+            self.graph.num_detectors + 1, self._w.size,
+            self._indptr.ctypes.data, self._eids.ctypes.data,
+            self._eu.ctypes.data, self._ev.ctypes.data, self._w.ctypes.data,
+            self._eobs.ctypes.data, self.graph.boundary_node, self._max_rounds,
+        )
 
     def decode_rows(self, rows: np.ndarray, counts=None) -> np.ndarray:
         """Observable bitmask per row of a ``(n, num_detectors)`` bool matrix.
@@ -180,11 +210,26 @@ class CextUnionFind:
         out = np.zeros(rows.shape[0], dtype=np.uint64)
         if rows.shape[0] == 0:
             return out
-        status = self._fn(
-            rows.shape[0], rows.ctypes.data, num_detectors + 1, self._w.size,
-            self._indptr.ctypes.data, self._eids.ctypes.data,
-            self._eu.ctypes.data, self._ev.ctypes.data, self._w.ctypes.data,
-            self._eobs.ctypes.data, self.graph.boundary_node, self._max_rounds,
+        status = self._lib.uf_decode_rows(
+            rows.shape[0], rows.ctypes.data, *self._graph_args(), out.ctypes.data
+        )
+        if status != 0:
+            raise MemoryError("the C union-find kernel could not allocate its scratch")
+        return out
+
+    def decode_packed(self, words: np.ndarray, counts=None) -> np.ndarray:
+        """:meth:`decode_rows` over bit-packed rows (:mod:`.plane` words)."""
+        words = np.ascontiguousarray(words, dtype=np.uint64)
+        n_words = (self.graph.num_detectors + 63) // 64
+        if words.ndim != 2 or words.shape[1] != n_words:
+            raise ValueError(
+                f"expected (n, {n_words}) detector words, got shape {words.shape}"
+            )
+        out = np.zeros(words.shape[0], dtype=np.uint64)
+        if words.shape[0] == 0:
+            return out
+        status = self._lib.uf_decode_packed(
+            words.shape[0], words.ctypes.data, n_words, *self._graph_args(),
             out.ctypes.data,
         )
         if status != 0:

@@ -24,6 +24,11 @@
  * order in which a round's completed edges are unioned, so the observable
  * mask is bit-identical to the Python decoder's.
  *
+ * uf_decode_rows reads one 0/1 byte per detector; uf_decode_packed reads
+ * bit-packed uint64 rows and finds defects with count-trailing-zeros.  Both
+ * share decode_defects.  The same source carries the packed data plane's
+ * helpers (plane_xor_darts, plane_dedup), so one build serves all of them.
+ *
  * All scratch state is allocated per call: concurrent calls (ctypes drops
  * the GIL around foreign calls) never share memory.  Build with
  *   cc -O2 -shared -fPIC -o uf.so uf.c
@@ -113,7 +118,30 @@ static int cmp_i64(const void *pa, const void *pb)
     return (a > b) - (a < b);
 }
 
-static void grow(uf_state *s, int64_t nd)
+/* ascending sort: insertion sort for the few solid edges of a typical
+ * row, qsort beyond that */
+static void sort_i64(int64_t *a, int64_t n)
+{
+    int64_t i, j, x;
+
+    if (n > 32) {
+        qsort(a, (size_t)n, sizeof(int64_t), cmp_i64);
+        return;
+    }
+    for (i = 1; i < n; i++) {
+        x = a[i];
+        for (j = i; j > 0 && a[j - 1] > x; j--)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
+/* grow, peel and decode_defects are forced inline into both row loops
+ * (bool and packed): split into out-of-line calls they measured ~10%
+ * slower per row */
+#define HOT static inline __attribute__((always_inline))
+
+HOT void grow(uf_state *s, int64_t nd)
 {
     const int64_t *indptr = s->indptr, *eids = s->eids, *w = s->w;
     int64_t round, i, k, node, e, root, n_active, n_front, n_comp, step, need, g;
@@ -178,7 +206,7 @@ static void grow(uf_state *s, int64_t nd)
     }
 }
 
-static uint64_t peel(uf_state *s, int64_t nd)
+HOT uint64_t peel(uf_state *s, int64_t nd)
 {
     const int64_t *eu = s->eu, *ev = s->ev;
     const int64_t boundary = s->boundary;
@@ -188,7 +216,7 @@ static uint64_t peel(uf_state *s, int64_t nd)
 
     if (s->n_solid == 0)
         return 0;
-    qsort(s->solids, (size_t)s->n_solid, sizeof(int64_t), cmp_i64);
+    sort_i64(s->solids, s->n_solid);
     /* local node ids in first-appearance order over ascending edges */
     for (i = 0; i < s->n_solid; i++) {
         e = s->solids[i];
@@ -272,16 +300,12 @@ static uint64_t peel(uf_state *s, int64_t nd)
     return mask;
 }
 
-static uint64_t decode_row(uf_state *s, const uint8_t *row, int64_t n_det)
+/* decode the defect list already in s->defects[0..nd), ascending */
+HOT uint64_t decode_defects(uf_state *s, int64_t nd)
 {
-    int64_t i, k, a, d, nd = 0;
-    const uint8_t *p = row, *end = row + n_det;
+    int64_t i, k, a, d;
     uint64_t mask;
 
-    while (p < end && (p = memchr(p, 1, (size_t)(end - p))) != NULL) {
-        s->defects[nd++] = p - row;
-        p++;
-    }
     if (nd == 0)
         return 0;
     s->n_touched = 0;
@@ -318,6 +342,113 @@ static uint64_t decode_row(uf_state *s, const uint8_t *row, int64_t n_det)
     return mask;
 }
 
+/* one 0/1 byte per detector: defects by memchr */
+static uint64_t decode_row(uf_state *s, const uint8_t *row, int64_t n_det)
+{
+    int64_t nd = 0;
+    const uint8_t *p = row, *end = row + n_det;
+
+    while (p < end && (p = memchr(p, 1, (size_t)(end - p))) != NULL) {
+        s->defects[nd++] = p - row;
+        p++;
+    }
+    return decode_defects(s, nd);
+}
+
+/* detector d in word d / 64, bit d % 64: defects by count-trailing-zeros */
+static uint64_t decode_packed_row(uf_state *s, const uint64_t *row, int64_t n_words,
+                                  int64_t n_det)
+{
+    int64_t j, d, nd = 0;
+    uint64_t x;
+
+    for (j = 0; j < n_words; j++) {
+        for (x = row[j]; x; x &= x - 1) {
+            d = j * 64 + __builtin_ctzll(x);
+            if (d >= n_det)
+                break; /* padding bits past the last detector */
+            s->defects[nd++] = d;
+        }
+    }
+    return decode_defects(s, nd);
+}
+
+static void state_free(uf_state *s)
+{
+    free(s->parent); free(s->mnext); free(s->mtail); free(s->nstamp);
+    free(s->local); free(s->rank); free(s->parity); free(s->bnd); free(s->occ);
+    free(s->dpar); free(s->growth); free(s->estamp); free(s->fcount);
+    free(s->solid); free(s->defects); free(s->touched); free(s->active);
+    free(s->frontier); free(s->completed); free(s->solids); free(s->lnode);
+    free(s->loff); free(s->lpos); free(s->ladj); free(s->queue); free(s->ochild);
+    free(s->oparent); free(s->oedge); free(s->lvis);
+}
+
+/* borrow the graph and allocate the scratch; -1 (all freed) when out of memory */
+static int state_init(uf_state *s, int64_t n_nodes, int64_t n_edges,
+                      const int64_t *indptr, const int64_t *eids, const int64_t *eu,
+                      const int64_t *ev, const int64_t *w, const uint64_t *eobs,
+                      int64_t boundary, int64_t max_rounds)
+{
+    int64_t i;
+    size_t N = (size_t)n_nodes, E = (size_t)n_edges + 1;
+
+    memset(s, 0, sizeof(*s));
+    s->boundary = boundary;
+    s->max_rounds = max_rounds;
+    s->indptr = indptr;
+    s->eids = eids;
+    s->eu = eu;
+    s->ev = ev;
+    s->w = w;
+    s->eobs = eobs;
+
+    s->parent = malloc(N * sizeof(int64_t));
+    s->mnext = malloc(N * sizeof(int64_t));
+    s->mtail = malloc(N * sizeof(int64_t));
+    s->nstamp = calloc(N, sizeof(int64_t));
+    s->local = malloc(N * sizeof(int64_t));
+    s->rank = calloc(N, sizeof(int32_t));
+    s->parity = calloc(N, 1);
+    s->bnd = calloc(N, 1);
+    s->occ = calloc(N, 1);
+    s->dpar = calloc(N, 1);
+    s->growth = calloc(E, sizeof(int64_t));
+    s->estamp = calloc(E, sizeof(int64_t));
+    s->fcount = calloc(E, sizeof(int32_t));
+    s->solid = calloc(E, 1);
+    s->defects = malloc(N * sizeof(int64_t));
+    s->touched = malloc(N * sizeof(int64_t));
+    s->active = malloc(N * sizeof(int64_t));
+    s->frontier = malloc(E * sizeof(int64_t));
+    s->completed = malloc(E * sizeof(int64_t));
+    s->solids = malloc(E * sizeof(int64_t));
+    s->lnode = malloc(N * sizeof(int64_t));
+    s->loff = malloc((N + 1) * sizeof(int64_t));
+    s->lpos = malloc(N * sizeof(int64_t));
+    s->ladj = malloc(2 * E * sizeof(int64_t));
+    s->queue = malloc(N * sizeof(int64_t));
+    s->ochild = malloc(N * sizeof(int64_t));
+    s->oparent = malloc(N * sizeof(int64_t));
+    s->oedge = malloc(N * sizeof(int64_t));
+    s->lvis = malloc(N);
+
+    if (!s->parent || !s->mnext || !s->mtail || !s->nstamp || !s->local || !s->rank
+        || !s->parity || !s->bnd || !s->occ || !s->dpar || !s->growth || !s->estamp
+        || !s->fcount || !s->solid || !s->defects || !s->touched || !s->active
+        || !s->frontier || !s->completed || !s->solids || !s->lnode || !s->loff
+        || !s->lpos || !s->ladj || !s->queue || !s->ochild || !s->oparent
+        || !s->oedge || !s->lvis) {
+        state_free(s);
+        return -1;
+    }
+    for (i = 0; i < n_nodes; i++) {
+        s->parent[i] = i;
+        s->local[i] = -1;
+    }
+    return 0;
+}
+
 /*
  * Decode n_rows syndrome rows (row-major uint8, n_det = n_nodes - 1 bytes
  * each, values 0/1) into one observable bitmask per row.  Returns 0 on
@@ -331,71 +462,114 @@ int uf_decode_rows(int64_t n_rows, const uint8_t *rows, int64_t n_nodes,
 {
     uf_state s;
     int64_t i, n_det = n_nodes - 1;
-    size_t N = (size_t)n_nodes, E = (size_t)n_edges + 1;
-    int status = 0;
 
-    memset(&s, 0, sizeof(s));
-    s.boundary = boundary;
-    s.max_rounds = max_rounds;
-    s.indptr = indptr;
-    s.eids = eids;
-    s.eu = eu;
-    s.ev = ev;
-    s.w = w;
-    s.eobs = eobs;
+    if (state_init(&s, n_nodes, n_edges, indptr, eids, eu, ev, w, eobs, boundary,
+                   max_rounds) != 0)
+        return -1;
+    for (i = 0; i < n_rows; i++)
+        out[i] = decode_row(&s, rows + i * n_det, n_det);
+    state_free(&s);
+    return 0;
+}
 
-    s.parent = malloc(N * sizeof(int64_t));
-    s.mnext = malloc(N * sizeof(int64_t));
-    s.mtail = malloc(N * sizeof(int64_t));
-    s.nstamp = calloc(N, sizeof(int64_t));
-    s.local = malloc(N * sizeof(int64_t));
-    s.rank = calloc(N, sizeof(int32_t));
-    s.parity = calloc(N, 1);
-    s.bnd = calloc(N, 1);
-    s.occ = calloc(N, 1);
-    s.dpar = calloc(N, 1);
-    s.growth = calloc(E, sizeof(int64_t));
-    s.estamp = calloc(E, sizeof(int64_t));
-    s.fcount = calloc(E, sizeof(int32_t));
-    s.solid = calloc(E, 1);
-    s.defects = malloc(N * sizeof(int64_t));
-    s.touched = malloc(N * sizeof(int64_t));
-    s.active = malloc(N * sizeof(int64_t));
-    s.frontier = malloc(E * sizeof(int64_t));
-    s.completed = malloc(E * sizeof(int64_t));
-    s.solids = malloc(E * sizeof(int64_t));
-    s.lnode = malloc(N * sizeof(int64_t));
-    s.loff = malloc((N + 1) * sizeof(int64_t));
-    s.lpos = malloc(N * sizeof(int64_t));
-    s.ladj = malloc(2 * E * sizeof(int64_t));
-    s.queue = malloc(N * sizeof(int64_t));
-    s.ochild = malloc(N * sizeof(int64_t));
-    s.oparent = malloc(N * sizeof(int64_t));
-    s.oedge = malloc(N * sizeof(int64_t));
-    s.lvis = malloc(N);
+/*
+ * uf_decode_rows over bit-packed rows: n_words uint64 words per row,
+ * detector d in word d / 64, bit d % 64.  Same masks, same status codes.
+ */
+int uf_decode_packed(int64_t n_rows, const uint64_t *words, int64_t n_words,
+                     int64_t n_nodes, int64_t n_edges, const int64_t *indptr,
+                     const int64_t *eids, const int64_t *eu, const int64_t *ev,
+                     const int64_t *w, const uint64_t *eobs, int64_t boundary,
+                     int64_t max_rounds, uint64_t *out)
+{
+    uf_state s;
+    int64_t i, n_det = n_nodes - 1;
 
-    if (!s.parent || !s.mnext || !s.mtail || !s.nstamp || !s.local || !s.rank
-        || !s.parity || !s.bnd || !s.occ || !s.dpar || !s.growth || !s.estamp
-        || !s.fcount || !s.solid || !s.defects || !s.touched || !s.active
-        || !s.frontier || !s.completed || !s.solids || !s.lnode || !s.loff
-        || !s.lpos || !s.ladj || !s.queue || !s.ochild || !s.oparent
-        || !s.oedge || !s.lvis) {
-        status = -1;
-    } else {
-        for (i = 0; i < n_nodes; i++) {
-            s.parent[i] = i;
-            s.local[i] = -1;
+    if (state_init(&s, n_nodes, n_edges, indptr, eids, eu, ev, w, eobs, boundary,
+                   max_rounds) != 0)
+        return -1;
+    for (i = 0; i < n_rows; i++)
+        out[i] = decode_packed_row(&s, words + i * n_words, n_words, n_det);
+    state_free(&s);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * Packed syndrome data plane (repro.decoders.kernels.plane): the sampler's
+ * dart XOR and the batch engine's row dedup, on uint64 detector words.
+ * ---------------------------------------------------------------------- */
+
+/*
+ * XOR each dart's signature into its shot's words.  Darts are grouped by
+ * error: counts[e] darts of error e, in order, their shots in rows[].  A
+ * signature is sparse (CSR over errors): words ptr[e]..ptr[e+1] of
+ * word_idx/word_bits.  out is row-major with n_words words per shot.
+ * Duplicate darts cancel by themselves, so no multiplicity filter is needed.
+ */
+void plane_xor_darts(int64_t n_err, const int64_t *counts, const int64_t *rows,
+                     const int64_t *ptr, const int64_t *word_idx,
+                     const uint64_t *word_bits, int64_t n_words, uint64_t *out)
+{
+    int64_t e, k, j, pos = 0;
+    uint64_t *dst;
+
+    for (e = 0; e < n_err; e++) {
+        for (k = 0; k < counts[e]; k++) {
+            dst = out + rows[pos++] * n_words;
+            for (j = ptr[e]; j < ptr[e + 1]; j++)
+                dst[word_idx[j]] ^= word_bits[j];
         }
-        for (i = 0; i < n_rows; i++)
-            out[i] = decode_row(&s, rows + i * n_det, n_det);
     }
+}
 
-    free(s.parent); free(s.mnext); free(s.mtail); free(s.nstamp);
-    free(s.local); free(s.rank); free(s.parity); free(s.bnd); free(s.occ);
-    free(s.dpar); free(s.growth); free(s.estamp); free(s.fcount);
-    free(s.solid); free(s.defects); free(s.touched); free(s.active);
-    free(s.frontier); free(s.completed); free(s.solids); free(s.lnode);
-    free(s.loff); free(s.lpos); free(s.ladj); free(s.queue); free(s.ochild);
-    free(s.oparent); free(s.oedge); free(s.lvis);
-    return status;
+static uint64_t hash_row(const uint64_t *row, int64_t n_words)
+{
+    uint64_t h = 0x9E3779B97F4A7C15ULL;
+    int64_t j;
+
+    for (j = 0; j < n_words; j++) {
+        h ^= row[j];
+        h *= 0xBF58476D1CE4E5B9ULL;
+        h ^= h >> 31;
+    }
+    return h;
+}
+
+/*
+ * Group identical rows with an open-addressing hash table.  Groups are
+ * numbered in order of first occurrence: inverse[i] is row i's group and
+ * first[g] the index of group g's first row.  Returns the number of groups,
+ * or -1 when the table cannot be allocated.
+ */
+int64_t plane_dedup(int64_t n_rows, const uint64_t *words, int64_t n_words,
+                    int64_t *inverse, int64_t *first)
+{
+    uint64_t size = 16, slot;
+    int64_t *table, i, g, n_groups = 0;
+    const uint64_t *row;
+
+    while (size < 2 * (uint64_t)n_rows)
+        size <<= 1;
+    table = malloc(size * sizeof(int64_t));
+    if (!table)
+        return -1;
+    memset(table, 0xff, size * sizeof(int64_t)); /* every slot -1: empty */
+    for (i = 0; i < n_rows; i++) {
+        row = words + i * n_words;
+        slot = hash_row(row, n_words) & (size - 1);
+        for (;;) {
+            g = table[slot];
+            if (g < 0) {
+                table[slot] = g = n_groups++;
+                first[g] = i;
+                break;
+            }
+            if (memcmp(words + first[g] * n_words, row, (size_t)n_words * 8) == 0)
+                break;
+            slot = (slot + 1) & (size - 1);
+        }
+        inverse[i] = g;
+    }
+    free(table);
+    return n_groups;
 }

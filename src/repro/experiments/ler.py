@@ -250,6 +250,9 @@ class _Pipeline:
             [b == basis for b in dem.detector_basis], dtype=bool
         )
         self._mask_is_identity = bool(self._detector_mask.all())
+        #: the sampler over the graph's detectors only: its packed rows go
+        #: straight to the decoder, never through full-width rows
+        self.graph_sampler = self.sampler.projected(self._detector_mask)
         self._decoders: dict[str, object] = {}
 
     def decoder(self, name: str):
@@ -354,19 +357,28 @@ def pipeline_payload(config: SurgeryLerConfig, policy: _BasePolicy) -> PipelineP
     )
 
 
-def _pad_predictions(predictions: np.ndarray, nobs: int) -> np.ndarray:
-    """Align decoder predictions to ``nobs`` observable columns.
+def _count_failures(
+    masks: np.ndarray, obs_words: np.ndarray, nobs: int, tracked: int
+) -> np.ndarray:
+    """Failures per observable: popcount of ``prediction ^ flip``, bit by bit.
 
-    Pads with False when the graph tracks fewer observables than the sampled
-    data (instead of a shape-mismatch crash or a silent mis-slice), and
-    truncates when it tracks more.
+    ``masks`` holds one predicted bitmask per shot over the graph's
+    ``tracked`` observables; an observable past those (or past 64) is never
+    predicted, so its failures are its flips.
     """
-    if predictions.shape[1] == nobs:
-        return predictions
-    out = np.zeros((predictions.shape[0], nobs), dtype=bool)
-    k = min(nobs, predictions.shape[1])
-    out[:, :k] = predictions[:, :k]
-    return out
+    if nobs == 0:
+        return np.zeros(0, dtype=np.int64)
+    keep = np.uint64((1 << min(tracked, nobs, 64)) - 1)
+    wrong = obs_words[:, 0] ^ (masks & keep)
+    return np.array(
+        [
+            np.count_nonzero(
+                (wrong if k < 64 else obs_words[:, k >> 6]) & np.uint64(1 << (k & 63))
+            )
+            for k in range(nobs)
+        ],
+        dtype=np.int64,
+    )
 
 
 def run_surgery_ler(
@@ -416,8 +428,9 @@ def run_surgery_ler(
         vars(predecode_stats).copy() if predecode_stats is not None else None
     )
     nobs = pipe.dem.num_observables
+    tracked = decoder_obj.graph.num_observables
     failures = np.zeros(nobs, dtype=np.int64)
-    batches = pipe.sampler.sample_batches(shots, rng, batch_size=batch_size)
+    batches = pipe.graph_sampler.packed_batches(shots, rng, batch_size=batch_size)
     while True:
         # the generator samples lazily inside next(): the span brackets the
         # actual sampling work, not the decode that follows
@@ -425,9 +438,9 @@ def run_surgery_ler(
             item = next(batches, None)
         if item is None:
             break
-        det, obs_flips = item
-        predictions = engine.decode_batch(pipe.mask_detectors(det))
-        failures += (_pad_predictions(predictions, nobs) ^ obs_flips).sum(axis=0)
+        det_words, obs_words = item
+        masks = engine.decode_words(det_words)
+        failures += _count_failures(masks, obs_words, nobs, tracked)
     estimates = [RateEstimate(int(failures[k]), shots) for k in range(nobs)]
     stats = engine.stats
     from ..decoders import kernels

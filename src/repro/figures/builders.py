@@ -636,6 +636,7 @@ register(FigureSpec(
     params={"patch_counts": (2, 5, 10, 20, 30, 40, 50), "repeats": 200, "seed": 2025},
     columns=("kind", "patches", "cpu_time_s", "workload", "max_concurrent_cnots"),
     vega={"mark": "line", "x": "patches", "y": "cpu_time_s"},
+    cacheable=False,  # rows are wall-clock timings
 ))
 
 
@@ -725,6 +726,7 @@ register(FigureSpec(
     params={"distances": (3, 5), "tau_ns": 1000.0, "shots": 4_000, "seed": 2025},
     columns=("distance", "hit_rate_passive", "hit_rate_active", "speedup"),
     vega={"mark": "bar", "x": "distance", "y": "speedup"},
+    cacheable=False,  # speedup uses wall-clock MWPM latencies
 ))
 
 

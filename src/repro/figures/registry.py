@@ -87,9 +87,9 @@ class FigureSpec:
     sweeps: Callable[[dict], list] | None = None
     #: Vega-Lite encoding hints (``mark``/``x``/``y``/``color``/``detail``).
     vega: Mapping[str, str] = field(default_factory=dict)
-    #: Whether built rows may be cached in the result store (default yes;
-    #: wall-clock measurements stay cacheable too — the cache records the
-    #: run that produced the artifact, not a fresh timing).
+    #: Whether built rows may be cached in the result store.  Specs whose
+    #: rows are wall-clock measurements (fig20, fig22) set False: a cached
+    #: timing would describe whichever host and code built it first.
     cacheable: bool = True
 
     def resolve_params(self, overrides: Mapping[str, Any] | None = None,

@@ -26,7 +26,7 @@ from repro.decoders import (
 from repro.decoders.hierarchical import HierarchicalDecoder
 from repro.experiments import ler as ler_module
 from repro.experiments import run_surgery_ler
-from repro.experiments.ler import SurgeryLerConfig, _pad_predictions, prepared_pipeline
+from repro.experiments.ler import SurgeryLerConfig, _count_failures, prepared_pipeline
 from repro.noise import GOOGLE, NoiseModel
 from repro.stab import DemSampler, circuit_to_dem
 from repro.stab.dem import DemError, DetectorErrorModel
@@ -313,15 +313,19 @@ def _config(tau_ns=500.0, policy="passive"):
     )
 
 
-def test_pad_predictions_pads_and_truncates():
-    pred = np.array([[True, False], [False, True]])
-    assert _pad_predictions(pred, 2) is pred
-    padded = _pad_predictions(pred, 3)
-    assert padded.shape == (2, 3)
-    assert not padded[:, 2].any()
-    assert np.array_equal(padded[:, :2], pred)
-    truncated = _pad_predictions(pred, 1)
-    assert np.array_equal(truncated, pred[:, :1])
+def test_count_failures_pads_and_truncates():
+    masks = np.array([0b01, 0b10, 0b11, 0b00], dtype=np.uint64)
+    flips = np.array([[0b001], [0b000], [0b111], [0b100]], dtype=np.uint64)
+    # the graph tracks 2 of 3 observables: observable 2 fails on its flips
+    assert _count_failures(masks, flips, 3, 2).tolist() == [0, 1, 2]
+    # a graph tracking more observables than the samples is truncated
+    assert _count_failures(masks, flips, 1, 2).tolist() == [0]
+    # observables past the first word are never predicted
+    wide = np.zeros((4, 2), dtype=np.uint64)
+    wide[:, 0] = flips[:, 0]
+    wide[1:3, 1] = 1 << 2
+    assert _count_failures(masks, wide, 67, 2).tolist()[:3] == [0, 1, 2]
+    assert _count_failures(masks, wide, 67, 2).tolist()[64:] == [0, 0, 2]
 
 
 def test_mask_detectors_is_explicit(surface_fixture):

@@ -16,7 +16,9 @@ Four layers:
 """
 
 import importlib.util
+import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -201,6 +203,36 @@ def test_param_change_misses_the_cache(tmp_path):
     )
 
 
+#: names whose use makes a figure's rows wall-clock measurements
+_WALL_CLOCK = ("stopwatch", "perf_counter", "process_time", "monotonic", "time.time",
+               "measure_decoder_latencies")
+
+
+def _rows_are_timings(spec) -> bool:
+    """Whether the builder, or a compute function it calls, reads a clock."""
+    from repro.experiments import figures as figs
+
+    source = inspect.getsource(spec.builder)
+    called = re.findall(r"figs\.(\w+)\(", source)
+    sources = [source] + [inspect.getsource(getattr(figs, name)) for name in called]
+    return any(token in text for text in sources for token in _WALL_CLOCK)
+
+
+def test_specs_whose_rows_are_timings_are_uncacheable():
+    timed = {name for name in names() if _rows_are_timings(get(name))}
+    assert timed == {"fig20", "fig22"}
+    assert all(not get(name).cacheable for name in timed)
+
+
+def test_uncacheable_spec_is_rebuilt_and_never_cached(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    params = {"patch_counts": (2,), "repeats": 1}
+    first = build_figure("fig20", params, store=store)
+    again = build_figure("fig20", params, store=store)
+    assert first.served_from_store is False and again.served_from_store is False
+    assert store.get(figure_cache_key("fig20", first.params)) is None
+
+
 def test_storeless_build_ignores_default_store(tmp_path, monkeypatch):
     # REPRO_STORE_ROOT active in the environment must not leak into
     # store=False builds, which persist nothing
@@ -283,10 +315,16 @@ def test_cli_build_all_from_warm_store_decodes_nothing(tmp_path, capsys, monkeyp
     out = tmp_path / "figs"
     store = ResultStore(store_root)
 
-    # warm the figure cache for every spec at its default params, then swap
-    # every builder for a tripwire: --all must be served entirely from store
+    # warm the figure cache for every cacheable spec at its default params,
+    # then swap its builder for a tripwire: --all must serve it from store.
+    # Timing specs are never cached: they rebuild, through a cheap stub
+    rebuilt = {name for name in names() if not get(name).cacheable}
     for name in names():
         spec = get(name)
+        if name in rebuilt:
+            stub = lambda params, column=spec.columns[0]: [{column: 1}]
+            monkeypatch.setitem(FIGURE_BUILDERS, name, spec.with_builder(stub))
+            continue
         params = spec.resolve_params({})
         store.put(
             figure_cache_key(name, params),
@@ -305,7 +343,10 @@ def test_cli_build_all_from_warm_store_decodes_nothing(tmp_path, capsys, monkeyp
     assert rc == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
     assert len(lines) == len(names())
-    assert all("(store)" in ln for ln in lines)
+    assert rebuilt == {"fig20", "fig22"}
+    for ln in lines:
+        name = ln[1 : ln.index("]")]
+        assert ("(built)" if name in rebuilt else "(store)") in ln
     for name in names():
         assert (out / f"{name}.json").exists()
 

@@ -20,8 +20,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from factories import build_dense_syndromes
+from factories import build_dem_graph, build_dense_syndromes
 from repro.codes.repetition import repetition_experiment
 from repro.decoders import (
     BatchDecodingEngine,
@@ -44,10 +46,11 @@ from repro.decoders.kernels import (
     NumpyBackend,
     PythonBackend,
     cext,
+    plane,
 )
 from repro.core.policies import make_policy
 from repro.decoders.graph import MatchingGraph
-from repro.experiments.ler import SurgeryLerConfig, prepared_pipeline
+from repro.experiments.ler import SurgeryLerConfig, prepared_pipeline, run_surgery_ler
 from repro.noise import GOOGLE, NoiseModel
 from repro.stab import DemSampler, circuit_to_dem
 
@@ -578,6 +581,138 @@ def test_cext_kernel_handles_empty_and_all_zero_input(parity_grid):
     empty = kernel.decode_rows(np.zeros((0, graph.num_detectors), dtype=bool))
     assert empty.shape == (0,) and empty.dtype == np.uint64
     assert not kernel.decode_rows(np.zeros((5, graph.num_detectors), dtype=bool)).any()
+
+
+# ---------------------------------------------------------------------------
+# the packed data plane: C and numpy helpers, packed C decode
+# ---------------------------------------------------------------------------
+
+_PACKED_WIDTHS = (63, 64, 65, 128, 129)
+_CHAIN_GRAPHS: dict = {}
+
+
+def _chain_graph(ndet: int):
+    """A chain with skip edges over ``ndet`` detectors, both ends on the boundary."""
+    if ndet not in _CHAIN_GRAPHS:
+        errors = [(0.01, (i, i + 1), ()) for i in range(ndet - 1)]
+        errors += [(0.002, (i, i + 2), (1,)) for i in range(0, ndet - 2, 3)]
+        errors += [(0.01, (0,), (0,)), (0.01, (ndet - 1,), ())]
+        _CHAIN_GRAPHS[ndet] = build_dem_graph(errors, ndet, nobs=2)
+    return _CHAIN_GRAPHS[ndet]
+
+
+@st.composite
+def _word_rows(draw):
+    """Packed rows over a few distinct patterns, so duplicates abound."""
+    width = draw(st.integers(0, 3))
+    word = st.sampled_from([0, 1, 1 << 63, 0xFFFF_FFFF_FFFF_FFFF, 12345])
+    patterns = draw(st.lists(st.lists(word, min_size=width, max_size=width), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(patterns) - 1), max_size=200))
+    return np.array([patterns[i] for i in picks], dtype=np.uint64).reshape(len(picks), width)
+
+
+#: 1000 distinct rows sharing their first word, twice over: a loaded hash
+#: table whose probe chains must compare every word
+_SHARED_FIRST_WORD = np.stack(
+    [np.full(2000, 7), np.arange(2000) % 1000, np.zeros(2000)], axis=1
+).astype(np.uint64)
+
+
+@requires_cc
+@settings(max_examples=80, deadline=None)
+@given(words=_word_rows())
+@example(words=_SHARED_FIRST_WORD)
+def test_plane_dedup_c_and_numpy_give_the_same_partition(words):
+    first_c, inverse_c = plane.dedup(words)
+    first_np, inverse_np = plane.dedup(words, use_c=False)
+    # both number groups by first occurrence: the same arrays, not just the
+    # same partition
+    assert np.array_equal(first_c, first_np) and np.array_equal(inverse_c, inverse_np)
+    n = words.shape[0]
+    assert np.array_equal(words[first_c][inverse_c], words)
+    assert first_c.size == (np.unique(words, axis=0).shape[0] if n else 0)
+    if n:
+        assert first_c.tolist() == sorted(first_c.tolist())
+        assert np.array_equal(inverse_c[first_c], np.arange(first_c.size))
+
+
+@requires_cc
+@settings(max_examples=40, deadline=None)
+@given(
+    ndet=st.sampled_from(_PACKED_WIDTHS),
+    density=st.sampled_from([0.0, 0.02, 0.1, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uf_decode_packed_equals_uf_decode_rows(ndet, density, seed):
+    graph = _chain_graph(ndet)
+    kernel = cext.CextUnionFind(UnionFindDecoder(graph))
+    rows = np.random.default_rng(seed).random((40, ndet)) < density
+    expected = kernel.decode_rows(rows)
+    assert np.array_equal(kernel.decode_packed(plane.pack_words(rows)), expected)
+    # the whole dedup engine agrees with the bool-row scalar pass too
+    engine = BatchDecodingEngine(UnionFindDecoder(graph), backend="cext")
+    assert np.array_equal(
+        engine.decode_words(plane.pack_words(rows)), _scalar_masks(UnionFindDecoder(graph), rows)
+    )
+
+
+@requires_cc
+def test_cext_packed_kernel_rejects_bad_shapes(parity_grid):
+    graph, _ = parity_grid[(3, 2e-3)]
+    kernel = cext.CextUnionFind(UnionFindDecoder(graph))
+    width = plane.n_words(graph.num_detectors)
+    assert kernel.decode_packed(np.zeros((0, width), dtype=np.uint64)).shape == (0,)
+    with pytest.raises(ValueError):
+        kernel.decode_packed(np.zeros((3, width + 1), dtype=np.uint64))
+
+
+@requires_cc
+def test_installed_library_exports_the_data_plane():
+    lib = cext.library()
+    for name in ("uf_decode_rows", "uf_decode_packed", "plane_xor_darts", "plane_dedup"):
+        assert hasattr(lib, name), name
+
+
+def test_no_compiler_ler_and_sweep_match_the_c_path(tmp_path, monkeypatch):
+    """A host without ``cc`` samples, dedups and decodes bit-identically."""
+    from repro.experiments.sweeps import PolicySpec, SweepSpec, run_sweep
+    from repro.store import ResultStore
+
+    cfg = SurgeryLerConfig(
+        distance=3, hardware=GOOGLE, policy_name="passive", tau_ns=1000.0, p=3e-3
+    )
+    spec = SweepSpec(
+        name="no-compiler",
+        distances=(2,),
+        taus_ns=(500.0,),
+        policies=(PolicySpec("passive"), PolicySpec("active")),
+        hardware=GOOGLE,
+        seed=5,
+        batch_shots=300,
+        min_shots=300,
+        max_shots=600,
+        p=5e-3,
+    )
+
+    def outcomes(store_dir):
+        ler = run_surgery_ler(cfg, make_policy("passive"), 3000, rng=3, batch_size=1000)
+        report = run_sweep(spec, ResultStore(store_dir))
+        return (
+            [e.successes for e in ler.estimates],
+            ler.decode_stats["distinct_syndromes"],
+            {
+                o.key: (o.record["failures"], o.record["decode_stats"]["distinct_syndromes"])
+                for o in report.outcomes
+            },
+        )
+
+    with_c = outcomes(tmp_path / "c")
+    monkeypatch.setattr(cext, "library", lambda: None)
+    monkeypatch.setattr(kernels, "_FALLBACK_WARNED", set())
+    assert kernels.resolve("auto").name == "numpy"
+    without_c = outcomes(tmp_path / "numpy")
+    assert without_c == with_c
+    assert with_c[1] > 0 and all(f for f, _ in with_c[2].values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
-"""DEM-sampler tests: statistics, batching, reproducibility."""
+"""DEM-sampler tests: statistics, batching, reproducibility, oracle parity."""
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sampler_oracle import OracleSampler
 
+from repro.decoders.kernels import cext
+from repro.decoders.kernels.plane import pack_words
 from repro.stab import DemSampler
 from repro.stab.dem import DemError, DetectorErrorModel
 
@@ -72,3 +80,89 @@ def test_empty_model():
 def test_num_errors_property():
     dem = _dem([(0.1, (0,), ()), (0.2, (1,), ())])
     assert DemSampler(dem).num_errors == 2
+
+
+# ---------------------------------------------------------------------------
+# packed data plane: bit-identity with the sparse oracle sampler
+# ---------------------------------------------------------------------------
+
+_WIDTHS = (0, 1, 63, 64, 65, 128, 129)
+
+
+@st.composite
+def _random_dems(draw):
+    """Random DEMs over word-boundary widths: heavy, fair-coin and empty models."""
+    ndet = draw(st.sampled_from(_WIDTHS))
+    nobs = draw(st.integers(0, 2))
+    prob = st.one_of(
+        st.floats(0.0, 0.3), st.just(0.5), st.floats(0.55, 0.99), st.just(0.0)
+    )
+    targets = lambda n: st.lists(st.integers(0, n - 1), max_size=4) if n else st.just([])
+    errors = draw(
+        st.lists(st.tuples(prob, targets(ndet), targets(nobs)), max_size=30)
+    )
+    keep = draw(st.lists(st.booleans(), min_size=ndet, max_size=ndet))
+    return _dem(errors, ndet=ndet, nobs=nobs), np.array(keep, dtype=bool)
+
+
+def _oracle_batches(dem, shots, seed, batch_size):
+    sampler = OracleSampler(dem)
+    return list(sampler.sample_batches(shots, np.random.default_rng(seed), batch_size=batch_size))
+
+
+@contextlib.contextmanager
+def _numpy_plane():
+    """The data plane with no C library: the numpy fallbacks run."""
+    with mock.patch.object(cext, "library", lambda: None):
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_random_dems(),
+    shots=st.sampled_from([0, 1, 7, 300]),
+    batch_size=st.sampled_from([1, 64, 65536]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_words_match_oracle(case, shots, batch_size, seed):
+    dem, keep = case
+    if shots > 7 and batch_size == 1:
+        batch_size = 64  # keep one example cheap
+    expected = _oracle_batches(dem, shots, seed, batch_size)
+    sampler = DemSampler(dem)
+    projected = sampler.projected(keep)
+    for plane_ctx in (contextlib.nullcontext, _numpy_plane):
+        with plane_ctx():
+            got = list(sampler.packed_batches(shots, seed, batch_size=batch_size))
+            got_projected = list(projected.packed_batches(shots, seed, batch_size=batch_size))
+            got_bool = list(sampler.sample_batches(shots, seed, batch_size=batch_size, return_errors=True))
+        assert len(got) == len(got_projected) == len(got_bool) == len(expected)
+        for (det_w, obs_w), (pdet_w, pobs_w), (det, obs, err), (odet, oobs, oerr) in zip(
+            got, got_projected, got_bool, expected
+        ):
+            assert np.array_equal(det_w, pack_words(odet))
+            assert np.array_equal(obs_w, pack_words(oobs))
+            assert np.array_equal(pdet_w, pack_words(odet[:, keep]))
+            assert np.array_equal(pobs_w, obs_w)
+            assert np.array_equal(det, odet) and np.array_equal(obs, oobs)
+            assert np.array_equal(err.toarray(), oerr.toarray())
+
+
+def test_sample_matches_oracle_on_a_surgery_dem():
+    from repro import GOOGLE, SurgeryLerConfig, make_policy
+    from repro.experiments.ler import prepared_pipeline
+
+    cfg = SurgeryLerConfig(distance=3, hardware=GOOGLE, policy_name="active", tau_ns=1000.0, p=3e-3)
+    pipe = prepared_pipeline(cfg, make_policy("active"))
+    (odet, oobs, _), = _oracle_batches(pipe.dem, 2000, 9, 65536)
+    det, obs = pipe.sampler.sample(2000, rng=9)
+    assert np.array_equal(det, odet) and np.array_equal(obs, oobs)
+    (det_w, _), = pipe.graph_sampler.packed_batches(2000, 9)
+    assert np.array_equal(det_w, pack_words(pipe.mask_detectors(odet)))
+
+
+def test_projected_rejects_a_wrong_width_mask():
+    sampler = DemSampler(_dem([(0.1, (0, 1), (0,))]))
+    assert sampler.projected(np.ones(3, dtype=bool)) is sampler
+    with pytest.raises(ValueError):
+        sampler.projected(np.ones(2, dtype=bool))

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro._util import (
     combine_flip_probabilities,
-    pack_bits,
-    unpack_bits,
     resolve_rng,
     xor_probability,
 )
@@ -58,9 +56,11 @@ def test_combined_probability_at_least_max_of_small_probs(ps):
     )
 )
 def test_pack_unpack_round_trip(args):
+    from repro.decoders.kernels.plane import pack_words, unpack_words
+
     n, bits = args
-    arr = np.array(bits, dtype=bool)
-    assert np.array_equal(unpack_bits(pack_bits(arr), n), arr)
+    arr = np.array(bits, dtype=bool)[None, :]
+    assert np.array_equal(unpack_words(pack_words(arr), n), arr)
 
 
 def test_env_knobs(monkeypatch):
