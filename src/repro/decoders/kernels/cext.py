@@ -2,7 +2,7 @@
 
 ``uf.c`` (shipped next to this module) is a per-row transcription of
 :class:`~repro.decoders.unionfind.UnionFindDecoder`'s growth and peel in
-plain C, over bool rows or bit-packed ``uint64`` rows; it also carries the
+plain C, over bit-packed ``uint64`` rows; it also carries the
 packed data plane's dart-XOR and row-dedup helpers (:mod:`.plane`).
 :func:`library` compiles it once per source/flags/compiler combination
 with the system compiler (``cc -O2 -shared -fPIC``; no ``-march=native``,
@@ -50,13 +50,8 @@ _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 #: the exported functions: name -> (restype, argtypes)
 _EXPORTS = {
-    # (n_rows, rows, n_nodes, n_edges, indptr, eids, eu, ev, w, eobs,
-    #  boundary, max_rounds, out)
-    "uf_decode_rows": (
-        ctypes.c_int,
-        [_I64, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR],
-    ),
-    # (n_rows, words, n_words, n_nodes, ...same as uf_decode_rows)
+    # (n_rows, words, n_words, n_nodes, n_edges, indptr, eids, eu, ev, w,
+    #  eobs, boundary, max_rounds, out)
     "uf_decode_packed": (
         ctypes.c_int,
         [_I64, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR],
@@ -187,38 +182,25 @@ class CextUnionFind:
     def __call__(self, rows: np.ndarray, counts=None) -> np.ndarray:
         return self.decode_rows(rows, counts)
 
-    def _graph_args(self) -> tuple:
-        return (
-            self.graph.num_detectors + 1, self._w.size,
-            self._indptr.ctypes.data, self._eids.ctypes.data,
-            self._eu.ctypes.data, self._ev.ctypes.data, self._w.ctypes.data,
-            self._eobs.ctypes.data, self.graph.boundary_node, self._max_rounds,
-        )
-
     def decode_rows(self, rows: np.ndarray, counts=None) -> np.ndarray:
         """Observable bitmask per row of a ``(n, num_detectors)`` bool matrix.
 
-        ``counts`` is accepted for signature compatibility with the
-        ``_decode_rows`` hook and ignored, as in the numpy kernel.
+        Packs the rows and runs :meth:`decode_packed`.  ``counts`` is
+        accepted for signature compatibility with the ``_decode_rows`` hook
+        and ignored, as in the numpy kernel.
         """
-        rows = np.ascontiguousarray(rows, dtype=bool)
+        from .plane import pack_words  # deferred: plane imports this module
+
+        rows = np.asarray(rows, dtype=bool)
         num_detectors = self.graph.num_detectors
         if rows.ndim != 2 or rows.shape[1] != num_detectors:
             raise ValueError(
                 f"expected (n, {num_detectors}) detector rows, got shape {rows.shape}"
             )
-        out = np.zeros(rows.shape[0], dtype=np.uint64)
-        if rows.shape[0] == 0:
-            return out
-        status = self._lib.uf_decode_rows(
-            rows.shape[0], rows.ctypes.data, *self._graph_args(), out.ctypes.data
-        )
-        if status != 0:
-            raise MemoryError("the C union-find kernel could not allocate its scratch")
-        return out
+        return self.decode_packed(pack_words(rows))
 
     def decode_packed(self, words: np.ndarray, counts=None) -> np.ndarray:
-        """:meth:`decode_rows` over bit-packed rows (:mod:`.plane` words)."""
+        """Observable bitmask per row of bit-packed detector words (:mod:`.plane`)."""
         words = np.ascontiguousarray(words, dtype=np.uint64)
         n_words = (self.graph.num_detectors + 63) // 64
         if words.ndim != 2 or words.shape[1] != n_words:
@@ -229,7 +211,11 @@ class CextUnionFind:
         if words.shape[0] == 0:
             return out
         status = self._lib.uf_decode_packed(
-            words.shape[0], words.ctypes.data, n_words, *self._graph_args(),
+            words.shape[0], words.ctypes.data, n_words,
+            self.graph.num_detectors + 1, self._w.size,
+            self._indptr.ctypes.data, self._eids.ctypes.data,
+            self._eu.ctypes.data, self._ev.ctypes.data, self._w.ctypes.data,
+            self._eobs.ctypes.data, self.graph.boundary_node, self._max_rounds,
             out.ctypes.data,
         )
         if status != 0:

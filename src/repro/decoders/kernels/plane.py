@@ -142,7 +142,7 @@ def xor_darts(
     out.reshape(-1)[key[heads]] ^= np.bitwise_xor.reduceat(bits, heads)
 
 
-def dedup(words: np.ndarray, *, use_c: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def dedup(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group identical rows: ``(first, inverse)``.
 
     ``first[g]`` is the index of group ``g``'s first row and ``inverse[i]``
@@ -152,7 +152,7 @@ def dedup(words: np.ndarray, *, use_c: bool = True) -> tuple[np.ndarray, np.ndar
     n, width = words.shape
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    lib = cext.library() if use_c else None
+    lib = cext.library()
     if lib is not None:
         inverse = np.empty(n, dtype=np.int64)
         first = np.empty(n, dtype=np.int64)

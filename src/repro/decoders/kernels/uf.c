@@ -24,9 +24,8 @@
  * order in which a round's completed edges are unioned, so the observable
  * mask is bit-identical to the Python decoder's.
  *
- * uf_decode_rows reads one 0/1 byte per detector; uf_decode_packed reads
- * bit-packed uint64 rows and finds defects with count-trailing-zeros.  Both
- * share decode_defects.  The same source carries the packed data plane's
+ * uf_decode_packed reads bit-packed uint64 rows and finds defects with
+ * count-trailing-zeros.  The same source carries the packed data plane's
  * helpers (plane_xor_darts, plane_dedup), so one build serves all of them.
  *
  * All scratch state is allocated per call: concurrent calls (ctypes drops
@@ -136,12 +135,7 @@ static void sort_i64(int64_t *a, int64_t n)
     }
 }
 
-/* grow, peel and decode_defects are forced inline into both row loops
- * (bool and packed): split into out-of-line calls they measured ~10%
- * slower per row */
-#define HOT static inline __attribute__((always_inline))
-
-HOT void grow(uf_state *s, int64_t nd)
+static void grow(uf_state *s, int64_t nd)
 {
     const int64_t *indptr = s->indptr, *eids = s->eids, *w = s->w;
     int64_t round, i, k, node, e, root, n_active, n_front, n_comp, step, need, g;
@@ -206,7 +200,7 @@ HOT void grow(uf_state *s, int64_t nd)
     }
 }
 
-HOT uint64_t peel(uf_state *s, int64_t nd)
+static uint64_t peel(uf_state *s, int64_t nd)
 {
     const int64_t *eu = s->eu, *ev = s->ev;
     const int64_t boundary = s->boundary;
@@ -301,7 +295,7 @@ HOT uint64_t peel(uf_state *s, int64_t nd)
 }
 
 /* decode the defect list already in s->defects[0..nd), ascending */
-HOT uint64_t decode_defects(uf_state *s, int64_t nd)
+static uint64_t decode_defects(uf_state *s, int64_t nd)
 {
     int64_t i, k, a, d;
     uint64_t mask;
@@ -340,19 +334,6 @@ HOT uint64_t decode_defects(uf_state *s, int64_t nd)
         }
     }
     return mask;
-}
-
-/* one 0/1 byte per detector: defects by memchr */
-static uint64_t decode_row(uf_state *s, const uint8_t *row, int64_t n_det)
-{
-    int64_t nd = 0;
-    const uint8_t *p = row, *end = row + n_det;
-
-    while (p < end && (p = memchr(p, 1, (size_t)(end - p))) != NULL) {
-        s->defects[nd++] = p - row;
-        p++;
-    }
-    return decode_defects(s, nd);
 }
 
 /* detector d in word d / 64, bit d % 64: defects by count-trailing-zeros */
@@ -450,31 +431,10 @@ static int state_init(uf_state *s, int64_t n_nodes, int64_t n_edges,
 }
 
 /*
- * Decode n_rows syndrome rows (row-major uint8, n_det = n_nodes - 1 bytes
- * each, values 0/1) into one observable bitmask per row.  Returns 0 on
- * success and -1 when scratch memory cannot be allocated.
- */
-int uf_decode_rows(int64_t n_rows, const uint8_t *rows, int64_t n_nodes,
-                   int64_t n_edges, const int64_t *indptr, const int64_t *eids,
-                   const int64_t *eu, const int64_t *ev, const int64_t *w,
-                   const uint64_t *eobs, int64_t boundary, int64_t max_rounds,
-                   uint64_t *out)
-{
-    uf_state s;
-    int64_t i, n_det = n_nodes - 1;
-
-    if (state_init(&s, n_nodes, n_edges, indptr, eids, eu, ev, w, eobs, boundary,
-                   max_rounds) != 0)
-        return -1;
-    for (i = 0; i < n_rows; i++)
-        out[i] = decode_row(&s, rows + i * n_det, n_det);
-    state_free(&s);
-    return 0;
-}
-
-/*
- * uf_decode_rows over bit-packed rows: n_words uint64 words per row,
- * detector d in word d / 64, bit d % 64.  Same masks, same status codes.
+ * Decode n_rows bit-packed syndrome rows (row-major, n_words uint64 words
+ * each, detector d in word d / 64, bit d % 64; n_det = n_nodes - 1) into
+ * one observable bitmask per row.  Returns 0 on success and -1 when
+ * scratch memory cannot be allocated.
  */
 int uf_decode_packed(int64_t n_rows, const uint64_t *words, int64_t n_words,
                      int64_t n_nodes, int64_t n_edges, const int64_t *indptr,

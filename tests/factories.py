@@ -1,16 +1,21 @@
 """Plain builders behind the decoder-test fixtures in ``conftest.py``.
 
 Cached surface-code ``(graph, detector samples)`` cases over a ``(d, p)``
-grid, DEM/chain matching-graph constructors and dense random syndrome
-generators.  They live in their own module so test modules can import them
+grid, DEM/chain matching-graph constructors, dense random syndrome
+generators and a context that runs the packed data plane without its C
+library.  They live in their own module so test modules can import them
 directly: ``conftest`` is not a unique module name once ``benchmarks/``
 has a conftest too.
 """
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 
+from repro.decoders.kernels import cext
 from repro.noise import GOOGLE, NoiseModel
 
 #: the parity matrix's shared (d, p) grid: point -> (shots, sample seed)
@@ -77,3 +82,10 @@ def build_dense_syndromes(graph, n: int, density: float, seed: int) -> np.ndarra
     """Seeded ``(n, num_detectors)`` bool matrix of iid defects."""
     rng = np.random.default_rng(seed)
     return rng.random((n, graph.num_detectors)) < density
+
+
+@contextlib.contextmanager
+def numpy_plane():
+    """The data plane with no C library: the numpy fallbacks run."""
+    with mock.patch.object(cext, "library", lambda: None):
+        yield

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factories import build_dem_graph, build_dense_syndromes
+from factories import build_dem_graph, build_dense_syndromes, numpy_plane
 from repro.codes.repetition import repetition_experiment
 from repro.decoders import (
     BatchDecodingEngine,
@@ -624,7 +624,8 @@ _SHARED_FIRST_WORD = np.stack(
 @example(words=_SHARED_FIRST_WORD)
 def test_plane_dedup_c_and_numpy_give_the_same_partition(words):
     first_c, inverse_c = plane.dedup(words)
-    first_np, inverse_np = plane.dedup(words, use_c=False)
+    with numpy_plane():
+        first_np, inverse_np = plane.dedup(words)
     # both number groups by first occurrence: the same arrays, not just the
     # same partition
     assert np.array_equal(first_c, first_np) and np.array_equal(inverse_c, inverse_np)
@@ -643,17 +644,17 @@ def test_plane_dedup_c_and_numpy_give_the_same_partition(words):
     density=st.sampled_from([0.0, 0.02, 0.1, 0.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_uf_decode_packed_equals_uf_decode_rows(ndet, density, seed):
+def test_uf_decode_packed_equals_the_scalar_pass(ndet, density, seed):
     graph = _chain_graph(ndet)
     kernel = cext.CextUnionFind(UnionFindDecoder(graph))
     rows = np.random.default_rng(seed).random((40, ndet)) < density
-    expected = kernel.decode_rows(rows)
+    expected = _scalar_masks(UnionFindDecoder(graph), rows)
     assert np.array_equal(kernel.decode_packed(plane.pack_words(rows)), expected)
-    # the whole dedup engine agrees with the bool-row scalar pass too
+    # bool rows reach the same entry point packed
+    assert np.array_equal(kernel.decode_rows(rows), expected)
+    # and so does the whole dedup engine
     engine = BatchDecodingEngine(UnionFindDecoder(graph), backend="cext")
-    assert np.array_equal(
-        engine.decode_words(plane.pack_words(rows)), _scalar_masks(UnionFindDecoder(graph), rows)
-    )
+    assert np.array_equal(engine.decode_words(plane.pack_words(rows)), expected)
 
 
 @requires_cc
@@ -669,7 +670,7 @@ def test_cext_packed_kernel_rejects_bad_shapes(parity_grid):
 @requires_cc
 def test_installed_library_exports_the_data_plane():
     lib = cext.library()
-    for name in ("uf_decode_rows", "uf_decode_packed", "plane_xor_darts", "plane_dedup"):
+    for name in ("uf_decode_packed", "plane_xor_darts", "plane_dedup"):
         assert hasattr(lib, name), name
 
 

@@ -1,15 +1,14 @@
 """DEM-sampler tests: statistics, batching, reproducibility, oracle parity."""
 
 import contextlib
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from factories import numpy_plane
 from sampler_oracle import OracleSampler
 
-from repro.decoders.kernels import cext
 from repro.decoders.kernels.plane import pack_words
 from repro.stab import DemSampler
 from repro.stab.dem import DemError, DetectorErrorModel
@@ -110,13 +109,6 @@ def _oracle_batches(dem, shots, seed, batch_size):
     return list(sampler.sample_batches(shots, np.random.default_rng(seed), batch_size=batch_size))
 
 
-@contextlib.contextmanager
-def _numpy_plane():
-    """The data plane with no C library: the numpy fallbacks run."""
-    with mock.patch.object(cext, "library", lambda: None):
-        yield
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     case=_random_dems(),
@@ -131,7 +123,7 @@ def test_packed_words_match_oracle(case, shots, batch_size, seed):
     expected = _oracle_batches(dem, shots, seed, batch_size)
     sampler = DemSampler(dem)
     projected = sampler.projected(keep)
-    for plane_ctx in (contextlib.nullcontext, _numpy_plane):
+    for plane_ctx in (contextlib.nullcontext, numpy_plane):
         with plane_ctx():
             got = list(sampler.packed_batches(shots, seed, batch_size=batch_size))
             got_projected = list(projected.packed_batches(shots, seed, batch_size=batch_size))
