@@ -7,22 +7,24 @@ is decoder-robust (PyMatching-grade matching would only sharpen it).
 
 from repro.core import make_policy
 from repro.experiments import SurgeryLerConfig, run_surgery_ler
+from repro.figures.bench import record, run_once
 from repro.noise import IBM
 
-from _helpers import bench_seed, bench_shots, record, run_once
+SHOTS = 12_000
+SEED = 2025
 
 
 def test_ablation_decoder_choice(benchmark):
     def run():
         out = {}
         for decoder in ("unionfind", "mwpm"):
-            shots = bench_shots() if decoder == "unionfind" else min(bench_shots(), 4000)
+            shots = SHOTS if decoder == "unionfind" else 4_000
             for name in ("passive", "active"):
                 cfg = SurgeryLerConfig(
                     distance=3, hardware=IBM, policy_name=name, tau_ns=1000.0
                 )
                 res = run_surgery_ler(
-                    cfg, make_policy(name), shots, bench_seed(), decoder=decoder
+                    cfg, make_policy(name), shots, SEED, decoder=decoder
                 )
                 out[(decoder, name)] = res.estimates[1].rate
         return out

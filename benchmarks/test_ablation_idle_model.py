@@ -12,17 +12,18 @@ import numpy as np
 
 from repro.core import make_policy
 from repro.experiments.ler import SurgeryLerConfig, prepared_pipeline
+from repro.figures.bench import record, run_once
 from repro.noise import GOOGLE
 from repro.stab.sampler import DemSampler
 
-from _helpers import bench_seed, bench_shots, record, run_once
+SHOTS = 12_000
+SEED = 2025
 
 
 def test_ablation_idle_model(benchmark):
     def run():
         out = {}
-        rng = np.random.default_rng(bench_seed())
-        shots = bench_shots()
+        rng = np.random.default_rng(SEED)
         for scale in (0.1, 0.25, 1.0):
             lers = {}
             for name in ("passive", "active"):
@@ -53,7 +54,7 @@ def test_ablation_idle_model(benchmark):
                 )
                 dem = circuit_to_dem(art.circuit)
                 graph = build_matching_graph(dem, basis=art.detector_basis)
-                det, obs = DemSampler(dem).sample(shots, rng)
+                det, obs = DemSampler(dem).sample(SHOTS, rng)
                 pred = UnionFindDecoder(graph).decode_batch(det)
                 lers[name] = float((pred[:, 1] ^ obs[:, 1]).mean())
             out[scale] = lers

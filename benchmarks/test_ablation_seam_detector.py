@@ -9,24 +9,26 @@ observable's graphlike error space entirely — a markedly lower LER that is
 
 from repro.core import make_policy
 from repro.experiments import SurgeryLerConfig, run_surgery_ler
+from repro.figures.bench import record, run_once
 from repro.noise import IBM
 
-from _helpers import bench_distances, bench_seed, bench_shots, record, run_once
+DISTANCE = 3
+SHOTS = 12_000
+SEED = 2025
 
 
 def test_ablation_seam_detector(benchmark):
     def run():
-        d = bench_distances()[0]
         out = {}
         for hub in (False, True):
             cfg = SurgeryLerConfig(
-                distance=d,
+                distance=DISTANCE,
                 hardware=IBM,
                 policy_name="passive",
                 tau_ns=1000.0,
                 include_seam_detector=hub,
             )
-            res = run_surgery_ler(cfg, make_policy("passive"), bench_shots(), bench_seed())
+            res = run_surgery_ler(cfg, make_policy("passive"), SHOTS, SEED)
             out[hub] = {
                 "joint": res.estimates[1].rate,
                 "single": res.estimates[0].rate,

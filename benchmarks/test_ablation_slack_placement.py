@@ -6,25 +6,27 @@ every round"; this ablation checks the two placements are interchangeable.
 
 from repro.core import make_policy
 from repro.experiments import SurgeryLerConfig, run_surgery_ler
+from repro.figures.bench import record, run_once
 from repro.noise import IBM
 
-from _helpers import bench_distances, bench_seed, bench_shots, record, run_once
+DISTANCE = 3
+SHOTS = 12_000
+SEED = 2025
 
 
 def test_ablation_slack_placement(benchmark):
     def run():
-        d = bench_distances()[0]
         out = {}
         for placement in ("before", "after"):
             cfg = SurgeryLerConfig(
-                distance=d,
+                distance=DISTANCE,
                 hardware=IBM,
                 policy_name="active",
                 tau_ns=1000.0,
                 policy_args=(("placement", placement),),
             )
             res = run_surgery_ler(
-                cfg, make_policy("active", placement=placement), bench_shots(), bench_seed()
+                cfg, make_policy("active", placement=placement), SHOTS, SEED
             )
             out[placement] = res.estimates[1].rate
         return out

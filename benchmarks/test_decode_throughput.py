@@ -49,10 +49,11 @@ from repro.decoders import (
     UnionFindDecoder,
     build_matching_graph,
 )
+from repro.figures.bench import record, record_merge, run_once
 from repro.noise import GOOGLE, NoiseModel
 from repro.stab import DemSampler, circuit_to_dem
 
-from _helpers import bench_seed, record, record_merge, run_once
+SEED = 2025
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def test_decode_throughput(benchmark):
         shots, int(os.environ.get("REPRO_DECODE_BENCH_BASELINE_SHOTS", 20_000))
     )
     row = run_once(
-        benchmark, _bench_decode_throughput, shots, baseline_shots, bench_seed()
+        benchmark, _bench_decode_throughput, shots, baseline_shots, SEED
     )
     print(
         f"\nseed loop {row['seed_loop_shots_per_sec']:,.0f}/s   "
@@ -384,7 +385,7 @@ def _bench_decode_backends(shots: int, seed: int) -> dict:
 
 def test_decode_backend_throughput(benchmark):
     shots = int(os.environ.get("REPRO_BACKEND_BENCH_SHOTS", 50_000))
-    row = run_once(benchmark, _bench_decode_backends, shots, bench_seed())
+    row = run_once(benchmark, _bench_decode_backends, shots, SEED)
     for d, point in row["by_distance"].items():
         rates = "   ".join(
             f"{b} {point[f'{b}_shots_per_sec']:,.0f}/s" for b in row["backends_available"]
@@ -468,7 +469,7 @@ def _bench_wrapped_backends(shots: int, seed: int) -> dict:
 @pytest.mark.slow
 def test_wrapped_backend_throughput(benchmark):
     shots = int(os.environ.get("REPRO_BACKEND_BENCH_SHOTS", 50_000))
-    sections = run_once(benchmark, _bench_wrapped_backends, shots, bench_seed())
+    sections = run_once(benchmark, _bench_wrapped_backends, shots, SEED)
     for name, row in sections.items():
         print(
             f"\n{name}: python {row['python_shots_per_sec']:,.0f}/s   "

@@ -11,13 +11,14 @@ import numpy as np
 
 from repro.codes.multi_surgery import MultiSurgerySpec, multi_patch_surgery_experiment
 from repro.decoders import UnionFindDecoder, build_matching_graph
+from repro.figures.bench import record, run_once
 from repro.noise import GOOGLE, NoiseModel
 from repro.stab import circuit_to_dem
 from repro.stab.sampler import DemSampler
 from repro.timing import PatchTimeline
 
-from _helpers import bench_seed, bench_shots, record, run_once
-
+SHOTS = 12_000
+SEED = 2025
 TAUS_NS = (1000.0, 500.0, 0.0)  # pairwise slack of each patch vs the slowest
 
 
@@ -38,7 +39,7 @@ def test_extension_three_patch_sync(benchmark):
         noise = NoiseModel(hardware=GOOGLE, p=1e-3)
         d = 3
         out = {}
-        rng = np.random.default_rng(bench_seed())
+        rng = np.random.default_rng(SEED)
         for policy in ("passive", "active"):
             art = multi_patch_surgery_experiment(
                 MultiSurgerySpec(
@@ -50,7 +51,7 @@ def test_extension_three_patch_sync(benchmark):
             )
             dem = circuit_to_dem(art.circuit)
             graph = build_matching_graph(dem, basis=art.detector_basis)
-            det, obs = DemSampler(dem).sample(bench_shots(), rng)
+            det, obs = DemSampler(dem).sample(SHOTS, rng)
             pred = UnionFindDecoder(graph).decode_batch(det)
             out[policy] = {
                 f"obs{k}": float((pred[:, k] ^ obs[:, k]).mean())

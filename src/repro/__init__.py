@@ -18,8 +18,10 @@ The package layers, bottom to top:
 * :mod:`repro.workloads` / :mod:`repro.casestudies` - MQTBench-style
   benchmarks, the Azure-QRE-substitute resource estimator, and the
   cultivation / qLDPC desynchronization case studies;
-* :mod:`repro.experiments` - end-to-end LER pipelines and the per-figure
-  data generators the benchmark harness drives.
+* :mod:`repro.experiments` - end-to-end LER pipelines and the resumable,
+  store-backed sweep scheduler;
+* :mod:`repro.figures` - the figure registry: one spec per paper figure or
+  table, holding its params, sweeps, row builder and paper checks.
 
 Quickstart::
 

@@ -48,7 +48,6 @@ from .base import DEFAULT_CONFIG, LintContext, Rule, find_root, load_config
 from .contracts import (
     ContractBackendRegistry,
     ContractEnvDocs,
-    ContractFigureRegistry,
     ContractParityTests,
     ContractWorkerGlobals,
 )
@@ -131,7 +130,6 @@ for _rule in (
     ContractBackendRegistry(),
     ContractWorkerGlobals(),
     ContractEnvDocs(),
-    ContractFigureRegistry(),
     SaltDrift(),
 ):
     register(_rule)

@@ -64,9 +64,6 @@ DEFAULT_CONFIG: dict = {
     "parity_tests": "tests/test_kernels.py",
     # kernel-backend registry module for the registry-contract rule
     "backends_module": "src/repro/decoders/kernels/backends.py",
-    # figure registry and the benchmark harness that must wrap every spec
-    "figures_module": "src/repro/figures/builders.py",
-    "figures_benchmarks": "benchmarks",
     # worker-side entry points; functions reachable from these must not
     # rebind module globals (race surface across pool workers)
     "worker_modules": [

@@ -26,7 +26,6 @@ __all__ = [
     "ContractBackendRegistry",
     "ContractWorkerGlobals",
     "ContractEnvDocs",
-    "ContractFigureRegistry",
 ]
 
 
@@ -305,96 +304,6 @@ class ContractWorkerGlobals(Rule):
                             "per-process counter with a pragma",
                         )
                     )
-        return findings
-
-
-class ContractFigureRegistry(Rule):
-    """The figure registry and the benchmark harness stay paired.
-
-    Every ``FigureSpec(name="fig*"/"table*")`` registered in the figures
-    module must be exercised by some ``benchmarks/test_fig*``/``test_table*``
-    file (a spec nobody benchmarks is a paper figure with no regression
-    gate), and every such benchmark file must reference at least one
-    registered spec name (a figure benchmark that bypasses the registry is
-    an ad-hoc one-off the shared export layer cannot see).  Spec names are
-    read statically, so they must be string literals.
-    """
-
-    name = "contract-figure-registry"
-    scope = "repo"
-    description = "every registered fig*/table* spec has a benchmarks/ wrapper and vice versa"
-
-    def check_repo(self, ctx: LintContext) -> list:
-        """Cross-check FigureSpec names against the benchmark harness files."""
-        figures_path = ctx.config["figures_module"]
-        bench_dir = ctx.config["figures_benchmarks"]
-        tree = ctx.tree(figures_path)
-        if tree is None:
-            return [self.finding(ctx, figures_path, 1, "cannot parse the figure registry module")]
-
-        # registered spec names: FigureSpec(name="...") call sites
-        spec_nodes: dict[str, ast.AST] = {}
-        findings = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if (dotted_name(node.func) or "").rsplit(".", 1)[-1] != "FigureSpec":
-                continue
-            name_kw = next((kw for kw in node.keywords if kw.arg == "name"), None)
-            name_node = name_kw.value if name_kw is not None else (node.args[0] if node.args else None)
-            if name_node is None:
-                continue
-            spec_name = literal_str(name_node)
-            if spec_name is None:
-                findings.append(
-                    self.finding(
-                        ctx, figures_path, name_node,
-                        "FigureSpec name is not a string literal; registry names "
-                        "must be static so benchmarks and this rule can reference them",
-                    )
-                )
-            else:
-                spec_nodes[spec_name] = name_node
-
-        # benchmark harness files and the string literals they mention
-        base = ctx.abs(bench_dir)
-        bench_literals: dict[str, set] = {}
-        if base.is_dir():
-            for pattern in ("test_fig*.py", "test_table*.py"):
-                for path in sorted(base.glob(pattern)):
-                    rel = ctx.rel(path)
-                    bench_tree = ctx.tree(rel)
-                    literals: set = set()
-                    if bench_tree is not None:
-                        for sub in ast.walk(bench_tree):
-                            value = literal_str(sub)
-                            if value is not None:
-                                literals.add(value)
-                    bench_literals[rel] = literals
-
-        all_literals = set().union(*bench_literals.values()) if bench_literals else set()
-        for spec_name, node in sorted(spec_nodes.items()):
-            if not spec_name.startswith(("fig", "table")):
-                continue
-            if spec_name not in all_literals:
-                findings.append(
-                    self.finding(
-                        ctx, figures_path, node,
-                        f"figure spec {spec_name!r} has no wrapper under "
-                        f"{bench_dir}/test_fig*|test_table*; every registered "
-                        "figure needs a benchmark regression gate",
-                    )
-                )
-        for rel, literals in sorted(bench_literals.items()):
-            if not literals & set(spec_nodes):
-                findings.append(
-                    self.finding(
-                        ctx, rel, 1,
-                        "figure benchmark references no registered FigureSpec "
-                        f"name from {figures_path}; route it through the "
-                        "registry (build_figure) instead of an ad-hoc one-off",
-                    )
-                )
         return findings
 
 

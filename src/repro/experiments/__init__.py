@@ -1,4 +1,8 @@
-"""Experiment runners: LER pipelines, sweeps, statistics, figure data."""
+"""Experiment runners: LER pipelines, sweeps and statistics.
+
+The paper's figures and tables are built from these by the figure registry
+(:mod:`repro.figures`).
+"""
 
 from .ler import (
     LerResult,
@@ -10,7 +14,7 @@ from .ler import (
 )
 from .parallel import SweepTask
 from .stats import RateEstimate, ratio_of_rates, wilson_interval
-from .sweeps import PolicySpec, SweepReport, SweepSpec, ensure_point, run_sweep
+from .sweeps import PolicySpec, SweepReport, SweepSpec, run_sweep
 
 __all__ = [
     "LerResult",
@@ -26,6 +30,5 @@ __all__ = [
     "PolicySpec",
     "SweepReport",
     "SweepSpec",
-    "ensure_point",
     "run_sweep",
 ]

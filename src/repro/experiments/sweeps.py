@@ -25,12 +25,11 @@ Consequences:
   improves the tracked RSE by <= 10%, the next batch doubles (capped at
   ``max_batch_shots``), with the deterministic size schedule checkpointed in
   the record so resume and worker counts still cannot change results.
-* **One scheduler** — every sweep, and every single point
-  (:func:`ensure_point`, the figure read-through), runs through
-  :meth:`_SweepRun.run_concurrent`: one executor is shared by *all* points
-  of the sweep, a pool interleaves points, and while the stopping rule
-  evaluates batch *k* of a point, batches ``k+1 .. k+depth`` are already
-  decoding (``depth`` is ``speculate``, or the worker count when
+* **One scheduler** — every sweep, including the ones figure builds
+  declare, runs through :meth:`_SweepRun.run_concurrent`: one executor is
+  shared by *all* points of the sweep, a pool interleaves points, and while
+  the stopping rule evaluates batch *k* of a point, batches ``k+1 ..
+  k+depth`` are already decoding (``depth`` is ``speculate``, or the worker count when
   ``speculate=0``).  Results are *applied* strictly in batch-index order, so
   estimates and stored records are bit-identical for any worker count and
   speculation depth — equal to decoding the batches one by one in index
@@ -88,7 +87,6 @@ __all__ = [
     "run_sweep",
     "plan_sweep",
     "ADMISSION_ORDERS",
-    "ensure_point",
     "point_record_estimates",
     "record_parity_view",
     "export_records",
@@ -1382,59 +1380,3 @@ def export_records(spec: SweepSpec, store: ResultStore) -> list[dict]:
         rows.append(row)
     return rows
 
-
-def ensure_point(
-    store: ResultStore,
-    config: SurgeryLerConfig,
-    policy_name: str,
-    policy_kwargs: tuple = (),
-    *,
-    decoder: str = "unionfind",
-    backend: str | None = None,
-    seed: int = 2025,
-    batch_shots: int,
-    min_shots: int | None = None,
-    max_shots: int | None = None,
-    target_rse: float | None = None,
-    observable: int | None = None,
-    resume: bool = True,
-) -> dict:
-    """Read-through accessor for one point (the figure-function entry path).
-
-    Returns the stored record, decoding only the missing batches in-process
-    through the sweep scheduler.  With the defaults (``max_shots =
-    batch_shots``, no RSE target) this is exactly "one batch of
-    ``batch_shots`` shots, cached forever".
-    """
-    max_shots = batch_shots if max_shots is None else max_shots
-    spec = SweepSpec(
-        name="adhoc",
-        distances=(config.distance,),
-        taus_ns=(config.tau_ns,),
-        policies=(PolicySpec(policy_name, tuple(sorted(policy_kwargs))),),
-        hardware=config.hardware,
-        p=config.p,
-        ls_basis=config.ls_basis,
-        t_pp_ns=config.t_pp_ns,
-        base_rounds=config.base_rounds,
-        decoder=decoder,
-        backend=backend,
-        seed=seed,
-        batch_shots=batch_shots,
-        min_shots=batch_shots if min_shots is None else min_shots,
-        max_shots=max_shots,
-        target_rse=target_rse,
-        observable=observable,
-    )
-    run = _SweepRun(spec, store, resume=resume)
-    pt = SweepPoint(
-        config=config,
-        policy_name=policy_name,
-        policy_kwargs=tuple(sorted(policy_kwargs)),
-        decoder=decoder,
-    )
-    try:
-        run.run_concurrent([pt])
-    finally:
-        run.close()
-    return run.report.outcomes[0].record

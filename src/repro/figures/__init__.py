@@ -3,12 +3,13 @@
 One :class:`~repro.figures.registry.FigureSpec` per paper figure/table,
 registered in :data:`~repro.figures.registry.FIGURE_BUILDERS` — the same
 name -> builder registry shape as ``DECODER_BUILDERS`` and the kernel/lint
-registries.  :func:`~repro.figures.build.build_figure` resolves a spec
-through the active result store (decode on miss, zero decoding on a warm
-store) and the export layer (:mod:`repro.figures.export`) derives the JSON
-/ CSV / Vega-Lite artifacts from one uniform result document.  The pytest
-harness in ``benchmarks/`` and the ``repro figures`` CLI are both thin
-clients of this package; the benchmark env knobs live in
+registries.  A spec is the whole figure: params, declared LER sweeps, row
+builder and paper checks.  :func:`~repro.figures.build.build_figure`
+resolves a spec through a result store (decode on miss, zero decoding on a
+warm store) and the export layer (:mod:`repro.figures.export`) derives the
+JSON / CSV / Vega-Lite artifacts from one uniform result document.
+``benchmarks/test_figures.py`` and the ``repro figures`` CLI are both thin
+clients of this package; the harness recording helpers live in
 :mod:`repro.figures.bench`.
 """
 

@@ -1,20 +1,10 @@
-"""Public benchmark-harness knobs and recording helpers.
+"""Benchmark-harness recording helpers.
 
-Promoted from ``benchmarks/_helpers.py`` so the env-knob catalogue is an
-importable, lint-checkable part of the package (``contract-env-docs``
-requires every knob below to be documented in docs/; see docs/FIGURES.md)
-and so the CLI and the pytest harness share one implementation.
-
-Scaling knobs (environment variables):
-
-* ``REPRO_BENCH_SHOTS``     — shots per LER configuration (default 12000)
-* ``REPRO_BENCH_DISTANCES`` — comma-separated distances (default "3,5")
-* ``REPRO_BENCH_SEED``      — RNG seed (default 2025)
-* ``REPRO_BENCH_RESULTS``   — results directory override (default
-  ``benchmarks/results`` under the current working directory)
-
-The paper's full-scale runs used 100M shots and d up to 15 on 128 cores for
-days; these defaults finish on a laptop while preserving the comparisons.
+The CLI and the ``benchmarks/`` pytest harness share this one
+implementation.  Results land in ``REPRO_BENCH_RESULTS`` (default
+``benchmarks/results`` under the current working directory; documented in
+docs/FIGURES.md).  Scaled figure builds use ``repro figures build
+--shots/--distances/--seed``.
 """
 
 from __future__ import annotations
@@ -26,33 +16,12 @@ from pathlib import Path
 from . import export
 
 __all__ = [
-    "bench_distances",
-    "bench_seed",
-    "bench_shots",
     "default_results_dir",
     "record",
     "record_figure",
     "record_merge",
     "run_once",
 ]
-
-
-def bench_shots(default: int = 12_000) -> int:
-    """Shots per LER configuration (``REPRO_BENCH_SHOTS``)."""
-    return int(os.environ.get("REPRO_BENCH_SHOTS", default))
-
-
-def bench_distances(default=(3, 5)) -> tuple[int, ...]:
-    """Code distances to sweep (``REPRO_BENCH_DISTANCES``, comma-separated)."""
-    raw = os.environ.get("REPRO_BENCH_DISTANCES")
-    if raw is None:
-        return tuple(default)
-    return tuple(int(x) for x in raw.split(",") if x.strip())
-
-
-def bench_seed() -> int:
-    """Deterministic RNG seed for every benchmark (``REPRO_BENCH_SEED``)."""
-    return int(os.environ.get("REPRO_BENCH_SEED", 2025))
 
 
 def default_results_dir() -> Path:

@@ -1,20 +1,18 @@
-"""Build figures through the active result store (docs/FIGURES.md).
+"""Build figures through a result store (docs/FIGURES.md).
 
 :func:`build_figure` is the single entry point behind both the ``repro
-figures`` CLI and the ``benchmarks/`` harness: resolve a spec, resolve its
-params, and either serve the finished rows from the store's figure cache
-(zero decoding, zero building) or run the builder — pre-warming the store
-with the spec's declared ``SweepSpec``s first, so the builder's own
-``sweep_policies`` read-through finds every point already decoded.
+figures`` CLI and ``benchmarks/test_figures.py``: resolve a spec, resolve
+its params, and either serve the finished rows from the store's figure
+cache (zero decoding, zero building) or run the spec's declared
+``SweepSpec``s through ``run_sweep`` and hand their reports to the builder.
 
 Two cache layers cooperate:
 
-* *point records* — the content-addressed LER results ``run_sweep`` /
-  ``ensure_point`` maintain (shared with ``repro sweep``);
+* *point records* — the content-addressed LER results ``run_sweep``
+  maintains (shared with ``repro sweep``);
 * the *figure cache* — one record per (figure, resolved params) holding the
   final built rows (:data:`CACHE_SCHEMA`), so a warm rebuild of *any*
-  figure — including wall-clock/engine measurements — reads exactly one
-  store file and decodes nothing.
+  cacheable figure reads exactly one store file and decodes nothing.
 
 Both are keyed under the same ``STORE_SALT``, so a salt bump invalidates
 figures and points together.
@@ -28,7 +26,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..store import STORE_SALT, ResultStore, default_store, set_default_store
+from ..experiments.sweeps import run_sweep
+from ..store import STORE_SALT, ResultStore, default_store
 from . import export
 from .registry import FigureSpec, get
 
@@ -87,31 +86,31 @@ def build_figure(
 ) -> FigureResult:
     """Build figure ``name`` (canonical or alias), store-served if possible.
 
-    ``store=None`` uses the active default store (``set_default_store`` /
-    ``REPRO_STORE_ROOT``); ``store=False`` builds without a persistent
-    store or figure cache — always decode, through a temporary store, so
-    the rows equal a store-backed build's (this is the build the pytest
-    benchmark harness asserts on).  ``strict``
-    controls whether unknown override keys raise (single-figure builds) or
-    are dropped (bulk ``--all`` overrides).  ``workers``/``speculate`` are
-    forwarded to ``run_sweep`` when pre-warming declared sweeps.
+    ``store=None`` uses the default store (``REPRO_STORE_ROOT``);
+    ``store=False``, or no default store, builds without a persistent store
+    or figure cache — always decode, through a temporary store, so the rows
+    equal a store-backed build's (this is the build the benchmark harness
+    checks).  ``strict`` controls whether unknown override keys raise
+    (single-figure builds) or are dropped (bulk ``--all`` overrides).
+    ``workers``/``speculate`` are forwarded to ``run_sweep``.
     """
     spec = get(name)
     params = spec.resolve_params(overrides, strict=strict)
-    if store is False:
-        with tempfile.TemporaryDirectory(prefix="repro-figure-") as root:
-            rows = _run_builder(spec, params, ResultStore(root))
-        return FigureResult(spec, params, [export.plain(r) for r in rows])
     if store is None:
         store = default_store()
-    key = figure_cache_key(spec.name, params) if store is not None and spec.cacheable else None
+    if store is None or store is False:
+        with tempfile.TemporaryDirectory(prefix="repro-figure-") as root:
+            rows = _build_rows(
+                spec, params, ResultStore(root), workers=workers, speculate=speculate
+            )
+        return FigureResult(spec, params, rows)
+    key = figure_cache_key(spec.name, params) if spec.cacheable else None
     if key is not None:
         cached = store.get(key)
         if cached is not None and cached.get("schema") == CACHE_SCHEMA:
             rows = [dict(r) for r in cached.get("rows", [])]
             return FigureResult(spec, params, rows, served_from_store=True)
     rows = _build_rows(spec, params, store, workers=workers, speculate=speculate)
-    rows = [export.plain(r) for r in rows]
     if key is not None:
         store.put(
             key,
@@ -128,30 +127,14 @@ def build_figure(
 def _build_rows(
     spec: FigureSpec,
     params: Mapping[str, Any],
-    store: ResultStore | None,
+    store: ResultStore,
     *,
     workers: int,
     speculate: int,
 ) -> list:
-    if store is not None and spec.sweeps is not None:
-        from ..experiments.sweeps import run_sweep
-
-        for sweep_spec in spec.sweep_specs(params):
-            run_sweep(
-                sweep_spec,
-                store,
-                workers=workers,
-                speculate=speculate,
-                ledger=False,
-            )
-    return _run_builder(spec, params, store)
-
-
-def _run_builder(spec: FigureSpec, params: Mapping[str, Any], store) -> list:
-    """Run the spec's builder with ``store`` as the active default store."""
-    previous = default_store()
-    set_default_store(store)
-    try:
-        return list(spec.builder(dict(params)))
-    finally:
-        set_default_store(previous)
+    """Run the spec's declared sweeps against ``store``, then its builder."""
+    reports = [
+        run_sweep(sweep_spec, store, workers=workers, speculate=speculate, ledger=False)
+        for sweep_spec in spec.sweep_specs(params)
+    ]
+    return [export.plain(r) for r in spec.builder(dict(params), reports)]

@@ -1,7 +1,7 @@
 """Figure registry: canonical figure name -> :class:`FigureSpec`.
 
-This is the declarative core of the figure layer (docs/FIGURES.md).  Every
-paper figure/table the repo reproduces is one :class:`FigureSpec` entry in
+This is the one figure layer (docs/FIGURES.md).  Every paper figure/table
+the repo reproduces is one :class:`FigureSpec` entry in
 :data:`FIGURE_BUILDERS` — the same name -> builder registry shape as
 ``repro.experiments.ler.DECODER_BUILDERS``, the kernel backend registry and
 the lint-rule registry.  A spec bundles:
@@ -9,13 +9,16 @@ the lint-rule registry.  A spec bundles:
 * identity — the canonical name (``fig14_ibm``, ``table2``, ...), the paper
   anchor it reproduces and a one-line title;
 * a *parameter schema* — the complete default parameter dict; callers may
-  only override keys that exist in it;
-* a *builder* — a pure function ``params -> list[row dict]`` that produces
-  the figure's data rows (delegating the heavy lifting to
-  :mod:`repro.experiments.figures`);
+  only override keys that exist in it, and the builder has no other
+  defaults;
 * optionally the figure's *data needs* as declarative ``SweepSpec``s
-  (:meth:`FigureSpec.sweep_specs`), so a result store can be pre-warmed by
-  ``run_sweep`` and the builder then decodes nothing.
+  (:meth:`FigureSpec.sweep_specs`): the only place an LER point grid is
+  stated;
+* a *builder* — ``(params, reports) -> list[row dict]``, where ``reports``
+  holds one ``SweepReport`` per declared sweep (empty for specs without
+  sweeps);
+* the *paper checks* — ``checks(rows)`` asserts the paper-value claims the
+  built rows must reproduce.
 
 Canonical names are the single id used by the CLI, the benchmark harness
 and the emitted result files.  :data:`ALIASES` maps legacy spellings
@@ -75,15 +78,18 @@ class FigureSpec:
     anchor: str
     #: One-line human description (shown by ``repro figures list``).
     title: str
-    #: Pure transform ``params -> list[dict]``; each dict is one data row.
-    builder: Callable[[dict], list[dict]]
+    #: ``(params, reports) -> list[dict]``; each dict is one data row.
+    #: ``reports`` holds one ``SweepReport`` per :meth:`sweep_specs` entry.
+    builder: Callable[[dict, list], list[dict]]
+    #: ``rows -> None``: asserts the paper-value claims the rows reproduce.
+    checks: Callable[[list[dict]], None]
     #: Complete default parameter dict — doubles as the override schema.
     params: Mapping[str, Any] = field(default_factory=dict)
     #: Column order for tabular exports; columns missing from a row are
     #: emitted blank (multi-part figures use a ``kind`` column).
     columns: tuple[str, ...] = ()
     #: Optional ``params -> list[SweepSpec]`` declaring the LER sweeps the
-    #: builder reads; used to pre-warm the store before the builder runs.
+    #: builder reads; ``build_figure`` runs them and passes their reports.
     sweeps: Callable[[dict], list] | None = None
     #: Vega-Lite encoding hints (``mark``/``x``/``y``/``color``/``detail``).
     vega: Mapping[str, str] = field(default_factory=dict)
@@ -118,8 +124,8 @@ class FigureSpec:
             return []
         return list(self.sweeps(dict(params)))
 
-    def with_builder(self, builder: Callable[[dict], list[dict]]) -> "FigureSpec":
-        """Copy of this spec with ``builder`` swapped (test seam)."""
+    def with_builder(self, builder: Callable[[dict, list], list[dict]]) -> "FigureSpec":
+        """Copy of this spec with ``builder`` swapped and no sweeps (test seam)."""
         return replace(self, builder=builder, sweeps=None)
 
 

@@ -11,7 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["HardwareConfig", "IBM", "GOOGLE", "QUERA", "PRESETS"]
+__all__ = [
+    "HardwareConfig",
+    "IBM",
+    "GOOGLE",
+    "QUERA",
+    "PRESETS",
+    "SHERBROOKE",
+    "SHERBROOKE_IDLE",
+    "TABLE1_HARDWARE",
+]
 
 
 @dataclass(frozen=True)
@@ -82,3 +91,41 @@ QUERA = HardwareConfig(
 )
 
 PRESETS = {"ibm": IBM, "google": GOOGLE, "quera": QUERA}
+
+#: Sherbrooke qubits used in the paper's footnote 1 (T1=330.77us, T2=72.68us)
+SHERBROOKE = HardwareConfig(
+    name="sherbrooke",
+    t1_ns=330_770.0,
+    t2_ns=72_680.0,
+    time_1q_ns=60.0,
+    time_2q_ns=533.0,
+    time_readout_ns=1_200.0,
+    time_reset_ns=0.0,
+)
+
+#: Fig. 1c calibration: the hardware LER grows ~10x over an 800 ns idle even
+#: under X-X DD — orders of magnitude beyond what the reported T1/T2 predict,
+#: and a *bit-flip* code is blind to pure dephasing anyway.  The hardware
+#: behaviour is consistent with strong effective depolarization during free
+#: idling (TLS hot spots, readout ring-down); we reproduce the curve with an
+#: effective depolarizing idle channel of time constant ~2 us.
+SHERBROOKE_IDLE = HardwareConfig(
+    name="sherbrooke-idle-effective",
+    t1_ns=2_000.0,
+    t2_ns=2_000.0,
+    time_1q_ns=60.0,
+    time_2q_ns=533.0,
+    time_readout_ns=1_200.0,
+    time_reset_ns=0.0,
+)
+
+#: Google-like coherence on IBM-like latencies, as used in Table 1
+TABLE1_HARDWARE = HardwareConfig(
+    name="table1",
+    t1_ns=25_000.0,
+    t2_ns=40_000.0,
+    time_1q_ns=50.0,
+    time_2q_ns=70.0,
+    time_readout_ns=1500.0,
+    time_reset_ns=20.0,
+)

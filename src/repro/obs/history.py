@@ -78,7 +78,7 @@ _DOWN_SUFFIXES = (
 def provenance_meta() -> dict:
     """The uniform ``meta`` block every results JSON and history entry carries.
 
-    Shared with ``benchmarks/_helpers.record`` so ad-hoc benchmark outputs
+    Shared with ``repro.figures.bench.record`` so ad-hoc benchmark outputs
     and history entries agree on provenance keys.
     """
     from ..store.keys import STORE_SALT  # local: obs must not import store at module level

@@ -10,7 +10,7 @@ hashes of configuration + policy + decoder + seed + code-version salt
 this store lives in :mod:`repro.experiments.sweeps`.
 """
 
-from .backend import ResultStore, default_store, set_default_store
+from .backend import ResultStore, default_store
 from .keys import (
     STORE_SALT,
     batch_entropy,
@@ -22,7 +22,6 @@ from .keys import (
 __all__ = [
     "ResultStore",
     "default_store",
-    "set_default_store",
     "STORE_SALT",
     "batch_entropy",
     "config_payload",

@@ -30,8 +30,7 @@ A batch record whose ``shots`` disagree with the scheduler's planned size
 ignored on replay and overwritten on the next commit.
 
 The root directory is configurable per store; :func:`default_store` resolves
-the process-wide default from the ``REPRO_STORE_ROOT`` environment variable
-or an explicit :func:`set_default_store` call (tests, notebooks).
+the default store from the ``REPRO_STORE_ROOT`` environment variable.
 """
 
 from __future__ import annotations
@@ -44,10 +43,7 @@ from pathlib import Path
 
 from .. import obs
 
-__all__ = ["ResultStore", "default_store", "set_default_store"]
-
-#: explicit process-wide default store (overrides the environment knob)
-_DEFAULT_STORE: "ResultStore | None" = None
+__all__ = ["ResultStore", "default_store"]
 
 
 class ResultStore:
@@ -360,15 +356,7 @@ class ResultStore:
         return f"ResultStore({str(self.root)!r}, {len(self)} records)"
 
 
-def set_default_store(store: "ResultStore | None") -> None:
-    """Set (or clear, with None) the process-wide default store."""
-    global _DEFAULT_STORE
-    _DEFAULT_STORE = store
-
-
 def default_store() -> "ResultStore | None":
-    """The active default store: explicit > ``REPRO_STORE_ROOT`` env > None."""
-    if _DEFAULT_STORE is not None:
-        return _DEFAULT_STORE
+    """The default store: ``REPRO_STORE_ROOT`` if set, else None."""
     root = os.environ.get("REPRO_STORE_ROOT")
     return ResultStore(root) if root else None

@@ -66,7 +66,7 @@ def marker_map(path: Path) -> dict:
 def test_registry_names_and_available():
     names = analysis.names()
     assert names == sorted(names)
-    assert len(names) == 14
+    assert len(names) == 13
     assert analysis.available() == names
     for family in ("determinism-time", "contract-parity-tests", "salt-drift"):
         assert family in names
@@ -223,7 +223,7 @@ def make_sandbox(tmp_path: Path) -> Path:
     )
     shutil.copytree(REPO / "docs", box / "docs")
     shutil.copy2(REPO / "tests" / "test_kernels.py", box / "tests" / "test_kernels.py")
-    # the figure-registry contract cross-references the benchmark harness
+    # the env-docs contract counts the benchmark harness's knob reads
     for bench in (REPO / "benchmarks").glob("*.py"):
         shutil.copy2(bench, box / "benchmarks" / bench.name)
     shutil.copy2(REPO / "pyproject.toml", box / "pyproject.toml")
@@ -367,34 +367,6 @@ def test_mutation_documented_but_unread_env_knob_fails(tmp_path):
     report = run_lint(root=box, only=["contract-env-docs"])
     assert [(f.path, f.line) for f in report.findings] == [("docs/SWEEPS.md", row + 1)]
     assert "REPRO_UNREAD_PROBE" in report.findings[0].message
-
-
-def test_mutation_spec_without_benchmark_wrapper_fails(tmp_path):
-    box = make_sandbox(tmp_path)
-    builders = box / "src" / "repro" / "figures" / "builders.py"
-    builders.write_text(
-        builders.read_text()
-        + "\nregister(FigureSpec(name=\"fig999\", category=\"analytic\","
-        "\n    anchor=\"Fig. 999\", title=\"probe\", builder=_fig10,"
-        "\n    params={}, columns=(\"x\",)))\n"
-    )
-    report = run_lint(root=box, only=["contract-figure-registry"])
-    assert any(
-        f.path == "src/repro/figures/builders.py" and "fig999" in f.message
-        for f in report.findings
-    )
-
-
-def test_mutation_orphan_benchmark_fails(tmp_path):
-    box = make_sandbox(tmp_path)
-    orphan = box / "benchmarks" / "test_fig998_orphan.py"
-    orphan.write_text("def test_fig998(benchmark):\n    pass\n")
-    report = run_lint(root=box, only=["contract-figure-registry"])
-    assert any(
-        f.path == "benchmarks/test_fig998_orphan.py"
-        and "build_figure" in f.message
-        for f in report.findings
-    )
 
 
 def test_baseline_silences_known_findings(tmp_path, capsys):

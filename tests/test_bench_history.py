@@ -123,7 +123,7 @@ def test_record_and_load_round_trip(tmp_path):
 
 
 def test_record_reuses_embedded_meta_block(tmp_path):
-    """`benchmarks/_helpers.record` stamps meta; the history must honor it."""
+    """`repro.figures.bench.record` stamps meta; the history must honor it."""
     hist = tmp_path / "h.jsonl"
     meta = {"python": "3.1.4", "platform": "retro", "cpu_count": 1,
             "store_salt": "old", "recorded_at": 12.0}

@@ -27,9 +27,9 @@ from repro.codes import (
 )
 from repro.codes.repetition import repetition_experiment
 from repro.core.policies import POLICIES, make_policy
-from repro.experiments.figures import SHERBROOKE
 from repro.experiments.ler import SurgeryLerConfig, prepared_pipeline
 from repro.noise import GOOGLE, IBM, NoiseModel
+from repro.noise.hardware import SHERBROOKE
 from repro.stab import Circuit, circuit_to_dem
 from repro.stab.frame import _KIND_BY_NAME
 from repro.stab.gates import GATES, GateKind

@@ -1,30 +1,29 @@
-"""Fast figure-driver tests (pure arithmetic / tiny Monte-Carlo figures)."""
+"""Fast figure-builder tests (pure arithmetic / tiny Monte-Carlo figures)."""
 
-import numpy as np
 import pytest
 
-from repro.experiments.figures import (
-    SHERBROOKE,
-    fig1d_tcount_headroom,
-    fig4a_cultivation_slack,
-    fig4b_qldpc_slack,
-    fig6_dd_fidelity,
-    fig10_extra_rounds_configs,
-    fig11_hybrid_heatmap,
-    fig20_engine_scaling,
-    table5_neutral_atom_rounds,
-)
+from repro.figures import build_figure
+from repro.noise.hardware import SHERBROOKE
+
+
+def _rows(name, overrides=None):
+    return build_figure(name, overrides, store=False).rows
 
 
 def test_fig10_matches_paper_values():
-    rows = fig10_extra_rounds_configs()
+    rows = _rows("fig10")
     assert [r["extra_rounds"] for r in rows] == [None, 5, 11, 22, 26, 52, 34, 68]
 
 
 def test_fig11_eps400_superset_of_eps100():
-    grids = fig11_hybrid_heatmap(
-        eps_values=(100, 400), t_pp_values=(1050, 1150, 1325), tau_values=range(100, 1200, 100)
-    )
+    rows = _rows("fig11", {
+        "eps_values": (100, 400),
+        "t_pp_values": (1050, 1150, 1325),
+        "tau_values": tuple(range(100, 1200, 100)),
+    })
+    grids = {100: {}, 400: {}}
+    for r in rows:
+        grids[r["eps"]][(r["tau"], r["t_pp"])] = r["extra_rounds"]
     for key, z100 in grids[100].items():
         if z100 is not None:
             assert grids[400][key] is not None
@@ -32,40 +31,45 @@ def test_fig11_eps400_superset_of_eps100():
 
 
 def test_fig1d_headroom():
-    assert fig1d_tcount_headroom(2.4e-3, 1e-3) == pytest.approx(2.4)
-    with pytest.raises(ValueError):
-        fig1d_tcount_headroom(1e-3, 0.0)
+    (row,) = _rows("fig1d", {"distance": 3, "shots": 2000, "seed": 5})
+    assert row["norm_t_count"] == pytest.approx(row["ler_passive"] / row["ler_active"])
+    # one shot samples no Active failure: the headroom is undefined
+    with pytest.raises(ValueError, match="active LER must be positive"):
+        _rows("fig1d", {"distance": 3, "shots": 1, "seed": 5})
 
 
 def test_fig4a_structure():
-    data = fig4a_cultivation_slack(shots=5000, rng=0)
-    assert set(data) == {(hw, p) for hw in ("ibm", "google") for p in (5e-4, 1e-3)}
-    for dist in data.values():
-        assert dist.samples_ns.shape == (5000,)
+    rows = _rows("fig4a", {"shots": 5000, "seed": 0})
+    assert {(r["hardware"], r["p"]) for r in rows} == {
+        (hw, p) for hw in ("ibm", "google") for p in (5e-4, 1e-3)
+    }
+    for r in rows:
+        assert 0 <= r["median_ns"] <= r["p95_ns"]
 
 
 def test_fig4b_structure():
-    data = fig4b_qldpc_slack(rounds=10)
-    assert set(data) == {"ibm", "google"}
-    assert all(len(v) == 11 for v in data.values())
+    rows = _rows("fig4b", {"rounds": 10})
+    assert {r["hardware"] for r in rows} == {"ibm", "google"}
+    for hw in ("ibm", "google"):
+        assert sum(r["hardware"] == hw for r in rows) == 11
 
 
 def test_fig6_monotone_in_windows():
-    data = fig6_dd_fidelity(idle_periods_us=(1.6, 3.2), n_values=(5, 50))
-    for rows in data.values():
-        for row in rows:
-            assert row["active"] >= row["passive"]
+    rows = _rows("fig6", {"idle_periods_us": (1.6, 3.2), "n_values": (5, 50)})
+    for row in rows:
+        assert row["active"] >= row["passive"]
 
 
 def test_fig20_scaling_rows():
-    data = fig20_engine_scaling(patch_counts=(2, 10), repeats=20, rng=1)
-    assert [r["patches"] for r in data["timing"]] == [2, 10]
-    assert all(r["cpu_time_s"] > 0 for r in data["timing"])
-    assert len(data["max_concurrent_cnots"]) == 6
+    rows = _rows("fig20", {"patch_counts": (2, 10), "repeats": 20, "seed": 1})
+    timing = [r for r in rows if r["kind"] == "timing"]
+    assert [r["patches"] for r in timing] == [2, 10]
+    assert all(r["cpu_time_s"] > 0 for r in timing)
+    assert sum(r["kind"] == "max_concurrent_cnots" for r in rows) == 6
 
 
 def test_table5_rows_complete():
-    rows = table5_neutral_atom_rounds(taus_ms=(0.2, 1.0), eps_values_ms=(0.1, 0.4))
+    rows = _rows("table5", {"taus_ms": (0.2, 1.0), "eps_values_ms": (0.1, 0.4)})
     assert len(rows) == 4
     assert all(r["mean_extra_rounds"] is not None for r in rows)
 

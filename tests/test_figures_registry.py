@@ -18,7 +18,6 @@ Four layers:
 import importlib.util
 import inspect
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -53,11 +52,11 @@ _spec.loader.exec_module(validate_results)
 #: tiny sweep-backed configuration: d=2 at 120 shots decodes in milliseconds
 TINY = {"distances": (2,), "taus_ns": (500.0,), "shots": 120, "seed": 7}
 
-#: paper values pinned by benchmarks/test_fig10_extra_rounds.py
+#: paper values the fig10 spec's checks pin
 FIG10_PAPER = [None, 5, 11, 22, 26, 52, 34, 68]
 
 
-def _boom(params):
+def _boom(params, reports):
     raise AssertionError("builder must not run on a store-served rebuild")
 
 
@@ -76,6 +75,7 @@ def test_every_spec_is_registered_and_well_formed():
         assert spec.category in ("analytic", "sampled", "ler-sweep", "engine")
         assert spec.anchor and spec.title and spec.columns
         assert callable(spec.builder)
+        assert callable(spec.checks)
 
 
 def test_alias_resolution():
@@ -209,13 +209,9 @@ _WALL_CLOCK = ("stopwatch", "perf_counter", "process_time", "monotonic", "time.t
 
 
 def _rows_are_timings(spec) -> bool:
-    """Whether the builder, or a compute function it calls, reads a clock."""
-    from repro.experiments import figures as figs
-
+    """Whether the builder reads a clock."""
     source = inspect.getsource(spec.builder)
-    called = re.findall(r"figs\.(\w+)\(", source)
-    sources = [source] + [inspect.getsource(getattr(figs, name)) for name in called]
-    return any(token in text for text in sources for token in _WALL_CLOCK)
+    return any(token in source for token in _WALL_CLOCK)
 
 
 def test_specs_whose_rows_are_timings_are_uncacheable():
@@ -322,7 +318,7 @@ def test_cli_build_all_from_warm_store_decodes_nothing(tmp_path, capsys, monkeyp
     for name in names():
         spec = get(name)
         if name in rebuilt:
-            stub = lambda params, column=spec.columns[0]: [{column: 1}]
+            stub = lambda params, reports, column=spec.columns[0]: [{column: 1}]
             monkeypatch.setitem(FIGURE_BUILDERS, name, spec.with_builder(stub))
             continue
         params = spec.resolve_params({})

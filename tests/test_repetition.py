@@ -7,7 +7,7 @@ from repro.codes.repetition import repetition_experiment
 from repro.decoders import LookupTableDecoder, UnionFindDecoder, build_matching_graph
 from repro.stab import DemSampler, circuit_to_dem, simulate_circuit
 from repro.noise import NoiseModel
-from repro.experiments.figures import SHERBROOKE
+from repro.noise.hardware import SHERBROOKE
 
 
 @pytest.fixture

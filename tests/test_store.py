@@ -16,7 +16,6 @@ from repro.store import (
     default_store,
     point_key,
     point_payload,
-    set_default_store,
 )
 
 
@@ -99,17 +98,10 @@ def test_store_records_iteration_and_summary(tmp_path):
 
 
 def test_default_store_resolution(tmp_path, monkeypatch):
-    set_default_store(None)
     monkeypatch.delenv("REPRO_STORE_ROOT", raising=False)
     assert default_store() is None
     monkeypatch.setenv("REPRO_STORE_ROOT", str(tmp_path))
     assert default_store().root == Path(tmp_path)
-    explicit = ResultStore(tmp_path / "explicit")
-    set_default_store(explicit)
-    try:
-        assert default_store() is explicit
-    finally:
-        set_default_store(None)
 
 
 # ---------------------------------------------------------------------------

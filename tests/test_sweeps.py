@@ -1,5 +1,6 @@
 """Sweep orchestrator tests: resume determinism, adaptive stopping, warm
-workers, store read-through for figure sweeps, and per-point decode stats."""
+workers, one-point fixed-shot sweeps (the figure builders' point records),
+and per-point decode stats."""
 
 import dataclasses
 import json
@@ -9,19 +10,17 @@ import pytest
 
 from repro import obs
 from repro.core import make_policy
-from repro.experiments import figures
 from repro.experiments import ler as ler_module
 from repro.experiments.ler import SurgeryLerConfig, pipeline_payload
 from repro.experiments.parallel import reset_warm_state
 from repro.experiments.sweeps import (
     PolicySpec,
     SweepSpec,
-    ensure_point,
     point_record_estimates,
     run_sweep,
 )
 from repro.noise import GOOGLE
-from repro.store import ResultStore, set_default_store
+from repro.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -29,7 +28,6 @@ def _fresh_warm_state():
     reset_warm_state()
     yield
     reset_warm_state()
-    set_default_store(None)
 
 
 def _spec(**kwargs):
@@ -207,7 +205,7 @@ def test_not_applicable_policy_is_recorded_and_skipped(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# ensure_point + figure-function read-through
+# one-point fixed-shot sweeps (the figure builders' point records)
 # ---------------------------------------------------------------------------
 
 
@@ -217,53 +215,46 @@ def _config(policy="passive", tau=500.0):
     )
 
 
-def test_ensure_point_fixed_shot_mode(tmp_path):
+def _one_point(shots, seed, **kwargs):
+    """One point, one batch of ``shots`` shots (how figure specs sweep)."""
+    return _spec(seed=seed, batch_shots=shots, min_shots=shots, max_shots=shots, **kwargs)
+
+
+def test_one_point_sweep_fixed_shot_mode(tmp_path):
     store = ResultStore(tmp_path)
-    rec = ensure_point(store, _config(), "passive", (), seed=5, batch_shots=1500)
+    rec = run_sweep(_one_point(1500, seed=5), store, ledger=False).outcomes[0].record
     assert rec["shots"] == 1500
     assert rec["converged"] and rec["stop_reason"] == "max_shots"
-    again = ensure_point(store, _config(), "passive", (), seed=5, batch_shots=1500)
+    again = run_sweep(_one_point(1500, seed=5), store, ledger=False).outcomes[0].record
     assert again["failures"] == rec["failures"]
     assert len(store) == 1
 
 
-def test_sweep_policies_reads_through_store(tmp_path):
+def test_one_point_sweep_reads_through_store(tmp_path):
     store = ResultStore(tmp_path)
-    kwargs = dict(
-        policies=("passive",),
-        distances=(2,),
-        taus_ns=(500.0,),
-        shots=1000,
-        hardware=GOOGLE,
-        rng=13,
-    )
-    first = figures.sweep_policies(store=store, **kwargs)
+    first = run_sweep(_one_point(1000, seed=13), store, ledger=False)
     assert len(store) == 1
     analyses = ler_module.PIPELINE_ANALYSES
-    second = figures.sweep_policies(store=store, **kwargs)
+    second = run_sweep(_one_point(1000, seed=13), store, ledger=False)
     # second pass decoded nothing new: same numbers, no new analysis beyond
     # the cached pipeline, and the single stored record was reused
-    assert [e.successes for e in second[0].estimates] == [
-        e.successes for e in first[0].estimates
+    assert second.shots_decoded == 0
+    assert [e.successes for e in second.outcomes[0].estimates] == [
+        e.successes for e in first.outcomes[0].estimates
     ]
     assert len(store) == 1
     assert ler_module.PIPELINE_ANALYSES == analyses
-    assert first[0].plan  # plan summary survives the store round-trip
+    # plan summary survives the store round-trip
+    assert second.outcomes[0].record["plan_summary"]
 
 
-def test_sweep_policies_without_store_unchanged(tmp_path):
-    # no store active: a temporary store gives the same numbers a persistent
-    # one does, and a Generator rng is rejected (records are keyed by seed)
-    a = figures.sweep_policies(("passive",), (2,), (500.0,), 800, hardware=GOOGLE, rng=3)
-    set_default_store(ResultStore(tmp_path))
-    b = figures.sweep_policies(("passive",), (2,), (500.0,), 800, hardware=GOOGLE, rng=3)
-    set_default_store(None)
-    assert [e.successes for e in a[0].estimates] == [e.successes for e in b[0].estimates]
-    with pytest.raises(TypeError, match="int seed"):
-        figures.sweep_policies(
-            ("passive",), (2,), (500.0,), 800, hardware=GOOGLE,
-            rng=np.random.default_rng(3),
-        )
+def test_one_point_sweep_same_numbers_in_any_store(tmp_path):
+    # a throwaway store gives the same numbers a persistent one does
+    a = run_sweep(_one_point(800, seed=3), ResultStore(tmp_path / "a"), ledger=False)
+    b = run_sweep(_one_point(800, seed=3), ResultStore(tmp_path / "b"), ledger=False)
+    assert [e.successes for e in a.outcomes[0].estimates] == [
+        e.successes for e in b.outcomes[0].estimates
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +336,14 @@ def test_decode_counters_match_across_worker_counts(tmp_path):
 def test_family_caches_are_isolated_per_decoder(tmp_path):
     # same configuration decoded with two decoders in one process: the
     # per-family warm pipeline must not leak one decoder's masks into the other
-    cfg = SurgeryLerConfig(
-        distance=2, hardware=GOOGLE, policy_name="passive", tau_ns=500.0, p=5e-3
-    )
-    ensure_point(ResultStore(tmp_path / "uf"), cfg, "passive", (), seed=9,
-                 batch_shots=1000, decoder="unionfind")
-    tainted = ensure_point(ResultStore(tmp_path / "mwpm"), cfg, "passive", (),
-                           seed=9, batch_shots=1000, decoder="mwpm")
+    def record(store_dir, decoder):
+        spec = _one_point(1000, seed=9, p=5e-3, decoder=decoder)
+        return run_sweep(spec, ResultStore(tmp_path / store_dir), ledger=False).outcomes[0].record
+
+    record("uf", "unionfind")
+    tainted = record("mwpm", "mwpm")
     reset_warm_state()  # a fresh process cannot see the unionfind run
-    clean = ensure_point(ResultStore(tmp_path / "mwpm2"), cfg, "passive", (),
-                         seed=9, batch_shots=1000, decoder="mwpm")
+    clean = record("mwpm2", "mwpm")
     assert tainted["failures"] == clean["failures"]
 
 
