@@ -1,4 +1,4 @@
-"""Sweep orchestration microbenchmark: resume reuse + warm-worker handoff.
+"""Sweep orchestration microbenchmark: resume reuse + one analysis per point.
 
 Quantifies the two wins of the store-backed orchestrator
 (:mod:`repro.experiments.sweeps`):
@@ -7,29 +7,28 @@ Quantifies the two wins of the store-backed orchestrator
   zero new shots and answers in a small fraction of the cold wall time; an
   interrupted sweep resumed from its checkpoint reproduces the uninterrupted
   numbers bit-for-bit while paying only for the missing batches.
-* **Warm hand-off** — a pooled sweep hands its workers a serialized DEM
-  (:class:`~repro.experiments.ler.PipelinePayload`), which keeps the
-  expensive circuit analysis in the coordinator: one point decoded as
-  several batches on a 2-process pool costs one analysis in the
-  coordinator and none in the workers.
+* **One analysis** — every batch task carries the coordinator's analyzed
+  pipeline: one point decoded as several batches on 2 decode threads
+  costs exactly one circuit analysis.
 
-Writes ``benchmarks/results/sweep_resume.json``.  Scaling knobs:
-``REPRO_SWEEP_BENCH_SHOTS`` (per batch, default 4000) and
-``REPRO_SWEEP_BENCH_BATCHES`` (default 4).
+Writes ``benchmarks/results/sweep_resume.json`` for :data:`BATCHES`
+batches of :data:`BATCH_SHOTS` shots per point.
 """
 
 import dataclasses
-import os
 import time
 
 from repro.experiments.ler import clear_pipeline_cache
-from repro.experiments.parallel import reset_warm_state
 from repro.experiments.sweeps import PolicySpec, SweepSpec, run_sweep
 from repro.figures.bench import record, run_once
 from repro.noise import GOOGLE
 from repro.store import ResultStore
 
 SEED = 2025
+#: shots per batch
+BATCH_SHOTS = 4000
+#: batches per point
+BATCHES = 4
 
 
 def _spec(batch_shots: int, batches: int) -> SweepSpec:
@@ -52,7 +51,6 @@ def _bench(batch_shots: int, batches: int, tmp_root) -> dict:
     n_points = len(spec.points())
 
     # cold end-to-end run
-    reset_warm_state()
     clear_pipeline_cache()
     store = ResultStore(tmp_root / "full")
     t0 = time.perf_counter()
@@ -68,7 +66,6 @@ def _bench(batch_shots: int, batches: int, tmp_root) -> dict:
 
     # interrupt after 1/4 of the batches, then resume
     istore = ResultStore(tmp_root / "interrupted")
-    reset_warm_state()
     interrupted = run_sweep(spec, istore, batch_limit=n_points * batches // 4)
     t0 = time.perf_counter()
     resumed = run_sweep(spec, istore, resume=True)
@@ -78,24 +75,23 @@ def _bench(batch_shots: int, batches: int, tmp_root) -> dict:
         assert outcome.record["failures"] == ref[outcome.key]["failures"]
         assert outcome.record["shots"] == ref[outcome.key]["shots"]
 
-    # warm hand-off: one point, several batches, a 2-process pool
+    # one point, several batches, 2 decode threads
     workers = 2
     one_point = dataclasses.replace(
         spec, taus_ns=spec.taus_ns[:1], policies=spec.policies[:1]
     )
-    reset_warm_state()
     clear_pipeline_cache()
     t0 = time.perf_counter()
-    handoff = run_sweep(one_point, ResultStore(tmp_root / "handoff"), workers=workers)
-    handoff_s = time.perf_counter() - t0
-    assert handoff.batches_decoded == batches
+    threaded = run_sweep(one_point, ResultStore(tmp_root / "threads"), workers=workers)
+    threaded_s = time.perf_counter() - t0
+    assert threaded.batches_decoded == batches
 
     return {
         "config": {
             "points": n_points,
             "batch_shots": batch_shots,
             "batches_per_point": batches,
-            "handoff_workers": workers,
+            "threads": workers,
         },
         "cold_sweep_seconds": cold_s,
         "store_rerun_seconds": rerun_s,
@@ -103,30 +99,24 @@ def _bench(batch_shots: int, batches: int, tmp_root) -> dict:
         "interrupted_shots": interrupted.shots_decoded,
         "resume_seconds": resume_s,
         "resume_shots": resumed.shots_decoded,
-        "handoff_seconds": handoff_s,
-        "handoff_parent_analyses": handoff.analyses_parent,
-        "handoff_worker_analyses": handoff.analyses_workers,
+        "threads_seconds": threaded_s,
+        "threads_analyses": threaded.analyses_parent,
     }
 
 
 def test_sweep_resume_and_warm_handoff(benchmark, tmp_path):
-    batch_shots = int(os.environ.get("REPRO_SWEEP_BENCH_SHOTS", 4000))
-    batches = int(os.environ.get("REPRO_SWEEP_BENCH_BATCHES", 4))
-    row = run_once(benchmark, _bench, batch_shots, batches, tmp_path)
+    row = run_once(benchmark, _bench, BATCH_SHOTS, BATCHES, tmp_path)
     print(
         f"\ncold sweep {row['cold_sweep_seconds']:.2f}s   "
         f"store re-run {row['store_rerun_seconds']:.3f}s "
         f"({row['rerun_speedup']:.0f}x)   "
         f"resume after interrupt {row['resume_seconds']:.2f}s   "
-        f"warm hand-off x{row['config']['handoff_workers']} workers "
-        f"{row['handoff_seconds']:.2f}s, analyses "
-        f"parent={row['handoff_parent_analyses']} "
-        f"workers={row['handoff_worker_analyses']}"
+        f"one point on {row['config']['threads']} decode threads "
+        f"{row['threads_seconds']:.2f}s, analyses={row['threads_analyses']}"
     )
     record("sweep_resume", row)
 
     # the acceptance bar: re-running a finished sweep is essentially free,
-    # and pool workers never re-analyze a configuration they were handed
+    # and a point decoded on several threads is analyzed exactly once
     assert row["store_rerun_seconds"] < row["cold_sweep_seconds"]
-    assert row["handoff_worker_analyses"] == 0
-    assert row["handoff_parent_analyses"] == 1
+    assert row["threads_analyses"] == 1

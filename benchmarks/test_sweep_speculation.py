@@ -1,11 +1,11 @@
-"""Sweep scheduler microbenchmark: inline executor vs a speculative pool.
+"""Sweep scheduler microbenchmark: inline executor vs speculative threads.
 
 Every sweep runs through one scheduler
 (:func:`repro.experiments.sweeps.run_sweep`).  The baseline is the inline
-run — ``run_sweep(spec, store)``: one process, one batch in flight, zero
-IPC.  The measured run keeps a warm pool of ``workers`` processes
-saturated: points interleave, and up to ``depth`` batches per point decode
-while the stopping rule is still evaluating earlier ones.
+run — ``run_sweep(spec, store)``: one thread, one batch in flight.  The
+measured run keeps a pool of ``workers`` decode threads saturated: points
+interleave, and up to ``depth`` batches per point decode while the
+stopping rule is still evaluating earlier ones.
 
 This benchmark runs the same >= 4-point adaptive (``target_rse``) sweep
 both ways, asserts the stored records are bit-identical (the scheduler
@@ -16,12 +16,8 @@ Timing *ratios are recorded, never asserted* — machine variance is ~±15%
 and CI runners are noisy; the hard gate is parity, the numbers are for the
 humans reading the results directory (docs/CI.md explains the policy).
 
-On hosts without real parallelism the worker default drops to 1, which
+On hosts without real parallelism :data:`WORKERS` drops to 1, which
 selects the inline executor for the speculative run as well.
-
-Scaling knobs: ``REPRO_SPEC_BENCH_SHOTS`` (per batch, default 2000),
-``REPRO_SPEC_BENCH_WORKERS`` (default ``min(4, cpu_count)``) and
-``REPRO_SPEC_BENCH_DEPTH`` (speculation depth, default 4).
 """
 
 import os
@@ -31,7 +27,6 @@ import pytest
 
 from repro import obs
 from repro.experiments.ler import clear_pipeline_cache
-from repro.experiments.parallel import reset_warm_state
 from repro.experiments.sweeps import (
     PolicySpec,
     SweepSpec,
@@ -45,11 +40,18 @@ from repro.store import ResultStore
 pytestmark = pytest.mark.slow
 
 SEED = 2025
+#: shots per batch
+BATCH_SHOTS = 2000
+#: decode threads of the speculative run: a pool cannot win on a single
+#: core, so one core selects the inline executor
+WORKERS = min(4, os.cpu_count() or 1)
+#: speculation depth of the speculative run
+DEPTH = 4
 
 
 def _spec(batch_shots: int) -> SweepSpec:
-    # d=5 batches are decode-bound (dispatch/pickle overhead is negligible
-    # against them), and the d=3/d=5 mix makes point runtimes uneven — which
+    # d=5 batches are decode-bound (dispatch overhead is negligible against
+    # them), and the d=3/d=5 mix makes point runtimes uneven — which
     # is exactly where interleaving points pays off
     return SweepSpec(
         name="speculation-bench",
@@ -67,7 +69,6 @@ def _spec(batch_shots: int) -> SweepSpec:
 
 
 def _timed_sweep(spec, store, **kwargs):
-    reset_warm_state()
     clear_pipeline_cache()
     t0 = time.perf_counter()
     report = run_sweep(spec, store, **kwargs)
@@ -82,7 +83,7 @@ def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
     serial, serial_s = _timed_sweep(spec, ResultStore(tmp_root / "serial"))
     # the speculative run records obs spans (no trace/metrics files — just
     # the in-memory recorder) so the result row can say where the time went:
-    # dispatch vs apply vs pool idle (docs/OBSERVABILITY.md).  Tracing is
+    # dispatch vs apply vs idle (docs/OBSERVABILITY.md).  Tracing is
     # bit-neutral, so the parity gate below still compares against the
     # untraced inline reference.
     obs.configure()
@@ -107,8 +108,8 @@ def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
             "target_rse": spec.target_rse,
             "workers": workers,
             "speculate_depth": depth,
-            "executor": "inline" if workers <= 1 else "pool",
-            # pools cannot beat the inline run on a single core; readers
+            "executor": "inline" if workers <= 1 else "threads",
+            # threads cannot beat the inline run on a single core; readers
             # need this to interpret the recorded ratio
             "cpu_count": os.cpu_count(),
         },
@@ -127,14 +128,7 @@ def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
 
 
 def test_speculative_scheduler_throughput(benchmark, tmp_path):
-    batch_shots = int(os.environ.get("REPRO_SPEC_BENCH_SHOTS", 2000))
-    # a pool cannot win on a single core — default to the inline executor
-    # there, and to a small pool when the host actually has cores
-    workers = int(
-        os.environ.get("REPRO_SPEC_BENCH_WORKERS", min(4, os.cpu_count() or 1))
-    )
-    depth = int(os.environ.get("REPRO_SPEC_BENCH_DEPTH", 4))
-    row = run_once(benchmark, _bench, batch_shots, workers, depth, tmp_path)
+    row = run_once(benchmark, _bench, BATCH_SHOTS, WORKERS, DEPTH, tmp_path)
     print(
         f"\ninline {row['serial_seconds']:.2f}s   "
         f"x{row['config']['workers']} workers speculative depth "

@@ -48,9 +48,10 @@ python scripts/validate_results.py --trace "$OBS_TMP/t.json" --metrics "$OBS_TMP
 python -m repro.cli trace summarize "$OBS_TMP/t.json" > /dev/null
 python -m repro.cli metrics summarize "$OBS_TMP/m.json" > /dev/null
 echo "obs smoke: trace/metrics summarize + schema validation ok"
-# run-ledger smoke (docs/OBSERVABILITY.md): a tiny real sweep writes a run
-# manifest + event log into the store; the runs CLI, the live watcher and
-# the schema validator must all read it back
+# run-ledger smoke (docs/OBSERVABILITY.md): a tiny real sweep on 2 decode
+# threads writes a run manifest + event log into the store; the runs CLI,
+# the live watcher and the schema validator must all read it back, and the
+# validator checks every decoded batch names a repro-decode thread
 python - "$OBS_TMP" <<'EOF'
 import sys
 from repro.experiments.sweeps import PolicySpec, SweepSpec, run_sweep
@@ -70,7 +71,7 @@ spec = SweepSpec(
     max_shots=400,
     target_rse=0.5,
 )
-run_sweep(spec, store=ResultStore(f"{sys.argv[1]}/store"))
+run_sweep(spec, store=ResultStore(f"{sys.argv[1]}/store"), workers=2, speculate=2)
 EOF
 RUN_ID="$(python -m repro.cli runs list --store "$OBS_TMP/store" --format json \
   | python -c 'import json,sys; print(json.load(sys.stdin)[0]["run_id"])')"

@@ -83,7 +83,7 @@ REQUIRED_KEYS = {
 #: schema tags the repro.obs exporters stamp into their artifacts
 TRACE_SCHEMA = "repro.obs.trace/v1"
 METRICS_SCHEMA = "repro.obs.metrics/v1"
-RUN_SCHEMA = "repro.obs.run/v1"
+RUN_SCHEMA = "repro.obs.run/v2"
 HISTORY_SCHEMA = "repro.bench.history/v1"
 
 #: schema tags of the figure-registry export layer (repro/figures/export.py)
@@ -92,6 +92,9 @@ VEGA_LITE_SCHEMA = "https://vega.github.io/schema/vega-lite/v5.json"
 
 #: required provenance keys in a figure document's meta block
 FIGURE_META_KEYS = {"python", "platform", "cpu_count", "store_salt", "recorded_at"}
+
+#: name prefix of a sweep's decode threads (repro/experiments/parallel.py)
+DECODE_THREAD_PREFIX = "repro-decode"
 
 #: event names a run ledger may contain (repro/obs/ledger.py)
 LEDGER_EVENTS = {
@@ -199,11 +202,15 @@ def validate_metrics_file(path: Path) -> list[str]:
 
 
 def validate_ledger_file(rundir: Path) -> list[str]:
-    """All problems with one ``repro.obs.run/v1`` run-ledger directory.
+    """All problems with one ``repro.obs.run/v2`` run-ledger directory.
 
     A crashed run leaves a manifest with ``status: "running"`` and possibly a
     torn final event line; both are tolerated (the ledger is append-only and
     readers skip the truncated tail), so only structural damage fails.
+    Batch provenance is checked against the manifest's ``workers``: a
+    decoded or overshot batch names the thread that decoded it — one of
+    the ``repro-decode`` pool threads when ``workers > 1``, the calling
+    thread otherwise — and a replayed batch names none.
     """
     problems: list[str] = []
     manifest_path = rundir / "manifest.json"
@@ -254,11 +261,29 @@ def validate_ledger_file(rundir: Path) -> list[str]:
             problems.append(f"events line {i + 1} has unknown event {event['ev']!r}")
         if parsed == 0 and event["ev"] != "run_start":
             problems.append(f"first event is {event['ev']!r}, expected 'run_start'")
+        if event["ev"] == "batch":
+            problems += _batch_provenance_problems(event, manifest.get("workers"), i)
         _walk_finite(event, f"$.events[{i}]", problems)
         parsed += 1
     if parsed == 0:
         problems.append("events.jsonl has no parseable events")
     return problems
+
+
+def _batch_provenance_problems(event: dict, workers, i: int) -> list[str]:
+    """Problems with the ``worker`` provenance of one ledger batch event."""
+    worker = event.get("worker")
+    where = f"events line {i + 1}"
+    if event.get("kind") == "replayed":
+        return [] if worker is None else [f"{where}: replayed batch names worker {worker!r}"]
+    if not isinstance(worker, str) or not worker:
+        return [f"{where}: {event.get('kind')} batch has no worker thread name"]
+    pooled = isinstance(workers, int) and workers > 1
+    if pooled != worker.startswith(DECODE_THREAD_PREFIX):
+        return [
+            f"{where}: batch decoded by {worker!r}, but the run has workers={workers!r}"
+        ]
+    return []
 
 
 def validate_history_file(path: Path) -> list[str]:

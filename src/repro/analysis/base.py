@@ -65,7 +65,7 @@ DEFAULT_CONFIG: dict = {
     # kernel-backend registry module for the registry-contract rule
     "backends_module": "src/repro/decoders/kernels/backends.py",
     # worker-side entry points; functions reachable from these must not
-    # rebind module globals (race surface across pool workers)
+    # rebind module globals (a data race between decode threads)
     "worker_modules": [
         "src/repro/experiments/parallel.py",
         "src/repro/experiments/ler.py",

@@ -221,17 +221,17 @@ class ContractBackendRegistry(Rule):
 class ContractWorkerGlobals(Rule):
     """Worker-side functions must not rebind module globals.
 
-    Functions reachable from the pool entry point (``worker_seeds`` in
-    the lint config, by default ``submit_task``, which reaches the task
-    runner and the payload install it triggers) execute inside every pool
-    worker *and* in the coordinator on the inline executor;
-    a ``global`` rebind there is per-process state that silently diverges
-    between the two, the classic source of "works serial, drifts pooled"
-    bugs.  Reachability is a lightweight module-local call graph over the
-    configured worker modules: named calls, names passed as arguments
-    (``pool.submit(_run_task, ...)``), and methods of classes the
-    reachable code instantiates.  Intentional per-process counters are
-    acknowledged with ``# lint: ok[contract-worker-globals] reason``.
+    Functions reachable from the task entry point (``worker_seeds`` in the
+    lint config, by default ``submit_task``, which reaches the task runner
+    and ``run_surgery_ler`` below it) run on every decode thread of a sweep
+    at once; a ``global`` rebind there is a data race between those threads
+    (an unlocked read-modify-write of shared module state), the classic
+    source of "works serial, drifts threaded" bugs.  Reachability is a
+    lightweight module-local call graph over the configured worker modules:
+    named calls, names passed as arguments (``pool.submit(_run_task,
+    ...)``), and methods of classes the reachable code instantiates.
+    A rebind that only the coordinator can execute is acknowledged with
+    ``# lint: ok[contract-worker-globals] reason``.
     """
 
     name = "contract-worker-globals"
@@ -298,10 +298,10 @@ class ContractWorkerGlobals(Rule):
                             ctx, relpath, sub,
                             f"{fn.name}() runs worker-side (reachable from "
                             f"{'/'.join(ctx.config['worker_seeds'])}) and rebinds "
-                            f"module global(s) {', '.join(sub.names)}; per-process "
-                            "mutation diverges between pool workers and the "
-                            "coordinator — return the value, or acknowledge a deliberate "
-                            "per-process counter with a pragma",
+                            f"module global(s) {', '.join(sub.names)}; decode threads "
+                            "run it concurrently, so the rebind is a data race — "
+                            "return the value, or acknowledge a rebind only the "
+                            "coordinator executes with a pragma",
                         )
                     )
         return findings

@@ -301,20 +301,15 @@ def _sweep_run(args) -> int:
         return 0
     # observability: --trace/--metrics-out activate the repro.obs recorder
     # for this run (docs/OBSERVABILITY.md); the env knobs are the flagless
-    # spelling and how spawn-started pool workers self-activate.  Tracing
-    # never changes predictions or stored records (tested bit-identity).
+    # spelling.  Decode threads share the one recorder.  Tracing never
+    # changes predictions or stored records (tested bit-identity).
     trace_path = args.trace or os.environ.get("REPRO_TRACE") or None
     metrics_path = args.metrics_out or os.environ.get("REPRO_METRICS") or None
     tracing = bool(trace_path or metrics_path)
-    saved_env = {k: os.environ.get(k) for k in ("REPRO_TRACE", "REPRO_METRICS")}
     if tracing:
         from . import obs
 
         obs.configure(trace_path=trace_path, metrics_path=metrics_path)
-        if trace_path:
-            os.environ["REPRO_TRACE"] = str(trace_path)
-        if metrics_path:
-            os.environ["REPRO_METRICS"] = str(metrics_path)
     try:
         report = run_sweep(
             spec,
@@ -357,11 +352,6 @@ def _sweep_run(args) -> int:
     finally:
         if tracing:
             obs.reset()
-            for k, v in saved_env.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
 
 
 def _sweep_status(args) -> int:
@@ -808,9 +798,9 @@ def main(argv=None) -> int:
     )
     sweep_run.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="decode batches on a warm pool of N processes; 0 or 1 decodes"
-        " in-process through the zero-IPC inline executor.  Results are"
-        " bit-identical for any N",
+        help="decode batches on a pool of N threads (the C kernel releases"
+        " the GIL); 0 or 1 decodes on the calling thread through the inline"
+        " executor.  Results are bit-identical for any N",
     )
     sweep_run.add_argument(
         "--speculate",
@@ -1116,7 +1106,7 @@ def main(argv=None) -> int:
         " a string); repeatable",
     )
     figures_build.add_argument(
-        "--workers", type=int, default=1, help="decode workers for store pre-warm"
+        "--workers", type=int, default=1, help="decode threads for store pre-warm"
     )
     figures_build.add_argument(
         "--speculate", type=int, default=0, help="speculative batch depth for pre-warm"

@@ -280,6 +280,6 @@ def policy_fields(policy: _BasePolicy) -> tuple:
     """Sorted ``(name, value)`` pairs of a policy's public constructor fields.
 
     The single source of truth for round-tripping a policy instance through
-    :func:`make_policy` (worker handoff) and for stable cache keys.
+    :func:`make_policy` (sweep tasks) and for stable cache keys.
     """
     return tuple(sorted((k, v) for k, v in vars(policy).items() if not k.startswith("_")))

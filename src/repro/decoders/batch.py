@@ -17,9 +17,11 @@ an empty or tiny syndrome, so a 100k-shot batch contains only a few thousand
   the masks with :func:`expand_obs_masks`.
 * :class:`BatchDecodingEngine` — wraps a decoder with a dedup policy and
   tracks throughput statistics (:class:`BatchDecodeStats`): shots, distinct
-  syndromes, decode calls and wall-clock decode time.  There is no memo
-  across batches: each batch decodes its own distinct rows, so the counters
-  depend only on the sampled shots.
+  syndromes, decode calls and wall-clock decode time, plus the decoder's
+  own counters for this engine's calls (``decoder_stats``, e.g. the
+  predecoder's offload statistics).  There is no memo across batches: each
+  batch decodes its own distinct rows, so the counters depend only on the
+  sampled shots.
 * decode-kernel **backends** (:mod:`repro.decoders.kernels`) — the distinct-
   syndrome matrix is decoded through a pluggable backend: ``python`` runs
   the scalar per-syndrome pass, ``numpy`` binds whole-matrix kernels for
@@ -40,6 +42,7 @@ duplicate multiplicity (e.g. the predecoder's offload statistics) overrides
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,8 +278,13 @@ def decode_words(
 class BatchDecodingEngine:
     """A decoder plus dedup policy and statistics.
 
-    The streaming LER pipeline creates one engine per configuration and feeds
-    it every sampled batch; the statistics accumulate across batches.
+    The streaming LER pipeline creates one engine per run and feeds it every
+    sampled batch; the statistics accumulate across batches.  A decoder
+    that keeps statistics of its own (``stats`` plus a ``stats_into(sink)``
+    context, as :class:`~repro.decoders.predecoder.PredecodedDecoder` does)
+    counts this engine's calls into :attr:`decoder_stats`, not into the
+    decoder — so engines on different threads sharing one cached decoder
+    each see exactly their own shots.
     """
 
     def __init__(
@@ -291,10 +299,20 @@ class BatchDecodingEngine:
         #: decode-kernel backend name (None: REPRO_DECODE_BACKEND, then auto)
         self.backend = backend
         self.stats = BatchDecodeStats()
+        #: the decoder's own counters for this engine's calls (a zeroed
+        #: instance of the decoder's ``stats`` type), or None
+        self.decoder_stats = (
+            type(decoder.stats)() if hasattr(decoder, "stats_into") else None
+        )
 
     def decode_words(self, words: np.ndarray) -> np.ndarray:
         """Decode one packed batch to per-shot observable masks, updating statistics."""
-        with obs.stopwatch() as sw:
+        tally = (
+            nullcontext()
+            if self.decoder_stats is None
+            else self.decoder.stats_into(self.decoder_stats)
+        )
+        with obs.stopwatch() as sw, tally:
             out = decode_words(
                 self.decoder,
                 words,

@@ -150,8 +150,10 @@ class BatchedMWPM(_BoundKernel):
     Stateful across calls by design: the per-node ``(dist, pred)`` rows are
     a pure function of the matching graph, so the cache (bounded by the
     node count) keeps paying across batches of a streaming run.  Unlike the
-    scalar decoder this kernel holds no per-call scratch, so concurrent use
-    is safe apart from benign duplicated Dijkstra work.
+    scalar decoder this kernel holds no per-call scratch, so decode threads
+    may share it: two threads missing the same node both compute the same
+    row and store it with one atomic dict assignment, and entries are never
+    removed, so a duplicate build costs time but never a wrong table.
     """
 
     def __init__(self, decoder):

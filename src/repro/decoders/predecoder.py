@@ -13,6 +13,8 @@ how much of the syndrome the predecoder absorbed.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +67,10 @@ class Predecoder:
             if u == self._boundary and graph.edge_weight[e] < best[v]:
                 best[v] = graph.edge_weight[e]
                 self._boundary_edge[v] = e
+        # built lazily by the first batched pass; two decode threads racing
+        # here both build the same tables from the immutable graph, and the
+        # one attribute store that publishes them is atomic, so a duplicate
+        # build costs time but never a wrong or half-built table
         self._batch_tables = None
 
     def neighbours(self, node: int, defect_set: set[int]) -> list[tuple[int, int]]:
@@ -224,6 +230,10 @@ class PredecodedDecoder(Decoder):
     ``decode_batch`` is inherited from :class:`~repro.decoders.batch.Decoder`;
     the offload statistics stay exact under syndrome dedup because each
     distinct syndrome's contribution is weighted by its shot multiplicity.
+    They accumulate in :attr:`stats`, unless the calling thread routed them
+    into a sink of its own with :meth:`stats_into` — which is how a
+    :class:`~repro.decoders.batch.BatchDecodingEngine` counts only its own
+    calls on a decoder that several decode threads share.
     """
 
     def __init__(self, graph: MatchingGraph, slow_decoder):
@@ -231,6 +241,22 @@ class PredecodedDecoder(Decoder):
         self.predecoder = Predecoder(graph)
         self.slow = slow_decoder
         self.stats = PredecodeStats()
+        self._sinks = threading.local()
+
+    @contextmanager
+    def stats_into(self, sink: PredecodeStats):
+        """Count this thread's decodes inside the block into ``sink`` only."""
+        outer = getattr(self._sinks, "sink", None)
+        self._sinks.sink = sink
+        try:
+            yield sink
+        finally:
+            self._sinks.sink = outer
+
+    def _tally(self) -> PredecodeStats:
+        """Where this thread's offload statistics go right now."""
+        sink = getattr(self._sinks, "sink", None)
+        return self.stats if sink is None else sink
 
     def decode(self, detectors: np.ndarray) -> int:
         """Decode one detector bitstring into an observable-flip bitmask."""
@@ -238,13 +264,14 @@ class PredecodedDecoder(Decoder):
 
     def _decode_one(self, detectors: np.ndarray, multiplicity: int = 1) -> int:
         residual, mask, removed = self.predecoder.apply(detectors)
-        self.stats.shots += multiplicity
-        self.stats.defects_total += int(detectors.sum()) * multiplicity
-        self.stats.defects_removed += removed * multiplicity
+        tally = self._tally()
+        tally.shots += multiplicity
+        tally.defects_total += int(detectors.sum()) * multiplicity
+        tally.defects_removed += removed * multiplicity
         if residual.any():
             mask ^= self.slow.decode(residual)
         else:
-            self.stats.fully_predecoded_shots += multiplicity
+            tally.fully_predecoded_shots += multiplicity
         return mask
 
     def _accumulate_batch_stats(
@@ -257,10 +284,11 @@ class PredecodedDecoder(Decoder):
         (:class:`~repro.decoders.kernels.BatchedPredecode`) so
         :class:`PredecodeStats` stays scalar-identical under every path.
         """
-        self.stats.shots += int(mult.sum())
-        self.stats.defects_total += int((rows.sum(axis=1, dtype=np.int64) * mult).sum())
-        self.stats.defects_removed += int((removed * mult).sum())
-        self.stats.fully_predecoded_shots += int(mult[~leftover].sum())
+        tally = self._tally()
+        tally.shots += int(mult.sum())
+        tally.defects_total += int((rows.sum(axis=1, dtype=np.int64) * mult).sum())
+        tally.defects_removed += int((removed * mult).sum())
+        tally.fully_predecoded_shots += int(mult[~leftover].sum())
 
     def _decode_rows(self, rows: np.ndarray, counts) -> np.ndarray:
         """Vectorized dedup path: one local pass over every distinct syndrome.

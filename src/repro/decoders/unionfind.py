@@ -13,6 +13,8 @@ XOR-ed into the prediction.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .batch import Decoder
@@ -21,17 +23,33 @@ from .graph import MatchingGraph
 __all__ = ["UnionFindDecoder"]
 
 
+class _Scratch:
+    """One thread's reusable union-find state over ``n`` graph nodes."""
+
+    __slots__ = ("parent", "rank", "parity", "bnd", "members", "in_use")
+
+    def __init__(self, n: int):
+        # reset to this pristine shape after every decode (cheaper than
+        # rebuilding dicts per shot)
+        self.parent = list(range(n))
+        self.rank = [0] * n
+        self.parity = [0] * n
+        self.bnd = [False] * n
+        self.members: list = [None] * n
+        self.in_use = False
+
+
 class UnionFindDecoder(Decoder):
     """Decodes detector bitstrings into observable-flip predictions.
 
-    Not reentrant: each instance reuses per-node scratch state between
-    ``decode`` calls (reset after every call), so share one instance per
-    process/thread — the multiprocess sweep runner already does this; do not
-    call the same instance from multiple threads concurrently, and do not
-    recurse into ``decode`` from a subclass hook while a decode is running.
-    Reentrant calls would silently corrupt the shared scratch lists and
-    produce wrong corrections, so :meth:`_decode_defects` guards against
-    them and raises ``RuntimeError`` instead.
+    Each thread reuses its own per-node scratch state between ``decode``
+    calls (reset after every call, built on the thread's first decode), so
+    one instance may serve several threads at once — a sweep's decode
+    threads share the pipeline's cached decoder.  It is not reentrant on
+    one thread: recursing into ``decode`` from a subclass hook while a
+    decode is running would silently corrupt the scratch lists and produce
+    wrong corrections, so :meth:`_decode_defects` guards against it and
+    raises ``RuntimeError`` instead.
     """
 
     def __init__(self, graph: MatchingGraph, *, weight_resolution: int = 16):
@@ -49,15 +67,8 @@ class UnionFindDecoder(Decoder):
         self._eu = graph.edge_u.tolist()
         self._ev = graph.edge_v.tolist()
         self._eobs = [int(m) for m in graph.edge_obs]
-        # reusable union-find scratch state, reset to this pristine shape
-        # after every decode (cheaper than rebuilding dicts per shot)
-        n = graph.num_detectors + 1
-        self._parent = list(range(n))
-        self._rank = [0] * n
-        self._parity = [0] * n
-        self._bnd = [False] * n
-        self._members: list = [None] * n
-        self._in_use = False
+        #: per-thread :class:`_Scratch` (attribute ``s``)
+        self._local = threading.local()
 
     # -- public API ----------------------------------------------------------
 
@@ -79,21 +90,25 @@ class UnionFindDecoder(Decoder):
     # -- core ------------------------------------------------------------------
 
     def _decode_defects(self, defects: list[int]) -> int:
-        # union-find over reusable per-node scratch lists; `touched` records
-        # every node whose state left the pristine shape so the finally-block
-        # can restore it in O(touched) instead of reallocating
-        if self._in_use:
+        # union-find over this thread's reusable per-node scratch lists;
+        # `touched` records every node whose state left the pristine shape so
+        # the finally-block can restore it in O(touched) instead of
+        # reallocating
+        scratch = getattr(self._local, "s", None)
+        if scratch is None:
+            scratch = self._local.s = _Scratch(self.graph.num_detectors + 1)
+        if scratch.in_use:
             raise RuntimeError(
-                "UnionFindDecoder is not reentrant: its per-node scratch state "
-                "is shared between decode calls; use one instance per "
-                "process/thread (see the class docstring)"
+                "UnionFindDecoder is not reentrant: a decode is already "
+                "running on this thread's scratch state (see the class "
+                "docstring)"
             )
-        self._in_use = True
-        parent = self._parent
-        rank = self._rank
-        parity = self._parity
-        touches_boundary = self._bnd
-        members = self._members
+        scratch.in_use = True
+        parent = scratch.parent
+        rank = scratch.rank
+        parity = scratch.parity
+        touches_boundary = scratch.bnd
+        members = scratch.members
         boundary = self._boundary
         touched: list[int] = []
         growth: dict[int, int] = {}
@@ -197,7 +212,7 @@ class UnionFindDecoder(Decoder):
                 parity[a] = 0
                 touches_boundary[a] = False
                 members[a] = None
-            self._in_use = False
+            scratch.in_use = False
 
     def _peel(self, defects: list[int], solid: set[int]) -> int:
         """Peel a spanning forest of the solid subgraph; boundary is a sink.

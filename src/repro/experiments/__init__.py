@@ -6,9 +6,7 @@ The paper's figures and tables are built from these by the figure registry
 
 from .ler import (
     LerResult,
-    PipelinePayload,
     SurgeryLerConfig,
-    pipeline_payload,
     prepared_pipeline,
     run_surgery_ler,
 )
@@ -18,9 +16,7 @@ from .sweeps import PolicySpec, SweepReport, SweepSpec, run_sweep
 
 __all__ = [
     "LerResult",
-    "PipelinePayload",
     "SurgeryLerConfig",
-    "pipeline_payload",
     "prepared_pipeline",
     "run_surgery_ler",
     "SweepTask",

@@ -40,10 +40,8 @@ from .stats import RateEstimate
 __all__ = [
     "SurgeryLerConfig",
     "LerResult",
-    "PipelinePayload",
     "run_surgery_ler",
     "prepared_pipeline",
-    "pipeline_payload",
     "pipeline_analysis_count",
     "clear_pipeline_cache",
     "DECODE_DEFAULTS",
@@ -57,9 +55,10 @@ __all__ = [
 _PIPELINE_CACHE: "OrderedDict[tuple, _Pipeline]" = OrderedDict()
 
 #: process-wide count of full circuit analyses (surgery synthesis + DEM
-#: extraction) performed by this process.  Pool workers report the delta per
-#: task so orchestration layers can verify that warm pipeline handoffs
-#: actually avoid re-analysis (see ``benchmarks/test_sweep_resume.py``).
+#: extraction) performed by this process.  The sweep scheduler reads it
+#: around its own (coordinator-side) analyses, so a report can show that a
+#: point was analyzed once however many threads decoded it (see
+#: ``benchmarks/test_sweep_resume.py``).
 PIPELINE_ANALYSES: int = 0
 
 
@@ -78,7 +77,6 @@ BATCH_STAT_KEYS = (
     "distinct_syndromes",
     "decode_calls",
     "decode_seconds",
-    "pipeline_analyses",
 )
 
 #: process-wide decode-engine defaults, overridable per call; read once from
@@ -93,10 +91,10 @@ DECODE_DEFAULTS: dict = {
 }
 
 
-#: decoder-name registry used by every pipeline (serial, pool workers,
-#: sweeps): name -> builder(graph).  Names round-trip through SweepTask /
-#: SweepSpec / store records as plain strings, so adding an entry here is
-#: all it takes to open a decoder to the whole orchestration stack.
+#: decoder-name registry used by every pipeline (serial runs and sweeps):
+#: name -> builder(graph).  Names round-trip through SweepTask / SweepSpec /
+#: store records as plain strings, so adding an entry here is all it takes
+#: to open a decoder to the whole orchestration stack.
 DECODER_BUILDERS: dict = {
     "unionfind": UnionFindDecoder,
     "mwpm": MWPMDecoder,
@@ -155,11 +153,6 @@ class LerResult:
     plan_summary: dict = field(default_factory=dict)
     #: decode-engine statistics (present when run through run_surgery_ler)
     decode_stats: dict = field(default_factory=dict)
-    #: obs span events recorded while this result was decoded in a worker
-    #: process (repro.obs); merged into the coordinator's recorder by the
-    #: orchestration layer.  Observability only — excluded from
-    #: batch_stats(), so it can never enter stored records or estimates.
-    obs_spans: list = field(default_factory=list)
 
     @property
     def ler(self) -> list[float]:
@@ -212,47 +205,26 @@ class _Pipeline:
     """Cached circuit analysis: matching graph + sampler + decoder."""
 
     def __init__(self, config: SurgeryLerConfig, policy: _BasePolicy):
-        # deliberate per-process counter: workers report it as a per-task
-        # delta (decode_stats["pipeline_analyses"]), never as shared truth
+        # only the coordinator analyzes: sweep tasks carry their pipeline,
+        # so no decode thread ever reaches this rebind
         global PIPELINE_ANALYSES  # lint: ok[contract-worker-globals]
         PIPELINE_ANALYSES += 1
         with obs.span("ler.analyze"):
             with obs.span("ler.analyze.circuit"):
                 self.plan, self.artifacts = _synthesize(config, policy)
             with obs.span("ler.analyze.dem"):
-                dem = circuit_to_dem(self.artifacts.circuit)
-            self._summary = None
-            self._init_decode(dem, self.artifacts.detector_basis)
-
-    @classmethod
-    def from_payload(cls, payload: "PipelinePayload") -> "_Pipeline":
-        """Rebuild a decode-ready pipeline from a serialized handoff.
-
-        Skips circuit synthesis and DEM extraction entirely (the expensive
-        analysis steps); only the matching graph and sampler are rebuilt.
-        ``plan``/``artifacts`` are unavailable on this path — decode-side
-        consumers use :meth:`plan_summary`, which the payload carries.
-        """
-        self = cls.__new__(cls)
-        self.plan = None
-        self.artifacts = None
-        self._summary = dict(payload.plan_summary)
-        self._init_decode(payload.dem, payload.basis)
-        return self
-
-    def _init_decode(self, dem, basis: str) -> None:
-        self.dem = dem
-        self.basis = basis
-        with obs.span("ler.analyze.graph"):
-            self.graph: MatchingGraph = build_matching_graph(dem, basis=basis)
-            self.sampler = DemSampler(dem)
-        self._detector_mask = np.array(
-            [b == basis for b in dem.detector_basis], dtype=bool
-        )
-        self._mask_is_identity = bool(self._detector_mask.all())
-        #: the sampler over the graph's detectors only: its packed rows go
-        #: straight to the decoder, never through full-width rows
-        self.graph_sampler = self.sampler.projected(self._detector_mask)
+                self.dem = dem = circuit_to_dem(self.artifacts.circuit)
+            self.basis = basis = self.artifacts.detector_basis
+            with obs.span("ler.analyze.graph"):
+                self.graph: MatchingGraph = build_matching_graph(dem, basis=basis)
+                self.sampler = DemSampler(dem)
+            self._detector_mask = np.array(
+                [b == basis for b in dem.detector_basis], dtype=bool
+            )
+            self._mask_is_identity = bool(self._detector_mask.all())
+            #: the sampler over the graph's detectors only: its packed rows
+            #: go straight to the decoder, never through full-width rows
+            self.graph_sampler = self.sampler.projected(self._detector_mask)
         self._decoders: dict[str, object] = {}
 
     def decoder(self, name: str):
@@ -287,16 +259,14 @@ class _Pipeline:
         return det if self._mask_is_identity else det[:, self._detector_mask]
 
     def plan_summary(self) -> dict:
-        if self._summary is None:
-            self._summary = {
-                "policy": self.plan.policy,
-                "extra_rounds_p": self.plan.extra_rounds_p,
-                "extra_rounds_pp": self.plan.extra_rounds_pp,
-                "idle_ns": self.plan.idle_ns,
-                "rounds_p": self.plan.timeline_p.num_rounds,
-                "rounds_pp": self.plan.timeline_pp.num_rounds,
-            }
-        return dict(self._summary)
+        return {
+            "policy": self.plan.policy,
+            "extra_rounds_p": self.plan.extra_rounds_p,
+            "extra_rounds_pp": self.plan.extra_rounds_pp,
+            "idle_ns": self.plan.idle_ns,
+            "rounds_p": self.plan.timeline_p.num_rounds,
+            "rounds_pp": self.plan.timeline_pp.num_rounds,
+        }
 
 
 def _policy_cache_key(policy: _BasePolicy) -> tuple:
@@ -324,37 +294,6 @@ def prepared_pipeline(config: SurgeryLerConfig, policy: _BasePolicy) -> _Pipelin
 def clear_pipeline_cache() -> None:
     """Drop all cached pipelines (mainly for tests and memory pressure)."""
     _PIPELINE_CACHE.clear()
-
-
-@dataclass(frozen=True)
-class PipelinePayload:
-    """Serializable result of one circuit analysis, for worker handoff.
-
-    Carries everything a pool worker needs to decode — the detector error
-    model, its CSS basis and the plan summary — without the circuit or the
-    policy plan, so the expensive analysis (surgery synthesis + DEM
-    extraction) runs once in the coordinating process instead of once per
-    worker.  ``key`` is the pipeline identity used for worker-side caching
-    (same key as the in-process pipeline LRU).
-    """
-
-    key: tuple
-    config: SurgeryLerConfig
-    dem: object
-    basis: str
-    plan_summary: dict
-
-
-def pipeline_payload(config: SurgeryLerConfig, policy: _BasePolicy) -> PipelinePayload:
-    """Analyze ``config`` (or reuse the cache) and package it for handoff."""
-    pipe = prepared_pipeline(config, policy)
-    return PipelinePayload(
-        key=(config, _policy_cache_key(policy)),
-        config=config,
-        dem=pipe.dem,
-        basis=pipe.basis,
-        plan_summary=pipe.plan_summary(),
-    )
 
 
 def _count_failures(
@@ -401,17 +340,19 @@ def run_surgery_ler(
     ``shots``.  ``dedup``/``backend`` default to :data:`DECODE_DEFAULTS`.
     ``backend`` names a decode-kernel backend (:mod:`repro.decoders.kernels`);
     backends are bit-identical, so this knob affects wall time only.
-    ``decode_workers`` must be 1: to decode on a process pool, run the
+    ``decode_workers`` must be 1: to decode on a thread pool, run the
     configuration as a sweep point with ``run_sweep(workers=N)``.
 
     ``pipeline`` injects a pre-analyzed pipeline (from
-    :func:`prepared_pipeline` or :meth:`_Pipeline.from_payload`), so a pool
-    worker never re-analyzes a configuration it was handed.
+    :func:`prepared_pipeline`), so a sweep's decode thread never analyzes a
+    circuit or touches the pipeline LRU.  Several threads may run this
+    function on one shared pipeline at once: each run keeps its own engine,
+    and the predecoder's offload statistics land in that engine.
     """
     if decode_workers != 1:
         raise ValueError(
             f"decode_workers={decode_workers!r}: run_surgery_ler decodes "
-            "serially; use run_sweep(workers=N) to decode on a process pool"
+            "serially; use run_sweep(workers=N) to decode on a thread pool"
         )
     dedup = DECODE_DEFAULTS["dedup"] if dedup is None else dedup
     backend = DECODE_DEFAULTS["backend"] if backend is None else backend
@@ -419,14 +360,6 @@ def run_surgery_ler(
     pipe = pipeline if pipeline is not None else prepared_pipeline(config, policy)
     decoder_obj = pipe.decoder(decoder)
     engine = BatchDecodingEngine(decoder_obj, dedup=dedup, backend=backend)
-    # predecode offload statistics accumulate on the (cached) decoder across
-    # runs; snapshot them so this result reports only its own delta
-    predecode_stats = getattr(decoder_obj, "stats", None)
-    if not isinstance(predecode_stats, PredecodeStats):
-        predecode_stats = None
-    predecode_before = (
-        vars(predecode_stats).copy() if predecode_stats is not None else None
-    )
     nobs = pipe.dem.num_observables
     tracked = decoder_obj.graph.num_observables
     failures = np.zeros(nobs, dtype=np.int64)
@@ -454,10 +387,8 @@ def run_surgery_ler(
         "dedup_hit_rate": stats.dedup_hit_rate,
         "decode_seconds": stats.decode_seconds,
     }
-    if predecode_stats is not None:
-        decode_stats["predecode"] = {
-            k: v - predecode_before[k] for k, v in vars(predecode_stats).items()
-        }
+    if isinstance(engine.decoder_stats, PredecodeStats):
+        decode_stats["predecode"] = vars(engine.decoder_stats).copy()
     return LerResult(
         config=config,
         shots=shots,

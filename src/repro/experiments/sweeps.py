@@ -41,41 +41,30 @@ Consequences:
   export``) emits stored records in the benchmark-harness JSON row format
   without decoding anything, and ``repro sweep gc --older-than DAYS``
   prunes stale records plus emptied point directories.
-* **Warm workers** — the orchestrator analyzes each configuration once and
-  hands workers a serialized DEM (:class:`~repro.experiments.ler.PipelinePayload`);
-  workers rebuild the decode pipeline without re-running circuit analysis
-  and keep it across every batch and sweep point they execute.  The
-  inline executor reuses the coordinator's own analyzed pipeline outright.
+* **Decode threads** — the orchestrator analyzes each configuration once
+  and every batch task carries that analyzed pipeline; ``workers > 1``
+  decodes the tasks on a thread pool (the GIL-free C kernel does the
+  work), so nothing is serialized and no thread re-analyzes a circuit.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import pickle
-import shutil
-import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import obs
 from ..core.policies import PolicyNotApplicableError, make_policy
+from ..decoders import kernels
 from ..noise.hardware import PRESETS, HardwareConfig
 from ..obs import ledger as _oledger
 from ..store import ResultStore, batch_entropy, point_key
 from . import ler as _ler
 from .ler import SurgeryLerConfig
-from .parallel import (
-    InlineExecutor,
-    SweepTask,
-    absorb_result_spans,
-    install_payload,
-    pool_executor,
-    submit_task,
-)
+from .parallel import THREAD_NAME_PREFIX, InlineExecutor, SweepTask, submit_task
 from .stats import RateEstimate, wilson_interval
 
 __all__ = [
@@ -117,7 +106,7 @@ def _wallclock() -> float:
 def record_parity_view(record: dict) -> dict:
     """A stored record minus its execution-dependent fields.
 
-    This is the view the parity contract quantifies over: inline, pooled
+    This is the view the parity contract quantifies over: inline, threaded
     and speculative runs must produce *identical* parity views for every
     point, equal to an in-order batch-by-batch decode
     (tests/test_speculation.py and the speculation microbenchmark both
@@ -202,7 +191,7 @@ class SweepSpec:
             raise ValueError("max_shots must be positive")
         if self.max_batch_shots is not None and self.max_batch_shots < self.batch_shots:
             raise ValueError("max_batch_shots cannot be below batch_shots")
-        # fail at spec construction, not inside a warmed worker process
+        # fail at spec construction, not inside a decode thread
         if self.decoder not in _ler.DECODER_BUILDERS:
             raise ValueError(
                 f"unknown decoder {self.decoder!r}; known: "
@@ -324,10 +313,9 @@ class SweepReport:
     #: shots decoded by this invocation (excludes store-served shots)
     shots_decoded: int = 0
     batches_decoded: int = 0
-    #: full circuit analyses in this process (coordinator side)
+    #: full circuit analyses this pass ran (all of them coordinator-side;
+    #: decode threads are handed analyzed pipelines)
     analyses_parent: int = 0
-    #: full circuit analyses inside pool workers (0 with warm handoff)
-    analyses_workers: int = 0
     interrupted: bool = False
     #: speculation depth requested for this pass (0 = one batch in flight
     #: per worker)
@@ -360,7 +348,6 @@ class SweepReport:
                 1 for r in recs if r.get("status") == "not_applicable"
             ),
             "pipeline_analyses_parent": self.analyses_parent,
-            "pipeline_analyses_workers": self.analyses_workers,
             "interrupted": self.interrupted,
             "speculate": self.speculate,
             "batches_replayed": self.batches_replayed,
@@ -453,14 +440,12 @@ class _ConcurrentPoint:
     identically.
     """
 
-    def __init__(self, pt, key, record, payload, payload_path, committed):
+    def __init__(self, pt, key, record, pipeline, committed):
         self.pt = pt
         self.key = key
         self.record = record
-        self.payload = payload
-        #: spool-file path tasks carry for one-shot payload shipping (None
-        #: on the inline executor, where the payload is installed in-process)
-        self.payload_path = payload_path
+        #: the point's analyzed pipeline, handed to every batch task
+        self.pipeline = pipeline
         #: indices available in the commit-ahead log (replayable)
         self.committed = committed
         #: position in the sweep grid (emission order; admission may differ)
@@ -470,8 +455,8 @@ class _ConcurrentPoint:
         #: index -> shots the batch was dispatched/replayed at (for the
         #: max_shots projection that bounds speculation)
         self.sizes: dict = {}
-        #: index -> (batch record, replayed, worker pid) completed but not
-        #: yet applied (the pid is ledger provenance, never stored)
+        #: index -> (batch record, replayed, worker thread name) completed
+        #: but not yet applied (the name is ledger provenance, never stored)
         self.pending: dict = {}
         #: indices discarded at a stale speculative size, to re-dispatch
         self.redo: set = set()
@@ -511,9 +496,9 @@ class _SweepRun:
         self.spec = spec
         self.store = store
         self.resume = resume
-        #: ``workers <= 1`` selects the inline executor: batch tasks run
-        #: in-process through the same submit_task interface, with zero
-        #: pickling/IPC (``--workers 0`` is the CLI's explicit spelling)
+        #: ``workers <= 1`` selects the inline executor: batch tasks run on
+        #: the calling thread through the same submit_task interface
+        #: (``--workers 0`` is the CLI's explicit spelling)
         self.inline = workers <= 1
         self.workers = max(1, workers)
         self.speculate = speculate
@@ -524,47 +509,28 @@ class _SweepRun:
         #: no-op writer when the ledger is off, so call sites stay branchless
         self.ledger = ledger if ledger is not None else _oledger.NULL_RUN_WRITER
         self.report = SweepReport(spec=spec, speculate=speculate)
-        #: one executor for the whole run (lazily created): a warm process
-        #: pool, or the in-process inline executor when ``workers <= 1``.
-        #: Pool workers warm themselves per configuration from the tasks'
-        #: payload spool files, so pipelines survive across batches and
-        #: sweep points
+        #: one executor for the whole run (lazily created): a pool of
+        #: ``workers`` decode threads, or the inline executor when
+        #: ``workers <= 1``
         self._pool = None
-        #: payload spool: key -> pickled-payload file path, written once per
-        #: point so the serialized DEM crosses the IPC boundary once per
-        #: (point, worker) instead of riding along with every batch task
-        self._spool_dir: str | None = None
-        self._spooled: dict[str, str] = {}
 
     def close(self) -> None:
-        """Shut down the run's executor and payload spool (if created)."""
+        """Shut down the run's executor (if created)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self._spool_dir is not None:
-            shutil.rmtree(self._spool_dir, ignore_errors=True)
-            self._spool_dir = None
-            self._spooled.clear()
 
     def _executor(self):
         """The run-wide executor, created on first use."""
         if self._pool is None:
             self._pool = (
-                InlineExecutor() if self.inline else pool_executor(self.workers)
+                InlineExecutor()
+                if self.inline
+                else ThreadPoolExecutor(
+                    self.workers, thread_name_prefix=THREAD_NAME_PREFIX
+                )
             )
         return self._pool
-
-    def _spool_payload(self, key: str, payload) -> str:
-        """Serialize one point's payload into the run's spool, once."""
-        path = self._spooled.get(key)
-        if path is None:
-            if self._spool_dir is None:
-                self._spool_dir = tempfile.mkdtemp(prefix="repro-payload-")
-            path = os.path.join(self._spool_dir, f"{key[:32]}.pkl")
-            with open(path, "wb") as f:
-                f.write(pickle.dumps(payload))
-            self._spooled[key] = path
-        return path
 
     # -- batch execution ---------------------------------------------------
 
@@ -573,16 +539,9 @@ class _SweepRun:
         return np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
 
     def _make_task(
-        self, pt: SweepPoint, key: str, payload, payload_path, index: int,
-        shots: int,
+        self, pt: SweepPoint, key: str, pipeline, index: int, shots: int
     ) -> SweepTask:
-        """One batch task, seeded purely by ``(spec seed, key, index)``.
-
-        ``payload_path`` is the point's payload spool file (None on the
-        inline executor, where the payload is already installed in-process):
-        tasks ship the small path string per batch, and each pool worker
-        reads the serialized DEM once per configuration.
-        """
+        """One batch task, seeded purely by ``(spec seed, key, index)``."""
         return SweepTask(
             config=pt.config,
             policy_name=pt.policy_name,
@@ -591,8 +550,7 @@ class _SweepRun:
             seed=self._batch_seed(key, index),
             decoder=pt.decoder,
             backend=self.spec.backend,
-            pipeline_key=payload.key,
-            payload_path=payload_path,
+            pipeline=pipeline,
         )
 
     # -- per-point bookkeeping ---------------------------------------------
@@ -600,10 +558,12 @@ class _SweepRun:
     def _prepare_point(self, pt: SweepPoint):
         """Load/refresh one point's record and analyze its pipeline.
 
-        Returns ``(key, record, payload, resolved)``; ``resolved`` is True
+        Returns ``(key, record, pipeline, resolved)``; ``resolved`` is True
         when the point needs no decoding this pass (not applicable, or the
-        stored record already satisfies the current spec) — then ``payload``
-        is None and ``record`` is final.
+        stored record already satisfies the current spec) — then
+        ``pipeline`` is None and ``record`` is final.  The point's decoder
+        is built and its kernel bound here, on the coordinator, so decode
+        threads only ever read those caches.
         """
         spec = self.spec
         key = pt.key(seed=spec.seed, batch_shots=spec.batch_shots)
@@ -626,10 +586,10 @@ class _SweepRun:
                 return key, record, None, True
             record = dict(record, converged=False, stop_reason=None)
 
-        # analyze (or fetch) the pipeline once, in this process
+        # analyze (or fetch) the pipeline once, on the coordinator
         analyses_before = _ler.PIPELINE_ANALYSES
         try:
-            payload = _ler.pipeline_payload(
+            pipe = _ler.prepared_pipeline(
                 pt.config, make_policy(pt.policy_name, **dict(pt.policy_kwargs))
             )
         except PolicyNotApplicableError as exc:
@@ -644,19 +604,22 @@ class _SweepRun:
             self.store.put(key, record)
             return key, record, None, True
         self.report.analyses_parent += _ler.PIPELINE_ANALYSES - analyses_before
+        backend = spec.backend
+        if backend is None:
+            backend = _ler.DECODE_DEFAULTS["backend"]
+        kernels.bind(pipe.decoder(pt.decoder), backend)
 
         if record is None:
-            record = _fresh_record(spec, pt, key, payload.dem.num_observables)
-            record["plan_summary"] = dict(payload.plan_summary)
-        return key, record, payload, False
+            record = _fresh_record(spec, pt, key, pipe.dem.num_observables)
+            record["plan_summary"] = pipe.plan_summary()
+        return key, record, pipe, False
 
     def _apply_batch(self, record: dict, br: dict, *, replayed: bool) -> None:
         """Fold one batch record into the point record, in index order.
 
-        This is the *only* way shots enter an estimate, so inline, pooled
-        and speculative runs accumulate identically.  ``replayed`` batches came from the commit-ahead log
-        (decoded by an earlier pass), so their worker-side analysis counts
-        don't belong to this invocation.
+        This is the *only* way shots enter an estimate, so inline, threaded
+        and speculative runs accumulate identically.  ``replayed`` batches
+        came from the commit-ahead log (decoded by an earlier pass).
         """
         with obs.span("sweep.replay" if replayed else "sweep.apply"):
             record["failures"] = [
@@ -669,8 +632,6 @@ class _SweepRun:
                 record["decode_stats"][k] = (
                     record["decode_stats"].get(k, 0) + stats.get(k, 0)
                 )
-            if not replayed:
-                self.report.analyses_workers += stats.get("pipeline_analyses", 0)
             self._update_batch_plan(record)
         obs.count("sweep.batches_replayed" if replayed else "sweep.batches_applied")
 
@@ -765,12 +726,12 @@ class _SweepRun:
         ``(seed, key, index, size)`` — a later resume or tightened
         ``target_rse`` replays them for free) but never enter the estimate.
 
-        With ``workers <= 1`` the executor is the in-process
-        :class:`InlineExecutor`: dispatch creates lazy futures, and
-        :meth:`_await_some` forces them in submission order — speculative
-        futures of a point whose stopping rule already fired are cancelled
-        unrun, so the inline scheduler decodes exactly the in-order batch
-        set with zero pickling/IPC.  (Cancelled batches do *not* refund the
+        With ``workers > 1`` the executor is a pool of decode threads; with
+        ``workers <= 1`` it is the :class:`InlineExecutor`: dispatch creates
+        lazy futures, and :meth:`_await_some` forces them in submission
+        order — speculative futures of a point whose stopping rule already
+        fired are cancelled unrun, so the inline scheduler decodes exactly
+        the in-order batch set.  (Cancelled batches do *not* refund the
         ``batch_limit`` budget: dispatch counts against the cap.)  Inline,
         at most ``depth`` points are active at once — there is no pool to
         keep busy — so the default depth-1 inline run finishes one point
@@ -789,8 +750,9 @@ class _SweepRun:
         instead of re-decoding.
         """
         depth = self.speculate or self.workers
-        # points in flight at once: a pool also keeps ``workers`` points'
-        # analyses ahead of decoding; inline there is nothing to overlap
+        # points in flight at once: a thread pool also keeps ``workers``
+        # points' analyses ahead of decoding; inline there is nothing to
+        # overlap
         capacity = depth if self.inline else self.workers + depth
         self._executor()
         queue = list(enumerate(points))
@@ -814,19 +776,12 @@ class _SweepRun:
                     and len(active) < capacity
                 ):
                     pos, pt = queue.pop(0)
-                    key, record, payload, resolved = self._prepare_point(pt)
-                    payload_path = None
-                    if payload is not None:
-                        if self.inline:
-                            install_payload(payload)
-                        else:
-                            payload_path = self._spool_payload(key, payload)
+                    key, record, pipe, resolved = self._prepare_point(pt)
                     state = _ConcurrentPoint(
                         pt,
                         key,
                         record,
-                        payload,
-                        payload_path,
+                        pipe,
                         set() if resolved else self._replayable(key),
                     )
                     state.pos = pos
@@ -867,7 +822,7 @@ class _SweepRun:
                 )  # pragma: no cover
 
             # drain stray speculative futures of finished points: their
-            # results are committed to the log (nothing wasted, pool mode)
+            # results are committed to the log (nothing wasted, thread mode)
             # or cancelled unrun (inline mode); never applied
             while futures:
                 self._await_some(futures)
@@ -956,7 +911,7 @@ class _SweepRun:
     def _await_some(self, futures: dict) -> None:
         """Block for at least one in-flight batch and receive all completed.
 
-        Pool mode waits on FIRST_COMPLETED; when a completed future raises,
+        Thread mode waits on FIRST_COMPLETED; when a completed future raises,
         the *other* completed futures are still received (committed to the
         log) before the first exception propagates — a worker crash never
         discards sibling work that already finished.  Inline mode forces the
@@ -1069,14 +1024,7 @@ class _SweepRun:
             with obs.span("sweep.dispatch", lambda: {"index": index, "shots": size}):
                 fut = submit_task(
                     self._pool,
-                    self._make_task(
-                        state.pt,
-                        state.key,
-                        state.payload,
-                        state.payload_path,
-                        index,
-                        size,
-                    ),
+                    self._make_task(state.pt, state.key, state.pipeline, index, size),
                 )
             obs.count("sweep.batches_dispatched")
             state.inflight[index] = fut
@@ -1088,11 +1036,10 @@ class _SweepRun:
 
     def _receive(self, state: _ConcurrentPoint, index: int, result) -> None:
         """Commit one completed batch; queue it for in-order application."""
-        absorb_result_spans((result,))
         br = self._batch_record_of(result)
         self.store.put_batch(state.key, index, br)
         state.inflight.pop(index, None)
-        worker_pid = result.decode_stats.get("worker_pid")
+        worker = result.decode_stats.get("worker")
         if state.finished:
             # speculative overshoot: the stopping rule fired while this
             # batch was decoding; committed above, excluded from estimates
@@ -1102,10 +1049,10 @@ class _SweepRun:
             obs.count("sweep.batches_overshoot")
             self.ledger.batch(
                 state.key, index, int(br["shots"]), "overshoot",
-                worker_pid=worker_pid,
+                worker=worker,
             )
         else:
-            state.pending[index] = (br, False, worker_pid)
+            state.pending[index] = (br, False, worker)
 
     def _drain(self, active: list[_ConcurrentPoint]) -> bool:
         """Apply in-order pending batches; finish converged points."""
@@ -1120,14 +1067,14 @@ class _SweepRun:
                 done, reason = _converged(record["failures"], record["shots"], spec)
                 if done:
                     self._finalize_point(state.key, record, reason)
-                    for idx, (pbr, replayed, ppid) in state.pending.items():
+                    for idx, (pbr, replayed, pworker) in state.pending.items():
                         state.sizes.pop(idx, None)
                         if not replayed:
                             self.report.batches_overshoot += 1
                             obs.count("sweep.batches_overshoot")
                             self.ledger.batch(
                                 state.key, idx, int(pbr["shots"]), "overshoot",
-                                worker_pid=ppid,
+                                worker=pworker,
                             )
                     state.pending.clear()
                     state.finished = True
@@ -1137,7 +1084,7 @@ class _SweepRun:
                 entry = state.pending.pop(index, None)
                 if entry is None:
                     break  # next batch still in flight (or not dispatched)
-                br, replayed, worker_pid = entry
+                br, replayed, worker = entry
                 state.sizes.pop(index, None)
                 if int(br["shots"]) != self._planned_batch_shots(record):
                     # stale speculative size: adaptive sizing grew the plan
@@ -1154,7 +1101,7 @@ class _SweepRun:
                         obs.count("sweep.batches_overshoot")
                         self.ledger.batch(
                             state.key, index, int(br["shots"]), "overshoot",
-                            worker_pid=worker_pid,
+                            worker=worker,
                         )
                     continue
                 self._apply_batch(record, br, replayed=replayed)
@@ -1166,7 +1113,7 @@ class _SweepRun:
                     state.new_batches += 1
                     self.ledger.batch(
                         state.key, index, int(br["shots"]), "decoded",
-                        worker_pid=worker_pid,
+                        worker=worker,
                     )
                 applied = True
                 progressed = True
@@ -1234,15 +1181,15 @@ def run_sweep(
     ``resume=False`` discards partial (non-converged) records and recomputes
     them from batch 0 — the result is bit-identical either way, resuming just
     skips the already-decoded prefix.  ``workers`` > 1 decodes batches on a
-    warm process pool shared by *all* points
+    pool of decode threads shared by *all* points
     (:meth:`_SweepRun.run_concurrent`); ``speculate`` >= 1 keeps up to that
     many batches in flight per point while the stopping rule is still
     evaluating earlier ones (0 means one per worker).  Estimates and stored
     records are bit-identical for any ``(workers, speculate)``;
     completed-but-excluded batches land in the store's commit-ahead log,
     where later passes replay them for free.  With ``workers <= 1`` the
-    scheduler decodes in-process through the inline executor (no pool, no
-    pickling) and cancels unneeded speculation lazily, so it decodes
+    scheduler decodes on the calling thread through the inline executor and
+    cancels unneeded speculation lazily, so it decodes
     exactly the batches the estimates need.
     ``admission`` orders point admission: ``"cost"`` (default)
     starts the points with the most estimated remaining work first,

@@ -16,9 +16,7 @@ from .core import (
     LatencyHistogram,
     Recorder,
     Stopwatch,
-    absorb,
     active,
-    collect,
     configure,
     count,
     disable,
@@ -66,9 +64,7 @@ __all__ = [
     "LatencyHistogram",
     "Recorder",
     "Stopwatch",
-    "absorb",
     "active",
-    "collect",
     "configure",
     "count",
     "disable",

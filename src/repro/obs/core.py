@@ -1,9 +1,8 @@
-"""Process-safe tracing/metrics registry for the decode/sweep pipeline.
+"""Thread-safe tracing/metrics registry for the decode/sweep pipeline.
 
-One module-level recorder per process (coordinator *and* every pool
-worker), activated by :func:`configure` or the ``REPRO_TRACE`` /
-``REPRO_METRICS`` environment knobs (fork-started workers inherit the
-recorder; spawn-started workers re-read the env on first use).  Everything
+One module-level recorder per process, shared by the coordinator and the
+sweep's decode threads, activated by :func:`configure` or the
+``REPRO_TRACE`` / ``REPRO_METRICS`` environment knobs.  Everything
 it produces is *observability output*: spans, counters and histograms are
 exported next to the run (Chrome trace JSON, metrics snapshot) and are
 never allowed to enter store point keys, stored estimates or any
@@ -23,18 +22,22 @@ Three primitives:
   from any number of workers in any order are identical (worker-count
   independence is a tested invariant, like the estimate parity contract).
 
-Worker plumbing: a pool worker wraps each task in :func:`collect`, which
-drains the events the task emitted; they travel back to the coordinator on
-``LerResult.obs_spans`` and are merged with :func:`absorb`.  Timestamps
-come from ``time.perf_counter_ns`` (CLOCK_MONOTONIC on Linux — system-wide,
-so worker and coordinator spans share one timeline).  Wall-clock
-``time.time`` is deliberately never used: the determinism-time lint rule
-covers this package as part of the decode path.
+Threads: decode threads record their spans straight into the one
+recorder.  That is safe without a lock because every recording is a single
+``list.append``, which is atomic under the GIL; the read-modify-write
+counters (:func:`count`) and instant events (:func:`event`) are only ever
+called coordinator-side, by the sweep scheduler.  Every span and event
+carries its ``pid`` and ``tid`` (``threading.get_ident()``), so an exported
+trace has one lane per decode thread.  Timestamps come from
+``time.perf_counter_ns``; wall-clock ``time.time`` is deliberately never
+used: the determinism-time lint rule covers this package as part of the
+decode path.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 __all__ = [
@@ -51,8 +54,6 @@ __all__ = [
     "span",
     "event",
     "count",
-    "collect",
-    "absorb",
 ]
 
 #: 1-2-5 geometric bucket upper bounds, 100 ns .. 500 s.  Fixed (never
@@ -206,52 +207,12 @@ class _Span:
             "ts": self._t0,
             "dur": t1 - self._t0,
             "pid": os.getpid(),
+            "tid": threading.get_ident(),
         }
         if self.args:
             ev["args"] = self.args
+        # one atomic append: decode threads share this list (module docstring)
         self._recorder.events.append(ev)
-        return False
-
-
-class _NoopCollector:
-    """Disabled-path :func:`collect`: always an empty event list."""
-
-    __slots__ = ()
-    events: list = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NOOP_COLLECTOR = _NoopCollector()
-
-
-class _SpanCollector:
-    """Drain the events recorded inside a ``with`` block (worker handoff).
-
-    On exit the block's tail of the recorder's event list moves to
-    ``self.events`` — the recorder no longer holds them, so a worker that
-    collects per task and ships the events back on the result can never
-    double-report when the coordinator absorbs them.
-    """
-
-    __slots__ = ("_recorder", "_mark", "events")
-
-    def __init__(self, recorder: "Recorder"):
-        self._recorder = recorder
-        self.events: list = []
-
-    def __enter__(self):
-        self._mark = len(self._recorder.events)
-        return self
-
-    def __exit__(self, *exc):
-        evs = self._recorder.events
-        self.events = evs[self._mark:]
-        del evs[self._mark:]
         return False
 
 
@@ -288,11 +249,9 @@ def stopwatch() -> Stopwatch:
 class Recorder:
     """Per-process event buffer + counters behind the module-level API.
 
-    Events are plain dicts (``name``/``ts``/``dur``/``pid`` and optional
-    ``args``) so they pickle across process boundaries unchanged; metrics
-    histograms are folded from the event list at snapshot time (never
-    incrementally), which keeps drain-and-absorb worker plumbing immune to
-    double counting.
+    Events are plain dicts (``name``/``ts``/``dur``/``pid``/``tid`` and
+    optional ``args``); metrics histograms are folded from the event list
+    at snapshot time (never incrementally), so recording stays one append.
     """
 
     def __init__(self, *, trace_path=None, metrics_path=None):
@@ -316,6 +275,7 @@ class Recorder:
             "ts": time.perf_counter_ns(),
             "dur": 0,
             "pid": os.getpid(),
+            "tid": threading.get_ident(),
         }
         if args:
             ev["args"] = args
@@ -333,17 +293,15 @@ class Recorder:
 
 
 #: the per-process singleton; ``None`` + unresolved env means "not decided
-#: yet" — the first touch resolves REPRO_TRACE/REPRO_METRICS lazily so pool
-#: workers (fork or spawn) self-activate without coordinator plumbing
+#: yet" — the first touch resolves REPRO_TRACE/REPRO_METRICS lazily
 _RECORDER: Recorder | None = None
 _ENV_RESOLVED = False
 
 
 def _resolve_env() -> None:
-    # deliberate per-process lazy init: each process (coordinator or pool
-    # worker) resolves its own recorder from the env exactly once; events
-    # still funnel through collect/absorb, so per-process state never
-    # diverges into results
+    # deliberate lazy init, once per process, and always on the coordinator:
+    # the scheduler's sweep.dispatch span resolves it before the first task
+    # is submitted, so decode threads only ever read the resolved state
     global _RECORDER, _ENV_RESOLVED  # lint: ok[contract-worker-globals]
     _ENV_RESOLVED = True
     trace = os.environ.get("REPRO_TRACE") or None
@@ -415,30 +373,3 @@ def count(name: str, n: int = 1) -> None:
     rec = active()
     if rec is not None:
         rec.count(name, n)
-
-
-def collect():
-    """Context manager draining the events recorded inside its block.
-
-    The worker side of the span-handoff protocol: ``_run_task`` wraps each
-    task in ``collect()`` and attaches the drained events to the result so
-    they can travel back to the coordinator.  Disabled tracing yields a
-    shared no-op whose ``events`` is always empty.
-    """
-    rec = active()
-    if rec is None:
-        return _NOOP_COLLECTOR
-    return _SpanCollector(rec)
-
-
-def absorb(events: list) -> None:
-    """Merge events drained in another process into this recorder.
-
-    The coordinator side of the handoff.  Events are appended verbatim
-    (they carry their origin ``pid``); with tracing disabled they are
-    dropped — a worker whose env enabled tracing cannot force the
-    coordinator to buffer.
-    """
-    rec = active()
-    if rec is not None and events:
-        rec.events.extend(events)

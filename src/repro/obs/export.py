@@ -6,7 +6,7 @@ Two on-disk schemas, both validated by ``scripts/validate_results.py``:
   ``{"traceEvents": [...]}``), loadable in ``chrome://tracing`` or
   https://ui.perfetto.dev.  Events are complete events (``"ph": "X"``) with
   microsecond ``ts``/``dur`` normalized to the earliest event, one
-  ``pid`` lane per OS process (coordinator + each pool worker).
+  ``tid`` lane per thread (the coordinator and each decode thread).
 * ``repro.obs.metrics/v1`` — a snapshot of counters plus per-span-kind
   :class:`~repro.obs.core.LatencyHistogram` dumps.
 

@@ -18,7 +18,7 @@ summary and final :mod:`repro.obs` metrics snapshot.
 
 The **event log** answers "what happened, when": run start/finish, point
 started/converged/store-served, every batch decoded/replayed/overshot (with
-the worker pid that decoded it), and periodic heartbeats with cumulative
+the name of the thread that decoded it), and periodic heartbeats with cumulative
 progress.  It is append-only and crash-tolerant: each event is one flushed
 line, and the reader skips a truncated tail line (the signature of a crash
 mid-append) instead of failing.
@@ -91,8 +91,9 @@ def estimate_point_cost(
         "new_shots": batches_remaining * size,
     }
 
-#: schema tag stamped into every run manifest
-RUN_SCHEMA = "repro.obs.run/v1"
+#: schema tag stamped into every run manifest (v2: batch provenance is the
+#: decoding thread's name, ``worker``, instead of v1's ``worker_pid``)
+RUN_SCHEMA = "repro.obs.run/v2"
 
 #: events the writer emits (the validator cross-checks against this set)
 EVENT_NAMES = (
@@ -184,7 +185,7 @@ class RunWriter:
     """Appends one run's manifest + event log under ``runs_root``.
 
     All methods are no-ops after :meth:`finish`.  The writer keeps its own
-    cumulative totals (shots/batches by kind, batches per worker pid) so
+    cumulative totals (shots/batches by kind, batches per worker thread) so
     heartbeat events carry progress without the caller threading counters
     through.  ``heartbeat_interval`` paces :meth:`maybe_heartbeat` on a
     monotonic clock; ``0`` emits on every call (tests).
@@ -209,7 +210,7 @@ class RunWriter:
         self.heartbeat_interval = float(heartbeat_interval)
         self.shots_decoded = 0
         self.batch_counts = {"decoded": 0, "replayed": 0, "overshoot": 0}
-        self.workers_seen: dict[int, int] = {}
+        self.workers_seen: dict[str, int] = {}
         self._last_beat: float | None = None
         self._closed = False
         self._events_path = self.dir / "events.jsonl"
@@ -258,19 +259,23 @@ class RunWriter:
             batches=batches,
         )
 
-    def batch(self, key: str, index: int, shots: int, kind: str, *, worker_pid=None) -> None:
-        """One batch outcome; ``kind`` is decoded / replayed / overshoot."""
+    def batch(self, key: str, index: int, shots: int, kind: str, *, worker=None) -> None:
+        """One batch outcome; ``kind`` is decoded / replayed / overshoot.
+
+        ``worker`` names the thread that decoded the batch (None for a
+        replay, which nothing decoded this run).
+        """
         if kind not in self.batch_counts:
             raise ValueError(f"unknown batch kind {kind!r}")
         self.batch_counts[kind] += 1
         if kind == "decoded":
             self.shots_decoded += int(shots)
-        if worker_pid is not None:
-            worker_pid = int(worker_pid)
-            self.workers_seen[worker_pid] = self.workers_seen.get(worker_pid, 0) + 1
+        if worker is not None:
+            worker = str(worker)
+            self.workers_seen[worker] = self.workers_seen.get(worker, 0) + 1
         self.event(
             "batch", key=key, index=int(index), shots=int(shots), kind=kind,
-            worker_pid=worker_pid,
+            worker=worker,
         )
 
     def maybe_heartbeat(self, **fields) -> bool:
@@ -288,7 +293,7 @@ class RunWriter:
             "heartbeat",
             shots_decoded=self.shots_decoded,
             batches=dict(self.batch_counts),
-            workers={str(pid): n for pid, n in sorted(self.workers_seen.items())},
+            workers=dict(sorted(self.workers_seen.items())),
             **fields,
         )
         return True

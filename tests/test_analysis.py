@@ -327,22 +327,23 @@ def test_mutation_worker_global_rebind_fails(tmp_path):
     )
 
 
-def test_mutation_worker_global_rebind_in_install_payload_fails(tmp_path):
-    # install_payload is reached from submit_task through the task runner's
-    # spool-file install, so the single default seed still covers it
+def test_mutation_worker_global_rebind_in_run_surgery_ler_fails(tmp_path):
+    # run_surgery_ler (ler.py) is reached from submit_task only through the
+    # task runner in parallel.py, so the single default seed must follow
+    # the call graph across modules to cover it
     box = make_sandbox(tmp_path)
-    par = box / "src" / "repro" / "experiments" / "parallel.py"
-    src = par.read_text()
-    needle = "def install_payload(payload: PipelinePayload) -> None:\n"
-    assert needle in src
-    par.write_text(
-        src.replace(needle, needle + "    global _INSTALL_PROBE\n    _INSTALL_PROBE = 1\n")
+    ler = box / "src" / "repro" / "experiments" / "ler.py"
+    src = ler.read_text()
+    needle = "    if decode_workers != 1:\n"
+    assert src.count(needle) == 1
+    ler.write_text(
+        src.replace(needle, "    global _LER_PROBE\n    _LER_PROBE = 1\n" + needle)
     )
     report = run_lint(root=box, only=["contract-worker-globals"])
     assert any(
-        f.path == "src/repro/experiments/parallel.py"
-        and "install_payload" in f.message
-        and "_INSTALL_PROBE" in f.message
+        f.path == "src/repro/experiments/ler.py"
+        and "run_surgery_ler" in f.message
+        and "_LER_PROBE" in f.message
         for f in report.findings
     )
 

@@ -127,7 +127,9 @@ def test_predecoder_stats_count_repeated_batches(surface_fixture):
     engine = BatchDecodingEngine(dec, dedup=True)
     engine.decode_batch(det[:1000])
     engine.decode_batch(det[:1000])  # identical batch: every shot counted again
-    assert dec.stats.shots == 2000
+    # the engine's calls count into the engine, not the shared decoder
+    assert engine.decoder_stats.shots == 2000
+    assert dec.stats.shots == 0
 
 
 def test_predecoder_stats_exact_under_dedup(surface_fixture):

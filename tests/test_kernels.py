@@ -14,6 +14,7 @@ graph.  Backend *degradation* (no C compiler, a failing build) is tested by
 monkeypatching the compiler lookup away.
 """
 
+import os
 import shutil
 import threading
 import warnings
@@ -360,7 +361,8 @@ def test_backend_parity_matrix(parity_grid, backend_names, point, factory):
         engine = BatchDecodingEngine(decoder, backend=name)
         predictions = engine.decode_batch(det)
         counters = _stat_counters(engine)
-        predecode = vars(decoder.stats).copy() if factory == "predecoded" else None
+        predecode = vars(engine.decoder_stats) if factory == "predecoded" else None
+        assert predecode is None or predecode["shots"] == det.shape[0]
         if reference is None:  # the python reference pass comes first
             reference, ref_counters, ref_predecode = predictions, counters, predecode
         else:
@@ -737,6 +739,36 @@ def test_unionfind_reentrant_use_raises(parity_grid):
     # the guard must reset: a clean decode afterwards works
     assert UnionFindDecoder(graph).decode(syndrome) == _clean_decode(graph, syndrome)
     assert dec.decode(np.zeros(graph.num_detectors, dtype=bool)) == 0
+
+
+def test_unionfind_instance_is_shared_safely_across_threads(parity_grid):
+    # each thread gets its own scratch lists: more threads than cores,
+    # switching every microsecond, decoding through one instance (a sweep's
+    # cached decoder) all match a serial decode
+    import sys
+
+    graph, det = parity_grid[(3, 5e-3)]
+    rows = det[det.any(axis=1)][:300]
+    dec = UnionFindDecoder(graph)
+    serial = [dec.decode(row) for row in rows]
+    n_threads = 2 * (os.cpu_count() or 1) + 1
+    out = {}
+
+    def work(tag):
+        out[tag] = [dec.decode(row) for row in rows]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert out == {t: serial for t in range(n_threads)}
 
 
 def _clean_decode(graph, syndrome):

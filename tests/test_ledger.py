@@ -10,19 +10,19 @@ Four families of guarantees:
   where the sweep report's counters increment, so totals always agree.
 * **Crash tolerance** — the event log is append-only; a torn tail line
   (process killed mid-append) is skipped by every reader, never fatal.
-* **Worker provenance** — pool-decoded batches carry the worker's real
-  pid, including under the ``spawn`` start method where workers share no
-  state with the coordinator.
+* **Worker provenance** — every decoded batch names the thread that
+  decoded it: a ``repro-decode`` pool thread at ``workers > 1``, the
+  calling thread on the inline executor.
 """
 
 import json
-import multiprocessing
 import os
+import threading
 
 import pytest
 
 from repro import obs
-from repro.experiments.parallel import reset_warm_state
+from repro.experiments.ler import clear_pipeline_cache
 from repro.experiments.sweeps import (
     PolicySpec,
     SweepSpec,
@@ -38,12 +38,11 @@ from repro.store import ResultStore
 def _clean_slate(monkeypatch):
     # ledger decisions must come from the test, not the ambient environment
     monkeypatch.delenv("REPRO_RUN_LEDGER", raising=False)
-    monkeypatch.delenv("REPRO_MP_START_METHOD", raising=False)
     obs.reset()
-    reset_warm_state()
+    clear_pipeline_cache()
     yield
     obs.reset()
-    reset_warm_state()
+    clear_pipeline_cache()
 
 
 def _spec(**overrides):
@@ -91,7 +90,7 @@ def test_ledger_bit_neutral_across_schedulers(tmp_path):
 
     for speculate in (0, 4):
         for workers in (1, 4):
-            reset_warm_state()
+            clear_pipeline_cache()
             store = ResultStore(tmp_path / f"s{speculate}w{workers}")
             report = run_sweep(
                 spec, store, workers=workers, speculate=speculate, ledger=True
@@ -122,7 +121,7 @@ def test_ledger_data_never_reaches_point_records(tmp_path):
     spec = _spec(max_shots=800)
     stores = {}
     for tag, ledger in (("on", True), ("off", False)):
-        reset_warm_state()
+        clear_pipeline_cache()
         store = ResultStore(tmp_path / tag)
         run_sweep(spec, store, ledger=ledger)
         stores[tag] = store
@@ -201,7 +200,7 @@ def test_manifest_captures_run_provenance(tmp_path, monkeypatch):
     report = run_sweep(spec, store, workers=1, speculate=0, ledger=True)
     ledger = RunLedger.for_store(store)
     manifest = ledger.manifest(report.run_id)
-    assert manifest["schema"] == "repro.obs.run/v1"
+    assert manifest["schema"] == "repro.obs.run/v2"
     assert manifest["sweep"] == spec.name
     assert manifest["workers"] == 1 and manifest["speculate"] == 0
     assert manifest["seed"] == spec.seed
@@ -286,7 +285,7 @@ def test_crashed_run_reads_as_running(tmp_path):
     store = ResultStore(tmp_path / "s")
     writer = _pinned_writer(store, spec)
     writer.point_start("k" * 64, config={"d": 2, "tau_ns": 500.0}, shots=0)
-    writer.batch("k" * 64, 0, 400, "decoded", worker_pid=123)
+    writer.batch("k" * 64, 0, 400, "decoded", worker="repro-decode_0")
     # no finish(): simulate a crash
     ledger = RunLedger.for_store(store)
     assert ledger.status(writer.run_id) == "running"
@@ -298,20 +297,16 @@ def test_crashed_run_reads_as_running(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# spawn start method: worker provenance crosses process boundaries
+# worker provenance: which thread decoded each batch
 # ---------------------------------------------------------------------------
 
 
-def test_spawn_workers_report_spans_and_pids(tmp_path, monkeypatch):
-    if "spawn" not in multiprocessing.get_all_start_methods():
-        pytest.skip("platform has no spawn start method")
-    trace_path = tmp_path / "t.json"
-    monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
-    # spawn workers re-import repro and self-activate recording from the env
-    monkeypatch.setenv("REPRO_TRACE", str(trace_path))
-    obs.reset()
-
+def test_thread_workers_report_spans_and_names(tmp_path):
+    """workers=2 decodes on the repro-decode thread pool: every decoded
+    batch names a pool thread, never the main thread; the threads' kernel
+    spans land in the one recorder; records equal an inline reference."""
     spec = _spec(policies=(PolicySpec("passive"),), max_shots=800)
+    obs.configure(trace_path=tmp_path / "t.json")
     store = ResultStore(tmp_path / "s")
     writer = _pinned_writer(store, spec, workers=2, speculate=2)
     try:
@@ -320,9 +315,9 @@ def test_spawn_workers_report_spans_and_pids(tmp_path, monkeypatch):
     finally:
         obs.reset()
 
-    # worker spans crossed the spawn boundary into the merged timeline
-    assert {"decode.kernel", "sweep.dispatch"} <= {ev["name"] for ev in events}
-    assert len({ev["pid"] for ev in events}) >= 2
+    kernels = [ev for ev in events if ev["name"] == "decode.kernel"]
+    assert kernels
+    assert threading.get_ident() not in {ev["tid"] for ev in kernels}
 
     ledger_events = RunLedger.for_store(store).events(report.run_id)
     decoded = [
@@ -330,14 +325,12 @@ def test_spawn_workers_report_spans_and_pids(tmp_path, monkeypatch):
         if ev["ev"] == "batch" and ev["kind"] == "decoded"
     ]
     assert decoded
-    worker_pids = {ev.get("worker_pid") for ev in decoded} - {None}
-    assert worker_pids and os.getpid() not in worker_pids
+    main = threading.main_thread().name
+    for ev in decoded:
+        assert ev["worker"].startswith("repro-decode") and ev["worker"] != main
     assert report.batches_decoded == len(decoded)
-    # parity still holds under spawn
-    reset_warm_state()
-    monkeypatch.delenv("REPRO_MP_START_METHOD", raising=False)
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    obs.reset()
+
+    clear_pipeline_cache()
     reference = _records(run_sweep(spec, ResultStore(tmp_path / "ref"), ledger=False))
     got = _records(report)
     assert got.keys() == reference.keys()
@@ -346,10 +339,10 @@ def test_spawn_workers_report_spans_and_pids(tmp_path, monkeypatch):
 
 
 def test_inline_executor_reports_coordinator_pid_provenance(tmp_path):
-    """workers<=1 + speculate runs the zero-IPC inline executor: every
-    decoded batch must carry the coordinator's own pid as provenance (no
-    pool process ever exists), spans must still record, and parity with the
-    depth-0 run must hold."""
+    """workers<=1 + speculate runs the inline executor: every decoded batch
+    must name the calling (main) thread as provenance (no decode thread
+    ever exists), spans must still record, and parity with the depth-0 run
+    must hold."""
     spec = _spec(policies=(PolicySpec("passive"),), max_shots=800)
     obs.reset()
     obs.configure(trace_path=tmp_path / "t.json")
@@ -361,9 +354,10 @@ def test_inline_executor_reports_coordinator_pid_provenance(tmp_path):
     finally:
         obs.reset()
 
-    # inline tasks run in-process, so spans land directly on the recorder
+    # inline tasks run on the calling thread, so spans land on its lane
     assert {"decode.kernel", "sweep.dispatch"} <= {ev["name"] for ev in events}
     assert {ev["pid"] for ev in events} == {os.getpid()}
+    assert {ev["tid"] for ev in events} == {threading.get_ident()}
 
     ledger_events = RunLedger.for_store(store).events(report.run_id)
     decoded = [
@@ -371,10 +365,10 @@ def test_inline_executor_reports_coordinator_pid_provenance(tmp_path):
         if ev["ev"] == "batch" and ev["kind"] == "decoded"
     ]
     assert decoded
-    assert {ev.get("worker_pid") for ev in decoded} == {os.getpid()}
+    assert {ev["worker"] for ev in decoded} == {threading.main_thread().name}
     assert report.batches_decoded == len(decoded)
 
-    reset_warm_state()
+    clear_pipeline_cache()
     reference = _records(run_sweep(spec, ResultStore(tmp_path / "ref"), ledger=False))
     got = _records(report)
     assert got.keys() == reference.keys()

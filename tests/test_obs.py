@@ -9,16 +9,18 @@ Three families of guarantees:
 * **Zero-cost when off** — disabled tracing hands back shared no-op
   singletons and never evaluates lazy span attributes.
 * **Bit-neutrality** — tracing on vs. off changes nothing in predictions
-  or stored records, at speculation depth 0 and 4 on 1 and 4 workers; worker spans travel back and merge into one timeline.
+  or stored records, at speculation depth 0 and 4 on 1 and 4 workers;
+  decode threads record into the one recorder, one ``tid`` lane each.
 """
 
 import json
 import random
+import threading
 
 import pytest
 
 from repro import obs
-from repro.experiments.parallel import reset_warm_state
+from repro.experiments.ler import clear_pipeline_cache
 from repro.experiments.sweeps import (
     PolicySpec,
     SweepSpec,
@@ -34,10 +36,10 @@ def _obs_disabled():
     # every test starts and ends with tracing off and env-undecided; tests
     # that want a recorder call obs.configure() themselves
     obs.reset()
-    reset_warm_state()
+    clear_pipeline_cache()
     yield
     obs.reset()
-    reset_warm_state()
+    clear_pipeline_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +128,6 @@ def test_disabled_span_is_shared_noop_and_args_never_evaluated():
         pass
     obs.count("sweep.batches_dispatched")  # all no-ops
     obs.event("sweep.overshoot", lambda: pytest.fail("args evaluated while off"))
-    with obs.collect() as spans:
-        with obs.span("decode.kernel"):
-            pass
-    assert spans.events == []
     assert obs.active() is None
 
 
@@ -161,40 +159,6 @@ def test_stopwatch_runs_without_recorder():
         sum(range(1000))
     assert sw.ns > 0
     assert sw.seconds == sw.ns / 1e9
-
-
-# ---------------------------------------------------------------------------
-# collect/absorb: the worker handoff protocol
-# ---------------------------------------------------------------------------
-
-
-def test_collect_drains_and_absorb_merges():
-    rec = obs.configure()
-    with obs.span("sweep.dispatch"):
-        pass
-    with obs.collect() as spans:
-        with obs.span("decode.kernel"):
-            pass
-        with obs.span("decode.kernel"):
-            pass
-    # drained: the recorder no longer holds the task's events ...
-    assert [ev["name"] for ev in rec.events] == ["sweep.dispatch"]
-    assert [ev["name"] for ev in spans.events] == ["decode.kernel"] * 2
-    # ... so absorbing them back cannot double-count
-    obs.absorb(spans.events)
-    assert [ev["name"] for ev in rec.events] == [
-        "sweep.dispatch",
-        "decode.kernel",
-        "decode.kernel",
-    ]
-    snap = obs.metrics_snapshot(rec)
-    assert snap["histograms"]["decode.kernel"]["count"] == 2
-
-
-def test_absorb_is_dropped_when_disabled():
-    obs.disable()
-    obs.absorb([{"name": "decode.kernel", "ts": 0, "dur": 1, "pid": 1}])
-    assert obs.active() is None
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +264,7 @@ def test_tracing_bit_identity_across_schedulers(tmp_path):
 
     for speculate in (0, 4):
         for workers in (1, 4):
-            reset_warm_state()
+            clear_pipeline_cache()
             obs.configure()
             try:
                 report = run_sweep(
@@ -321,8 +285,8 @@ def test_tracing_bit_identity_across_schedulers(tmp_path):
             assert events, f"speculate={speculate} workers={workers}: no spans"
 
 
-def test_pipeline_spans_merge_across_worker_processes(tmp_path):
-    """Worker spans travel on LerResult.obs_spans into one merged timeline."""
+def test_pipeline_spans_merge_across_decode_threads(tmp_path):
+    """Decode threads record straight into the one recorder, one lane each."""
     spec = _spec()
     obs.configure()
     try:
@@ -333,32 +297,59 @@ def test_pipeline_spans_merge_across_worker_processes(tmp_path):
         obs.reset()
 
     kinds = {ev["name"] for ev in events}
-    # decode-side spans recorded inside pool workers ...
+    # decode-side spans recorded on the decode threads ...
     assert {"ler.sample", "decode.kernel", "store.commit"} <= kinds
     # ... and coordinator-side scheduler spans, in the same buffer
     assert {"sweep.dispatch", "sweep.idle"} <= kinds
     assert "sweep.apply" in kinds or "sweep.replay" in kinds
-    # the timeline really spans multiple OS processes
-    assert len({ev["pid"] for ev in events}) >= 2
+    # one process; every kernel span sits on a decode thread's lane, and
+    # the scheduler's spans on the coordinator's
+    main = threading.get_ident()
+    assert {ev["tid"] for ev in events if ev["name"] == "sweep.dispatch"} == {main}
+    kernel_tids = {ev["tid"] for ev in events if ev["name"] == "decode.kernel"}
+    assert kernel_tids and main not in kernel_tids
+    trace = obs.chrome_trace(events)
+    assert {ev["tid"] for ev in trace["traceEvents"]} >= kernel_tids | {main}
+    # no span lost to a racing append: every dispatched batch decoded once
+    assert len(
+        [ev for ev in events if ev["name"] == "decode.kernel"]
+    ) == counters["sweep.batches_dispatched"]
     assert counters["sweep.batches_dispatched"] > 0
     # the scheduler-triage shape the speculation benchmark records
     phases = obs.phase_totals(events)
     assert phases["sweep.dispatch"]["count"] == counters["sweep.batches_dispatched"]
 
 
-def test_result_obs_spans_never_reach_stored_records(tmp_path):
-    """The span side-channel is excluded from batch_stats -> store records."""
+def test_trace_keys_never_reach_stored_records(tmp_path):
+    """A traced threaded sweep stores no span field and no worker name."""
     from repro.experiments.ler import BATCH_STAT_KEYS
 
-    assert "obs_spans" not in BATCH_STAT_KEYS
+    def keys(node):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                yield k
+                yield from keys(v)
+        elif isinstance(node, list):
+            for v in node:
+                yield from keys(v)
+
     spec = _spec()
+    store = ResultStore(tmp_path / "s")
     obs.configure()
     try:
-        report = run_sweep(spec, ResultStore(tmp_path / "s"), workers=2, speculate=2)
+        report = run_sweep(spec, store, workers=2, speculate=2)
+        assert obs.active().events
     finally:
         obs.reset()
-    for record in _records(report).values():
-        assert "obs_spans" not in json.dumps(record)
+    trace_keys = {"ts", "dur", "pid", "tid", "args", "worker"}
+    for key, record in _records(report).items():
+        assert set(record["decode_stats"]) == set(BATCH_STAT_KEYS)
+        assert not trace_keys & set(keys(record))
+        for index in store.batch_indices(key):
+            batch = store.get_batch(key, index)
+            assert set(batch["decode_stats"]) == set(BATCH_STAT_KEYS)
+            assert not trace_keys & set(keys(batch))
+        assert "repro-decode" not in json.dumps(record)
 
 
 def test_cold_pipeline_records_analysis_spans_and_predicts_identically():
@@ -371,9 +362,7 @@ def test_cold_pipeline_records_analysis_spans_and_predicts_identically():
     from repro.experiments.ler import (
         SurgeryLerConfig,
         clear_pipeline_cache,
-        pipeline_payload,
         prepared_pipeline,
-        _Pipeline,
     )
 
     config = SurgeryLerConfig(distance=3, hardware=GOOGLE, policy_name="active", tau_ns=500.0)
@@ -387,11 +376,8 @@ def test_cold_pipeline_records_analysis_spans_and_predicts_identically():
     untraced_pipe, untraced = analyze_and_decode()
     obs.configure()
     try:
-        with obs.collect() as cold:
-            traced_pipe, traced = analyze_and_decode()
-        payload = pipeline_payload(config, make_policy("active"))
-        with obs.collect() as warm:
-            _Pipeline.from_payload(payload)
+        traced_pipe, traced = analyze_and_decode()
+        cold = list(obs.active().events)
     finally:
         obs.reset()
         clear_pipeline_cache()
@@ -399,8 +385,8 @@ def test_cold_pipeline_records_analysis_spans_and_predicts_identically():
     assert traced_pipe.dem.errors == untraced_pipe.dem.errors
     assert np.array_equal(traced, untraced)
 
-    (parent,) = [e for e in cold.events if e["name"] == "ler.analyze"]
-    children = [e for e in cold.events if e["name"].startswith("ler.analyze.")]
+    (parent,) = [e for e in cold if e["name"] == "ler.analyze"]
+    children = [e for e in cold if e["name"].startswith("ler.analyze.")]
     assert sorted(e["name"] for e in children) == [
         "ler.analyze.circuit",
         "ler.analyze.dem",
@@ -409,7 +395,3 @@ def test_cold_pipeline_records_analysis_spans_and_predicts_identically():
     for child in children:
         assert parent["ts"] <= child["ts"]
         assert child["ts"] + child["dur"] <= parent["ts"] + parent["dur"]
-    # a warm handoff skips synthesis and extraction: only the graph child
-    assert [e["name"] for e in warm.events if e["name"].startswith("ler.")] == [
-        "ler.analyze.graph"
-    ]

@@ -115,3 +115,42 @@ def test_predecoded_batch_path_uses_vectorized_pass(surface_case, monkeypatch):
     reference = PredecodedDecoder(g, UnionFindDecoder(g))
     assert np.array_equal(batched, reference.decode_batch(det, dedup=False))
     assert vars(wrapped.stats) == vars(reference.stats)
+
+
+def test_predecode_stats_are_per_run_on_shared_pipeline_threads():
+    """Two threads decoding one shared pipeline's cached predecoder each get
+    exactly their own offload statistics — equal to the same call run
+    serially, not inflated by the other thread's shots."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro import GOOGLE, SurgeryLerConfig, make_policy, run_surgery_ler
+    from repro.experiments.ler import clear_pipeline_cache, prepared_pipeline
+
+    cfg = SurgeryLerConfig(
+        distance=3, hardware=GOOGLE, policy_name="passive", tau_ns=500.0, p=5e-3
+    )
+    policy = make_policy("passive")
+    clear_pipeline_cache()
+    pipe = prepared_pipeline(cfg, policy)
+
+    def run(seed):
+        result = run_surgery_ler(
+            cfg, policy, 20_000, rng=seed, decoder="predecoded",
+            batch_size=2000, pipeline=pipe,
+        )
+        return result.decode_stats["predecode"]
+
+    seeds = (1, 2)
+    serial = [run(seed) for seed in seeds]
+    start = threading.Barrier(len(seeds))
+
+    def threaded(seed):
+        start.wait()  # both runs overlap from their first batch
+        return run(seed)
+
+    with ThreadPoolExecutor(len(seeds)) as pool:
+        concurrent = list(pool.map(threaded, seeds))
+    clear_pipeline_cache()
+    assert serial[0]["shots"] == serial[1]["shots"] == 20_000
+    assert concurrent == serial

@@ -11,7 +11,7 @@ import itertools
 import pytest
 from sweep_oracle import oracle_records
 
-from repro.experiments.parallel import reset_warm_state
+from repro.experiments.ler import clear_pipeline_cache
 from repro.experiments.sweeps import (
     PolicySpec,
     SweepSpec,
@@ -24,10 +24,10 @@ from repro.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
-def _fresh_warm_state():
-    reset_warm_state()
+def _fresh_pipeline_cache():
+    clear_pipeline_cache()
     yield
-    reset_warm_state()
+    clear_pipeline_cache()
 
 
 def _spec(**kwargs):
@@ -59,9 +59,9 @@ def _records(report):
 
 
 # ---------------------------------------------------------------------------
-# the acceptance criterion: oracle vs {depth 0, 1, 4} x {inline, pool}
-# (workers 0 and 1 run the zero-IPC inline executor, workers 4 a real pool;
-# depth 0 keeps one batch in flight per worker)
+# the acceptance criterion: oracle vs {depth 0, 1, 4} x {inline, threads}
+# (workers 0 and 1 run the inline executor, workers 4 a pool of decode
+# threads; depth 0 keeps one batch in flight per worker)
 # ---------------------------------------------------------------------------
 
 
@@ -73,7 +73,7 @@ def test_speculative_parity_matrix(tmp_path):
 
     for speculate in (0, 1, 4):
         for workers in (0, 1, 4):
-            reset_warm_state()
+            clear_pipeline_cache()
             store = ResultStore(tmp_path / f"s{speculate}w{workers}")
             report = run_sweep(spec, store, workers=workers, speculate=speculate)
             assert report.speculate == speculate
@@ -96,7 +96,7 @@ def test_speculative_parity_matrix(tmp_path):
 def test_outcomes_emitted_in_sweep_order(tmp_path):
     spec = _spec(max_shots=800, target_rse=None)
     inline = run_sweep(spec, ResultStore(tmp_path / "a"))
-    reset_warm_state()
+    clear_pipeline_cache()
     pooled = run_sweep(spec, ResultStore(tmp_path / "b"), workers=4, speculate=2)
     expected = [pt.key(seed=spec.seed, batch_shots=spec.batch_shots) for pt in spec.points()]
     assert [o.key for o in inline.outcomes] == expected
@@ -116,11 +116,11 @@ def test_interrupted_speculative_run_resumes_bit_identically(tmp_path):
         dict(workers=1, speculate=0),  # resume inline, one batch in flight
         dict(workers=2, speculate=3),  # resume on a speculative pool
     ):
-        reset_warm_state()
+        clear_pipeline_cache()
         store = ResultStore(tmp_path / f"int-{resume_kwargs['speculate']}")
         partial = run_sweep(spec, store, workers=2, speculate=3, batch_limit=4)
         assert partial.interrupted
-        reset_warm_state()
+        clear_pipeline_cache()
         resumed = run_sweep(spec, store, **resume_kwargs)
         assert not resumed.interrupted
         got = _records(resumed)
@@ -137,7 +137,7 @@ def test_overshoot_is_committed_then_replayed_by_tightened_resume(tmp_path):
     tight = dataclasses.replace(loose, target_rse=0.12)
     clean_tight = _records(run_sweep(tight, ResultStore(tmp_path / "ct")))
 
-    reset_warm_state()
+    clear_pipeline_cache()
     store = ResultStore(tmp_path / "s")
     first = run_sweep(loose, store, workers=2, speculate=4)
     assert first.batches_overshoot > 0
@@ -160,7 +160,7 @@ def test_restart_discards_the_commit_ahead_log(tmp_path):
     partial = run_sweep(spec, store, workers=2, speculate=3, batch_limit=4)
     assert partial.interrupted
     assert any(store.batch_indices(k) for k in store.keys())  # log populated
-    reset_warm_state()
+    clear_pipeline_cache()
     redone = run_sweep(spec, store, resume=False)
     assert redone.batches_replayed == 0  # recomputed, not replayed
     clean = _records(run_sweep(spec, ResultStore(tmp_path / "clean")))
@@ -172,10 +172,10 @@ def test_replayed_batches_do_not_count_as_decoded(tmp_path):
     loose = _spec(target_rse=0.3, max_shots=8000)
     tight = dataclasses.replace(loose, target_rse=0.12)
     clean = run_sweep(tight, ResultStore(tmp_path / "c"))
-    reset_warm_state()
+    clear_pipeline_cache()
     store = ResultStore(tmp_path / "s")
     first = run_sweep(loose, store, workers=2, speculate=4)
-    reset_warm_state()
+    clear_pipeline_cache()
     second = run_sweep(tight, store)
     replayed_shots = (
         clean.shots_decoded - first.shots_decoded - second.shots_decoded
@@ -193,7 +193,7 @@ def test_resume_survives_a_corrupt_commit_ahead_record(tmp_path):
     """A truncated batch-log write must be re-decoded, not crash resume."""
     spec = _spec()
     clean = _records(run_sweep(spec, ResultStore(tmp_path / "clean")))
-    reset_warm_state()
+    clear_pipeline_cache()
     store = ResultStore(tmp_path / "s")
     partial = run_sweep(spec, store, workers=2, speculate=3, batch_limit=4)
     assert partial.interrupted
@@ -213,7 +213,7 @@ def test_resume_survives_a_corrupt_commit_ahead_record(tmp_path):
             path.write_text(corruptions[n % len(corruptions)])
             n += 1
     assert n > 0
-    reset_warm_state()
+    clear_pipeline_cache()
     resumed = run_sweep(spec, store, workers=2, speculate=3)
     assert resumed.batches_replayed == 0  # nothing replayable survived
     got = _records(resumed)
@@ -231,7 +231,7 @@ def test_adaptive_batching_speculative_parity(tmp_path):
     reference = oracle_records(spec)
     assert any(r["batch_shots_next"] > spec.batch_shots for r in reference.values())
     for speculate, workers in itertools.product((0, 1, 4), (0, 1, 4)):
-        reset_warm_state()
+        clear_pipeline_cache()
         report = run_sweep(
             spec,
             ResultStore(tmp_path / f"s{speculate}w{workers}"),
@@ -307,7 +307,7 @@ def test_redo_dispatch_not_blocked_by_stale_pending_near_shot_cap(tmp_path):
     )
     run = _SweepRun(spec, ResultStore(tmp_path), workers=2, speculate=4)
     (pt,) = spec.points()
-    key, record, payload, resolved = run._prepare_point(pt)
+    key, record, pipe, resolved = run._prepare_point(pt)
     assert not resolved
 
     submitted = []
@@ -316,7 +316,7 @@ def test_redo_dispatch_not_blocked_by_stale_pending_near_shot_cap(tmp_path):
         submitted.append(task)
         return Future()  # never completes; we only test dispatch decisions
 
-    state = _ConcurrentPoint(pt, key, record, payload, None, set())
+    state = _ConcurrentPoint(pt, key, record, pipe, set())
     # batches 0 and 1 applied at 400 shots; the plan has since grown to 800
     record.update(shots=800, batches=2, batch_shots_next=800)
     # batch 4 in flight at the grown size, batch 3 completed at the stale
@@ -362,9 +362,9 @@ def test_stale_discard_counts_as_progress(tmp_path):
     )
     run = _SweepRun(spec, ResultStore(tmp_path), workers=2, speculate=4)
     (pt,) = spec.points()
-    key, record, payload, resolved = run._prepare_point(pt)
+    key, record, pipe, resolved = run._prepare_point(pt)
     assert not resolved
-    state = _ConcurrentPoint(pt, key, record, payload, None, set())
+    state = _ConcurrentPoint(pt, key, record, pipe, set())
     record.update(shots=800, batches=2, batch_shots_next=800)  # plan grew
     nobs = len(record["failures"])
     for index in (2, 3, 4):  # completed at the stale size, none in flight
@@ -406,13 +406,13 @@ def test_admission_orders_bit_identical(tmp_path):
 
     for workers, speculate in ((1, 4), (4, 2)):  # inline and pool
         for admission in ("cost", "sweep"):
-            reset_warm_state()
+            clear_pipeline_cache()
             store = ResultStore(tmp_path / f"a{workers}-{admission}")
             # seed asymmetric progress so the cost order genuinely differs
             # from sweep order (the first point is part-done, costing less)
             seeded = run_sweep(spec, store, batch_limit=2)
             assert seeded.interrupted
-            reset_warm_state()
+            clear_pipeline_cache()
             report = run_sweep(
                 spec, store, workers=workers, speculate=speculate,
                 admission=admission,
@@ -474,7 +474,7 @@ def test_plan_sweep_decodes_nothing(tmp_path):
     assert statuses <= {"partial", "converged", "missing"}
 
     # a finished store plans zero work
-    reset_warm_state()
+    clear_pipeline_cache()
     run_sweep(spec, store)
     plan3 = plan_sweep(spec, store)
     assert plan3["totals"]["batches_remaining"] == 0
@@ -487,8 +487,7 @@ def test_plan_sweep_decodes_nothing(tmp_path):
 # ---------------------------------------------------------------------------
 
 #: (entropy, spawn_key) of the one batch _poisonable_run_task should fail;
-#: module-level so fork-started pool workers inherit it, and picklable by
-#: reference so ProcessPoolExecutor can ship the patched callable
+#: module-level so every decode thread sees it
 _POISON = None
 _REAL_RUN_TASK = None
 
@@ -504,7 +503,7 @@ def _poisonable_run_task(task):
     return _REAL_RUN_TASK(task)
 
 
-@pytest.mark.parametrize("workers", [1, 2])  # inline executor and real pool
+@pytest.mark.parametrize("workers", [1, 2])  # inline executor and thread pool
 def test_worker_crash_checkpoints_and_resumes(tmp_path, monkeypatch, workers):
     global _POISON, _REAL_RUN_TASK
     from repro.experiments import parallel
@@ -516,7 +515,7 @@ def test_worker_crash_checkpoints_and_resumes(tmp_path, monkeypatch, workers):
         k: _scrub(r)
         for k, r in _records(run_sweep(spec, ResultStore(tmp_path / "c"))).items()
     }
-    reset_warm_state()
+    clear_pipeline_cache()
 
     # poison the third batch of the last sweep point: every point of this
     # spec decodes >= 4 batches, so both schedulers genuinely reach it
@@ -555,7 +554,7 @@ def test_worker_crash_checkpoints_and_resumes(tmp_path, monkeypatch, workers):
                 1 for i in store.batch_indices(k) if i >= record.get("batches", 0)
             )
 
-    reset_warm_state()
+    clear_pipeline_cache()
     resumed = run_sweep(spec, store, workers=workers, speculate=3)
     assert not resumed.interrupted
     got = {k: _scrub(r) for k, r in _records(resumed).items()}

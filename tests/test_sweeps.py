@@ -1,5 +1,5 @@
-"""Sweep orchestrator tests: resume determinism, adaptive stopping, warm
-workers, one-point fixed-shot sweeps (the figure builders' point records),
+"""Sweep orchestrator tests: resume determinism, adaptive stopping, decode
+threads, one-point fixed-shot sweeps (the figure builders' point records),
 and per-point decode stats."""
 
 import dataclasses
@@ -11,8 +11,7 @@ import pytest
 from repro import obs
 from repro.core import make_policy
 from repro.experiments import ler as ler_module
-from repro.experiments.ler import SurgeryLerConfig, pipeline_payload
-from repro.experiments.parallel import reset_warm_state
+from repro.experiments.ler import SurgeryLerConfig, clear_pipeline_cache
 from repro.experiments.sweeps import (
     PolicySpec,
     SweepSpec,
@@ -24,10 +23,10 @@ from repro.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
-def _fresh_warm_state():
-    reset_warm_state()
+def _fresh_pipeline_cache():
+    clear_pipeline_cache()
     yield
-    reset_warm_state()
+    clear_pipeline_cache()
 
 
 def _spec(**kwargs):
@@ -141,15 +140,14 @@ def test_completed_sweep_rerun_decodes_zero_shots(tmp_path):
 def test_sweep_worker_count_does_not_change_results(tmp_path):
     spec = _spec(target_rse=0.15, max_shots=3000)
     serial = run_sweep(spec, ResultStore(tmp_path / "serial"), workers=1)
-    reset_warm_state()
+    clear_pipeline_cache()
     pooled = run_sweep(spec, ResultStore(tmp_path / "pooled"), workers=3)
     a, b = serial.outcomes[0].record, pooled.outcomes[0].record
     assert a["failures"] == b["failures"]
     assert a["shots"] == b["shots"]
     assert a["stop_reason"] == b["stop_reason"]
-    # warm handoff: pool workers never re-analyzed the circuit
-    assert pooled.analyses_workers == 0
-    assert pooled.analyses_parent <= 1
+    # decode threads never analyze: the coordinator analyzed the point once
+    assert pooled.analyses_parent == 1
 
 
 # ---------------------------------------------------------------------------
@@ -258,26 +256,6 @@ def test_one_point_sweep_same_numbers_in_any_store(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# warm workers (pre-analyzed pipeline handoff)
-# ---------------------------------------------------------------------------
-
-
-def test_payload_pipeline_matches_analyzed_pipeline():
-    cfg = _config()
-    pol = make_policy("passive")
-    payload = pipeline_payload(cfg, pol)
-    rebuilt = ler_module._Pipeline.from_payload(payload)
-    direct = ler_module.prepared_pipeline(cfg, pol)
-    assert rebuilt.plan_summary() == direct.plan_summary()
-    assert rebuilt.graph.num_detectors == direct.graph.num_detectors
-    det, _ = direct.sampler.sample(64, rng=0)
-    masked = direct.mask_detectors(det)
-    a = rebuilt.decoder("unionfind").decode_batch(masked)
-    b = direct.decoder("unionfind").decode_batch(masked)
-    assert np.array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
 # per-family warm pipelines and deterministic decode counters
 # ---------------------------------------------------------------------------
 
@@ -290,15 +268,14 @@ def test_family_cache_persists_across_sweep_batches(tmp_path):
     stats = report.outcomes[0].record["decode_stats"]
     assert stats["batches"] == 4
     assert report.analyses_parent == 1
-    assert report.analyses_workers == 0
     # each batch decodes its own distinct syndromes once
     assert stats["decode_calls"] == stats["distinct_syndromes"] > 0
 
 
 @pytest.mark.parametrize("speculate", [0, 1])
 def test_inline_sweep_builds_each_point_graph_once(tmp_path, speculate):
-    # the inline executor reuses the coordinator's analyzed pipeline instead
-    # of rebuilding its matching graph and sampler from the payload
+    # the inline executor reuses the coordinator's analyzed pipeline: one
+    # matching graph and sampler per point
     spec = _spec(
         taus_ns=(500.0, 1000.0),
         policies=(PolicySpec("passive"), PolicySpec("active")),
@@ -322,7 +299,7 @@ def test_decode_counters_match_across_worker_counts(tmp_path):
         taus_ns=(500.0, 1000.0), p=5e-3, batch_shots=400, max_shots=1200
     )
     serial = run_sweep(spec, ResultStore(tmp_path / "serial"), workers=1)
-    reset_warm_state()
+    clear_pipeline_cache()
     pooled = run_sweep(spec, ResultStore(tmp_path / "pooled"), workers=2)
     by_key = {o.key: o.record["decode_stats"] for o in pooled.outcomes}
     assert len(by_key) == len(serial.outcomes) == 2
@@ -342,20 +319,20 @@ def test_family_caches_are_isolated_per_decoder(tmp_path):
 
     record("uf", "unionfind")
     tainted = record("mwpm", "mwpm")
-    reset_warm_state()  # a fresh process cannot see the unionfind run
+    clear_pipeline_cache()  # a fresh process cannot see the unionfind run
     clean = record("mwpm2", "mwpm")
     assert tainted["failures"] == clean["failures"]
 
 
 def test_family_cache_survives_rounds_in_pooled_mode(tmp_path):
-    # the run-wide pool keeps worker pipelines alive across convergence
-    # rounds: no worker ever re-analyzes the circuit
+    # every batch on the run-wide thread pool decodes the coordinator's one
+    # analyzed pipeline: the point is analyzed exactly once
     spec = _spec(p=5e-3, batch_shots=500, max_shots=3000)
     report = run_sweep(spec, ResultStore(tmp_path), workers=2)
     stats = report.outcomes[0].record["decode_stats"]
     assert stats["batches"] == 6
     assert stats["decode_calls"] == stats["distinct_syndromes"] > 0
-    assert report.analyses_workers == 0
+    assert report.analyses_parent == 1
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +388,7 @@ def test_adaptive_batching_worker_count_independent(tmp_path):
         max_batch_shots=2000,
     )
     serial = run_sweep(spec, ResultStore(tmp_path / "serial"), workers=1)
-    reset_warm_state()
+    clear_pipeline_cache()
     pooled = run_sweep(spec, ResultStore(tmp_path / "pooled"), workers=3)
     a, b = serial.outcomes[0].record, pooled.outcomes[0].record
     assert a["failures"] == b["failures"]
@@ -511,7 +488,7 @@ def test_sweep_backend_is_bit_identical_and_reaches_workers(tmp_path):
     python_run = run_sweep(
         dataclasses.replace(base, backend="python"), ResultStore(tmp_path / "py")
     )
-    reset_warm_state()
+    clear_pipeline_cache()
     numpy_run = run_sweep(
         dataclasses.replace(base, backend="numpy"),
         ResultStore(tmp_path / "np"),
@@ -521,6 +498,25 @@ def test_sweep_backend_is_bit_identical_and_reaches_workers(tmp_path):
     assert a["key"] == b["key"]  # backend is not part of the point key
     assert a["failures"] == b["failures"]
     assert a["shots"] == b["shots"]
+
+
+@pytest.mark.parametrize("decoder", ["unionfind", "predecoded", "hierarchical", "mwpm"])
+def test_scalar_backend_sweep_on_decode_threads_matches_inline(tmp_path, decoder):
+    # the python backend runs every decoder's scalar pass, whose per-thread
+    # scratch must keep decode threads sharing one cached decoder apart
+    spec = _spec(
+        taus_ns=(500.0, 1000.0), p=5e-3, batch_shots=300, max_shots=1200,
+        backend="python", decoder=decoder,
+    )
+    inline = run_sweep(spec, ResultStore(tmp_path / "inline"), ledger=False)
+    clear_pipeline_cache()
+    threaded = run_sweep(
+        spec, ResultStore(tmp_path / "threads"), workers=2, speculate=2, ledger=False
+    )
+    for a, b in zip(inline.outcomes, threaded.outcomes):
+        assert a.key == b.key
+        assert a.record["failures"] == b.record["failures"]
+        assert a.record["shots"] == b.record["shots"]
 
 
 def test_sweep_under_missing_backend_produces_identical_records(
@@ -539,7 +535,7 @@ def test_sweep_under_missing_backend_produces_identical_records(
     reference = run_sweep(
         dataclasses.replace(base, backend="python"), ResultStore(tmp_path / "ref")
     )
-    reset_warm_state()
+    clear_pipeline_cache()
     monkeypatch.setattr(CextBackend, "available", lambda self: False)
     monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
     degraded = run_sweep(

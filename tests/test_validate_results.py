@@ -210,7 +210,9 @@ def _write_valid_rundir(tmp_path, run_id="20260808T120000Z-deadbeef"):
     }))
     (rundir / "events.jsonl").write_text(
         json.dumps({"ev": "run_start", "t": 1.0, "pid": 1}) + "\n"
-        + json.dumps({"ev": "batch", "t": 2.0, "pid": 1, "kind": "decoded"}) + "\n"
+        + json.dumps({
+            "ev": "batch", "t": 2.0, "pid": 1, "kind": "decoded", "worker": "MainThread"
+        }) + "\n"
         + json.dumps({"ev": "run_finish", "t": 3.0, "pid": 1, "status": "ok"}) + "\n"
     )
     return rundir
@@ -262,6 +264,30 @@ def test_ledger_event_shape_problems_rejected(tmp_path, capsys):
     assert "expected 'run_start'" in err
     assert "unknown event" in err
     assert "ev/t" in err
+
+
+def test_ledger_batch_provenance_must_match_workers(tmp_path, capsys):
+    # workers=2 runs decode on repro-decode threads; a main-thread name, a
+    # missing name, or a named replay is a mislabelled row
+    rundir = _write_valid_rundir(tmp_path)
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    (rundir / "manifest.json").write_text(json.dumps(dict(manifest, workers=2)))
+    events = [
+        {"ev": "run_start", "t": 1.0, "pid": 1},
+        {"ev": "batch", "t": 2.0, "kind": "decoded", "worker": "repro-decode_0"},
+        {"ev": "batch", "t": 2.1, "kind": "decoded", "worker": "MainThread"},
+        {"ev": "batch", "t": 2.2, "kind": "overshoot"},
+        {"ev": "batch", "t": 2.3, "kind": "replayed", "worker": "repro-decode_1"},
+    ]
+    (rundir / "events.jsonl").write_text(
+        "".join(json.dumps(ev) + "\n" for ev in events)
+    )
+    assert validate_results.main(["--ledger", str(rundir)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" not in err
+    assert "line 3: batch decoded by 'MainThread'" in err
+    assert "line 4: overshoot batch has no worker" in err
+    assert "line 5: replayed batch names worker" in err
 
 
 def test_ledger_missing_rundir_rejected(tmp_path, capsys):
