@@ -19,16 +19,17 @@ their *rate* is shot-count independent, while dedup throughput
 legitimately grows with batch size).
 
 ``test_decode_backend_throughput`` additionally races every *available*
-decode-kernel backend (``python`` scalar pass, ``numpy`` whole-batch
-union-find, ``cext`` C union-find) on the kernel subsystem's acceptance
-configuration — d=7 at p=3e-3, where syndromes are heavy and dedup alone
-buys little — plus d=5, 9 and 11 at a tenth of the shots, asserting
-bit-identical predictions and a >= 2x numpy speedup.  Rows are keyed by
-the backend that actually ran; an unavailable backend records nothing.
-``test_wrapped_backend_throughput`` (marked ``slow``) races the *wrapped*
-paths on the same configuration: the predecoded and hierarchical decoders
-under their scalar fallback vs the batched kernels (``BatchedPredecode`` /
-``BatchedHierarchical``), asserting bit-identical predictions +
+decode-kernel backend (``python`` scalar pass, ``cext`` C union-find) on
+the kernel subsystem's acceptance configuration — d=7 at p=3e-3, where
+syndromes are heavy and dedup alone buys little — plus d=5, 9 and 11 at a
+tenth of the shots, asserting bit-identical predictions and, when the C
+kernel builds, a >= 2x ``cext`` speedup.  Rows are keyed by the backend
+that actually ran; an unavailable backend records nothing.
+``test_wrapped_backend_throughput`` (marked ``slow``; needs a C compiler)
+races the *wrapped* paths on the same configuration: the predecoded and
+hierarchical decoders under their scalar fallback vs the ``cext``
+backend's batched kernels (``BatchedPredecode`` / ``BatchedHierarchical``
+over the C union-find), asserting bit-identical predictions +
 ``PredecodeStats`` and a >= 2x predecoded-path speedup.  Both write per-decoder sections of
 ``benchmarks/results/decode_backends.json``, over :data:`BACKEND_SHOTS`
 shots.
@@ -300,7 +301,7 @@ def test_decode_throughput(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# decode-kernel backends: scalar pass vs vectorized whole-batch union-find
+# decode-kernel backends: scalar pass vs the C union-find kernel
 # ---------------------------------------------------------------------------
 
 
@@ -389,16 +390,12 @@ def test_decode_backend_throughput(benchmark):
         print(f"\nd={d}: {rates}   ({point['distinct_syndromes']} distinct rows)")
     record_merge("decode_backends", {"unionfind": row})
 
-    # regression floor, not the acceptance bar: the kernel measures
-    # 2.7-3.5x across committed runs of this container (the ~±15%
-    # machine variance docs/CI.md describes), so 3.0 flaked.  2.0
-    # still fails if the whole-batch vectorized path stops engaging
-    # (that reads ~1x); the recorded ratio is the tracked number.
-    assert row["numpy_speedup_vs_python"] >= 2.0
+    # regression floor, not the acceptance bar: the C kernel measures
+    # ~30-38x here, so 2.0 only fails if the whole-matrix kernel stops
+    # engaging (that reads ~1x); the recorded ratio is the tracked number.
+    # A host without a compiler runs only the python reference.
     if "cext" in row["backends_available"]:
-        # the C kernel measures ~10x the numpy kernel; it must never
-        # fall behind it
-        assert row["cext_speedup_vs_python"] >= row["numpy_speedup_vs_python"]
+        assert row["cext_speedup_vs_python"] >= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +416,8 @@ def _bench_wrapped_backends(shots: int, seed: int) -> dict:
     sections = {}
     for name in ("predecoded", "hierarchical"):
         rates, predictions, engines = {}, {}, {}
-        repeats = {"python": 2, "numpy": 3}
-        for backend in ("python", "numpy"):
+        repeats = {"python": 2, "cext": 3}
+        for backend in ("python", "cext"):
             # decoder built once per backend, outside the timed region:
             # construction (LUT enumeration) and kernel binding are one-time
             # costs a streaming pipeline amortizes away, and timing them
@@ -439,21 +436,21 @@ def _bench_wrapped_backends(shots: int, seed: int) -> dict:
                 _run, det.shape[0], repeats=repeats[backend]
             )
 
-        assert np.array_equal(predictions["python"], predictions["numpy"]), (
-            f"the numpy backend must be bit-identical to python for {name}"
+        assert np.array_equal(predictions["python"], predictions["cext"]), (
+            f"the cext backend must be bit-identical to python for {name}"
         )
         if name == "predecoded":
             assert vars(engines["python"].decoder_stats) == vars(
-                engines["numpy"].decoder_stats
+                engines["cext"].decoder_stats
             )
         sections[name] = {
             "config": {"decoder": name, "distance": 7, "p": 3e-3, "shots": shots},
             "python_shots_per_sec": rates["python"],
-            "numpy_shots_per_sec": rates["numpy"],
-            "numpy_speedup_vs_python": rates["numpy"] / rates["python"],
+            "cext_shots_per_sec": rates["cext"],
+            "cext_speedup_vs_python": rates["cext"] / rates["python"],
         }
         if name == "predecoded":
-            stats = engines["numpy"].decoder_stats
+            stats = engines["cext"].decoder_stats
             sections[name]["predecode_removal_fraction"] = stats.removal_fraction
             sections[name]["predecode_offload_fraction"] = stats.offload_fraction
     return sections
@@ -461,17 +458,21 @@ def _bench_wrapped_backends(shots: int, seed: int) -> dict:
 
 @pytest.mark.slow
 def test_wrapped_backend_throughput(benchmark):
+    from repro.decoders import kernels
+
+    if not kernels.get("cext").available():
+        pytest.skip("no C compiler: only the python reference backend runs")
     sections = run_once(benchmark, _bench_wrapped_backends, BACKEND_SHOTS, SEED)
     for name, row in sections.items():
         print(
             f"\n{name}: python {row['python_shots_per_sec']:,.0f}/s   "
-            f"numpy {row['numpy_shots_per_sec']:,.0f}/s   "
-            f"({row['numpy_speedup_vs_python']:.2f}x)"
+            f"cext {row['cext_shots_per_sec']:,.0f}/s   "
+            f"({row['cext_speedup_vs_python']:.2f}x)"
         )
     record_merge("decode_backends", sections)
 
-    # the acceptance bar: the numpy-backed predecoded path must beat its
-    # scalar fallback >= 2x at d=7, p=3e-3 (typically ~3x; the margin
-    # absorbs this machine's run-to-run timing variance)
-    assert sections["predecoded"]["numpy_speedup_vs_python"] >= 2.0
-    assert sections["hierarchical"]["numpy_speedup_vs_python"] >= 1.5
+    # the acceptance bar: the batched predecoded path must beat its scalar
+    # fallback >= 2x at d=7, p=3e-3 (the margin absorbs this machine's
+    # run-to-run timing variance)
+    assert sections["predecoded"]["cext_speedup_vs_python"] >= 2.0
+    assert sections["hierarchical"]["cext_speedup_vs_python"] >= 1.5

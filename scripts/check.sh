@@ -3,7 +3,7 @@
 # tests, the scheduler parity suite (tests/test_speculation.py — oracle vs
 # concurrent: stored records equal the scheduler-free tests/sweep_oracle.py
 # for any worker count/depth), the decode-kernel backend parity matrix (tests/test_kernels.py
-# — every backend must stay bit-identical to the python reference pass), the
+# — the cext backend must stay bit-identical to the python reference pass), the
 # cross-decoder contract suite (tests/test_decoder_contract.py — defect-
 # parity preservation, dedup/backend metamorphic identities), and the
 # benchmarks, minus everything tagged @pytest.mark.slow.  Intended to

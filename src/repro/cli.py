@@ -240,7 +240,6 @@ def _resolve_store(path):
 def _sweep_run(args) -> int:
     from .experiments.sweeps import SweepSpec, plan_sweep, run_sweep
 
-    spec = SweepSpec.from_json(args.spec)
     overrides = {}
     if args.target_rse is not None:
         overrides["target_rse"] = args.target_rse
@@ -249,17 +248,16 @@ def _sweep_run(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.decode_backend is not None:
-        if args.decode_backend != "auto":
-            from .decoders import kernels
-
-            try:
-                kernels.get(args.decode_backend)  # fail fast on unknown names
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                return 2
         overrides["backend"] = args.decode_backend
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    # the spec validates itself (decoder and backend names included), so a
+    # bad spec file or override fails here, before anything is decoded
+    try:
+        spec = SweepSpec.from_json(args.spec)
+        if overrides:
+            spec = dataclasses.replace(spec, **overrides)
+    except ValueError as exc:
+        print(f"sweep run: {exc}", file=sys.stderr)
+        return 2
     if args.restart and args.resume:
         print("--restart and --resume are mutually exclusive", file=sys.stderr)
         return 2
@@ -839,7 +837,7 @@ def main(argv=None) -> int:
         "--decode-backend",
         default=None,
         metavar="NAME",
-        help="decode-kernel backend for this sweep (python/numpy/cext/auto);"
+        help="decode-kernel backend for this sweep (python/cext/auto);"
         " bit-identical across backends, so stored records are unaffected",
     )
     sweep_run.add_argument(

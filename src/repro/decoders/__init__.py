@@ -17,10 +17,10 @@ Layers on top of the base class:
   throughput statistics accumulated across batches (each batch decodes its
   own distinct syndromes; nothing is memoized between batches); used by the
   streaming LER pipeline (:mod:`repro.experiments.ler`).
-* :mod:`~repro.decoders.kernels` — pluggable decode-kernel backends for the
-  distinct-syndrome matrix: ``python`` (scalar reference), ``numpy``
-  (vectorized whole-batch union-find), ``cext`` (C union-find built with
-  the system compiler; degrades to ``numpy`` without one).
+* :mod:`~repro.decoders.kernels` — decode-kernel backends for the
+  distinct-syndrome matrix: ``python`` (scalar reference) and ``cext`` (C
+  union-find built with the system compiler, plus batched predecode,
+  hierarchical and MWPM kernels; degrades to ``python`` without one).
   Backends are bit-identical; select via ``REPRO_DECODE_BACKEND``, the CLI
   ``--decode-backend`` flag, or the ``backend=`` arguments (docs/DECODERS.md).
 * Concrete decoders: :class:`UnionFindDecoder` (workhorse),

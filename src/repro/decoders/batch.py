@@ -23,12 +23,11 @@ an empty or tiny syndrome, so a 100k-shot batch contains only a few thousand
   batch decodes its own distinct rows, so the counters depend only on the
   sampled shots.
 * decode-kernel **backends** (:mod:`repro.decoders.kernels`) — the distinct-
-  syndrome matrix is decoded through a pluggable backend: ``python`` runs
-  the scalar per-syndrome pass, ``numpy`` binds whole-matrix kernels for
-  every stock decoder family (batched union-find, batched predecode with
-  matrix-form residual handoff, the hierarchical LUT row-split, and the
-  shared-Dijkstra MWPM kernel), ``cext`` swaps the union-find kernel for a
-  scalar C one built with the system compiler.  All backends are bit-identical —
+  syndrome matrix is decoded through a backend: ``python`` runs the scalar
+  per-syndrome pass, ``cext`` binds whole-matrix kernels for every stock
+  decoder family (the C union-find built with the system compiler, batched
+  predecode with matrix-form residual handoff, the hierarchical LUT
+  row-split, and the shared-Dijkstra MWPM kernel).  Both are bit-identical —
   including decoder-side statistics such as
   :class:`~repro.decoders.predecoder.PredecodeStats`; selection:
   ``backend=`` argument > ``REPRO_DECODE_BACKEND`` > ``auto``.

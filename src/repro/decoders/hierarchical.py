@@ -73,7 +73,7 @@ class HierarchicalDecoder(Decoder):
         return mask if hit else self.slow.decode(detectors)
 
     # decode_batch (predictions only, with syndrome dedup) is inherited from
-    # Decoder; under the numpy/cext backends it runs the batched row-split
+    # Decoder; under the cext backend it runs the batched row-split
     # kernel (bulk LUT lookup, misses decoded through the slow decoder's own
     # kernel — see repro.decoders.kernels.BatchedHierarchical).  The latency
     # model lives in decode_batch_stats below and stays per-shot.

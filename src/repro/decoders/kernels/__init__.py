@@ -1,23 +1,22 @@
-"""Pluggable decode-kernel backends with capability discovery.
+"""Decode-kernel backends: the scalar reference and the C kernels.
 
 The decoder layer's hot path — decoding the distinct-syndrome matrix of a
-batch — is pluggable: a *backend* (:class:`KernelBackend`) may bind a
-decoder to a vectorized whole-matrix kernel, and every backend is
-**bit-identical** to the scalar reference pass, so swapping backends can
-never change experiment results, only their wall time.
+batch — runs through a *backend* (:class:`KernelBackend`), which may bind a
+decoder to a whole-matrix kernel.  Every backend is **bit-identical** to
+the scalar reference pass, so swapping backends can never change
+experiment results, only their wall time.
 
-Built-in backends (see :mod:`.backends`):
+The two backends (see :mod:`.backends`):
 
 ========  ==============================================================
 name      strategy
 ========  ==============================================================
 python    the scalar per-syndrome pass, always available (the fallback)
-numpy     vectorized whole-batch kernels (:mod:`.batched_unionfind` for
-          stock union-find; :mod:`.batched_wrappers` for the predecoded,
-          hierarchical and MWPM paths)
-cext      the numpy kernels with stock union-find decoded by a scalar C
-          kernel (:mod:`.cext`, ``uf.c`` built on first use with the system
-          compiler); degrades to ``numpy`` without a compiler
+cext      stock union-find decoded by a scalar C kernel (:mod:`.cext`,
+          ``uf.c`` built on first use with the system compiler), and the
+          batched predecoded, hierarchical and MWPM kernels of
+          :mod:`.batched_wrappers`; degrades to ``python`` without a
+          compiler
 ========  ==============================================================
 
 Batches reach the kernels on the packed syndrome data plane (:mod:`.plane`:
@@ -39,16 +38,14 @@ Selection precedence, resolved by :func:`resolve`:
    ``SweepSpec``; the experiments layer defaults it from
    ``repro.experiments.ler.DECODE_DEFAULTS``),
 2. the ``REPRO_DECODE_BACKEND`` environment variable,
-3. ``auto`` — the fastest available backend (``cext`` > ``numpy`` >
-   ``python``).
+3. ``auto`` — ``cext`` when it is available, else ``python``.
 
 An unavailable backend degrades along its ``fallback`` chain (``cext`` ->
-``numpy`` -> ``python``), so naming a backend whose soft dependency is
-missing still decodes correctly; the degradation is announced by a single
-``RuntimeWarning`` per process naming the backend that actually resolved
-(so CI logs show which kernel ran the parity matrix).  Third-party backends (a
-GPU kernel, ...) plug in through :func:`register` without touching the
-engine.  Full catalogue and knobs: ``docs/DECODERS.md``.
+``python``), so naming ``cext`` on a host without a compiler still decodes
+correctly; the degradation is announced by a single ``RuntimeWarning`` per
+process naming the backend that actually resolved (so CI logs show which
+kernel ran the parity matrix).  Full catalogue and knobs:
+``docs/DECODERS.md``.
 """
 
 from __future__ import annotations
@@ -56,21 +53,17 @@ from __future__ import annotations
 import os
 import warnings
 
-from .backends import CextBackend, NumpyBackend, PythonBackend
+from .backends import CextBackend, PythonBackend
 from .base import KernelBackend
-from .batched_unionfind import BatchedUnionFind
 from .batched_wrappers import BatchedHierarchical, BatchedMWPM, BatchedPredecode
 
 __all__ = [
     "KernelBackend",
     "PythonBackend",
-    "NumpyBackend",
     "CextBackend",
-    "BatchedUnionFind",
     "BatchedPredecode",
     "BatchedHierarchical",
     "BatchedMWPM",
-    "register",
     "names",
     "available",
     "get",
@@ -81,9 +74,11 @@ __all__ = [
 ]
 
 #: preference order of the ``auto`` backend (first available wins)
-AUTO_ORDER = ("cext", "numpy", "python")
+AUTO_ORDER = ("cext", "python")
 
-_REGISTRY: dict[str, KernelBackend] = {}
+_REGISTRY: dict[str, KernelBackend] = {
+    backend.name: backend for backend in (CextBackend(), PythonBackend())
+}
 
 #: (requested, resolved) pairs already warned about — fallback degradation
 #: is announced once per process so CI logs show which backend actually ran
@@ -91,20 +86,8 @@ _REGISTRY: dict[str, KernelBackend] = {}
 _FALLBACK_WARNED: set[tuple[str, str]] = set()
 
 
-def register(backend: KernelBackend, *, replace: bool = False) -> KernelBackend:
-    """Register a backend under its ``name``; returns it for chaining."""
-    if not backend.name:
-        raise ValueError("backend needs a non-empty name")
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(
-            f"backend {backend.name!r} is already registered (pass replace=True)"
-        )
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
 def names() -> list[str]:
-    """All registered backend names (sorted)."""
+    """All backend names (sorted)."""
     return sorted(_REGISTRY)
 
 
@@ -119,7 +102,7 @@ def get(name: str) -> KernelBackend:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(
-            f"unknown decode backend {name!r}; registered: {', '.join(names())}"
+            f"unknown decode backend {name!r}; known: {', '.join(names())}"
         ) from None
 
 
@@ -136,9 +119,8 @@ def resolve(name: str | None = None) -> KernelBackend:
         name = os.environ.get("REPRO_DECODE_BACKEND") or "auto"
     if name == "auto":
         for candidate in AUTO_ORDER:
-            backend = _REGISTRY.get(candidate)
-            if backend is not None and backend.available():
-                return backend
+            if _REGISTRY[candidate].available():
+                return _REGISTRY[candidate]
         return get("python")
     backend = get(name)
     seen = {backend.name}
@@ -175,7 +157,3 @@ def capabilities(name: str | None = None) -> frozenset:
     """
     return frozenset(resolve(name).capabilities)
 
-
-register(PythonBackend())
-register(NumpyBackend())
-register(CextBackend())

@@ -1,14 +1,15 @@
-"""The built-in decode-kernel backends: ``python``, ``numpy``, ``cext``.
+"""The two decode-kernel backends: ``python`` and ``cext``.
 
 * ``python`` — the always-available fallback.  It binds nothing, which
-  makes the dedup engine run today's scalar per-syndrome pass unchanged.
-* ``numpy`` — binds vectorized whole-matrix kernels to every stock decoder
-  family (capability flags ``unionfind``, ``predecoded``, ``hierarchical``,
+  makes the dedup engine run the scalar per-syndrome pass unchanged.
+* ``cext`` — binds whole-matrix kernels to every stock decoder family
+  (capability flags ``unionfind``, ``predecoded``, ``hierarchical``,
   ``mwpm``):
 
   - :class:`~repro.decoders.unionfind.UnionFindDecoder` →
-    :class:`~repro.decoders.kernels.batched_unionfind.BatchedUnionFind`
-    (bit-identical, ~3-4x on the d=7 hot path);
+    :class:`~repro.decoders.kernels.cext.CextUnionFind`, a scalar C
+    transcription of the decoder built on first use with the system
+    compiler;
   - :class:`~repro.decoders.predecoder.PredecodedDecoder` →
     :class:`~repro.decoders.kernels.batched_wrappers.BatchedPredecode`,
     composing the vectorized local pass with the *inner* decoder's bound
@@ -21,14 +22,9 @@
     (shared per-node Dijkstra rows, exact per-row blossom).
 
   Decoders it has no kernel for — and any subclass that overrides a
-  decode-path method — fall back to their scalar pass.
-* ``cext`` — the numpy backend with the stock union-find kernel swapped for
-  :class:`~repro.decoders.kernels.cext.CextUnionFind`, a scalar C
-  transcription of the decoder built on first use with the system
-  compiler.  Predecoded and hierarchical decoders over union-find pick it
-  up as their inner kernel; MWPM keeps ``BatchedMWPM``.  Soft dependency:
+  decode-path method — fall back to their scalar pass.  Soft dependency:
   with no compiler, or a failing build, the backend reports unavailable
-  and selection degrades to ``numpy`` — results are identical either way,
+  and selection degrades to ``python`` — results are identical either way,
   and the registry warns once per process naming the backend that
   actually resolved.
 
@@ -41,10 +37,9 @@ from __future__ import annotations
 
 from . import cext
 from .base import KernelBackend
-from .batched_unionfind import BatchedUnionFind
 from .batched_wrappers import BatchedHierarchical, BatchedMWPM, BatchedPredecode
 
-__all__ = ["PythonBackend", "NumpyBackend", "CextBackend"]
+__all__ = ["PythonBackend", "CextBackend"]
 
 #: the decode-path methods a stock ``UnionFindDecoder`` must not override
 _UNIONFIND_PATH = ("decode", "_decode_one_defects", "_decode_defects", "_peel")
@@ -73,20 +68,16 @@ class PythonBackend(KernelBackend):
         return None
 
 
-class NumpyBackend(KernelBackend):
-    """Vectorized whole-batch kernels for every stock decoder family."""
+class CextBackend(KernelBackend):
+    """The C union-find kernel plus the batched wrapper kernels."""
 
-    name = "numpy"
+    name = "cext"
     fallback = "python"
     capabilities = frozenset({"unionfind", "predecoded", "hierarchical", "mwpm"})
 
     def available(self) -> bool:
-        """True when numpy imports (a hard dependency in practice)."""
-        try:
-            import numpy  # noqa: F401
-        except ImportError:  # pragma: no cover - numpy is a hard dependency
-            return False
-        return True
+        """True when ``uf.c`` builds and loads; otherwise degrade to python."""
+        return cext.library() is not None
 
     def bind(self, decoder):
         """A cached whole-matrix kernel for ``decoder``, or None (scalar)."""
@@ -111,10 +102,8 @@ class NumpyBackend(KernelBackend):
         from ..unionfind import UnionFindDecoder
 
         if _is_stock(decoder, UnionFindDecoder, _UNIONFIND_PATH):
-            return BatchedUnionFind(decoder)
-        if _is_stock(
-            decoder, PredecodedDecoder, ("decode", "_decode_one", "_decode_rows")
-        ):
+            return cext.CextUnionFind(decoder)
+        if _is_stock(decoder, PredecodedDecoder, ("decode", "_decode_one", "_decode_rows")):
             # compose predecode-kernel -> inner-decoder kernel: residual rows
             # flow to the wrapped decoder's own bound kernel (or its scalar
             # decode when that decoder has none)
@@ -128,21 +117,3 @@ class NumpyBackend(KernelBackend):
         ):
             return BatchedMWPM(decoder)
         return None
-
-
-class CextBackend(NumpyBackend):
-    """The numpy kernels with stock union-find decoded by the C kernel."""
-
-    name = "cext"
-    fallback = "numpy"
-
-    def available(self) -> bool:
-        """True when ``uf.c`` builds and loads; otherwise degrade to numpy."""
-        return cext.library() is not None
-
-    def _make(self, decoder):
-        from ..unionfind import UnionFindDecoder
-
-        if _is_stock(decoder, UnionFindDecoder, _UNIONFIND_PATH):
-            return cext.CextUnionFind(decoder)
-        return super()._make(decoder)

@@ -21,7 +21,7 @@ class KernelBackend:
     matrix in ``tests/test_kernels.py``).
     """
 
-    #: registry name (``python``, ``numpy``, ``cext``, ...)
+    #: registry name (``python`` or ``cext``)
     name: str = ""
     #: backend to degrade to when this one is unavailable (soft dependency)
     fallback: str | None = None

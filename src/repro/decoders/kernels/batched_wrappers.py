@@ -1,17 +1,15 @@
 """Batched kernels for the wrapped and hybrid decode paths.
 
-PR 3's :class:`~repro.decoders.kernels.batched_unionfind.BatchedUnionFind`
-accelerated only stock union-find decoders; the predecoder-wrapped,
-hierarchical and MWPM paths still fell back to their scalar passes under
-every backend.  This module closes that gap with three composable kernels,
-each honouring the backend contract (``kernel(rows, counts) -> masks``,
-bit-identical to the decoder's scalar pass):
+The ``cext`` backend decodes stock union-find with the C kernel
+(:class:`~repro.decoders.kernels.cext.CextUnionFind`); the predecoder-
+wrapped, hierarchical and MWPM paths get the three composable kernels of
+this module, each honouring the backend contract (``kernel(rows, counts)
+-> masks``, bit-identical to the decoder's scalar pass):
 
-* :class:`BatchedPredecode` — one vectorized local pass over the whole
-  distinct-syndrome matrix (:meth:`Predecoder.apply_batch`), then the
-  *residual* rows that survive it flow into the inner decoder's own bound
-  kernel without leaving matrix form.  Offload statistics go through the
-  decoder's shared ``_accumulate_batch_stats`` helper, so
+* :class:`BatchedPredecode` — the decoder's own whole-matrix pass
+  (:meth:`PredecodedDecoder._decode_rows`: one vectorized local pass, then
+  offload statistics), with the *residual* rows that survive it handed to
+  the inner decoder's bound kernel without leaving matrix form, so
   :class:`~repro.decoders.predecoder.PredecodeStats` stays scalar-identical.
 * :class:`BatchedHierarchical` — a batched row-split: every row is looked
   up in the LUT in bulk (:meth:`LookupTableDecoder.lookup_batch`), and only
@@ -29,7 +27,7 @@ bit-identical to the decoder's scalar pass):
 The inner-kernel composition is recursive: the backend binds
 ``decoder.slow`` through itself, so e.g. a predecoder wrapping MWPM gets
 ``BatchedPredecode(inner=BatchedMWPM)`` and a hierarchical decoder over
-union-find gets ``BatchedHierarchical(inner=BatchedUnionFind)``.
+union-find gets ``BatchedHierarchical(inner=CextUnionFind)``.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ class _BoundKernel:
     """Base for kernels bound to one decoder instance.
 
     Holds the decoder strongly.  Backends cache bound kernels *on the
-    decoder* (see ``NumpyBackend.bind``), so decoder and kernel form an
+    decoder* (see ``CextBackend.bind``), so decoder and kernel form an
     ordinary reference cycle the garbage collector reclaims together —
     a process-lifetime backend singleton never pins either.
     """
@@ -85,31 +83,7 @@ class BatchedPredecode(_BoundKernel):
         """
         dec = self.decoder
         rows = _check_rows(rows, dec.graph.num_detectors)
-        n = rows.shape[0]
-        mult = (
-            np.asarray(counts, dtype=np.int64)
-            if counts is not None
-            else np.ones(n, dtype=np.int64)
-        )
-        residuals, masks, removed = dec.predecoder.apply_batch(rows)
-        leftover = residuals.any(axis=1)
-        dec._accumulate_batch_stats(rows, mult, removed, leftover)
-        hard = np.flatnonzero(leftover)
-        if hard.size:
-            sub = residuals[hard]
-            if self.inner is not None:
-                # counts=None: the scalar pass reaches the inner decoder via
-                # plain ``slow.decode`` (multiplicity 1 per residual row), so
-                # a stats-keeping inner decoder must see the same weights
-                inner_masks = np.asarray(self.inner(sub, None), dtype=np.uint64)
-            else:
-                inner_masks = np.fromiter(
-                    (dec.slow.decode(sub[i]) for i in range(hard.size)),
-                    dtype=np.uint64,
-                    count=hard.size,
-                )
-            masks[hard] ^= inner_masks
-        return masks
+        return dec._decode_rows(rows, counts, inner=self.inner)
 
 
 class BatchedHierarchical(_BoundKernel):

@@ -19,7 +19,7 @@ so a cached build runs on any host sharing the cache) and loads it with
   per-process temporary directory instead (removed right after loading);
 * with no ``cc`` on ``PATH``, or a failing compile, :func:`library`
   returns None, the backend reports unavailable, and selection degrades
-  to ``numpy`` with the registry's one-time warning.
+  to ``python`` with the registry's one-time warning.
 
 :class:`CextUnionFind` is stateless between calls: the C kernel allocates
 its scratch per call and ctypes releases the GIL around it, so one kernel
@@ -165,7 +165,7 @@ class CextUnionFind:
         if lib is None:
             raise RuntimeError(
                 "the C union-find kernel is unavailable (no `cc` on PATH, or "
-                "the build failed); use the numpy backend"
+                "the build failed); use the python backend"
             )
         graph = decoder.graph
         indptr, eids = graph.adjacency()
@@ -187,7 +187,7 @@ class CextUnionFind:
 
         Packs the rows and runs :meth:`decode_packed`.  ``counts`` is
         accepted for signature compatibility with the ``_decode_rows`` hook
-        and ignored, as in the numpy kernel.
+        and ignored.
         """
         from .plane import pack_words  # deferred: plane imports this module
 

@@ -274,36 +274,41 @@ class PredecodedDecoder(Decoder):
             tally.fully_predecoded_shots += multiplicity
         return mask
 
-    def _accumulate_batch_stats(
-        self, rows: np.ndarray, mult: np.ndarray, removed: np.ndarray,
-        leftover: np.ndarray,
-    ) -> None:
-        """Weight one whole-matrix pass into the offload statistics.
+    def _decode_rows(self, rows: np.ndarray, counts, inner=None) -> np.ndarray:
+        """Vectorized dedup path: one local pass over every distinct syndrome.
 
-        Shared by :meth:`_decode_rows` and the backend kernel
-        (:class:`~repro.decoders.kernels.BatchedPredecode`) so
-        :class:`PredecodeStats` stays scalar-identical under every path.
+        Statistics stay exact under dedup (weighted by the per-row shot
+        multiplicities ``counts``, as in :meth:`_decode_one`; None counts
+        each row once).  Only the rows that survive the local pass reach
+        the slow decoder: through ``inner``, the slow decoder's bound
+        kernel, as one matrix when given (the ``cext`` backend's
+        :class:`~repro.decoders.kernels.BatchedPredecode`), else one
+        ``slow.decode`` per residual row.
         """
+        n = rows.shape[0]
+        mult = (
+            np.ones(n, dtype=np.int64)
+            if counts is None
+            else np.asarray(counts, dtype=np.int64)
+        )
+        residuals, masks, removed = self.predecoder.apply_batch(rows)
+        leftover = residuals.any(axis=1)
         tally = self._tally()
         tally.shots += int(mult.sum())
         tally.defects_total += int((rows.sum(axis=1, dtype=np.int64) * mult).sum())
         tally.defects_removed += int((removed * mult).sum())
         tally.fully_predecoded_shots += int(mult[~leftover].sum())
-
-    def _decode_rows(self, rows: np.ndarray, counts) -> np.ndarray:
-        """Vectorized dedup path: one local pass over every distinct syndrome.
-
-        Statistics stay exact under dedup (weighted by shot multiplicity, as
-        in :meth:`_decode_one`); only the rare hard cores that survive the
-        local pass reach the slow decoder, one residual row at a time.  The
-        ``numpy`` kernel backend supersedes this hook with
-        :class:`~repro.decoders.kernels.BatchedPredecode`, which keeps the
-        residual rows in matrix form for the inner decoder's kernel.
-        """
-        mult = np.asarray(counts, dtype=np.int64)
-        residuals, masks, removed = self.predecoder.apply_batch(rows)
-        leftover = residuals.any(axis=1)
-        self._accumulate_batch_stats(rows, mult, removed, leftover)
-        for i in np.flatnonzero(leftover):
-            masks[i] ^= np.uint64(self.slow.decode(residuals[i]))
+        hard = np.flatnonzero(leftover)
+        if hard.size == 0:
+            return masks
+        sub = residuals[hard]
+        if inner is not None:
+            # counts=None: the scalar pass reaches the slow decoder via plain
+            # ``slow.decode`` (multiplicity 1 per residual row), so a
+            # stats-keeping slow decoder must see the same weights
+            masks[hard] ^= np.asarray(inner(sub, None), dtype=np.uint64)
+        else:
+            masks[hard] ^= np.fromiter(
+                (self.slow.decode(r) for r in sub), dtype=np.uint64, count=hard.size
+            )
         return masks

@@ -197,6 +197,11 @@ class SweepSpec:
                 f"unknown decoder {self.decoder!r}; known: "
                 f"{', '.join(sorted(_ler.DECODER_BUILDERS))}"
             )
+        if self.backend not in (None, "auto", *kernels.names()):
+            raise ValueError(
+                f"unknown decode backend {self.backend!r}; known: "
+                f"{', '.join(['auto', *kernels.names()])}"
+            )
 
     def resolved_max_batch_shots(self) -> int:
         """The grown-batch cap (defaults to 8x the seed batch size)."""

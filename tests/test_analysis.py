@@ -252,11 +252,11 @@ def test_mutation_wallclock_in_store_keys_fails(tmp_path, capsys):
 
 def test_mutation_decoder_edit_without_salt_bump_fails(tmp_path, capsys):
     box = make_sandbox(tmp_path)
-    uf = box / "src" / "repro" / "decoders" / "kernels" / "batched_unionfind.py"
-    uf.write_text(uf.read_text() + "\nUNIONFIND_PROBE_LIMIT = 4096\n")
+    wrappers = box / "src" / "repro" / "decoders" / "kernels" / "batched_wrappers.py"
+    wrappers.write_text(wrappers.read_text() + "\nMWPM_ROW_CACHE_LIMIT = 4096\n")
     assert cli.main(["lint", "--root", str(box)]) == 1
     out = capsys.readouterr().out
-    assert "src/repro/decoders/kernels/batched_unionfind.py:1:" in out
+    assert "src/repro/decoders/kernels/batched_wrappers.py:1:" in out
     assert "salt-drift" in out and "STORE_SALT" in out
 
 

@@ -131,7 +131,7 @@ def test_sweep_run_decode_backend_override(capsys, tmp_path, sweep_spec_file):
     assert (
         cli.main(
             ["sweep", "run", str(sweep_spec_file), "--store", str(store),
-             "--decode-backend", "numpy"]
+             "--decode-backend", "python"]
         )
         == 0
     )
@@ -161,6 +161,13 @@ def test_sweep_run_decode_backend_unknown_is_clean_error(capsys, tmp_path, sweep
     assert "unknown decode backend" in err
     assert "Traceback" not in err  # a clear error, not a crash
     # nothing was decoded or stored before the rejection
+    assert not (tmp_path / "s").exists()
+    # a spec file naming an unknown backend is rejected the same way
+    spec = json.loads(sweep_spec_file.read_text())
+    sweep_spec_file.write_text(json.dumps({**spec, "backend": "numpy"}))
+    rc = cli.main(["sweep", "run", str(sweep_spec_file), "--store", str(tmp_path / "s")])
+    assert rc == 2
+    assert "unknown decode backend 'numpy'" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core import make_policy
+from repro.decoders import kernels
 from repro.experiments import ler as ler_module
 from repro.experiments.ler import SurgeryLerConfig, clear_pipeline_cache
 from repro.experiments.sweeps import (
@@ -489,12 +490,12 @@ def test_sweep_backend_is_bit_identical_and_reaches_workers(tmp_path):
         dataclasses.replace(base, backend="python"), ResultStore(tmp_path / "py")
     )
     clear_pipeline_cache()
-    numpy_run = run_sweep(
-        dataclasses.replace(base, backend="numpy"),
-        ResultStore(tmp_path / "np"),
+    cext_run = run_sweep(
+        dataclasses.replace(base, backend="cext"),
+        ResultStore(tmp_path / "c"),
         workers=2,
     )
-    a, b = python_run.outcomes[0].record, numpy_run.outcomes[0].record
+    a, b = python_run.outcomes[0].record, cext_run.outcomes[0].record
     assert a["key"] == b["key"]  # backend is not part of the point key
     assert a["failures"] == b["failures"]
     assert a["shots"] == b["shots"]
@@ -524,12 +525,12 @@ def test_sweep_under_missing_backend_produces_identical_records(
 ):
     """Backend degradation must not leak into stored results.
 
-    With the cext and numpy backends monkeypatched away, naming ``cext``
-    resolves all the way down the fallback chain to ``python`` — and the sweep's
+    With the cext backend monkeypatched away, naming ``cext`` resolves
+    down the fallback chain to ``python`` — and the sweep's
     stored records must be key-identical and content-identical to a
     reference sweep pinned to ``python``.
     """
-    from repro.decoders.kernels import CextBackend, NumpyBackend
+    from repro.decoders.kernels import CextBackend
 
     base = _spec(p=5e-3, max_shots=1500)
     reference = run_sweep(
@@ -537,7 +538,6 @@ def test_sweep_under_missing_backend_produces_identical_records(
     )
     clear_pipeline_cache()
     monkeypatch.setattr(CextBackend, "available", lambda self: False)
-    monkeypatch.setattr(NumpyBackend, "available", lambda self: False)
     degraded = run_sweep(
         dataclasses.replace(base, backend="cext"), ResultStore(tmp_path / "deg")
     )
@@ -551,6 +551,15 @@ def test_sweep_under_missing_backend_produces_identical_records(
 def test_sweep_spec_rejects_unknown_decoder():
     with pytest.raises(ValueError, match="unknown decoder"):
         _spec(decoder="no-such-decoder")
+
+
+@pytest.mark.parametrize("backend", ["nosuch", "numpy"])
+def test_sweep_spec_rejects_unknown_backend(backend):
+    """A bad backend fails at spec construction, not after circuit analysis."""
+    with pytest.raises(ValueError, match=f"unknown decode backend '{backend}'"):
+        _spec(backend=backend)
+    for known in (None, "auto", *kernels.names()):
+        assert _spec(backend=known).backend == known
 
 
 def test_sweep_runs_predecoded_decoder_through_the_store(tmp_path):
