@@ -62,17 +62,12 @@ class MatchingGraph:
         """CSR (indptr, edge-id list) of edges incident to each node."""
         if self._adj_indptr is None:
             n = self.num_detectors + 1
-            counts = np.zeros(n, dtype=np.int64)
-            np.add.at(counts, self.edge_u, 1)
-            np.add.at(counts, self.edge_v, 1)
+            nodes = np.concatenate([self.edge_u, self.edge_v])
+            edge_id = np.tile(np.arange(self.num_edges, dtype=np.int64), 2)
             indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            edges = np.zeros(indptr[-1], dtype=np.int64)
-            fill = indptr[:-1].copy()
-            for e in range(self.num_edges):
-                for node in (int(self.edge_u[e]), int(self.edge_v[e])):
-                    edges[fill[node]] = e
-                    fill[node] += 1
+            np.cumsum(np.bincount(nodes, minlength=n), out=indptr[1:])
+            # by node, then ascending edge id (lexsort is stable)
+            edges = edge_id[np.lexsort((edge_id, nodes))]
             self._adj_indptr, self._adj_edges = indptr, edges
         return self._adj_indptr, self._adj_edges
 

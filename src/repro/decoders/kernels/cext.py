@@ -3,11 +3,13 @@
 ``uf.c`` (shipped next to this module) is a per-row transcription of
 :class:`~repro.decoders.unionfind.UnionFindDecoder`'s growth and peel in
 plain C, over bit-packed ``uint64`` rows; it also carries the
-packed data plane's dart-XOR and row-dedup helpers (:mod:`.plane`).
+packed data plane's dart-XOR and row-dedup helpers (:mod:`.plane`) and
+the backward DEM walk of :func:`repro.stab.dem.circuit_to_dem`.
 :func:`library` compiles it once per source/flags/compiler combination
-with the system compiler (``cc -O2 -shared -fPIC``; no ``-march=native``,
-so a cached build runs on any host sharing the cache) and loads it with
-:mod:`ctypes`:
+with the system compiler (``cc -O2 -ffp-contract=off -shared -fPIC``; no
+``-march=native``, so a cached build runs on any host sharing the cache,
+and no fused multiply-adds, so the DEM walk's probabilities are
+bit-identical to Python's) and loads it with :mod:`ctypes`:
 
 * builds are cached under ``~/.cache/repro/kernels/<key>.so``, where
   ``key`` is the first 16 hex digits of sha256(source, flags,
@@ -43,8 +45,10 @@ __all__ = ["SOURCE", "CFLAGS", "cache_dir", "build", "library", "CextUnionFind"]
 
 #: the C source of the kernel, shipped as package data
 SOURCE = Path(__file__).with_name("uf.c")
-#: compiler flags: portable (no -march=native), so cached builds are shareable
-CFLAGS = ("-O2", "-shared", "-fPIC")
+#: compiler flags: portable (no -march=native), so cached builds are shareable;
+#: -ffp-contract=off forbids fused multiply-adds (GCC contracts by default on
+#: aarch64), which would break the DEM walk's bit-exact probabilities
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -60,6 +64,11 @@ _EXPORTS = {
     "plane_xor_darts": (None, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _PTR]),
     # (n_rows, words, n_words, inverse, first) -> n_groups
     "plane_dedup": (_I64, [_I64, _PTR, _I64, _PTR, _PTR]),
+    # (n_ops, ops, tptr, targets, cptr, cview, cprob, n_qubits, n_meas, rptr,
+    #  rword, rbits, n_words, n_groups, n_bits) -> block for dem_free
+    "dem_walk": (_PTR, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR,
+                        _PTR, _I64, _PTR, _PTR]),
+    "dem_free": (None, [_PTR]),
 }
 
 

@@ -26,11 +26,14 @@
  *
  * uf_decode_packed reads bit-packed uint64 rows and finds defects with
  * count-trailing-zeros.  The same source carries the packed data plane's
- * helpers (plane_xor_darts, plane_dedup), so one build serves all of them.
+ * helpers (plane_xor_darts, plane_dedup) and the backward DEM walk
+ * (dem_walk, dem_free), so one build serves all of them.
  *
  * All scratch state is allocated per call: concurrent calls (ctypes drops
  * the GIL around foreign calls) never share memory.  Build with
- *   cc -O2 -shared -fPIC -o uf.so uf.c
+ *   cc -O2 -ffp-contract=off -shared -fPIC -o uf.so uf.c
+ * where -ffp-contract=off keeps the DEM walk's probability arithmetic
+ * bit-identical to Python's (no fused multiply-adds).
  */
 
 #include <stdint.h>
@@ -482,9 +485,10 @@ void plane_xor_darts(int64_t n_err, const int64_t *counts, const int64_t *rows,
     }
 }
 
-static uint64_t hash_row(const uint64_t *row, int64_t n_words)
+#define HASH_SEED 0x9E3779B97F4A7C15ULL
+
+static uint64_t hash_words(const uint64_t *row, int64_t n_words, uint64_t h)
 {
-    uint64_t h = 0x9E3779B97F4A7C15ULL;
     int64_t j;
 
     for (j = 0; j < n_words; j++) {
@@ -516,7 +520,7 @@ int64_t plane_dedup(int64_t n_rows, const uint64_t *words, int64_t n_words,
     memset(table, 0xff, size * sizeof(int64_t)); /* every slot -1: empty */
     for (i = 0; i < n_rows; i++) {
         row = words + i * n_words;
-        slot = hash_row(row, n_words) & (size - 1);
+        slot = hash_words(row, n_words, HASH_SEED) & (size - 1);
         for (;;) {
             g = table[slot];
             if (g < 0) {
@@ -532,4 +536,423 @@ int64_t plane_dedup(int64_t n_rows, const uint64_t *words, int64_t n_words,
     }
     free(table);
     return n_groups;
+}
+
+/* ------------------------------------------------------------------------
+ * Backward DEM extraction (repro.stab.dem): Stim's error analysis
+ * (Gidney, arXiv:2103.02202), a transcription of dem._walk_python.
+ *
+ * Every qubit carries an X and a Z sensitivity row of n_words uint64
+ * words over the detector and observable bits, plus a live word range
+ * [lo, hi): words outside it are zero, so gate updates and case
+ * signatures touch only live words.  H and SWAP swap row indices.
+ * Nonzero case signatures are merged through an open-addressing hash on
+ * their trimmed words; a log of (group, case), sized to the circuit's
+ * case count up front, is replayed in reverse -- forward enumeration
+ * order -- with the float operations of combine_flip_probabilities.
+ * ---------------------------------------------------------------------- */
+
+/* opcodes: the order of repro.stab.dem._OPCODES */
+enum {
+    DEM_H, DEM_S, DEM_SQRT_X, DEM_CX, DEM_CZ, DEM_SWAP,
+    DEM_R, DEM_M, DEM_MX, DEM_MR, DEM_NOISE1, DEM_NOISE2
+};
+
+typedef struct {
+    int64_t n_words;
+    /* 2 * n_qubits sensitivity rows, then the scratch rows ya, yb, sig */
+    uint64_t *rows;
+    int64_t *lo, *hi;
+    int64_t *xr, *zr;      /* row of each qubit's X / Z sensitivity */
+    int64_t ya, yb, sig;
+    /* merged signatures: trimmed words pool[off .. off + len) from word lo */
+    uint64_t *pool, *g_hash;
+    int64_t *g_lo, *g_len, *g_off;
+    int64_t n_groups, pool_len, pool_cap;
+    int32_t *table;        /* group per slot, -1 empty */
+    uint64_t table_cap;
+    /* one (group, case) entry per nonzero case, in walk order */
+    int32_t *log_group, *log_case;
+    int64_t n_log;
+} dem_state;
+
+static uint64_t *row_words(dem_state *s, int64_t r)
+{
+    return s->rows + r * s->n_words;
+}
+
+static void row_trim(dem_state *s, int64_t r)
+{
+    const uint64_t *w = row_words(s, r);
+    int64_t lo = s->lo[r], hi = s->hi[r];
+
+    while (lo < hi && w[lo] == 0)
+        lo++;
+    while (hi > lo && w[hi - 1] == 0)
+        hi--;
+    s->lo[r] = lo;
+    s->hi[r] = hi;
+}
+
+static void row_clear(dem_state *s, int64_t r)
+{
+    if (s->lo[r] < s->hi[r])
+        memset(row_words(s, r) + s->lo[r], 0, (size_t)(s->hi[r] - s->lo[r]) * 8);
+    s->lo[r] = s->hi[r] = 0;
+}
+
+/* widen r's live range to cover the non-empty [lo, hi) */
+static void row_cover(dem_state *s, int64_t r, int64_t lo, int64_t hi)
+{
+    if (s->lo[r] >= s->hi[r]) {
+        s->lo[r] = lo;
+        s->hi[r] = hi;
+        return;
+    }
+    if (lo < s->lo[r])
+        s->lo[r] = lo;
+    if (hi > s->hi[r])
+        s->hi[r] = hi;
+}
+
+/* row dst ^= row src */
+static void row_xor(dem_state *s, int64_t dst, int64_t src)
+{
+    int64_t j, lo = s->lo[src], hi = s->hi[src];
+    uint64_t *d = row_words(s, dst);
+    const uint64_t *a = row_words(s, src);
+
+    if (lo >= hi)
+        return;
+    for (j = lo; j < hi; j++)
+        d[j] ^= a[j];
+    row_cover(s, dst, lo, hi);
+    row_trim(s, dst);
+}
+
+/* row dst = row a ^ row b (a row index < 0 stands for the empty row) */
+static void row_set_xor(dem_state *s, int64_t dst, int64_t a, int64_t b)
+{
+    row_clear(s, dst);
+    if (a >= 0)
+        row_xor(s, dst, a);
+    if (b >= 0)
+        row_xor(s, dst, b);
+}
+
+/* row r ^= measurement record's signature: words rword/rbits[from .. to) */
+static void row_xor_record(dem_state *s, int64_t r, const int64_t *rword,
+                           const uint64_t *rbits, int64_t from, int64_t to)
+{
+    uint64_t *d = row_words(s, r);
+    int64_t j;
+
+    if (from >= to)
+        return;
+    for (j = from; j < to; j++) {
+        d[rword[j]] ^= rbits[j];
+        row_cover(s, r, rword[j], rword[j] + 1);
+    }
+    row_trim(s, r);
+}
+
+static int table_grow(dem_state *s)
+{
+    uint64_t cap = s->table_cap * 2, slot;
+    int32_t *table = malloc(cap * sizeof(int32_t));
+    int64_t g;
+
+    if (!table)
+        return -1;
+    memset(table, 0xff, cap * sizeof(int32_t));
+    for (g = 0; g < s->n_groups; g++) {
+        for (slot = s->g_hash[g] & (cap - 1); table[slot] >= 0; slot = (slot + 1) & (cap - 1))
+            ;
+        table[slot] = (int32_t)g;
+    }
+    free(s->table);
+    s->table = table;
+    s->table_cap = cap;
+    return 0;
+}
+
+/* the group of the nonzero signature held by row r, inserted when new;
+ * -1 when out of memory */
+static int64_t sig_group(dem_state *s, int64_t r)
+{
+    int64_t g, lo = s->lo[r], len = s->hi[r] - s->lo[r];
+    const uint64_t *w = row_words(s, r) + lo;
+    uint64_t h = hash_words(w, len, HASH_SEED ^ (uint64_t)lo), mask, slot;
+    uint64_t *pool;
+
+    if (2 * (uint64_t)(s->n_groups + 1) > s->table_cap && table_grow(s) != 0)
+        return -1;
+    mask = s->table_cap - 1;
+    for (slot = h & mask;; slot = (slot + 1) & mask) {
+        g = s->table[slot];
+        if (g < 0)
+            break;
+        if (s->g_hash[g] == h && s->g_lo[g] == lo && s->g_len[g] == len
+            && memcmp(s->pool + s->g_off[g], w, (size_t)len * 8) == 0)
+            return g;
+    }
+    if (s->pool_len + len > s->pool_cap) {
+        while (s->pool_len + len > s->pool_cap)
+            s->pool_cap *= 2;
+        pool = realloc(s->pool, (size_t)s->pool_cap * 8);
+        if (!pool)
+            return -1;
+        s->pool = pool;
+    }
+    g = s->n_groups++;
+    memcpy(s->pool + s->pool_len, w, (size_t)len * 8);
+    s->g_off[g] = s->pool_len;
+    s->g_lo[g] = lo;
+    s->g_len[g] = len;
+    s->g_hash[g] = h;
+    s->pool_len += len;
+    s->table[slot] = (int32_t)g;
+    return g;
+}
+
+/* log case c with the signature held by row r (r < 0: empty, no effect) */
+static int record_case(dem_state *s, int64_t r, int64_t c)
+{
+    int64_t g;
+
+    if (r < 0 || s->lo[r] >= s->hi[r])
+        return 0;
+    g = sig_group(s, r);
+    if (g < 0)
+        return -1;
+    s->log_group[s->n_log] = (int32_t)g;
+    s->log_case[s->n_log] = (int32_t)c;
+    s->n_log++;
+    return 0;
+}
+
+/* views of qubit q: (empty, X, Z, Y = X ^ Z); Y goes into scratch row y */
+static void qubit_views(dem_state *s, int64_t q, int64_t y, int64_t *v)
+{
+    row_set_xor(s, y, s->xr[q], s->zr[q]);
+    v[0] = -1;
+    v[1] = s->xr[q];
+    v[2] = s->zr[q];
+    v[3] = y;
+}
+
+static void swap_i64(int64_t *a, int64_t *b)
+{
+    int64_t t = *a;
+    *a = *b;
+    *b = t;
+}
+
+static void dem_state_free(dem_state *s)
+{
+    free(s->rows); free(s->lo); free(s->hi); free(s->xr); free(s->zr);
+    free(s->pool); free(s->g_hash); free(s->g_lo); free(s->g_len); free(s->g_off);
+    free(s->table); free(s->log_group); free(s->log_case);
+}
+
+static int dem_state_init(dem_state *s, int64_t n_qubits, int64_t n_words, int64_t n_cases)
+{
+    int64_t q, n_rows = 2 * n_qubits + 3;
+    size_t C = (size_t)n_cases + 1;
+
+    memset(s, 0, sizeof(*s));
+    s->n_words = n_words;
+    s->rows = calloc((size_t)(n_rows * n_words) + 1, 8);
+    s->lo = calloc((size_t)n_rows, sizeof(int64_t));
+    s->hi = calloc((size_t)n_rows, sizeof(int64_t));
+    s->xr = malloc((size_t)n_qubits * sizeof(int64_t) + 1);
+    s->zr = malloc((size_t)n_qubits * sizeof(int64_t) + 1);
+    s->pool_cap = 4096;
+    s->pool = malloc((size_t)s->pool_cap * 8);
+    /* groups never outnumber cases; untouched pages cost no memory */
+    s->g_hash = malloc(C * sizeof(uint64_t));
+    s->g_lo = malloc(C * sizeof(int64_t));
+    s->g_len = malloc(C * sizeof(int64_t));
+    s->g_off = malloc(C * sizeof(int64_t));
+    s->table_cap = 1024;
+    s->table = malloc(s->table_cap * sizeof(int32_t));
+    s->log_group = malloc(C * sizeof(int32_t));
+    s->log_case = malloc(C * sizeof(int32_t));
+    if (!s->rows || !s->lo || !s->hi || !s->xr || !s->zr || !s->pool || !s->g_hash
+        || !s->g_lo || !s->g_len || !s->g_off || !s->table || !s->log_group
+        || !s->log_case) {
+        dem_state_free(s);
+        return -1;
+    }
+    memset(s->table, 0xff, s->table_cap * sizeof(int32_t));
+    for (q = 0; q < n_qubits; q++) {
+        s->xr[q] = 2 * q;
+        s->zr[q] = 2 * q + 1;
+    }
+    s->ya = 2 * n_qubits;
+    s->yb = s->ya + 1;
+    s->sig = s->ya + 2;
+    return 0;
+}
+
+/* the circuit walk, backwards; -1 when out of memory */
+static int dem_run(dem_state *s, int64_t n_ops, const int64_t *ops, const int64_t *tptr,
+                   const int64_t *targets, const int64_t *cptr, const int64_t *cview,
+                   int64_t n_meas, const int64_t *rptr, const int64_t *rword,
+                   const uint64_t *rbits)
+{
+    int64_t i, k, c, q, a, b, nt, r, cursor = n_meas;
+    int64_t va[4], vb[4];
+    const int64_t *t;
+
+    for (i = n_ops - 1; i >= 0; i--) {
+        t = targets + tptr[i];
+        nt = tptr[i + 1] - tptr[i];
+        switch (ops[i]) {
+        case DEM_H:
+            for (k = 0; k < nt; k++)
+                swap_i64(&s->xr[t[k]], &s->zr[t[k]]);
+            break;
+        case DEM_S:
+            for (k = 0; k < nt; k++)
+                row_xor(s, s->xr[t[k]], s->zr[t[k]]);
+            break;
+        case DEM_SQRT_X:
+            for (k = 0; k < nt; k++)
+                row_xor(s, s->zr[t[k]], s->xr[t[k]]);
+            break;
+        case DEM_CX:
+            for (k = nt - 2; k >= 0; k -= 2) {
+                row_xor(s, s->xr[t[k]], s->xr[t[k + 1]]);
+                row_xor(s, s->zr[t[k + 1]], s->zr[t[k]]);
+            }
+            break;
+        case DEM_CZ:
+            for (k = nt - 2; k >= 0; k -= 2) {
+                row_xor(s, s->xr[t[k]], s->zr[t[k + 1]]);
+                row_xor(s, s->xr[t[k + 1]], s->zr[t[k]]);
+            }
+            break;
+        case DEM_SWAP:
+            for (k = nt - 2; k >= 0; k -= 2) {
+                swap_i64(&s->xr[t[k]], &s->xr[t[k + 1]]);
+                swap_i64(&s->zr[t[k]], &s->zr[t[k + 1]]);
+            }
+            break;
+        case DEM_R:
+            for (k = 0; k < nt; k++) {
+                row_clear(s, s->xr[t[k]]);
+                row_clear(s, s->zr[t[k]]);
+            }
+            break;
+        case DEM_M:
+        case DEM_MX:
+        case DEM_MR:
+            cursor -= nt;
+            for (k = 0; k < nt; k++) {
+                q = t[k];
+                if (ops[i] == DEM_MR) {
+                    row_clear(s, s->xr[q]);
+                    row_clear(s, s->zr[q]);
+                }
+                r = ops[i] == DEM_MX ? s->zr[q] : s->xr[q];
+                row_xor_record(s, r, rword, rbits, rptr[cursor + k], rptr[cursor + k + 1]);
+            }
+            break;
+        case DEM_NOISE1:
+            for (k = nt - 1; k >= 0; k--) {
+                qubit_views(s, t[k], s->ya, va);
+                for (c = cptr[i + 1] - 1; c >= cptr[i]; c--)
+                    if (record_case(s, va[cview[c]], c) != 0)
+                        return -1;
+            }
+            break;
+        case DEM_NOISE2:
+            for (k = nt - 2; k >= 0; k -= 2) {
+                qubit_views(s, t[k], s->ya, va);
+                qubit_views(s, t[k + 1], s->yb, vb);
+                for (c = cptr[i + 1] - 1; c >= cptr[i]; c--) {
+                    a = va[cview[c] & 3];
+                    b = vb[cview[c] >> 2];
+                    if (a >= 0 && b >= 0) {
+                        row_set_xor(s, s->sig, a, b);
+                        a = s->sig;
+                    } else if (a < 0) {
+                        a = b;
+                    }
+                    if (record_case(s, a, c) != 0)
+                        return -1;
+                }
+            }
+            break;
+        }
+    }
+    return 0;
+}
+
+/*
+ * Extract the detector error model of an encoded circuit (dem._encode):
+ * n_ops non-annotation instructions in forward order, opcode ops[i] with
+ * qubit targets targets[tptr[i] .. tptr[i+1]) and channel cases
+ * cptr[i] .. cptr[i+1) of (cview, cprob) -- a one-qubit view index, or
+ * a | b << 2 for a two-qubit case.  Measurement record m flips the words
+ * rword/rbits[rptr[m] .. rptr[m+1]) of an n_words-word row.
+ *
+ * Returns one malloc'd block for dem_free: n_groups merged probabilities
+ * (double), then n_groups + 1 int64 offsets into n_bits int64 ascending
+ * set-bit indices, one list per nonzero signature.  NULL when out of memory.
+ */
+void *dem_walk(int64_t n_ops, const int64_t *ops, const int64_t *tptr,
+               const int64_t *targets, const int64_t *cptr, const int64_t *cview,
+               const double *cprob, int64_t n_qubits, int64_t n_meas, const int64_t *rptr,
+               const int64_t *rword, const uint64_t *rbits, int64_t n_words,
+               int64_t *n_groups, int64_t *n_bits)
+{
+    dem_state s;
+    int64_t i, g, j, n_cases = 0, nb = 0, *ptr, *bits;
+    double *acc;
+    uint64_t x;
+    void *block = NULL;
+
+    for (i = 0; i < n_ops; i++) {
+        if (ops[i] == DEM_NOISE1)
+            n_cases += (tptr[i + 1] - tptr[i]) * (cptr[i + 1] - cptr[i]);
+        else if (ops[i] == DEM_NOISE2)
+            n_cases += (tptr[i + 1] - tptr[i]) / 2 * (cptr[i + 1] - cptr[i]);
+    }
+    if (n_cases > INT32_MAX || dem_state_init(&s, n_qubits, n_words, n_cases) != 0)
+        return NULL;
+    if (dem_run(&s, n_ops, ops, tptr, targets, cptr, cview, n_meas, rptr, rword, rbits) != 0)
+        goto done;
+    for (j = 0; j < s.pool_len; j++)
+        nb += __builtin_popcountll(s.pool[j]);
+    block = malloc((size_t)(2 * s.n_groups + 1 + nb) * 8);
+    if (!block)
+        goto done;
+    acc = block;
+    ptr = (int64_t *)block + s.n_groups;
+    bits = ptr + s.n_groups + 1;
+    for (g = 0; g < s.n_groups; g++)
+        acc[g] = 1.0;
+    for (j = s.n_log - 1; j >= 0; j--)
+        acc[s.log_group[j]] *= 1.0 - 2.0 * cprob[s.log_case[j]];
+    ptr[0] = 0;
+    for (g = 0; g < s.n_groups; g++) {
+        acc[g] = (1.0 - acc[g]) / 2.0;
+        nb = ptr[g];
+        for (j = 0; j < s.g_len[g]; j++)
+            for (x = s.pool[s.g_off[g] + j]; x; x &= x - 1)
+                bits[nb++] = (s.g_lo[g] + j) * 64 + __builtin_ctzll(x);
+        ptr[g + 1] = nb;
+    }
+    *n_groups = s.n_groups;
+    *n_bits = nb;
+done:
+    dem_state_free(&s);
+    return block;
+}
+
+void dem_free(void *block)
+{
+    free(block);
 }

@@ -33,7 +33,7 @@ from ..decoders.predecoder import PredecodedDecoder, PredecodeStats
 from ..decoders.unionfind import UnionFindDecoder
 from ..noise.hardware import HardwareConfig
 from ..noise.models import NoiseModel
-from ..stab.dem import circuit_to_dem
+from ..stab.dem import circuit_to_dem, dem_walk
 from ..stab.sampler import DemSampler
 from .stats import RateEstimate
 
@@ -212,8 +212,9 @@ class _Pipeline:
         with obs.span("ler.analyze"):
             with obs.span("ler.analyze.circuit"):
                 self.plan, self.artifacts = _synthesize(config, policy)
-            with obs.span("ler.analyze.dem"):
+            with obs.span("ler.analyze.dem") as span:
                 self.dem = dem = circuit_to_dem(self.artifacts.circuit)
+                span.annotate(errors=len(dem.errors), walk=dem_walk())
             self.basis = basis = self.artifacts.detector_basis
             with obs.span("ler.analyze.graph"):
                 self.graph: MatchingGraph = build_matching_graph(dem, basis=basis)

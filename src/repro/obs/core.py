@@ -15,6 +15,7 @@ Three primitives:
   disabled it returns a shared no-op singleton and the (optionally
   callable) attribute payload is *never evaluated*, so instrumented hot
   paths cost one attribute lookup and one identity check per span.
+  ``span.annotate(**args)`` adds args computed inside the block.
 * :func:`count` / :func:`event` — monotone counters and zero-duration
   instant events (e.g. speculative overshoot).
 * :class:`LatencyHistogram` — fixed-bucket integer-ns histograms whose
@@ -182,6 +183,9 @@ class _NoopSpan:
     def __exit__(self, *exc):
         return False
 
+    def annotate(self, **args) -> None:
+        pass
+
 
 _NOOP_SPAN = _NoopSpan()
 
@@ -214,6 +218,10 @@ class _Span:
         # one atomic append: decode threads share this list (module docstring)
         self._recorder.events.append(ev)
         return False
+
+    def annotate(self, **args) -> None:
+        """Add args known only inside the span (e.g. a result's size)."""
+        self.args = {**(self.args or {}), **args}
 
 
 class Stopwatch:

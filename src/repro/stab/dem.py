@@ -7,7 +7,7 @@ decoders, exactly as in Stim.
 
 Extraction strategy: one backward pass over the circuit, as in Stim's error
 analyser (Gidney, arXiv:2103.02202).  Each qubit carries two sensitivity
-bitsets (Python ints; detector ``j`` is bit ``j``, observable ``k`` is bit
+bitsets (detector ``j`` is bit ``j``, observable ``k`` is bit
 ``num_detectors + k``): the detectors and observables an X (resp. Z) flip
 on that qubit *at the current point* would toggle.  Walking from the end:
 
@@ -23,18 +23,32 @@ Cases with identical signatures are merged with XOR-probability combination,
 in forward enumeration order (instruction, target, case) so the combined
 probabilities do not depend on the walk direction, and only the distinct
 signatures are expanded into index tuples.
+
+The walk runs in C (``dem_walk`` in ``uf.c``, loaded through
+:func:`repro.decoders.kernels.cext.library` at call time) over a flat
+encoding of the circuit (:func:`_encode`): ``uint64`` sensitivity rows with
+live word ranges, a hash of the distinct signatures, and a log of
+(signature, case) replayed in forward order with the float operations of
+:func:`~repro._util.combine_flip_probabilities`.  Without a compiler the
+same walk runs in Python over big-int bitsets (:func:`_walk_python`).  Both
+return ``==`` models (``tests/test_dem_parity.py``); :func:`dem_walk` names
+the one that runs.
 """
 
 from __future__ import annotations
 
+import bisect
+import ctypes
 from dataclasses import dataclass
+
+import numpy as np
 
 from .._util import combine_flip_probabilities
 from .circuit import Circuit
 from .frame import _KIND_BY_NAME
 from .gates import GateKind, ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
 
-__all__ = ["DemError", "DetectorErrorModel", "circuit_to_dem"]
+__all__ = ["DemError", "DetectorErrorModel", "circuit_to_dem", "dem_walk"]
 
 
 @dataclass(frozen=True)
@@ -101,6 +115,135 @@ def circuit_to_dem(circuit: Circuit, *, min_probability: float = 0.0) -> Detecto
         min_probability: mechanisms with probability at or below this value
             are dropped after merging.
     """
+    lib = _library()
+    if lib is None:
+        errors = _walk_python(circuit, min_probability)
+    else:
+        errors = _walk_cext(lib, circuit, min_probability)
+    errors.sort(key=lambda e: (e.detectors, e.observables))
+    return DetectorErrorModel(
+        errors=errors,
+        num_detectors=circuit.num_detectors,
+        num_observables=circuit.num_observables,
+        detector_coords=[info.coords for info in circuit.detectors],
+        detector_basis=[info.basis for info in circuit.detectors],
+    )
+
+
+def dem_walk() -> str:
+    """The walk :func:`circuit_to_dem` runs now: ``"cext"`` or ``"python"``."""
+    return "python" if _library() is None else "cext"
+
+
+def _library():
+    from ..decoders.kernels import cext  # deferred: repro.decoders imports this module
+
+    return cext.library()
+
+
+def _walk_cext(lib, circuit: Circuit, min_probability: float) -> list[DemError]:
+    """The backward walk in C: ``dem_walk`` over :func:`_encode`'s arrays."""
+    ops, tptr, targets, cptr, cview, cprob, rec = _encode(circuit)
+    n_groups, n_bits = ctypes.c_int64(), ctypes.c_int64()
+    block = lib.dem_walk(
+        ops.size, ops.ctypes.data, tptr.ctypes.data, targets.ctypes.data,
+        cptr.ctypes.data, cview.ctypes.data, cprob.ctypes.data,
+        circuit.num_qubits, circuit.num_measurements,
+        rec.ptr.ctypes.data, rec.word.ctypes.data, rec.bits.ctypes.data, rec.n_words,
+        ctypes.byref(n_groups), ctypes.byref(n_bits),
+    )
+    if not block:
+        raise MemoryError("the C DEM walk could not allocate its state")
+    n, m = n_groups.value, n_bits.value
+    try:
+        raw = np.ctypeslib.as_array((ctypes.c_int64 * (2 * n + 1 + m)).from_address(block))
+        probs = raw[:n].view(np.float64).tolist()
+        ptr = raw[n : 2 * n + 1].tolist()
+        bits = raw[2 * n + 1 :].tolist()
+    finally:
+        lib.dem_free(block)
+    ndet = circuit.num_detectors
+    errors = []
+    for g, p in enumerate(probs):
+        if p > min_probability:
+            sig = bits[ptr[g] : ptr[g + 1]]
+            cut = bisect.bisect_left(sig, ndet)
+            obs = tuple(b - ndet for b in sig[cut:]) if cut < len(sig) else ()
+            errors.append(DemError(p, tuple(sig[:cut]), obs))
+    return errors
+
+
+#: opcodes of ``dem_walk``'s instruction encoding, in ``uf.c``'s enum order
+_OPCODES = {
+    kind: i
+    for i, kind in enumerate(
+        ("h", "s", "sqrt_x", "cx", "cz", "swap", "r", "m", "mx", "mr", "noise1", "noise2")
+    )
+}
+
+
+def _encode(circuit: Circuit):
+    """Flat forward-order arrays of ``circuit`` for the C walk.
+
+    ``(ops, tptr, targets, cptr, cview, cprob, rec)``: one opcode per
+    non-annotation, non-identity instruction, its targets in CSR form
+    (``tptr``/``targets``), and its channel cases in CSR form
+    (``cptr``/``cview``/``cprob``): the view index of a one-qubit case, or
+    ``a | b << 2`` for a two-qubit case, with probabilities computed exactly
+    as :func:`_walk_python` computes them.  ``rec`` holds each measurement
+    record's signature as the nonzero words of a row over the detector and
+    observable bits (:class:`~repro.decoders.kernels.plane.Signatures`).
+    """
+    from ..decoders.kernels.plane import Signatures
+
+    ndet = circuit.num_detectors
+    ops: list[int] = []
+    tptr, targets = [0], []
+    cptr, cview, cprob = [0], [], []
+    recs: list[int] = []
+    cols: list[int] = []
+    measured = 0
+    for j, info in enumerate(circuit.detectors):
+        recs.extend(info.rec)
+        cols.extend([j] * len(info.rec))
+    for inst in circuit.instructions:
+        family = inst.gate.kind
+        if family == GateKind.ANNOTATION:
+            if inst.name == "OBSERVABLE_INCLUDE":
+                recs.extend(inst.rec)
+                cols.extend([ndet + inst.obs_index] * len(inst.rec))
+            continue
+        if family == GateKind.NOISE_2:
+            ops.append(_OPCODES["noise2"])
+            cview.extend(_PAIR_VIEWS)
+            cprob.extend([inst.args[0] / 15.0] * len(_PAIR_VIEWS))
+        elif family == GateKind.NOISE_1:
+            ops.append(_OPCODES["noise1"])
+            for m, p in _single_qubit_cases(inst):
+                cview.append(m)
+                cprob.append(p)
+        else:
+            kind = _KIND_BY_NAME[inst.name]
+            if kind == "skip":
+                continue
+            ops.append(_OPCODES[kind])
+            if family == GateKind.MEASURE:
+                measured += len(inst.targets)
+        targets.extend(inst.targets)
+        tptr.append(len(targets))
+        cptr.append(len(cview))
+    # the C walk indexes its rows and records with these unchecked
+    if targets and not 0 <= min(targets) <= max(targets) < circuit.num_qubits:
+        raise ValueError("instruction targets exceed the circuit's qubit count")
+    if measured != circuit.num_measurements:
+        raise ValueError("measurements disagree with the circuit's record count")
+    rec = Signatures(recs, cols, circuit.num_measurements, ndet + circuit.num_observables)
+    ints = (np.asarray(a, dtype=np.int64) for a in (ops, tptr, targets, cptr, cview))
+    return (*ints, np.asarray(cprob, dtype=np.float64), rec)
+
+
+def _walk_python(circuit: Circuit, min_probability: float) -> list[DemError]:
+    """The backward walk over Python big-int bitsets (no compiler needed)."""
     ndet = circuit.num_detectors
     # measurement record -> bitset of the detectors/observables it feeds
     rec_sig = [0] * circuit.num_measurements
@@ -187,14 +330,7 @@ def circuit_to_dem(circuit: Circuit, *, min_probability: float = 0.0) -> Detecto
         p = combine_flip_probabilities(ps)
         if p > min_probability:
             errors.append(DemError(p, _bit_indices(sig & det_mask), _bit_indices(sig >> ndet)))
-    errors.sort(key=lambda e: (e.detectors, e.observables))
-    return DetectorErrorModel(
-        errors=errors,
-        num_detectors=ndet,
-        num_observables=circuit.num_observables,
-        detector_coords=[info.coords for info in circuit.detectors],
-        detector_basis=[info.basis for info in circuit.detectors],
-    )
+    return errors
 
 
 def _pauli_index(x: bool, z: bool) -> int:
@@ -206,6 +342,9 @@ def _pauli_index(x: bool, z: bool) -> int:
 _PAIR_CASES_REVERSED = [
     (_pauli_index(*pa), _pauli_index(*pb)) for pa, pb in reversed(TWO_QUBIT_PAULIS)
 ]
+
+#: the 15 two-qubit cases as ``dem_walk`` view codes ``a | b << 2``, in order
+_PAIR_VIEWS = [a | b << 2 for a, b in reversed(_PAIR_CASES_REVERSED)]
 
 
 def _single_qubit_cases(inst) -> list[tuple[int, float]]:

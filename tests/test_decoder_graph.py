@@ -131,3 +131,60 @@ def test_basis_filter_restricts_detectors():
     assert g.num_detectors == 1
     assert g.num_edges == 1
     assert g.edge_obs[0] == 1
+
+
+def _loop_adjacency(graph):
+    """The per-edge CSR fill ``MatchingGraph.adjacency`` replaced."""
+    n = graph.num_detectors + 1
+    counts = np.zeros(n, dtype=np.int64)
+    np.add.at(counts, graph.edge_u, 1)
+    np.add.at(counts, graph.edge_v, 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    edges = np.zeros(indptr[-1], dtype=np.int64)
+    fill = indptr[:-1].copy()
+    for e in range(graph.num_edges):
+        for node in (int(graph.edge_u[e]), int(graph.edge_v[e])):
+            edges[fill[node]] = e
+            fill[node] += 1
+    return indptr, edges
+
+
+def _assert_adjacency_matches_loop(graph):
+    indptr, edges = graph.adjacency()
+    ref_indptr, ref_edges = _loop_adjacency(graph)
+    assert indptr.dtype == edges.dtype == np.int64
+    assert np.array_equal(indptr, ref_indptr)
+    assert np.array_equal(edges, ref_edges)
+
+
+@pytest.mark.parametrize("policy_name", ["passive", "active"])
+def test_adjacency_matches_the_per_edge_loop_on_surgery_graphs(policy_name):
+    from repro.core.policies import make_policy
+    from repro.experiments.ler import SurgeryLerConfig, prepared_pipeline
+    from repro.noise import IBM
+
+    config = SurgeryLerConfig(distance=3, hardware=IBM, policy_name=policy_name, tau_ns=1000.0)
+    _assert_adjacency_matches_loop(prepared_pipeline(config, make_policy(policy_name)).graph)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adjacency_matches_the_per_edge_loop_on_random_graphs(seed):
+    from repro.decoders.graph import MatchingGraph
+
+    rng = np.random.default_rng(seed)
+    ndet = int(rng.integers(1, 40))
+    n_edges = int(rng.integers(0, 120))
+    u = rng.integers(0, ndet + 1, size=n_edges)
+    v = rng.integers(0, ndet + 1, size=n_edges)  # repeats and parallel edges
+    prob = np.full(n_edges, 0.01)
+    graph = MatchingGraph(
+        num_detectors=ndet,
+        num_observables=1,
+        edge_u=u.astype(np.int64),
+        edge_v=v.astype(np.int64),
+        edge_prob=prob,
+        edge_weight=np.log((1 - prob) / prob),
+        edge_obs=np.zeros(n_edges, dtype=np.uint64),
+    )
+    _assert_adjacency_matches_loop(graph)

@@ -8,15 +8,20 @@ same probabilities to the last bit — because stored point records are
 keyed on decode-path code locked under ``STORE_SALT``, which the backward
 pass did not bump.
 
+Every check runs both backward walks: the C one (``dem_walk`` in ``uf.c``)
+and the Python fallback, forced with ``factories.numpy_plane()``.
+
 Surgery circuits only use CX/H/R/RX/MR/MX, so the seeded random circuits
 are the coverage for every other instruction (CZ, SWAP, S, SQRT_X, M, Y
 noise, PAULI_CHANNEL_1 with zero entries, CX chains through a shared qubit).
 """
 
+import contextlib
 import random
 
 import pytest
 from dem_oracle import forward_circuit_to_dem
+from factories import numpy_plane
 
 from repro.codes import (
     MultiSurgerySpec,
@@ -27,19 +32,42 @@ from repro.codes import (
 )
 from repro.codes.repetition import repetition_experiment
 from repro.core.policies import POLICIES, make_policy
-from repro.experiments.ler import SurgeryLerConfig, prepared_pipeline
+from repro.decoders.kernels import cext
+from repro.experiments.ler import SurgeryLerConfig, _synthesize, prepared_pipeline
 from repro.noise import GOOGLE, IBM, NoiseModel
 from repro.noise.hardware import SHERBROOKE
 from repro.stab import Circuit, circuit_to_dem
+from repro.stab.dem import dem_walk
 from repro.stab.frame import _KIND_BY_NAME
 from repro.stab.gates import GATES, GateKind
 
+requires_cc = pytest.mark.skipif(cext.library() is None, reason="the C walk cannot build")
+
+
+def _walks():
+    """``(name, context)`` of each walk this host can run."""
+    if cext.library() is not None:
+        yield "cext", contextlib.nullcontext
+    yield "python", numpy_plane
+
+
+def _both_walks(circuit, **kwargs):
+    """``{walk: model}`` of ``circuit`` from each available walk."""
+    out = {}
+    for name, context in _walks():
+        with context():
+            assert dem_walk() == name
+            out[name] = circuit_to_dem(circuit, **kwargs)
+    return out
+
 
 def _assert_parity(circuit, **kwargs):
-    new = circuit_to_dem(circuit, **kwargs)
-    assert new.errors, "parity on an empty model proves nothing"
-    assert new.errors == forward_circuit_to_dem(circuit, **kwargs).errors
-    return new
+    oracle = forward_circuit_to_dem(circuit, **kwargs).errors
+    assert oracle, "parity on an empty model proves nothing"
+    models = _both_walks(circuit, **kwargs)
+    for walk, model in models.items():
+        assert model.errors == oracle, walk
+    return models["python"]
 
 
 # ---------------------------------------------------------------- generators
@@ -150,3 +178,98 @@ def test_random_circuits_match_oracle(seed):
     assert 0 < len(kept.errors) < len(probs)
     assert all(e.probability > cut for e in kept.errors)
     _assert_parity(circuit, min_probability=-1.0)
+
+
+# ---------------------------------------------------------------- edge cases
+
+
+def test_noiseless_circuit_gives_an_empty_model():
+    c = Circuit()
+    c.append("R", [0, 1])
+    c.append("H", [0])
+    c.append("CX", [0, 1])
+    recs = c.append("M", [0, 1])
+    c.detector(recs)
+    c.observable_include(0, recs[:1])
+    for walk, model in _both_walks(c).items():
+        assert model.errors == [], walk
+        assert (model.num_detectors, model.num_observables) == (1, 1)
+    assert forward_circuit_to_dem(c).errors == []
+
+
+def test_positive_min_probability_matches_oracle(ibm_noise):
+    circuit = memory_experiment(3, 3, ibm_noise, basis="Z").circuit
+    probs = sorted(e.probability for e in circuit_to_dem(circuit).errors)
+    cut = probs[len(probs) // 2]
+    assert cut > 0
+    kept = _assert_parity(circuit, min_probability=cut)
+    assert 0 < len(kept.errors) < len(probs)
+    assert all(e.probability > cut for e in kept.errors)
+
+
+def _word_straddling_circuit(rounds: int = 140) -> Circuit:
+    """Two reset-measured qubits whose detectors chain through 64-bit words.
+
+    Detector ``k`` compares qubit 0's records ``k`` and ``k + 1``, so an X
+    flip before qubit 0's ``k``-th measurement flips detectors ``k - 1`` and
+    ``k`` -- (63, 64) and (127, 128) straddle word boundaries.  Qubit 1's
+    detectors follow qubit 0's, so a correlated two-qubit case spans words
+    ``k // 64`` to ``(rounds + k) // 64``; qubit 0's last record feeds the
+    observable, past every detector.
+    """
+    c = Circuit()
+    c.append("R", [0, 1])
+    recs0, recs1 = [], []
+    for _ in range(rounds):
+        c.append("DEPOLARIZE2", [0, 1], [0.03])
+        c.append("X_ERROR", [0], [0.01])
+        recs0 += c.append("MR", [0])
+        recs1 += c.append("MR", [1])
+    for recs in (recs0, recs1):
+        for k in range(rounds - 1):
+            c.detector([recs[k], recs[k + 1]])
+    c.observable_include(0, recs0[-1:])
+    return c
+
+
+def test_signatures_straddling_word_boundaries_match_oracle():
+    circuit = _word_straddling_circuit()
+    errors = _assert_parity(circuit).errors
+    signatures = {(e.detectors, e.observables) for e in errors}
+    assert ((63, 64), ()) in signatures
+    assert ((127, 128), ()) in signatures
+    assert ((63, 64, 63 + 139, 64 + 139), ()) in signatures
+    assert ((138,), (0,)) in signatures
+
+
+@requires_cc
+def test_d9_cold_point_c_walk_equals_python_walk():
+    """The benchmark's largest cold point, past the oracle's reach."""
+    config = SurgeryLerConfig(
+        distance=9, hardware=IBM, policy_name="active", tau_ns=1000.0, p=1e-3
+    )
+    _, artifacts = _synthesize(config, make_policy("active"))
+    models = _both_walks(artifacts.circuit)
+    assert len(models["cext"].errors) > 5000
+    assert models["cext"].errors == models["python"].errors
+
+
+@requires_cc
+def test_c_walk_rejects_a_circuit_whose_bookkeeping_disagrees():
+    """The C walk trusts the encoded indices, so inconsistent circuits
+    (instructions edited behind ``Circuit.append``) are refused first."""
+    from repro.stab.circuit import Instruction
+
+    c = Circuit()
+    c.append("R", [0, 1])
+    c.append("X_ERROR", [0], [0.1])
+    c.detector(c.append("M", [0, 1])[:1])
+    stray = Circuit()
+    stray.instructions = list(c.instructions) + [Instruction("X_ERROR", (5,), (0.1,))]
+    stray.num_qubits, stray.num_measurements = c.num_qubits, c.num_measurements
+    stray.detectors = c.detectors
+    with pytest.raises(ValueError, match="qubit count"):
+        circuit_to_dem(stray)
+    stray.instructions = list(c.instructions) + [Instruction("M", (0,))]
+    with pytest.raises(ValueError, match="record count"):
+        circuit_to_dem(stray)

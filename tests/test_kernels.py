@@ -636,8 +636,16 @@ def test_cext_packed_kernel_rejects_bad_shapes(parity_grid):
 @requires_cc
 def test_installed_library_exports_the_data_plane():
     lib = cext.library()
-    for name in ("uf_decode_packed", "plane_xor_darts", "plane_dedup"):
+    for name in ("uf_decode_packed", "plane_xor_darts", "plane_dedup", "dem_walk", "dem_free"):
         assert hasattr(lib, name), name
+
+
+def test_build_forbids_fused_multiply_adds():
+    """The DEM walk's probabilities are bit-exact only without FMA contraction
+    (GCC contracts by default on aarch64): the flag is pinned in the build
+    and in the source's documented build line."""
+    assert "-ffp-contract=off" in cext.CFLAGS
+    assert f"cc {' '.join(cext.CFLAGS)} -o uf.so uf.c" in cext.SOURCE.read_text()
 
 
 def test_no_compiler_ler_and_sweep_match_the_c_path(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ Three families of guarantees:
   decode threads record into the one recorder, one ``tid`` lane each.
 """
 
+import contextlib
 import json
 import random
 import threading
@@ -395,3 +396,30 @@ def test_cold_pipeline_records_analysis_spans_and_predicts_identically():
     for child in children:
         assert parent["ts"] <= child["ts"]
         assert child["ts"] + child["dur"] <= parent["ts"] + parent["dur"]
+
+
+@pytest.mark.parametrize("walk", ["cext", "python"])
+def test_dem_span_names_the_walk_and_counts_errors(walk):
+    """``ler.analyze.dem`` carries the mechanism count and the walk that ran."""
+    from factories import numpy_plane
+
+    from repro.core.policies import make_policy
+    from repro.decoders.kernels import cext
+    from repro.experiments.ler import SurgeryLerConfig, prepared_pipeline
+
+    if walk == "cext" and cext.library() is None:
+        pytest.skip("the C walk cannot build")
+    config = SurgeryLerConfig(distance=3, hardware=GOOGLE, policy_name="passive", tau_ns=500.0)
+    context = numpy_plane if walk == "python" else contextlib.nullcontext
+    clear_pipeline_cache()
+    obs.configure()
+    try:
+        with context():
+            pipe = prepared_pipeline(config, make_policy("passive"))
+        events = list(obs.active().events)
+    finally:
+        obs.reset()
+        clear_pipeline_cache()
+    (span,) = [e for e in events if e["name"] == "ler.analyze.dem"]
+    assert span["args"] == {"errors": len(pipe.dem.errors), "walk": walk}
+    assert len(pipe.dem.errors) > 0
