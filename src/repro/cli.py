@@ -286,7 +286,7 @@ def _sweep_run(args) -> int:
                 f"  {cfg}: {row['status']} shots={row['shots']}/"
                 f"{row['max_shots']}, {row['batches_applied']} batches applied"
                 f"{replay}, <= {row['batches_remaining']} x "
-                f"{row['next_batch_shots']} shots to decode"
+                f"{spec.batch_shots} shots to decode"
             )
         t = plan["totals"]
         print(
@@ -315,7 +315,6 @@ def _sweep_run(args) -> int:
             resume=not args.restart,
             workers=args.workers,
             speculate=args.speculate,
-            admission=args.admission,
             progress=lambda msg: print(f"  {msg}"),
             ledger=False if args.no_ledger else None,
         )
@@ -390,20 +389,19 @@ def _sweep_status(args) -> int:
                     f"shots_per_s={throughput:,.0f}"
                 )
                 # mid-run progress from the commit-ahead batch log: batches
-                # already applied + committed-ahead vs. the remaining plan
-                # under the adaptive next-batch size (read-only, no decoding)
+                # already applied + committed-ahead vs. the batches left to
+                # the shot cap (read-only, no decoding)
                 applied = int(rec.get("batches", 0))
                 ahead = sum(1 for i in store.batch_indices(key) if i >= applied)
                 if rec.get("converged"):
                     progress = f"complete ({ahead} commit-ahead batches kept)"
                 else:
-                    next_size = int(rec.get("batch_shots_next") or spec.batch_shots)
                     remaining = max(0, spec.max_shots - shots)
-                    est_total = applied + -(-remaining // max(1, next_size))
+                    est_total = applied + -(-remaining // spec.batch_shots)
                     progress = (
                         f"batches {applied}+{ahead} committed / ~{est_total} "
                         f"estimated, shots {shots}/{spec.max_shots}, "
-                        f"next_batch={next_size}"
+                        f"batch={spec.batch_shots}"
                     )
                 print(f"      progress: {progress}")
     return 0
@@ -462,8 +460,6 @@ def _render_watch(snap: dict) -> str:
         if p["status"] in ("pending", "running"):
             if isinstance(p.get("batches_remaining"), int):
                 extra.append(f"~{p['batches_remaining']} to go")
-            if p.get("next_batch_shots"):
-                extra.append(f"next={p['next_batch_shots']}")
         suffix = f" ({', '.join(extra)})" if extra else ""
         lines.append(
             f"  {p['label']:<28} {p['status']:<14} shots={shots} "
@@ -811,14 +807,6 @@ def main(argv=None) -> int:
         " (0 = one batch per worker, the default)",
     )
     sweep_run.add_argument(
-        "--admission",
-        choices=("cost", "sweep"),
-        default="cost",
-        help="concurrent point-admission order: 'cost' starts the points"
-        " with the most estimated remaining work first (default), 'sweep'"
-        " keeps grid order; stored records are bit-identical either way",
-    )
-    sweep_run.add_argument(
         "--dry-run",
         action="store_true",
         help="report per-point batches committed vs. needed, replayable"
@@ -908,8 +896,8 @@ def main(argv=None) -> int:
     sweep_watch = sweep_sub.add_parser(
         "watch",
         help="tail a live (or finished) run from its ledger: per-point"
-        " progress and an ETA from the commit-ahead batch log plus the"
-        " adaptive next-batch plan (read-only)",
+        " progress and an ETA from the commit-ahead batch log and the"
+        " shot cap (read-only)",
     )
     sweep_watch.add_argument(
         "run_id", nargs="?", default=None, help="run id from `repro runs list`"

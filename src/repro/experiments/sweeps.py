@@ -1,4 +1,4 @@
-"""Resumable, adaptive LER sweep orchestration over the result store.
+"""Resumable LER sweep orchestration with adaptive stopping over the result store.
 
 This is the durable layer the paper's 128-core x 5-day evaluation implies:
 a declarative :class:`SweepSpec` expands into points (configuration x
@@ -20,11 +20,8 @@ Consequences:
   ``target_rse``) or the shot cap is hit.  Convergence is evaluated batch by
   batch in index order, so the stopping decision is independent of the
   worker count (batches decoded past the stopping point stay in the
-  commit-ahead log; they are never accumulated).  With
-  ``adaptive_batching=True`` batch *sizes* also adapt: once one more batch
-  improves the tracked RSE by <= 10%, the next batch doubles (capped at
-  ``max_batch_shots``), with the deterministic size schedule checkpointed in
-  the record so resume and worker counts still cannot change results.
+  commit-ahead log; they are never accumulated).  Every batch is exactly
+  ``batch_shots`` shots.
 * **One scheduler** — every sweep, including the ones figure builds
   declare, runs through :meth:`_SweepRun.run_concurrent`: one executor is
   shared by *all* points of the sweep, a pool interleaves points, and while
@@ -35,8 +32,9 @@ Consequences:
   speculation depth — equal to decoding the batches one by one in index
   order; batches that complete after the stopping rule fired are committed
   to the store's per-batch *commit-ahead log* (deterministic in ``(seed,
-  point key, batch index, size)``) where any later pass replays them
-  instead of decoding again.
+  point key, batch index)``) where any later pass replays them instead of
+  decoding again.  Points are admitted largest estimated remaining work
+  first; outcomes are emitted in sweep order.
 * **Exportable / collectable** — :func:`export_records` (CLI ``repro sweep
   export``) emits stored records in the benchmark-harness JSON row format
   without decoding anything, and ``repro sweep gc --older-than DAYS``
@@ -49,6 +47,7 @@ Consequences:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -75,18 +74,10 @@ __all__ = [
     "SweepReport",
     "run_sweep",
     "plan_sweep",
-    "ADMISSION_ORDERS",
     "point_record_estimates",
     "record_parity_view",
     "export_records",
 ]
-
-#: admission orders the concurrent scheduler accepts: ``cost`` starts the
-#: points with the most estimated remaining decode work first (shrinking the
-#: long tail), ``sweep`` admits in grid order.  Stored records are
-#: bit-identical under either — application is per-point in-order — and
-#: outcomes are always *emitted* in sweep order.
-ADMISSION_ORDERS = ("cost", "sweep")
 
 #: record fields that depend on execution (wall clock, warm-cache state,
 #: worker scheduling) and never on the estimates.  Everything else is
@@ -172,25 +163,22 @@ class SweepSpec:
     max_shots: int = 20000
     #: relative Wilson half-width target; None = fixed-shot mode (run to cap)
     target_rse: float | None = None
-    #: observable index the stopping rule tracks; None = most-failing one
+    #: observable index the stopping rule tracks; None = most-failing one.
+    #: Must be below the circuit's observable count (checked per point,
+    #: once its circuit is analyzed)
     observable: int | None = None
-    #: adaptive batch sizing: once the tracked rate estimate's RSE trend
-    #: stabilizes (one more batch improves it by <= 10%), the next batch
-    #: doubles, capped at ``max_batch_shots``.  The size schedule is a pure
-    #: function of the applied batch prefix (and is checkpointed in the
-    #: record), so resume stays bit-identical and worker counts cannot
-    #: change results.  Batch *seeds* stay pure in (seed, key, batch index).
-    adaptive_batching: bool = False
-    #: cap for grown batches; None = 8 * batch_shots
-    max_batch_shots: int | None = None
 
     def __post_init__(self):
         if self.batch_shots < 1:
             raise ValueError("batch_shots must be positive")
         if self.max_shots < 1:
             raise ValueError("max_shots must be positive")
-        if self.max_batch_shots is not None and self.max_batch_shots < self.batch_shots:
-            raise ValueError("max_batch_shots cannot be below batch_shots")
+        if self.target_rse is not None and self.target_rse <= 0:
+            raise ValueError(f"target_rse must be positive, got {self.target_rse}")
+        if self.observable is not None and self.observable < 0:
+            raise ValueError(
+                f"observable must be a non-negative index, got {self.observable}"
+            )
         # fail at spec construction, not inside a decode thread
         if self.decoder not in _ler.DECODER_BUILDERS:
             raise ValueError(
@@ -203,16 +191,11 @@ class SweepSpec:
                 f"{', '.join(['auto', *kernels.names()])}"
             )
 
-    def resolved_max_batch_shots(self) -> int:
-        """The grown-batch cap (defaults to 8x the seed batch size)."""
-        return (
-            self.max_batch_shots
-            if self.max_batch_shots is not None
-            else 8 * self.batch_shots
-        )
-
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown SweepSpec field(s): {', '.join(unknown)}")
         data = dict(data)
         hw = data["hardware"]
         if isinstance(hw, str):
@@ -231,8 +214,6 @@ class SweepSpec:
 
     def to_dict(self) -> dict:
         """JSON-serializable form (inverse of :meth:`from_dict`)."""
-        import dataclasses
-
         out = dataclasses.asdict(self)
         out["policies"] = [
             {"name": p.name, "kwargs": dict(p.kwargs)} for p in self.policies
@@ -330,8 +311,8 @@ class SweepReport:
     #: batches served from the commit-ahead log instead of being decoded
     batches_replayed: int = 0
     #: batches decoded by this pass but excluded from the estimates (the
-    #: stopping rule fired first, or adaptive sizing grew the plan under
-    #: them); they are committed to the store, not wasted
+    #: stopping rule fired first); they are committed to the store, not
+    #: wasted
     batches_overshoot: int = 0
 
     @property
@@ -412,11 +393,6 @@ def _fresh_record(spec: SweepSpec, pt: SweepPoint, key: str, nobs: int) -> dict:
         "stop_reason": None,
         "plan_summary": {},
         "decode_stats": {k: 0 for k in _ACCUM_KEYS},
-        # adaptive batch sizing state: the planned size of the next batch and
-        # the last observed relative half-width, both checkpointed so a
-        # resumed sweep replays the same deterministic size schedule
-        "batch_shots_next": spec.batch_shots,
-        "rse_prev": None,
     }
 
 
@@ -457,14 +433,9 @@ class _ConcurrentPoint:
         self.pos = 0
         #: index -> in-flight Future
         self.inflight: dict = {}
-        #: index -> shots the batch was dispatched/replayed at (for the
-        #: max_shots projection that bounds speculation)
-        self.sizes: dict = {}
         #: index -> (batch record, replayed, worker thread name) completed
         #: but not yet applied (the name is ledger provenance, never stored)
         self.pending: dict = {}
-        #: indices discarded at a stale speculative size, to re-dispatch
-        self.redo: set = set()
         #: next fresh index to dispatch (>= record["batches"])
         self.next_index = record["batches"]
         self.new_shots = 0
@@ -490,14 +461,9 @@ class _SweepRun:
         batch_limit: int | None = None,
         progress=None,
         ledger=None,
-        admission: str = "cost",
     ):
         if speculate < 0:
             raise ValueError("speculate must be non-negative")
-        if admission not in ADMISSION_ORDERS:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_ORDERS}, got {admission!r}"
-            )
         self.spec = spec
         self.store = store
         self.resume = resume
@@ -507,7 +473,6 @@ class _SweepRun:
         self.inline = workers <= 1
         self.workers = max(1, workers)
         self.speculate = speculate
-        self.admission = admission
         self.budget = _BatchBudget(batch_limit)
         self.progress = progress or (lambda msg: None)
         #: run-ledger writer — pure observation (events, heartbeats); a
@@ -543,15 +508,13 @@ class _SweepRun:
         entropy, spawn_key = batch_entropy(self.spec.seed, key, batch_index)
         return np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
 
-    def _make_task(
-        self, pt: SweepPoint, key: str, pipeline, index: int, shots: int
-    ) -> SweepTask:
-        """One batch task, seeded purely by ``(spec seed, key, index)``."""
+    def _make_task(self, pt: SweepPoint, key: str, pipeline, index: int) -> SweepTask:
+        """One batch of ``batch_shots`` shots, seeded by ``(seed, key, index)``."""
         return SweepTask(
             config=pt.config,
             policy_name=pt.policy_name,
             policy_kwargs=pt.policy_kwargs,
-            shots=shots,
+            shots=self.spec.batch_shots,
             seed=self._batch_seed(key, index),
             decoder=pt.decoder,
             backend=self.spec.backend,
@@ -577,8 +540,8 @@ class _SweepRun:
         if record is not None and record.get("status") == "not_applicable":
             return key, record, None, True
 
-        if record is not None and not self.resume and not record.get("converged"):
-            record = None  # restart partial points unless resuming
+        if record is not None and self._restarts(record):
+            record = None
 
         if record is not None:
             # re-evaluate convergence under the *current* spec: a tightened
@@ -589,7 +552,11 @@ class _SweepRun:
                     record.update(converged=True, stop_reason=reason)
                     self.store.put(key, record)
                 return key, record, None, True
-            record = dict(record, converged=False, stop_reason=None)
+            # continue from the stored prefix with exactly the fields of a
+            # fresh record: fields an older scheduler stored are dropped
+            fresh = _fresh_record(spec, pt, key, len(record["failures"]))
+            record = {k: record.get(k, v) for k, v in fresh.items()}
+            record.update(converged=False, stop_reason=None)
 
         # analyze (or fetch) the pipeline once, on the coordinator
         analyses_before = _ler.PIPELINE_ANALYSES
@@ -609,15 +576,34 @@ class _SweepRun:
             self.store.put(key, record)
             return key, record, None, True
         self.report.analyses_parent += _ler.PIPELINE_ANALYSES - analyses_before
+        nobs = pipe.dem.num_observables
+        if spec.observable is not None and spec.observable >= nobs:
+            raise ValueError(
+                f"observable {spec.observable} is out of range: the circuit "
+                f"of {pt.policy_name} d={pt.config.distance} has {nobs} "
+                "observable(s)"
+            )
         backend = spec.backend
         if backend is None:
             backend = _ler.DECODE_DEFAULTS["backend"]
         kernels.bind(pipe.decoder(pt.decoder), backend)
 
         if record is None:
-            record = _fresh_record(spec, pt, key, pipe.dem.num_observables)
+            record = _fresh_record(spec, pt, key, nobs)
             record["plan_summary"] = pipe.plan_summary()
         return key, record, pipe, False
+
+    def _restarts(self, record: dict) -> bool:
+        """Whether a stored record is recomputed from batch 0.
+
+        ``--restart`` (resume=False) recomputes partial points.  A record
+        whose applied batches do not all hold ``batch_shots`` shots (only a
+        scheduler that grew batches could write one) is recomputed even when
+        converged: its numbers are not the ones this spec computes.
+        """
+        if record["shots"] != record["batches"] * self.spec.batch_shots:
+            return True
+        return not self.resume and not record.get("converged")
 
     def _apply_batch(self, record: dict, br: dict, *, replayed: bool) -> None:
         """Fold one batch record into the point record, in index order.
@@ -637,7 +623,6 @@ class _SweepRun:
                 record["decode_stats"][k] = (
                     record["decode_stats"].get(k, 0) + stats.get(k, 0)
                 )
-            self._update_batch_plan(record)
         obs.count("sweep.batches_replayed" if replayed else "sweep.batches_applied")
 
     def _checkpoint(self, key: str, record: dict) -> None:
@@ -667,9 +652,9 @@ class _SweepRun:
 
         Everything :meth:`_apply_batch` will sum must be numeric — a
         valid-JSON-but-damaged record returns None and is re-decoded, same
-        as a truncated one.  Size validation happens at apply time (the
-        planned size of an index is only known once the prefix below it is
-        applied).
+        as a truncated one — and the batch must hold exactly
+        ``batch_shots`` shots (only a scheduler that grew batches could have
+        committed another size).
         """
 
         def _count(x) -> bool:
@@ -680,6 +665,8 @@ class _SweepRun:
             return None
         failures = br.get("failures")
         if not _count(br.get("shots")) or not isinstance(failures, list):
+            return None
+        if br["shots"] != self.spec.batch_shots:
             return None
         if len(failures) != nobs or not all(_count(f) for f in failures):
             return None
@@ -728,8 +715,8 @@ class _SweepRun:
         equal an in-order batch-by-batch decode for any worker count and any
         speculation depth.  Batches that complete after their point's
         stopping rule fired stay in the log (deterministic in
-        ``(seed, key, index, size)`` — a later resume or tightened
-        ``target_rse`` replays them for free) but never enter the estimate.
+        ``(seed, key, index)`` — a later resume or tightened ``target_rse``
+        replays them for free) but never enter the estimate.
 
         With ``workers > 1`` the executor is a pool of decode threads; with
         ``workers <= 1`` it is the :class:`InlineExecutor`: dispatch creates
@@ -742,11 +729,10 @@ class _SweepRun:
         keep busy — so the default depth-1 inline run finishes one point
         before it admits the next.
 
-        ``admission="cost"`` (the default) admits points by estimated
-        remaining decode work, biggest first, so the long-tail point starts
-        earliest; application stays per-point in-order, records are
-        bit-identical under any admission order, and outcomes are emitted
-        in sweep order regardless.
+        Points are admitted by estimated remaining decode work, biggest
+        first, so the long-tail point starts earliest; application stays
+        per-point in-order, so admission order cannot change records, and
+        outcomes are emitted in sweep order.
 
         Worker exceptions propagate to the caller, but never silently lose
         work: the ``finally`` block cancels or drains orphaned futures
@@ -761,7 +747,7 @@ class _SweepRun:
         capacity = depth if self.inline else self.workers + depth
         self._executor()
         queue = list(enumerate(points))
-        if self.admission == "cost" and len(queue) > 1:
+        if len(queue) > 1:
             costs = {pos: self._admission_cost(pt) for pos, pt in queue}
             # stable sort: ties (e.g. fresh points of one uniform spec) stay
             # in sweep order
@@ -811,7 +797,7 @@ class _SweepRun:
                     self._dispatch_point(state, depth, futures)
                 if self._drain(active):
                     active = [s for s in active if not s.finished]
-                    continue  # applied batches may unlock dispatch (plan growth)
+                    continue  # applied batches free speculation slots
                 if futures:
                     self._await_some(futures)
                     continue
@@ -854,8 +840,8 @@ class _SweepRun:
     def _admission_cost(self, pt: SweepPoint) -> int:
         """Estimated shots this point still needs to decode (read-only).
 
-        The admission key of ``admission="cost"``: a store/commit-ahead-log
-        peek through the shared cost model
+        The scheduler's admission key: a store/commit-ahead-log peek
+        through the shared cost model
         (:func:`repro.obs.ledger.estimate_point_cost`) — the same math
         ``sweep watch`` and ``--dry-run`` report.  Never analyzes a circuit
         and never writes.
@@ -878,21 +864,20 @@ class _SweepRun:
             "batches_applied": 0,
             "batches_ahead": 0,
             "batches_remaining": 0,
-            "next_batch_shots": spec.batch_shots,
             "est_new_shots": 0,
         }
         if record is not None and record.get("status") == "not_applicable":
             row["status"] = "not_applicable"
             return row
-        if record is not None and not self.resume and not record.get("converged"):
-            # --restart recomputes partial points from batch 0 and discards
-            # their commit-ahead log (nothing replayable)
+        if record is not None and self._restarts(record):
+            # recomputed from batch 0; under --restart its commit-ahead log
+            # is discarded too (nothing replayable), otherwise its batches
+            # of batch_shots shots replay
             record = None
             row["status"] = "restart"
         if record is not None:
             row["shots"] = int(record.get("shots", 0))
             row["batches_applied"] = int(record.get("batches", 0))
-            row["next_batch_shots"] = self._planned_batch_shots(record)
             done, _ = _converged(record["failures"], record["shots"], spec)
             if done:
                 row["status"] = "converged"
@@ -904,10 +889,7 @@ class _SweepRun:
                 if i >= row["batches_applied"]
             )
         cost = _oledger.estimate_point_cost(
-            row["shots"],
-            spec.max_shots,
-            row["next_batch_shots"],
-            ahead=row["batches_ahead"],
+            row["shots"], spec.max_shots, spec.batch_shots, ahead=row["batches_ahead"]
         )
         row["batches_remaining"] = cost["batches_remaining"]
         row["est_new_shots"] = cost["new_shots"]
@@ -938,7 +920,6 @@ class _SweepRun:
                 result = fut.result()
             except BaseException as exc:
                 state.inflight.pop(index, None)
-                state.sizes.pop(index, None)
                 if failure is None:
                     failure = exc
             else:
@@ -959,7 +940,6 @@ class _SweepRun:
             if state.finished and fut.cancel():
                 del futures[fut]
                 state.inflight.pop(index, None)
-                state.sizes.pop(index, None)
         if not futures:
             return
         fut = next(iter(futures))  # earliest submitted = index order
@@ -969,7 +949,6 @@ class _SweepRun:
             result = fut.result()
         except BaseException:
             state.inflight.pop(index, None)
-            state.sizes.pop(index, None)
             raise
         self._receive(state, index, result)
 
@@ -985,30 +964,23 @@ class _SweepRun:
             state, index = futures.pop(fut)
             if fut.cancel():
                 state.inflight.pop(index, None)
-                state.sizes.pop(index, None)
                 continue
             try:
                 self._receive(state, index, fut.result())
             except BaseException:
                 state.inflight.pop(index, None)
-                state.sizes.pop(index, None)
 
     def _dispatch_point(self, state: _ConcurrentPoint, depth: int, futures: dict) -> None:
         """Fill one point's speculation window (replays count for free)."""
         spec = self.spec
         record = state.record
         while not state.finished and state.unapplied < depth:
-            index = min(state.redo) if state.redo else state.next_index
-            # never *speculate* past the shot cap: project the unapplied
-            # batches at the sizes they were dispatched at.  The in-order
-            # batch (the one the record needs next) is exempt — an
-            # unconverged point always decodes at least one more batch, and
-            # gating it on pending stale-size batches that can never be
-            # applied ahead of it would deadlock the scheduler.
-            if index != record["batches"] and (
-                record["shots"] + sum(state.sizes.values()) >= spec.max_shots
-            ):
+            # never *speculate* past the shot cap.  An unconverged point with
+            # nothing unapplied is below the cap, so its in-order batch is
+            # always dispatched
+            if record["shots"] + state.unapplied * spec.batch_shots >= spec.max_shots:
                 return
+            index = state.next_index
             if index in state.committed:
                 # serve from the commit-ahead log instead of decoding
                 state.committed.discard(index)
@@ -1017,27 +989,22 @@ class _SweepRun:
                 )
                 if br is not None:
                     state.pending[index] = (br, True, None)
-                    state.sizes[index] = int(br["shots"])
-                    state.redo.discard(index)
-                    if index == state.next_index:
-                        state.next_index += 1
+                    state.next_index += 1
                     continue
             if self.budget.exhausted:
                 return
             self.budget.spend()
-            size = self._planned_batch_shots(record)
-            with obs.span("sweep.dispatch", lambda: {"index": index, "shots": size}):
+            with obs.span(
+                "sweep.dispatch", lambda: {"index": index, "shots": spec.batch_shots}
+            ):
                 fut = submit_task(
                     self._pool,
-                    self._make_task(state.pt, state.key, state.pipeline, index, size),
+                    self._make_task(state.pt, state.key, state.pipeline, index),
                 )
             obs.count("sweep.batches_dispatched")
             state.inflight[index] = fut
-            state.sizes[index] = size
-            state.redo.discard(index)
             futures[fut] = (state, index)
-            if index == state.next_index:
-                state.next_index += 1
+            state.next_index += 1
 
     def _receive(self, state: _ConcurrentPoint, index: int, result) -> None:
         """Commit one completed batch; queue it for in-order application."""
@@ -1048,7 +1015,6 @@ class _SweepRun:
         if state.finished:
             # speculative overshoot: the stopping rule fired while this
             # batch was decoding; committed above, excluded from estimates
-            state.sizes.pop(index, None)
             self.report.batches_overshoot += 1
             obs.event("sweep.overshoot", lambda: {"index": index})
             obs.count("sweep.batches_overshoot")
@@ -1073,7 +1039,6 @@ class _SweepRun:
                 if done:
                     self._finalize_point(state.key, record, reason)
                     for idx, (pbr, replayed, pworker) in state.pending.items():
-                        state.sizes.pop(idx, None)
                         if not replayed:
                             self.report.batches_overshoot += 1
                             obs.count("sweep.batches_overshoot")
@@ -1090,25 +1055,6 @@ class _SweepRun:
                 if entry is None:
                     break  # next batch still in flight (or not dispatched)
                 br, replayed, worker = entry
-                state.sizes.pop(index, None)
-                if int(br["shots"]) != self._planned_batch_shots(record):
-                    # stale speculative size: adaptive sizing grew the plan
-                    # after dispatch — an in-order decode would never see
-                    # this batch at this size, so discard and redo at the plan.
-                    # The discard IS progress: it frees a depth-window slot
-                    # so the next dispatch pass can re-issue the batch (the
-                    # scheduler would otherwise stall when nothing is in
-                    # flight)
-                    state.redo.add(index)
-                    progressed = True
-                    if not replayed:
-                        self.report.batches_overshoot += 1
-                        obs.count("sweep.batches_overshoot")
-                        self.ledger.batch(
-                            state.key, index, int(br["shots"]), "overshoot",
-                            worker=worker,
-                        )
-                    continue
                 self._apply_batch(record, br, replayed=replayed)
                 if replayed:
                     self.report.batches_replayed += 1
@@ -1126,43 +1072,6 @@ class _SweepRun:
                 self._checkpoint(state.key, record)
         return progressed
 
-    def _planned_batch_shots(self, record: dict) -> int:
-        """The deterministic size of the point's next batch."""
-        return int(record.get("batch_shots_next") or self.spec.batch_shots)
-
-    def _update_batch_plan(self, record: dict) -> None:
-        """Grow the next batch once the RSE trend stabilizes (adaptive mode).
-
-        After every applied batch the tracked observable's relative Wilson
-        half-width is compared with its previous value: when one more batch
-        improved it by 10% or less, the estimate is in its slowly-converging
-        tail and the next batch doubles (capped at ``max_batch_shots``).
-        Both the plan and the last RSE live in the record, so the schedule
-        is a pure function of the applied batch prefix.
-        """
-        spec = self.spec
-        if not spec.adaptive_batching:
-            return
-        current = self._planned_batch_shots(record)
-        failures, shots = record["failures"], record["shots"]
-        k = _tracked_observable(failures, spec.observable)
-        rse = None
-        if k < len(failures) and failures[k] > 0 and shots > 0:
-            rate = failures[k] / shots
-            lo, hi = wilson_interval(failures[k], shots)
-            rse = (hi - lo) / 2.0 / rate
-        prev = record.get("rse_prev")
-        if (
-            rse is not None
-            and prev is not None
-            and rse < prev
-            and prev - rse <= 0.1 * prev
-        ):
-            record["batch_shots_next"] = min(
-                current * 2, spec.resolved_max_batch_shots()
-            )
-        record["rse_prev"] = rse
-
     def _outcome(self, pt, key, record, *, new_shots: int = 0) -> PointOutcome:
         outcome = PointOutcome(point=pt, key=key, record=record, new_shots=new_shots)
         self.report.outcomes.append(outcome)
@@ -1176,7 +1085,6 @@ def run_sweep(
     resume: bool = True,
     workers: int = 1,
     speculate: int = 0,
-    admission: str = "cost",
     batch_limit: int | None = None,
     progress=None,
     ledger=None,
@@ -1195,11 +1103,9 @@ def run_sweep(
     where later passes replay them for free.  With ``workers <= 1`` the
     scheduler decodes on the calling thread through the inline executor and
     cancels unneeded speculation lazily, so it decodes
-    exactly the batches the estimates need.
-    ``admission`` orders point admission: ``"cost"`` (default)
-    starts the points with the most estimated remaining work first,
-    ``"sweep"`` keeps grid order — stored records are bit-identical either
-    way, only wall-clock shape differs.
+    exactly the batches the estimates need.  Every batch is exactly
+    ``spec.batch_shots`` shots, and points are admitted largest estimated
+    remaining work first (outcomes are still emitted in sweep order).
     ``batch_limit`` caps how many *new* batches this invocation decodes (the
     interruption hook used by tests and the microbenchmark); when the cap is
     hit the partial state is checkpointed and ``report.interrupted`` is set.
@@ -1226,7 +1132,6 @@ def run_sweep(
         resume=resume,
         workers=workers,
         speculate=speculate,
-        admission=admission,
         batch_limit=batch_limit,
         progress=progress,
         ledger=writer,
@@ -1255,8 +1160,8 @@ def plan_sweep(
     The engine behind ``repro sweep run --dry-run``: for every point of the
     expanded grid, report batches already applied, commit-ahead batches
     waiting to replay, batches still to decode, and the estimated new shots —
-    all through the same cost model the concurrent scheduler's ``"cost"``
-    admission order and ``sweep watch`` use
+    all through the same cost model the scheduler's admission order and
+    ``sweep watch`` use
     (:func:`repro.obs.ledger.estimate_point_cost`).  Purely read-only: no
     store write, no circuit analysis, no decode.  Estimates are the
     shot-cap worst case — ``target_rse`` may stop a point earlier, and a

@@ -59,17 +59,17 @@ __all__ = [
 
 
 def estimate_point_cost(
-    shots: int, max_shots: int, next_batch_shots: int, *, ahead: int = 0
+    shots: int, max_shots: int, batch_shots: int, *, ahead: int = 0
 ) -> dict:
     """Remaining-work estimate for one sweep point, pure numbers in and out.
 
     The single cost model shared by ``sweep watch`` ETAs
     (:func:`watch_snapshot`), the concurrent scheduler's cost-ordered point
     admission and the ``sweep run --dry-run`` planner: given the applied
-    ``shots``, the spec's ``max_shots`` cap, the adaptive plan's
-    ``next_batch_shots`` and the number of commit-ahead log entries at or
-    past the applied prefix (``ahead`` — nearly free to apply, so they are
-    excluded from the decode estimate), it returns::
+    ``shots``, the spec's ``max_shots`` cap and ``batch_shots``, and the
+    number of commit-ahead log entries at or past the applied prefix
+    (``ahead`` — nearly free to apply, so they are excluded from the decode
+    estimate), it returns::
 
         {"batches_total": ...,      # batches to the cap, ignoring the log
          "batches_remaining": ...,  # of those, batches still to *decode*
@@ -81,7 +81,7 @@ def estimate_point_cost(
     converge the point earlier, and the estimate cannot know that without
     decoding — which is exactly what it exists to avoid.
     """
-    size = max(1, int(next_batch_shots))
+    size = max(1, int(batch_shots))
     remaining_shots = max(0, int(max_shots) - int(shots))
     batches_total = math.ceil(remaining_shots / size)
     batches_remaining = max(0, batches_total - max(0, int(ahead)))
@@ -464,11 +464,11 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
     """One render-ready view of a live (or finished) run.
 
     Joins three sources: the run's event log (which points exist, batch
-    cadence, status), the store's point records (shots so far, adaptive
-    next-batch size), and the commit-ahead batch log (speculative batches
-    already decoded but not yet applied — they are nearly free to apply, so
-    the ETA excludes them).  The ETA divides the estimated remaining batch
-    count by the observed decode cadence; both degrade gracefully to None.
+    cadence, status), the store's point records (shots so far), and the
+    commit-ahead batch log (speculative batches already decoded but not yet
+    applied — they are nearly free to apply, so the ETA excludes them).  The
+    ETA divides the estimated remaining batch count by the observed decode
+    cadence; both degrade gracefully to None.
     """
     ledger = RunLedger.for_store(store)
     rid = run_id or ledger.latest()
@@ -478,6 +478,7 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
     events = ledger.events(rid)
     spec = manifest.get("spec") or {}
     spec_max_shots = int(spec.get("max_shots") or 0)
+    batch_shots = int(spec.get("batch_shots") or 0)
 
     points: dict[str, dict] = {}
     totals = {"decoded": 0, "replayed": 0, "overshoot": 0}
@@ -499,7 +500,6 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
                 "batches": 0,
                 "batches_ahead": 0,
                 "batches_remaining": None,
-                "next_batch_shots": None,
                 "stop_reason": None,
             },
         )
@@ -536,8 +536,8 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
             status = str(ev.get("status", status))
             finished_at = ev.get("t", finished_at)
 
-    # overlay live store state: shots/batches applied so far, commit-ahead
-    # depth and the adaptive plan's next batch size
+    # overlay live store state: shots/batches applied so far and
+    # commit-ahead depth
     for key, row in points.items():
         record = store.get(key) if key else None
         if not record:
@@ -547,16 +547,12 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
         if record.get("converged") and row["status"] in ("pending", "running"):
             row["status"] = "converged"
             row["stop_reason"] = record.get("stop_reason")
-        next_size = int(
-            record.get("batch_shots_next") or spec.get("batch_shots") or 0
-        )
-        row["next_batch_shots"] = next_size or None
         ahead = [i for i in store.batch_indices(key) if i >= row["batches"]]
         row["batches_ahead"] = len(ahead)
         max_shots = row["max_shots"] or 0
-        if row["status"] in ("pending", "running") and next_size and max_shots:
+        if row["status"] in ("pending", "running") and batch_shots and max_shots:
             cost = estimate_point_cost(
-                row["shots"], max_shots, next_size, ahead=len(ahead)
+                row["shots"], max_shots, batch_shots, ahead=len(ahead)
             )
             row["batches_remaining"] = cost["batches_remaining"]
         elif row["status"] not in ("pending", "running"):

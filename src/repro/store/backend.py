@@ -25,8 +25,7 @@ scheduler commits every decoded batch here the moment it completes — even
 batches the stopping rule later excludes from the estimate — so an
 interrupted speculative run resumes by *replaying* already-decoded batches
 instead of re-decoding them, and speculative overshoot is never wasted work.
-A batch record whose ``shots`` disagree with the scheduler's planned size
-(adaptive batch sizing grew the plan after the batch was dispatched) is
+A batch record whose ``shots`` disagree with the spec's ``batch_shots`` is
 ignored on replay and overwritten on the next commit.
 
 The root directory is configurable per store; :func:`default_store` resolves

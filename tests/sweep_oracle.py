@@ -1,10 +1,9 @@
 """Scheduler-free reference for the records a sweep stores, kept as a test oracle.
 
 For each point of a :class:`~repro.experiments.sweeps.SweepSpec` it decodes
-batch *i* with ``run_surgery_ler(config, policy, size,
-SeedSequence(*batch_entropy(seed, key, i)))`` strictly in index order, stops
-as soon as the sweep's stopping rule (``_converged``) fires, and grows the
-batch size with the adaptive doubling rule when the spec asks for it.  It
+batch *i* with ``run_surgery_ler(config, policy, batch_shots,
+SeedSequence(*batch_entropy(seed, key, i)))`` strictly in index order and
+stops as soon as the sweep's stopping rule (``_converged``) fires.  It
 shares no dispatch, apply or commit code with ``_SweepRun``, which makes it
 an independent reference for the scheduler parity tests: whatever the
 worker count, speculation depth or executor, the stored record of a point
@@ -17,7 +16,6 @@ import numpy as np
 
 from repro.core.policies import PolicyNotApplicableError, make_policy
 from repro.experiments.ler import prepared_pipeline, run_surgery_ler
-from repro.experiments.stats import wilson_interval
 from repro.experiments.sweeps import (
     SweepPoint,
     SweepSpec,
@@ -26,15 +24,6 @@ from repro.experiments.sweeps import (
     record_parity_view,
 )
 from repro.store import batch_entropy
-
-
-def _relative_half_width(failures: list[int], shots: int, spec: SweepSpec):
-    """Relative Wilson half-width of the tracked observable (None if no failure)."""
-    k = spec.observable if spec.observable is not None else int(np.argmax(failures))
-    if k >= len(failures) or failures[k] == 0 or shots == 0:
-        return None
-    lo, hi = wilson_interval(failures[k], shots)
-    return (hi - lo) / 2.0 / (failures[k] / shots)
 
 
 def oracle_record(spec: SweepSpec, pt: SweepPoint) -> dict:
@@ -54,8 +43,6 @@ def oracle_record(spec: SweepSpec, pt: SweepPoint) -> dict:
         return record_parity_view(record)
     record = _fresh_record(spec, pt, key, pipe.dem.num_observables)
     record["plan_summary"] = pipe.plan_summary()
-    size = spec.batch_shots
-    rse_prev = None
     while True:
         done, reason = _converged(record["failures"], record["shots"], spec)
         if done:
@@ -64,7 +51,7 @@ def oracle_record(spec: SweepSpec, pt: SweepPoint) -> dict:
         result = run_surgery_ler(
             pt.config,
             policy,
-            size,
+            spec.batch_shots,
             np.random.SeedSequence(entropy, spawn_key=spawn_key),
             decoder=pt.decoder,
             backend=spec.backend,
@@ -72,26 +59,10 @@ def oracle_record(spec: SweepSpec, pt: SweepPoint) -> dict:
         record["failures"] = [
             a + e.successes for a, e in zip(record["failures"], result.estimates)
         ]
-        record["shots"] += size
+        record["shots"] += spec.batch_shots
         record["batches"] += 1
-        if spec.adaptive_batching:
-            # double the next batch once one more batch improved the
-            # tracked RSE by 10% or less (capped at max_batch_shots)
-            rse = _relative_half_width(record["failures"], record["shots"], spec)
-            if _slowly_improving(rse_prev, rse):
-                size = min(size * 2, spec.resolved_max_batch_shots())
-            rse_prev = rse
-            record["batch_shots_next"] = size
-            record["rse_prev"] = rse
     record.update(converged=True, stop_reason=reason)
     return record_parity_view(record)
-
-
-def _slowly_improving(prev, rse) -> bool:
-    """True when ``rse`` improved on ``prev``, but by at most 10%."""
-    if prev is None or rse is None:
-        return False
-    return rse < prev and prev - rse <= 0.1 * prev
 
 
 def oracle_records(spec: SweepSpec) -> dict:

@@ -577,7 +577,7 @@ def test_metrics_summarize_missing_file_is_clean_error(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# sweep run --dry-run / --workers 0 / --admission; sweep watch guards
+# sweep run --dry-run / --workers 0; sweep watch guards
 # ---------------------------------------------------------------------------
 
 
@@ -628,21 +628,6 @@ def test_sweep_run_rejects_negative_workers(capsys, tmp_path, sweep_spec_file):
     )
     assert rc == 2
     assert "--workers must be non-negative" in capsys.readouterr().err
-
-
-def test_sweep_run_admission_flag(capsys, tmp_path, sweep_spec_file):
-    store = tmp_path / "store"
-    rc = cli.main(
-        ["sweep", "run", str(sweep_spec_file), "--store", str(store),
-         "--speculate", "2", "--admission", "sweep"]
-    )
-    assert rc == 0
-    assert '"shots_decoded": 800' in capsys.readouterr().out
-    with pytest.raises(SystemExit):
-        cli.main(
-            ["sweep", "run", str(sweep_spec_file), "--store", str(store),
-             "--admission", "fifo"]
-        )
 
 
 def test_sweep_watch_rejects_nonpositive_interval(capsys, tmp_path):

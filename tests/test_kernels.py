@@ -230,8 +230,10 @@ def test_failing_compile_degrades_instead_of_raising(tmp_path, monkeypatch):
     broken.write_text("this is not C\n")
     cache = tmp_path / "cache"
     assert cext.build(broken, cache=cache) is None
-    # the failed compile leaves nothing behind for a later load to trip on
-    assert list(cache.iterdir()) == []
+    # the failed compile leaves nothing behind for a later load to trip on;
+    # with no compiler, build() returns before it creates the cache dir
+    if shutil.which("cc") is not None or cache.exists():
+        assert list(cache.iterdir()) == []
 
     monkeypatch.setattr(cext, "SOURCE", broken)
     monkeypatch.setattr(cext, "cache_dir", lambda: cache)

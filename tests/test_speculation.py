@@ -6,10 +6,9 @@ interrupted speculative runs must resume bit-identically (replaying the
 commit-ahead log instead of re-decoding)."""
 
 import dataclasses
-import itertools
 
 import pytest
-from sweep_oracle import oracle_records
+from sweep_oracle import oracle_record, oracle_records
 
 from repro.experiments.ler import clear_pipeline_cache
 from repro.experiments.sweeps import (
@@ -49,8 +48,8 @@ def _spec(**kwargs):
 
 
 # the library's own parity view: failures, shots, batches, convergence
-# state, adaptive size schedule, config echo and plan summary all stay;
-# only decode_stats (timings, cache counters) and updated_at are dropped
+# state, config echo and plan summary all stay; only decode_stats
+# (timings, cache counters) and updated_at are dropped
 _scrub = record_parity_view
 
 
@@ -185,7 +184,7 @@ def test_replayed_batches_do_not_count_as_decoded(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# adaptive batch sizing under speculation
+# damaged or mis-sized commit-ahead records are decoded again
 # ---------------------------------------------------------------------------
 
 
@@ -221,28 +220,26 @@ def test_resume_survives_a_corrupt_commit_ahead_record(tmp_path):
         assert _scrub(got[key]) == _scrub(ref)
 
 
-def test_adaptive_batching_speculative_parity(tmp_path):
+def test_mis_sized_commit_ahead_batch_is_decoded_again(tmp_path):
+    """Only a scheduler that grew batches could commit a batch of another
+    size; replaying it would mix sizes into the record."""
     spec = _spec(
-        adaptive_batching=True,
-        max_batch_shots=1600,
-        max_shots=8000,
-        target_rse=0.1,
+        taus_ns=(500.0,), policies=(PolicySpec("passive"),),
+        target_rse=None, max_shots=1200,
     )
-    reference = oracle_records(spec)
-    assert any(r["batch_shots_next"] > spec.batch_shots for r in reference.values())
-    for speculate, workers in itertools.product((0, 1, 4), (0, 1, 4)):
-        clear_pipeline_cache()
-        report = run_sweep(
-            spec,
-            ResultStore(tmp_path / f"s{speculate}w{workers}"),
-            workers=workers,
-            speculate=speculate,
-        )
-        got = _records(report)
-        for key, ref in reference.items():
-            rec = got[key]
-            assert _scrub(rec) == ref, (speculate, workers)
-            assert rec["batch_shots_next"] == ref["batch_shots_next"]
+    (pt,) = spec.points()
+    ref = oracle_record(spec, pt)
+    store = ResultStore(tmp_path)
+    key = pt.key(seed=spec.seed, batch_shots=spec.batch_shots)
+    nobs = len(ref["failures"])
+    store.put_batch(
+        key,
+        1,
+        {"shots": 2 * spec.batch_shots, "failures": [0] * nobs, "decode_stats": {}},
+    )
+    report = run_sweep(spec, store)
+    assert report.batches_replayed == 0
+    assert _scrub(report.outcomes[0].record) == ref
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +274,10 @@ def test_concurrent_rerun_serves_entirely_from_store(tmp_path):
     assert _records(again).keys() == _records(first).keys()
 
 
-def test_redo_dispatch_not_blocked_by_stale_pending_near_shot_cap(tmp_path):
-    """White-box regression for a scheduler deadlock.
-
-    Adaptive sizing near the shot cap: batches 0,1 applied (400 shots
-    each), the plan grows to 800, batch 4 is already dispatched at 800,
-    and batch 2 — decoded at the stale size 400 — was discarded to
-    ``redo``.  The max-shots projection (800 applied + 400 + 800 pending
-    >= 2000) must NOT block re-dispatching batch 2: the pending batches it
-    counts can never be applied ahead of the in-order batch, so gating it
-    stalls the scheduler (it used to raise "concurrent sweep scheduler
-    stalled").  Sequential semantics: while unconverged, the next in-order
-    batch is always decoded.
-    """
+def test_speculation_stops_at_the_shot_cap(tmp_path):
+    """White-box: dispatch projects the unapplied batches at ``batch_shots``
+    and never speculates past ``max_shots``, but an unconverged point with
+    nothing unapplied always gets its in-order batch."""
     from concurrent.futures import Future
 
     from repro.experiments import sweeps as sweeps_module
@@ -298,36 +286,22 @@ def test_redo_dispatch_not_blocked_by_stale_pending_near_shot_cap(tmp_path):
     spec = _spec(
         taus_ns=(500.0,),
         policies=(PolicySpec("passive"),),
-        batch_shots=400,
-        min_shots=400,
         max_shots=2000,
         target_rse=None,
-        adaptive_batching=True,
-        max_batch_shots=800,
     )
     run = _SweepRun(spec, ResultStore(tmp_path), workers=2, speculate=4)
     (pt,) = spec.points()
     key, record, pipe, resolved = run._prepare_point(pt)
     assert not resolved
+    state = _ConcurrentPoint(pt, key, record, pipe, set())
+    record.update(shots=800, batches=2)  # batches 0 and 1 applied
+    state.next_index = 2
 
     submitted = []
 
     def fake_submit(pool, task):
         submitted.append(task)
         return Future()  # never completes; we only test dispatch decisions
-
-    state = _ConcurrentPoint(pt, key, record, pipe, set())
-    # batches 0 and 1 applied at 400 shots; the plan has since grown to 800
-    record.update(shots=800, batches=2, batch_shots_next=800)
-    # batch 4 in flight at the grown size, batch 3 completed at the stale
-    # size, batch 2 discarded as stale and awaiting re-dispatch
-    state.pending[3] = (
-        {"shots": 400, "failures": [1] * len(record["failures"])}, False, None
-    )
-    state.inflight[4] = Future()
-    state.sizes.update({3: 400, 4: 800})
-    state.redo.add(2)
-    state.next_index = 5
 
     futures = {}
     try:
@@ -336,47 +310,11 @@ def test_redo_dispatch_not_blocked_by_stale_pending_near_shot_cap(tmp_path):
     finally:
         sweeps_module.submit_task = saved
     run.close()
-    # the in-order batch was re-dispatched at the planned size...
-    assert 2 in state.inflight
-    assert [t.shots for t in submitted] == [800]
-    # ...but true speculation past the cap stayed blocked (no index 5+)
+    # 800 applied + 3 x 400 in flight reaches the cap: the fourth slot of
+    # the depth-4 window stays empty
+    assert sorted(state.inflight) == [2, 3, 4]
+    assert [t.shots for t in submitted] == [400] * 3
     assert state.next_index == 5
-
-
-def test_stale_discard_counts_as_progress(tmp_path):
-    """White-box regression for the other half of the stall: when every
-    pending batch is stale and nothing is in flight, _drain must report the
-    discard as progress so the scheduler loops back to re-dispatch instead
-    of raising "concurrent sweep scheduler stalled"."""
-    from repro.experiments.sweeps import _ConcurrentPoint, _SweepRun
-
-    spec = _spec(
-        taus_ns=(500.0,),
-        policies=(PolicySpec("passive"),),
-        batch_shots=400,
-        min_shots=400,
-        max_shots=4000,
-        target_rse=None,
-        adaptive_batching=True,
-        max_batch_shots=800,
-    )
-    run = _SweepRun(spec, ResultStore(tmp_path), workers=2, speculate=4)
-    (pt,) = spec.points()
-    key, record, pipe, resolved = run._prepare_point(pt)
-    assert not resolved
-    state = _ConcurrentPoint(pt, key, record, pipe, set())
-    record.update(shots=800, batches=2, batch_shots_next=800)  # plan grew
-    nobs = len(record["failures"])
-    for index in (2, 3, 4):  # completed at the stale size, none in flight
-        state.pending[index] = ({"shots": 400, "failures": [0] * nobs}, False, None)
-        state.sizes[index] = 400
-    state.next_index = 5
-    try:
-        assert run._drain([state]) is True  # the discard is progress
-    finally:
-        run.close()
-    assert state.redo == {2}
-    assert 2 not in state.pending  # freed a window slot for the redo
 
 
 def test_run_sweep_rejects_negative_speculate(tmp_path):
@@ -394,7 +332,7 @@ def test_speculative_interruption_checkpoints_partial_state(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# admission ordering: bit-identical records, sweep-order emission
+# cost-ordered admission: bit-identical records, sweep-order emission
 # ---------------------------------------------------------------------------
 
 
@@ -405,30 +343,18 @@ def test_admission_orders_bit_identical(tmp_path):
     ref_keys = [o.key for o in ref.outcomes]
 
     for workers, speculate in ((1, 4), (4, 2)):  # inline and pool
-        for admission in ("cost", "sweep"):
-            clear_pipeline_cache()
-            store = ResultStore(tmp_path / f"a{workers}-{admission}")
-            # seed asymmetric progress so the cost order genuinely differs
-            # from sweep order (the first point is part-done, costing less)
-            seeded = run_sweep(spec, store, batch_limit=2)
-            assert seeded.interrupted
-            clear_pipeline_cache()
-            report = run_sweep(
-                spec, store, workers=workers, speculate=speculate,
-                admission=admission,
-            )
-            got = {k: _scrub(r) for k, r in _records(report).items()}
-            assert got == ref_records, (workers, admission)
-            # emission order is the sweep grid order, never admission order
-            assert [o.key for o in report.outcomes] == ref_keys
-
-
-def test_unknown_admission_order_rejected(tmp_path):
-    with pytest.raises(ValueError, match="admission"):
-        run_sweep(
-            _spec(), ResultStore(tmp_path), speculate=1,
-            admission="fifo", ledger=False,
-        )
+        clear_pipeline_cache()
+        store = ResultStore(tmp_path / f"a{workers}")
+        # seed asymmetric progress so the cost order genuinely differs
+        # from sweep order (the first point is part-done, costing less)
+        seeded = run_sweep(spec, store, batch_limit=2)
+        assert seeded.interrupted
+        clear_pipeline_cache()
+        report = run_sweep(spec, store, workers=workers, speculate=speculate)
+        got = {k: _scrub(r) for k, r in _records(report).items()}
+        assert got == ref_records, workers
+        # emission order is the sweep grid order, never admission order
+        assert [o.key for o in report.outcomes] == ref_keys
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@ threads, one-point fixed-shot sweeps (the figure builders' point records),
 and per-point decode stats."""
 
 import dataclasses
+import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from sweep_oracle import oracle_record
 
-from repro import obs
+from repro import cli, obs
 from repro.core import make_policy
 from repro.decoders import kernels
 from repro.experiments import ler as ler_module
@@ -17,6 +20,7 @@ from repro.experiments.sweeps import (
     PolicySpec,
     SweepSpec,
     point_record_estimates,
+    record_parity_view,
     run_sweep,
 )
 from repro.noise import GOOGLE
@@ -80,6 +84,15 @@ def test_spec_accepts_hardware_presets_and_policy_dicts():
     assert points[0].config.distance == 2
     assert points[1].policy_name == "hybrid"
     assert points[1].config.policy_args == (("eps_ns", 100.0),)
+
+
+def test_docs_field_table_lists_exactly_the_spec_fields():
+    docs = Path(__file__).resolve().parents[1] / "docs" / "SWEEPS.md"
+    lines = docs.read_text().split("## Sweep spec format", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| field"))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    documented = [row.split("|")[1].strip().strip("`") for row in rows]
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(SweepSpec))
 
 
 def test_point_keys_distinct_across_grid():
@@ -337,77 +350,90 @@ def test_family_cache_survives_rounds_in_pooled_mode(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# adaptive batch sizing
+# one batch size; records and spec files written before it
 # ---------------------------------------------------------------------------
 
 
-def test_adaptive_batching_grows_batches_up_to_cap(tmp_path):
-    spec = _spec(
-        p=5e-3,  # failures arrive quickly, so the RSE trend stabilizes early
-        batch_shots=500,
-        min_shots=500,
-        max_shots=20_000,
-        adaptive_batching=True,
-        max_batch_shots=2000,
-    )
-    report = run_sweep(spec, ResultStore(tmp_path))
-    record = report.outcomes[0].record
-    assert record["shots"] >= spec.max_shots
-    assert record["batch_shots_next"] > spec.batch_shots
-    assert record["batch_shots_next"] <= spec.resolved_max_batch_shots()
-    # grown batches decode the same shots in fewer batches
-    assert record["batches"] < record["shots"] // spec.batch_shots
-    assert record["batch_shots"] == spec.batch_shots  # key component untouched
+def test_every_batch_is_batch_shots(tmp_path):
+    # a loose target on a speculative pool leaves overshoot in the log too
+    spec = _spec(p=5e-3, max_shots=20_000, target_rse=0.3)
+    store = ResultStore(tmp_path)
+    report = run_sweep(spec, store, workers=2, speculate=4)
+    (outcome,) = report.outcomes
+    record = outcome.record
+    assert record["batches"] * spec.batch_shots == record["shots"] < spec.max_shots
+    logged = [store.get_batch(outcome.key, i) for i in store.batch_indices(outcome.key)]
+    assert logged and all(br["shots"] == spec.batch_shots for br in logged)
 
 
-def test_adaptive_batching_resume_is_bit_identical(tmp_path):
-    spec = _spec(
-        p=5e-3,
-        batch_shots=500,
-        max_shots=12_000,
-        adaptive_batching=True,
-        max_batch_shots=4000,
-    )
-    clean = run_sweep(spec, ResultStore(tmp_path / "clean"))
-    store = ResultStore(tmp_path / "interrupted")
-    partial = run_sweep(spec, store, batch_limit=2)
+def _old_record(record: dict, next_size: int | None = None) -> dict:
+    """``record`` as the scheduler that could grow batches stored it: every
+    record it wrote carried its size-plan state."""
+    next_size = next_size or record["batch_shots"]
+    return {**record, "batch_shots_next": next_size, "rse_prev": None}
+
+
+def test_old_record_resumes_to_the_oracle(capsys, tmp_path):
+    spec = _spec(p=5e-3, max_shots=3000)
+    (pt,) = spec.points()
+    store = ResultStore(tmp_path / "store")
+    partial = run_sweep(spec, store, batch_limit=2, ledger=False)
     assert partial.interrupted
-    resumed = run_sweep(spec, store, resume=True)
-    a, b = clean.outcomes[0].record, resumed.outcomes[0].record
-    assert a["failures"] == b["failures"]
-    assert a["shots"] == b["shots"]
-    assert a["batches"] == b["batches"]
-    assert a["batch_shots_next"] == b["batch_shots_next"]
+    key = partial.outcomes[0].key
+    store.put(key, _old_record(store.get(key)))
+
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec.to_dict()))
+    where = ["--store", str(store.root)]
+    assert cli.main(["sweep", "status", str(spec_file), *where, "--verbose"]) == 0
+    out = capsys.readouterr().out
+    assert "partial shots=1000" in out and "batches 2+0 committed / ~6" in out
+    assert cli.main(["sweep", "run", str(spec_file), *where, "--dry-run"]) == 0
+    assert "<= 4 x 500 shots to decode" in capsys.readouterr().out
+
+    resumed = run_sweep(spec, store, ledger=False)
+    assert resumed.batches_decoded == 4  # the stored prefix was kept
+    assert record_parity_view(resumed.outcomes[0].record) == oracle_record(spec, pt)
 
 
-def test_adaptive_batching_worker_count_independent(tmp_path):
-    spec = _spec(
-        p=5e-3,
-        batch_shots=500,
-        max_shots=8000,
-        adaptive_batching=True,
-        max_batch_shots=2000,
-    )
-    serial = run_sweep(spec, ResultStore(tmp_path / "serial"), workers=1)
-    clear_pipeline_cache()
-    pooled = run_sweep(spec, ResultStore(tmp_path / "pooled"), workers=3)
-    a, b = serial.outcomes[0].record, pooled.outcomes[0].record
-    assert a["failures"] == b["failures"]
-    assert a["shots"] == b["shots"]
-    assert a["batches"] == b["batches"]
+def test_old_record_with_grown_batches_is_recomputed(tmp_path):
+    spec = _spec(p=5e-3, max_shots=3000)
+    (pt,) = spec.points()
+    for converged in (False, True):
+        store = ResultStore(tmp_path / f"c{converged}")
+        partial = run_sweep(spec, store, batch_limit=2, ledger=False)
+        key = partial.outcomes[0].key
+        # batches of 500 then 1000 shots: not this spec's numbers, even when
+        # the stored record says it converged
+        grown = dict(store.get(key), shots=1500, converged=converged)
+        store.put(key, _old_record(grown, next_size=1000))
+        resumed = run_sweep(spec, store, ledger=False)
+        assert resumed.batches_decoded == 4  # batches 0 and 1 replay from the log
+        assert resumed.batches_replayed == 2
+        assert record_parity_view(resumed.outcomes[0].record) == oracle_record(spec, pt)
 
 
-def test_adaptive_batching_off_keeps_fixed_sizes(tmp_path):
-    spec = _spec(batch_shots=500, max_shots=2000)
-    report = run_sweep(spec, ResultStore(tmp_path))
-    record = report.outcomes[0].record
-    assert record["batch_shots_next"] == spec.batch_shots
-    assert record["batches"] == record["shots"] // spec.batch_shots
+def test_retired_batch_sizing_fields_rejected():
+    data = _spec().to_dict()
+    for name, value in (("adaptive_batching", True), ("max_batch_shots", 4000)):
+        with pytest.raises(ValueError, match=name):
+            SweepSpec.from_dict(dict(data, **{name: value}))
 
 
-def test_max_batch_shots_below_batch_shots_rejected():
-    with pytest.raises(ValueError):
-        _spec(adaptive_batching=True, max_batch_shots=100, batch_shots=500)
+def test_spec_rejects_negative_observable_and_nonpositive_target():
+    with pytest.raises(ValueError, match="observable"):
+        _spec(observable=-1)
+    for target in (0.0, -0.1):
+        with pytest.raises(ValueError, match="target_rse"):
+            _spec(target_rse=target)
+
+
+def test_out_of_range_observable_rejected_before_any_batch(tmp_path):
+    spec = _spec(observable=7, target_rse=0.3, max_shots=40_000)
+    store = ResultStore(tmp_path)
+    with pytest.raises(ValueError, match=r"observable 7 .* has 3 observable"):
+        run_sweep(spec, store, ledger=False)
+    assert store.keys() == []  # nothing decoded, nothing stored
 
 
 # ---------------------------------------------------------------------------
