@@ -1,12 +1,19 @@
 """Matching-graph construction from detector error models.
 
 Turns a :class:`~repro.stab.dem.DetectorErrorModel` into the weighted graph
-used by matching-style decoders (union-find, MWPM):
+used by matching-style decoders (union-find, MWPM), working on the model's
+columnar arrays (``docs/DECODERS.md``, "DEM layout"):
 
 * errors with one detector become *boundary edges* to a virtual boundary node,
 * errors with two detectors become ordinary edges,
 * errors with more detectors are decomposed into known graphlike edges (the
-  analogue of Stim's ``decompose_errors=True``).
+  analogue of Stim's ``decompose_errors=True``); only this step loops in
+  Python, once per composite error.
+
+Rows landing on one ``(u, v, observable mask)`` edge are merged with
+:func:`~repro._util.xor_probability` in row order, composite parts after
+every 1- and 2-detector row, so the probabilities are bit-exact against the
+per-error builder kept in ``tests/graph_oracle.py``.
 
 Also provides :func:`graphlike_distance`, a two-layer Dijkstra that computes
 the circuit-level fault distance — the validation tool that catches bad
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import xor_probability
+from .._util import run_starts, xor_runs
 from ..stab.dem import DetectorErrorModel
 
 __all__ = ["MatchingGraph", "build_matching_graph", "graphlike_distance"]
@@ -90,73 +97,73 @@ def build_matching_graph(
     nobs = model.num_observables
     if nobs > 64:
         raise ValueError("observable bitmask limited to 64 observables")
-
-    edges: dict[tuple[int, int, int], float] = {}
-    primitive: dict[tuple[int, int], list[int]] = {}
-    undetectable = np.zeros(nobs, dtype=np.float64)
     boundary = model.num_detectors
-    composites = []
+    probs = model.probabilities
+    ptr, dets = model.det_indptr, model.det_indices
+    lens = np.diff(ptr)
+    obs_rows = np.repeat(np.arange(probs.size), np.diff(model.obs_indptr))
+    masks = np.zeros(probs.size, dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), model.obs_indices.astype(np.uint64))
+    np.bitwise_or.at(masks, obs_rows, bits)
 
-    for err in model.errors:
-        mask = _obs_mask(err.observables)
-        dets = err.detectors
-        if len(dets) == 0:
-            for o in err.observables:
-                undetectable[o] = xor_probability(undetectable[o], err.probability)
-            continue
-        if len(dets) == 1:
-            key = (dets[0], boundary, mask)
-        elif len(dets) == 2:
-            key = (dets[0], dets[1], mask)
-        else:
-            composites.append((dets, mask, err.probability))
-            continue
-        _accumulate(edges, key, err.probability)
-        primitive.setdefault((key[0], key[1]), []).append(mask)
+    # observable flips no detector sees, merged per observable in row order
+    hidden = lens[obs_rows] == 0
+    order = np.argsort(model.obs_indices[hidden], kind="stable")
+    hidden_obs, hidden_probs = model.obs_indices[hidden][order], probs[obs_rows[hidden]][order]
+    heads = run_starts(hidden_obs)
+    undetectable = np.zeros(nobs, dtype=np.float64)
+    undetectable[hidden_obs[heads]] = xor_runs(hidden_probs, heads)
+
+    # 1- and 2-detector rows are edges (u, boundary) and (u, v)
+    rows = np.flatnonzero((lens == 1) | (lens == 2))
+    a = dets[ptr[rows]]
+    b = np.where(lens[rows] == 2, dets[np.minimum(ptr[rows] + 1, dets.size - 1)], boundary)
+    eu, ev, eobs, eprob = np.minimum(a, b), np.maximum(a, b), masks[rows], probs[rows]
 
     fallbacks = 0
-    for dets, mask, prob in composites:
-        parts = _decompose(dets, mask, primitive, boundary)
-        if parts is None:
-            fallbacks += 1
-            parts = _fallback_decomposition(dets, mask, boundary)
-        for key in parts:
-            _accumulate(edges, key, prob)
+    composites = np.flatnonzero(lens > 2)
+    if composites.size:
+        # the first mask seen on each (dets[0], dets[1] or boundary) pair
+        pairs, first = np.unique(np.stack([a, b], axis=1), axis=0, return_index=True)
+        primitive = dict(zip(map(tuple, pairs.tolist()), masks[rows][first].tolist()))
+        parts_u, parts_v, parts_obs, parts_prob = [], [], [], []
+        for row in composites.tolist():
+            sig = dets[ptr[row] : ptr[row + 1]].tolist()
+            mask, prob = int(masks[row]), float(probs[row])
+            parts = _decompose(sig, mask, primitive, boundary)
+            if parts is None:
+                fallbacks += 1
+                parts = _fallback_decomposition(sig, mask, boundary)
+            for u, v, m in parts:
+                parts_u.append(min(u, v))
+                parts_v.append(max(u, v))
+                parts_obs.append(m)
+                parts_prob.append(prob)
+        # composite parts merge after every primitive row, in row order
+        eu = np.concatenate([eu, np.array(parts_u, dtype=np.int64)])
+        ev = np.concatenate([ev, np.array(parts_v, dtype=np.int64)])
+        eobs = np.concatenate([eobs, np.array(parts_obs, dtype=np.uint64)])
+        eprob = np.concatenate([eprob, np.array(parts_prob, dtype=np.float64)])
 
-    keys = sorted(edges)
-    eu = np.array([k[0] for k in keys], dtype=np.int64)
-    ev = np.array([k[1] for k in keys], dtype=np.int64)
-    eobs = np.array([k[2] for k in keys], dtype=np.uint64)
-    eprob = np.array([edges[k] for k in keys], dtype=np.float64)
-    eprob = np.clip(eprob, _P_FLOOR, 1 - _P_FLOOR)
+    # by (u, v, mask); the stable sort keeps each key's contributions in order
+    order = np.lexsort((eobs, ev, eu))
+    eu, ev, eobs, eprob = eu[order], ev[order], eobs[order], eprob[order]
+    keys = np.stack([eu, ev, eobs.view(np.int64)], axis=1)
+    heads = run_starts(keys)
+    eprob = np.clip(xor_runs(eprob, heads), _P_FLOOR, 1 - _P_FLOOR)
     eweight = np.log((1 - eprob) / eprob)
     eweight = np.maximum(eweight, 1e-9)
     return MatchingGraph(
         num_detectors=model.num_detectors,
         num_observables=nobs,
-        edge_u=eu,
-        edge_v=ev,
+        edge_u=eu[heads],
+        edge_v=ev[heads],
         edge_prob=eprob,
         edge_weight=eweight,
-        edge_obs=eobs,
+        edge_obs=eobs[heads],
         undetectable_obs_probability=undetectable,
         decomposition_fallbacks=fallbacks,
     )
-
-
-def _obs_mask(observables) -> int:
-    mask = 0
-    for o in observables:
-        mask |= 1 << o
-    return mask
-
-
-def _accumulate(edges, key, prob) -> None:
-    u, v, mask = key
-    if u > v:
-        u, v = v, u
-    key = (u, v, mask)
-    edges[key] = xor_probability(edges.get(key, 0.0), prob)
 
 
 def _decompose(dets, mask, primitive, boundary):
@@ -164,8 +171,9 @@ def _decompose(dets, mask, primitive, boundary):
 
     Tries every partition of the detector set into pairs and singles where
     each pair is an existing edge and each single has an existing boundary
-    edge.  Prefers partitions whose canonical observable masks XOR to the
-    composite's mask; otherwise dumps the residual mask on the first part.
+    edge (``primitive`` maps each to the first mask seen on it).  Prefers
+    partitions whose masks XOR to the composite's mask; otherwise dumps the
+    residual mask on the first part.
     """
     dets = list(dets)
     best = None
@@ -175,12 +183,12 @@ def _decompose(dets, mask, primitive, boundary):
         total_mask = 0
         for part in parts:
             uv = (part[0], part[1]) if len(part) == 2 else (part[0], boundary)
-            masks = primitive.get(uv)
-            if masks is None:
+            first = primitive.get(uv)
+            if first is None:
                 ok = False
                 break
-            keys.append((uv[0], uv[1], masks[0]))
-            total_mask ^= masks[0]
+            keys.append((uv[0], uv[1], first))
+            total_mask ^= first
         if not ok:
             continue
         if total_mask == mask:

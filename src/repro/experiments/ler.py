@@ -214,7 +214,7 @@ class _Pipeline:
                 self.plan, self.artifacts = _synthesize(config, policy)
             with obs.span("ler.analyze.dem") as span:
                 self.dem = dem = circuit_to_dem(self.artifacts.circuit)
-                span.annotate(errors=len(dem.errors), walk=dem_walk())
+                span.annotate(errors=dem.num_errors, walk=dem_walk())
             self.basis = basis = self.artifacts.detector_basis
             with obs.span("ler.analyze.graph"):
                 self.graph: MatchingGraph = build_matching_graph(dem, basis=basis)

@@ -5,6 +5,17 @@ circuit, each with a probability, the set of detectors it flips, and the set
 of logical observables it flips.  It is the interface between circuits and
 decoders, exactly as in Stim.
 
+:class:`DetectorErrorModel` is columnar, like Stim's flat error table: one
+``float64`` probability per mechanism (row) and two ``int64`` CSR index
+lists, detectors (``det_indptr``/``det_indices``) and observables
+(``obs_indptr``/``obs_indices``), in the ``tptr``/``targets`` convention of
+:func:`_encode`.  :func:`circuit_to_dem` and
+:meth:`DetectorErrorModel.filtered` sort rows by ``(detectors,
+observables)`` as tuples, with indices ascending within a row;
+:meth:`DetectorErrorModel.from_errors` keeps the caller's rows as given.
+:class:`DemError` is only the element type of the read-only
+:attr:`DetectorErrorModel.errors` view, built on first use.
+
 Extraction strategy: one backward pass over the circuit, as in Stim's error
 analyser (Gidney, arXiv:2103.02202).  Each qubit carries two sensitivity
 bitsets (detector ``j`` is bit ``j``, observable ``k`` is bit
@@ -22,14 +33,15 @@ on that qubit *at the current point* would toggle.  Walking from the end:
 Cases with identical signatures are merged with XOR-probability combination,
 in forward enumeration order (instruction, target, case) so the combined
 probabilities do not depend on the walk direction, and only the distinct
-signatures are expanded into index tuples.
+signatures are expanded into index rows.
 
 The walk runs in C (``dem_walk`` in ``uf.c``, loaded through
 :func:`repro.decoders.kernels.cext.library` at call time) over a flat
 encoding of the circuit (:func:`_encode`): ``uint64`` sensitivity rows with
 live word ranges, a hash of the distinct signatures, and a log of
 (signature, case) replayed in forward order with the float operations of
-:func:`~repro._util.combine_flip_probabilities`.  Without a compiler the
+:func:`~repro._util.combine_flip_probabilities`.  Its CSR block of signature
+bits is split into the two index lists with numpy.  Without a compiler the
 same walk runs in Python over big-int bitsets (:func:`_walk_python`).  Both
 return ``==`` models (``tests/test_dem_parity.py``); :func:`dem_walk` names
 the one that runs.
@@ -37,13 +49,13 @@ the one that runs.
 
 from __future__ import annotations
 
-import bisect
 import ctypes
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import combine_flip_probabilities
+from .._util import combine_flip_probabilities, combine_flip_runs, run_starts
 from .circuit import Circuit
 from .frame import _KIND_BY_NAME
 from .gates import GateKind, ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
@@ -53,58 +65,182 @@ __all__ = ["DemError", "DetectorErrorModel", "circuit_to_dem", "dem_walk"]
 
 @dataclass(frozen=True)
 class DemError:
-    """One independent error mechanism."""
+    """One independent error mechanism (an element of the ``errors`` view)."""
 
     probability: float
     detectors: tuple[int, ...]
     observables: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectorErrorModel:
-    """Full error model of one circuit."""
+    """Full error model of one circuit, one row per mechanism.
 
-    errors: list[DemError]
+    Row ``i`` has probability ``probabilities[i]``, flips the detectors
+    ``det_indices[det_indptr[i]:det_indptr[i + 1]]`` and the observables
+    ``obs_indices[obs_indptr[i]:obs_indptr[i + 1]]``.  The arrays are
+    shared with every consumer; none of them writes to them.
+    """
+
+    probabilities: np.ndarray
+    det_indptr: np.ndarray
+    det_indices: np.ndarray
+    obs_indptr: np.ndarray
+    obs_indices: np.ndarray
     num_detectors: int
     num_observables: int
     detector_coords: list[tuple[float, ...]]
     detector_basis: list[str | None]
+    _errors: list[DemError] | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def from_errors(
+        cls,
+        errors,
+        *,
+        num_detectors: int,
+        num_observables: int,
+        detector_coords: list[tuple[float, ...]],
+        detector_basis: list[str | None],
+    ) -> "DetectorErrorModel":
+        """A model with one row per :class:`DemError`, in the given order."""
+        errors = list(errors)
+        det_indptr, det_indices = _csr([e.detectors for e in errors])
+        obs_indptr, obs_indices = _csr([e.observables for e in errors])
+        return cls(
+            np.array([e.probability for e in errors], dtype=np.float64),
+            det_indptr,
+            det_indices,
+            obs_indptr,
+            obs_indices,
+            num_detectors=num_detectors,
+            num_observables=num_observables,
+            detector_coords=detector_coords,
+            detector_basis=detector_basis,
+        )
+
+    @property
+    def num_errors(self) -> int:
+        """Number of rows (mechanisms), without building the ``errors`` view."""
+        return int(self.probabilities.size)
+
+    @property
+    def errors(self) -> list[DemError]:
+        """The rows as :class:`DemError` objects (built once, then cached)."""
+        if self._errors is None:
+            dets = _tuples(self.det_indptr, self.det_indices)
+            obs = _tuples(self.obs_indptr, self.obs_indices)
+            self._errors = [
+                DemError(p, d, o) for p, d, o in zip(self.probabilities.tolist(), dets, obs)
+            ]
+        return self._errors
 
     def filtered(self, basis: str) -> "DetectorErrorModel":
         """Restrict to detectors tagged with ``basis`` (indices are remapped).
 
         Errors whose projected signature is empty *and* which flip no
-        observable are dropped; others keep their observable flips.
+        observable are dropped; others keep their observable flips.  Rows
+        that project onto one signature are merged with
+        :func:`~repro._util.combine_flip_probabilities` in their row order.
         """
-        keep = [i for i, b in enumerate(self.detector_basis) if b == basis]
-        remap = {old: new for new, old in enumerate(keep)}
-        merged: dict[tuple[tuple[int, ...], tuple[int, ...]], list[float]] = {}
-        for err in self.errors:
-            dets = tuple(sorted(remap[d] for d in err.detectors if d in remap))
-            if not dets and not err.observables:
-                continue
-            merged.setdefault((dets, err.observables), []).append(err.probability)
-        errors = [
-            DemError(combine_flip_probabilities(ps), dets, obs)
-            for (dets, obs), ps in sorted(merged.items())
-        ]
+        keep = np.array([b == basis for b in self.detector_basis], dtype=bool)
+        remap = np.cumsum(keep, dtype=np.int64) - 1
+        kept = keep[self.det_indices]
+        det_rows = _row_ids(self.det_indptr)[kept]
+        det_indices = remap[self.det_indices[kept]]
+        if det_indices.size > 1:
+            # a remap is monotone, so only hand-built rows can need this sort
+            same_row = det_rows[1:] == det_rows[:-1]
+            if (same_row & (det_indices[1:] < det_indices[:-1])).any():
+                order = np.lexsort((det_indices, det_rows))
+                det_indices = det_indices[order]
+        counts = np.bincount(det_rows, minlength=self.num_errors)
+        rows = np.flatnonzero((counts > 0) | (np.diff(self.obs_indptr) > 0))
+        det = _take(_indptr(counts), det_indices, rows)
+        obs = _take(self.obs_indptr, self.obs_indices, rows)
+        order, heads, det, obs = _sorted_signatures(det, obs)
+        n_kept = int(keep.sum())
         return DetectorErrorModel(
-            errors=errors,
-            num_detectors=len(keep),
+            combine_flip_runs(self.probabilities[rows][order], heads),
+            *det,
+            *obs,
+            num_detectors=n_kept,
             num_observables=self.num_observables,
-            detector_coords=[self.detector_coords[i] for i in keep],
-            detector_basis=[basis] * len(keep),
+            detector_coords=[c for c, k in zip(self.detector_coords, keep) if k],
+            detector_basis=[basis] * n_kept,
         )
 
     @property
     def total_error_probability(self) -> float:
-        return float(sum(e.probability for e in self.errors))
+        return float(sum(self.probabilities.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"DetectorErrorModel({len(self.errors)} errors, {self.num_detectors} detectors, "
+            f"DetectorErrorModel({self.num_errors} errors, {self.num_detectors} detectors, "
             f"{self.num_observables} observables)"
         )
+
+
+def _csr(rows) -> tuple[np.ndarray, np.ndarray]:
+    """``int64`` ``(indptr, indices)`` of a sequence of index tuples."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    indptr = _indptr(lens)
+    indices = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
+    )
+    return indptr, indices
+
+
+def _indptr(lens: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    return indptr
+
+
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """The row of every index of a CSR list."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
+def _tuples(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, ...]]:
+    flat, ptr = indices.tolist(), indptr.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+
+def _take(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """The CSR list of ``rows`` (in that order) of ``(indptr, indices)``."""
+    lens = indptr[rows + 1] - indptr[rows]
+    out = _indptr(lens)
+    src = np.repeat(indptr[rows] - out[:-1], lens) + np.arange(out[-1], dtype=np.int64)
+    return out, indices[src]
+
+
+def _padded(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """CSR rows as a ``(rows, longest row)`` matrix padded with ``-1``."""
+    lens = np.diff(indptr)
+    out = np.full((lens.size, int(lens.max(initial=0))), -1, dtype=np.int64)
+    rows = _row_ids(indptr)
+    out[rows, np.arange(indices.size) - indptr[rows]] = indices
+    return out
+
+
+def _sorted_signatures(det, obs):
+    """Rows in stable ``(detectors, observables)`` tuple order, one per signature.
+
+    ``det`` and ``obs`` are ``(indptr, indices)`` pairs.  Returns ``(order,
+    heads, det, obs)``: the sorting permutation, the positions in it where
+    a new signature starts, and the CSR lists of those first rows.  A
+    ``-1`` pad sorts a row before every row it is a prefix of, as tuple
+    comparison does.
+    """
+    cols = np.hstack([_padded(*det), _padded(*obs)])
+    if cols.shape[1] == 0:
+        order = np.arange(cols.shape[0], dtype=np.int64)
+    else:
+        order = np.lexsort(cols[:, ::-1].T)  # last key is the primary one
+    heads = run_starts(cols[order])
+    firsts = order[heads]
+    return order, heads, _take(*det, firsts), _take(*obs, firsts)
 
 
 def circuit_to_dem(circuit: Circuit, *, min_probability: float = 0.0) -> DetectorErrorModel:
@@ -117,12 +253,16 @@ def circuit_to_dem(circuit: Circuit, *, min_probability: float = 0.0) -> Detecto
     """
     lib = _library()
     if lib is None:
-        errors = _walk_python(circuit, min_probability)
+        rows = _walk_python(circuit, min_probability)
     else:
-        errors = _walk_cext(lib, circuit, min_probability)
-    errors.sort(key=lambda e: (e.detectors, e.observables))
+        rows = _walk_cext(lib, circuit, min_probability)
+    probs, *csr = rows
+    # signatures are distinct after the walk's merge: every row heads its run
+    order, _, det, obs = _sorted_signatures(csr[:2], csr[2:])
     return DetectorErrorModel(
-        errors=errors,
+        probs[order],
+        *det,
+        *obs,
         num_detectors=circuit.num_detectors,
         num_observables=circuit.num_observables,
         detector_coords=[info.coords for info in circuit.detectors],
@@ -141,7 +281,22 @@ def _library():
     return cext.library()
 
 
-def _walk_cext(lib, circuit: Circuit, min_probability: float) -> list[DemError]:
+def _split_rows(probs, ptr, bits, ndet: int, min_probability: float):
+    """Rows above ``min_probability`` of a merged signature block.
+
+    ``bits[ptr[g]:ptr[g + 1]]`` are signature ``g``'s ascending bits over
+    the detectors, then the observables (bit ``ndet + k``).  Returns
+    ``(probabilities, det_indptr, det_indices, obs_indptr, obs_indices)``.
+    """
+    is_det = bits < ndet
+    det_indptr = _indptr(is_det)[ptr]
+    rows = np.flatnonzero(probs > min_probability)
+    det = _take(det_indptr, bits[is_det], rows)
+    obs = _take(ptr - det_indptr, bits[~is_det] - ndet, rows)
+    return probs[rows], *det, *obs
+
+
+def _walk_cext(lib, circuit: Circuit, min_probability: float):
     """The backward walk in C: ``dem_walk`` over :func:`_encode`'s arrays."""
     ops, tptr, targets, cptr, cview, cprob, rec = _encode(circuit)
     n_groups, n_bits = ctypes.c_int64(), ctypes.c_int64()
@@ -157,20 +312,12 @@ def _walk_cext(lib, circuit: Circuit, min_probability: float) -> list[DemError]:
     n, m = n_groups.value, n_bits.value
     try:
         raw = np.ctypeslib.as_array((ctypes.c_int64 * (2 * n + 1 + m)).from_address(block))
-        probs = raw[:n].view(np.float64).tolist()
-        ptr = raw[n : 2 * n + 1].tolist()
-        bits = raw[2 * n + 1 :].tolist()
+        probs = raw[:n].view(np.float64).copy()
+        ptr = raw[n : 2 * n + 1].copy()
+        bits = raw[2 * n + 1 :].copy()
     finally:
         lib.dem_free(block)
-    ndet = circuit.num_detectors
-    errors = []
-    for g, p in enumerate(probs):
-        if p > min_probability:
-            sig = bits[ptr[g] : ptr[g + 1]]
-            cut = bisect.bisect_left(sig, ndet)
-            obs = tuple(b - ndet for b in sig[cut:]) if cut < len(sig) else ()
-            errors.append(DemError(p, tuple(sig[:cut]), obs))
-    return errors
+    return _split_rows(probs, ptr, bits, circuit.num_detectors, min_probability)
 
 
 #: opcodes of ``dem_walk``'s instruction encoding, in ``uf.c``'s enum order
@@ -232,18 +379,23 @@ def _encode(circuit: Circuit):
         targets.extend(inst.targets)
         tptr.append(len(targets))
         cptr.append(len(cview))
+    ops, tptr, targets, cptr, cview = (
+        np.asarray(a, dtype=np.int64) for a in (ops, tptr, targets, cptr, cview)
+    )
     # the C walk indexes its rows and records with these unchecked
-    if targets and not 0 <= min(targets) <= max(targets) < circuit.num_qubits:
+    if targets.size and not 0 <= targets.min() <= targets.max() < circuit.num_qubits:
         raise ValueError("instruction targets exceed the circuit's qubit count")
     if measured != circuit.num_measurements:
         raise ValueError("measurements disagree with the circuit's record count")
     rec = Signatures(recs, cols, circuit.num_measurements, ndet + circuit.num_observables)
-    ints = (np.asarray(a, dtype=np.int64) for a in (ops, tptr, targets, cptr, cview))
-    return (*ints, np.asarray(cprob, dtype=np.float64), rec)
+    return ops, tptr, targets, cptr, cview, np.asarray(cprob, dtype=np.float64), rec
 
 
-def _walk_python(circuit: Circuit, min_probability: float) -> list[DemError]:
-    """The backward walk over Python big-int bitsets (no compiler needed)."""
+def _walk_python(circuit: Circuit, min_probability: float):
+    """The backward walk over Python big-int bitsets (no compiler needed).
+
+    Returns the rows of :func:`_walk_cext`, from the same merged signatures.
+    """
     ndet = circuit.num_detectors
     # measurement record -> bitset of the detectors/observables it feeds
     rec_sig = [0] * circuit.num_measurements
@@ -323,14 +475,13 @@ def _walk_python(circuit: Circuit, min_probability: float) -> list[DemError]:
         elif kind != "skip":  # pragma: no cover
             raise AssertionError(f"unhandled kind {kind}")
 
-    det_mask = (1 << ndet) - 1
-    errors = []
+    probs, sigs = [], []
     for sig, ps in merged.items():
         ps.reverse()
-        p = combine_flip_probabilities(ps)
-        if p > min_probability:
-            errors.append(DemError(p, _bit_indices(sig & det_mask), _bit_indices(sig >> ndet)))
-    return errors
+        probs.append(combine_flip_probabilities(ps))
+        sigs.append(_bit_indices(sig))
+    ptr, bits = _csr(sigs)
+    return _split_rows(np.array(probs, dtype=np.float64), ptr, bits, ndet, min_probability)
 
 
 def _pauli_index(x: bool, z: bool) -> int:

@@ -3,7 +3,9 @@
 Given a :class:`DetectorErrorModel` this module samples detector/observable
 outcome bits for many shots straight into the packed syndrome data plane
 (:mod:`repro.decoders.kernels.plane`): each shot is a row of ``uint64``
-words, detector ``d`` in word ``d // 64``, bit ``d % 64``.
+words, detector ``d`` in word ``d // 64``, bit ``d % 64``.  The packed
+signatures are built from the model's detector and observable CSR lists
+(``docs/DECODERS.md``, "DEM layout"), never from per-error objects.
 
 The per-error Bernoulli draw is *exact* without materializing a dense
 (shots x errors) mask: for error probability ``p`` we throw
@@ -29,7 +31,6 @@ pipeline never materializes full-width rows.
 from __future__ import annotations
 
 import copy
-import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,13 +42,9 @@ from .dem import DetectorErrorModel
 __all__ = ["DemSampler"]
 
 
-def _incidence(signatures) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-error index lists into parallel ``(error, index)`` arrays."""
-    lens = np.fromiter((len(s) for s in signatures), dtype=np.int64, count=len(signatures))
-    cols = np.fromiter(
-        itertools.chain.from_iterable(signatures), dtype=np.int64, count=int(lens.sum())
-    )
-    return np.repeat(np.arange(lens.size, dtype=np.int64), lens), cols
+def _incidence(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A CSR index list as parallel ``(error, index)`` arrays."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)), indices
 
 
 class DemSampler:
@@ -57,12 +54,12 @@ class DemSampler:
         self.dem = dem
         self.num_detectors = dem.num_detectors
         self.num_observables = dem.num_observables
-        self.probabilities = np.array([e.probability for e in dem.errors], dtype=np.float64)
+        self.probabilities = np.array(dem.probabilities, dtype=np.float64)
         nerr = self.probabilities.size
-        self._det_incidence = _incidence([e.detectors for e in dem.errors])
+        self._det_incidence = _incidence(dem.det_indptr, dem.det_indices)
         self._det_sig = plane.Signatures(*self._det_incidence, nerr, dem.num_detectors)
         self._obs_sig = plane.Signatures(
-            *_incidence([e.observables for e in dem.errors]), nerr, dem.num_observables
+            *_incidence(dem.obs_indptr, dem.obs_indices), nerr, dem.num_observables
         )
         # p > 1/2 folds into a deterministic flip plus a residual (1-p) draw
         heavy = self.probabilities > 0.5

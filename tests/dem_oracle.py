@@ -58,7 +58,7 @@ def forward_circuit_to_dem(
         p = combine_flip_probabilities(ps)
         if p > min_probability:
             errors.append(DemError(p, dets, obs))
-    return DetectorErrorModel(
+    return DetectorErrorModel.from_errors(
         errors=errors,
         num_detectors=circuit.num_detectors,
         num_observables=circuit.num_observables,

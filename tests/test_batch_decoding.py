@@ -235,7 +235,7 @@ def test_decode_batch_empty_and_bad_shapes(surface_fixture):
 
 
 def _dem(errors, ndet=3, nobs=1):
-    return DetectorErrorModel(
+    return DetectorErrorModel.from_errors(
         errors=[DemError(p, d, o) for p, d, o in errors],
         num_detectors=ndet,
         num_observables=nobs,

@@ -1,14 +1,16 @@
 """Matching-graph construction and graphlike-distance tests."""
 
+import graph_oracle
 import numpy as np
 import pytest
+from factories import d9_cold_dem, random_dem
 
 from repro.decoders import build_matching_graph, graphlike_distance
 from repro.stab.dem import DemError, DetectorErrorModel
 
 
 def _dem(errors, ndet, nobs=1):
-    return DetectorErrorModel(
+    return DetectorErrorModel.from_errors(
         errors=[DemError(p, d, o) for p, d, o in errors],
         num_detectors=ndet,
         num_observables=nobs,
@@ -120,7 +122,7 @@ def test_graphlike_distance_unreachable():
 
 
 def test_basis_filter_restricts_detectors():
-    dem = DetectorErrorModel(
+    dem = DetectorErrorModel.from_errors(
         errors=[DemError(0.1, (0,), ()), DemError(0.1, (1,), (0,))],
         num_detectors=2,
         num_observables=1,
@@ -188,3 +190,82 @@ def test_adjacency_matches_the_per_edge_loop_on_random_graphs(seed):
         edge_obs=np.zeros(n_edges, dtype=np.uint64),
     )
     _assert_adjacency_matches_loop(graph)
+
+
+# ---------------------------------------------------------------------------
+# array builder vs the per-error oracle (tests/graph_oracle.py)
+# ---------------------------------------------------------------------------
+
+_GRAPH_ARRAYS = (
+    "edge_u", "edge_v", "edge_prob", "edge_weight", "edge_obs", "undetectable_obs_probability"
+)
+
+
+def _assert_same_graph(graph, ref):
+    for name in _GRAPH_ARRAYS:
+        got, want = getattr(graph, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name  # bit-exact, signed zeros included
+    assert graph.decomposition_fallbacks == ref.decomposition_fallbacks
+    assert (graph.num_detectors, graph.num_observables) == (ref.num_detectors, ref.num_observables)
+
+
+@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("basis", [None, "X", "Z"])
+def test_graph_matches_oracle_on_random_dems(seed, basis):
+    dem = random_dem(seed)
+    _assert_same_graph(
+        build_matching_graph(dem, basis=basis), graph_oracle.build_matching_graph(dem, basis=basis)
+    )
+    if basis is not None:
+        assert dem.filtered(basis).errors == graph_oracle.filtered(dem, basis).errors
+
+
+def test_random_dems_cover_every_row_shape():
+    """The random DEMs above reach every merge and decomposition branch."""
+    seen = set()
+    for seed in range(60):
+        dem = random_dem(seed)
+        rows = [(e.detectors, e.observables) for e in dem.errors]
+        edge_keys = [(tuple(sorted(d)), o) for d, o in rows if 1 <= len(d) <= 2]
+        if len(set(edge_keys)) < len(edge_keys):
+            seen.add("repeated key")
+        if any(not d and o for d, o in rows):
+            seen.add("zero-detector observable error")
+        probs = [e.probability for e in dem.errors]
+        if 0.5 in probs:
+            seen.add("p == 0.5")
+        if any(p > 0.5 for p in probs):
+            seen.add("p > 0.5")
+        graph = build_matching_graph(dem)
+        composites = sum(len(d) > 2 for d, _ in rows)
+        if graph.decomposition_fallbacks:
+            seen.add("non-decomposable composite")
+        if composites > graph.decomposition_fallbacks:
+            seen.add("decomposed composite")
+        for basis in "XZ":
+            keep = {j for j, b in enumerate(dem.detector_basis) if b == basis}
+            projected = {}
+            for d, o in set(rows):
+                key = (tuple(sorted(x for x in d if x in keep)), o)
+                projected[key] = projected.get(key, 0) + 1
+            if any(n > 1 for (d, o), n in projected.items() if d or o):
+                seen.add("projection merges signatures")
+    assert seen == {
+        "repeated key",
+        "zero-detector observable error",
+        "p == 0.5",
+        "p > 0.5",
+        "non-decomposable composite",
+        "decomposed composite",
+        "projection merges signatures",
+    }
+
+
+@pytest.mark.parametrize("basis", ["X", "Z"])
+def test_graph_matches_oracle_on_the_d9_cold_point(basis):
+    dem = d9_cold_dem()
+    assert dem.filtered(basis).errors == graph_oracle.filtered(dem, basis).errors
+    _assert_same_graph(
+        build_matching_graph(dem, basis=basis), graph_oracle.build_matching_graph(dem, basis=basis)
+    )

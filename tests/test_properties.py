@@ -54,7 +54,7 @@ def random_chain_dem(draw):
     for i in range(n - 1):
         errors.append(DemError(draw(st.floats(0.01, 0.3)), (i, i + 1), ()))
     errors.append(DemError(0.1, (n - 1,), ()))
-    return DetectorErrorModel(
+    return DetectorErrorModel.from_errors(
         errors=errors,
         num_detectors=n,
         num_observables=1,

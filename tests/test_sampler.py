@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from factories import numpy_plane
+from factories import d9_cold_dem, numpy_plane, random_dem
 from sampler_oracle import OracleSampler
 
 from repro.decoders.kernels.plane import pack_words
@@ -15,7 +15,7 @@ from repro.stab.dem import DemError, DetectorErrorModel
 
 
 def _dem(errors, ndet=3, nobs=1):
-    return DetectorErrorModel(
+    return DetectorErrorModel.from_errors(
         errors=[DemError(p, d, o) for p, d, o in errors],
         num_detectors=ndet,
         num_observables=nobs,
@@ -158,3 +158,33 @@ def test_projected_rejects_a_wrong_width_mask():
     assert sampler.projected(np.ones(3, dtype=bool)) is sampler
     with pytest.raises(ValueError):
         sampler.projected(np.ones(2, dtype=bool))
+
+
+def _assert_words_match_oracle(dem, keep, shots, seed, batch_size):
+    """Packed words of ``dem``'s sampler and of its projection onto ``keep``
+    are ``==`` the packed oracle samples drawn from the same seed."""
+    expected = _oracle_batches(dem, shots, seed, batch_size)
+    sampler = DemSampler(dem)
+    got = list(sampler.packed_batches(shots, seed, batch_size=batch_size))
+    projected = sampler.projected(keep)
+    got_projected = list(projected.packed_batches(shots, seed, batch_size=batch_size))
+    assert len(got) == len(got_projected) == len(expected) > 0
+    for (det_w, obs_w), (pdet_w, pobs_w), (odet, oobs, _) in zip(got, got_projected, expected):
+        assert np.array_equal(det_w, pack_words(odet))
+        assert np.array_equal(obs_w, pack_words(oobs))
+        assert np.array_equal(pdet_w, pack_words(odet[:, keep]))
+        assert np.array_equal(pobs_w, obs_w)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_packed_words_match_oracle_on_random_dems(seed):
+    dem = random_dem(seed)
+    keep = np.array([b == "Z" for b in dem.detector_basis])
+    _assert_words_match_oracle(dem, keep, shots=700, seed=seed, batch_size=256)
+
+
+@pytest.mark.parametrize("basis", ["X", "Z"])
+def test_packed_words_match_oracle_on_the_d9_cold_point(basis):
+    dem = d9_cold_dem()
+    keep = np.array([b == basis for b in dem.detector_basis])
+    _assert_words_match_oracle(dem, keep, shots=2000, seed=11, batch_size=65536)

@@ -15,7 +15,7 @@ def _chain_graph(n=4, obs_on_all=True):
         errors.append(DemError(0.1, (i, i + 1), (0,) if obs_on_all else ()))
     errors.append(DemError(0.1, (n - 1,), (0,) if obs_on_all else ()))
     return build_matching_graph(
-        DetectorErrorModel(
+        DetectorErrorModel.from_errors(
             errors=errors,
             num_detectors=n,
             num_observables=1,
@@ -93,7 +93,7 @@ def test_unionfind_close_to_mwpm(quiet_noise):
 def test_isolated_odd_cluster_degrades_gracefully():
     """A defect with no edges at all must not hang the decoder."""
     g = build_matching_graph(
-        DetectorErrorModel(
+        DetectorErrorModel.from_errors(
             errors=[DemError(0.1, (0, 1), ())],
             num_detectors=3,  # detector 2 has no incident edges
             num_observables=1,
@@ -114,7 +114,7 @@ def test_weighted_growth_prefers_cheap_edges():
         DemError(0.001, (1,), (0,)),
     ]
     g = build_matching_graph(
-        DetectorErrorModel(
+        DetectorErrorModel.from_errors(
             errors=errors,
             num_detectors=2,
             num_observables=1,

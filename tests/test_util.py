@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from repro._util import (
     combine_flip_probabilities,
+    combine_flip_runs,
     resolve_rng,
+    run_starts,
     xor_probability,
+    xor_runs,
 )
 
 
@@ -48,6 +51,29 @@ def test_combined_probability_at_least_max_of_small_probs(ps):
     it stays at least as large as the XOR of the largest with the rest."""
     p = combine_flip_probabilities(ps)
     assert p >= max(ps) * (1 - 2 * sum(ps[:-1]) if len(ps) > 1 else 1) - 1e-9
+
+
+@given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), max_size=12))
+def test_run_folds_equal_the_scalar_loops_bit_for_bit(runs):
+    lens = [len(run) for run in runs]
+    probs = np.array([p for run in runs for p in run], dtype=np.float64)
+    starts = run_starts(np.repeat(np.arange(len(runs)), lens))
+    assert starts.tolist() == np.cumsum([0] + lens)[:-1].tolist()
+    xor_loop, combine_loop = [], []
+    for run in runs:
+        acc = 0.0
+        for p in run:
+            acc = xor_probability(acc, p)
+        xor_loop.append(acc)
+        combine_loop.append(combine_flip_probabilities(run))
+    assert xor_runs(probs, starts).tobytes() == np.array(xor_loop).tobytes()
+    assert combine_flip_runs(probs, starts).tobytes() == np.array(combine_loop).tobytes()
+
+
+def test_run_starts_of_rows():
+    keys = np.array([[0, 1], [0, 1], [0, 2], [1, 2], [1, 2]])
+    assert run_starts(keys).tolist() == [0, 2, 3]
+    assert run_starts(keys[:0]).tolist() == []
 
 
 @given(
