@@ -126,17 +126,6 @@ python -m repro.cli figures build "${FIG_ARGS[@]}" | grep "(store)" > /dev/null
 [ "$FIGSTORE_BEFORE" = "$(find "$OBS_TMP/figstore" -type f | sort | xargs md5sum)" ] \
   || { echo "figures smoke: warm rebuild wrote to the store" >&2; exit 1; }
 echo "figures smoke: build + schema validation + warm store-served rebuild ok"
-# perf-history smoke (docs/CI.md): fold results files into a throwaway
-# history, compare report-only, and schema-check the JSONL.  The speculation
-# benchmark rides along so its ratio metrics (speedup*, *_ratio, *_x —
-# direction-inferred as higher-is-better) are watched on every push.
-python -m repro.cli bench record benchmarks/results/decode_throughput.json \
-  --history "$OBS_TMP/history.jsonl" --note "check.sh smoke" > /dev/null
-python -m repro.cli bench record benchmarks/results/sweep_speculation.json \
-  --history "$OBS_TMP/history.jsonl" --note "check.sh smoke" > /dev/null
-python -m repro.cli bench compare --history "$OBS_TMP/history.jsonl"
-python scripts/validate_results.py --history "$OBS_TMP/history.jsonl"
-echo "obs smoke: bench record/compare + history schema validation ok"
 if [ -z "${OBS_ARTIFACTS_DIR:-}" ]; then
   rm -rf "$OBS_TMP"
   trap - EXIT  # exec below skips EXIT traps; the tmpdir is already gone

@@ -30,10 +30,10 @@ directory).
 
 Observability artifacts (docs/OBSERVABILITY.md) are validated on demand:
 ``--trace FILE`` checks a ``repro.obs.trace/v1`` Chrome trace, ``--metrics
-FILE`` a ``repro.obs.metrics/v1`` snapshot, ``--ledger RUNDIR`` a run-ledger
-directory (``manifest.json`` + ``events.jsonl``) and ``--history FILE`` a
-``repro.bench.history/v1`` JSONL (all repeatable; ``scripts/check.sh`` runs
-them against freshly generated artifacts).
+FILE`` a ``repro.obs.metrics/v1`` snapshot and ``--ledger RUNDIR`` a
+run-ledger directory (``manifest.json`` + ``events.jsonl``).  All three
+flags repeat; ``scripts/check.sh`` runs them against freshly generated
+artifacts.
 
 Usage::
 
@@ -43,7 +43,6 @@ Usage::
     python scripts/validate_results.py --vega figures/fig15.vega.json
     python scripts/validate_results.py --trace t.json --metrics m.json
     python scripts/validate_results.py --ledger store/runs/RUN_ID
-    python scripts/validate_results.py --history benchmarks/history/history.jsonl
 
 Exit status 0 = every file valid; 1 = at least one problem (all problems
 are listed, not just the first).
@@ -84,7 +83,6 @@ REQUIRED_KEYS = {
 TRACE_SCHEMA = "repro.obs.trace/v1"
 METRICS_SCHEMA = "repro.obs.metrics/v1"
 RUN_SCHEMA = "repro.obs.run/v2"
-HISTORY_SCHEMA = "repro.bench.history/v1"
 
 #: schema tags of the figure-registry export layer (repro/figures/export.py)
 FIGURE_SCHEMA = "repro.figures.result/v1"
@@ -286,55 +284,6 @@ def _batch_provenance_problems(event: dict, workers, i: int) -> list[str]:
     return []
 
 
-def validate_history_file(path: Path) -> list[str]:
-    """All problems with one ``repro.bench.history/v1`` JSONL file."""
-    problems: list[str] = []
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        return [f"unreadable: {exc}"]
-    parsed = 0
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line, parse_constant=_reject_constant)
-        except ValueError:
-            if i == len(lines) - 1:
-                continue  # torn tail: tolerated, same policy as the ledger
-            problems.append(f"line {i + 1} is not valid JSON")
-            continue
-        if not isinstance(entry, dict):
-            problems.append(f"line {i + 1} top level is not a dict")
-            continue
-        if entry.get("schema") != HISTORY_SCHEMA:
-            problems.append(
-                f"line {i + 1} schema is {entry.get('schema')!r}, "
-                f"expected {HISTORY_SCHEMA!r}"
-            )
-        if not isinstance(entry.get("source"), str) or not entry.get("source"):
-            problems.append(f"line {i + 1} source must be a non-empty string")
-        if not isinstance(entry.get("meta"), dict):
-            problems.append(f"line {i + 1} meta must be a dict")
-        if not isinstance(entry.get("manifest_key"), str):
-            problems.append(f"line {i + 1} manifest_key must be a string")
-        series = entry.get("series")
-        if not isinstance(series, dict):
-            problems.append(f"line {i + 1} series must be a dict")
-            continue
-        for name, value in series.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"line {i + 1} series {name!r} is not a number")
-            elif not math.isfinite(value):
-                problems.append(f"line {i + 1} series {name!r} is not finite")
-        _walk_finite(entry.get("meta"), f"$.line{i + 1}.meta", problems)
-        parsed += 1
-    if parsed == 0:
-        problems.append("no parseable history entries")
-    return problems
-
-
 def validate_figure_file(path: Path) -> list[str]:
     """All problems with one ``repro.figures.result/v1`` document file."""
     try:
@@ -469,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     positional: list[str] = []
     i = 0
     while i < len(argv):
-        if argv[i] in ("--trace", "--metrics", "--ledger", "--history", "--figure", "--vega"):
+        if argv[i] in ("--trace", "--metrics", "--ledger", "--figure", "--vega"):
             if i + 1 >= len(argv):
                 print(f"{argv[i]} requires a PATH argument", file=sys.stderr)
                 return 1
@@ -477,7 +426,6 @@ def main(argv: list[str] | None = None) -> int:
                 "--trace": validate_trace_file,
                 "--metrics": validate_metrics_file,
                 "--ledger": validate_ledger_file,
-                "--history": validate_history_file,
                 "--figure": validate_figure_file,
                 "--vega": validate_vega_file,
             }[argv[i]]

@@ -25,8 +25,6 @@ Usage::
     python -m repro.cli runs gc --older-than 30 --store results/store
 
     python -m repro.cli metrics summarize metrics.json
-    python -m repro.cli bench record benchmarks/results/decode_throughput.json
-    python -m repro.cli bench compare --strict
 
 ``figures`` is the one figure path: the declarative registry front end
 (docs/FIGURES.md), where every paper figure/table is a registered
@@ -35,8 +33,7 @@ zero decoding on a warm store; ``--no-store`` builds through a temporary
 store and gives the same numbers.  The ``sweep`` subcommands drive the
 resumable orchestrator over a content-addressed result store (see
 ``docs/SWEEPS.md`` for the spec format and store layout); ``runs`` and
-``sweep watch`` read the run ledger it records under ``runs/``; ``bench``
-maintains the perf-trajectory history (docs/OBSERVABILITY.md, docs/CI.md).
+``sweep watch`` read the run ledger it records under ``runs/``.
 The decode-kernel backend is chosen with ``REPRO_DECODE_BACKEND`` or
 ``sweep run --decode-backend``.
 """
@@ -621,65 +618,6 @@ def _runs_gc(args) -> int:
     return 0
 
 
-def _bench_record(args) -> int:
-    from .obs import history
-
-    try:
-        entry = history.record_history_entry(
-            args.results,
-            metrics_path=args.metrics,
-            history_path=args.history,
-            note=args.note,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"cannot record {args.results}: {exc}", file=sys.stderr)
-        return 2
-    path = args.history if args.history is not None else history.DEFAULT_HISTORY
-    print(f"recorded {entry['source']} ({len(entry['series'])} series) -> {path}")
-    return 0
-
-
-def _bench_compare(args) -> int:
-    from .obs import history
-
-    path = args.history if args.history is not None else history.DEFAULT_HISTORY
-    report = history.compare_history(
-        path, source=args.source, threshold=args.threshold, window=args.window
-    )
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(
-            f"history {path}: {report['entries']} entries, "
-            f"{report['compared']} of {report['groups']} group(s) compared "
-            f"(threshold {report['threshold']:.0%})"
-        )
-        for f in report["regressions"]:
-            print(
-                f"  REGRESSION {f['source']}: {f['metric']} "
-                f"{f['baseline']:.6g} -> {f['latest']:.6g} "
-                f"({f['change_pct']:+.1f}%)"
-            )
-        for f in report["improvements"]:
-            print(
-                f"  improved   {f['source']}: {f['metric']} "
-                f"{f['baseline']:.6g} -> {f['latest']:.6g} "
-                f"({f['change_pct']:+.1f}%)"
-            )
-        if not report["regressions"] and not report["improvements"]:
-            print("  no regressions or improvements beyond threshold")
-        if report["skipped"]:
-            print(
-                f"  {len(report['skipped'])} group(s) skipped "
-                "(fewer than 2 comparable entries)"
-            )
-    # report-only by default (docs/CI.md: wall-clock numbers are recorded,
-    # never asserted); --strict opts controlled environments into a gate
-    if report["regressions"] and args.strict:
-        return 1
-    return 0
-
-
 def _sweep_export(args) -> int:
     from .experiments.sweeps import SweepSpec, export_records
 
@@ -974,59 +912,6 @@ def main(argv=None) -> int:
         "--format", choices=("text", "json"), default="text"
     )
 
-    benchp = sub.add_parser(
-        "bench",
-        help="benchmark perf-trajectory history (docs/CI.md: report-only in"
-        " CI; --strict for controlled environments)",
-    )
-    bench_sub = benchp.add_subparsers(dest="bench_command", required=True)
-    bench_record = bench_sub.add_parser(
-        "record",
-        help="fold one benchmark results JSON (+ optional metrics snapshot)"
-        " into the append-only history",
-    )
-    bench_record.add_argument("results", type=Path, help="benchmark results JSON")
-    bench_record.add_argument(
-        "--metrics", type=Path, default=None, metavar="FILE",
-        help="also record span p50/p95/p99 from this metrics snapshot",
-    )
-    bench_record.add_argument(
-        "--history", type=Path, default=None, metavar="FILE",
-        help="history JSONL (default benchmarks/history/history.jsonl)",
-    )
-    bench_record.add_argument(
-        "--note", default=None, help="free-form annotation stored on the entry"
-    )
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="flag relative regressions of each source's latest entry vs its"
-        " trailing baseline (report-only unless --strict)",
-    )
-    bench_compare.add_argument(
-        "--history", type=Path, default=None, metavar="FILE",
-        help="history JSONL (default benchmarks/history/history.jsonl)",
-    )
-    bench_compare.add_argument(
-        "--source", default=None, metavar="NAME",
-        help="compare only entries recorded from this results file name",
-    )
-    bench_compare.add_argument(
-        "--threshold", type=float, default=0.25, metavar="FRACTION",
-        help="relative change that counts as a regression (default 0.25)",
-    )
-    bench_compare.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="baseline = median of up to N prior entries (default 5)",
-    )
-    bench_compare.add_argument(
-        "--strict", action="store_true",
-        help="exit nonzero when regressions are found (off by default: CI"
-        " records and reports wall-clock trends, never asserts them)",
-    )
-    bench_compare.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-
     figuresp = sub.add_parser(
         "figures",
         help="declarative figure registry: list specs / build artifacts"
@@ -1125,11 +1010,6 @@ def main(argv=None) -> int:
 
     if args.command == "metrics":
         return _metrics_summarize(args)
-
-    if args.command == "bench":
-        if args.bench_command == "record":
-            return _bench_record(args)
-        return _bench_compare(args)
 
     if args.command == "trace":
         return _trace_summarize(args)

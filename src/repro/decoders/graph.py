@@ -90,7 +90,6 @@ def build_matching_graph(
     dem: DetectorErrorModel,
     *,
     basis: str | None = None,
-    merge_parallel: bool = True,
 ) -> MatchingGraph:
     """Build the matching graph, optionally restricting to one CSS basis."""
     model = dem.filtered(basis) if basis is not None else dem

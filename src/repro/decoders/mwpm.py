@@ -14,11 +14,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-try:  # networkx >= 3 renamed nothing we use; import defensively anyway
-    import networkx as nx
-except ImportError as exc:  # pragma: no cover
-    raise ImportError("networkx is required for the MWPM decoder") from exc
-
 from .batch import Decoder
 from .graph import MatchingGraph
 
@@ -88,6 +83,10 @@ class MWPMDecoder(Decoder):
         (:class:`~repro.decoders.kernels.BatchedMWPM`) may assemble them from
         a shared per-node table and land here bit-identically.
         """
+        # imported here, not at module level: only matching needs networkx,
+        # and it is the heaviest import in the package
+        import networkx as nx
+
         k = defects.size
         g = nx.Graph()
         # defect-defect edges

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from .._util import env_int, env_str, resolve_rng
+from .._util import env_str, resolve_rng
 from ..codes.surgery import SurgerySpec, surgery_experiment
 from ..core.policies import SyncScenario, _BasePolicy, policy_fields
 from ..decoders.batch import BatchDecodingEngine
@@ -66,9 +66,8 @@ def pipeline_analysis_count() -> int:
     """Number of full circuit analyses this process has performed."""
     return PIPELINE_ANALYSES
 
-#: maximum number of analyzed configurations kept alive at once; consulted on
-#: every :func:`prepared_pipeline` call so tests/sweeps may adjust it
-PIPELINE_CACHE_SIZE: int = env_int("REPRO_PIPELINE_CACHE_SIZE", 32)
+#: maximum number of analyzed configurations kept alive at once
+PIPELINE_CACHE_SIZE = 32
 
 #: decode-stat counters that accumulate batch-by-batch into sweep records
 #: and per-batch commit-ahead store entries (see LerResult.batch_stats)
@@ -80,15 +79,15 @@ BATCH_STAT_KEYS = (
 )
 
 #: process-wide decode-engine defaults, overridable per call; read once from
-#: the ``REPRO_DECODE_*`` environment knobs
+#: ``REPRO_DECODE_BACKEND``
 DECODE_DEFAULTS: dict = {
-    "dedup": bool(env_int("REPRO_DECODE_DEDUP", 1)),
     # decode-kernel backend (repro.decoders.kernels): "auto" picks the
     # fastest available; every backend is bit-identical to "python"
     "backend": env_str("REPRO_DECODE_BACKEND", "auto"),
-    # LUT storage budget of the "hierarchical" decoder (bytes)
-    "lut_bytes": env_int("REPRO_DECODE_LUT_BYTES", 1 << 16),
 }
+
+#: LUT storage budget of the "hierarchical" decoder (bytes)
+LUT_BYTES = 1 << 16
 
 
 #: decoder-name registry used by every pipeline (serial runs and sweeps):
@@ -99,25 +98,18 @@ DECODER_BUILDERS: dict = {
     "unionfind": UnionFindDecoder,
     "mwpm": MWPMDecoder,
     "predecoded": lambda graph: PredecodedDecoder(graph, UnionFindDecoder(graph)),
-    "hierarchical": lambda graph: HierarchicalDecoder(
-        graph, lut_size_bytes=DECODE_DEFAULTS["lut_bytes"]
-    ),
+    "hierarchical": lambda graph: HierarchicalDecoder(graph, lut_size_bytes=LUT_BYTES),
 }
+
+#: store-key identities of decoder names that differ from the bare name: the
+#: hierarchical decoder's predictions depend on its LUT budget, so its keys
+#: carry the budget (kernel backends are bit-identical and keyless)
+_STORE_IDENTITIES = {"hierarchical": f"hierarchical[lut_bytes={LUT_BYTES}]"}
 
 
 def decoder_store_identity(name: str) -> str:
-    """Store-key identity of a decoder name, resolved at key time.
-
-    Kernel *backends* are bit-identical and deliberately keyless, but
-    decoder *behaviour* knobs are not: the hierarchical decoder's
-    predictions depend on its LUT budget, so the resolved
-    ``REPRO_DECODE_LUT_BYTES`` is folded into the identity — resuming a
-    sweep under a different budget re-decodes from scratch instead of
-    silently appending batches from an effectively different decoder.
-    """
-    if name == "hierarchical":
-        return f"hierarchical[lut_bytes={DECODE_DEFAULTS['lut_bytes']}]"
-    return name
+    """Store-key identity of a decoder name (the bare name for most)."""
+    return _STORE_IDENTITIES.get(name, name)
 
 
 @dataclass(frozen=True)
@@ -229,20 +221,15 @@ class _Pipeline:
         self._decoders: dict[str, object] = {}
 
     def decoder(self, name: str):
-        # cached under the *store identity*, not the bare name: a decoder
-        # whose behaviour knob changed (hierarchical LUT budget) must be
-        # rebuilt, or records would land under a key claiming one budget
-        # while decoded with another
-        ident = decoder_store_identity(name)
-        if ident not in self._decoders:
+        if name not in self._decoders:
             builder = DECODER_BUILDERS.get(name)
             if builder is None:
                 raise ValueError(
                     f"unknown decoder {name!r}; known: "
                     f"{', '.join(sorted(DECODER_BUILDERS))}"
                 )
-            self._decoders[ident] = builder(self.graph)
-        return self._decoders[ident]
+            self._decoders[name] = builder(self.graph)
+        return self._decoders[name]
 
     def mask_detectors(self, det: np.ndarray) -> np.ndarray:
         """Project full-DEM detector samples onto the matching graph's basis.
@@ -329,7 +316,7 @@ def run_surgery_ler(
     *,
     decoder: str = "unionfind",
     batch_size: int = 65536,
-    dedup: bool | None = None,
+    dedup: bool = True,
     decode_workers: int = 1,
     backend: str | None = None,
     pipeline: "_Pipeline | None" = None,
@@ -338,8 +325,8 @@ def run_surgery_ler(
 
     Batches of at most ``batch_size`` shots are sampled, decoded and reduced
     to failure counts immediately, so peak memory is independent of
-    ``shots``.  ``dedup``/``backend`` default to :data:`DECODE_DEFAULTS`.
-    ``backend`` names a decode-kernel backend (:mod:`repro.decoders.kernels`);
+    ``shots``.  ``backend`` names a decode-kernel backend
+    (:mod:`repro.decoders.kernels`, default :data:`DECODE_DEFAULTS`);
     backends are bit-identical, so this knob affects wall time only.
     ``decode_workers`` must be 1: to decode on a thread pool, run the
     configuration as a sweep point with ``run_sweep(workers=N)``.
@@ -355,7 +342,6 @@ def run_surgery_ler(
             f"decode_workers={decode_workers!r}: run_surgery_ler decodes "
             "serially; use run_sweep(workers=N) to decode on a thread pool"
         )
-    dedup = DECODE_DEFAULTS["dedup"] if dedup is None else dedup
     backend = DECODE_DEFAULTS["backend"] if backend is None else backend
     rng = resolve_rng(rng)
     pipe = pipeline if pipeline is not None else prepared_pipeline(config, policy)

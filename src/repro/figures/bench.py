@@ -37,14 +37,10 @@ def record(name: str, data, *, results_dir: Path | str | None = None) -> Path:
 
     Dict-shaped outputs get a uniform ``meta`` provenance block (python,
     platform, cpu count, store salt, timestamp) stamped in — the same keys
-    ``repro bench record`` carries into the perf history, so ad-hoc results
-    and history entries are comparable (``meta`` is excluded from the
-    history's numeric series).  Returns the written path.
+    every figure result document carries.  Returns the written path.
     """
     if isinstance(data, dict):
-        from ..obs import provenance_meta
-
-        data = dict(data, meta=provenance_meta())
+        data = dict(data, meta=export.provenance_meta())
     results_dir = Path(results_dir) if results_dir is not None else default_results_dir()
     results_dir.mkdir(parents=True, exist_ok=True)
     path = results_dir / f"{name}.json"

@@ -23,12 +23,7 @@ from ..decoders.graph import build_matching_graph
 from ..decoders.hierarchical import measure_decoder_latencies
 from ..decoders.mwpm import MWPMDecoder
 from ..decoders.unionfind import UnionFindDecoder
-from ..experiments.ler import (
-    DECODE_DEFAULTS,
-    SurgeryLerConfig,
-    prepared_pipeline,
-    run_surgery_ler,
-)
+from ..experiments.ler import SurgeryLerConfig, prepared_pipeline, run_surgery_ler
 from ..experiments.sweeps import PolicySpec, SweepSpec
 from ..noise.dd import BRISBANE_DD
 from ..noise.hardware import GOOGLE, IBM, QUERA, SHERBROOKE_IDLE, TABLE1_HARDWARE
@@ -125,7 +120,7 @@ def _fig1c(params, _reports):
         rates = {}
         for label in ("zero", "one"):
             det, flips = sampler.sample(shots, rng)
-            pred = decoder.decode_batch(det, dedup=DECODE_DEFAULTS["dedup"])
+            pred = decoder.decode_batch(det)
             rates[label] = float((pred[:, :1] ^ flips).mean())
         rows.append({"idle_ns": float(idle), "ler_zero": rates["zero"], "ler_one": rates["one"]})
     return sorted(rows, key=lambda r: r["idle_ns"])
@@ -395,9 +390,7 @@ def _fig7(params, _reports):
         )
         pipe = prepared_pipeline(config, make_policy(policy))
         det, flips = pipe.sampler.sample(int(params["shots"]), rng)
-        pred = pipe.decoder("unionfind").decode_batch(
-            pipe.mask_detectors(det), dedup=DECODE_DEFAULTS["dedup"]
-        )
+        pred = pipe.decoder("unionfind").decode_batch(pipe.mask_detectors(det))
         failures = (pred[:, 1] ^ flips[:, 1]).astype(int)  # joint observable
         merge_round = int(pipe.plan.timeline_p.num_rounds)
         for rnd, indices in sorted(pipe.artifacts.detectors_by_round.items()):

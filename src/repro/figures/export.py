@@ -16,12 +16,15 @@ import csv
 import io
 import json
 import math
+import os
+import platform
+import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from ..obs import provenance_meta
+from ..store.keys import STORE_SALT
 
 __all__ = [
     "RESULT_SCHEMA",
@@ -30,6 +33,7 @@ __all__ = [
     "format_table",
     "infer_columns",
     "plain",
+    "provenance_meta",
     "result_document",
     "rows_to_csv",
     "vega_document",
@@ -52,6 +56,21 @@ THEME: dict = {
     "point": {"filled": True, "size": 60},
     "line": {"strokeWidth": 2},
 }
+
+
+def provenance_meta() -> dict:
+    """The uniform ``meta`` block every results JSON and figure document carries.
+
+    Shared by :func:`result_document` and ``repro.figures.bench.record``, so
+    figure artifacts and ad-hoc benchmark outputs agree on provenance keys.
+    """
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "store_salt": STORE_SALT,
+        "recorded_at": time.time(),  # lint: ok[determinism-time] provenance timestamp
+    }
 
 
 def plain(value: Any) -> Any:

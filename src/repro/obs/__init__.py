@@ -3,12 +3,11 @@
 Span instrumentation (sample → dedup → kernel decode → cache → store
 commit; dispatch/apply/replay/overshoot/idle in the sweep schedulers),
 worker-count-independent latency histograms, and Chrome-trace/metrics
-exporters.  Phase 2 adds cross-run surfaces: a durable run ledger
-(:mod:`.ledger` — manifests + event logs under ``runs/`` in the store) and
-a benchmark perf-trajectory history (:mod:`.history`).  Zero-overhead when
-disabled; observability output never enters store keys or
-prediction-affecting record fields (see docs/OBSERVABILITY.md for the span
-catalogue, run-ledger schema and the bit-identity contract).
+exporters, plus a durable run ledger (:mod:`.ledger` — manifests + event
+logs under ``runs/`` in the store).  Zero-overhead when disabled;
+observability output never enters store keys or prediction-affecting
+record fields (see docs/OBSERVABILITY.md for the span catalogue, run-ledger
+schema and the bit-identity contract).
 """
 
 from .core import (
@@ -40,13 +39,6 @@ from .export import (
     summarize_trace,
     write_metrics,
     write_trace,
-)
-from .history import (
-    HISTORY_SCHEMA,
-    compare_history,
-    load_history,
-    provenance_meta,
-    record_history_entry,
 )
 from .ledger import (
     NULL_RUN_WRITER,
@@ -86,11 +78,6 @@ __all__ = [
     "summarize_trace",
     "write_metrics",
     "write_trace",
-    "HISTORY_SCHEMA",
-    "compare_history",
-    "load_history",
-    "provenance_meta",
-    "record_history_entry",
     "NULL_RUN_WRITER",
     "RUN_SCHEMA",
     "RunLedger",

@@ -38,8 +38,9 @@ from repro.figures import (
     vega_document,
     write_outputs,
 )
+from repro.figures import bench as fig_bench
 from repro.figures import export as fig_export
-from repro.store import ResultStore
+from repro.store import STORE_SALT, ResultStore
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -155,6 +156,18 @@ def test_unknown_export_format_raises(tmp_path):
 def test_plain_maps_non_finite_to_none():
     assert fig_export.plain(float("inf")) is None
     assert fig_export.plain({"a": float("nan"), "b": 1.5}) == {"a": None, "b": 1.5}
+
+
+def test_bench_record_and_result_document_carry_provenance_meta(tmp_path):
+    keys = {"python", "platform", "cpu_count", "store_salt", "recorded_at"}
+    path = fig_bench.record("probe", {"rows": [1]}, results_dir=tmp_path)
+    recorded = json.loads(path.read_text())
+    assert recorded["rows"] == [1]
+    assert set(recorded["meta"]) == keys
+    assert recorded["meta"]["store_salt"] == STORE_SALT
+    doc = fig_export.result_document(get("fig10"), {}, [{"extra_rounds": 5}])
+    assert set(doc["meta"]) == keys
+    assert doc["meta"]["store_salt"] == STORE_SALT
 
 
 def test_rows_to_csv_and_format_table_cover_missing_columns():

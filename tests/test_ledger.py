@@ -194,7 +194,7 @@ def test_store_served_points_are_ledgered_not_decoded(tmp_path):
 
 
 def test_manifest_captures_run_provenance(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_DECODE_DEDUP", "1")
+    monkeypatch.setenv("REPRO_DECODE_BACKEND", "auto")
     spec = _spec(max_shots=400)
     store = ResultStore(tmp_path / "s")
     report = run_sweep(spec, store, workers=1, speculate=0, ledger=True)
@@ -207,7 +207,7 @@ def test_manifest_captures_run_provenance(tmp_path, monkeypatch):
     assert len(manifest["spec_digest"]) == 64
     assert manifest["store_salt"]  # pinned to the store's key salt
     assert manifest["backend_resolved"] in manifest["backends_available"]
-    assert manifest["env"]["REPRO_DECODE_DEDUP"] == "1"
+    assert manifest["env"]["REPRO_DECODE_BACKEND"] == "auto"
     # finished manifests carry the outcome
     assert manifest["status"] == "ok"
     assert manifest["summary"]["points"] == len(report.outcomes)

@@ -3,6 +3,11 @@
 Graphs are built through the shared ``dem_graph`` factory in ``conftest.py``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.decoders import MWPMDecoder
@@ -100,3 +105,15 @@ def test_batched_kernel_matches_scalar_exhaustively(dem_graph):
     out = kernel.decode_rows(rows)
     for i in range(rows.shape[0]):
         assert int(out[i]) == dec.decode(rows[i]), rows[i]
+
+
+def test_import_repro_does_not_load_networkx():
+    """networkx loads on the first MWPM matching, not at package import."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -12,7 +12,6 @@ import pytest
 from sweep_oracle import oracle_record
 
 from repro import cli, obs
-from repro.core import make_policy
 from repro.decoders import kernels
 from repro.experiments import ler as ler_module
 from repro.experiments.ler import SurgeryLerConfig, clear_pipeline_cache
@@ -601,35 +600,27 @@ def test_sweep_runs_predecoded_decoder_through_the_store(tmp_path):
     assert again.outcomes[0].record["failures"] == record["failures"]
 
 
-def test_hierarchical_lut_budget_is_part_of_the_point_key(monkeypatch):
-    """REPRO_DECODE_LUT_BYTES changes predictions, so it must change keys —
-    a resumed sweep under a different budget re-decodes instead of merging
-    batches from an effectively different decoder."""
-    spec = _spec(decoder="hierarchical")
+@pytest.mark.parametrize(
+    "decoder, identity, key",
+    [
+        (
+            "hierarchical",
+            "hierarchical[lut_bytes=65536]",
+            "80c450d7bb6ff79872da90b75a4ccbd5296789ebe2255ec3428883019a9f8c54",
+        ),
+        (
+            "unionfind",
+            "unionfind",
+            "4d7bd38cece0062352b65605179cada780f8237dbe37dc14693ba498fee091db",
+        ),
+    ],
+    ids=["hierarchical", "unionfind"],
+)
+def test_point_keys_are_pinned(decoder, identity, key):
+    """Decoder store identities feed point keys: the hierarchical decoder
+    keys under its LUT budget, the others by bare name, and stored records
+    keep resolving to the same keys."""
+    assert ler_module.decoder_store_identity(decoder) == identity
+    spec = _spec(decoder=decoder)
     pt = spec.points()[0]
-    key_a = pt.key(seed=spec.seed, batch_shots=spec.batch_shots)
-    monkeypatch.setitem(ler_module.DECODE_DEFAULTS, "lut_bytes", 1024)
-    key_b = pt.key(seed=spec.seed, batch_shots=spec.batch_shots)
-    assert key_a != key_b
-    # non-parameterized decoders keep their historical keys
-    uf = _spec(decoder="unionfind").points()[0]
-    assert ler_module.decoder_store_identity("unionfind") == "unionfind"
-    assert uf.key(seed=spec.seed, batch_shots=spec.batch_shots) == uf.key(
-        seed=spec.seed, batch_shots=spec.batch_shots
-    )
-
-
-def test_pipeline_decoder_cache_follows_lut_budget(monkeypatch):
-    """The pipeline's decoder cache keys by store identity: changing the
-    LUT budget rebuilds the decoder instead of serving the stale one."""
-    cfg = SurgeryLerConfig(
-        distance=2, hardware=GOOGLE, policy_name="passive", tau_ns=500.0
-    )
-    pipe = ler_module.prepared_pipeline(cfg, make_policy("passive"))
-    monkeypatch.setitem(ler_module.DECODE_DEFAULTS, "lut_bytes", 4096)
-    big = pipe.decoder("hierarchical")
-    assert pipe.decoder("hierarchical") is big  # stable while the knob is
-    monkeypatch.setitem(ler_module.DECODE_DEFAULTS, "lut_bytes", 64)
-    small = pipe.decoder("hierarchical")
-    assert small is not big
-    assert small.lut.size_bytes() <= 64 < big.lut.size_bytes()
+    assert pt.key(seed=spec.seed, batch_shots=spec.batch_shots) == key

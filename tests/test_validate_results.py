@@ -192,7 +192,7 @@ def test_obs_flags_compose_with_directory_validation(results_dir, tmp_path, caps
 
 
 # ---------------------------------------------------------------------------
-# run ledger + perf history: --ledger / --history (docs/OBSERVABILITY.md)
+# run ledger: --ledger (docs/OBSERVABILITY.md)
 # ---------------------------------------------------------------------------
 
 
@@ -294,55 +294,3 @@ def test_ledger_missing_rundir_rejected(tmp_path, capsys):
     assert validate_results.main(["--ledger", str(tmp_path / "nope")]) == 1
     assert "unreadable" in capsys.readouterr().err
 
-
-def _write_valid_history(tmp_path):
-    path = tmp_path / "history.jsonl"
-    entry = {
-        "schema": validate_results.HISTORY_SCHEMA,
-        "source": "decode_throughput.json",
-        "meta": {"python": "3.12.0", "cpu_count": 4},
-        "manifest_key": "ab" * 8,
-        "series": {"dedup_shots_per_sec": 100000.0},
-    }
-    path.write_text(json.dumps(entry) + "\n" + json.dumps(entry) + "\n")
-    return path
-
-
-def test_history_valid_file_passes(tmp_path, capsys):
-    path = _write_valid_history(tmp_path)
-    assert validate_results.main(["--history", str(path)]) == 0
-    assert "0 problems" in capsys.readouterr().out
-
-
-def test_history_torn_tail_is_tolerated(tmp_path):
-    path = _write_valid_history(tmp_path)
-    with open(path, "a") as f:
-        f.write('{"schema": "repro.bench.hist')
-    assert validate_results.main(["--history", str(path)]) == 0
-
-
-def test_history_bad_entries_rejected(tmp_path, capsys):
-    path = tmp_path / "history.jsonl"
-    path.write_text(
-        json.dumps({
-            "schema": "nope/v0",
-            "source": "",
-            "meta": [],
-            "manifest_key": 7,
-            "series": {"rate": "fast", "t": 1.0},
-        }) + "\n"
-    )
-    assert validate_results.main(["--history", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "schema" in err
-    assert "source" in err
-    assert "meta" in err
-    assert "manifest_key" in err
-    assert "not a number" in err
-
-
-def test_history_empty_file_rejected(tmp_path, capsys):
-    path = tmp_path / "history.jsonl"
-    path.write_text("")
-    assert validate_results.main(["--history", str(path)]) == 1
-    assert "no parseable history entries" in capsys.readouterr().err
