@@ -18,17 +18,18 @@ per-shot baselines are timed on the first :data:`BASELINE_SHOTS`, because
 their *rate* is shot-count independent, while dedup throughput
 legitimately grows with batch size).
 
-``test_decode_backend_throughput`` additionally races every *available*
-decode-kernel backend (``python`` scalar pass, ``cext`` C union-find) on
-the kernel subsystem's acceptance configuration — d=7 at p=3e-3, where
-syndromes are heavy and dedup alone buys little — plus d=5, 9 and 11 at a
-tenth of the shots, asserting bit-identical predictions and, when the C
-kernel builds, a >= 2x ``cext`` speedup.  Rows are keyed by the backend
-that actually ran; an unavailable backend records nothing.
+``test_decode_backend_throughput`` additionally races the scalar pass
+(``python``, timed with the C library patched away) against the host's C
+union-find (``cext``, when it builds) on the kernel subsystem's acceptance
+configuration — d=7 at p=3e-3, where syndromes are heavy and dedup alone
+buys little — plus d=5, 9 and 11 at a tenth of the shots, asserting
+bit-identical predictions and, when the C kernel builds, a >= 2x ``cext``
+speedup.  Rows are keyed by the path that actually ran; a host without
+the C library records only ``python``.
 ``test_wrapped_backend_throughput`` (marked ``slow``; needs a C compiler)
 races the *wrapped* paths on the same configuration: the predecoded and
 hierarchical decoders under their scalar fallback vs the ``cext``
-backend's batched kernels (``BatchedPredecode`` / ``BatchedHierarchical``
+path's batched kernels (``BatchedPredecode`` / ``BatchedHierarchical``
 over the C union-find), asserting bit-identical predictions +
 ``PredecodeStats`` and a >= 2x predecoded-path speedup.  Both write per-decoder sections of
 ``benchmarks/results/decode_backends.json``, over :data:`BACKEND_SHOTS`
@@ -36,6 +37,8 @@ shots.
 """
 
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,7 +50,9 @@ from repro.decoders import (
     PredecodedDecoder,
     UnionFindDecoder,
     build_matching_graph,
+    kernels,
 )
+from repro.decoders.kernels import cext
 from repro.figures.bench import record, record_merge, run_once
 from repro.noise import GOOGLE, NoiseModel
 from repro.stab import DemSampler, circuit_to_dem
@@ -59,6 +64,11 @@ SHOTS = 100_000
 BASELINE_SHOTS = 20_000
 #: shots of the backend-throughput benchmarks
 BACKEND_SHOTS = 50_000
+
+
+def _decode_path(name: str):
+    """Context that runs ``name``: ``python`` patches the C library away."""
+    return mock.patch.object(cext, "library", lambda: None) if name == "python" else nullcontext()
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +311,7 @@ def test_decode_throughput(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# decode-kernel backends: scalar pass vs the C union-find kernel
+# decode paths: scalar pass vs the C union-find kernel
 # ---------------------------------------------------------------------------
 
 
@@ -332,21 +342,22 @@ def _bench_backend_point(distance: int, shots: int, seed: int, backends) -> dict
         decoder = UnionFindDecoder(graph)
         state = {}
 
-        def _run(decoder=decoder, backend=backend):
-            engine = BatchDecodingEngine(decoder, dedup=True, backend=backend)
+        def _run(decoder=decoder):
+            engine = BatchDecodingEngine(decoder, dedup=True)
             state["engine"] = engine
             return engine.decode_batch(det)
 
-        if backend != "python":
-            _run()  # warm the bound kernel before timing
-        rates[backend], predictions[backend] = _best_rate(
-            _run, det.shape[0], repeats=2 if backend == "python" else 3
-        )
+        with _decode_path(backend):
+            if backend != "python":
+                _run()  # warm the bound kernel before timing
+            rates[backend], predictions[backend] = _best_rate(
+                _run, det.shape[0], repeats=2 if backend == "python" else 3
+            )
         stats[backend] = state["engine"].stats
 
     for backend in backends:
         assert np.array_equal(predictions[backend], predictions["python"]), (
-            f"the {backend} backend must be bit-identical to the python backend "
+            f"the {backend} path must be bit-identical to the python path "
             f"(d={distance})"
         )
         assert stats[backend].decode_calls == stats["python"].decode_calls
@@ -360,13 +371,9 @@ def _bench_backend_point(distance: int, shots: int, seed: int, backends) -> dict
 
 
 def _bench_decode_backends(shots: int, seed: int) -> dict:
-    from repro.decoders import kernels
-
-    # key every row by the backend that actually runs: an available backend
-    # resolves to itself, and an unavailable one is not measured at all
-    backends = ["python"] + sorted(
-        {kernels.resolve(name).name for name in kernels.available()} - {"python"}
-    )
+    # key every row by the path that actually runs: the scalar pass always,
+    # and the host's C path when its library loads
+    backends = ["python"] if kernels.backend() == "python" else ["python", "cext"]
     by_distance = {}
     for distance in BACKEND_DISTANCES:
         n = shots if distance == 7 else max(1000, shots // 10)
@@ -427,17 +434,18 @@ def _bench_wrapped_backends(shots: int, seed: int) -> dict:
             def _run(decoder=decoder, backend=backend):
                 # predecode statistics accumulate on the engine, so the last
                 # repeat's engine describes exactly one cold batch
-                engine = BatchDecodingEngine(decoder, dedup=True, backend=backend)
+                engine = BatchDecodingEngine(decoder, dedup=True)
                 engines[backend] = engine
                 return engine.decode_batch(det)
 
-            _run()  # warm the bound kernels (jit, BatchedMWPM Dijkstra rows)
-            rates[backend], predictions[backend] = _best_rate(
-                _run, det.shape[0], repeats=repeats[backend]
-            )
+            with _decode_path(backend):
+                _run()  # warm the bound kernels (jit, BatchedMWPM Dijkstra rows)
+                rates[backend], predictions[backend] = _best_rate(
+                    _run, det.shape[0], repeats=repeats[backend]
+                )
 
         assert np.array_equal(predictions["python"], predictions["cext"]), (
-            f"the cext backend must be bit-identical to python for {name}"
+            f"the cext path must be bit-identical to python for {name}"
         )
         if name == "predecoded":
             assert vars(engines["python"].decoder_stats) == vars(
@@ -458,10 +466,8 @@ def _bench_wrapped_backends(shots: int, seed: int) -> dict:
 
 @pytest.mark.slow
 def test_wrapped_backend_throughput(benchmark):
-    from repro.decoders import kernels
-
-    if not kernels.get("cext").available():
-        pytest.skip("no C compiler: only the python reference backend runs")
+    if kernels.backend() != "cext":
+        pytest.skip("no C compiler: only the python reference path runs")
     sections = run_once(benchmark, _bench_wrapped_backends, BACKEND_SHOTS, SEED)
     for name, row in sections.items():
         print(

@@ -2,10 +2,10 @@
 # Fast verification gate: the full tier-1 test suite plus the store/sweep
 # tests, the scheduler parity suite (tests/test_speculation.py — oracle vs
 # concurrent: stored records equal the scheduler-free tests/sweep_oracle.py
-# for any worker count/depth), the decode-kernel backend parity matrix (tests/test_kernels.py
-# — the cext backend must stay bit-identical to the python reference pass), the
+# for any worker count/depth), the decode-kernel parity matrix (tests/test_kernels.py
+# — the host's decode path must stay bit-identical to the scalar pass), the
 # cross-decoder contract suite (tests/test_decoder_contract.py — defect-
-# parity preservation, dedup/backend metamorphic identities), and the
+# parity preservation, dedup/decode-path metamorphic identities), and the
 # benchmarks, minus everything tagged @pytest.mark.slow.  Intended to
 # finish in a few minutes on a laptop; CI runs exactly this script on every
 # push/PR (.github/workflows/ci.yml; policy in docs/CI.md).  --durations=10 keeps the slowest tests visible in CI

@@ -8,8 +8,6 @@ scalar float operations in the same order.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
@@ -19,9 +17,6 @@ __all__ = [
     "run_starts",
     "xor_runs",
     "combine_flip_runs",
-    "env_int",
-    "env_float",
-    "env_str",
 ]
 
 
@@ -85,20 +80,3 @@ def combine_flip_runs(probs: np.ndarray, starts: np.ndarray) -> np.ndarray:
         acc[more] *= 1.0 - 2.0 * probs[starts[more] + k]
     return (1.0 - acc) / 2.0
 
-
-def env_int(name: str, default: int) -> int:
-    """Integer knob from the environment (used by benchmarks to scale shots)."""
-    raw = os.environ.get(name)
-    return default if raw is None else int(raw)
-
-
-def env_float(name: str, default: float) -> float:
-    """Float knob from the environment."""
-    raw = os.environ.get(name)
-    return default if raw is None else float(raw)
-
-
-def env_str(name: str, default: str) -> str:
-    """String knob from the environment (empty counts as unset)."""
-    raw = os.environ.get(name)
-    return default if not raw else raw

@@ -1,7 +1,7 @@
 """Static determinism & contract analysis for the decode path (`repro lint`).
 
 Every subsystem above the decoders — content-addressed store keys,
-bit-identical sweep resume, kernel-backend parity, the speculative
+bit-identical sweep resume, decode-kernel parity, the speculative
 scheduler, and the multi-host decode-as-a-service direction — rests on one
 invariant: the decode path is deterministic, and its registries stay in
 contract with the tests and docs that gate them.  This package enforces
@@ -19,17 +19,16 @@ family                     what it catches
                            (``hygiene-*``: mutable defaults, bare
                            ``except:``)
 ``contract-*``             cross-module drift: a ``DECODER_BUILDERS``
-                           entry without a backend-parity test, a kernel
-                           backend violating the ``available()``/
-                           ``fallback`` protocol, worker-side functions
-                           rebinding module globals, ``REPRO_*`` knobs
-                           missing from the docs catalogue
+                           entry without a kernel-parity test,
+                           worker-side functions rebinding module
+                           globals, ``REPRO_*`` knobs missing from the
+                           docs catalogue
 ``salt-drift``             prediction-affecting module edits that forgot
                            the ``STORE_SALT`` bump (committed digest
                            lock: ``decode_path.lock``)
 =========================  =============================================
 
-The rule registry mirrors :mod:`repro.decoders.kernels`: rule name ->
+The rule registry maps rule name ->
 :class:`~repro.analysis.base.Rule` instance, with ``register`` /
 ``names`` / ``available`` / ``get``, so downstream tooling (or a future
 plugin) adds a rule without touching the runner.  The CLI front end is
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 from .base import DEFAULT_CONFIG, LintContext, Rule, find_root, load_config
 from .contracts import (
-    ContractBackendRegistry,
     ContractEnvDocs,
     ContractParityTests,
     ContractWorkerGlobals,
@@ -127,7 +125,6 @@ for _rule in (
     HygieneMutableDefault(),
     HygieneBareExcept(),
     ContractParityTests(),
-    ContractBackendRegistry(),
     ContractWorkerGlobals(),
     ContractEnvDocs(),
     SaltDrift(),

@@ -62,8 +62,6 @@ DEFAULT_CONFIG: dict = {
     # decoder-name registry and the parity-test file that must cover it
     "builders_module": "src/repro/experiments/ler.py",
     "parity_tests": "tests/test_kernels.py",
-    # kernel-backend registry module for the registry-contract rule
-    "backends_module": "src/repro/decoders/kernels/backends.py",
     # worker-side entry points; functions reachable from these must not
     # rebind module globals (a data race between decode threads)
     "worker_modules": [

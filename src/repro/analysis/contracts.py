@@ -1,8 +1,7 @@
 """Cross-module contract rules (repo scope).
 
 These rules hold *pairs* of artifacts in contract: the decoder registry
-vs. the backend-parity test matrix, the kernel-backend registry vs. its
-availability/fallback protocol, worker-side code vs. the no-global-
+vs. the kernel-parity test matrix, worker-side code vs. the no-global-
 mutation rule, and ``REPRO_*`` env reads vs. the documentation catalogue.
 Each runs once per lint invocation against fixed repo-relative paths from
 the lint config — they fire regardless of which paths were passed, since
@@ -23,7 +22,6 @@ from .determinism import env_read_sites
 
 __all__ = [
     "ContractParityTests",
-    "ContractBackendRegistry",
     "ContractWorkerGlobals",
     "ContractEnvDocs",
 ]
@@ -50,8 +48,8 @@ def _dict_assign(tree: ast.AST, name: str) -> ast.Dict | None:
 class ContractParityTests(Rule):
     """Every ``DECODER_BUILDERS`` entry appears in the parity-test matrix.
 
-    The backend-parity matrix in ``tests/test_kernels.py`` is the gate
-    that keeps every kernel backend bit-identical to the scalar pass for
+    The kernel-parity matrix in ``tests/test_kernels.py`` is the gate
+    that keeps the host's decode path bit-identical to the scalar pass for
     every decoder family; a decoder registered without a parity case is a
     decoder whose kernels can silently drift.  The rule requires each
     registry key to appear as a string literal inside some
@@ -60,7 +58,7 @@ class ContractParityTests(Rule):
 
     name = "contract-parity-tests"
     scope = "repo"
-    description = "every DECODER_BUILDERS entry has a backend-parity case in tests/test_kernels.py"
+    description = "every DECODER_BUILDERS entry has a kernel-parity case in tests/test_kernels.py"
 
     def check_repo(self, ctx: LintContext) -> list:
         """Cross-check DECODER_BUILDERS keys against the parity-test file."""
@@ -113,106 +111,7 @@ class ContractParityTests(Rule):
                     self.finding(
                         ctx, builders_path, key_node,
                         f"decoder {key!r} has no parametrized case in {tests_path}; "
-                        "add it to the backend-parity matrix before registering",
-                    )
-                )
-        return findings
-
-
-class ContractBackendRegistry(Rule):
-    """Every kernel backend honours the availability/fallback protocol.
-
-    A backend declaring a soft dependency (``fallback`` set) must define
-    its own ``available()`` — inheriting the base's unconditional ``True``
-    would make the fallback chain dead code and the degradation warning a
-    lie.  A backend without a fallback must be the terminal ``python``
-    reference; anything else strands ``resolve()`` when its dependency is
-    missing.  Every backend also needs its own non-empty ``name``.
-    """
-
-    name = "contract-backend-registry"
-    scope = "repo"
-    description = "kernel backends define available()/fallback per the registry protocol"
-
-    #: the always-available scalar reference — the one legal chain terminal
-    TERMINAL = "python"
-
-    def check_repo(self, ctx: LintContext) -> list:
-        """Check every backend class for the name/available/fallback protocol."""
-        path = ctx.config["backends_module"]
-        tree = ctx.tree(path)
-        if tree is None:
-            return [self.finding(ctx, path, 1, "cannot parse the backend registry module")]
-        classes: dict[str, ast.ClassDef] = {
-            node.name: node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-        }
-
-        def in_lineage(cls: ast.ClassDef) -> bool:
-            for base in cls.bases:
-                base_name = dotted_name(base) or ""
-                tail = base_name.rsplit(".", 1)[-1]
-                if tail == "KernelBackend":
-                    return True
-                if tail in classes and in_lineage(classes[tail]):
-                    return True
-            return False
-
-        def own_and_inherited(cls: ast.ClassDef, want_attr: str, *, methods: bool):
-            """The class (self or in-file ancestor) body node defining an attr."""
-            for node in cls.body:
-                if methods and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if node.name == want_attr:
-                        return node
-                if not methods and isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    for t in targets:
-                        if isinstance(t, ast.Name) and t.id == want_attr:
-                            return node
-            for base in cls.bases:
-                tail = (dotted_name(base) or "").rsplit(".", 1)[-1]
-                if tail in classes:
-                    found = own_and_inherited(classes[tail], want_attr, methods=methods)
-                    if found is not None:
-                        return found
-            return None
-
-        findings = []
-        for cls in classes.values():
-            if not in_lineage(cls):
-                continue
-            name_node = own_and_inherited(cls, "name", methods=False)
-            backend_name = None
-            if name_node is not None:
-                backend_name = literal_str(name_node.value)
-            if not backend_name:
-                findings.append(
-                    self.finding(
-                        ctx, path, cls,
-                        f"backend class {cls.name} has no literal non-empty `name`; "
-                        "the registry keys on it",
-                    )
-                )
-                continue
-            fallback_node = own_and_inherited(cls, "fallback", methods=False)
-            available_node = own_and_inherited(cls, "available", methods=True)
-            if fallback_node is None and backend_name != self.TERMINAL:
-                findings.append(
-                    self.finding(
-                        ctx, path, cls,
-                        f"backend {backend_name!r} declares no `fallback`; every "
-                        f"non-{self.TERMINAL!r} backend must name where resolve() "
-                        "degrades to when its dependency is missing",
-                    )
-                )
-            if fallback_node is not None and available_node is None:
-                findings.append(
-                    self.finding(
-                        ctx, path, cls,
-                        f"backend {backend_name!r} sets `fallback` but never defines "
-                        "available(); the base's unconditional True makes the "
-                        "fallback chain unreachable",
+                        "add it to the kernel-parity matrix before registering",
                     )
                 )
         return findings

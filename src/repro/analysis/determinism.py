@@ -291,17 +291,11 @@ class DeterminismEnv(_DecodePathRule):
         return findings
 
 
-#: call origins that read an environment variable via their first argument
-_ENV_CALL_SUFFIXES = ("env_int", "env_float", "env_str")
-
-
 def env_read_sites(tree: ast.AST, aliases) -> list:
     """``(node, literal name or None)`` for every env read in the tree.
 
-    Covers ``os.environ.get/[...]``, ``os.getenv`` and the repo's
-    ``env_int``/``env_float``/``env_str`` helpers (resolved through import
-    aliases, so both ``from .._util import env_int`` and qualified
-    spellings count).  Shared with the env-docs contract rule.
+    Covers ``os.environ.get/[...]`` and ``os.getenv`` (resolved through
+    import aliases).  Shared with the env-docs contract rule.
     """
     sites = []
     for call in walk_calls(tree):
@@ -310,8 +304,6 @@ def env_read_sites(tree: ast.AST, aliases) -> list:
         if origin in ("os.getenv", "os.environ.get") or origin.endswith(
             (".environ.get",)
         ):
-            sites.append((call, literal_str(arg) if arg is not None else None))
-        elif origin.rsplit(".", 1)[-1] in _ENV_CALL_SUFFIXES:
             sites.append((call, literal_str(arg) if arg is not None else None))
     for node in ast.walk(tree):
         if isinstance(node, ast.Subscript):

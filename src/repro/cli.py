@@ -34,8 +34,8 @@ store and gives the same numbers.  The ``sweep`` subcommands drive the
 resumable orchestrator over a content-addressed result store (see
 ``docs/SWEEPS.md`` for the spec format and store layout); ``runs`` and
 ``sweep watch`` read the run ledger it records under ``runs/``.
-The decode-kernel backend is chosen with ``REPRO_DECODE_BACKEND`` or
-``sweep run --decode-backend``.
+The decode path is the host's: the C kernels when ``cc`` builds them, else
+the bit-identical scalar pass.
 """
 
 from __future__ import annotations
@@ -244,9 +244,7 @@ def _sweep_run(args) -> int:
         overrides["max_shots"] = args.max_shots
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.decode_backend is not None:
-        overrides["backend"] = args.decode_backend
-    # the spec validates itself (decoder and backend names included), so a
+    # the spec validates itself (field and decoder names included), so a
     # bad spec file or override fails here, before anything is decoded
     try:
         spec = SweepSpec.from_json(args.spec)
@@ -580,7 +578,6 @@ def _runs_show(args) -> int:
             "spec_digest",
             "store_salt",
             "seed",
-            "backend",
             "backend_resolved",
             "python",
             "platform",
@@ -759,13 +756,6 @@ def main(argv=None) -> int:
     )
     sweep_run.add_argument("--max-shots", type=int, default=None)
     sweep_run.add_argument("--seed", type=int, default=None)
-    sweep_run.add_argument(
-        "--decode-backend",
-        default=None,
-        metavar="NAME",
-        help="decode-kernel backend for this sweep (python/cext/auto);"
-        " bit-identical across backends, so stored records are unaffected",
-    )
     sweep_run.add_argument(
         "--trace",
         type=Path,

@@ -17,12 +17,11 @@ Layers on top of the base class:
   throughput statistics accumulated across batches (each batch decodes its
   own distinct syndromes; nothing is memoized between batches); used by the
   streaming LER pipeline (:mod:`repro.experiments.ler`).
-* :mod:`~repro.decoders.kernels` — decode-kernel backends for the
-  distinct-syndrome matrix: ``python`` (scalar reference) and ``cext`` (C
-  union-find built with the system compiler, plus batched predecode,
-  hierarchical and MWPM kernels; degrades to ``python`` without one).
-  Backends are bit-identical; select via ``REPRO_DECODE_BACKEND``, the CLI
-  ``--decode-backend`` flag, or the ``backend=`` arguments (docs/DECODERS.md).
+* :mod:`~repro.decoders.kernels` — whole-matrix kernels for the
+  distinct-syndrome matrix: the C union-find built with the system
+  compiler, plus batched predecode, hierarchical and MWPM kernels, bound
+  whenever the C library loads; without it the scalar pass runs.  Both
+  paths are bit-identical (docs/DECODERS.md).
 * Concrete decoders: :class:`UnionFindDecoder` (workhorse),
   :class:`MWPMDecoder` (accuracy reference), :class:`LookupTableDecoder`
   (exact within budget), :class:`PredecodedDecoder` (local pass in front of a

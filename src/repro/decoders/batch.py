@@ -7,7 +7,7 @@ an empty or tiny syndrome, so a 100k-shot batch contains only a few thousand
 * :func:`decode_words` — the one batch path, on the packed syndrome data
   plane (:mod:`repro.decoders.kernels.plane`): group identical ``uint64``
   detector rows (a C hash table, or a numpy ``lexsort``), decode the
-  distinct rows in one ``decode_rows(rows, counts)`` call (a backend
+  distinct rows in one ``decode_rows(rows, counts)`` call (a bound
   kernel, the decoder's ``_decode_rows`` hook, or the scalar per-row pass;
   only bool-row kernels get the distinct rows unpacked), and scatter the
   observable bitmasks back over the batch.  Predictions are bit-identical
@@ -22,15 +22,13 @@ an empty or tiny syndrome, so a 100k-shot batch contains only a few thousand
   predecoder's offload statistics).  There is no memo across batches: each
   batch decodes its own distinct rows, so the counters depend only on the
   sampled shots.
-* decode-kernel **backends** (:mod:`repro.decoders.kernels`) — the distinct-
-  syndrome matrix is decoded through a backend: ``python`` runs the scalar
-  per-syndrome pass, ``cext`` binds whole-matrix kernels for every stock
-  decoder family (the C union-find built with the system compiler, batched
-  predecode with matrix-form residual handoff, the hierarchical LUT
-  row-split, and the shared-Dijkstra MWPM kernel).  Both are bit-identical —
-  including decoder-side statistics such as
-  :class:`~repro.decoders.predecoder.PredecodeStats`; selection:
-  ``backend=`` argument > ``REPRO_DECODE_BACKEND`` > ``auto``.
+* decode **kernels** (:mod:`repro.decoders.kernels`) — when the host's C
+  library loads, every stock decoder family gets a whole-matrix kernel (the
+  C union-find built with the system compiler, batched predecode with
+  matrix-form residual handoff, the hierarchical LUT row-split, and the
+  shared-Dijkstra MWPM kernel); without it the scalar per-syndrome pass
+  runs.  Both paths are bit-identical — including decoder-side statistics
+  such as :class:`~repro.decoders.predecoder.PredecodeStats`.
 
 Decoder subclasses implement ``decode(detectors) -> int`` (an observable
 bitmask, limited to 64 observables by the matching graph) and inherit the
@@ -120,7 +118,7 @@ class Decoder:
     #: optional whole-matrix fast path: ``_decode_rows(rows, counts) -> masks``
     #: taking the full ``(distinct, num_detectors)`` bool matrix and per-row
     #: shot multiplicities, returning one observable bitmask per row.  Used
-    #: by the dedup path when no backend kernel is bound, so a subclass can
+    #: by the dedup path when no kernel is bound, so a subclass can
     #: vectorize across the whole distinct-syndrome set — e.g. the
     #: predecoder's batched local pass.
     _decode_rows = None
@@ -130,15 +128,9 @@ class Decoder:
         detectors: np.ndarray,
         *,
         dedup: bool = True,
-        backend: str | None = None,
     ) -> np.ndarray:
-        """Decode ``(shots, num_detectors)`` outcomes to ``(shots, nobs)`` bools.
-
-        ``backend`` names a decode-kernel backend (:mod:`repro.decoders.kernels`);
-        None resolves ``REPRO_DECODE_BACKEND`` and then ``auto``.  Backends
-        are bit-identical — they change wall time, never predictions.
-        """
-        return decode_batch_dedup(self, detectors, dedup=dedup, backend=backend)
+        """Decode ``(shots, num_detectors)`` outcomes to ``(shots, nobs)`` bools."""
+        return decode_batch_dedup(self, detectors, dedup=dedup)
 
 
 def _scalar_decode_rows(decoder, decode_one):
@@ -166,7 +158,6 @@ def decode_batch_dedup(
     *,
     dedup: bool = True,
     stats: BatchDecodeStats | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Dedup-and-scatter batch decode of bool rows around any decoder.
 
@@ -174,9 +165,7 @@ def decode_batch_dedup(
     num_detectors)`` outcomes into words and expands the per-shot
     observable masks to a ``(shots, num_observables)`` bool array.
     """
-    masks = decode_words(
-        decoder, _pack_rows(decoder, detectors), dedup=dedup, stats=stats, backend=backend
-    )
+    masks = decode_words(decoder, _pack_rows(decoder, detectors), dedup=dedup, stats=stats)
     return expand_obs_masks(masks, decoder.graph.num_observables)
 
 
@@ -200,7 +189,6 @@ def decode_words(
     *,
     dedup: bool = True,
     stats: BatchDecodeStats | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Observable bitmask per shot of a packed ``(shots, n_words)`` batch.
 
@@ -209,7 +197,7 @@ def decode_words(
     plain ``decode``).  With ``dedup=False`` this is the reference per-shot
     loop.  Otherwise identical rows are grouped on the words, and the
     distinct rows go to one ``decode_rows(rows, counts)`` call: the bound
-    backend kernel (see :mod:`repro.decoders.kernels`) — reading the words
+    kernel (see :mod:`repro.decoders.kernels`) — reading the words
     directly when it has a ``decode_packed`` method — else the decoder's
     ``_decode_rows`` hook, else the scalar per-row pass.  Only kernels that
     take bool rows get the distinct rows unpacked.
@@ -245,11 +233,11 @@ def decode_words(
             stats.decode_calls += shots
         return masks
 
-    # one call for every distinct syndrome: a backend kernel, else the
+    # one call for every distinct syndrome: a bound kernel, else the
     # decoder's own whole-matrix hook (e.g. the vectorized predecoder), else
     # the scalar per-row pass
     args = {}
-    decode_rows = kernels.bind(decoder, backend)
+    decode_rows = kernels.bind(decoder)
     packed = getattr(decode_rows, "decode_packed", None)
     if packed is not None:
         decode_rows = packed
@@ -291,12 +279,9 @@ class BatchDecodingEngine:
         decoder,
         *,
         dedup: bool = True,
-        backend: str | None = None,
     ):
         self.decoder = decoder
         self.dedup = dedup
-        #: decode-kernel backend name (None: REPRO_DECODE_BACKEND, then auto)
-        self.backend = backend
         self.stats = BatchDecodeStats()
         #: the decoder's own counters for this engine's calls (a zeroed
         #: instance of the decoder's ``stats`` type), or None
@@ -312,13 +297,7 @@ class BatchDecodingEngine:
             else self.decoder.stats_into(self.decoder_stats)
         )
         with obs.stopwatch() as sw, tally:
-            out = decode_words(
-                self.decoder,
-                words,
-                dedup=self.dedup,
-                stats=self.stats,
-                backend=self.backend,
-            )
+            out = decode_words(self.decoder, words, dedup=self.dedup, stats=self.stats)
         self.stats.decode_seconds += sw.seconds
         return out
 

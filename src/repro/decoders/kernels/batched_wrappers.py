@@ -1,9 +1,9 @@
 """Batched kernels for the wrapped and hybrid decode paths.
 
-The ``cext`` backend decodes stock union-find with the C kernel
+When the C library loads, stock union-find decodes with the C kernel
 (:class:`~repro.decoders.kernels.cext.CextUnionFind`); the predecoder-
 wrapped, hierarchical and MWPM paths get the three composable kernels of
-this module, each honouring the backend contract (``kernel(rows, counts)
+this module, each honouring the kernel contract (``kernel(rows, counts)
 -> masks``, bit-identical to the decoder's scalar pass):
 
 * :class:`BatchedPredecode` — the decoder's own whole-matrix pass
@@ -24,8 +24,8 @@ this module, each honouring the backend contract (``kernel(rows, counts)
   own source node, so the assembled tables — and hence the matchings — are
   bit-identical to the scalar pass.
 
-The inner-kernel composition is recursive: the backend binds
-``decoder.slow`` through itself, so e.g. a predecoder wrapping MWPM gets
+The inner-kernel composition is recursive: :func:`~repro.decoders.kernels.bind`
+binds ``decoder.slow`` through itself, so e.g. a predecoder wrapping MWPM gets
 ``BatchedPredecode(inner=BatchedMWPM)`` and a hierarchical decoder over
 union-find gets ``BatchedHierarchical(inner=CextUnionFind)``.
 """
@@ -50,10 +50,9 @@ def _check_rows(rows: np.ndarray, num_detectors: int) -> np.ndarray:
 class _BoundKernel:
     """Base for kernels bound to one decoder instance.
 
-    Holds the decoder strongly.  Backends cache bound kernels *on the
-    decoder* (see ``CextBackend.bind``), so decoder and kernel form an
-    ordinary reference cycle the garbage collector reclaims together —
-    a process-lifetime backend singleton never pins either.
+    Holds the decoder strongly.  :func:`~repro.decoders.kernels.bind`
+    caches bound kernels *on the decoder*, so decoder and kernel form an
+    ordinary reference cycle the garbage collector reclaims together.
     """
 
     def __init__(self, decoder):

@@ -1,4 +1,4 @@
-"""The ``cext`` backend's kernel: ``uf.c`` built on first use, bound via ctypes.
+"""The C decode path: ``uf.c`` built on first use, bound via ctypes.
 
 ``uf.c`` (shipped next to this module) is a per-row transcription of
 :class:`~repro.decoders.unionfind.UnionFindDecoder`'s growth and peel in
@@ -20,8 +20,8 @@ bit-identical to Python's) and loads it with :mod:`ctypes`:
 * when the cache directory is not writable the library is built into a
   per-process temporary directory instead (removed right after loading);
 * with no ``cc`` on ``PATH``, or a failing compile, :func:`library`
-  returns None, the backend reports unavailable, and selection degrades
-  to ``python`` with the registry's one-time warning.
+  returns None and every decoder runs its scalar pass
+  (:func:`repro.decoders.kernels.bind` binds nothing).
 
 :class:`CextUnionFind` is stateless between calls: the C kernel allocates
 its scratch per call and ctypes releases the GIL around it, so one kernel
@@ -174,7 +174,7 @@ class CextUnionFind:
         if lib is None:
             raise RuntimeError(
                 "the C union-find kernel is unavailable (no `cc` on PATH, or "
-                "the build failed); use the python backend"
+                "the build failed)"
             )
         graph = decoder.graph
         indptr, eids = graph.adjacency()

@@ -281,7 +281,7 @@ class PredecodedDecoder(Decoder):
         multiplicities ``counts``, as in :meth:`_decode_one`; None counts
         each row once).  Only the rows that survive the local pass reach
         the slow decoder: through ``inner``, the slow decoder's bound
-        kernel, as one matrix when given (the ``cext`` backend's
+        kernel, as one matrix when given (the C path's
         :class:`~repro.decoders.kernels.BatchedPredecode`), else one
         ``slow.decode`` per residual row.
         """

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from .._util import env_str, resolve_rng
+from .._util import resolve_rng
 from ..codes.surgery import SurgerySpec, surgery_experiment
 from ..core.policies import SyncScenario, _BasePolicy, policy_fields
+from ..decoders import kernels
 from ..decoders.batch import BatchDecodingEngine
 from ..decoders.graph import MatchingGraph, build_matching_graph
 from ..decoders.hierarchical import HierarchicalDecoder
@@ -44,7 +45,6 @@ __all__ = [
     "prepared_pipeline",
     "pipeline_analysis_count",
     "clear_pipeline_cache",
-    "DECODE_DEFAULTS",
     "BATCH_STAT_KEYS",
     "DECODER_BUILDERS",
     "decoder_store_identity",
@@ -78,14 +78,6 @@ BATCH_STAT_KEYS = (
     "decode_seconds",
 )
 
-#: process-wide decode-engine defaults, overridable per call; read once from
-#: ``REPRO_DECODE_BACKEND``
-DECODE_DEFAULTS: dict = {
-    # decode-kernel backend (repro.decoders.kernels): "auto" picks the
-    # fastest available; every backend is bit-identical to "python"
-    "backend": env_str("REPRO_DECODE_BACKEND", "auto"),
-}
-
 #: LUT storage budget of the "hierarchical" decoder (bytes)
 LUT_BYTES = 1 << 16
 
@@ -103,7 +95,7 @@ DECODER_BUILDERS: dict = {
 
 #: store-key identities of decoder names that differ from the bare name: the
 #: hierarchical decoder's predictions depend on its LUT budget, so its keys
-#: carry the budget (kernel backends are bit-identical and keyless)
+#: carry the budget (the C and scalar decode paths are bit-identical and keyless)
 _STORE_IDENTITIES = {"hierarchical": f"hierarchical[lut_bytes={LUT_BYTES}]"}
 
 
@@ -318,18 +310,17 @@ def run_surgery_ler(
     batch_size: int = 65536,
     dedup: bool = True,
     decode_workers: int = 1,
-    backend: str | None = None,
     pipeline: "_Pipeline | None" = None,
 ) -> LerResult:
     """Sample and decode ``shots`` shots of one configuration, streaming.
 
     Batches of at most ``batch_size`` shots are sampled, decoded and reduced
     to failure counts immediately, so peak memory is independent of
-    ``shots``.  ``backend`` names a decode-kernel backend
-    (:mod:`repro.decoders.kernels`, default :data:`DECODE_DEFAULTS`);
-    backends are bit-identical, so this knob affects wall time only.
-    ``decode_workers`` must be 1: to decode on a thread pool, run the
-    configuration as a sweep point with ``run_sweep(workers=N)``.
+    ``shots``.  The host picks the decode path (:mod:`repro.decoders.kernels`:
+    the C kernels when they load, else the scalar pass; bit-identical), and
+    ``decode_stats["backend"]`` names the one that ran.  ``decode_workers``
+    must be 1: to decode on a thread pool, run the configuration as a sweep
+    point with ``run_sweep(workers=N)``.
 
     ``pipeline`` injects a pre-analyzed pipeline (from
     :func:`prepared_pipeline`), so a sweep's decode thread never analyzes a
@@ -342,11 +333,10 @@ def run_surgery_ler(
             f"decode_workers={decode_workers!r}: run_surgery_ler decodes "
             "serially; use run_sweep(workers=N) to decode on a thread pool"
         )
-    backend = DECODE_DEFAULTS["backend"] if backend is None else backend
     rng = resolve_rng(rng)
     pipe = pipeline if pipeline is not None else prepared_pipeline(config, policy)
     decoder_obj = pipe.decoder(decoder)
-    engine = BatchDecodingEngine(decoder_obj, dedup=dedup, backend=backend)
+    engine = BatchDecodingEngine(decoder_obj, dedup=dedup)
     nobs = pipe.dem.num_observables
     tracked = decoder_obj.graph.num_observables
     failures = np.zeros(nobs, dtype=np.int64)
@@ -363,11 +353,8 @@ def run_surgery_ler(
         failures += _count_failures(masks, obs_words, nobs, tracked)
     estimates = [RateEstimate(int(failures[k]), shots) for k in range(nobs)]
     stats = engine.stats
-    from ..decoders import kernels
-
     decode_stats = {
-        "backend": backend,
-        "backend_capabilities": sorted(kernels.capabilities(backend)),
+        "backend": kernels.backend(),
         "batches": stats.batches,
         "distinct_syndromes": stats.distinct_syndromes,
         "decode_calls": stats.decode_calls,

@@ -105,8 +105,6 @@ class SweepTask:
     #: (:func:`~repro.experiments.ler.prepared_pipeline`)
     pipeline: object
     decoder: str = "unionfind"
-    #: decode-kernel backend; None defers to DECODE_DEFAULTS
-    backend: str | None = None
 
 
 def _run_task(task: SweepTask) -> LerResult:
@@ -117,7 +115,6 @@ def _run_task(task: SweepTask) -> LerResult:
         task.shots,
         task.seed,
         decoder=task.decoder,
-        backend=task.backend,
         pipeline=task.pipeline,
     )
     # which thread decoded this batch — run-ledger provenance only.  Not in

@@ -149,11 +149,6 @@ class SweepSpec:
     t_pp_ns: float | None = None
     base_rounds: int | None = None
     decoder: str = "unionfind"
-    #: decode-kernel backend (repro.decoders.kernels).  Deliberately *not*
-    #: part of the point key: backends are bit-identical, so records decoded
-    #: under different backends are interchangeable.  Carried on every batch
-    #: task, so every batch of a point decodes through the same backend.
-    backend: str | None = None
     seed: int = 2025
     #: shots decoded (and checkpointed) per batch; part of every point key
     batch_shots: int = 5000
@@ -184,11 +179,6 @@ class SweepSpec:
             raise ValueError(
                 f"unknown decoder {self.decoder!r}; known: "
                 f"{', '.join(sorted(_ler.DECODER_BUILDERS))}"
-            )
-        if self.backend not in (None, "auto", *kernels.names()):
-            raise ValueError(
-                f"unknown decode backend {self.backend!r}; known: "
-                f"{', '.join(['auto', *kernels.names()])}"
             )
 
     @classmethod
@@ -262,8 +252,8 @@ class SweepPoint:
 
         The decoder enters via :func:`~repro.experiments.ler.
         decoder_store_identity`, which folds prediction-affecting decoder
-        knobs (the hierarchical LUT budget) into the key; backends stay
-        keyless because they are bit-identical.
+        knobs (the hierarchical LUT budget) into the key; the decode path stays
+        keyless because the C and scalar paths are bit-identical.
         """
         return point_key(
             self.config,
@@ -517,7 +507,6 @@ class _SweepRun:
             shots=self.spec.batch_shots,
             seed=self._batch_seed(key, index),
             decoder=pt.decoder,
-            backend=self.spec.backend,
             pipeline=pipeline,
         )
 
@@ -583,10 +572,7 @@ class _SweepRun:
                 f"of {pt.policy_name} d={pt.config.distance} has {nobs} "
                 "observable(s)"
             )
-        backend = spec.backend
-        if backend is None:
-            backend = _ler.DECODE_DEFAULTS["backend"]
-        kernels.bind(pipe.decoder(pt.decoder), backend)
+        kernels.bind(pipe.decoder(pt.decoder))
 
         if record is None:
             record = _fresh_record(spec, pt, key, nobs)

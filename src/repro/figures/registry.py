@@ -3,8 +3,7 @@
 This is the one figure layer (docs/FIGURES.md).  Every paper figure/table
 the repo reproduces is one :class:`FigureSpec` entry in
 :data:`FIGURE_BUILDERS` — the same name -> builder registry shape as
-``repro.experiments.ler.DECODER_BUILDERS``, the kernel backend registry and
-the lint-rule registry.  A spec bundles:
+``repro.experiments.ler.DECODER_BUILDERS`` and the lint-rule registry.  A spec bundles:
 
 * identity — the canonical name (``fig14_ibm``, ``table2``, ...), the paper
   anchor it reproduces and a one-line title;

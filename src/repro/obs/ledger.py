@@ -11,10 +11,11 @@ under ``runs/`` inside the result store it writes to::
         events.jsonl      append-only event log, one JSON object per line
 
 The **manifest** answers "what produced the records in this store": spec
-digest + full spec dict, ``STORE_SALT``, decode backend and its capability
-flags, workers/speculate, python/platform, a snapshot of every ``REPRO_*``
-environment knob, and — once the run finishes — the exit status, report
-summary and final :mod:`repro.obs` metrics snapshot.
+digest + full spec dict, ``STORE_SALT``, the decode path the host runs
+(``backend_resolved``: ``cext`` or ``python``), workers/speculate,
+python/platform, a snapshot of every ``REPRO_*`` environment knob, and —
+once the run finishes — the exit status, report summary and final
+:mod:`repro.obs` metrics snapshot.
 
 The **event log** answers "what happened, when": run start/finish, point
 started/converged/store-served, every batch decoded/replayed/overshot (with
@@ -150,14 +151,12 @@ def sweep_manifest(spec, *, workers: int = 1, speculate: int = 0) -> dict:
     the store back at module level).
     """
     from ..decoders import kernels
-    from ..experiments.ler import DECODE_DEFAULTS
     from ..store.keys import STORE_SALT
 
     spec_dict = spec.to_dict()
     digest = hashlib.sha256(
         json.dumps(spec_dict, sort_keys=True, default=str).encode()
     ).hexdigest()
-    backend = spec.backend or DECODE_DEFAULTS["backend"]
     return {
         "schema": RUN_SCHEMA,
         "run_id": None,
@@ -170,10 +169,7 @@ def sweep_manifest(spec, *, workers: int = 1, speculate: int = 0) -> dict:
         "store_salt": STORE_SALT,
         "workers": int(workers),
         "speculate": int(speculate),
-        "backend": backend,
-        "backend_resolved": kernels.resolve(backend).name,
-        "backend_capabilities": sorted(kernels.capabilities(backend)),
-        "backends_available": kernels.available(),
+        "backend_resolved": kernels.backend(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),

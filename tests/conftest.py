@@ -2,11 +2,10 @@
 
 Besides the noise-model fixtures, this exposes the decoder-test *fixture
 factory* of ``factories.py`` (cached surface-code cases, DEM/chain
-matching-graph constructors, dense random syndrome generators) and the
-ordered decode-backend list.  The kernel parity matrix
-(``test_kernels.py``), the cross-decoder contract suite
-(``test_decoder_contract.py``) and the per-decoder test modules all build
-their cases through these factories instead of copy-pasted setup.
+matching-graph constructors, dense random syndrome generators).  The
+kernel parity matrix (``test_kernels.py``), the cross-decoder contract
+suite (``test_decoder_contract.py``) and the per-decoder test modules all
+build their cases through these factories instead of copy-pasted setup.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ def surface_case():
 
 @pytest.fixture(scope="session")
 def parity_grid():
-    """The backend parity matrix's (d, p) grid: point -> (graph, det)."""
+    """The kernel parity matrix's (d, p) grid: point -> (graph, det)."""
     return {
         (d, p): build_surface_case(d, p, shots, seed)[:2]
         for (d, p), (shots, seed) in PARITY_GRID_POINTS.items()
@@ -55,14 +54,6 @@ def chain_graph():
 def dense_syndromes():
     """Factory fixture for :func:`build_dense_syndromes`."""
     return build_dense_syndromes
-
-
-@pytest.fixture
-def backend_names():
-    """Registered decode-backend names, reference (``python``) first."""
-    from repro.decoders import kernels
-
-    return ["python"] + [n for n in kernels.names() if n != "python"]
 
 
 @pytest.fixture

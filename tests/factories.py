@@ -3,8 +3,8 @@
 Cached surface-code ``(graph, detector samples)`` cases over a ``(d, p)``
 grid, DEM/chain matching-graph constructors, seeded random hand-built DEMs,
 the DEM of the benchmark's d=9 cold point, dense random syndrome
-generators and a context that runs the packed data plane without its C
-library.  They live in their own module so test modules can import them
+generators, a context that runs the packed data plane without its C
+library, and the pair of decode paths the parity tests compare.  They live in their own module so test modules can import them
 directly: ``conftest`` is not a unique module name once ``benchmarks/``
 has a conftest too.
 """
@@ -151,3 +151,8 @@ def numpy_plane():
     """The data plane with no C library: the numpy fallbacks run."""
     with mock.patch.object(cext, "library", lambda: None):
         yield
+
+
+#: the decode paths a parity test compares, scalar reference first: the
+#: scalar pass with no C library, then whatever path this host runs
+DECODE_PATHS = (("python", numpy_plane), ("host", contextlib.nullcontext))

@@ -54,7 +54,6 @@ def oracle_record(spec: SweepSpec, pt: SweepPoint) -> dict:
             spec.batch_shots,
             np.random.SeedSequence(entropy, spawn_key=spawn_key),
             decoder=pt.decoder,
-            backend=spec.backend,
         )
         record["failures"] = [
             a + e.successes for a, e in zip(record["failures"], result.estimates)

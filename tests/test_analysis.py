@@ -66,7 +66,7 @@ def marker_map(path: Path) -> dict:
 def test_registry_names_and_available():
     names = analysis.names()
     assert names == sorted(names)
-    assert len(names) == 13
+    assert len(names) == 12
     assert analysis.available() == names
     for family in ("determinism-time", "contract-parity-tests", "salt-drift"):
         assert family in names
@@ -146,19 +146,6 @@ def test_determinism_rules_ignore_files_outside_decode_path():
         "hygiene-mutable-default",
         "hygiene-bare-except",
     }
-
-
-def test_backend_registry_contract_fixture():
-    report = run_lint(
-        ["tests/analysis_fixtures/clean_decode.py"],
-        root=REPO,
-        only=["contract-backend-registry"],
-        config={"backends_module": "tests/analysis_fixtures/bad_backends.py"},
-    )
-    expected = marker_map(FIXTURES / "bad_backends.py")["contract-backend-registry"]
-    assert {f.line for f in report.findings} == expected
-    joined = " ".join(f.message for f in report.findings)
-    assert "available" in joined and "fallback" in joined and "name" in joined
 
 
 # ------------------------------------------------------------ findings API
@@ -352,7 +339,7 @@ def test_mutation_undocumented_env_knob_fails(tmp_path):
     box = make_sandbox(tmp_path)
     ler = box / "src" / "repro" / "experiments" / "ler.py"
     ler.write_text(
-        ler.read_text() + '\nUNDOC_PROBE = env_int("REPRO_UNDOCUMENTED_PROBE", 0)\n'
+        ler.read_text() + '\nUNDOC_PROBE = os.environ.get("REPRO_UNDOCUMENTED_PROBE")\n'
     )
     report = run_lint(root=box, only=["contract-env-docs"])
     assert any("REPRO_UNDOCUMENTED_PROBE" in f.message for f in report.findings)

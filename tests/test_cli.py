@@ -126,18 +126,6 @@ def test_sweep_gc_dry_run_then_prune(capsys, tmp_path, sweep_spec_file):
     assert key not in store
 
 
-def test_sweep_run_decode_backend_override(capsys, tmp_path, sweep_spec_file):
-    store = tmp_path / "store"
-    assert (
-        cli.main(
-            ["sweep", "run", str(sweep_spec_file), "--store", str(store),
-             "--decode-backend", "python"]
-        )
-        == 0
-    )
-    assert '"shots_decoded": 800' in capsys.readouterr().out
-
-
 def test_sweep_export_seed_override_matches_seeded_run(capsys, tmp_path, sweep_spec_file):
     store = tmp_path / "store"
     cli.main(["sweep", "run", str(sweep_spec_file), "--store", str(store), "--seed", "99"])
@@ -151,23 +139,14 @@ def test_sweep_export_seed_override_matches_seeded_run(capsys, tmp_path, sweep_s
     assert '"status": "ok"' in capsys.readouterr().out
 
 
-def test_sweep_run_decode_backend_unknown_is_clean_error(capsys, tmp_path, sweep_spec_file):
-    rc = cli.main(
-        ["sweep", "run", str(sweep_spec_file), "--store", str(tmp_path / "s"),
-         "--decode-backend", "fortran"]
-    )
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "unknown decode backend" in err
-    assert "Traceback" not in err  # a clear error, not a crash
-    # nothing was decoded or stored before the rejection
-    assert not (tmp_path / "s").exists()
-    # a spec file naming an unknown backend is rejected the same way
+def test_sweep_run_spec_naming_a_backend_is_clean_error(capsys, tmp_path, sweep_spec_file):
+    # the host picks the decode path: a spec file that still names a backend
+    # fails the unknown-field check before anything is decoded or stored
     spec = json.loads(sweep_spec_file.read_text())
-    sweep_spec_file.write_text(json.dumps({**spec, "backend": "numpy"}))
+    sweep_spec_file.write_text(json.dumps({**spec, "backend": "python"}))
     rc = cli.main(["sweep", "run", str(sweep_spec_file), "--store", str(tmp_path / "s")])
-    assert rc == 2
-    assert "unknown decode backend 'numpy'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (rc, "unknown SweepSpec field(s): backend" in err) == (2, True), err
     assert not (tmp_path / "s").exists()
 
 

@@ -6,10 +6,11 @@ edge owns a distinct bit and a prediction bitmask IS the chosen correction's
 edge set (mod 2).  That turns "the decoder returned a valid correction" into
 linear algebra — the selected edges' incidence sum must reproduce the input
 syndrome exactly (defect parity preservation; the boundary absorbs the
-rest).  On top of that, every decoder x backend pair must:
+rest).  On top of that, every decoder, on the scalar path (no C library,
+``factories.numpy_plane()``) and on the host's own path, must:
 
 * return ``(shots, num_observables)`` bool predictions,
-* be bit-identical across backends and across dedup on/off,
+* be bit-identical across the two paths and across dedup on/off,
 * be invariant under row duplication and permutation (metamorphic), and
 * for the predecoded path, equal the manual predecode -> decode -> XOR
   composition, with offload statistics matching the scalar reference.
@@ -20,7 +21,7 @@ Everything is seeded: a failure reproduces from the printed parameters.
 import numpy as np
 import pytest
 
-from factories import build_dem_graph, build_dense_syndromes
+from factories import DECODE_PATHS, build_dem_graph, build_dense_syndromes
 from repro.decoders import (
     BatchDecodingEngine,
     LookupTableDecoder,
@@ -95,20 +96,20 @@ def assert_valid_correction(graph, det: np.ndarray, pred: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the fundamental contract: shape, validity, backend identity
+# the fundamental contract: shape, validity, decode-path identity
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 @pytest.mark.parametrize("decoder_name", DECODERS)
-def test_correction_preserves_defect_parity(decoder_name, seed, backend_names):
+def test_correction_preserves_defect_parity(decoder_name, seed):
     graph = random_matching_graph(seed)
     density = [0.05, 0.15, 0.4][seed % 3]
     det = build_dense_syndromes(graph, 150, density, seed=1000 + seed)
     reference = None
-    for backend in backend_names:
-        decoder = _build(decoder_name, graph)
-        out = decoder.decode_batch(det, backend=backend)
+    for backend, path in DECODE_PATHS:
+        with path():
+            out = _build(decoder_name, graph).decode_batch(det)
         assert out.shape == (det.shape[0], graph.num_observables)
         assert out.dtype == np.bool_
         assert_valid_correction(graph, det, out)
@@ -120,34 +121,30 @@ def test_correction_preserves_defect_parity(decoder_name, seed, backend_names):
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS[:3])
 @pytest.mark.parametrize("decoder_name", DECODERS)
-def test_dedup_vs_no_dedup_bit_identity(decoder_name, seed, backend_names):
+def test_dedup_vs_no_dedup_bit_identity(decoder_name, seed):
     graph = random_matching_graph(seed)
     det = build_dense_syndromes(graph, 120, 0.2, seed=2000 + seed)
     scalar = _build(decoder_name, graph).decode_batch(det, dedup=False)
-    for backend in backend_names:
-        dedup = _build(decoder_name, graph).decode_batch(
-            det, dedup=True, backend=backend
-        )
+    for backend, path in DECODE_PATHS:
+        with path():
+            dedup = _build(decoder_name, graph).decode_batch(det, dedup=True)
         assert np.array_equal(dedup, scalar), (decoder_name, seed, backend)
 
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS[:3])
-def test_decode_batch_invariant_under_duplication_and_permutation(
-    seed, backend_names
-):
+def test_decode_batch_invariant_under_duplication_and_permutation(seed):
     graph = random_matching_graph(seed)
     det = build_dense_syndromes(graph, 80, 0.25, seed=3000 + seed)
     rng = np.random.default_rng(seed)
     doubled = np.concatenate([det, det[::-1]])
     perm = rng.permutation(det.shape[0])
-    for backend in backend_names:
-        base = _build("unionfind", graph).decode_batch(det, backend=backend)
-        twice = _build("unionfind", graph).decode_batch(doubled, backend=backend)
+    for _, path in DECODE_PATHS:
+        with path():
+            base = _build("unionfind", graph).decode_batch(det)
+            twice = _build("unionfind", graph).decode_batch(doubled)
+            shuffled = _build("unionfind", graph).decode_batch(det[perm])
         assert np.array_equal(twice[: det.shape[0]], base)
         assert np.array_equal(twice[det.shape[0] :], base[::-1])
-        shuffled = _build("unionfind", graph).decode_batch(
-            det[perm], backend=backend
-        )
         assert np.array_equal(shuffled, base[perm])
 
 
@@ -158,9 +155,7 @@ def test_decode_batch_invariant_under_duplication_and_permutation(
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS)
 @pytest.mark.parametrize("slow_name", ["unionfind", "mwpm"])
-def test_predecode_then_decode_equals_scalar_composition(
-    seed, slow_name, backend_names
-):
+def test_predecode_then_decode_equals_scalar_composition(seed, slow_name):
     graph = random_matching_graph(seed)
     det = build_dense_syndromes(graph, 100, 0.15, seed=4000 + seed)
     pre = Predecoder(graph)
@@ -175,11 +170,12 @@ def test_predecode_then_decode_equals_scalar_composition(
     bits = np.left_shift(np.uint64(1), np.arange(nobs, dtype=np.uint64))
     expected_rows = (expected[:, None] & bits[None, :]) != 0
     ref_stats = None
-    for backend in backend_names:
+    for backend, path in DECODE_PATHS:
         wrapped = _build(
             "predecoded" if slow_name == "unionfind" else "predecoded-mwpm", graph
         )
-        out = wrapped.decode_batch(det, backend=backend)
+        with path():
+            out = wrapped.decode_batch(det)
         assert np.array_equal(out, expected_rows), (seed, slow_name, backend)
         if ref_stats is None:
             ref_stats = vars(wrapped.stats).copy()
@@ -193,7 +189,7 @@ def test_predecode_then_decode_equals_scalar_composition(
 
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS[:3])
-def test_lut_decoder_contract_on_enumerable_syndromes(seed, backend_names):
+def test_lut_decoder_contract_on_enumerable_syndromes(seed):
     graph = random_matching_graph(seed)
     lut = LookupTableDecoder(graph, max_errors=2)
     rng = np.random.default_rng(5000 + seed)
@@ -204,10 +200,9 @@ def test_lut_decoder_contract_on_enumerable_syndromes(seed, backend_names):
                 if node < graph.num_detectors:
                     det[i, node] ^= True
     reference = None
-    for backend in backend_names:
-        out = LookupTableDecoder(graph, max_errors=2).decode_batch(
-            det, backend=backend
-        )
+    for _, path in DECODE_PATHS:
+        with path():
+            out = LookupTableDecoder(graph, max_errors=2).decode_batch(det)
         assert_valid_correction(graph, det, out)
         if reference is None:
             reference = out
@@ -217,18 +212,19 @@ def test_lut_decoder_contract_on_enumerable_syndromes(seed, backend_names):
 
 
 # ---------------------------------------------------------------------------
-# engine-level contract: stats agree with predictions across backends
+# engine-level contract: stats agree with predictions on both decode paths
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("decoder_name", DECODERS)
-def test_engine_counters_identical_across_backends(decoder_name, backend_names):
+def test_engine_counters_identical_across_backends(decoder_name):
     graph = random_matching_graph(7)
     det = build_dense_syndromes(graph, 200, 0.1, seed=6000)
     reference = None
-    for backend in backend_names:
-        engine = BatchDecodingEngine(_build(decoder_name, graph), backend=backend)
-        engine.decode_batch(det)
+    for backend, path in DECODE_PATHS:
+        engine = BatchDecodingEngine(_build(decoder_name, graph))
+        with path():
+            engine.decode_batch(det)
         counters = vars(engine.stats).copy()
         counters.pop("decode_seconds")
         if reference is None:
@@ -243,7 +239,7 @@ def test_engine_counters_identical_across_backends(decoder_name, backend_names):
 
 
 @pytest.mark.parametrize("seed", GRAPH_SEEDS[:2])
-def test_nested_predecoder_inner_stats_match_scalar(seed, backend_names):
+def test_nested_predecoder_inner_stats_match_scalar(seed):
     """A predecoder wrapping a predecoder: the scalar pass reaches the inner
     decoder with multiplicity 1 per residual row, and the composed kernels
     must weight the inner offload statistics identically."""
@@ -251,10 +247,11 @@ def test_nested_predecoder_inner_stats_match_scalar(seed, backend_names):
     det = build_dense_syndromes(graph, 100, 0.2, seed=7000 + seed)
     det = np.concatenate([det, det[:40]])  # duplicated rows: dedup counts > 1
     reference = ref_outer = ref_inner = None
-    for backend in backend_names:
+    for backend, path in DECODE_PATHS:
         inner = PredecodedDecoder(graph, UnionFindDecoder(graph))
         outer = PredecodedDecoder(graph, inner)
-        out = outer.decode_batch(det, backend=backend)
+        with path():
+            out = outer.decode_batch(det)
         assert_valid_correction(graph, det, out)
         if reference is None:
             reference = out

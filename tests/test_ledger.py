@@ -194,7 +194,9 @@ def test_store_served_points_are_ledgered_not_decoded(tmp_path):
 
 
 def test_manifest_captures_run_provenance(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_DECODE_BACKEND", "auto")
+    from repro.decoders import kernels
+
+    monkeypatch.setenv("REPRO_RUN_LEDGER", "1")
     spec = _spec(max_shots=400)
     store = ResultStore(tmp_path / "s")
     report = run_sweep(spec, store, workers=1, speculate=0, ledger=True)
@@ -206,8 +208,10 @@ def test_manifest_captures_run_provenance(tmp_path, monkeypatch):
     assert manifest["seed"] == spec.seed
     assert len(manifest["spec_digest"]) == 64
     assert manifest["store_salt"]  # pinned to the store's key salt
-    assert manifest["backend_resolved"] in manifest["backends_available"]
-    assert manifest["env"]["REPRO_DECODE_BACKEND"] == "auto"
+    # the decode path that ran, and nothing about paths that did not
+    assert manifest["backend_resolved"] == kernels.backend()
+    assert not {"backend", "backend_capabilities", "backends_available"} & set(manifest)
+    assert manifest["env"]["REPRO_RUN_LEDGER"] == "1"
     # finished manifests carry the outcome
     assert manifest["status"] == "ok"
     assert manifest["summary"]["points"] == len(report.outcomes)

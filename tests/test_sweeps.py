@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from factories import numpy_plane
 from sweep_oracle import oracle_record
 
 from repro import cli, obs
-from repro.decoders import kernels
 from repro.experiments import ler as ler_module
 from repro.experiments.ler import SurgeryLerConfig, clear_pipeline_cache
 from repro.experiments.sweeps import (
@@ -505,40 +505,37 @@ def test_store_gc_rejects_negative_horizon(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# backend threading
+# decode paths on decode threads
 # ---------------------------------------------------------------------------
 
 
 def test_sweep_backend_is_bit_identical_and_reaches_workers(tmp_path):
     base = _spec(p=5e-3, max_shots=1500)
-    python_run = run_sweep(
-        dataclasses.replace(base, backend="python"), ResultStore(tmp_path / "py")
-    )
+    with numpy_plane():
+        python_run = run_sweep(base, ResultStore(tmp_path / "py"))
     clear_pipeline_cache()
-    cext_run = run_sweep(
-        dataclasses.replace(base, backend="cext"),
-        ResultStore(tmp_path / "c"),
-        workers=2,
-    )
-    a, b = python_run.outcomes[0].record, cext_run.outcomes[0].record
-    assert a["key"] == b["key"]  # backend is not part of the point key
+    host_run = run_sweep(base, ResultStore(tmp_path / "c"), workers=2)
+    a, b = python_run.outcomes[0].record, host_run.outcomes[0].record
+    assert a["key"] == b["key"]  # the decode path is not part of the point key
     assert a["failures"] == b["failures"]
     assert a["shots"] == b["shots"]
 
 
 @pytest.mark.parametrize("decoder", ["unionfind", "predecoded", "hierarchical", "mwpm"])
 def test_scalar_backend_sweep_on_decode_threads_matches_inline(tmp_path, decoder):
-    # the python backend runs every decoder's scalar pass, whose per-thread
-    # scratch must keep decode threads sharing one cached decoder apart
+    # without the C library every decoder runs its scalar pass, whose
+    # per-thread scratch must keep decode threads sharing one cached decoder
+    # apart
     spec = _spec(
         taus_ns=(500.0, 1000.0), p=5e-3, batch_shots=300, max_shots=1200,
-        backend="python", decoder=decoder,
+        decoder=decoder,
     )
-    inline = run_sweep(spec, ResultStore(tmp_path / "inline"), ledger=False)
-    clear_pipeline_cache()
-    threaded = run_sweep(
-        spec, ResultStore(tmp_path / "threads"), workers=2, speculate=2, ledger=False
-    )
+    with numpy_plane():
+        inline = run_sweep(spec, ResultStore(tmp_path / "inline"), ledger=False)
+        clear_pipeline_cache()
+        threaded = run_sweep(
+            spec, ResultStore(tmp_path / "threads"), workers=2, speculate=2, ledger=False
+        )
     for a, b in zip(inline.outcomes, threaded.outcomes):
         assert a.key == b.key
         assert a.record["failures"] == b.record["failures"]
@@ -548,26 +545,21 @@ def test_scalar_backend_sweep_on_decode_threads_matches_inline(tmp_path, decoder
 def test_sweep_under_missing_backend_produces_identical_records(
     tmp_path, monkeypatch
 ):
-    """Backend degradation must not leak into stored results.
+    """Degradation must not leak into stored results.
 
-    With the cext backend monkeypatched away, naming ``cext`` resolves
-    down the fallback chain to ``python`` — and the sweep's
-    stored records must be key-identical and content-identical to a
-    reference sweep pinned to ``python``.
+    With the C library monkeypatched away the host runs the scalar pass,
+    and the sweep's stored records must be key-identical and
+    content-identical to a reference sweep on the host's own path.
     """
-    from repro.decoders.kernels import CextBackend
+    from repro.decoders.kernels import cext
 
     base = _spec(p=5e-3, max_shots=1500)
-    reference = run_sweep(
-        dataclasses.replace(base, backend="python"), ResultStore(tmp_path / "ref")
-    )
+    reference = run_sweep(base, ResultStore(tmp_path / "ref"))
     clear_pipeline_cache()
-    monkeypatch.setattr(CextBackend, "available", lambda self: False)
-    degraded = run_sweep(
-        dataclasses.replace(base, backend="cext"), ResultStore(tmp_path / "deg")
-    )
+    monkeypatch.setattr(cext, "library", lambda: None)
+    degraded = run_sweep(base, ResultStore(tmp_path / "deg"))
     for a, b in zip(reference.outcomes, degraded.outcomes):
-        assert a.key == b.key  # backend never reaches the point key
+        assert a.key == b.key  # the decode path never reaches the point key
         assert a.record["failures"] == b.record["failures"]
         assert a.record["shots"] == b.record["shots"]
         assert a.record["batches"] == b.record["batches"]
@@ -576,15 +568,6 @@ def test_sweep_under_missing_backend_produces_identical_records(
 def test_sweep_spec_rejects_unknown_decoder():
     with pytest.raises(ValueError, match="unknown decoder"):
         _spec(decoder="no-such-decoder")
-
-
-@pytest.mark.parametrize("backend", ["nosuch", "numpy"])
-def test_sweep_spec_rejects_unknown_backend(backend):
-    """A bad backend fails at spec construction, not after circuit analysis."""
-    with pytest.raises(ValueError, match=f"unknown decode backend '{backend}'"):
-        _spec(backend=backend)
-    for known in (None, "auto", *kernels.names()):
-        assert _spec(backend=known).backend == known
 
 
 def test_sweep_runs_predecoded_decoder_through_the_store(tmp_path):

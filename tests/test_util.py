@@ -88,12 +88,3 @@ def test_pack_unpack_round_trip(args):
     arr = np.array(bits, dtype=bool)[None, :]
     assert np.array_equal(unpack_words(pack_words(arr), n), arr)
 
-
-def test_env_knobs(monkeypatch):
-    from repro._util import env_float, env_int
-
-    monkeypatch.setenv("REPRO_TEST_INT", "42")
-    monkeypatch.setenv("REPRO_TEST_FLOAT", "2.5")
-    assert env_int("REPRO_TEST_INT", 1) == 42
-    assert env_float("REPRO_TEST_FLOAT", 1.0) == 2.5
-    assert env_int("REPRO_MISSING", 7) == 7
