@@ -1,5 +1,6 @@
 """Circuit IR tests: validation, record tracking, composition."""
 
+import numpy as np
 import pytest
 
 from repro.stab import Circuit
@@ -79,6 +80,94 @@ def test_observable_requires_index():
         c.append("OBSERVABLE_INCLUDE", rec=[0])
     c.observable_include(2, [0])
     assert c.num_observables == 3
+
+
+def _one_measurement() -> Circuit:
+    c = Circuit()
+    c.append("R", [0])
+    c.append("M", [0])
+    return c
+
+
+@pytest.mark.parametrize(
+    "name, targets, args, kwargs, message",
+    [
+        ("FROBNICATE", [0], [], {}, "unknown instruction 'FROBNICATE'"),
+        ("CX", [0, 1, 2], [], {}, "CX needs an even, non-zero number of targets"),
+        ("DEPOLARIZE2", [], [0.1], {}, "DEPOLARIZE2 needs an even, non-zero number"),
+        ("CX", [0, 1, 2, 2], [], {}, r"CX cannot target a qubit pair \(q, q\)"),
+        ("H", [], [], {}, "H needs at least one target"),
+        ("MR", [0, 1, 0], [], {}, "MR cannot target the same qubit twice"),
+        ("X_ERROR", [0], [], {}, "X_ERROR takes 1 probability args, got 0"),
+        ("H", [0], [0.1], {}, "H takes 0 probability args, got 1"),
+        ("X_ERROR", [0], [1.5], {}, r"X_ERROR probabilities must lie in \[0, 1\]"),
+        ("X_ERROR", [0], [-0.1], {}, r"X_ERROR probabilities must lie in \[0, 1\]"),
+        (
+            "PAULI_CHANNEL_1",
+            [0],
+            [0.1, float("nan"), 0.1],
+            {},
+            r"PAULI_CHANNEL_1 probabilities must lie in \[0, 1\]",
+        ),
+        ("H", [-1], [], {}, "qubit targets must be non-negative"),
+        ("CX", [0, -2], [], {}, "qubit targets must be non-negative"),
+        ("X_ERROR", [3, -1], [0.1], {}, "qubit targets must be non-negative"),
+        (
+            "DETECTOR",
+            [],
+            [],
+            {"rec": [-1]},
+            "DETECTOR references measurement records that do not exist yet",
+        ),
+        (
+            "DETECTOR",
+            [],
+            [],
+            {"rec": [0, 1]},
+            "DETECTOR references measurement records that do not exist yet",
+        ),
+        (
+            "OBSERVABLE_INCLUDE",
+            [],
+            [],
+            {"rec": [1], "obs_index": 0},
+            "OBSERVABLE_INCLUDE references measurement records that do not exist yet",
+        ),
+        (
+            "OBSERVABLE_INCLUDE",
+            [],
+            [],
+            {"rec": [0]},
+            "OBSERVABLE_INCLUDE requires obs_index",
+        ),
+    ],
+)
+def test_every_rejection_keeps_its_message(name, targets, args, kwargs, message):
+    c = _one_measurement()
+    before = list(c.instructions)
+    with pytest.raises(ValueError, match=message):
+        c.append(name, targets, args, **kwargs)
+    # a rejected instruction leaves the circuit as it was
+    assert c.instructions == before
+    assert (c.num_qubits, c.num_measurements, c.num_detectors) == (1, 1, 0)
+
+
+def test_numpy_integer_targets_and_records_are_stored_as_int():
+    c = Circuit()
+    c.append("R", np.array([0, 1], dtype=np.int64))
+    recs = c.append("M", np.arange(2, dtype=np.int64))
+    c.append("PAULI_CHANNEL_1", np.array([1], dtype=np.int32), np.array([0.1, 0.0, 0.2]))
+    c.detector(np.array(recs, dtype=np.int64), coords=np.array([1, 2]))
+    c.observable_include(np.int64(1), np.array([1], dtype=np.int64))
+    for inst in c:
+        assert all(type(t) is int for t in inst.targets)
+        assert all(type(a) is float for a in inst.args)
+        assert all(type(r) is int for r in inst.rec)
+        assert all(type(x) is float for x in inst.coords)
+        assert type(inst.obs_index) is int
+    assert recs == [0, 1] and all(type(r) is int for r in recs)
+    assert c.detectors[0].rec == (0, 1) and c.num_qubits == 2
+    assert c.num_observables == 2 and type(c.num_qubits) is int
 
 
 def test_count_counts_per_application():
