@@ -52,7 +52,7 @@ class Plaquette:
 
     @property
     def data(self) -> tuple[Coord, ...]:
-        """Qubit index of the data qubit at ``coord``."""
+        """Coordinates of the plaquette's data qubits, in schedule order."""
         return tuple(c for c in self.slots if c is not None)
 
     @property

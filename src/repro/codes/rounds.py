@@ -15,6 +15,8 @@ across the six internal layer boundaries.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from ..noise.models import NoiseModel
 from ..stab.circuit import Circuit
 from ..timing.schedule import RoundIdle
@@ -26,13 +28,36 @@ __all__ = ["StabilizerRoundEmitter"]
 _NUM_GAPS = 6
 
 
+class _RoundLayers(NamedTuple):
+    """The qubit lists of one layout's round, identical in every round."""
+
+    #: ancillas sorted by plaquette position, and the X-basis ones
+    anc: list[int]
+    x_anc: list[int]
+    #: the four CX layers' (control, target) pair lists
+    cx: tuple[list[int], ...]
+    #: patch qubits idling through a Hadamard layer, each CX layer, readout
+    idle_h: list[int]
+    idle_cx: tuple[list[int], ...]
+    idle_readout: list[int]
+    #: plaquette positions in record order
+    order: tuple[tuple[int, int], ...]
+
+
 class StabilizerRoundEmitter:
-    """Emits stabilizer-measurement rounds for a set of plaquettes."""
+    """Emits stabilizer-measurement rounds for a set of plaquettes.
+
+    A layout's rounds differ only in their synchronization idles, so the
+    gate layers of each (plaquettes, patch qubits) pair are built on its
+    first round and replayed afterwards.  The cache lives on the emitter,
+    which builds one circuit over one registry.
+    """
 
     def __init__(self, circuit: Circuit, registry: QubitRegistry, noise: NoiseModel):
         self.circuit = circuit
         self.registry = registry
         self.noise = noise
+        self._layer_cache: dict[tuple, _RoundLayers] = {}
 
     # -- initialization -------------------------------------------------------
 
@@ -50,40 +75,29 @@ class StabilizerRoundEmitter:
 
     # -- one round ---------------------------------------------------------------
 
-    def emit_round(
-        self,
-        plaquettes: list[Plaquette],
-        patch_qubits: list[int],
-        idle: RoundIdle = RoundIdle(),
-    ) -> dict[tuple[int, int], int]:
-        """Emit one full syndrome round; returns plaquette pos -> record index."""
-        circuit, noise, reg = self.circuit, self.noise, self.registry
-        hw = noise.hardware
+    def _round_layers(
+        self, plaquettes: list[Plaquette], patch_qubits: list[int]
+    ) -> _RoundLayers:
+        """The gate layers of a round over ``plaquettes``, built once.
+
+        Keyed on the plaquette values, not their positions: a seam plaquette
+        can sit at a smaller patch's position with different slots.
+        """
+        key = (tuple(plaquettes), tuple(patch_qubits))
+        layers = self._layer_cache.get(key)
+        if layers is None:
+            layers = self._layer_cache[key] = self._build_layers(plaquettes, patch_qubits)
+        return layers
+
+    def _build_layers(self, plaquettes, patch_qubits) -> _RoundLayers:
+        # registry lookups run in the same order on every first round, so
+        # qubits get the same indices whether or not a layout was cached
+        reg = self.registry
         plaquettes = sorted(plaquettes, key=lambda p: p.pos)
         anc = [reg.ancilla(p.pos) for p in plaquettes]
         x_anc = [reg.ancilla(p.pos) for p in plaquettes if p.basis == "X"]
         patch_set = set(patch_qubits)
-        gap_ns = idle.intra_ns / _NUM_GAPS if idle.intra_ns > 0 else 0.0
-
-        if idle.pre_ns > 0:
-            noise.emit_idle(circuit, patch_qubits, idle.pre_ns)
-
-        def gap() -> None:
-            if gap_ns > 0:
-                noise.emit_idle(
-                    circuit, patch_qubits, gap_ns, structural=idle.intra_is_structural
-                )
-
-        def hadamard_layer() -> None:
-            if x_anc:
-                circuit.append("H", x_anc)
-                noise.emit_clifford1(circuit, x_anc)
-            inactive = sorted(patch_set - set(x_anc))
-            noise.emit_idle(circuit, inactive, hw.time_1q_ns, structural=True)
-            circuit.tick()
-            gap()
-
-        hadamard_layer()
+        cx, idle_cx = [], []
         for slot in range(4):
             pairs: list[int] = []
             active: set[int] = set()
@@ -97,26 +111,68 @@ class StabilizerRoundEmitter:
                 pairs.extend((ctrl, tgt))
                 active.add(a)
                 active.add(dqub)
+            cx.append(pairs)
+            idle_cx.append(sorted(patch_set - active))
+        return _RoundLayers(
+            anc=anc,
+            x_anc=x_anc,
+            cx=tuple(cx),
+            idle_h=sorted(patch_set - set(x_anc)),
+            idle_cx=tuple(idle_cx),
+            idle_readout=sorted(patch_set - set(anc)),
+            order=tuple(p.pos for p in plaquettes),
+        )
+
+    def emit_round(
+        self,
+        plaquettes: list[Plaquette],
+        patch_qubits: list[int],
+        idle: RoundIdle = RoundIdle(),
+    ) -> dict[tuple[int, int], int]:
+        """Emit one full syndrome round; returns plaquette pos -> record index."""
+        circuit, noise = self.circuit, self.noise
+        hw = noise.hardware
+        layers = self._round_layers(plaquettes, patch_qubits)
+        gap_ns = idle.intra_ns / _NUM_GAPS if idle.intra_ns > 0 else 0.0
+
+        if idle.pre_ns > 0:
+            noise.emit_idle(circuit, patch_qubits, idle.pre_ns)
+
+        def gap() -> None:
+            if gap_ns > 0:
+                noise.emit_idle(
+                    circuit, patch_qubits, gap_ns, structural=idle.intra_is_structural
+                )
+
+        def hadamard_layer() -> None:
+            if layers.x_anc:
+                circuit.append("H", layers.x_anc)
+                noise.emit_clifford1(circuit, layers.x_anc)
+            noise.emit_idle(circuit, layers.idle_h, hw.time_1q_ns, structural=True)
+            circuit.tick()
+            gap()
+
+        hadamard_layer()
+        for pairs, inactive in zip(layers.cx, layers.idle_cx):
             if pairs:
                 circuit.append("CX", pairs)
                 noise.emit_clifford2(circuit, pairs)
-            inactive = sorted(patch_set - active)
             noise.emit_idle(circuit, inactive, hw.time_2q_ns, structural=True)
             circuit.tick()
             gap()
         hadamard_layer()
 
         # measurement + reset of all ancillas; data idles through readout
+        anc = layers.anc
         noise.emit_measure_flip(circuit, anc, "Z")
         recs = circuit.append("MR", anc)
         noise.emit_reset_flip(circuit, anc, "Z")
-        inactive = sorted(patch_set - set(anc))
         noise.emit_idle(
-            circuit, inactive, hw.time_readout_ns + hw.time_reset_ns, structural=True
+            circuit, layers.idle_readout, hw.time_readout_ns + hw.time_reset_ns, structural=True
         )
         circuit.tick()
 
-        return {p.pos: recs[i] for i, p in enumerate(plaquettes)}
+        return dict(zip(layers.order, recs))
 
     # -- final transversal readout --------------------------------------------------
 

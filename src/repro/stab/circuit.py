@@ -16,12 +16,20 @@ Differences from Stim kept deliberately simple:
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .gates import GATES, GateKind
 
 __all__ = ["Instruction", "Circuit"]
+
+#: gate kinds whose targets are qubit pairs, and those that act per qubit
+_PAIR_KINDS = frozenset({GateKind.CLIFFORD_2, GateKind.NOISE_2})
+_SINGLE_KINDS = frozenset(
+    {GateKind.CLIFFORD_1, GateKind.RESET, GateKind.MEASURE, GateKind.NOISE_1}
+)
 
 
 @dataclass(frozen=True)
@@ -91,27 +99,30 @@ class Circuit:
         obs_index: int | None = None,
     ) -> list[int]:
         """Append one instruction; returns new measurement-record indices."""
-        if name not in GATES:
+        gate = GATES.get(name)
+        if gate is None:
             raise ValueError(f"unknown instruction {name!r}")
-        gate = GATES[name]
-        targets = tuple(int(t) for t in targets)
-        args = tuple(float(a) for a in args)
-        rec_t = tuple(int(r) for r in rec)
+        targets = tuple(map(int, targets))
+        args = tuple(map(float, args))
+        rec_t = tuple(map(int, rec))
         self._validate(name, gate, targets, args, rec_t)
 
         new_records: list[int] = []
-        if gate.kind == GateKind.MEASURE:
-            new_records = list(range(self.num_measurements, self.num_measurements + len(targets)))
-            self.num_measurements += len(targets)
-        if name == "DETECTOR":
-            self.detectors.append(DetectorInfo(rec_t, tuple(coords), basis))
-        if name == "OBSERVABLE_INCLUDE":
-            if obs_index is None:
-                raise ValueError("OBSERVABLE_INCLUDE requires obs_index")
-            self.num_observables = max(self.num_observables, int(obs_index) + 1)
-        if name == "QUBIT_COORDS":
-            for t in targets:
-                self.qubit_coords[t] = tuple(coords)
+        kind = gate.kind
+        if kind == GateKind.MEASURE:
+            start = self.num_measurements
+            self.num_measurements = start + len(targets)
+            new_records = list(range(start, self.num_measurements))
+        elif kind == GateKind.ANNOTATION:
+            if name == "DETECTOR":
+                self.detectors.append(DetectorInfo(rec_t, tuple(coords), basis))
+            elif name == "OBSERVABLE_INCLUDE":
+                if obs_index is None:
+                    raise ValueError("OBSERVABLE_INCLUDE requires obs_index")
+                self.num_observables = max(self.num_observables, int(obs_index) + 1)
+            elif name == "QUBIT_COORDS":
+                for t in targets:
+                    self.qubit_coords[t] = tuple(coords)
         if targets:
             self.num_qubits = max(self.num_qubits, max(targets) + 1)
 
@@ -121,7 +132,7 @@ class Circuit:
                 targets=targets,
                 args=args,
                 rec=rec_t,
-                coords=tuple(float(c) for c in coords),
+                coords=tuple(map(float, coords)),
                 basis=basis,
                 obs_index=-1 if obs_index is None else int(obs_index),
             )
@@ -129,16 +140,16 @@ class Circuit:
         return new_records
 
     def _validate(self, name, gate, targets, args, rec) -> None:
-        if gate.kind in (GateKind.CLIFFORD_2, GateKind.NOISE_2):
+        kind = gate.kind
+        if kind in _PAIR_KINDS:
             if len(targets) == 0 or len(targets) % 2 != 0:
                 raise ValueError(f"{name} needs an even, non-zero number of targets")
-            pairs = [(targets[i], targets[i + 1]) for i in range(0, len(targets), 2)]
-            if any(a == b for a, b in pairs):
+            if any(map(operator.eq, targets[::2], targets[1::2])):
                 raise ValueError(f"{name} cannot target a qubit pair (q, q)")
-        elif gate.kind in (GateKind.CLIFFORD_1, GateKind.RESET, GateKind.MEASURE, GateKind.NOISE_1):
+        elif kind in _SINGLE_KINDS:
             if len(targets) == 0:
                 raise ValueError(f"{name} needs at least one target")
-            if gate.kind != GateKind.NOISE_1 and len(set(targets)) != len(targets):
+            if kind != GateKind.NOISE_1 and len(set(targets)) != len(targets):
                 # the simulators apply each layer as one vectorized update,
                 # which would act once on a repeated qubit instead of twice
                 raise ValueError(f"{name} cannot target the same qubit twice")
@@ -146,18 +157,19 @@ class Circuit:
             raise ValueError(
                 f"{name} takes {gate.num_probabilities} probability args, got {len(args)}"
             )
-        if any(not 0.0 <= a <= 1.0 for a in args):
+        # min/max skip a NaN unless it comes first, so NaN is checked apart
+        if args and (min(args) < 0.0 or max(args) > 1.0 or any(map(math.isnan, args))):
             raise ValueError(f"{name} probabilities must lie in [0, 1]")
-        if any(t < 0 for t in targets):
+        if targets and min(targets) < 0:
             raise ValueError("qubit targets must be non-negative")
-        if name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
-            if any(r < 0 or r >= self.num_measurements for r in rec):
+        if rec and name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
+            if min(rec) < 0 or max(rec) >= self.num_measurements:
                 raise ValueError(f"{name} references measurement records that do not exist yet")
 
     # convenience wrappers -------------------------------------------------
 
     def tick(self) -> None:
-        """Advance the global clock by ``n`` ticks (1 ns each)."""
+        """Append a ``TICK``: the boundary between two gate layers."""
         self.append("TICK")
 
     def detector(

@@ -99,3 +99,67 @@ def test_measurement_record_order_is_position_sorted(setup):
     ordered = sorted(recs, key=lambda pos: pos)
     values = [recs[pos] for pos in ordered]
     assert values == sorted(values)
+
+
+def _round_stream(circuit, start):
+    return [(i.name, i.targets, i.args) for i in circuit.instructions[start:]]
+
+
+def test_replayed_rounds_match_rounds_built_from_scratch(setup):
+    layout, circuit, emitter, patch_qubits = setup
+    idles = [RoundIdle(), RoundIdle(pre_ns=80.0, intra_ns=120.0), RoundIdle(intra_ns=60.0)]
+    for idle in idles:
+        emitter.emit_round(layout.plaquettes, patch_qubits, idle)
+
+    fresh = Circuit()
+    for idle in idles:
+        # a new emitter per round has no cached layers to replay
+        StabilizerRoundEmitter(fresh, emitter.registry, emitter.noise).emit_round(
+            layout.plaquettes, patch_qubits, idle
+        )
+    assert _round_stream(circuit, 0) == _round_stream(fresh, 0)
+    assert circuit.num_measurements == fresh.num_measurements == 3 * len(layout.plaquettes)
+
+
+def test_layers_are_keyed_on_plaquette_values_not_positions():
+    # the merged patch has a weight-4 plaquette where the left patch has its
+    # weight-2 boundary check: same position, different slots
+    small = PatchLayout(0, 2, 3, vertical_basis="X")
+    merged = PatchLayout(0, 6, 3, vertical_basis="X")
+    by_pos = {p.pos: p for p in merged.plaquettes}
+    p_small = next(
+        p for p in small.plaquettes if p.pos in by_pos and by_pos[p.pos].slots != p.slots
+    )
+    p_big = by_pos[p_small.pos]
+    registry = QubitRegistry()
+    emitter = StabilizerRoundEmitter(Circuit(), registry, NoiseModel(hardware=GOOGLE, p=0.0))
+    patch_qubits = sorted(
+        {registry.data(c) for c in merged.data_coords()} | {registry.ancilla(p_big.pos)}
+    )
+    emitter.emit_round([p_small], patch_qubits)
+    start = len(emitter.circuit)
+    emitter.emit_round([p_big], patch_qubits)
+    cx = [i for i in emitter.circuit.instructions[start:] if i.name == "CX"]
+    assert sum(len(i.targets) // 2 for i in cx) == p_big.weight > p_small.weight
+
+
+def test_layer_cache_belongs_to_one_emitter(setup):
+    layout, circuit, emitter, patch_qubits = setup
+    emitter.emit_round(layout.plaquettes, patch_qubits)
+    # a second registry numbers the same qubits differently, so the same
+    # plaquettes and patch-qubit list must give other targets
+    other = QubitRegistry()
+    for p in reversed(layout.plaquettes):
+        other.ancilla(p.pos)
+    qubits = sorted(
+        {other.data(c) for c in layout.data_coords()}
+        | {other.ancilla(p.pos) for p in layout.plaquettes}
+    )
+    assert qubits == patch_qubits
+    c2 = Circuit()
+    StabilizerRoundEmitter(c2, other, emitter.noise).emit_round(layout.plaquettes, qubits)
+    (mr,) = [i for i in c2.instructions if i.name == "MR"]
+    assert mr.targets == tuple(
+        other.ancilla(p.pos) for p in sorted(layout.plaquettes, key=lambda p: p.pos)
+    )
+    assert _round_stream(c2, 0) != _round_stream(circuit, 0)

@@ -13,8 +13,10 @@ from factories import numpy_plane
 from sweep_oracle import oracle_record
 
 from repro import cli, obs
+from repro.core.policies import make_policy
+from repro.decoders import kernels
 from repro.experiments import ler as ler_module
-from repro.experiments.ler import SurgeryLerConfig, clear_pipeline_cache
+from repro.experiments.ler import SurgeryLerConfig, clear_pipeline_cache, run_surgery_ler
 from repro.experiments.sweeps import (
     PolicySpec,
     SweepSpec,
@@ -509,16 +511,52 @@ def test_store_gc_rejects_negative_horizon(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_backend_is_bit_identical_and_reaches_workers(tmp_path):
-    base = _spec(p=5e-3, max_shots=1500)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_c_library_gives_identical_records_and_lers(tmp_path, workers):
+    """Without the C library the host samples, dedups and decodes bit-identically.
+
+    One sweep and one ``run_surgery_ler`` run on the host's path, then again
+    with the C library patched away (the scalar pass, the numpy data plane
+    and the Python DEM walk).  Stored records and LER counts must agree, and
+    the decode path never reaches the point key.
+    """
+    cfg = SurgeryLerConfig(
+        distance=3, hardware=GOOGLE, policy_name="passive", tau_ns=1000.0, p=3e-3
+    )
+    spec = _spec(
+        policies=(PolicySpec("passive"), PolicySpec("active")),
+        p=5e-3,
+        batch_shots=300,
+        min_shots=300,
+        max_shots=1500,
+    )
+
+    def outcomes(store_dir):
+        clear_pipeline_cache()
+        ler = run_surgery_ler(cfg, make_policy("passive"), 3000, rng=3, batch_size=1000)
+        report = run_sweep(spec, ResultStore(store_dir), workers=workers)
+        records = {
+            o.key: (
+                o.record["key"],
+                o.record["failures"],
+                o.record["shots"],
+                o.record["batches"],
+                o.record["decode_stats"]["distinct_syndromes"],
+            )
+            for o in report.outcomes
+        }
+        return [e.successes for e in ler.estimates], ler.decode_stats, records
+
+    host = outcomes(tmp_path / "host")
     with numpy_plane():
-        python_run = run_sweep(base, ResultStore(tmp_path / "py"))
-    clear_pipeline_cache()
-    host_run = run_sweep(base, ResultStore(tmp_path / "c"), workers=2)
-    a, b = python_run.outcomes[0].record, host_run.outcomes[0].record
-    assert a["key"] == b["key"]  # the decode path is not part of the point key
-    assert a["failures"] == b["failures"]
-    assert a["shots"] == b["shots"]
+        assert kernels.backend() == "python"
+        scalar = outcomes(tmp_path / "python")
+    assert scalar[0] == host[0]
+    assert scalar[1]["distinct_syndromes"] == host[1]["distinct_syndromes"] > 0
+    assert scalar[1]["backend"] == "python"
+    assert scalar[2] == host[2]
+    assert len(host[2]) == 2 and all(k == r[0] for k, r in host[2].items())
+    assert all(r[1] and r[2] == 1500 for r in host[2].values())
 
 
 @pytest.mark.parametrize("decoder", ["unionfind", "predecoded", "hierarchical", "mwpm"])
@@ -540,29 +578,6 @@ def test_scalar_backend_sweep_on_decode_threads_matches_inline(tmp_path, decoder
         assert a.key == b.key
         assert a.record["failures"] == b.record["failures"]
         assert a.record["shots"] == b.record["shots"]
-
-
-def test_sweep_under_missing_backend_produces_identical_records(
-    tmp_path, monkeypatch
-):
-    """Degradation must not leak into stored results.
-
-    With the C library monkeypatched away the host runs the scalar pass,
-    and the sweep's stored records must be key-identical and
-    content-identical to a reference sweep on the host's own path.
-    """
-    from repro.decoders.kernels import cext
-
-    base = _spec(p=5e-3, max_shots=1500)
-    reference = run_sweep(base, ResultStore(tmp_path / "ref"))
-    clear_pipeline_cache()
-    monkeypatch.setattr(cext, "library", lambda: None)
-    degraded = run_sweep(base, ResultStore(tmp_path / "deg"))
-    for a, b in zip(reference.outcomes, degraded.outcomes):
-        assert a.key == b.key  # the decode path never reaches the point key
-        assert a.record["failures"] == b.record["failures"]
-        assert a.record["shots"] == b.record["shots"]
-        assert a.record["batches"] == b.record["batches"]
 
 
 def test_sweep_spec_rejects_unknown_decoder():
