@@ -84,14 +84,10 @@ class StabilizerRoundEmitter:
         can sit at a smaller patch's position with different slots.
         """
         key = (tuple(plaquettes), tuple(patch_qubits))
-        layers = self._layer_cache.get(key)
-        if layers is None:
-            layers = self._layer_cache[key] = self._build_layers(plaquettes, patch_qubits)
-        return layers
-
-    def _build_layers(self, plaquettes, patch_qubits) -> _RoundLayers:
-        # registry lookups run in the same order on every first round, so
-        # qubits get the same indices whether or not a layout was cached
+        if key in self._layer_cache:
+            return self._layer_cache[key]
+        # registry lookups run in the order the uncached round made them, so
+        # a layout's first round assigns the same qubit indices it always did
         reg = self.registry
         plaquettes = sorted(plaquettes, key=lambda p: p.pos)
         anc = [reg.ancilla(p.pos) for p in plaquettes]
@@ -113,7 +109,7 @@ class StabilizerRoundEmitter:
                 active.add(dqub)
             cx.append(pairs)
             idle_cx.append(sorted(patch_set - active))
-        return _RoundLayers(
+        layers = self._layer_cache[key] = _RoundLayers(
             anc=anc,
             x_anc=x_anc,
             cx=tuple(cx),
@@ -122,6 +118,7 @@ class StabilizerRoundEmitter:
             idle_readout=sorted(patch_set - set(anc)),
             order=tuple(p.pos for p in plaquettes),
         )
+        return layers
 
     def emit_round(
         self,

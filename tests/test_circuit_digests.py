@@ -121,7 +121,7 @@ CASES = {
     "css_memory-steane": _css_memory,
 }
 
-#: taken from the emitter that built each round from scratch
+#: circuit_digest of each case; a bit-exact synthesis change leaves every one unchanged
 DIGESTS = {
     "css_memory-steane": "08c840c515d1c5f9b57b5d95e68bb35b26a91da25babac084a1a34a8dda1c1fb",
     "memory-X": "512d12db242bbb48504b4a307fd1d525dd6e4fd90774634dd6e535603a9585af",
