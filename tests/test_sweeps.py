@@ -580,6 +580,29 @@ def test_scalar_backend_sweep_on_decode_threads_matches_inline(tmp_path, decoder
         assert a.record["shots"] == b.record["shots"]
 
 
+def test_sweep_under_missing_backend_produces_identical_records(
+    tmp_path, monkeypatch
+):
+    """Degradation must not leak into stored results.
+
+    With the C library monkeypatched away the host runs the scalar pass,
+    and the sweep's stored records must be key-identical and
+    content-identical to a reference sweep on the host's own path.
+    """
+    from repro.decoders.kernels import cext
+
+    base = _spec(p=5e-3, max_shots=1500)
+    reference = run_sweep(base, ResultStore(tmp_path / "ref"))
+    clear_pipeline_cache()
+    monkeypatch.setattr(cext, "library", lambda: None)
+    degraded = run_sweep(base, ResultStore(tmp_path / "deg"))
+    for a, b in zip(reference.outcomes, degraded.outcomes):
+        assert a.key == b.key  # the decode path never reaches the point key
+        assert a.record["failures"] == b.record["failures"]
+        assert a.record["shots"] == b.record["shots"]
+        assert a.record["batches"] == b.record["batches"]
+
+
 def test_sweep_spec_rejects_unknown_decoder():
     with pytest.raises(ValueError, match="unknown decoder"):
         _spec(decoder="no-such-decoder")
