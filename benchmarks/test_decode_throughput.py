@@ -25,15 +25,9 @@ configuration — d=7 at p=3e-3, where syndromes are heavy and dedup alone
 buys little — plus d=5, 9 and 11 at a tenth of the shots, asserting
 bit-identical predictions and, when the C kernel builds, a >= 2x ``cext``
 speedup.  Rows are keyed by the path that actually ran; a host without
-the C library records only ``python``.
-``test_wrapped_backend_throughput`` (marked ``slow``; needs a C compiler)
-races the *wrapped* paths on the same configuration: the predecoded and
-hierarchical decoders under their scalar fallback vs the ``cext``
-path's batched kernels (``BatchedPredecode`` / ``BatchedHierarchical``
-over the C union-find), asserting bit-identical predictions +
-``PredecodeStats`` and a >= 2x predecoded-path speedup.  Both write per-decoder sections of
-``benchmarks/results/decode_backends.json``, over :data:`BACKEND_SHOTS`
-shots.
+the C library records only ``python``.  It writes the ``unionfind``
+section of ``benchmarks/results/decode_backends.json``, over
+:data:`BACKEND_SHOTS` shots.
 """
 
 import time
@@ -41,19 +35,16 @@ from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
-import pytest
 
 from repro.codes import memory_experiment
 from repro.decoders import (
     BatchDecodingEngine,
-    HierarchicalDecoder,
-    PredecodedDecoder,
     UnionFindDecoder,
     build_matching_graph,
     kernels,
 )
 from repro.decoders.kernels import cext
-from repro.figures.bench import record, record_merge, run_once
+from repro.figures.bench import record, run_once
 from repro.noise import GOOGLE, NoiseModel
 from repro.stab import DemSampler, circuit_to_dem
 
@@ -395,7 +386,7 @@ def test_decode_backend_throughput(benchmark):
             f"{b} {point[f'{b}_shots_per_sec']:,.0f}/s" for b in row["backends_available"]
         )
         print(f"\nd={d}: {rates}   ({point['distinct_syndromes']} distinct rows)")
-    record_merge("decode_backends", {"unionfind": row})
+    record("decode_backends", {"unionfind": row})
 
     # regression floor, not the acceptance bar: the C kernel measures
     # ~30-38x here, so 2.0 only fails if the whole-matrix kernel stops
@@ -404,81 +395,3 @@ def test_decode_backend_throughput(benchmark):
     if "cext" in row["backends_available"]:
         assert row["cext_speedup_vs_python"] >= 2.0
 
-
-# ---------------------------------------------------------------------------
-# wrapped paths: predecoded / hierarchical scalar fallback vs batched kernels
-# ---------------------------------------------------------------------------
-
-
-def _bench_wrapped_backends(shots: int, seed: int) -> dict:
-    graph, det = _surface_case(7, shots, seed)
-
-    def _make(name):
-        if name == "predecoded":
-            return PredecodedDecoder(graph, UnionFindDecoder(graph))
-        return HierarchicalDecoder(
-            graph, lut_size_bytes=1 << 16, slow_decoder=UnionFindDecoder(graph)
-        )
-
-    sections = {}
-    for name in ("predecoded", "hierarchical"):
-        rates, predictions, engines = {}, {}, {}
-        repeats = {"python": 2, "cext": 3}
-        for backend in ("python", "cext"):
-            # decoder built once per backend, outside the timed region:
-            # construction (LUT enumeration) and kernel binding are one-time
-            # costs a streaming pipeline amortizes away, and timing them
-            # would dilute the backend contrast
-            decoder = _make(name)
-
-            def _run(decoder=decoder, backend=backend):
-                # predecode statistics accumulate on the engine, so the last
-                # repeat's engine describes exactly one cold batch
-                engine = BatchDecodingEngine(decoder, dedup=True)
-                engines[backend] = engine
-                return engine.decode_batch(det)
-
-            with _decode_path(backend):
-                _run()  # warm the bound kernels (jit, BatchedMWPM Dijkstra rows)
-                rates[backend], predictions[backend] = _best_rate(
-                    _run, det.shape[0], repeats=repeats[backend]
-                )
-
-        assert np.array_equal(predictions["python"], predictions["cext"]), (
-            f"the cext path must be bit-identical to python for {name}"
-        )
-        if name == "predecoded":
-            assert vars(engines["python"].decoder_stats) == vars(
-                engines["cext"].decoder_stats
-            )
-        sections[name] = {
-            "config": {"decoder": name, "distance": 7, "p": 3e-3, "shots": shots},
-            "python_shots_per_sec": rates["python"],
-            "cext_shots_per_sec": rates["cext"],
-            "cext_speedup_vs_python": rates["cext"] / rates["python"],
-        }
-        if name == "predecoded":
-            stats = engines["cext"].decoder_stats
-            sections[name]["predecode_removal_fraction"] = stats.removal_fraction
-            sections[name]["predecode_offload_fraction"] = stats.offload_fraction
-    return sections
-
-
-@pytest.mark.slow
-def test_wrapped_backend_throughput(benchmark):
-    if kernels.backend() != "cext":
-        pytest.skip("no C compiler: only the python reference path runs")
-    sections = run_once(benchmark, _bench_wrapped_backends, BACKEND_SHOTS, SEED)
-    for name, row in sections.items():
-        print(
-            f"\n{name}: python {row['python_shots_per_sec']:,.0f}/s   "
-            f"cext {row['cext_shots_per_sec']:,.0f}/s   "
-            f"({row['cext_speedup_vs_python']:.2f}x)"
-        )
-    record_merge("decode_backends", sections)
-
-    # the acceptance bar: the batched predecoded path must beat its scalar
-    # fallback >= 2x at d=7, p=3e-3 (the margin absorbs this machine's
-    # run-to-run timing variance)
-    assert sections["predecoded"]["cext_speedup_vs_python"] >= 2.0
-    assert sections["hierarchical"]["cext_speedup_vs_python"] >= 1.5

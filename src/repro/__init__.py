@@ -6,8 +6,8 @@ The package layers, bottom to top:
 
 * :mod:`repro.stab` - from-scratch stabilizer substrate (circuits, tableau
   and Pauli-frame simulators, detector error models) replacing Stim;
-* :mod:`repro.decoders` - union-find, MWPM, lookup-table and hierarchical
-  decoders replacing PyMatching;
+* :mod:`repro.decoders` - union-find (the workhorse) and MWPM (the
+  accuracy reference) decoders replacing PyMatching;
 * :mod:`repro.codes` - rotated surface code, repetition code, and
   lattice-surgery circuit generation (the paper's ``lattice-sim``);
 * :mod:`repro.noise` / :mod:`repro.timing` - Table-3 hardware models,

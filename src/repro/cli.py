@@ -179,14 +179,12 @@ def _figures(args) -> int:
         overrides["shots"] = args.shots
     if args.seed is not None:
         overrides["seed"] = args.seed
+    distances = None
     if args.distances is not None:
         distances = tuple(int(x) for x in args.distances.split(",") if x.strip())
         if not distances:
             print("figures build: --distances needs at least one value", file=sys.stderr)
             return 2
-        # single-distance specs take the deepest requested code
-        overrides["distances"] = distances
-        overrides["distance"] = distances[-1]
     for kv in args.param or []:
         key, sep, value = kv.partition("=")
         if not sep or not key:
@@ -204,10 +202,20 @@ def _figures(args) -> int:
     formats = args.format or ["json"]
     for name in canonical:
         spec = figures_pkg.get(name)
+        spec_overrides = overrides
+        if distances is not None:
+            # --distances sets the one key this spec's schema has (a
+            # single-distance spec takes the deepest requested code); a spec
+            # with neither gets ``distances``, which strict resolution names.
+            # --param keys still win
+            if "distances" not in spec.params and "distance" in spec.params:
+                spec_overrides = {"distance": distances[-1], **overrides}
+            else:
+                spec_overrides = {"distances": distances, **overrides}
         try:
             result = figures_pkg.build_figure(
                 name,
-                overrides,
+                spec_overrides,
                 store=store,
                 workers=args.workers,
                 speculate=args.speculate,

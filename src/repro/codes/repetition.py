@@ -3,7 +3,8 @@
 The paper's motivating hardware experiment: a three-qubit repetition code on
 IBM Sherbrooke with an idling delay inserted before the final round of
 syndrome measurements, decoded with a lookup table.  We reproduce the same
-circuit under the Pauli-twirl idling model, for both logical preparations
+circuit under the Pauli-twirl idling model (Fig. 1c decodes it with
+union-find), for both logical preparations
 |0>_L = |000> and |1>_L = |111> (Pauli frames make the preparations
 statistically identical here, matching the near-overlapping hardware curves).
 """

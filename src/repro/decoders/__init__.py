@@ -19,14 +19,12 @@ Layers on top of the base class:
   streaming LER pipeline (:mod:`repro.experiments.ler`).
 * :mod:`~repro.decoders.kernels` — whole-matrix kernels for the
   distinct-syndrome matrix: the C union-find built with the system
-  compiler, plus batched predecode, hierarchical and MWPM kernels, bound
-  whenever the C library loads; without it the scalar pass runs.  Both
-  paths are bit-identical (docs/DECODERS.md).
-* Concrete decoders: :class:`UnionFindDecoder` (workhorse),
-  :class:`MWPMDecoder` (accuracy reference), :class:`LookupTableDecoder`
-  (exact within budget), :class:`PredecodedDecoder` (local pass in front of a
-  global decoder), and :class:`HierarchicalDecoder` (LUT -> slow decoder with
-  a latency model).
+  compiler and the batched MWPM kernel, bound whenever the C library
+  loads; without it the scalar pass runs.  Both paths are bit-identical
+  (docs/DECODERS.md).
+* Concrete decoders: :class:`UnionFindDecoder` (workhorse) and
+  :class:`MWPMDecoder` (accuracy reference; its
+  :func:`measure_decoder_latencies` feeds Fig. 22's latency model).
 """
 
 from . import kernels
@@ -39,15 +37,7 @@ from .batch import (
     expand_obs_masks,
 )
 from .graph import MatchingGraph, build_matching_graph, graphlike_distance
-from .hierarchical import DecodeStats, HierarchicalDecoder, measure_decoder_latencies
-from .lut import (
-    LookupTableDecoder,
-    lut_entry_bytes,
-    lut_weight_threshold,
-    max_entries_for_budget,
-)
-from .mwpm import MWPMDecoder
-from .predecoder import PredecodedDecoder, Predecoder, PredecodeStats
+from .mwpm import MWPMDecoder, measure_decoder_latencies
 from .unionfind import UnionFindDecoder
 
 __all__ = [
@@ -61,16 +51,7 @@ __all__ = [
     "MatchingGraph",
     "build_matching_graph",
     "graphlike_distance",
-    "DecodeStats",
-    "HierarchicalDecoder",
-    "measure_decoder_latencies",
-    "LookupTableDecoder",
-    "lut_entry_bytes",
-    "lut_weight_threshold",
-    "max_entries_for_budget",
     "MWPMDecoder",
-    "PredecodedDecoder",
-    "Predecoder",
-    "PredecodeStats",
+    "measure_decoder_latencies",
     "UnionFindDecoder",
 ]

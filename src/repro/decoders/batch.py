@@ -7,39 +7,31 @@ an empty or tiny syndrome, so a 100k-shot batch contains only a few thousand
 * :func:`decode_words` — the one batch path, on the packed syndrome data
   plane (:mod:`repro.decoders.kernels.plane`): group identical ``uint64``
   detector rows (a C hash table, or a numpy ``lexsort``), decode the
-  distinct rows in one ``decode_rows(rows, counts)`` call (a bound
-  kernel, the decoder's ``_decode_rows`` hook, or the scalar per-row pass;
-  only bool-row kernels get the distinct rows unpacked), and scatter the
-  observable bitmasks back over the batch.  Predictions are bit-identical
+  distinct rows in one ``decode_rows(rows)`` call (a bound kernel, or the
+  scalar per-row pass; only bool-row kernels get the distinct rows
+  unpacked), and scatter the observable bitmasks back over the batch.  Predictions are bit-identical
   to the per-shot loop because every decoder here is deterministic.
 * :class:`Decoder` — the shared base class of every decoder.  Its bool
   ``decode_batch`` packs the rows, runs :func:`decode_words` and expands
   the masks with :func:`expand_obs_masks`.
 * :class:`BatchDecodingEngine` — wraps a decoder with a dedup policy and
   tracks throughput statistics (:class:`BatchDecodeStats`): shots, distinct
-  syndromes, decode calls and wall-clock decode time, plus the decoder's
-  own counters for this engine's calls (``decoder_stats``, e.g. the
-  predecoder's offload statistics).  There is no memo across batches: each
-  batch decodes its own distinct rows, so the counters depend only on the
-  sampled shots.
+  syndromes, decode calls and wall-clock decode time.  There is no memo
+  across batches: each batch decodes its own distinct rows, so the
+  counters depend only on the sampled shots.
 * decode **kernels** (:mod:`repro.decoders.kernels`) — when the host's C
-  library loads, every stock decoder family gets a whole-matrix kernel (the
-  C union-find built with the system compiler, batched predecode with
-  matrix-form residual handoff, the hierarchical LUT row-split, and the
-  shared-Dijkstra MWPM kernel); without it the scalar per-syndrome pass
-  runs.  Both paths are bit-identical — including decoder-side statistics
-  such as :class:`~repro.decoders.predecoder.PredecodeStats`.
+  library loads, both stock decoders get a whole-matrix kernel (the C
+  union-find built with the system compiler, and the shared-Dijkstra MWPM
+  kernel); without it the scalar per-syndrome pass runs.  Both paths are
+  bit-identical.
 
 Decoder subclasses implement ``decode(detectors) -> int`` (an observable
 bitmask, limited to 64 observables by the matching graph) and inherit the
-fast batch path; a subclass that needs per-shot bookkeeping weighted by
-duplicate multiplicity (e.g. the predecoder's offload statistics) overrides
-:meth:`Decoder._decode_one` instead.
+fast batch path.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,27 +93,11 @@ class Decoder:
         """Decode one boolean detector vector into an observable bitmask."""
         raise NotImplementedError
 
-    def _decode_one(self, detectors: np.ndarray, multiplicity: int = 1) -> int:
-        """Decode one distinct syndrome standing for ``multiplicity`` shots.
-
-        The dedup path calls this instead of :meth:`decode` so subclasses
-        that keep per-shot statistics can weight them by multiplicity.
-        """
-        return self.decode(detectors)
-
-    #: optional fast path: ``_decode_one_defects(defects, multiplicity) -> mask``
-    #: taking a python list of defect indices.  When a subclass provides it,
-    #: the dedup path extracts all defect lists in one vectorized ``nonzero``
+    #: optional fast path: ``_decode_one_defects(defects) -> mask`` taking a
+    #: python list of defect indices.  When a subclass provides it, the
+    #: dedup path extracts all defect lists in one vectorized ``nonzero``
     #: instead of one numpy call per distinct syndrome.
     _decode_one_defects = None
-
-    #: optional whole-matrix fast path: ``_decode_rows(rows, counts) -> masks``
-    #: taking the full ``(distinct, num_detectors)`` bool matrix and per-row
-    #: shot multiplicities, returning one observable bitmask per row.  Used
-    #: by the dedup path when no kernel is bound, so a subclass can
-    #: vectorize across the whole distinct-syndrome set — e.g. the
-    #: predecoder's batched local pass.
-    _decode_rows = None
 
     def decode_batch(
         self,
@@ -133,21 +109,19 @@ class Decoder:
         return decode_batch_dedup(self, detectors, dedup=dedup)
 
 
-def _scalar_decode_rows(decoder, decode_one):
-    """The per-row reference pass, shaped like a kernel: ``(rows, counts) -> masks``."""
+def _scalar_decode_rows(decoder):
+    """The per-row reference pass, shaped like a kernel: ``rows -> masks``."""
     decode_defects = getattr(decoder, "_decode_one_defects", None)
 
-    def decode_rows(rows: np.ndarray, counts: list[int]) -> list[int]:
+    def decode_rows(rows: np.ndarray) -> list[int]:
         if decode_defects is None:
-            return [decode_one(rows[i], c) for i, c in enumerate(counts)]
+            return [decoder.decode(row) for row in rows]
         # one vectorized nonzero for every distinct row instead of one per row
+        n = rows.shape[0]
         rnz, cnz = np.nonzero(rows)
-        starts = np.searchsorted(rnz, np.arange(len(counts) + 1)).tolist()
+        starts = np.searchsorted(rnz, np.arange(n + 1)).tolist()
         cols = cnz.tolist()
-        return [
-            decode_defects(cols[starts[i] : starts[i + 1]], c)
-            for i, c in enumerate(counts)
-        ]
+        return [decode_defects(cols[starts[i] : starts[i + 1]]) for i in range(n)]
 
     return decode_rows
 
@@ -193,14 +167,13 @@ def decode_words(
     """Observable bitmask per shot of a packed ``(shots, n_words)`` batch.
 
     ``words`` uses the :mod:`~repro.decoders.kernels.plane` layout over the
-    graph's detectors.  ``decoder`` needs ``graph`` and ``_decode_one`` (or
-    plain ``decode``).  With ``dedup=False`` this is the reference per-shot
-    loop.  Otherwise identical rows are grouped on the words, and the
-    distinct rows go to one ``decode_rows(rows, counts)`` call: the bound
-    kernel (see :mod:`repro.decoders.kernels`) — reading the words
-    directly when it has a ``decode_packed`` method — else the decoder's
-    ``_decode_rows`` hook, else the scalar per-row pass.  Only kernels that
-    take bool rows get the distinct rows unpacked.
+    graph's detectors.  ``decoder`` needs ``graph`` and ``decode``.  With
+    ``dedup=False`` this is the reference per-shot loop.  Otherwise
+    identical rows are grouped on the words, and the distinct rows go to
+    one ``decode_rows(rows)`` call: the bound kernel (see
+    :mod:`repro.decoders.kernels`) — reading the words directly when it has
+    a ``decode_packed`` method — else the scalar per-row pass.  Only kernels
+    that take bool rows get the distinct rows unpacked.
     """
     from . import kernels  # deferred: kernels imports decoder classes
 
@@ -213,9 +186,6 @@ def decode_words(
             f"graph detectors, got shape {words.shape}"
         )
     shots = words.shape[0]
-    decode_one = getattr(decoder, "_decode_one", None) or (
-        lambda row, multiplicity=1: decoder.decode(row)
-    )
     if stats is not None:
         stats.shots += shots
         stats.batches += 1
@@ -227,35 +197,31 @@ def decode_words(
         masks = np.zeros(shots, dtype=np.uint64)
         with obs.span("decode.kernel", lambda: {"rows": shots, "path": "per-shot"}):
             for s in range(shots):
-                masks[s] = decode_one(det[s], 1)
+                masks[s] = decoder.decode(det[s])
         if stats is not None:
             stats.distinct_syndromes += shots
             stats.decode_calls += shots
         return masks
 
-    # one call for every distinct syndrome: a bound kernel, else the
-    # decoder's own whole-matrix hook (e.g. the vectorized predecoder), else
-    # the scalar per-row pass
+    # one call for every distinct syndrome: a bound kernel, else the scalar
+    # per-row pass
     args = {}
     decode_rows = kernels.bind(decoder)
     packed = getattr(decode_rows, "decode_packed", None)
     if packed is not None:
         decode_rows = packed
     if decode_rows is None:
-        decode_rows = getattr(decoder, "_decode_rows", None)
-    if decode_rows is None:
-        decode_rows = _scalar_decode_rows(decoder, decode_one)
+        decode_rows = _scalar_decode_rows(decoder)
         args["path"] = "scalar"
     with obs.span("decode.dedup", lambda: {"shots": shots}):
         first, inverse = plane.dedup(words)
-        counts = np.bincount(inverse, minlength=first.size).tolist()
         distinct = words[first]
         if packed is None:
             distinct = plane.unpack_words(distinct, num_detectors)
-    n = len(counts)
+    n = first.size
     args["rows"] = n
     with obs.span("decode.kernel", lambda: args):
-        row_masks = decode_rows(distinct, counts)
+        row_masks = decode_rows(distinct)
     if stats is not None:
         stats.distinct_syndromes += n
         stats.decode_calls += n
@@ -266,12 +232,7 @@ class BatchDecodingEngine:
     """A decoder plus dedup policy and statistics.
 
     The streaming LER pipeline creates one engine per run and feeds it every
-    sampled batch; the statistics accumulate across batches.  A decoder
-    that keeps statistics of its own (``stats`` plus a ``stats_into(sink)``
-    context, as :class:`~repro.decoders.predecoder.PredecodedDecoder` does)
-    counts this engine's calls into :attr:`decoder_stats`, not into the
-    decoder — so engines on different threads sharing one cached decoder
-    each see exactly their own shots.
+    sampled batch; the statistics accumulate across batches.
     """
 
     def __init__(
@@ -283,20 +244,10 @@ class BatchDecodingEngine:
         self.decoder = decoder
         self.dedup = dedup
         self.stats = BatchDecodeStats()
-        #: the decoder's own counters for this engine's calls (a zeroed
-        #: instance of the decoder's ``stats`` type), or None
-        self.decoder_stats = (
-            type(decoder.stats)() if hasattr(decoder, "stats_into") else None
-        )
 
     def decode_words(self, words: np.ndarray) -> np.ndarray:
         """Decode one packed batch to per-shot observable masks, updating statistics."""
-        tally = (
-            nullcontext()
-            if self.decoder_stats is None
-            else self.decoder.stats_into(self.decoder_stats)
-        )
-        with obs.stopwatch() as sw, tally:
+        with obs.stopwatch() as sw:
             out = decode_words(self.decoder, words, dedup=self.dedup, stats=self.stats)
         self.stats.decode_seconds += sw.seconds
         return out

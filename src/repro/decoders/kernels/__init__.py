@@ -3,18 +3,17 @@
 The decoder layer's hot path — decoding the distinct-syndrome matrix of a
 batch — runs through a whole-matrix kernel that :func:`bind` attaches to a
 decoder.  The host picks the path: when :func:`cext.library` loads (``uf.c``
-built on first use with the system compiler), every stock decoder family
-gets a kernel:
+built on first use with the system compiler), both stock decoders get a
+kernel:
 
 * stock union-find → :class:`~.cext.CextUnionFind`, a scalar C
   transcription of the decoder;
-* the predecoder → :class:`BatchedPredecode`, composing the vectorized
-  local pass with the *inner* decoder's bound kernel, so residual rows
-  never leave matrix form;
-* the hierarchical decoder → :class:`BatchedHierarchical` (bulk LUT
-  row-split, batched slow path);
 * MWPM → :class:`BatchedMWPM` (shared per-node Dijkstra rows, exact
   per-row blossom).
+
+Every kernel honours one contract, ``decode_rows(rows) -> masks``: one
+observable bitmask per distinct detector row, bit-identical to the
+decoder's scalar pass.
 
 Without a C library :func:`bind` returns None and every decoder runs its
 scalar per-syndrome pass.  Both paths are **bit-identical**, so the host
@@ -35,11 +34,9 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from . import cext
-from .batched_wrappers import BatchedHierarchical, BatchedMWPM, BatchedPredecode
+from .batched_wrappers import BatchedMWPM
 
 __all__ = [
-    "BatchedPredecode",
-    "BatchedHierarchical",
     "BatchedMWPM",
     "backend",
     "bind",
@@ -99,20 +96,11 @@ def _is_stock(decoder, base, attrs: tuple[str, ...]) -> bool:
 
 
 def _make(decoder):
-    from ..hierarchical import HierarchicalDecoder
     from ..mwpm import MWPMDecoder
-    from ..predecoder import PredecodedDecoder
     from ..unionfind import UnionFindDecoder
 
     if _is_stock(decoder, UnionFindDecoder, _UNIONFIND_PATH):
         return cext.CextUnionFind(decoder)
-    if _is_stock(decoder, PredecodedDecoder, ("decode", "_decode_one", "_decode_rows")):
-        # compose predecode-kernel -> inner-decoder kernel: residual rows
-        # flow to the wrapped decoder's own bound kernel (or its scalar
-        # decode when that decoder has none)
-        return BatchedPredecode(decoder, inner=bind(decoder.slow))
-    if _is_stock(decoder, HierarchicalDecoder, ("decode",)):
-        return BatchedHierarchical(decoder, inner=bind(decoder.slow))
     if _is_stock(
         decoder,
         MWPMDecoder,

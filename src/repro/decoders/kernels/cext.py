@@ -188,15 +188,13 @@ class CextUnionFind:
         self._eobs = np.ascontiguousarray(graph.edge_obs, dtype=np.uint64)
         self._max_rounds = 4 * (graph.num_edges + 2)
 
-    def __call__(self, rows: np.ndarray, counts=None) -> np.ndarray:
-        return self.decode_rows(rows, counts)
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        return self.decode_rows(rows)
 
-    def decode_rows(self, rows: np.ndarray, counts=None) -> np.ndarray:
+    def decode_rows(self, rows: np.ndarray) -> np.ndarray:
         """Observable bitmask per row of a ``(n, num_detectors)`` bool matrix.
 
-        Packs the rows and runs :meth:`decode_packed`.  ``counts`` is
-        accepted for signature compatibility with the ``_decode_rows`` hook
-        and ignored.
+        Packs the rows and runs :meth:`decode_packed`.
         """
         from .plane import pack_words  # deferred: plane imports this module
 
@@ -208,7 +206,7 @@ class CextUnionFind:
             )
         return self.decode_packed(pack_words(rows))
 
-    def decode_packed(self, words: np.ndarray, counts=None) -> np.ndarray:
+    def decode_packed(self, words: np.ndarray) -> np.ndarray:
         """Observable bitmask per row of bit-packed detector words (:mod:`.plane`)."""
         words = np.ascontiguousarray(words, dtype=np.uint64)
         n_words = (self.graph.num_detectors + 63) // 64

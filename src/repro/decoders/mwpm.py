@@ -1,11 +1,11 @@
 """Exact minimum-weight perfect matching decoder.
 
-Used as the accuracy reference for the union-find decoder and as the slow
-path of the hierarchical decoder.  Shortest paths between defects are taken
-on the matching graph (Dijkstra, scipy); the defect-level matching problem is
-solved exactly with networkx's blossom implementation using the standard
-virtual-boundary construction (one boundary twin per defect, zero-weight
-edges between twins).
+Used as the accuracy reference for the union-find decoder and as the
+latency source of Fig. 22 (:func:`measure_decoder_latencies`).  Shortest
+paths between defects are taken on the matching graph (Dijkstra, scipy);
+the defect-level matching problem is solved exactly with networkx's blossom
+implementation using the standard virtual-boundary construction (one
+boundary twin per defect, zero-weight edges between twins).
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from .. import obs
 from .batch import Decoder
 from .graph import MatchingGraph
 
-__all__ = ["MWPMDecoder"]
+__all__ = ["MWPMDecoder", "measure_decoder_latencies"]
 
 
 class MWPMDecoder(Decoder):
@@ -54,7 +55,7 @@ class MWPMDecoder(Decoder):
             return 0
         return self._decode_defects(defects)
 
-    def _decode_one_defects(self, defects: list[int], multiplicity: int = 1) -> int:
+    def _decode_one_defects(self, defects: list[int]) -> int:
         """Dedup fast path: decode a pre-extracted defect index list."""
         if not defects:
             return 0
@@ -123,3 +124,23 @@ class MWPMDecoder(Decoder):
             mask ^= self._edge_obs[key]
             node = prev
         return mask
+
+
+def measure_decoder_latencies(
+    decoder,
+    detectors: np.ndarray,
+    *,
+    max_samples: int = 2000,
+) -> np.ndarray:
+    """Wall-clock latencies (ns) of ``decoder.decode`` on sampled syndromes.
+
+    Used to build the miss-latency dataset for Fig. 22 from our own matching
+    decoder, substituting for the paper's proprietary MWPM latency dataset.
+    """
+    n = min(max_samples, detectors.shape[0])
+    out = np.zeros(n, dtype=np.float64)
+    for s in range(n):
+        with obs.stopwatch() as sw:
+            decoder.decode(detectors[s])
+        out[s] = sw.ns
+    return out

@@ -79,7 +79,7 @@ class UnionFindDecoder(Decoder):
             return 0
         return self._decode_defects(defects.tolist())
 
-    def _decode_one_defects(self, defects: list[int], multiplicity: int = 1) -> int:
+    def _decode_one_defects(self, defects: list[int]) -> int:
         """Dedup fast path: decode a pre-extracted defect index list."""
         if not defects:
             return 0

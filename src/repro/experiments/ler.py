@@ -28,9 +28,7 @@ from ..core.policies import SyncScenario, _BasePolicy, policy_fields
 from ..decoders import kernels
 from ..decoders.batch import BatchDecodingEngine
 from ..decoders.graph import MatchingGraph, build_matching_graph
-from ..decoders.hierarchical import HierarchicalDecoder
 from ..decoders.mwpm import MWPMDecoder
-from ..decoders.predecoder import PredecodedDecoder, PredecodeStats
 from ..decoders.unionfind import UnionFindDecoder
 from ..noise.hardware import HardwareConfig
 from ..noise.models import NoiseModel
@@ -47,7 +45,6 @@ __all__ = [
     "clear_pipeline_cache",
     "BATCH_STAT_KEYS",
     "DECODER_BUILDERS",
-    "decoder_store_identity",
 ]
 
 #: process-wide LRU cache of analyzed configurations (bounded; see
@@ -78,10 +75,6 @@ BATCH_STAT_KEYS = (
     "decode_seconds",
 )
 
-#: LUT storage budget of the "hierarchical" decoder (bytes)
-LUT_BYTES = 1 << 16
-
-
 #: decoder-name registry used by every pipeline (serial runs and sweeps):
 #: name -> builder(graph).  Names round-trip through SweepTask / SweepSpec /
 #: store records as plain strings, so adding an entry here is all it takes
@@ -89,19 +82,7 @@ LUT_BYTES = 1 << 16
 DECODER_BUILDERS: dict = {
     "unionfind": UnionFindDecoder,
     "mwpm": MWPMDecoder,
-    "predecoded": lambda graph: PredecodedDecoder(graph, UnionFindDecoder(graph)),
-    "hierarchical": lambda graph: HierarchicalDecoder(graph, lut_size_bytes=LUT_BYTES),
 }
-
-#: store-key identities of decoder names that differ from the bare name: the
-#: hierarchical decoder's predictions depend on its LUT budget, so its keys
-#: carry the budget (the C and scalar decode paths are bit-identical and keyless)
-_STORE_IDENTITIES = {"hierarchical": f"hierarchical[lut_bytes={LUT_BYTES}]"}
-
-
-def decoder_store_identity(name: str) -> str:
-    """Store-key identity of a decoder name (the bare name for most)."""
-    return _STORE_IDENTITIES.get(name, name)
 
 
 @dataclass(frozen=True)
@@ -325,8 +306,7 @@ def run_surgery_ler(
     ``pipeline`` injects a pre-analyzed pipeline (from
     :func:`prepared_pipeline`), so a sweep's decode thread never analyzes a
     circuit or touches the pipeline LRU.  Several threads may run this
-    function on one shared pipeline at once: each run keeps its own engine,
-    and the predecoder's offload statistics land in that engine.
+    function on one shared pipeline at once: each run keeps its own engine.
     """
     if decode_workers != 1:
         raise ValueError(
@@ -361,8 +341,6 @@ def run_surgery_ler(
         "dedup_hit_rate": stats.dedup_hit_rate,
         "decode_seconds": stats.decode_seconds,
     }
-    if isinstance(engine.decoder_stats, PredecodeStats):
-        decode_stats["predecode"] = vars(engine.decoder_stats).copy()
     return LerResult(
         config=config,
         shots=shots,

@@ -250,16 +250,14 @@ class SweepPoint:
     def key(self, *, seed: int, batch_shots: int) -> str:
         """Content-addressed store key of this point's result stream.
 
-        The decoder enters via :func:`~repro.experiments.ler.
-        decoder_store_identity`, which folds prediction-affecting decoder
-        knobs (the hierarchical LUT budget) into the key; the decode path stays
-        keyless because the C and scalar paths are bit-identical.
+        The decoder enters by name; the decode path stays keyless because
+        the C and scalar paths are bit-identical.
         """
         return point_key(
             self.config,
             self.policy_name,
             self.policy_kwargs,
-            decoder=_ler.decoder_store_identity(self.decoder),
+            decoder=self.decoder,
             seed=seed,
             batch_shots=batch_shots,
         )

@@ -19,7 +19,6 @@ __all__ = [
     "default_results_dir",
     "record",
     "record_figure",
-    "record_merge",
     "run_once",
 ]
 
@@ -48,30 +47,6 @@ def record(name: str, data, *, results_dir: Path | str | None = None) -> Path:
         json.dump(data, f, indent=2, default=_jsonable)
     print(f"\n[{name}] -> {path}")
     return path
-
-
-def record_merge(name: str, sections: dict, *, results_dir: Path | str | None = None) -> Path:
-    """Merge per-section rows into one results JSON.
-
-    Lets several benchmark tests contribute to the same file (e.g.
-    ``decode_backends.json``: one section per decoder path) without the
-    last writer clobbering the others.  A legacy flat layout (a single
-    top-level row) is discarded on first merge.  Returns the written path.
-    """
-    results_dir = Path(results_dir) if results_dir is not None else default_results_dir()
-    path = results_dir / f"{name}.json"
-    merged = {}
-    if path.exists():
-        try:
-            with open(path) as f:
-                merged = json.load(f)
-        except ValueError:
-            merged = {}
-    if not isinstance(merged, dict) or "config" in merged:
-        merged = {}  # legacy flat layout: replaced by per-section rows
-    merged.pop("meta", None)  # restamped by record() with fresh provenance
-    merged.update(sections)
-    return record(name, merged, results_dir=results_dir)
 
 
 def record_figure(result, *, results_dir: Path | str | None = None) -> Path:

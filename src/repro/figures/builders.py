@@ -20,8 +20,7 @@ from ..core.planner import PatchState, plan_k_patch_sync
 from ..core.policies import make_policy
 from ..core.slack import extra_rounds_solution, hybrid_solution
 from ..decoders.graph import build_matching_graph
-from ..decoders.hierarchical import measure_decoder_latencies
-from ..decoders.mwpm import MWPMDecoder
+from ..decoders.mwpm import MWPMDecoder, measure_decoder_latencies
 from ..decoders.unionfind import UnionFindDecoder
 from ..experiments.ler import SurgeryLerConfig, prepared_pipeline, run_surgery_ler
 from ..experiments.sweeps import PolicySpec, SweepSpec

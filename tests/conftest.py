@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
 Besides the noise-model fixtures, this exposes the decoder-test *fixture
-factory* of ``factories.py`` (cached surface-code cases, DEM/chain
-matching-graph constructors, dense random syndrome generators).  The
+factory* of ``factories.py`` (the parity grid's cached surface-code cases
+and the DEM/chain matching-graph constructors).  The
 kernel parity matrix (``test_kernels.py``), the cross-decoder contract
 suite (``test_decoder_contract.py``) and the per-decoder test modules all
 build their cases through these factories instead of copy-pasted setup.
@@ -16,17 +16,10 @@ from factories import (
     PARITY_GRID_POINTS,
     build_chain_graph,
     build_dem_graph,
-    build_dense_syndromes,
     build_surface_case,
 )
 
 from repro.noise import GOOGLE, IBM, NoiseModel
-
-
-@pytest.fixture(scope="session")
-def surface_case():
-    """Factory fixture for :func:`build_surface_case`."""
-    return build_surface_case
 
 
 @pytest.fixture(scope="session")
@@ -48,12 +41,6 @@ def dem_graph():
 def chain_graph():
     """Factory fixture for :func:`build_chain_graph`."""
     return build_chain_graph
-
-
-@pytest.fixture
-def dense_syndromes():
-    """Factory fixture for :func:`build_dense_syndromes`."""
-    return build_dense_syndromes
 
 
 @pytest.fixture

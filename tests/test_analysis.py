@@ -271,12 +271,12 @@ def test_mutation_dropped_parity_case_fails(tmp_path, capsys):
     box = make_sandbox(tmp_path)
     tk = box / "tests" / "test_kernels.py"
     src = tk.read_text()
-    needle = '["unionfind", "mwpm", "predecoded", "hierarchical"]'
+    needle = '["unionfind", "mwpm"]'
     assert needle in src
-    tk.write_text(src.replace(needle, '["unionfind", "mwpm", "hierarchical"]'))
+    tk.write_text(src.replace(needle, '["unionfind"]'))
     assert cli.main(["lint", "--root", str(box)]) == 1
     out = capsys.readouterr().out
-    assert "contract-parity-tests" in out and "predecoded" in out
+    assert "contract-parity-tests" in out and "mwpm" in out
     assert re.search(r"src/repro/experiments/ler\.py:\d+:", out)
 
 

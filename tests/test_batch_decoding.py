@@ -12,18 +12,14 @@ import pytest
 import scipy.sparse as sp
 
 from repro.codes import memory_experiment
-from repro.codes.repetition import repetition_experiment
 from repro.core import make_policy
 from repro.decoders import (
     BatchDecodingEngine,
-    LookupTableDecoder,
     MWPMDecoder,
-    PredecodedDecoder,
     UnionFindDecoder,
     build_matching_graph,
     expand_obs_masks,
 )
-from repro.decoders.hierarchical import HierarchicalDecoder
 from repro.experiments import ler as ler_module
 from repro.experiments import run_surgery_ler
 from repro.experiments.ler import SurgeryLerConfig, _count_failures, prepared_pipeline
@@ -51,16 +47,6 @@ def surface_fixture():
     return graph, det
 
 
-@pytest.fixture(scope="module")
-def repetition_fixture():
-    noise = NoiseModel(hardware=GOOGLE, p=1e-2)
-    art = repetition_experiment(3, 2, noise)
-    dem = circuit_to_dem(art.circuit)
-    graph = build_matching_graph(dem, basis="Z")
-    det, _ = DemSampler(dem).sample(2000, rng=12)
-    return graph, det
-
-
 # ---------------------------------------------------------------------------
 # decoder equivalence: decode_batch == per-shot decode loop, for all decoders
 # ---------------------------------------------------------------------------
@@ -73,19 +59,13 @@ def test_expand_obs_masks_matches_reference():
         assert np.array_equal(got, _expand_reference(masks, nobs))
 
 
-@pytest.mark.parametrize("factory", ["unionfind", "mwpm", "predecoder", "hierarchical"])
+@pytest.mark.parametrize("factory", ["unionfind", "mwpm"])
 def test_decode_batch_equals_per_shot_loop(surface_fixture, factory):
     graph, det = surface_fixture
     det = det[:600]
 
     def build():
-        if factory == "unionfind":
-            return UnionFindDecoder(graph)
-        if factory == "mwpm":
-            return MWPMDecoder(graph)
-        if factory == "predecoder":
-            return PredecodedDecoder(graph, UnionFindDecoder(graph))
-        return HierarchicalDecoder(graph, lut_size_bytes=4096)
+        return UnionFindDecoder(graph) if factory == "unionfind" else MWPMDecoder(graph)
 
     dec = build()
     batched = dec.decode_batch(det)
@@ -94,20 +74,6 @@ def test_decode_batch_equals_per_shot_loop(surface_fixture, factory):
     )
     assert np.array_equal(batched, reference)
     assert np.array_equal(build().decode_batch(det, dedup=False), reference)
-    if factory == "hierarchical":
-        with_stats, stats = build().decode_batch_stats(det, rng=0)
-        assert np.array_equal(with_stats, reference)
-        assert stats.shots == det.shape[0]
-
-
-def test_lut_decode_batch_equals_per_shot_loop(repetition_fixture):
-    graph, det = repetition_fixture
-    lut = LookupTableDecoder(graph, max_errors=4)
-    reference = _expand_reference(
-        [lut.decode(det[s]) for s in range(det.shape[0])], graph.num_observables
-    )
-    assert np.array_equal(lut.decode_batch(det), reference)
-    assert np.array_equal(lut.decode_batch(det, dedup=False), reference)
 
 
 def test_decode_batch_on_random_syndromes(surface_fixture):
@@ -119,27 +85,6 @@ def test_decode_batch_on_random_syndromes(surface_fixture):
         [dec.decode(det[s]) for s in range(det.shape[0])], graph.num_observables
     )
     assert np.array_equal(dec.decode_batch(det), reference)
-
-
-def test_predecoder_stats_count_repeated_batches(surface_fixture):
-    graph, det = surface_fixture
-    dec = PredecodedDecoder(graph, UnionFindDecoder(graph))
-    engine = BatchDecodingEngine(dec, dedup=True)
-    engine.decode_batch(det[:1000])
-    engine.decode_batch(det[:1000])  # identical batch: every shot counted again
-    # the engine's calls count into the engine, not the shared decoder
-    assert engine.decoder_stats.shots == 2000
-    assert dec.stats.shots == 0
-
-
-def test_predecoder_stats_exact_under_dedup(surface_fixture):
-    graph, det = surface_fixture
-    a = PredecodedDecoder(graph, UnionFindDecoder(graph))
-    a.decode_batch(det)
-    b = PredecodedDecoder(graph, UnionFindDecoder(graph))
-    b.decode_batch(det, dedup=False)
-    assert vars(a.stats) == vars(b.stats)
-    assert a.stats.shots == det.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +101,9 @@ class _CountingUnionFind(UnionFindDecoder):
         self.calls += 1
         return super().decode(detectors)
 
-    def _decode_one_defects(self, defects, multiplicity=1):
+    def _decode_one_defects(self, defects):
         self.calls += 1
-        return super()._decode_one_defects(defects, multiplicity)
+        return super()._decode_one_defects(defects)
 
 
 def test_dedup_decodes_each_distinct_syndrome_once(surface_fixture):

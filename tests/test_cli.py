@@ -150,6 +150,19 @@ def test_sweep_run_spec_naming_a_backend_is_clean_error(capsys, tmp_path, sweep_
     assert not (tmp_path / "s").exists()
 
 
+def test_sweep_run_spec_naming_a_deleted_decoder_is_clean_error(
+    capsys, tmp_path, sweep_spec_file
+):
+    # a spec file naming a decoder outside the registry fails the
+    # unknown-decoder check before anything is decoded or stored
+    spec = json.loads(sweep_spec_file.read_text())
+    sweep_spec_file.write_text(json.dumps({**spec, "decoder": "hierarchical"}))
+    rc = cli.main(["sweep", "run", str(sweep_spec_file), "--store", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert (rc, "unknown decoder 'hierarchical'" in err) == (2, True), err
+    assert not (tmp_path / "s").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep subcommand edge cases
 # ---------------------------------------------------------------------------

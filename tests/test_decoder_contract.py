@@ -10,10 +10,8 @@ rest).  On top of that, every decoder, on the scalar path (no C library,
 ``factories.numpy_plane()``) and on the host's own path, must:
 
 * return ``(shots, num_observables)`` bool predictions,
-* be bit-identical across the two paths and across dedup on/off,
-* be invariant under row duplication and permutation (metamorphic), and
-* for the predecoded path, equal the manual predecode -> decode -> XOR
-  composition, with offload statistics matching the scalar reference.
+* be bit-identical across the two paths and across dedup on/off, and
+* be invariant under row duplication and permutation (metamorphic).
 
 Everything is seeded: a failure reproduces from the printed parameters.
 """
@@ -22,32 +20,15 @@ import numpy as np
 import pytest
 
 from factories import DECODE_PATHS, build_dem_graph, build_dense_syndromes
-from repro.decoders import (
-    BatchDecodingEngine,
-    LookupTableDecoder,
-    MWPMDecoder,
-    PredecodedDecoder,
-    Predecoder,
-    UnionFindDecoder,
-)
+from repro.decoders import BatchDecodingEngine, MWPMDecoder, UnionFindDecoder
 
 GRAPH_SEEDS = [0, 1, 2, 3, 4]
 
-DECODERS = ["unionfind", "mwpm", "predecoded", "predecoded-mwpm", "hierarchical"]
+DECODERS = ["unionfind", "mwpm"]
 
 
 def _build(name, graph):
-    if name == "unionfind":
-        return UnionFindDecoder(graph)
-    if name == "mwpm":
-        return MWPMDecoder(graph)
-    if name == "predecoded":
-        return PredecodedDecoder(graph, UnionFindDecoder(graph))
-    if name == "predecoded-mwpm":
-        return PredecodedDecoder(graph, MWPMDecoder(graph))
-    from repro.decoders import HierarchicalDecoder
-
-    return HierarchicalDecoder(graph, lut_size_bytes=512, lut_max_errors=1)
+    return UnionFindDecoder(graph) if name == "unionfind" else MWPMDecoder(graph)
 
 
 def random_matching_graph(seed: int):
@@ -149,69 +130,6 @@ def test_decode_batch_invariant_under_duplication_and_permutation(seed):
 
 
 # ---------------------------------------------------------------------------
-# predecode -> decode composition
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", GRAPH_SEEDS)
-@pytest.mark.parametrize("slow_name", ["unionfind", "mwpm"])
-def test_predecode_then_decode_equals_scalar_composition(seed, slow_name):
-    graph = random_matching_graph(seed)
-    det = build_dense_syndromes(graph, 100, 0.15, seed=4000 + seed)
-    pre = Predecoder(graph)
-    slow = _build(slow_name, graph)
-    expected = np.zeros(det.shape[0], dtype=np.uint64)
-    for i in range(det.shape[0]):
-        residual, mask, _ = pre.apply(det[i])
-        if residual.any():
-            mask ^= slow.decode(residual)
-        expected[i] = mask
-    nobs = graph.num_observables
-    bits = np.left_shift(np.uint64(1), np.arange(nobs, dtype=np.uint64))
-    expected_rows = (expected[:, None] & bits[None, :]) != 0
-    ref_stats = None
-    for backend, path in DECODE_PATHS:
-        wrapped = _build(
-            "predecoded" if slow_name == "unionfind" else "predecoded-mwpm", graph
-        )
-        with path():
-            out = wrapped.decode_batch(det)
-        assert np.array_equal(out, expected_rows), (seed, slow_name, backend)
-        if ref_stats is None:
-            ref_stats = vars(wrapped.stats).copy()
-        else:
-            assert vars(wrapped.stats) == ref_stats, (seed, slow_name, backend)
-
-
-# ---------------------------------------------------------------------------
-# LUT decoder: contract holds on the syndromes it covers
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", GRAPH_SEEDS[:3])
-def test_lut_decoder_contract_on_enumerable_syndromes(seed):
-    graph = random_matching_graph(seed)
-    lut = LookupTableDecoder(graph, max_errors=2)
-    rng = np.random.default_rng(5000 + seed)
-    det = np.zeros((60, graph.num_detectors), dtype=bool)
-    for i in range(det.shape[0]):  # syndromes of <= 2 random edges: all hits
-        for e in rng.choice(graph.num_edges, size=rng.integers(0, 3), replace=False):
-            for node in (int(graph.edge_u[e]), int(graph.edge_v[e])):
-                if node < graph.num_detectors:
-                    det[i, node] ^= True
-    reference = None
-    for _, path in DECODE_PATHS:
-        with path():
-            out = LookupTableDecoder(graph, max_errors=2).decode_batch(det)
-        assert_valid_correction(graph, det, out)
-        if reference is None:
-            reference = out
-        else:
-            assert np.array_equal(out, reference)
-    assert np.array_equal(lut.decode_batch(det, dedup=False), reference)
-
-
-# ---------------------------------------------------------------------------
 # engine-level contract: stats agree with predictions on both decode paths
 # ---------------------------------------------------------------------------
 
@@ -232,32 +150,3 @@ def test_engine_counters_identical_across_backends(decoder_name):
         else:
             assert counters == reference, (decoder_name, backend)
 
-
-# ---------------------------------------------------------------------------
-# nested wrappers: inner statistics must match the scalar pass too
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", GRAPH_SEEDS[:2])
-def test_nested_predecoder_inner_stats_match_scalar(seed):
-    """A predecoder wrapping a predecoder: the scalar pass reaches the inner
-    decoder with multiplicity 1 per residual row, and the composed kernels
-    must weight the inner offload statistics identically."""
-    graph = random_matching_graph(seed)
-    det = build_dense_syndromes(graph, 100, 0.2, seed=7000 + seed)
-    det = np.concatenate([det, det[:40]])  # duplicated rows: dedup counts > 1
-    reference = ref_outer = ref_inner = None
-    for backend, path in DECODE_PATHS:
-        inner = PredecodedDecoder(graph, UnionFindDecoder(graph))
-        outer = PredecodedDecoder(graph, inner)
-        with path():
-            out = outer.decode_batch(det)
-        assert_valid_correction(graph, det, out)
-        if reference is None:
-            reference = out
-            ref_outer = vars(outer.stats).copy()
-            ref_inner = vars(inner.stats).copy()
-        else:
-            assert np.array_equal(out, reference), (seed, backend)
-            assert vars(outer.stats) == ref_outer, (seed, backend)
-            assert vars(inner.stats) == ref_inner, (seed, backend)

@@ -300,6 +300,31 @@ def test_cli_build_unknown_param_exits_2(tmp_path, capsys):
     assert "unknown parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, extra, params",
+    [
+        ("fig14_ibm", ["--shots", "200"], {"distances": [3]}),
+        ("fig7", [], {"distance": 3}),
+        ("fig10", [], None),
+    ],
+    ids=["distances", "distance", "neither"],
+)
+def test_cli_build_distances_sets_the_key_the_spec_has(tmp_path, capsys, name, extra, params):
+    """``--distances`` overrides whichever of ``distances``/``distance`` the
+    spec's schema has; a spec with neither exits 2 naming ``distances``."""
+    rc = cli.main([
+        "figures", "build", name, "--no-store", "--out", str(tmp_path),
+        "--distances", "3", *extra,
+    ])
+    if params is None:
+        assert rc == 2
+        assert f"unknown parameter(s) for figure {name!r}: distances" in capsys.readouterr().err
+        return
+    assert rc == 0, capsys.readouterr().err
+    doc = json.loads((tmp_path / f"{name}.json").read_text())
+    assert params.items() <= doc["params"].items()
+
+
 def test_cli_build_requires_names_or_all(tmp_path, capsys):
     assert cli.main(["figures", "build", "--no-store", "--out", str(tmp_path)]) == 2
     assert "NAME... or --all" in capsys.readouterr().err

@@ -4,9 +4,7 @@ The kernel contract is *bit-identity*: the host's decode path (the C
 kernels wherever ``cc`` builds them) must produce exactly the predictions —
 and exactly the dedup-engine statistics — of the scalar reference pass, run
 with the C library patched away (``factories.numpy_plane()``), for every
-decoder, across the full ``(d, p)`` grid.  The matrix also asserts the
-predecoder's offload statistics (:class:`PredecodeStats`) match the scalar
-pass bit for bit.  The C
+decoder, across the full ``(d, p)`` grid.  The C
 union-find kernel is additionally fuzzed against the scalar decoder on
 random syndrome matrices (where cluster growth and peeling interact far
 more than at physical error rates), over a d=3 parity-grid graph and the
@@ -24,29 +22,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factories import DECODE_PATHS, build_dem_graph, build_dense_syndromes, numpy_plane
-from repro.codes.repetition import repetition_experiment
 from repro.decoders import (
     BatchDecodingEngine,
-    HierarchicalDecoder,
-    LookupTableDecoder,
     MWPMDecoder,
-    PredecodedDecoder,
     UnionFindDecoder,
-    build_matching_graph,
     kernels,
 )
-from repro.decoders.kernels import (
-    BatchedHierarchical,
-    BatchedMWPM,
-    BatchedPredecode,
-    cext,
-    plane,
-)
+from repro.decoders.kernels import BatchedMWPM, cext, plane
 from repro.core.policies import make_policy
 from repro.decoders.graph import MatchingGraph
 from repro.experiments.ler import SurgeryLerConfig, prepared_pipeline, run_surgery_ler
-from repro.noise import GOOGLE, NoiseModel
-from repro.stab import DemSampler, circuit_to_dem
+from repro.noise import GOOGLE
 
 requires_cc = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler on PATH"
@@ -100,38 +86,16 @@ def test_python_backend_binds_nothing(parity_grid):
     with numpy_plane():
         assert kernels.bind(UnionFindDecoder(graph)) is None
         assert kernels.bind(MWPMDecoder(graph)) is None
-        assert kernels.bind(PredecodedDecoder(graph, UnionFindDecoder(graph))) is None
-        assert kernels.bind(HierarchicalDecoder(graph, lut_size_bytes=4096)) is None
 
 
 @requires_cc
 def test_numpy_backend_binds_every_stock_decoder_family(parity_grid):
-    """The numpy-vectorized kernels bind to every non-union-find family.
-
-    MWPM, the predecoder and the hierarchical decoder get the numpy kernels
-    of ``batched_wrappers`` — composed with each other over an MWPM slow
-    path, so no C union-find kernel is bound.
-    """
+    """MWPM gets the numpy-vectorized kernel of ``batched_wrappers``."""
     graph, _ = parity_grid[(3, 2e-3)]
     mwpm = MWPMDecoder(graph)
     kernel = kernels.bind(mwpm)
     assert isinstance(kernel, BatchedMWPM)
     assert kernels.bind(mwpm) is kernel  # cached per decoder instance
-
-    # predecode-kernel -> inner-decoder kernel composition
-    over_mwpm = PredecodedDecoder(graph, MWPMDecoder(graph))
-    pk = kernels.bind(over_mwpm)
-    assert isinstance(pk, BatchedPredecode)
-    assert isinstance(pk.inner, BatchedMWPM)
-    assert pk.inner is kernels.bind(over_mwpm.slow)
-
-    hier = HierarchicalDecoder(graph, lut_size_bytes=4096, slow_decoder=MWPMDecoder(graph))
-    hk = kernels.bind(hier)
-    assert isinstance(hk, BatchedHierarchical)
-    assert isinstance(hk.inner, BatchedMWPM)
-    assert hk.inner is kernels.bind(hier.slow)
-    # the LUT decoder stays scalar on every path
-    assert kernels.bind(LookupTableDecoder(graph, max_errors=1)) is None
     # a cached kernel is not served once the C library is gone
     with numpy_plane():
         assert kernels.bind(mwpm) is None
@@ -144,15 +108,6 @@ def test_cext_backend_swaps_only_the_unionfind_kernel(parity_grid):
     kernel = kernels.bind(dec)
     assert isinstance(kernel, cext.CextUnionFind)
     assert kernels.bind(dec) is kernel  # cached per decoder instance
-    # wrappers over union-find pick the C kernel up as their inner kernel
-    wrapped = PredecodedDecoder(graph, UnionFindDecoder(graph))
-    pk = kernels.bind(wrapped)
-    assert isinstance(pk, BatchedPredecode)
-    assert isinstance(pk.inner, cext.CextUnionFind)
-    assert pk.inner is kernels.bind(wrapped.slow)
-    hk = kernels.bind(HierarchicalDecoder(graph, lut_size_bytes=4096))
-    assert isinstance(hk, BatchedHierarchical)
-    assert isinstance(hk.inner, cext.CextUnionFind)
     # MWPM keeps its numpy kernel; overridden paths stay scalar
     assert isinstance(kernels.bind(MWPMDecoder(graph)), BatchedMWPM)
 
@@ -171,23 +126,12 @@ def test_cext_backend_skips_overridden_decode_paths(parity_grid):
         def decode(self, detectors):
             return super().decode(detectors)
 
-    class _CountingPre(PredecodedDecoder):
-        def _decode_rows(self, rows, counts, inner=None):
-            return super()._decode_rows(rows, counts, inner)
-
     class _CountingMWPM(MWPMDecoder):
         def _decode_defects(self, defects):
             return super()._decode_defects(defects)
 
     assert kernels.bind(_CountingUF(graph)) is None
-    assert kernels.bind(_CountingPre(graph, UnionFindDecoder(graph))) is None
     assert kernels.bind(_CountingMWPM(graph)) is None
-    # ... but a stock wrapper around an overridden inner decoder still gets
-    # the predecode kernel, with the inner rows falling back to scalar
-    wrapped = PredecodedDecoder(graph, _CountingUF(graph))
-    kernel = kernels.bind(wrapped)
-    assert isinstance(kernel, BatchedPredecode)
-    assert kernel.inner is None
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +200,7 @@ def test_degraded_backend_still_decodes_identically(parity_grid, no_compiler):
 
 
 def _build(factory, graph):
-    if factory == "unionfind":
-        return UnionFindDecoder(graph)
-    if factory == "mwpm":
-        return MWPMDecoder(graph)
-    if factory == "predecoded":
-        return PredecodedDecoder(graph, UnionFindDecoder(graph))
-    return HierarchicalDecoder(graph, lut_size_bytes=4096)
+    return UnionFindDecoder(graph) if factory == "unionfind" else MWPMDecoder(graph)
 
 
 def _stat_counters(engine):
@@ -272,21 +210,19 @@ def _stat_counters(engine):
 
 
 @pytest.mark.parametrize("point", [(3, 2e-3), (3, 5e-3), (5, 1e-3)])
-@pytest.mark.parametrize("factory", ["unionfind", "mwpm", "predecoded", "hierarchical"])
+@pytest.mark.parametrize("factory", ["unionfind", "mwpm"])
 def test_backend_parity_matrix(parity_grid, point, factory):
     graph, det = parity_grid[point]
     if factory != "unionfind":
         det = det[:400]  # slow decoders decode a thinner slice of each point
-    reference = ref_counters = ref_predecode = None
+    reference = ref_counters = None
     for name, path in DECODE_PATHS:
         with path():
             engine = BatchDecodingEngine(_build(factory, graph))
             predictions = engine.decode_batch(det)
         counters = _stat_counters(engine)
-        predecode = vars(engine.decoder_stats) if factory == "predecoded" else None
-        assert predecode is None or predecode["shots"] == det.shape[0]
         if reference is None:  # the scalar reference pass comes first
-            reference, ref_counters, ref_predecode = predictions, counters, predecode
+            reference, ref_counters = predictions, counters
         else:
             assert np.array_equal(predictions, reference), (
                 f"the {name} path diverged from python for {factory} at {point}"
@@ -294,24 +230,9 @@ def test_backend_parity_matrix(parity_grid, point, factory):
             assert counters == ref_counters, (
                 f"the {name} path's stats diverged from python for {factory} at {point}"
             )
-            assert predecode == ref_predecode, (
-                f"the {name} path's PredecodeStats diverged for {factory} at {point}"
-            )
 
 
-def test_backend_parity_lut_decoder():
-    noise = NoiseModel(hardware=GOOGLE, p=1e-2)
-    art = repetition_experiment(3, 2, noise)
-    graph = build_matching_graph(circuit_to_dem(art.circuit), basis="Z")
-    det, _ = DemSampler(circuit_to_dem(art.circuit)).sample(500, rng=17)
-    out = []
-    for _, path in DECODE_PATHS:
-        with path():
-            out.append(BatchDecodingEngine(LookupTableDecoder(graph, max_errors=4)).decode_batch(det))
-    assert np.array_equal(out[1], out[0])
-
-
-@pytest.mark.parametrize("factory", ["unionfind", "mwpm", "hierarchical"])
+@pytest.mark.parametrize("factory", ["unionfind", "mwpm"])
 def test_backend_parity_over_overlapping_batches(parity_grid, factory):
     """Overlapping batches through one engine: same masks and counters on each path."""
     graph, det = parity_grid[(3, 5e-3)]
@@ -338,8 +259,6 @@ def test_backend_parity_over_overlapping_batches(parity_grid, factory):
     "make_kernel",
     [
         lambda g: BatchedMWPM(MWPMDecoder(g)),
-        lambda g: BatchedPredecode(PredecodedDecoder(g, UnionFindDecoder(g))),
-        lambda g: BatchedHierarchical(HierarchicalDecoder(g, lut_size_bytes=4096)),
         pytest.param(
             lambda g: cext.CextUnionFind(UnionFindDecoder(g)), marks=requires_cc
         ),
@@ -472,17 +391,13 @@ def test_cext_kernel_is_safe_across_threads(parity_grid):
 
 
 def test_kernel_handles_empty_and_all_zero_input(parity_grid):
-    """The numpy kernels return one zero mask per row, and none for no rows."""
+    """The numpy MWPM kernel returns one zero mask per row, and none for no rows."""
     graph, _ = parity_grid[(3, 2e-3)]
-    for kernel in (
-        BatchedMWPM(MWPMDecoder(graph)),
-        BatchedPredecode(PredecodedDecoder(graph, UnionFindDecoder(graph))),
-        BatchedHierarchical(HierarchicalDecoder(graph, lut_size_bytes=4096)),
-    ):
-        empty = kernel.decode_rows(np.zeros((0, graph.num_detectors), dtype=bool))
-        assert empty.shape == (0,), type(kernel).__name__
-        zeros = kernel.decode_rows(np.zeros((5, graph.num_detectors), dtype=bool))
-        assert zeros.shape == (5,) and not zeros.any(), type(kernel).__name__
+    kernel = BatchedMWPM(MWPMDecoder(graph))
+    empty = kernel.decode_rows(np.zeros((0, graph.num_detectors), dtype=bool))
+    assert empty.shape == (0,)
+    zeros = kernel.decode_rows(np.zeros((5, graph.num_detectors), dtype=bool))
+    assert zeros.shape == (5,) and not zeros.any()
 
 
 @requires_cc

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codes import PatchLayout, other_basis
-from repro.decoders import UnionFindDecoder, build_matching_graph, lut_weight_threshold
+from repro.decoders import UnionFindDecoder, build_matching_graph
 from repro.stab.dem import DemError, DetectorErrorModel
 from repro.timing import PatchTimeline, RoundIdle
 
@@ -83,22 +83,6 @@ def test_empty_syndrome_always_trivial(dem_n):
     dem, n = dem_n
     decoder = UnionFindDecoder(build_matching_graph(dem))
     assert decoder.decode(np.zeros(n, dtype=bool)) == 0
-
-
-# --- LUT threshold properties -----------------------------------------------------
-
-
-@given(window=st.integers(1, 64), size=st.integers(1, 10**8))
-def test_lut_threshold_bounds(window, size):
-    t = lut_weight_threshold(window, size)
-    assert 0 <= t <= window
-
-
-@given(window=st.integers(4, 48))
-def test_lut_threshold_monotone_in_budget(window):
-    small = lut_weight_threshold(window, 1024)
-    big = lut_weight_threshold(window, 1024 * 1024)
-    assert big >= small
 
 
 # --- timeline properties ---------------------------------------------------------

@@ -1,10 +1,9 @@
 """Repetition-code experiment tests (the Fig. 1c fixture)."""
 
-import numpy as np
 import pytest
 
 from repro.codes.repetition import repetition_experiment
-from repro.decoders import LookupTableDecoder, UnionFindDecoder, build_matching_graph
+from repro.decoders import UnionFindDecoder, build_matching_graph
 from repro.stab import DemSampler, circuit_to_dem, simulate_circuit
 from repro.noise import NoiseModel
 from repro.noise.hardware import SHERBROOKE
@@ -47,19 +46,6 @@ def test_idle_monotonically_increases_ler(sherbrooke_noise):
         pred = UnionFindDecoder(graph).decode_batch(det)
         lers.append(float((pred[:, :1] ^ obs).mean()))
     assert lers[0] < lers[1] < lers[2]
-
-
-def test_lut_decoder_covers_repetition_code(sherbrooke_noise):
-    """The paper used a LUT decoder for Fig. 1c; weight-3 enumeration covers
-    the 3-qubit, 2-round code's whole syndrome space."""
-    art = repetition_experiment(3, 2, sherbrooke_noise, idle_before_last_round_ns=300.0)
-    dem = circuit_to_dem(art.circuit)
-    graph = build_matching_graph(dem, basis="Z")
-    lut = LookupTableDecoder(graph, max_errors=4)
-    det, obs = DemSampler(dem).sample(3000, rng=2)
-    pred = lut.decode_batch(det)  # raises KeyError on any uncovered syndrome
-    ler = float((pred[:, :1] ^ obs).mean())
-    assert 0.0 <= ler < 0.5
 
 
 def test_wider_repetition_codes(sherbrooke_noise):

@@ -559,7 +559,7 @@ def test_no_c_library_gives_identical_records_and_lers(tmp_path, workers):
     assert all(r[1] and r[2] == 1500 for r in host[2].values())
 
 
-@pytest.mark.parametrize("decoder", ["unionfind", "predecoded", "hierarchical", "mwpm"])
+@pytest.mark.parametrize("decoder", ["unionfind", "mwpm"])
 def test_scalar_backend_sweep_on_decode_threads_matches_inline(tmp_path, decoder):
     # without the C library every decoder runs its scalar pass, whose
     # per-thread scratch must keep decode threads sharing one cached decoder
@@ -604,44 +604,29 @@ def test_sweep_under_missing_backend_produces_identical_records(
 
 
 def test_sweep_spec_rejects_unknown_decoder():
-    with pytest.raises(ValueError, match="unknown decoder"):
-        _spec(decoder="no-such-decoder")
-
-
-def test_sweep_runs_predecoded_decoder_through_the_store(tmp_path):
-    """The wrapped decoder names round-trip through specs, workers, store."""
-    spec = _spec(decoder="predecoded", p=5e-3, max_shots=1000)
-    first = run_sweep(spec, ResultStore(tmp_path / "s"))
-    record = first.outcomes[0].record
-    assert record["config"]["decoder"] == "predecoded"
-    assert record["shots"] == 1000
-    # a re-run serves entirely from the store, decoding nothing
-    again = run_sweep(spec, ResultStore(tmp_path / "s"))
-    assert again.shots_decoded == 0
-    assert again.outcomes[0].record["failures"] == record["failures"]
+    # names an old spec file may still carry are rejected like any other
+    for name in ("no-such-decoder", "predecoded", "hierarchical"):
+        with pytest.raises(ValueError, match="unknown decoder"):
+            _spec(decoder=name)
 
 
 @pytest.mark.parametrize(
-    "decoder, identity, key",
+    "decoder, key",
     [
         (
-            "hierarchical",
-            "hierarchical[lut_bytes=65536]",
-            "80c450d7bb6ff79872da90b75a4ccbd5296789ebe2255ec3428883019a9f8c54",
-        ),
-        (
-            "unionfind",
             "unionfind",
             "4d7bd38cece0062352b65605179cada780f8237dbe37dc14693ba498fee091db",
         ),
+        (
+            "mwpm",
+            "4eae8febcc107b02f18ab41e6701f49f1d219b2abd178debbecd32940cbc869e",
+        ),
     ],
-    ids=["hierarchical", "unionfind"],
+    ids=["unionfind", "mwpm"],
 )
-def test_point_keys_are_pinned(decoder, identity, key):
-    """Decoder store identities feed point keys: the hierarchical decoder
-    keys under its LUT budget, the others by bare name, and stored records
-    keep resolving to the same keys."""
-    assert ler_module.decoder_store_identity(decoder) == identity
+def test_point_keys_are_pinned(decoder, key):
+    """The decoder name feeds the point key, and stored records keep
+    resolving to the same keys."""
     spec = _spec(decoder=decoder)
     pt = spec.points()[0]
     assert pt.key(seed=spec.seed, batch_shots=spec.batch_shots) == key
