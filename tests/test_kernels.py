@@ -258,9 +258,12 @@ def test_backend_parity_over_overlapping_batches(parity_grid, factory):
 @pytest.mark.parametrize(
     "make_kernel",
     [
-        lambda g: BatchedMWPM(MWPMDecoder(g)),
+        # ids kept from the earlier four-kernel list, so each case keeps its name
+        pytest.param(lambda g: BatchedMWPM(MWPMDecoder(g)), id="<lambda>0"),
         pytest.param(
-            lambda g: cext.CextUnionFind(UnionFindDecoder(g)), marks=requires_cc
+            lambda g: cext.CextUnionFind(UnionFindDecoder(g)),
+            marks=requires_cc,
+            id="<lambda>3",
         ),
     ],
 )
