@@ -1,4 +1,4 @@
-"""Small shared utilities: RNG handling, bit packing, probability algebra.
+"""Small shared utilities: RNG handling, CSR index lists, probability algebra.
 
 The probability algebra comes in two forms: scalar (:func:`xor_probability`,
 :func:`combine_flip_probabilities`) and vectorised over runs of a sorted
@@ -17,6 +17,9 @@ __all__ = [
     "run_starts",
     "xor_runs",
     "combine_flip_runs",
+    "csr_indptr",
+    "csr_take",
+    "csr_tuples",
 ]
 
 
@@ -80,3 +83,25 @@ def combine_flip_runs(probs: np.ndarray, starts: np.ndarray) -> np.ndarray:
         acc[more] *= 1.0 - 2.0 * probs[starts[more] + k]
     return (1.0 - acc) / 2.0
 
+
+
+def csr_indptr(lens) -> np.ndarray:
+    """``int64`` row pointer of a CSR list whose rows have lengths ``lens``."""
+    lens = np.asarray(lens, dtype=np.int64)
+    indptr = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    return indptr
+
+
+def csr_take(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """The CSR list ``(indptr, indices)`` of ``rows`` (in that order)."""
+    lens = indptr[rows + 1] - indptr[rows]
+    out = csr_indptr(lens)
+    src = np.repeat(indptr[rows] - out[:-1], lens) + np.arange(out[-1], dtype=np.int64)
+    return out, indices[src]
+
+
+def csr_tuples(indptr: np.ndarray, indices: np.ndarray) -> list[tuple]:
+    """The rows of a CSR list as tuples of Python scalars."""
+    flat, ptr = indices.tolist(), indptr.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]

@@ -172,27 +172,27 @@ def surgery_experiment(spec: SurgerySpec) -> SurgeryArtifacts:
     for m in range(rounds_merged):
         recs = emitter.emit_round(layout_merged.plaquettes, merged_qubits, RoundIdle())
         label = round_label + m
-        for p in layout_merged.plaquettes:
-            if p.basis != basis:
-                continue
-            cur = recs[p.pos]
-            if m == 0 and p.pos in new_basis_positions:
-                continue  # individually random; covered by the seam product
-            _add_detector(circuit, art, [prev[p.pos], cur], p.pos, label, basis)
+        rows = [
+            ([prev[p.pos], recs[p.pos]], p.pos)
+            for p in layout_merged.plaquettes
+            if p.basis == basis
+            # a new seam check is individually random; the seam product covers it
+            and not (m == 0 and p.pos in new_basis_positions)
+        ]
         if m == 0 and spec.include_seam_detector and new_basis_positions:
-            seam_recs = [recs[pos] for pos in sorted(new_basis_positions)]
-            art.seam_detector_index = circuit.num_detectors
-            _add_detector(circuit, art, seam_recs, (d, -1), label, basis)
+            art.seam_detector_index = circuit.num_detectors + len(rows)
+            rows.append(([recs[pos] for pos in sorted(new_basis_positions)], (d, -1)))
+        _add_detectors(circuit, art, rows, label, basis)
         prev.update(recs)
 
     # ---- transversal readout -------------------------------------------------------
     finals = emitter.emit_data_measurement(layout_merged.data_coords(), basis)
-    label = round_label + rounds_merged
-    for p in layout_merged.plaquettes:
-        if p.basis != basis:
-            continue
-        rec = [prev[p.pos]] + [finals[c] for c in p.data]
-        _add_detector(circuit, art, rec, p.pos, label, basis)
+    rows = [
+        ([prev[p.pos]] + [finals[c] for c in p.data], p.pos)
+        for p in layout_merged.plaquettes
+        if p.basis == basis
+    ]
+    _add_detectors(circuit, art, rows, round_label + rounds_merged, basis)
 
     circuit.observable_include(OBS_SINGLE, [finals[c] for c in layout_p.vertical_logical()])
     circuit.observable_include(
@@ -212,15 +212,19 @@ def _patch_qubits(layout: PatchLayout, registry: QubitRegistry) -> list[int]:
 
 
 def _annotate_round(circuit, art, layout, recs, prev, basis, round_label, *, first):
-    for p in layout.plaquettes:
-        if p.basis != basis:
-            continue
-        cur = recs[p.pos]
-        rec = [cur] if first else [prev[p.pos], cur]
-        _add_detector(circuit, art, rec, p.pos, round_label, basis)
+    rows = [
+        ([recs[p.pos]] if first else [prev[p.pos], recs[p.pos]], p.pos)
+        for p in layout.plaquettes
+        if p.basis == basis
+    ]
+    _add_detectors(circuit, art, rows, round_label, basis)
 
 
-def _add_detector(circuit, art, rec, pos, round_label, basis) -> None:
-    index = circuit.num_detectors
-    circuit.detector(rec, coords=(pos[0], pos[1], round_label), basis=basis)
-    art.detectors_by_round.setdefault(round_label, []).append(index)
+def _add_detectors(circuit, art, rows, round_label, basis) -> None:
+    """Append one round's ``(records, plaquette position)`` rows as one detector block."""
+    new = circuit.append_detectors(
+        [rec for rec, _ in rows],
+        coords=[(pos[0], pos[1], round_label) for _, pos in rows],
+        basis=basis,
+    )
+    art.detectors_by_round.setdefault(round_label, []).extend(new)

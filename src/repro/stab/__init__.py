@@ -3,7 +3,7 @@
 This package is a from-scratch replacement for the subset of Stim used by the
 paper's ``lattice-sim`` generator:
 
-* :class:`~repro.stab.circuit.Circuit` — instruction-list IR with detectors
+* :class:`~repro.stab.circuit.Circuit` — columnar circuit IR with detectors
   and observables,
 * :class:`~repro.stab.tableau.TableauSimulator` — exact CHP simulator used as
   a verification oracle,

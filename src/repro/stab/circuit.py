@@ -1,10 +1,10 @@
 """Stabilizer-circuit intermediate representation.
 
-A :class:`Circuit` is an ordered list of :class:`Instruction` objects drawn
-from the gate set in :mod:`repro.stab.gates`.  It mirrors Stim's circuit
-model: qubit targets, probabilistic noise channels, and measurement-record
-annotations (``DETECTOR`` / ``OBSERVABLE_INCLUDE``) that downstream tools turn
-into detector error models.
+A :class:`Circuit` is an ordered sequence of instructions drawn from the gate
+set in :mod:`repro.stab.gates`.  It mirrors Stim's circuit model: qubit
+targets, probabilistic noise channels, and measurement-record annotations
+(``DETECTOR`` / ``OBSERVABLE_INCLUDE``) that downstream tools turn into
+detector error models.
 
 Differences from Stim kept deliberately simple:
 
@@ -12,18 +12,48 @@ Differences from Stim kept deliberately simple:
   indices as measurements are appended), and
 * detectors carry optional ``coords`` and a ``basis`` tag (``"X"``/``"Z"``)
   so decoders can select the CSS sub-problem they care about.
+
+Storage is columnar, like Stim's flat operation and target arrays (Gidney,
+arXiv:2103.02202).  :meth:`Circuit.columns` returns the columns as numpy
+arrays (:class:`CircuitColumns`): one opcode per instruction (its index in
+:data:`NAMES`), ``int64`` CSR lists of the instructions' qubit targets and
+measurement records, a ``float64`` CSR list of their arguments, and per
+detector one ``float64`` coords row and one basis tag.  As in Stim, the
+arguments are a noise channel's probabilities, an ``OBSERVABLE_INCLUDE``'s
+observable index and a ``QUBIT_COORDS``'s coordinates.
+:attr:`Circuit.instructions` and :attr:`Circuit.detectors` are read-only
+lists of :class:`Instruction` / :class:`DetectorInfo` objects, built on
+first use and cached until the next append.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
+import numpy as np
+
+from .._util import csr_indptr, csr_take, csr_tuples
 from .gates import GATES, GateKind
 
-__all__ = ["Instruction", "Circuit"]
+__all__ = ["Instruction", "DetectorInfo", "Circuit", "CircuitColumns", "NAMES"]
+
+#: instruction names in opcode order; an alias keeps its own opcode, so an
+#: instruction reads back under the name it was appended with
+NAMES = tuple(GATES)
+OPCODES = {name: code for code, name in enumerate(NAMES)}
+_DETECTOR = OPCODES["DETECTOR"]
+_OBSERVABLE = OPCODES["OBSERVABLE_INCLUDE"]
+_QUBIT_COORDS = OPCODES["QUBIT_COORDS"]
+_IS_NOISE = np.array(
+    [GATES[n].kind in (GateKind.NOISE_1, GateKind.NOISE_2) for n in NAMES], dtype=bool
+)
+_IS_MEASURE = np.array([GATES[n].kind == GateKind.MEASURE for n in NAMES], dtype=bool)
+#: shared by every append without targets; an empty array is never stored
+_NO_TARGETS = np.zeros(0, dtype=np.int64)
 
 #: gate kinds whose targets are qubit pairs, and those that act per qubit
 _PAIR_KINDS = frozenset({GateKind.CLIFFORD_2, GateKind.NOISE_2})
@@ -74,16 +104,44 @@ class DetectorInfo:
     basis: str | None
 
 
+class CircuitColumns(NamedTuple):
+    """A circuit's columns; instruction ``i``'s targets are
+    ``targets[tptr[i]:tptr[i + 1]]``, and likewise for args and records."""
+
+    ops: np.ndarray
+    tptr: np.ndarray
+    targets: np.ndarray
+    aptr: np.ndarray
+    args: np.ndarray
+    rptr: np.ndarray
+    recs: np.ndarray
+    #: detector ``j``'s coords are ``coords[dptr[j]:dptr[j + 1]]``
+    dptr: np.ndarray
+    coords: np.ndarray
+    basis: tuple[str | None, ...]
+
+
 class Circuit:
     """Mutable stabilizer circuit with measurement-record tracking."""
 
     def __init__(self) -> None:
-        self.instructions: list[Instruction] = []
         self.num_qubits = 0
         self.num_measurements = 0
-        self.detectors: list[DetectorInfo] = []
         self.num_observables = 0
         self.qubit_coords: dict[int, tuple[float, ...]] = {}
+        # the columns while they grow: row lengths and flat values
+        self._ops: list[int] = []
+        self._tlen: list[int] = []
+        self._tchunks: list[np.ndarray] = []
+        self._alen: list[int] = []
+        self._args: list[float] = []
+        self._rlen: list[int] = []
+        self._recs: list[int] = []
+        self._dlen: list[int] = []
+        self._coords: list[float] = []
+        self._basis: list[str | None] = []
+        #: columns and object views, dropped by every append
+        self._views: dict[str, object] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -99,72 +157,94 @@ class Circuit:
         obs_index: int | None = None,
     ) -> list[int]:
         """Append one instruction; returns new measurement-record indices."""
-        gate = GATES.get(name)
-        if gate is None:
+        code = OPCODES.get(name)
+        if code is None:
             raise ValueError(f"unknown instruction {name!r}")
-        targets = tuple(map(int, targets))
-        args = tuple(map(float, args))
-        rec_t = tuple(map(int, rec))
-        self._validate(name, gate, targets, args, rec_t)
+        gate = GATES[name]
+        t = np.array(targets, dtype=np.int64).reshape(-1) if len(targets) else _NO_TARGETS
+        a = tuple(map(float, args))
+        _validate(name, gate, t, a)
+        if code == _DETECTOR:
+            if t.size or obs_index is not None:
+                raise ValueError("DETECTOR takes only records, coords and a basis")
+            self.append_detectors([rec], coords=[coords], basis=basis)
+            return []
+        if basis is not None or (len(coords) and code != _QUBIT_COORDS):
+            raise ValueError(f"{name} takes no detector coords or basis")
+        if (len(rec) or obs_index is not None) and code != _OBSERVABLE:
+            raise ValueError(f"{name} takes no records or observable index")
+        if t.size and gate.kind == GateKind.ANNOTATION and code != _QUBIT_COORDS:
+            raise ValueError(f"{name} takes no qubit targets")
+
+        r: list[int] = []
+        if code == _OBSERVABLE:
+            r = list(map(int, rec))
+            if r and (min(r) < 0 or max(r) >= self.num_measurements):
+                raise ValueError(f"{name} references measurement records that do not exist yet")
+            if obs_index is None:
+                raise ValueError("OBSERVABLE_INCLUDE requires obs_index")
+            a = (float(int(obs_index)),)
+            self.num_observables = max(self.num_observables, int(obs_index) + 1)
+        elif code == _QUBIT_COORDS:
+            a = tuple(map(float, coords))
+            for q in t.tolist():
+                self.qubit_coords[q] = a
 
         new_records: list[int] = []
-        kind = gate.kind
-        if kind == GateKind.MEASURE:
+        if gate.kind == GateKind.MEASURE:
             start = self.num_measurements
-            self.num_measurements = start + len(targets)
+            self.num_measurements = start + t.size
             new_records = list(range(start, self.num_measurements))
-        elif kind == GateKind.ANNOTATION:
-            if name == "DETECTOR":
-                self.detectors.append(DetectorInfo(rec_t, tuple(coords), basis))
-            elif name == "OBSERVABLE_INCLUDE":
-                if obs_index is None:
-                    raise ValueError("OBSERVABLE_INCLUDE requires obs_index")
-                self.num_observables = max(self.num_observables, int(obs_index) + 1)
-            elif name == "QUBIT_COORDS":
-                for t in targets:
-                    self.qubit_coords[t] = tuple(coords)
-        if targets:
-            self.num_qubits = max(self.num_qubits, max(targets) + 1)
-
-        self.instructions.append(
-            Instruction(
-                name=name,
-                targets=targets,
-                args=args,
-                rec=rec_t,
-                coords=tuple(map(float, coords)),
-                basis=basis,
-                obs_index=-1 if obs_index is None else int(obs_index),
-            )
-        )
+        if t.size:
+            self.num_qubits = max(self.num_qubits, int(t.max()) + 1)
+            self._tchunks.append(t)
+        self._ops.append(code)
+        self._tlen.append(t.size)
+        self._alen.append(len(a))
+        self._args.extend(a)
+        self._rlen.append(len(r))
+        self._recs.extend(r)
+        self._views.clear()
         return new_records
 
-    def _validate(self, name, gate, targets, args, rec) -> None:
-        kind = gate.kind
-        if kind in _PAIR_KINDS:
-            if len(targets) == 0 or len(targets) % 2 != 0:
-                raise ValueError(f"{name} needs an even, non-zero number of targets")
-            if any(map(operator.eq, targets[::2], targets[1::2])):
-                raise ValueError(f"{name} cannot target a qubit pair (q, q)")
-        elif kind in _SINGLE_KINDS:
-            if len(targets) == 0:
-                raise ValueError(f"{name} needs at least one target")
-            if kind != GateKind.NOISE_1 and len(set(targets)) != len(targets):
-                # the simulators apply each layer as one vectorized update,
-                # which would act once on a repeated qubit instead of twice
-                raise ValueError(f"{name} cannot target the same qubit twice")
-        if gate.num_probabilities != len(args):
-            raise ValueError(
-                f"{name} takes {gate.num_probabilities} probability args, got {len(args)}"
-            )
-        # min/max skip a NaN unless it comes first, so NaN is checked apart
-        if args and (min(args) < 0.0 or max(args) > 1.0 or any(map(math.isnan, args))):
-            raise ValueError(f"{name} probabilities must lie in [0, 1]")
-        if targets and min(targets) < 0:
-            raise ValueError("qubit targets must be non-negative")
-        if rec and name in ("DETECTOR", "OBSERVABLE_INCLUDE"):
-            if min(rec) < 0 or max(rec) >= self.num_measurements:
-                raise ValueError(f"{name} references measurement records that do not exist yet")
+    def append_detectors(
+        self,
+        rec: Sequence[Sequence[int]],
+        *,
+        coords: Sequence[Sequence[float]] = (),
+        basis: str | None = None,
+    ) -> range:
+        """Declare one detector per row of ``rec`` as one block.
+
+        ``coords`` is empty or holds one coordinates row per detector; every
+        detector of the block gets the tag ``basis``.  The block is checked
+        as a whole before any of it is stored, so a rejected block leaves
+        the circuit unchanged.  Returns the new detectors' indices.
+        """
+        lens = [len(r) for r in rec]
+        flat = list(map(int, itertools.chain.from_iterable(rec)))
+        if flat and (min(flat) < 0 or max(flat) >= self.num_measurements):
+            raise ValueError("DETECTOR references measurement records that do not exist yet")
+        n = len(lens)
+        if len(coords) == 0:
+            widths = [0] * n
+        elif len(coords) == n:
+            widths = [len(c) for c in coords]
+        else:
+            raise ValueError(f"{len(coords)} coords rows for {n} detectors")
+        values = list(map(float, itertools.chain.from_iterable(coords)))
+        start = self.num_detectors
+        zeros = [0] * n
+        self._ops.extend([_DETECTOR] * n)
+        self._tlen.extend(zeros)
+        self._alen.extend(zeros)
+        self._rlen.extend(lens)
+        self._recs.extend(flat)
+        self._dlen.extend(widths)
+        self._coords.extend(values)
+        self._basis.extend([basis] * n)
+        self._views.clear()
+        return range(start, start + n)
 
     # convenience wrappers -------------------------------------------------
 
@@ -180,76 +260,149 @@ class Circuit:
         basis: str | None = None,
     ) -> None:
         """Declare a parity check over measurement records."""
-        self.append("DETECTOR", rec=rec, coords=coords, basis=basis)
+        self.append_detectors([rec], coords=[coords], basis=basis)
 
     def observable_include(self, obs_index: int, rec: Sequence[int]) -> None:
         """Accumulate measurement records into a logical observable."""
         self.append("OBSERVABLE_INCLUDE", rec=rec, obs_index=obs_index)
 
     def extend(self, other: "Circuit") -> None:
-        """Append a standalone circuit, shifting its record/observable indices."""
-        offset = self.num_measurements
-        for inst in other.instructions:
-            self.append(
-                inst.name,
-                inst.targets,
-                inst.args,
-                rec=tuple(r + offset for r in inst.rec),
-                coords=inst.coords,
-                basis=inst.basis,
-                obs_index=None if inst.obs_index < 0 else inst.obs_index,
-            )
+        """Append a standalone circuit, shifting its measurement records.
+
+        Records move past this circuit's measurements.  Observable indices
+        stay as they are: ``other``'s observable ``k`` accumulates onto this
+        circuit's observable ``k``.
+        """
+        self._splice(other, np.arange(len(other)), self.num_measurements)
+
+    def _splice(self, src: "Circuit", rows: np.ndarray, rec_offset: int) -> None:
+        """Append rows ``rows`` of ``src`` (and all its detectors) as they are."""
+        cols = src.columns()
+        ops = cols.ops[rows]
+        tptr, targets = csr_take(cols.tptr, cols.targets, rows)
+        aptr, args = csr_take(cols.aptr, cols.args, rows)
+        rptr, recs = csr_take(cols.rptr, cols.recs, rows)
+        tlen = np.diff(tptr)
+        self._ops.extend(ops.tolist())
+        self._tlen.extend(tlen.tolist())
+        if targets.size:
+            self._tchunks.append(targets)
+            self.num_qubits = max(self.num_qubits, int(targets.max()) + 1)
+        self._alen.extend(np.diff(aptr).tolist())
+        self._args.extend(args.tolist())
+        self._rlen.extend(np.diff(rptr).tolist())
+        self._recs.extend((recs + rec_offset).tolist())
+        self._dlen.extend(np.diff(cols.dptr).tolist())
+        self._coords.extend(cols.coords.tolist())
+        self._basis.extend(cols.basis)
+        self.num_measurements += int(tlen[_IS_MEASURE[ops]].sum())
+        observed = args[aptr[:-1][ops == _OBSERVABLE]]
+        if observed.size:
+            self.num_observables = max(self.num_observables, int(observed.max()) + 1)
+        self.qubit_coords.update(src.qubit_coords)
+        self._views.clear()
 
     # -- queries -----------------------------------------------------------
 
+    def columns(self) -> CircuitColumns:
+        """The columns as numpy arrays (built once per append, then shared)."""
+        cols = self._views.get("columns")
+        if cols is None:
+            if len(self._tchunks) > 1:
+                self._tchunks = [np.concatenate(self._tchunks)]
+            cols = self._views["columns"] = CircuitColumns(
+                np.array(self._ops, dtype=np.int64),
+                csr_indptr(self._tlen),
+                self._tchunks[0] if self._tchunks else np.zeros(0, dtype=np.int64),
+                csr_indptr(self._alen),
+                np.array(self._args, dtype=np.float64),
+                csr_indptr(self._rlen),
+                np.array(self._recs, dtype=np.int64),
+                csr_indptr(self._dlen),
+                np.array(self._coords, dtype=np.float64),
+                tuple(self._basis),
+            )
+        return cols
+
+    @property
+    def instructions(self) -> list[Instruction]:
+        """The instructions as :class:`Instruction` objects (built once, then cached)."""
+        out = self._views.get("instructions")
+        if out is None:
+            out = self._views["instructions"] = self._build_instructions()
+        return out
+
+    def _build_instructions(self) -> list[Instruction]:
+        cols = self.columns()
+        details = zip(self.detector_coords, cols.basis)
+        out = []
+        for code, t, a, r in zip(
+            cols.ops.tolist(),
+            csr_tuples(cols.tptr, cols.targets),
+            csr_tuples(cols.aptr, cols.args),
+            csr_tuples(cols.rptr, cols.recs),
+        ):
+            name = NAMES[code]
+            if code == _DETECTOR:
+                c, b = next(details)
+                out.append(Instruction(name, t, a, r, c, b))
+            elif code == _OBSERVABLE:
+                out.append(Instruction(name, t, (), r, obs_index=int(a[0])))
+            elif code == _QUBIT_COORDS:
+                out.append(Instruction(name, t, (), r, coords=a))
+            else:
+                out.append(Instruction(name, t, a, r))
+        return out
+
+    @property
+    def detectors(self) -> list[DetectorInfo]:
+        """The detectors as :class:`DetectorInfo` objects (built once, then cached)."""
+        out = self._views.get("detectors")
+        if out is None:
+            cols = self.columns()
+            rows = np.flatnonzero(cols.ops == _DETECTOR)
+            recs = csr_tuples(*csr_take(cols.rptr, cols.recs, rows))
+            out = self._views["detectors"] = [
+                DetectorInfo(r, c, b)
+                for r, c, b in zip(recs, self.detector_coords, cols.basis)
+            ]
+        return out
+
+    @property
+    def detector_coords(self) -> list[tuple[float, ...]]:
+        """Each detector's coords as a tuple of floats."""
+        cols = self.columns()
+        return csr_tuples(cols.dptr, cols.coords)
+
     @property
     def num_detectors(self) -> int:
-        return len(self.detectors)
+        return len(self._basis)
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self._ops)
 
     def count(self, name: str) -> int:
         """Number of applications (per target group) of instruction ``name``."""
-        gate = GATES.get(name)
-        if gate is None:
+        code = OPCODES.get(name)
+        if code is None:
             raise ValueError(f"unknown instruction {name!r}")
-        span = max(gate.targets_per_op, 1)
-        return sum(
-            len(inst.targets) // span if inst.targets else 1
-            for inst in self.instructions
-            if inst.name == name
-        )
-
-    def noise_channels(self) -> Iterable[tuple[int, Instruction]]:
-        """(position, instruction) pairs for every noise channel."""
-        for i, inst in enumerate(self.instructions):
-            if inst.gate.kind in (GateKind.NOISE_1, GateKind.NOISE_2):
-                yield i, inst
+        span = max(GATES[name].targets_per_op, 1)
+        cols = self.columns()
+        lens = np.diff(cols.tptr)[cols.ops == code]
+        return int(np.where(lens > 0, lens // span, 1).sum())
 
     def without_noise(self) -> "Circuit":
         """Copy of the circuit with every noise channel removed."""
         out = Circuit()
-        for inst in self.instructions:
-            if inst.gate.kind in (GateKind.NOISE_1, GateKind.NOISE_2):
-                continue
-            out.append(
-                inst.name,
-                inst.targets,
-                inst.args,
-                rec=inst.rec,
-                coords=inst.coords,
-                basis=inst.basis,
-                obs_index=None if inst.obs_index < 0 else inst.obs_index,
-            )
+        out._splice(self, np.flatnonzero(~_IS_NOISE[self.columns().ops]), 0)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Circuit({len(self.instructions)} instructions, {self.num_qubits} qubits, "
+            f"Circuit({len(self)} instructions, {self.num_qubits} qubits, "
             f"{self.num_measurements} measurements, {self.num_detectors} detectors, "
             f"{self.num_observables} observables)"
         )
@@ -267,3 +420,32 @@ class Circuit:
                 parts.insert(1, str(inst.obs_index))
             lines.append(" ".join(parts))
         return "\n".join(lines)
+
+
+def _validate(name: str, gate, t: np.ndarray, args: tuple[float, ...]) -> None:
+    """Reject a malformed target list or argument list of one instruction."""
+    kind = gate.kind
+    n = t.size
+    if kind in _PAIR_KINDS:
+        if n == 0 or n % 2 != 0:
+            raise ValueError(f"{name} needs an even, non-zero number of targets")
+        if (t[0::2] == t[1::2]).any():
+            raise ValueError(f"{name} cannot target a qubit pair (q, q)")
+    elif kind in _SINGLE_KINDS:
+        if n == 0:
+            raise ValueError(f"{name} needs at least one target")
+        if kind != GateKind.NOISE_1 and n > 1:
+            s = np.sort(t)
+            if (s[1:] == s[:-1]).any():
+                # the simulators apply each layer as one vectorized update,
+                # which would act once on a repeated qubit instead of twice
+                raise ValueError(f"{name} cannot target the same qubit twice")
+    if gate.num_probabilities != len(args):
+        raise ValueError(
+            f"{name} takes {gate.num_probabilities} probability args, got {len(args)}"
+        )
+    # min/max skip a NaN unless it comes first, so NaN is checked apart
+    if args and (min(args) < 0.0 or max(args) > 1.0 or any(map(math.isnan, args))):
+        raise ValueError(f"{name} probabilities must lie in [0, 1]")
+    if n and t.min() < 0:
+        raise ValueError("qubit targets must be non-negative")

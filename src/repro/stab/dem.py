@@ -35,16 +35,17 @@ in forward enumeration order (instruction, target, case) so the combined
 probabilities do not depend on the walk direction, and only the distinct
 signatures are expanded into index rows.
 
-The walk runs in C (``dem_walk`` in ``uf.c``, loaded through
-:func:`repro.decoders.kernels.cext.library` at call time) over a flat
-encoding of the circuit (:func:`_encode`): ``uint64`` sensitivity rows with
-live word ranges, a hash of the distinct signatures, and a log of
-(signature, case) replayed in forward order with the float operations of
-:func:`~repro._util.combine_flip_probabilities`.  Its CSR block of signature
-bits is split into the two index lists with numpy.  Without a compiler the
-same walk runs in Python over big-int bitsets (:func:`_walk_python`).  Both
-return ``==`` models (``tests/test_dem_parity.py``); :func:`dem_walk` names
-the one that runs.
+Both walks read one flat encoding of the circuit (:func:`_encode`), built
+with numpy from the circuit's columns (:meth:`Circuit.columns`) and never
+from its instruction objects.  The walk runs in C (``dem_walk`` in ``uf.c``,
+loaded through :func:`repro.decoders.kernels.cext.library` at call time):
+``uint64`` sensitivity rows with live word ranges, a hash of the distinct
+signatures, and a log of (signature, case) replayed in forward order with
+the float operations of :func:`~repro._util.combine_flip_probabilities`.
+Its CSR block of signature bits is split into the two index lists with
+numpy.  Without a compiler the same walk runs in Python over big-int
+bitsets (:func:`_walk_python`).  Both return ``==`` models
+(``tests/test_dem_parity.py``); :func:`dem_walk` names the one that runs.
 """
 
 from __future__ import annotations
@@ -55,10 +56,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import combine_flip_probabilities, combine_flip_runs, run_starts
-from .circuit import Circuit
+from .._util import (
+    combine_flip_probabilities,
+    combine_flip_runs,
+    csr_indptr,
+    csr_take,
+    csr_tuples,
+    run_starts,
+)
+from .circuit import NAMES, OPCODES, Circuit
 from .frame import _KIND_BY_NAME
-from .gates import GateKind, ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
+from .gates import GATES, GateKind, ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
 
 __all__ = ["DemError", "DetectorErrorModel", "circuit_to_dem", "dem_walk"]
 
@@ -128,8 +136,8 @@ class DetectorErrorModel:
     def errors(self) -> list[DemError]:
         """The rows as :class:`DemError` objects (built once, then cached)."""
         if self._errors is None:
-            dets = _tuples(self.det_indptr, self.det_indices)
-            obs = _tuples(self.obs_indptr, self.obs_indices)
+            dets = csr_tuples(self.det_indptr, self.det_indices)
+            obs = csr_tuples(self.obs_indptr, self.obs_indices)
             self._errors = [
                 DemError(p, d, o) for p, d, o in zip(self.probabilities.tolist(), dets, obs)
             ]
@@ -156,8 +164,8 @@ class DetectorErrorModel:
                 det_indices = det_indices[order]
         counts = np.bincount(det_rows, minlength=self.num_errors)
         rows = np.flatnonzero((counts > 0) | (np.diff(self.obs_indptr) > 0))
-        det = _take(_indptr(counts), det_indices, rows)
-        obs = _take(self.obs_indptr, self.obs_indices, rows)
+        det = csr_take(csr_indptr(counts), det_indices, rows)
+        obs = csr_take(self.obs_indptr, self.obs_indices, rows)
         order, heads, det, obs = _sorted_signatures(det, obs)
         n_kept = int(keep.sum())
         return DetectorErrorModel(
@@ -184,35 +192,16 @@ class DetectorErrorModel:
 def _csr(rows) -> tuple[np.ndarray, np.ndarray]:
     """``int64`` ``(indptr, indices)`` of a sequence of index tuples."""
     lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    indptr = _indptr(lens)
+    indptr = csr_indptr(lens)
     indices = np.fromiter(
         itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1])
     )
     return indptr, indices
 
 
-def _indptr(lens: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(lens.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    return indptr
-
-
 def _row_ids(indptr: np.ndarray) -> np.ndarray:
     """The row of every index of a CSR list."""
     return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
-
-
-def _tuples(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, ...]]:
-    flat, ptr = indices.tolist(), indptr.tolist()
-    return [tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
-
-
-def _take(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
-    """The CSR list of ``rows`` (in that order) of ``(indptr, indices)``."""
-    lens = indptr[rows + 1] - indptr[rows]
-    out = _indptr(lens)
-    src = np.repeat(indptr[rows] - out[:-1], lens) + np.arange(out[-1], dtype=np.int64)
-    return out, indices[src]
 
 
 def _padded(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -240,7 +229,7 @@ def _sorted_signatures(det, obs):
         order = np.lexsort(cols[:, ::-1].T)  # last key is the primary one
     heads = run_starts(cols[order])
     firsts = order[heads]
-    return order, heads, _take(*det, firsts), _take(*obs, firsts)
+    return order, heads, csr_take(*det, firsts), csr_take(*obs, firsts)
 
 
 def circuit_to_dem(circuit: Circuit, *, min_probability: float = 0.0) -> DetectorErrorModel:
@@ -251,11 +240,12 @@ def circuit_to_dem(circuit: Circuit, *, min_probability: float = 0.0) -> Detecto
         min_probability: mechanisms with probability at or below this value
             are dropped after merging.
     """
+    encoded = _encode(circuit)
     lib = _library()
     if lib is None:
-        rows = _walk_python(circuit, min_probability)
+        rows = _walk_python(encoded, circuit, min_probability)
     else:
-        rows = _walk_cext(lib, circuit, min_probability)
+        rows = _walk_cext(lib, encoded, circuit, min_probability)
     probs, *csr = rows
     # signatures are distinct after the walk's merge: every row heads its run
     order, _, det, obs = _sorted_signatures(csr[:2], csr[2:])
@@ -265,8 +255,8 @@ def circuit_to_dem(circuit: Circuit, *, min_probability: float = 0.0) -> Detecto
         *obs,
         num_detectors=circuit.num_detectors,
         num_observables=circuit.num_observables,
-        detector_coords=[info.coords for info in circuit.detectors],
-        detector_basis=[info.basis for info in circuit.detectors],
+        detector_coords=circuit.detector_coords,
+        detector_basis=list(circuit.columns().basis),
     )
 
 
@@ -289,16 +279,16 @@ def _split_rows(probs, ptr, bits, ndet: int, min_probability: float):
     ``(probabilities, det_indptr, det_indices, obs_indptr, obs_indices)``.
     """
     is_det = bits < ndet
-    det_indptr = _indptr(is_det)[ptr]
+    det_indptr = csr_indptr(is_det)[ptr]
     rows = np.flatnonzero(probs > min_probability)
-    det = _take(det_indptr, bits[is_det], rows)
-    obs = _take(ptr - det_indptr, bits[~is_det] - ndet, rows)
+    det = csr_take(det_indptr, bits[is_det], rows)
+    obs = csr_take(ptr - det_indptr, bits[~is_det] - ndet, rows)
     return probs[rows], *det, *obs
 
 
-def _walk_cext(lib, circuit: Circuit, min_probability: float):
+def _walk_cext(lib, encoded, circuit: Circuit, min_probability: float):
     """The backward walk in C: ``dem_walk`` over :func:`_encode`'s arrays."""
-    ops, tptr, targets, cptr, cview, cprob, rec = _encode(circuit)
+    ops, tptr, targets, cptr, cview, cprob, rec = encoded
     n_groups, n_bits = ctypes.c_int64(), ctypes.c_int64()
     block = lib.dem_walk(
         ops.size, ops.ctypes.data, tptr.ctypes.data, targets.ctypes.data,
@@ -327,153 +317,190 @@ _OPCODES = {
         ("h", "s", "sqrt_x", "cx", "cz", "swap", "r", "m", "mx", "mr", "noise1", "noise2")
     )
 }
+_MEASURES = [_OPCODES[k] for k in ("m", "mx", "mr")]
+
+
+def _walk_opcode(name: str) -> int:
+    """``dem_walk``'s opcode of instruction ``name``; -1 for annotations and Pauli gates."""
+    kind = GATES[name].kind
+    if kind == GateKind.ANNOTATION:
+        return -1
+    if kind == GateKind.NOISE_1:
+        return _OPCODES["noise1"]
+    if kind == GateKind.NOISE_2:
+        return _OPCODES["noise2"]
+    return _OPCODES.get(_KIND_BY_NAME[name], -1)  # the Pauli gates are "skip"
+
+
+#: the walk opcode of every circuit opcode; -1 drops the instruction
+_WALK_OPS = np.array([_walk_opcode(name) for name in NAMES], dtype=np.int64)
+
+
+def _pauli_index(x: bool, z: bool) -> int:
+    """Index of a Pauli into a qubit's ``(0, X sens, Z sens, Y sens)`` view."""
+    return int(x) | int(z) << 1
+
+
+#: the 15 two-qubit cases as ``dem_walk`` view codes ``a | b << 2``, in order
+_PAIR_VIEWS = [_pauli_index(*pa) | _pauli_index(*pb) << 2 for pa, pb in TWO_QUBIT_PAULIS]
+#: view indices of the X, Y and Z cases of a one-qubit channel, in case order
+_ONE_VIEWS = [_pauli_index(*ONE_QUBIT_PAULIS[pauli]) for pauli in "XYZ"]
 
 
 def _encode(circuit: Circuit):
-    """Flat forward-order arrays of ``circuit`` for the C walk.
+    """Flat forward-order arrays of ``circuit`` for the DEM walks.
 
     ``(ops, tptr, targets, cptr, cview, cprob, rec)``: one opcode per
     non-annotation, non-identity instruction, its targets in CSR form
     (``tptr``/``targets``), and its channel cases in CSR form
     (``cptr``/``cview``/``cprob``): the view index of a one-qubit case, or
-    ``a | b << 2`` for a two-qubit case, with probabilities computed exactly
-    as :func:`_walk_python` computes them.  ``rec`` holds each measurement
-    record's signature as the nonzero words of a row over the detector and
-    observable bits (:class:`~repro.decoders.kernels.plane.Signatures`).
+    ``a | b << 2`` for a two-qubit case.  A two-qubit channel has its 15
+    cases at ``p / 15`` each, ``DEPOLARIZE1`` its X, Y and Z cases at
+    ``p / 3``, ``PAULI_CHANNEL_1`` the cases of nonzero probability and
+    ``X_ERROR``/``Y_ERROR``/``Z_ERROR`` their one case.  ``rec`` holds each
+    measurement record's signature as the nonzero words of a row over the
+    detector and observable bits
+    (:class:`~repro.decoders.kernels.plane.Signatures`).  Everything is read
+    from :meth:`Circuit.columns`, never from instruction objects.
     """
     from ..decoders.kernels.plane import Signatures
 
+    cols = circuit.columns()
     ndet = circuit.num_detectors
-    ops: list[int] = []
-    tptr, targets = [0], []
-    cptr, cview, cprob = [0], [], []
-    recs: list[int] = []
-    cols: list[int] = []
-    measured = 0
-    for j, info in enumerate(circuit.detectors):
-        recs.extend(info.rec)
-        cols.extend([j] * len(info.rec))
-    for inst in circuit.instructions:
-        family = inst.gate.kind
-        if family == GateKind.ANNOTATION:
-            if inst.name == "OBSERVABLE_INCLUDE":
-                recs.extend(inst.rec)
-                cols.extend([ndet + inst.obs_index] * len(inst.rec))
-            continue
-        if family == GateKind.NOISE_2:
-            ops.append(_OPCODES["noise2"])
-            cview.extend(_PAIR_VIEWS)
-            cprob.extend([inst.args[0] / 15.0] * len(_PAIR_VIEWS))
-        elif family == GateKind.NOISE_1:
-            ops.append(_OPCODES["noise1"])
-            for m, p in _single_qubit_cases(inst):
-                cview.append(m)
-                cprob.append(p)
-        else:
-            kind = _KIND_BY_NAME[inst.name]
-            if kind == "skip":
-                continue
-            ops.append(_OPCODES[kind])
-            if family == GateKind.MEASURE:
-                measured += len(inst.targets)
-        targets.extend(inst.targets)
-        tptr.append(len(targets))
-        cptr.append(len(cview))
-    ops, tptr, targets, cptr, cview = (
-        np.asarray(a, dtype=np.int64) for a in (ops, tptr, targets, cptr, cview)
-    )
+    walk_ops = _WALK_OPS[cols.ops]
+    kept = np.flatnonzero(walk_ops >= 0)
+    ops = walk_ops[kept]
+    codes = cols.ops[kept]
+    tptr, targets = csr_take(cols.tptr, cols.targets, kept)
+    cptr, cview, cprob = _cases(codes, cols.aptr[kept], cols.args)
+
+    det_rows = np.flatnonzero(cols.ops == OPCODES["DETECTOR"])
+    det_ptr, det_recs = csr_take(cols.rptr, cols.recs, det_rows)
+    obs_rows = np.flatnonzero(cols.ops == OPCODES["OBSERVABLE_INCLUDE"])
+    obs_ptr, obs_recs = csr_take(cols.rptr, cols.recs, obs_rows)
+    obs_index = cols.args[cols.aptr[obs_rows]].astype(np.int64)
+    recs = np.concatenate([det_recs, obs_recs])
+    bits = np.concatenate([_row_ids(det_ptr), ndet + np.repeat(obs_index, np.diff(obs_ptr))])
+
     # the C walk indexes its rows and records with these unchecked
     if targets.size and not 0 <= targets.min() <= targets.max() < circuit.num_qubits:
         raise ValueError("instruction targets exceed the circuit's qubit count")
-    if measured != circuit.num_measurements:
+    if np.diff(tptr)[np.isin(ops, _MEASURES)].sum() != circuit.num_measurements:
         raise ValueError("measurements disagree with the circuit's record count")
-    rec = Signatures(recs, cols, circuit.num_measurements, ndet + circuit.num_observables)
-    return ops, tptr, targets, cptr, cview, np.asarray(cprob, dtype=np.float64), rec
+    rec = Signatures(recs, bits, circuit.num_measurements, ndet + circuit.num_observables)
+    return ops, tptr, targets, cptr, cview, cprob, rec
 
 
-def _walk_python(circuit: Circuit, min_probability: float):
+def _cases(codes: np.ndarray, starts: np.ndarray, args: np.ndarray):
+    """``(cptr, cview, cprob)`` of the instructions ``codes`` whose args start at ``starts``.
+
+    Each row has 15 slots (a one-qubit channel uses the first three, in
+    X, Y, Z order); the cases are the slots a row's channel fills, read
+    row by row.
+    """
+    n = codes.size
+    views = np.zeros((n, 15), dtype=np.int64)
+    probs = np.zeros((n, 15), dtype=np.float64)
+    used = np.zeros((n, 15), dtype=bool)
+
+    views[:, :3] = _ONE_VIEWS
+    pair = np.flatnonzero(codes == OPCODES["DEPOLARIZE2"])
+    views[pair] = _PAIR_VIEWS
+    probs[pair] = (args[starts[pair]] / 15.0)[:, None]
+    used[pair] = True
+    dep = np.flatnonzero(codes == OPCODES["DEPOLARIZE1"])
+    probs[dep, :3] = (args[starts[dep]] / 3.0)[:, None]
+    used[dep, :3] = True
+    pauli = np.flatnonzero(codes == OPCODES["PAULI_CHANNEL_1"])
+    probs[pauli, :3] = args[starts[pauli, None] + np.arange(3)]
+    used[pauli, :3] = probs[pauli, :3] > 0
+    for slot, name in enumerate(("X_ERROR", "Y_ERROR", "Z_ERROR")):
+        rows = np.flatnonzero(codes == OPCODES[name])
+        probs[rows, slot] = args[starts[rows]]
+        used[rows, slot] = True
+    return csr_indptr(used.sum(axis=1)), views[used], probs[used]
+
+
+def _walk_python(encoded, circuit: Circuit, min_probability: float):
     """The backward walk over Python big-int bitsets (no compiler needed).
 
-    Returns the rows of :func:`_walk_cext`, from the same merged signatures.
+    Reads the arrays of :func:`_encode`, as ``dem_walk`` does, and returns
+    the rows of :func:`_walk_cext`, from the same merged signatures.
     """
+    ops, tptr, targets, cptr, cview, cprob, rec = encoded
     ndet = circuit.num_detectors
     # measurement record -> bitset of the detectors/observables it feeds
     rec_sig = [0] * circuit.num_measurements
-    for j, info in enumerate(circuit.detectors):
-        for r in info.rec:
-            rec_sig[r] ^= 1 << j
-    for inst in circuit.instructions:
-        if inst.name == "OBSERVABLE_INCLUDE":
-            for r in inst.rec:
-                rec_sig[r] ^= 1 << (ndet + inst.obs_index)
+    ptr, word, sig_bits = rec.ptr.tolist(), rec.word.tolist(), rec.bits.tolist()
+    for r in range(circuit.num_measurements):
+        for j in range(ptr[r], ptr[r + 1]):
+            rec_sig[r] |= sig_bits[j] << (64 * word[j])
 
+    h, s, sqrt_x, cx, cz, swap, reset, m, mx, mr, noise1, noise2 = _OPCODES.values()
+    ops, tptr, targets = ops.tolist(), tptr.tolist(), targets.tolist()
+    cptr, cases = cptr.tolist(), list(zip(cview.tolist(), cprob.tolist()))
     xs = [0] * circuit.num_qubits
     zs = [0] * circuit.num_qubits
     cursor = circuit.num_measurements
     # signature -> case probabilities, in reverse enumeration order
     merged: dict[int, list[float]] = {}
-    for inst in reversed(circuit.instructions):
-        family = inst.gate.kind
-        if family == GateKind.ANNOTATION:
-            continue
-        t = inst.targets
-        if family == GateKind.NOISE_2:
-            p = inst.args[0] / 15.0
-            for i in range(len(t) - 2, -1, -2):
-                a, b = t[i], t[i + 1]
+    for i in range(len(ops) - 1, -1, -1):
+        op = ops[i]
+        t = targets[tptr[i] : tptr[i + 1]]
+        if op == noise2:
+            pair_cases = [(v & 3, v >> 2, p) for v, p in cases[cptr[i] : cptr[i + 1]]][::-1]
+            for k in range(len(t) - 2, -1, -2):
+                a, b = t[k], t[k + 1]
                 va = (0, xs[a], zs[a], xs[a] ^ zs[a])
                 vb = (0, xs[b], zs[b], xs[b] ^ zs[b])
-                for ma, mb in _PAIR_CASES_REVERSED:
+                for ma, mb, p in pair_cases:
                     sig = va[ma] ^ vb[mb]
                     if sig:
                         merged.setdefault(sig, []).append(p)
-            continue
-        if family == GateKind.NOISE_1:
-            cases = _single_qubit_cases(inst)[::-1]
+        elif op == noise1:
+            one_cases = cases[cptr[i] : cptr[i + 1]][::-1]
             for q in reversed(t):
                 view = (0, xs[q], zs[q], xs[q] ^ zs[q])
-                for m, p in cases:
-                    sig = view[m]
+                for v, p in one_cases:
+                    sig = view[v]
                     if sig:
                         merged.setdefault(sig, []).append(p)
-            continue
-        kind = _KIND_BY_NAME[inst.name]
-        if kind == "cx":
-            for i in range(len(t) - 2, -1, -2):
-                a, b = t[i], t[i + 1]
+        elif op == cx:
+            for k in range(len(t) - 2, -1, -2):
+                a, b = t[k], t[k + 1]
                 xs[a] ^= xs[b]
                 zs[b] ^= zs[a]
-        elif kind in ("m", "mx", "mr"):
+        elif op in (m, mx, mr):
             cursor -= len(t)
-            sens = zs if kind == "mx" else xs
-            for i, q in enumerate(t):
-                if kind == "mr":
+            sens = zs if op == mx else xs
+            for k, q in enumerate(t):
+                if op == mr:
                     xs[q] = zs[q] = 0
-                sens[q] ^= rec_sig[cursor + i]
-        elif kind == "r":
+                sens[q] ^= rec_sig[cursor + k]
+        elif op == reset:
             for q in t:
                 xs[q] = zs[q] = 0
-        elif kind == "h":
+        elif op == h:
             for q in t:
                 xs[q], zs[q] = zs[q], xs[q]
-        elif kind == "s":
+        elif op == s:
             for q in t:
                 xs[q] ^= zs[q]
-        elif kind == "sqrt_x":
+        elif op == sqrt_x:
             for q in t:
                 zs[q] ^= xs[q]
-        elif kind == "cz":
-            for i in range(len(t) - 2, -1, -2):
-                a, b = t[i], t[i + 1]
+        elif op == cz:
+            for k in range(len(t) - 2, -1, -2):
+                a, b = t[k], t[k + 1]
                 xs[a] ^= zs[b]
                 xs[b] ^= zs[a]
-        elif kind == "swap":
-            for i in range(len(t) - 2, -1, -2):
-                a, b = t[i], t[i + 1]
+        elif op == swap:
+            for k in range(len(t) - 2, -1, -2):
+                a, b = t[k], t[k + 1]
                 xs[a], xs[b] = xs[b], xs[a]
                 zs[a], zs[b] = zs[b], zs[a]
-        elif kind != "skip":  # pragma: no cover
-            raise AssertionError(f"unhandled kind {kind}")
+        else:  # pragma: no cover
+            raise AssertionError(f"unhandled walk opcode {op}")
 
     probs, sigs = [], []
     for sig, ps in merged.items():
@@ -482,32 +509,6 @@ def _walk_python(circuit: Circuit, min_probability: float):
         sigs.append(_bit_indices(sig))
     ptr, bits = _csr(sigs)
     return _split_rows(np.array(probs, dtype=np.float64), ptr, bits, ndet, min_probability)
-
-
-def _pauli_index(x: bool, z: bool) -> int:
-    """Index of a Pauli into a qubit's ``(0, X sens, Z sens, Y sens)`` view."""
-    return int(x) | int(z) << 1
-
-
-#: the 15 two-qubit cases as view-index pairs, last case first
-_PAIR_CASES_REVERSED = [
-    (_pauli_index(*pa), _pauli_index(*pb)) for pa, pb in reversed(TWO_QUBIT_PAULIS)
-]
-
-#: the 15 two-qubit cases as ``dem_walk`` view codes ``a | b << 2``, in order
-_PAIR_VIEWS = [a | b << 2 for a, b in reversed(_PAIR_CASES_REVERSED)]
-
-
-def _single_qubit_cases(inst) -> list[tuple[int, float]]:
-    """(view index, probability) of each case of a one-qubit channel, in order."""
-    args = inst.args
-    if inst.name == "DEPOLARIZE1":
-        cases = [("X", args[0] / 3.0), ("Y", args[0] / 3.0), ("Z", args[0] / 3.0)]
-    elif inst.name == "PAULI_CHANNEL_1":
-        cases = [(pauli, p) for pauli, p in zip("XYZ", args) if p > 0]
-    else:  # X_ERROR / Y_ERROR / Z_ERROR
-        cases = [(inst.name[0], args[0])]
-    return [(_pauli_index(*ONE_QUBIT_PAULIS[pauli]), p) for pauli, p in cases]
 
 
 def _bit_indices(bits: int) -> tuple[int, ...]:

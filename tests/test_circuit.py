@@ -234,3 +234,114 @@ def test_gate_table_consistency():
         assert gate.kind in vars(GateKind).values()
         if gate.kind in (GateKind.CLIFFORD_2, GateKind.NOISE_2):
             assert gate.targets_per_op == 2
+
+
+def test_detector_coords_are_floats_everywhere():
+    from repro.codes import memory_experiment
+    from repro.noise import IBM, NoiseModel
+    from repro.stab import circuit_to_dem
+
+    generated = memory_experiment(3, 2, NoiseModel(hardware=IBM)).circuit
+    given = _one_measurement()
+    given.detector([0], coords=np.array([1, 2, 3]))
+    given.detector([0], coords=(np.float32(0.5), 4))
+    for c in (generated, given):
+        from_instructions = [i.coords for i in c.instructions if i.name == "DETECTOR"]
+        views = (
+            [info.coords for info in c.detectors],
+            from_instructions,
+            circuit_to_dem(c).detector_coords,
+        )
+        for coords in views:
+            assert coords == c.detector_coords
+            assert all(type(x) is float for row in coords for x in row)
+    assert given.detector_coords == [(1.0, 2.0, 3.0), (0.5, 4.0)]
+
+
+def test_extend_accumulates_observables_onto_the_same_index():
+    a = _one_measurement()
+    a.observable_include(0, [0])
+    b = _one_measurement()
+    b.observable_include(0, [0])
+    a.extend(b)
+    observables = [i for i in a.instructions if i.name == "OBSERVABLE_INCLUDE"]
+    assert a.num_observables == 1
+    assert [i.obs_index for i in observables] == [0, 0]
+    assert [i.rec for i in observables] == [(0,), (1,)]
+
+
+def test_append_detectors_declares_a_block():
+    c = Circuit()
+    c.append("R", [0, 1])
+    c.append("M", [0, 1])
+    new = c.append_detectors([[0], [0, 1]], coords=[(0, 0, 1), (1, 0, 1)], basis="Z")
+    assert new == range(0, 2)
+    assert [(d.rec, d.coords, d.basis) for d in c.detectors] == [
+        ((0,), (0.0, 0.0, 1.0), "Z"),
+        ((0, 1), (1.0, 0.0, 1.0), "Z"),
+    ]
+    assert c.append_detectors([[1]]) == range(2, 3)
+    assert c.detectors[2].coords == () and c.detectors[2].basis is None
+
+
+@pytest.mark.parametrize(
+    "rec, coords, message",
+    [
+        ([[0], [0, 1]], (), "DETECTOR references measurement records that do not exist yet"),
+        ([[0], [-1]], (), "DETECTOR references measurement records that do not exist yet"),
+        ([[0], [0]], [(1, 2)], "1 coords rows for 2 detectors"),
+    ],
+)
+def test_a_rejected_detector_block_leaves_the_circuit_unchanged(rec, coords, message):
+    c = _one_measurement()
+    c.detector([0], coords=(0, 0), basis="X")
+    before = list(c.instructions)
+    counts = (len(c), c.num_qubits, c.num_measurements, c.num_detectors)
+    with pytest.raises(ValueError, match=message):
+        c.append_detectors(rec, coords=coords, basis="Z")
+    assert (len(c), c.num_qubits, c.num_measurements, c.num_detectors) == counts
+    assert c.instructions == before
+    assert c.detector_coords == [(0.0, 0.0)] and c.columns().basis == ("X",)
+
+
+def test_extend_and_without_noise_copy_the_columns():
+    a = Circuit()
+    a.append("R", [0, 1])
+    a.append("DEPOLARIZE2", [0, 1], [0.01])
+    a.append("QUBIT_COORDS", [1], coords=(2, 3))
+    rec = a.append("MX", [0, 1])
+    a.detector(rec, coords=(0.5,), basis="X")
+    a.observable_include(1, rec[:1])
+    both = Circuit()
+    both.extend(a)
+    both.extend(a)
+    assert both.num_measurements == 4 and both.num_observables == 2
+    assert both.instructions[len(a):] == [
+        i if not i.rec else type(i)(**{**vars(i), "rec": tuple(r + 2 for r in i.rec)})
+        for i in a.instructions
+    ]
+    clean = a.without_noise()
+    assert clean.instructions == [i for i in a.instructions if i.name != "DEPOLARIZE2"]
+    assert clean.qubit_coords == {1: (2.0, 3.0)} and clean.num_qubits == 2
+    assert (clean.num_measurements, clean.num_observables) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "name, targets, kwargs, message",
+    [
+        ("H", [0], {"basis": "X"}, "H takes no detector coords or basis"),
+        ("X_ERROR", [0], {"coords": (1.0,)}, "X_ERROR takes no detector coords or basis"),
+        ("M", [0], {"rec": [0]}, "M takes no records or observable index"),
+        ("TICK", [], {"obs_index": 0}, "TICK takes no records or observable index"),
+        ("TICK", [0], {}, "TICK takes no qubit targets"),
+        ("DETECTOR", [0], {"rec": [0]}, "DETECTOR takes only records, coords and a basis"),
+    ],
+)
+def test_fields_an_instruction_has_no_column_for_are_rejected(name, targets, kwargs, message):
+    c = _one_measurement()
+    before = list(c.instructions)
+    args = [0.1] if name == "X_ERROR" else []
+    with pytest.raises(ValueError, match=message):
+        c.append(name, targets, args, **kwargs)
+    assert c.instructions == before
+    assert (c.num_qubits, c.num_measurements, c.num_detectors) == (1, 1, 0)

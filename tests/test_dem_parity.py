@@ -257,19 +257,20 @@ def test_d9_cold_point_c_walk_equals_python_walk():
 @requires_cc
 def test_c_walk_rejects_a_circuit_whose_bookkeeping_disagrees():
     """The C walk trusts the encoded indices, so inconsistent circuits
-    (instructions edited behind ``Circuit.append``) are refused first."""
-    from repro.stab.circuit import Instruction
-
+    (columns whose counts were edited behind ``Circuit.append``) are refused first."""
     c = Circuit()
     c.append("R", [0, 1])
     c.append("X_ERROR", [0], [0.1])
     c.detector(c.append("M", [0, 1])[:1])
     stray = Circuit()
-    stray.instructions = list(c.instructions) + [Instruction("X_ERROR", (5,), (0.1,))]
-    stray.num_qubits, stray.num_measurements = c.num_qubits, c.num_measurements
-    stray.detectors = c.detectors
+    stray.extend(c)
+    stray.append("X_ERROR", [5], [0.1])
+    stray.num_qubits = c.num_qubits
     with pytest.raises(ValueError, match="qubit count"):
         circuit_to_dem(stray)
-    stray.instructions = list(c.instructions) + [Instruction("M", (0,))]
+    stray = Circuit()
+    stray.extend(c)
+    stray.append("M", [0])
+    stray.num_measurements = c.num_measurements
     with pytest.raises(ValueError, match="record count"):
         circuit_to_dem(stray)
