@@ -227,18 +227,25 @@ def css_memory_experiment(
         recs = c.append("MR", anc)
         noise.emit_reset_flip(c, anc, "Z")
         noise.emit_idle(c, data, hw.time_readout_ns + hw.time_reset_ns, structural=True)
-        for k in in_basis:
-            rec = [recs[k]] if r == 0 else [prev[k], recs[k]]
-            c.detector(rec, coords=(k, r), basis=basis)
+        c.append_detectors(
+            [[recs[k]] if r == 0 else [prev[k], recs[k]] for k in in_basis],
+            coords=[(k, r) for k in in_basis],
+            basis=basis,
+        )
         prev = recs
 
     noise.emit_measure_flip(c, data, basis)
     finals = c.append("MX" if basis == "X" else "M", data)
     matrix = code.hx if basis == "X" else code.hz
     row_ids = range(code.num_x_checks) if basis == "X" else range(code.num_z_checks)
-    for k, row in zip(in_basis, row_ids):
-        rec = [prev[k]] + [finals[q] for q in np.flatnonzero(matrix[row])]
-        c.detector(rec, coords=(k, rounds), basis=basis)
+    c.append_detectors(
+        [
+            [prev[k]] + [finals[q] for q in np.flatnonzero(matrix[row])]
+            for k, row in zip(in_basis, row_ids)
+        ],
+        coords=[(k, rounds) for k in in_basis],
+        basis=basis,
+    )
     c.observable_include(0, [finals[int(q)] for q in logical_support])
     return CssMemoryArtifacts(
         circuit=c, code=code, rounds=rounds, num_layers=len(layers), detector_basis=basis

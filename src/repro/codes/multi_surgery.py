@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from ..noise.models import NoiseModel
 from ..stab.circuit import Circuit
-from ..timing.schedule import PatchTimeline, RoundIdle
-from .layout import PatchLayout, QubitRegistry, other_basis
+from ..timing.schedule import PatchTimeline
+from .layout import PatchLayout, QubitRegistry
 from .rounds import StabilizerRoundEmitter
 
 __all__ = ["MultiSurgerySpec", "MultiSurgeryArtifacts", "multi_patch_surgery_experiment"]
@@ -59,7 +59,6 @@ def multi_patch_surgery_experiment(spec: MultiSurgerySpec) -> MultiSurgeryArtifa
     if spec.ls_basis not in ("X", "Z"):
         raise ValueError("ls_basis must be 'X' or 'Z'")
     basis = "X" if spec.ls_basis == "Z" else "Z"
-    buffer_basis = other_basis(basis)
     base = d + 1
     rounds_merged = spec.rounds_merged if spec.rounds_merged is not None else base
     timelines = (
@@ -75,9 +74,6 @@ def multi_patch_surgery_experiment(spec: MultiSurgerySpec) -> MultiSurgeryArtifa
         for i in range(k)
     ]
     layout_merged = PatchLayout(0, k * (d + 1) - 2, d, vertical_basis=basis)
-    buffer_coords = [
-        (i * (d + 1) + d, j) for i in range(k - 1) for j in range(d)
-    ]
 
     registry = QubitRegistry()
     circuit = Circuit()
@@ -89,65 +85,17 @@ def multi_patch_surgery_experiment(spec: MultiSurgerySpec) -> MultiSurgeryArtifa
         layout_merged=layout_merged,
         registry=registry,
         detector_basis=basis,
+        detectors_by_round=emitter.detectors_by_round,
     )
-    patch_qubits = [
-        sorted(
-            {registry.data(c) for c in lay.data_coords()}
-            | {registry.ancilla(p.pos) for p in lay.plaquettes}
-        )
-        for lay in layouts
-    ]
+    patch_qubits = [emitter.patch_qubits(lay) for lay in layouts]
 
     for lay in layouts:
         emitter.emit_data_init(lay.data_coords(), basis)
         emitter.emit_ancilla_init(lay.plaquettes)
 
-    prev: dict[tuple[int, int], int] = {}
-    max_rounds = max(t.num_rounds for t in timelines)
-    for r in range(max_rounds):
-        for i, (lay, timeline) in enumerate(zip(layouts, timelines)):
-            if r >= timeline.num_rounds:
-                continue
-            recs = emitter.emit_round(lay.plaquettes, patch_qubits[i], timeline.rounds[r])
-            for p in lay.plaquettes:
-                if p.basis != basis:
-                    continue
-                cur = recs[p.pos]
-                rec = [cur] if r == 0 else [prev[p.pos], cur]
-                _detector(circuit, art, rec, p.pos, r, basis)
-            prev.update(recs)
-    for i, timeline in enumerate(timelines):
-        if timeline.final_idle_ns > 0:
-            spec.noise.emit_idle(circuit, patch_qubits[i], timeline.final_idle_ns)
-
-    existing = {p.pos for lay in layouts for p in lay.plaquettes}
-    new_plaquettes = [p for p in layout_merged.plaquettes if p.pos not in existing]
-    emitter.emit_data_init(buffer_coords, buffer_basis)
-    emitter.emit_ancilla_init(new_plaquettes)
-    merged_qubits = sorted(
-        {registry.data(c) for c in layout_merged.data_coords()}
-        | {registry.ancilla(p.pos) for p in layout_merged.plaquettes}
-    )
-    new_basis_positions = {p.pos for p in new_plaquettes if p.basis == basis}
-    for m in range(rounds_merged):
-        recs = emitter.emit_round(layout_merged.plaquettes, merged_qubits, RoundIdle())
-        label = max_rounds + m
-        for p in layout_merged.plaquettes:
-            if p.basis != basis:
-                continue
-            cur = recs[p.pos]
-            if m == 0 and p.pos in new_basis_positions:
-                continue  # random first outcome of a freshly-activated check
-            _detector(circuit, art, [prev[p.pos], cur], p.pos, label, basis)
-        prev.update(recs)
-
-    finals = emitter.emit_data_measurement(layout_merged.data_coords(), basis)
-    label = max_rounds + rounds_merged
-    for p in layout_merged.plaquettes:
-        if p.basis != basis:
-            continue
-        rec = [prev[p.pos]] + [finals[c] for c in p.data]
-        _detector(circuit, art, rec, p.pos, label, basis)
+    label = emitter.emit_patch_rounds(list(zip(layouts, patch_qubits, timelines)), basis)
+    emitter.emit_merge(layouts, layout_merged, basis, rounds_merged, label)
+    finals = emitter.emit_readout(layout_merged, basis, label + rounds_merged)
 
     all_logicals: list[int] = []
     for i, lay in enumerate(layouts):
@@ -156,9 +104,3 @@ def multi_patch_surgery_experiment(spec: MultiSurgerySpec) -> MultiSurgeryArtifa
         all_logicals.extend(column)
     circuit.observable_include(k, all_logicals)
     return art
-
-
-def _detector(circuit, art, rec, pos, label, basis) -> None:
-    index = circuit.num_detectors
-    circuit.detector(rec, coords=(pos[0], pos[1], label), basis=basis)
-    art.detectors_by_round.setdefault(label, []).append(index)

@@ -71,14 +71,19 @@ def repetition_experiment(
         recs = c.append("MR", anc)
         noise.emit_reset_flip(c, anc, "Z")
         noise.emit_idle(c, data, hw.time_readout_ns + hw.time_reset_ns, structural=True)
-        for k in range(n - 1):
-            rec = [recs[k]] if r == 0 else [prev[k], recs[k]]
-            c.detector(rec, coords=(k, r), basis="Z")
+        c.append_detectors(
+            [[recs[k]] if r == 0 else [prev[k], recs[k]] for k in range(n - 1)],
+            coords=[(k, r) for k in range(n - 1)],
+            basis="Z",
+        )
         prev = recs
 
     noise.emit_measure_flip(c, data, "Z")
     finals = c.append("M", data)
-    for k in range(n - 1):
-        c.detector([prev[k], finals[k], finals[k + 1]], coords=(k, rounds), basis="Z")
+    c.append_detectors(
+        [[prev[k], finals[k], finals[k + 1]] for k in range(n - 1)],
+        coords=[(k, rounds) for k in range(n - 1)],
+        basis="Z",
+    )
     c.observable_include(0, [finals[0]])
     return RepetitionArtifacts(circuit=c, num_data=n, rounds=rounds)

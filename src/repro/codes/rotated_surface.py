@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..noise.models import NoiseModel
 from ..stab.circuit import Circuit
-from ..timing.schedule import PatchTimeline, RoundIdle
+from ..timing.schedule import PatchTimeline
 from .layout import PatchLayout, QubitRegistry
 from .rounds import StabilizerRoundEmitter
 
@@ -65,32 +65,12 @@ def memory_experiment(
     circuit = Circuit()
     emitter = StabilizerRoundEmitter(circuit, registry, noise)
 
-    det_plaquettes = [p for p in layout.plaquettes if p.basis == basis]
-    patch_qubits = sorted(
-        {registry.data(c) for c in layout.data_coords()}
-        | {registry.ancilla(p.pos) for p in layout.plaquettes}
-    )
-
+    patch_qubits = emitter.patch_qubits(layout)
     emitter.emit_data_init(layout.data_coords(), basis)
     emitter.emit_ancilla_init(layout.plaquettes)
-
-    prev: dict[tuple[int, int], int] = {}
-    for r in range(rounds):
-        idle = timeline.rounds[r] if timeline is not None else RoundIdle()
-        recs = emitter.emit_round(layout.plaquettes, patch_qubits, idle)
-        for p in det_plaquettes:
-            cur = recs[p.pos]
-            rec = [cur] if r == 0 else [prev[p.pos], cur]
-            circuit.detector(rec, coords=(p.pos[0], p.pos[1], r), basis=basis)
-        prev = recs
-
-    if timeline is not None and timeline.final_idle_ns > 0:
-        noise.emit_idle(circuit, patch_qubits, timeline.final_idle_ns)
-
-    finals = emitter.emit_data_measurement(layout.data_coords(), basis)
-    for p in det_plaquettes:
-        rec = [prev[p.pos]] + [finals[c] for c in p.data]
-        circuit.detector(rec, coords=(p.pos[0], p.pos[1], rounds), basis=basis)
+    timeline = timeline or PatchTimeline.uniform(rounds)
+    emitter.emit_patch_rounds([(layout, patch_qubits, timeline)], basis)
+    finals = emitter.emit_readout(layout, basis, rounds)
 
     column = layout.vertical_logical(observable_column)
     circuit.observable_include(0, [finals[c] for c in column])

@@ -11,16 +11,20 @@ the qubits after every operation").
 Synchronization idles (:class:`~repro.timing.schedule.RoundIdle`) are
 stitched in here: ``pre_ns`` before the round, ``intra_ns`` split evenly
 across the six internal layer boundaries.
+
+Every surface-code experiment (memory, surgery, k-patch, teleport) is
+composed from the emitter's steps: patch rounds, merge, readout.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Sequence
 from typing import NamedTuple
 
 from ..noise.models import NoiseModel
 from ..stab.circuit import Circuit
-from ..timing.schedule import RoundIdle
-from .layout import Plaquette, QubitRegistry
+from ..timing.schedule import PatchTimeline, RoundIdle
+from .layout import PatchLayout, Plaquette, QubitRegistry, other_basis
 
 __all__ = ["StabilizerRoundEmitter"]
 
@@ -51,6 +55,10 @@ class StabilizerRoundEmitter:
     gate layers of each (plaquettes, patch qubits) pair are built on its
     first round and replayed afterwards.  The cache lives on the emitter,
     which builds one circuit over one registry.
+
+    The experiment steps keep each check's latest record, so the next
+    round's detector compares against it, and group the detectors they add
+    by round label in :attr:`detectors_by_round`.
     """
 
     def __init__(self, circuit: Circuit, registry: QubitRegistry, noise: NoiseModel):
@@ -58,6 +66,22 @@ class StabilizerRoundEmitter:
         self.registry = registry
         self.noise = noise
         self._layer_cache: dict[tuple, _RoundLayers] = {}
+        #: plaquette position -> record of its latest measurement
+        self._last: dict[tuple[int, int], int] = {}
+        #: detector indices grouped by round label, for syndrome-weight studies
+        self.detectors_by_round: dict[int, list[int]] = {}
+
+    def patch_qubits(self, layout: PatchLayout) -> list[int]:
+        """Every data and ancilla qubit of ``layout``, sorted.
+
+        Registers the data qubits first, then the ancillas, so call it in a
+        fixed order before a layout's initialization.
+        """
+        reg = self.registry
+        return sorted(
+            {reg.data(c) for c in layout.data_coords()}
+            | {reg.ancilla(p.pos) for p in layout.plaquettes}
+        )
 
     # -- initialization -------------------------------------------------------
 
@@ -84,8 +108,9 @@ class StabilizerRoundEmitter:
         can sit at a smaller patch's position with different slots.
         """
         key = (tuple(plaquettes), tuple(patch_qubits))
-        if key in self._layer_cache:
-            return self._layer_cache[key]
+        layers = self._layer_cache.get(key)
+        if layers is not None:
+            return layers
         # registry lookups run in the order the uncached round made them, so
         # a layout's first round assigns the same qubit indices it always did
         reg = self.registry
@@ -180,3 +205,105 @@ class StabilizerRoundEmitter:
         self.noise.emit_measure_flip(self.circuit, qubits, basis)
         recs = self.circuit.append("MX" if basis == "X" else "M", qubits)
         return {c: recs[i] for i, c in enumerate(coords)}
+
+    # -- experiment steps -----------------------------------------------------------
+
+    def add_detectors(self, rows, label: int, basis: str) -> None:
+        """Append ``(records, plaquette position)`` rows as one block at round ``label``."""
+        new = self.circuit.append_detectors(
+            [rec for rec, _ in rows],
+            coords=[(pos[0], pos[1], label) for _, pos in rows],
+            basis=basis,
+        )
+        self.detectors_by_round.setdefault(label, []).extend(new)
+
+    def _round_rows(self, plaquettes, recs, basis: str, skip=()) -> list:
+        """One round's ``basis`` check rows against their previous records, if any."""
+        last = self._last
+        rows = [
+            ([last[p.pos], recs[p.pos]] if p.pos in last else [recs[p.pos]], p.pos)
+            for p in plaquettes
+            if p.basis == basis and p.pos not in skip
+        ]
+        last.update(recs)
+        return rows
+
+    def emit_patch_rounds(
+        self,
+        patches: Sequence[tuple[PatchLayout, list[int], PatchTimeline]],
+        basis: str,
+        *,
+        label: int = 0,
+        random_first: Collection[int] = (),
+    ) -> int:
+        """Run each ``(layout, qubits, timeline)`` patch, then its final idle.
+
+        Round ``r`` of every patch runs before round ``r + 1`` of any; each
+        patch round adds one detector block at ``label + r``.  The patches
+        indexed in ``random_first`` were prepared in the other basis, so
+        their first round gets no detectors.  Returns the next label.
+        """
+        num_rounds = max(timeline.num_rounds for _, _, timeline in patches)
+        for r in range(num_rounds):
+            for i, (layout, qubits, timeline) in enumerate(patches):
+                if r >= timeline.num_rounds:
+                    continue
+                recs = self.emit_round(layout.plaquettes, qubits, timeline.rounds[r])
+                rows = self._round_rows(layout.plaquettes, recs, basis)
+                self.add_detectors([] if r == 0 and i in random_first else rows, label + r, basis)
+        for _, qubits, timeline in patches:
+            if timeline.final_idle_ns > 0:
+                self.noise.emit_idle(self.circuit, qubits, timeline.final_idle_ns)
+        return label + num_rounds
+
+    def emit_merge(
+        self,
+        patches: Sequence[PatchLayout],
+        merged: PatchLayout,
+        basis: str,
+        rounds: int,
+        label: int,
+        *,
+        seam_pos: tuple[int, int] | None = None,
+    ) -> list[int]:
+        """Join ``patches`` into ``merged`` and run its ``rounds`` rounds from ``label``.
+
+        The buffer starts in the other basis, the eigenbasis of the extended
+        seam checks, so those stay deterministic.  The new ``basis`` seam
+        checks are random in the first merged round; only their product,
+        the joint logical measurement, is deterministic.  Returns their
+        first records; with ``seam_pos`` that product also closes the first
+        merged round's block as one detector.
+        """
+        existing = {p.pos for layout in patches for p in layout.plaquettes}
+        patch_data = {c for layout in patches for c in layout.data_coords()}
+        new = [p for p in merged.plaquettes if p.pos not in existing]
+        self.emit_data_init(
+            [c for c in merged.data_coords() if c not in patch_data], other_basis(basis)
+        )
+        self.emit_ancilla_init(new)
+        qubits = self.patch_qubits(merged)
+        new_checks = {p.pos for p in new if p.basis == basis}
+        joint: list[int] = []
+        for m in range(rounds):
+            recs = self.emit_round(merged.plaquettes, qubits)
+            rows = self._round_rows(merged.plaquettes, recs, basis, new_checks if m == 0 else ())
+            if m == 0:
+                joint = [recs[p.pos] for p in merged.plaquettes if p.pos in new_checks]
+                if seam_pos is not None and joint:
+                    rows.append((joint, seam_pos))
+            self.add_detectors(rows, label + m, basis)
+        return joint
+
+    def emit_readout(
+        self, layout: PatchLayout, basis: str, label: int
+    ) -> dict[tuple[int, int], int]:
+        """Measure ``layout``'s data and close its ``basis`` checks at ``label``."""
+        finals = self.emit_data_measurement(layout.data_coords(), basis)
+        rows = [
+            ([self._last[p.pos]] + [finals[c] for c in p.data], p.pos)
+            for p in layout.plaquettes
+            if p.basis == basis
+        ]
+        self.add_detectors(rows, label, basis)
+        return finals

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 
 from ..noise.models import NoiseModel
 from ..stab.circuit import Circuit
-from ..timing.schedule import PatchTimeline, RoundIdle
-from .layout import PatchLayout, QubitRegistry, other_basis
+from ..timing.schedule import PatchTimeline
+from .layout import PatchLayout, QubitRegistry
 from .rounds import StabilizerRoundEmitter
 
 __all__ = ["SurgerySpec", "SurgeryArtifacts", "surgery_experiment"]
@@ -101,14 +101,10 @@ def surgery_experiment(spec: SurgerySpec) -> SurgeryArtifacts:
 
     # decoded basis B: the basis of the observables measured transversally.
     basis = "X" if spec.ls_basis == "Z" else "Z"
-    # buffer preparation basis: eigenbasis of the *extended* (complementary)
-    # seam checks, which must stay deterministic across the merge.
-    buffer_basis = other_basis(basis)
 
     layout_p = PatchLayout(0, d - 1, d, vertical_basis=basis)
     layout_pp = PatchLayout(d + 1, 2 * d, d, vertical_basis=basis)
     layout_merged = PatchLayout(0, 2 * d, d, vertical_basis=basis)
-    buffer_coords = [(d, j) for j in range(d)]
 
     timeline_p = spec.timeline_p or PatchTimeline.uniform(rounds_pre)
     timeline_pp = spec.timeline_pp or PatchTimeline.uniform(rounds_pre)
@@ -124,12 +120,10 @@ def surgery_experiment(spec: SurgerySpec) -> SurgeryArtifacts:
         layout_merged=layout_merged,
         registry=registry,
         detector_basis=basis,
+        detectors_by_round=emitter.detectors_by_round,
     )
-
-    patch_qubits = {
-        "P": _patch_qubits(layout_p, registry),
-        "PP": _patch_qubits(layout_pp, registry),
-    }
+    qubits_p = emitter.patch_qubits(layout_p)
+    qubits_pp = emitter.patch_qubits(layout_pp)
 
     # ---- initialization --------------------------------------------------
     emitter.emit_data_init(layout_p.data_coords(), basis)
@@ -137,62 +131,22 @@ def surgery_experiment(spec: SurgerySpec) -> SurgeryArtifacts:
     emitter.emit_ancilla_init(layout_p.plaquettes)
     emitter.emit_ancilla_init(layout_pp.plaquettes)
 
-    # ---- pre-merge rounds --------------------------------------------------
-    prev: dict[tuple[int, int], int] = {}
-    round_label = 0
-    max_rounds = max(timeline_p.num_rounds, timeline_pp.num_rounds)
-    for r in range(max_rounds):
-        for name, layout, timeline in (
-            ("P", layout_p, timeline_p),
-            ("PP", layout_pp, timeline_pp),
-        ):
-            if r >= timeline.num_rounds:
-                continue
-            recs = emitter.emit_round(layout.plaquettes, patch_qubits[name], timeline.rounds[r])
-            _annotate_round(circuit, art, layout, recs, prev, basis, r, first=(r == 0))
-            prev.update(recs)
-        round_label = r + 1
-
-    if timeline_p.final_idle_ns > 0:
-        spec.noise.emit_idle(circuit, patch_qubits["P"], timeline_p.final_idle_ns)
-    if timeline_pp.final_idle_ns > 0:
-        spec.noise.emit_idle(circuit, patch_qubits["PP"], timeline_pp.final_idle_ns)
-
-    # ---- merge ------------------------------------------------------------------
-    existing = {p.pos for p in layout_p.plaquettes} | {p.pos for p in layout_pp.plaquettes}
-    new_plaquettes = [p for p in layout_merged.plaquettes if p.pos not in existing]
-    emitter.emit_data_init(buffer_coords, buffer_basis)
-    emitter.emit_ancilla_init(new_plaquettes)
-    merged_qubits = sorted(
-        {registry.data(c) for c in layout_merged.data_coords()}
-        | {registry.ancilla(p.pos) for p in layout_merged.plaquettes}
+    # ---- pre-merge rounds, merge, merged rounds, transversal readout ------
+    label = emitter.emit_patch_rounds(
+        [(layout_p, qubits_p, timeline_p), (layout_pp, qubits_pp, timeline_pp)], basis
     )
-
-    new_basis_positions = {p.pos for p in new_plaquettes if p.basis == basis}
-    for m in range(rounds_merged):
-        recs = emitter.emit_round(layout_merged.plaquettes, merged_qubits, RoundIdle())
-        label = round_label + m
-        rows = [
-            ([prev[p.pos], recs[p.pos]], p.pos)
-            for p in layout_merged.plaquettes
-            if p.basis == basis
-            # a new seam check is individually random; the seam product covers it
-            and not (m == 0 and p.pos in new_basis_positions)
-        ]
-        if m == 0 and spec.include_seam_detector and new_basis_positions:
-            art.seam_detector_index = circuit.num_detectors + len(rows)
-            rows.append(([recs[pos] for pos in sorted(new_basis_positions)], (d, -1)))
-        _add_detectors(circuit, art, rows, label, basis)
-        prev.update(recs)
-
-    # ---- transversal readout -------------------------------------------------------
-    finals = emitter.emit_data_measurement(layout_merged.data_coords(), basis)
-    rows = [
-        ([prev[p.pos]] + [finals[c] for c in p.data], p.pos)
-        for p in layout_merged.plaquettes
-        if p.basis == basis
-    ]
-    _add_detectors(circuit, art, rows, round_label + rounds_merged, basis)
+    joint = emitter.emit_merge(
+        [layout_p, layout_pp],
+        layout_merged,
+        basis,
+        rounds_merged,
+        label,
+        seam_pos=(d, -1) if spec.include_seam_detector else None,
+    )
+    if spec.include_seam_detector and joint:
+        # the seam product closes the first merged round's block
+        art.seam_detector_index = emitter.detectors_by_round[label][-1]
+    finals = emitter.emit_readout(layout_merged, basis, label + rounds_merged)
 
     circuit.observable_include(OBS_SINGLE, [finals[c] for c in layout_p.vertical_logical()])
     circuit.observable_include(
@@ -202,29 +156,3 @@ def surgery_experiment(spec: SurgerySpec) -> SurgeryArtifacts:
     )
     circuit.observable_include(OBS_SINGLE_PP, [finals[c] for c in layout_pp.vertical_logical()])
     return art
-
-
-def _patch_qubits(layout: PatchLayout, registry: QubitRegistry) -> list[int]:
-    return sorted(
-        {registry.data(c) for c in layout.data_coords()}
-        | {registry.ancilla(p.pos) for p in layout.plaquettes}
-    )
-
-
-def _annotate_round(circuit, art, layout, recs, prev, basis, round_label, *, first):
-    rows = [
-        ([recs[p.pos]] if first else [prev[p.pos], recs[p.pos]], p.pos)
-        for p in layout.plaquettes
-        if p.basis == basis
-    ]
-    _add_detectors(circuit, art, rows, round_label, basis)
-
-
-def _add_detectors(circuit, art, rows, round_label, basis) -> None:
-    """Append one round's ``(records, plaquette position)`` rows as one detector block."""
-    new = circuit.append_detectors(
-        [rec for rec, _ in rows],
-        coords=[(pos[0], pos[1], round_label) for _, pos in rows],
-        basis=basis,
-    )
-    art.detectors_by_round.setdefault(round_label, []).extend(new)

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from ..noise.models import NoiseModel
 from ..stab.circuit import Circuit
-from ..timing.schedule import PatchTimeline, RoundIdle
-from .layout import PatchLayout, QubitRegistry, other_basis
+from ..timing.schedule import PatchTimeline
+from .layout import PatchLayout, QubitRegistry
 from .rounds import StabilizerRoundEmitter
 
 __all__ = ["TeleportSpec", "TeleportArtifacts", "teleport_experiment"]
@@ -84,11 +84,9 @@ def teleport_experiment(spec: TeleportSpec) -> TeleportArtifacts:
     rounds_post = spec.rounds_post if spec.rounds_post is not None else base
 
     basis = "Z"
-    buffer_basis = other_basis(basis)  # |+> buffer keeps extended X-checks quiet
     layout_src = PatchLayout(0, d - 1, d, vertical_basis=basis)
     layout_dst = PatchLayout(d + 1, 2 * d, d, vertical_basis=basis)
     layout_merged = PatchLayout(0, 2 * d, d, vertical_basis=basis)
-    buffer_coords = [(d, j) for j in range(d)]
 
     timeline_p = spec.timeline_p or PatchTimeline.uniform(rounds_pre)
     timeline_pp = spec.timeline_pp or PatchTimeline.uniform(rounds_pre)
@@ -97,8 +95,8 @@ def teleport_experiment(spec: TeleportSpec) -> TeleportArtifacts:
     circuit = Circuit()
     emitter = StabilizerRoundEmitter(circuit, registry, spec.noise)
 
-    src_qubits = _patch_qubits(layout_src, registry)
-    dst_qubits = _patch_qubits(layout_dst, registry)
+    src_qubits = emitter.patch_qubits(layout_src)
+    dst_qubits = emitter.patch_qubits(layout_dst)
 
     # -- init: source holds |0>_L; target prepared in |+>_L ------------------
     emitter.emit_data_init(layout_src.data_coords(), "Z")
@@ -106,56 +104,21 @@ def teleport_experiment(spec: TeleportSpec) -> TeleportArtifacts:
     emitter.emit_ancilla_init(layout_src.plaquettes)
     emitter.emit_ancilla_init(layout_dst.plaquettes)
 
-    prev: dict[tuple[int, int], int] = {}
-    for r in range(max(timeline_p.num_rounds, timeline_pp.num_rounds)):
-        for layout, timeline, qubits, deterministic_first in (
-            (layout_src, timeline_p, src_qubits, True),
-            (layout_dst, timeline_pp, dst_qubits, False),
-        ):
-            if r >= timeline.num_rounds:
-                continue
-            recs = emitter.emit_round(layout.plaquettes, qubits, timeline.rounds[r])
-            for p in layout.plaquettes:
-                if p.basis != basis:
-                    continue
-                cur = recs[p.pos]
-                if r == 0:
-                    # target is |+>-prepared: its Z-checks start random
-                    if deterministic_first:
-                        circuit.detector([cur], coords=(*p.pos, 0), basis=basis)
-                else:
-                    circuit.detector([prev[p.pos], cur], coords=(*p.pos, r), basis=basis)
-            prev.update(recs)
-    if timeline_p.final_idle_ns > 0:
-        spec.noise.emit_idle(circuit, src_qubits, timeline_p.final_idle_ns)
-
-    # -- merge: rough merge measuring Z_P Z_P' --------------------------------
-    existing = {p.pos for p in layout_src.plaquettes} | {p.pos for p in layout_dst.plaquettes}
-    new_plaquettes = [p for p in layout_merged.plaquettes if p.pos not in existing]
-    emitter.emit_data_init(buffer_coords, buffer_basis)
-    emitter.emit_ancilla_init(new_plaquettes)
-    merged_qubits = sorted(
-        {registry.data(c) for c in layout_merged.data_coords()}
-        | {registry.ancilla(p.pos) for p in layout_merged.plaquettes}
+    # the |+>-prepared target's Z-checks start random
+    label = emitter.emit_patch_rounds(
+        [(layout_src, src_qubits, timeline_p), (layout_dst, dst_qubits, timeline_pp)],
+        basis,
+        random_first={1},
     )
-    new_basis_positions = {p.pos for p in new_plaquettes if p.basis == basis}
-    joint_record: list[int] = []
-    label = max(timeline_p.num_rounds, timeline_pp.num_rounds)
-    for m in range(rounds_merged):
-        recs = emitter.emit_round(layout_merged.plaquettes, merged_qubits, RoundIdle())
-        for p in layout_merged.plaquettes:
-            if p.basis != basis:
-                continue
-            cur = recs[p.pos]
-            if m == 0 and p.pos in new_basis_positions:
-                joint_record.append(cur)  # first outcomes define m_zz
-                continue
-            circuit.detector([prev[p.pos], cur], coords=(*p.pos, label + m), basis=basis)
-        prev.update(recs)
+
+    # -- merge: rough merge measuring Z_P Z_P' through a |+> buffer ----------
+    joint_record = emitter.emit_merge(
+        [layout_src, layout_dst], layout_merged, basis, rounds_merged, label
+    )
 
     # -- split: measure source + buffer out in X; target keeps running --------
-    out_coords = layout_src.data_coords() + buffer_coords
-    x_finals = emitter.emit_data_measurement(out_coords, "X")
+    out_coords = layout_src.data_coords() + [(d, j) for j in range(d)]
+    emitter.emit_data_measurement(out_coords, "X")
     # X-basis readout of the source reconstructs its X-checks; those are not
     # in the decoded basis, so no detectors are added here.  The destination's
     # boundary checks shrink back; their next measurement compares against the
@@ -163,25 +126,12 @@ def teleport_experiment(spec: TeleportSpec) -> TeleportArtifacts:
     # every Z-check of the destination keeps its support across merge and
     # split (the seam checks that appeared and disappeared belonged to the
     # merged patch, not to the destination layout), so detectors chain on
-    for r in range(rounds_post):
-        recs = emitter.emit_round(layout_dst.plaquettes, dst_qubits, RoundIdle())
-        for p in layout_dst.plaquettes:
-            if p.basis != basis:
-                continue
-            cur = recs[p.pos]
-            circuit.detector(
-                [prev[p.pos], cur], coords=(*p.pos, label + rounds_merged + r), basis=basis
-            )
-            prev[p.pos] = cur
-
-    finals = emitter.emit_data_measurement(layout_dst.data_coords(), basis)
-    for p in layout_dst.plaquettes:
-        if p.basis != basis:
-            continue
-        rec = [prev[p.pos]] + [finals[c] for c in p.data]
-        circuit.detector(
-            rec, coords=(*p.pos, label + rounds_merged + rounds_post), basis=basis
-        )
+    label = emitter.emit_patch_rounds(
+        [(layout_dst, dst_qubits, PatchTimeline.uniform(rounds_post))],
+        basis,
+        label=label + rounds_merged,
+    )
+    finals = emitter.emit_readout(layout_dst, basis, label)
 
     # teleported Z logical: destination column, corrected by m_zz (the joint
     # measurement outcome, i.e. the seam product of first merged-round checks)
@@ -194,11 +144,4 @@ def teleport_experiment(spec: TeleportSpec) -> TeleportArtifacts:
         layout_dst=layout_dst,
         registry=registry,
         detector_basis=basis,
-    )
-
-
-def _patch_qubits(layout: PatchLayout, registry: QubitRegistry) -> list[int]:
-    return sorted(
-        {registry.data(c) for c in layout.data_coords()}
-        | {registry.ancilla(p.pos) for p in layout.plaquettes}
     )

@@ -16,11 +16,13 @@ import pytest
 
 from repro.codes import (
     MultiSurgerySpec,
+    SurgerySpec,
     TeleportSpec,
     css_memory_experiment,
     memory_experiment,
     multi_patch_surgery_experiment,
     steane_code,
+    surgery_experiment,
     teleport_experiment,
 )
 from repro.codes.repetition import repetition_experiment
@@ -80,6 +82,42 @@ def _teleport():
     return teleport_experiment(spec).circuit
 
 
+def _teleport_overrides():
+    # merged and post-split round counts away from d+1, and a structural
+    # intra-round extension on the target's pre-merge rounds
+    noise = NoiseModel(hardware=GOOGLE)
+    spec = TeleportSpec(
+        distance=3,
+        noise=noise,
+        rounds_merged=2,
+        rounds_post=3,
+        timeline_pp=PatchTimeline.uniform(4, intra_ns=90.0, intra_is_structural=True),
+    )
+    return teleport_experiment(spec).circuit
+
+
+def _multi_surgery_two_x():
+    noise = NoiseModel(hardware=IBM)
+    spec = MultiSurgerySpec(
+        num_patches=2, distance=3, noise=noise, ls_basis="X", rounds_merged=2
+    )
+    return multi_patch_surgery_experiment(spec).circuit
+
+
+def _surgery_uneven_seam():
+    # the lagging patch runs two more pre-merge rounds than the leading one
+    noise = NoiseModel(hardware=GOOGLE)
+    spec = SurgerySpec(
+        distance=3,
+        noise=noise,
+        ls_basis="X",
+        timeline_p=PatchTimeline.uniform(3, pre_ns=80.0, final_idle_ns=150.0),
+        timeline_pp=PatchTimeline.uniform(5, final_idle_ns=20.0),
+        include_seam_detector=True,
+    )
+    return surgery_experiment(spec).circuit
+
+
 def _multi_surgery():
     noise = NoiseModel(hardware=GOOGLE)
     timelines = (
@@ -102,6 +140,10 @@ def _memory(basis):
     return memory_experiment(3, 3, noise, basis=basis, timeline=timeline).circuit
 
 
+def _memory_plain(**kwargs):
+    return memory_experiment(3, 2, NoiseModel(hardware=IBM), **kwargs).circuit
+
+
 def _css_memory():
     return css_memory_experiment(steane_code(), 2, NoiseModel(hardware=IBM)).circuit
 
@@ -113,11 +155,16 @@ CASES = {
         for policy in ("passive", "active", "active_intra", "extra_rounds", "hybrid")
     },
     "surgery-Z-active-ibm-seam": lambda: _surgery("active", hardware=IBM, seam=True),
+    "surgery-X-uneven-seam": _surgery_uneven_seam,
     "teleport": _teleport,
+    "teleport-overrides": _teleport_overrides,
     "multi_surgery": _multi_surgery,
+    "multi_surgery-2-X": _multi_surgery_two_x,
     "repetition": _repetition,
     "memory-Z": lambda: _memory("Z"),
     "memory-X": lambda: _memory("X"),
+    "memory-Z-no-timeline": lambda: _memory_plain(),
+    "memory-X-column-2": lambda: _memory_plain(basis="X", observable_column=2),
     "css_memory-steane": _css_memory,
 }
 
@@ -125,14 +172,18 @@ CASES = {
 DIGESTS = {
     "css_memory-steane": "08c840c515d1c5f9b57b5d95e68bb35b26a91da25babac084a1a34a8dda1c1fb",
     "memory-X": "512d12db242bbb48504b4a307fd1d525dd6e4fd90774634dd6e535603a9585af",
+    "memory-X-column-2": "c8df904bcb73541b90b60e84e402fc53a85ad290eeef40ee2c27c752ccdde7ec",
     "memory-Z": "1cafcdc071630b827ebeec45f5c905e09609bb4bad393288456387799879b80c",
+    "memory-Z-no-timeline": "70b2e8a2a52784a4cb77d5e0622116fbc770b6cb33f9d23c90322c41eb845e67",
     "multi_surgery": "6e81ae39a814f0fe731ade0d2ae8c426ad3b3ce82e4055aa6613949ef7fe0e3c",
+    "multi_surgery-2-X": "c8d5982e9f3201c82bed1475d3acbe2c6c97c3883eb19838db8d58604b2db3f7",
     "repetition": "52bc540ddd69aac133e7f4a04a02062b94c557163352c719b8f56926b3120e82",
     "surgery-X-active": "3a1fb0c1a0a6c0f5e0890842e9e999f508642cb150112a245c4fa1b923e4e77b",
     "surgery-X-active_intra": "0a9b0c7ce36ae24394197b4b8abbffe753ab575b1fd613ea654ae4f98e6cccf6",
     "surgery-X-extra_rounds": "9389ee6315fb8ef77ca4cf362f62cd38b31a6c9ee40711967217b337e97920f4",
     "surgery-X-hybrid": "d94e72ffd9db159d4cbf89cb0cce48ea2e00b092d9b2874225568da0cec8d5bf",
     "surgery-X-passive": "56beb38cd0aa314c1203a838bdd52582109edf082fe43f6aa73930645f6ba2ca",
+    "surgery-X-uneven-seam": "4a051441052e3d86ceae80d1476454b30166a5f7bc1c55cab8bb133b46347d19",
     "surgery-Z-active": "580d46e7db43f4eafa2c3304b2d58f2ef06e633e28037fff6fa0f3b7af08a4f2",
     "surgery-Z-active-ibm-seam": "32875c61d896a560af702145a7b8b2bd5681e6296f5c79ca8bac37d85c299644",
     "surgery-Z-active_intra": "449dd25f6c215d2f3eaeb394adebf65a3e63d25054ae48a46df722f9fe5fe259",
@@ -140,6 +191,7 @@ DIGESTS = {
     "surgery-Z-hybrid": "7c535e0cd239cc8c0d5995b0f0a6c0f0200c4fd1259ad8e868133c2b3f22337e",
     "surgery-Z-passive": "4178bc9cd574535b4c0f6945bcf0c0b54f3401be4b46a86d2de9b8765d05b0d4",
     "teleport": "809a224b6cbfde17b19b1a62617ea953539e5eae2967bd4f3dac383ba7d1802e",
+    "teleport-overrides": "3045a0d598eaa4b2b5bf9d136142954475af1e15c8f2acf04c6795def91865af",
 }
 
 

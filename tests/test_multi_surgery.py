@@ -91,3 +91,28 @@ def test_validation():
         multi_patch_surgery_experiment(
             MultiSurgerySpec(num_patches=2, distance=3, noise=noise, timelines=(PatchTimeline.uniform(4),))
         )
+
+
+def test_detectors_by_round_partition(google_noise):
+    d, rounds_merged = 2, 2
+    timelines = (
+        PatchTimeline.uniform(d + 1),
+        PatchTimeline.uniform(d + 3),  # the slowest patch runs two extra rounds
+        PatchTimeline.uniform(d + 2),
+    )
+    art = multi_patch_surgery_experiment(
+        MultiSurgerySpec(
+            num_patches=3,
+            distance=d,
+            noise=google_noise,
+            rounds_merged=rounds_merged,
+            timelines=timelines,
+        )
+    )
+    max_rounds = d + 3
+    # pre-merge rounds, merged rounds, then the readout layer
+    assert sorted(art.detectors_by_round) == list(range(max_rounds + rounds_merged + 1))
+    indices = [i for v in art.detectors_by_round.values() for i in v]
+    assert sorted(indices) == list(range(art.circuit.num_detectors))
+    for label, group in art.detectors_by_round.items():
+        assert {art.circuit.detectors[i].coords[2] for i in group} == {label}

@@ -65,3 +65,28 @@ def test_round_counts_respected(ibm_noise):
     assert art.circuit.num_detectors > 0
     labels = {info.coords[2] for info in art.circuit.detectors}
     assert max(labels) == 2 + 3 + 2  # final readout label
+
+
+def test_target_final_idle_is_emitted(ibm_noise):
+    def whole_target_idles(art):
+        reg, dst = art.registry, art.layout_dst
+        target = {reg.data(c) for c in dst.data_coords()} | {
+            reg.ancilla(p.pos) for p in dst.plaquettes
+        }
+        return [
+            inst
+            for inst in art.circuit.instructions
+            if inst.name == "PAULI_CHANNEL_1" and set(inst.targets) == target
+        ]
+
+    base = teleport_experiment(TeleportSpec(distance=3, noise=ibm_noise))
+    slack = teleport_experiment(
+        TeleportSpec(
+            distance=3,
+            noise=ibm_noise,
+            timeline_pp=PatchTimeline.uniform(4, final_idle_ns=300.0),
+        )
+    )
+    # the target's slack is one idle layer on exactly its qubits, before the merge
+    assert len(slack.circuit) == len(base.circuit) + 1
+    assert len(whole_target_idles(slack)) == len(whole_target_idles(base)) + 1
