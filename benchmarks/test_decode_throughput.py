@@ -24,7 +24,8 @@ union-find (``cext``, when it builds) on the kernel subsystem's acceptance
 configuration — d=7 at p=3e-3, where syndromes are heavy and dedup alone
 buys little — plus d=5, 9 and 11 at a tenth of the shots, asserting
 bit-identical predictions and, when the C kernel builds, a >= 2x ``cext``
-speedup.  Rows are keyed by the path that actually ran; a host without
+speedup.  A ``cext`` row records the kernel threads its call split its
+distinct rows across (``cext_threads``).  Rows are keyed by the path that actually ran; a host without
 the C library records only ``python``.  It writes the ``unionfind``
 section of ``benchmarks/results/decode_backends.json``, over
 :data:`BACKEND_SHOTS` shots.
@@ -358,6 +359,9 @@ def _bench_backend_point(distance: int, shots: int, seed: int, backends) -> dict
         row[f"{backend}_shots_per_sec"] = rates[backend]
         if backend != "python":
             row[f"{backend}_speedup_vs_python"] = rates[backend] / rates["python"]
+    if "cext" in backends:
+        # each timed run is one kernel call over every distinct row
+        row["cext_threads"] = cext.decode_threads(stats["cext"].distinct_syndromes)
     return row
 
 

@@ -54,7 +54,9 @@ class StabilizerRoundEmitter:
     A layout's rounds differ only in their synchronization idles, so the
     gate layers of each (plaquettes, patch qubits) pair are built on its
     first round and replayed afterwards.  The cache lives on the emitter,
-    which builds one circuit over one registry.
+    which builds one circuit over one registry.  The experiment steps pass
+    the same two lists every round, so a round first looks its layers up by
+    the lists' identities and hashes the plaquettes only for a new pair.
 
     The experiment steps keep each check's latest record, so the next
     round's detector compares against it, and group the detectors they add
@@ -66,6 +68,8 @@ class StabilizerRoundEmitter:
         self.registry = registry
         self.noise = noise
         self._layer_cache: dict[tuple, _RoundLayers] = {}
+        #: (id(plaquettes), id(patch_qubits)) -> (copies of both lists, layers)
+        self._layers_by_list: dict[tuple[int, int], tuple[list, list, _RoundLayers]] = {}
         #: plaquette position -> record of its latest measurement
         self._last: dict[tuple[int, int], int] = {}
         #: detector indices grouped by round label, for syndrome-weight studies
@@ -105,12 +109,25 @@ class StabilizerRoundEmitter:
         """The gate layers of a round over ``plaquettes``, built once.
 
         Keyed on the plaquette values, not their positions: a seam plaquette
-        can sit at a smaller patch's position with different slots.
+        can sit at a smaller patch's position with different slots.  The
+        lookup by list identities keeps copies of the two lists and checks
+        them with ``==``, so a list changed in place, or a new list at a
+        freed one's address, is still matched on its values.
         """
+        by_list = (id(plaquettes), id(patch_qubits))
+        hit = self._layers_by_list.get(by_list)
+        if hit is not None and hit[0] == plaquettes and hit[1] == patch_qubits:
+            return hit[2]
         key = (tuple(plaquettes), tuple(patch_qubits))
         layers = self._layer_cache.get(key)
-        if layers is not None:
-            return layers
+        if layers is None:
+            layers = self._layer_cache[key] = self._build_layers(plaquettes, patch_qubits)
+        self._layers_by_list[by_list] = (list(plaquettes), list(patch_qubits), layers)
+        return layers
+
+    def _build_layers(
+        self, plaquettes: list[Plaquette], patch_qubits: list[int]
+    ) -> _RoundLayers:
         # registry lookups run in the order the uncached round made them, so
         # a layout's first round assigns the same qubit indices it always did
         reg = self.registry
@@ -134,7 +151,7 @@ class StabilizerRoundEmitter:
                 active.add(dqub)
             cx.append(pairs)
             idle_cx.append(sorted(patch_set - active))
-        layers = self._layer_cache[key] = _RoundLayers(
+        return _RoundLayers(
             anc=anc,
             x_anc=x_anc,
             cx=tuple(cx),
@@ -143,7 +160,6 @@ class StabilizerRoundEmitter:
             idle_readout=sorted(patch_set - set(anc)),
             order=tuple(p.pos for p in plaquettes),
         )
-        return layers
 
     def emit_round(
         self,

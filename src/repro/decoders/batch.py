@@ -220,6 +220,8 @@ def decode_words(
             distinct = plane.unpack_words(distinct, num_detectors)
     n = first.size
     args["rows"] = n
+    if packed is not None:
+        args["threads"] = kernels.cext.decode_threads(n)
     with obs.span("decode.kernel", lambda: args):
         row_masks = decode_rows(distinct)
     if stats is not None:

@@ -6,9 +6,9 @@ plain C, over bit-packed ``uint64`` rows; it also carries the
 packed data plane's dart-XOR and row-dedup helpers (:mod:`.plane`) and
 the backward DEM walk of :func:`repro.stab.dem.circuit_to_dem`.
 :func:`library` compiles it once per source/flags/compiler combination
-with the system compiler (``cc -O2 -ffp-contract=off -shared -fPIC``; no
-``-march=native``, so a cached build runs on any host sharing the cache,
-and no fused multiply-adds, so the DEM walk's probabilities are
+with the system compiler (``cc -O2 -ffp-contract=off -pthread -shared
+-fPIC``; no ``-march=native``, so a cached build runs on any host sharing
+the cache, and no fused multiply-adds, so the DEM walk's probabilities are
 bit-identical to Python's) and loads it with :mod:`ctypes`:
 
 * builds are cached under ``~/.cache/repro/kernels/<key>.so``, where
@@ -25,7 +25,9 @@ bit-identical to Python's) and loads it with :mod:`ctypes`:
 
 :class:`CextUnionFind` is stateless between calls: the C kernel allocates
 its scratch per call and ctypes releases the GIL around it, so one kernel
-may decode from several threads at once.
+may decode from several threads at once.  Each call splits its rows across
+:func:`decode_threads` threads (one per 256 rows, at most one per usable
+CPU); rows are independent, so the masks never depend on that count.
 """
 
 from __future__ import annotations
@@ -41,24 +43,39 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SOURCE", "CFLAGS", "cache_dir", "build", "library", "CextUnionFind"]
+__all__ = [
+    "SOURCE",
+    "CFLAGS",
+    "cache_dir",
+    "build",
+    "library",
+    "usable_cpus",
+    "decode_threads",
+    "CextUnionFind",
+]
 
 #: the C source of the kernel, shipped as package data
 SOURCE = Path(__file__).with_name("uf.c")
 #: compiler flags: portable (no -march=native), so cached builds are shareable;
 #: -ffp-contract=off forbids fused multiply-adds (GCC contracts by default on
-#: aarch64), which would break the DEM walk's bit-exact probabilities
-CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: aarch64), which would break the DEM walk's bit-exact probabilities;
+#: -pthread links the threads uf_decode_packed splits its rows across
+CFLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
+#: distinct rows per kernel thread: a smaller call decodes on one thread
+ROWS_PER_THREAD = 256
+#: the most threads one call uses (``UF_MAX_THREADS`` in ``uf.c``)
+MAX_THREADS = 64
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
 #: the exported functions: name -> (restype, argtypes)
 _EXPORTS = {
     # (n_rows, words, n_words, n_nodes, n_edges, indptr, eids, eu, ev, w,
-    #  eobs, boundary, max_rounds, out)
+    #  eobs, boundary, max_rounds, n_threads, out)
     "uf_decode_packed": (
         ctypes.c_int,
-        [_I64, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR],
+        [_I64, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64,
+         _PTR],
     ),
     # (n_err, counts, rows, ptr, word_idx, word_bits, n_words, out)
     "plane_xor_darts": (None, [_I64, _PTR, _PTR, _PTR, _PTR, _PTR, _I64, _PTR]),
@@ -162,11 +179,25 @@ def library():
     return build(SOURCE)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, else the CPU count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def decode_threads(rows: int) -> int:
+    """Threads one :meth:`CextUnionFind.decode_packed` call of ``rows`` rows uses."""
+    return max(1, min(usable_cpus(), rows // ROWS_PER_THREAD, MAX_THREADS))
+
+
 class CextUnionFind:
     """Whole-matrix decode kernel for one ``UnionFindDecoder``, in C.
 
     Bit-identical to the decoder's scalar pass (same graph, same integer
-    weights, same ``max_rounds`` cap); safe to call concurrently.
+    weights, same ``max_rounds`` cap) for any thread count; safe to call
+    concurrently.
     """
 
     def __init__(self, decoder):
@@ -207,7 +238,10 @@ class CextUnionFind:
         return self.decode_packed(pack_words(rows))
 
     def decode_packed(self, words: np.ndarray) -> np.ndarray:
-        """Observable bitmask per row of bit-packed detector words (:mod:`.plane`)."""
+        """Observable bitmask per row of bit-packed detector words (:mod:`.plane`).
+
+        The rows are split across :func:`decode_threads` threads.
+        """
         words = np.ascontiguousarray(words, dtype=np.uint64)
         n_words = (self.graph.num_detectors + 63) // 64
         if words.ndim != 2 or words.shape[1] != n_words:
@@ -223,7 +257,7 @@ class CextUnionFind:
             self._indptr.ctypes.data, self._eids.ctypes.data,
             self._eu.ctypes.data, self._ev.ctypes.data, self._w.ctypes.data,
             self._eobs.ctypes.data, self.graph.boundary_node, self._max_rounds,
-            out.ctypes.data,
+            decode_threads(words.shape[0]), out.ctypes.data,
         )
         if status != 0:
             raise MemoryError("the C union-find kernel could not allocate its scratch")

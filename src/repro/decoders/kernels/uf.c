@@ -29,13 +29,19 @@
  * helpers (plane_xor_darts, plane_dedup) and the backward DEM walk
  * (dem_walk, dem_free), so one build serves all of them.
  *
+ * uf_decode_packed splits its rows into n_threads contiguous ranges, each
+ * decoded with its own scratch: the calling thread decodes the first range
+ * and pthreads the others.  Rows are independent, so every mask is the
+ * same for any thread count.
+ *
  * All scratch state is allocated per call: concurrent calls (ctypes drops
  * the GIL around foreign calls) never share memory.  Build with
- *   cc -O2 -ffp-contract=off -shared -fPIC -o uf.so uf.c
+ *   cc -O2 -ffp-contract=off -pthread -shared -fPIC -o uf.so uf.c
  * where -ffp-contract=off keeps the DEM walk's probability arithmetic
  * bit-identical to Python's (no fused multiply-adds).
  */
 
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -433,28 +439,88 @@ static int state_init(uf_state *s, int64_t n_nodes, int64_t n_edges,
     return 0;
 }
 
+/* at most this many ranges per call, whatever n_threads asks for */
+#define UF_MAX_THREADS 64
+
+/* one contiguous range of rows, decoded with its own scratch */
+typedef struct {
+    uf_state s;
+    const uint64_t *words;
+    int64_t n_rows, n_words, n_det;
+    uint64_t *out;
+} uf_range;
+
+static void *decode_range(void *arg)
+{
+    uf_range *r = arg;
+    int64_t i;
+
+    for (i = 0; i < r->n_rows; i++)
+        r->out[i] = decode_packed_row(&r->s, r->words + i * r->n_words, r->n_words,
+                                      r->n_det);
+    return NULL;
+}
+
 /*
  * Decode n_rows bit-packed syndrome rows (row-major, n_words uint64 words
  * each, detector d in word d / 64, bit d % 64; n_det = n_nodes - 1) into
- * one observable bitmask per row.  Returns 0 on success and -1 when
- * scratch memory cannot be allocated.
+ * one observable bitmask per row, over n_threads contiguous row ranges
+ * (clamped to [1, min(n_rows, UF_MAX_THREADS)]).  The caller decodes range
+ * 0 and every range whose thread cannot be created.  Returns 0 on success
+ * and -1 when scratch memory cannot be allocated.
  */
 int uf_decode_packed(int64_t n_rows, const uint64_t *words, int64_t n_words,
                      int64_t n_nodes, int64_t n_edges, const int64_t *indptr,
                      const int64_t *eids, const int64_t *eu, const int64_t *ev,
                      const int64_t *w, const uint64_t *eobs, int64_t boundary,
-                     int64_t max_rounds, uint64_t *out)
+                     int64_t max_rounds, int64_t n_threads, uint64_t *out)
 {
-    uf_state s;
-    int64_t i, n_det = n_nodes - 1;
+    uf_range *ranges;
+    pthread_t *tids;
+    uint8_t *started;
+    int64_t t, lo, hi, n_init = 0;
+    int status = -1;
 
-    if (state_init(&s, n_nodes, n_edges, indptr, eids, eu, ev, w, eobs, boundary,
-                   max_rounds) != 0)
-        return -1;
-    for (i = 0; i < n_rows; i++)
-        out[i] = decode_packed_row(&s, words + i * n_words, n_words, n_det);
-    state_free(&s);
-    return 0;
+    if (n_threads > n_rows)
+        n_threads = n_rows;
+    if (n_threads > UF_MAX_THREADS)
+        n_threads = UF_MAX_THREADS;
+    if (n_threads < 1)
+        n_threads = 1;
+    ranges = calloc((size_t)n_threads, sizeof(*ranges));
+    tids = calloc((size_t)n_threads, sizeof(*tids));
+    started = calloc((size_t)n_threads, 1);
+    if (!ranges || !tids || !started)
+        goto done;
+    for (t = 0; t < n_threads; t++, n_init++) {
+        lo = n_rows * t / n_threads;
+        hi = n_rows * (t + 1) / n_threads;
+        ranges[t].words = words + lo * n_words;
+        ranges[t].n_rows = hi - lo;
+        ranges[t].n_words = n_words;
+        ranges[t].n_det = n_nodes - 1;
+        ranges[t].out = out + lo;
+        if (state_init(&ranges[t].s, n_nodes, n_edges, indptr, eids, eu, ev, w, eobs,
+                       boundary, max_rounds) != 0)
+            goto done;
+    }
+    for (t = 1; t < n_threads; t++)
+        started[t] = pthread_create(&tids[t], NULL, decode_range, &ranges[t]) == 0;
+    decode_range(&ranges[0]);
+    for (t = 1; t < n_threads; t++) {
+        if (started[t])
+            pthread_join(tids[t], NULL);
+        else
+            decode_range(&ranges[t]);
+    }
+    status = 0;
+done:
+    for (t = 0; t < n_init; t++)
+        state_free(&ranges[t].s);
+    free(ranges);
+    free(tids);
+    free(started);
+    return status;
 }
 
 /* ------------------------------------------------------------------------

@@ -54,21 +54,29 @@ class UnionFindDecoder(Decoder):
 
     def __init__(self, graph: MatchingGraph, *, weight_resolution: int = 16):
         self.graph = graph
-        indptr, eids = graph.adjacency()
         self._weights = graph.integer_weights(weight_resolution)
         self._boundary = graph.boundary_node
+        #: the scalar pass's graph lists, built by its first decode: a decoder
+        #: bound to the C kernel never reads them
+        self._adj: list[list[int]] | None = None
+        #: per-thread :class:`_Scratch` (attribute ``s``)
+        self._local = threading.local()
+
+    def _build_lists(self) -> None:
         # hot-path state as plain python ints/lists: the growth and peeling
         # loops are pure python, and per-element numpy indexing there costs
-        # several times a list access
-        self._adj = [
-            eids[indptr[n] : indptr[n + 1]].tolist() for n in range(graph.num_detectors + 1)
-        ]
+        # several times a list access.  Two threads building at once store
+        # equal lists; `_adj` is stored last, so a thread that sees it set
+        # sees the others too
+        graph = self.graph
+        indptr, eids = graph.adjacency()
         self._wt = self._weights.tolist()
         self._eu = graph.edge_u.tolist()
         self._ev = graph.edge_v.tolist()
         self._eobs = [int(m) for m in graph.edge_obs]
-        #: per-thread :class:`_Scratch` (attribute ``s``)
-        self._local = threading.local()
+        self._adj = [
+            eids[indptr[n] : indptr[n + 1]].tolist() for n in range(graph.num_detectors + 1)
+        ]
 
     # -- public API ----------------------------------------------------------
 
@@ -94,6 +102,8 @@ class UnionFindDecoder(Decoder):
         # `touched` records every node whose state left the pristine shape so
         # the finally-block can restore it in O(touched) instead of
         # reallocating
+        if self._adj is None:
+            self._build_lists()
         scratch = getattr(self._local, "s", None)
         if scratch is None:
             scratch = self._local.s = _Scratch(self.graph.num_detectors + 1)

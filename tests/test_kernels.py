@@ -393,6 +393,110 @@ def test_cext_kernel_is_safe_across_threads(parity_grid):
         assert np.array_equal(masks, expected)
 
 
+@pytest.fixture(scope="module")
+def ibm_active_graph():
+    """The cold-point workload's IBM d=7 Active graph (tau = 1000 ns)."""
+    from repro.noise import IBM
+
+    cfg = SurgeryLerConfig(
+        distance=7, hardware=IBM, policy_name="active", tau_ns=1000.0, p=1e-3
+    )
+    return prepared_pipeline(cfg, make_policy("active")).graph
+
+
+def _decode_with_threads(kernel, words, n_threads):
+    """``uf_decode_packed`` called through the loaded library with ``n_threads``."""
+    out = np.zeros(words.shape[0], dtype=np.uint64)
+    status = cext.library().uf_decode_packed(
+        words.shape[0], words.ctypes.data, words.shape[1],
+        kernel.graph.num_detectors + 1, kernel._w.size,
+        kernel._indptr.ctypes.data, kernel._eids.ctypes.data,
+        kernel._eu.ctypes.data, kernel._ev.ctypes.data, kernel._w.ctypes.data,
+        kernel._eobs.ctypes.data, kernel.graph.boundary_node, kernel._max_rounds,
+        n_threads, out.ctypes.data,
+    )
+    assert status == 0
+    return out
+
+
+@requires_cc
+@pytest.mark.parametrize("graph_name", ["extra_rounds_graph", "ibm_active_graph"])
+def test_cext_masks_do_not_depend_on_the_thread_count(graph_name, request):
+    """Row ranges split across threads decode exactly as one thread does."""
+    graph = request.getfixturevalue(graph_name)
+    kernel = cext.CextUnionFind(UnionFindDecoder(graph))
+    det = build_dense_syndromes(graph, 2000, 0.01, seed=17)
+    det[::3] = build_dense_syndromes(graph, det[::3].shape[0], 0.05, seed=18)
+    words = plane.pack_words(det)
+    for rows in (0, 1, 255, 256, 2000):
+        part = np.ascontiguousarray(words[:rows])
+        expected = _decode_with_threads(kernel, part, 1)
+        if rows:
+            assert np.array_equal(expected, kernel.decode_packed(part))
+        for n_threads in (2, 3, 8, rows + 5):
+            masks = _decode_with_threads(kernel, part, n_threads)
+            assert masks.tolist() == expected.tolist(), (rows, n_threads)
+
+
+def test_decode_threads_follow_the_row_count_and_cpus(monkeypatch):
+    monkeypatch.setattr(cext, "usable_cpus", lambda: 4)
+    assert [cext.decode_threads(n) for n in (0, 255, 256, 511, 512, 1024, 10**6)] == [
+        1, 1, 1, 1, 2, 4, 4,
+    ]
+    monkeypatch.setattr(cext, "usable_cpus", lambda: 1)
+    assert cext.decode_threads(10**6) == 1
+    monkeypatch.setattr(cext, "usable_cpus", lambda: 1000)
+    assert cext.decode_threads(10**6) == cext.MAX_THREADS
+    assert f"#define UF_MAX_THREADS {cext.MAX_THREADS}" in cext.SOURCE.read_text()
+
+
+@requires_cc
+def test_sweep_records_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    """One and four usable CPUs store the same records under the same keys."""
+    from repro.experiments.sweeps import PolicySpec, SweepSpec, run_sweep
+    from repro.store import ResultStore
+
+    spec = SweepSpec(
+        name="cpu-count",
+        distances=(3,),
+        taus_ns=(1000.0,),
+        policies=(PolicySpec("passive"), PolicySpec("active")),
+        hardware=GOOGLE,
+        seed=9,
+        batch_shots=3000,
+        min_shots=6000,
+        max_shots=6000,
+        p=6e-3,
+    )
+    used = []
+    decode_threads = cext.decode_threads
+
+    def spy(rows):
+        used.append(decode_threads(rows))
+        return used[-1]
+
+    monkeypatch.setattr(cext, "decode_threads", spy)
+
+    def records(cpus):
+        monkeypatch.setattr(cext, "usable_cpus", lambda: cpus)
+        report = run_sweep(spec, ResultStore(tmp_path / str(cpus)))
+        out = {}
+        for o in report.outcomes:
+            rec = {k: v for k, v in o.record.items() if k != "updated_at"}
+            stats = dict(rec.pop("decode_stats"))
+            assert not any("thread" in k for k in stats)
+            del stats["decode_seconds"]
+            out[o.key] = (rec, stats)
+        return out
+
+    one = records(1)
+    assert set(used) == {1}
+    used.clear()
+    four = records(4)
+    assert max(used) > 1
+    assert four == one
+
+
 def test_kernel_handles_empty_and_all_zero_input(parity_grid):
     """The numpy MWPM kernel returns one zero mask per row, and none for no rows."""
     graph, _ = parity_grid[(3, 2e-3)]
@@ -552,6 +656,21 @@ def test_no_compiler_ler_and_sweep_match_the_c_path(tmp_path, monkeypatch):
     assert with_c[1] > 0 and all(f for f, _ in with_c[2].values())
 
 
+@requires_cc
+def test_c_bound_decoder_never_builds_the_scalar_lists():
+    """The scalar pass's graph lists are built by its first decode, never by the C path."""
+    cfg = SurgeryLerConfig(distance=3, hardware=GOOGLE, policy_name="passive", tau_ns=500.0)
+    policy = make_policy("passive")
+    run_surgery_ler(cfg, policy, 2000, rng=4)
+    decoder = prepared_pipeline(cfg, policy).decoder("unionfind")
+    assert kernels.bind(decoder) is not None
+    assert decoder._adj is None
+    # the scalar pass builds them on demand and decodes like the kernel
+    det = build_dense_syndromes(decoder.graph, 50, 0.05, seed=3)
+    assert np.array_equal(_scalar_masks(decoder, det), kernels.bind(decoder).decode_rows(det))
+    assert decoder._adj is not None
+
+
 # ---------------------------------------------------------------------------
 # the scalar decoder's reentrancy guard
 # ---------------------------------------------------------------------------
@@ -578,13 +697,15 @@ def test_unionfind_reentrant_use_raises(parity_grid):
 def test_unionfind_instance_is_shared_safely_across_threads(parity_grid):
     # each thread gets its own scratch lists: more threads than cores,
     # switching every microsecond, decoding through one instance (a sweep's
-    # cached decoder) all match a serial decode
+    # cached decoder) all match a serial decode.  The instance is fresh, so
+    # the threads' first decodes also build its graph lists at once
     import sys
 
     graph, det = parity_grid[(3, 5e-3)]
     rows = det[det.any(axis=1)][:300]
+    reference = UnionFindDecoder(graph)
+    serial = [reference.decode(row) for row in rows]
     dec = UnionFindDecoder(graph)
-    serial = [dec.decode(row) for row in rows]
     n_threads = 2 * (os.cpu_count() or 1) + 1
     out = {}
 

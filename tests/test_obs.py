@@ -423,3 +423,32 @@ def test_dem_span_names_the_walk_and_counts_errors(walk):
     (span,) = [e for e in events if e["name"] == "ler.analyze.dem"]
     assert span["args"] == {"errors": len(pipe.dem.errors), "walk": walk}
     assert len(pipe.dem.errors) > 0
+
+
+def test_kernel_span_names_the_threads_the_c_path_used():
+    """``decode.kernel`` carries ``threads`` on the C path, ``path`` on the scalar one."""
+    import numpy as np
+    from factories import build_dense_syndromes, build_surface_case, numpy_plane
+
+    from repro.decoders import BatchDecodingEngine, UnionFindDecoder
+    from repro.decoders.kernels import cext, plane
+
+    graph, _, _ = build_surface_case(5, 1e-3, 10, 1)
+    words = plane.pack_words(build_dense_syndromes(graph, 1500, 0.05, seed=2))
+    rows = np.unique(words, axis=0).shape[0]
+    assert rows >= 512
+
+    def kernel_args(context):
+        obs.configure()
+        try:
+            with context():
+                BatchDecodingEngine(UnionFindDecoder(graph)).decode_words(words)
+            (span,) = [e for e in obs.active().events if e["name"] == "decode.kernel"]
+        finally:
+            obs.reset()
+        return span["args"]
+
+    assert kernel_args(numpy_plane) == {"rows": rows, "path": "scalar"}
+    if cext.library() is not None:
+        threads = min(cext.usable_cpus(), rows // 256)
+        assert kernel_args(contextlib.nullcontext) == {"rows": rows, "threads": threads}

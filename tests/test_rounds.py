@@ -143,6 +143,30 @@ def test_layers_are_keyed_on_plaquette_values_not_positions():
     assert sum(len(i.targets) // 2 for i in cx) == p_big.weight > p_small.weight
 
 
+def test_a_list_changed_in_place_gets_its_own_layers():
+    # rounds find cached layers by the identity of their lists first, so a
+    # list whose plaquettes change in place must not replay the old layers
+    small = PatchLayout(0, 2, 3, vertical_basis="X")
+    merged = PatchLayout(0, 6, 3, vertical_basis="X")
+    by_pos = {p.pos: p for p in merged.plaquettes}
+    p_small = next(
+        p for p in small.plaquettes if p.pos in by_pos and by_pos[p.pos].slots != p.slots
+    )
+    p_big = by_pos[p_small.pos]
+    registry = QubitRegistry()
+    emitter = StabilizerRoundEmitter(Circuit(), registry, NoiseModel(hardware=GOOGLE, p=0.0))
+    patch_qubits = sorted(
+        {registry.data(c) for c in merged.data_coords()} | {registry.ancilla(p_big.pos)}
+    )
+    plaquettes = [p_small]
+    emitter.emit_round(plaquettes, patch_qubits)
+    plaquettes[0] = p_big
+    start = len(emitter.circuit)
+    emitter.emit_round(plaquettes, patch_qubits)
+    cx = [i for i in emitter.circuit.instructions[start:] if i.name == "CX"]
+    assert sum(len(i.targets) // 2 for i in cx) == p_big.weight
+
+
 def test_layer_cache_belongs_to_one_emitter(setup):
     layout, circuit, emitter, patch_qubits = setup
     emitter.emit_round(layout.plaquettes, patch_qubits)
