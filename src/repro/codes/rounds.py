@@ -57,6 +57,10 @@ class StabilizerRoundEmitter:
     which builds one circuit over one registry.  The experiment steps pass
     the same two lists every round, so a round first looks its layers up by
     the lists' identities and hashes the plaquettes only for a new pair.
+    Everything after a round's pre-round idle depends only on its layers and
+    intra-round idle, so that body is built once as a small circuit, also
+    cached on the emitter, and each round splices it in with
+    :meth:`Circuit.extend <repro.stab.circuit.Circuit.extend>`.
 
     The experiment steps keep each check's latest record, so the next
     round's detector compares against it, and group the detectors they add
@@ -68,6 +72,9 @@ class StabilizerRoundEmitter:
         self.registry = registry
         self.noise = noise
         self._layer_cache: dict[tuple, _RoundLayers] = {}
+        #: (id(layers), intra_ns, intra_is_structural) -> the round's body;
+        #: ``_layer_cache`` keeps every layers object alive, so ids stay unique
+        self._body_cache: dict[tuple[int, float, bool], Circuit] = {}
         #: (id(plaquettes), id(patch_qubits)) -> (copies of both lists, layers)
         self._layers_by_list: dict[tuple[int, int], tuple[list, list, _RoundLayers]] = {}
         #: plaquette position -> record of its latest measurement
@@ -168,49 +175,63 @@ class StabilizerRoundEmitter:
         idle: RoundIdle = RoundIdle(),
     ) -> dict[tuple[int, int], int]:
         """Emit one full syndrome round; returns plaquette pos -> record index."""
-        circuit, noise = self.circuit, self.noise
-        hw = noise.hardware
+        circuit = self.circuit
         layers = self._round_layers(plaquettes, patch_qubits)
-        gap_ns = idle.intra_ns / _NUM_GAPS if idle.intra_ns > 0 else 0.0
-
         if idle.pre_ns > 0:
-            noise.emit_idle(circuit, patch_qubits, idle.pre_ns)
+            self.noise.emit_idle(circuit, patch_qubits, idle.pre_ns)
+        key = (id(layers), idle.intra_ns, idle.intra_is_structural)
+        body = self._body_cache.get(key)
+        if body is None:
+            body = self._body_cache[key] = self._build_body(layers, patch_qubits, idle)
+        start = circuit.num_measurements
+        circuit.extend(body)
+        return dict(zip(layers.order, range(start, start + len(layers.anc))))
+
+    def _build_body(
+        self, layers: _RoundLayers, patch_qubits: list[int], idle: RoundIdle
+    ) -> Circuit:
+        """A round after its pre-round idle, as a standalone circuit.
+
+        Its gate layers, their noise, the structural and gap idles, the
+        ancilla readout and the ticks are the same in every round with these
+        layers and intra-round idle, so each such body is built once.
+        """
+        body, noise = Circuit(), self.noise
+        hw = noise.hardware
+        gap_ns = idle.intra_ns / _NUM_GAPS if idle.intra_ns > 0 else 0.0
 
         def gap() -> None:
             if gap_ns > 0:
-                noise.emit_idle(
-                    circuit, patch_qubits, gap_ns, structural=idle.intra_is_structural
-                )
+                noise.emit_idle(body, patch_qubits, gap_ns, structural=idle.intra_is_structural)
 
         def hadamard_layer() -> None:
             if layers.x_anc:
-                circuit.append("H", layers.x_anc)
-                noise.emit_clifford1(circuit, layers.x_anc)
-            noise.emit_idle(circuit, layers.idle_h, hw.time_1q_ns, structural=True)
-            circuit.tick()
+                body.append("H", layers.x_anc)
+                noise.emit_clifford1(body, layers.x_anc)
+            noise.emit_idle(body, layers.idle_h, hw.time_1q_ns, structural=True)
+            body.tick()
             gap()
 
         hadamard_layer()
         for pairs, inactive in zip(layers.cx, layers.idle_cx):
             if pairs:
-                circuit.append("CX", pairs)
-                noise.emit_clifford2(circuit, pairs)
-            noise.emit_idle(circuit, inactive, hw.time_2q_ns, structural=True)
-            circuit.tick()
+                body.append("CX", pairs)
+                noise.emit_clifford2(body, pairs)
+            noise.emit_idle(body, inactive, hw.time_2q_ns, structural=True)
+            body.tick()
             gap()
         hadamard_layer()
 
         # measurement + reset of all ancillas; data idles through readout
         anc = layers.anc
-        noise.emit_measure_flip(circuit, anc, "Z")
-        recs = circuit.append("MR", anc)
-        noise.emit_reset_flip(circuit, anc, "Z")
+        noise.emit_measure_flip(body, anc, "Z")
+        body.append("MR", anc)
+        noise.emit_reset_flip(body, anc, "Z")
         noise.emit_idle(
-            circuit, layers.idle_readout, hw.time_readout_ns + hw.time_reset_ns, structural=True
+            body, layers.idle_readout, hw.time_readout_ns + hw.time_reset_ns, structural=True
         )
-        circuit.tick()
-
-        return dict(zip(layers.order, recs))
+        body.tick()
+        return body
 
     # -- final transversal readout --------------------------------------------------
 

@@ -51,9 +51,9 @@ _QUBIT_COORDS = OPCODES["QUBIT_COORDS"]
 _IS_NOISE = np.array(
     [GATES[n].kind in (GateKind.NOISE_1, GateKind.NOISE_2) for n in NAMES], dtype=bool
 )
-_IS_MEASURE = np.array([GATES[n].kind == GateKind.MEASURE for n in NAMES], dtype=bool)
 #: shared by every append without targets; an empty array is never stored
 _NO_TARGETS = np.zeros(0, dtype=np.int64)
+_NO_TARGETS.setflags(write=False)
 
 #: gate kinds whose targets are qubit pairs, and those that act per qubit
 _PAIR_KINDS = frozenset({GateKind.CLIFFORD_2, GateKind.NOISE_2})
@@ -197,6 +197,7 @@ class Circuit:
             new_records = list(range(start, self.num_measurements))
         if t.size:
             self.num_qubits = max(self.num_qubits, int(t.max()) + 1)
+            t.setflags(write=False)
             self._tchunks.append(t)
         self._ops.append(code)
         self._tlen.append(t.size)
@@ -271,35 +272,25 @@ class Circuit:
 
         Records move past this circuit's measurements.  Observable indices
         stay as they are: ``other``'s observable ``k`` accumulates onto this
-        circuit's observable ``k``.
+        circuit's observable ``k``.  ``other`` was checked as it was built,
+        so its builder lists are copied as they are; the two circuits then
+        share ``other``'s read-only target chunks.
         """
-        self._splice(other, np.arange(len(other)), self.num_measurements)
-
-    def _splice(self, src: "Circuit", rows: np.ndarray, rec_offset: int) -> None:
-        """Append rows ``rows`` of ``src`` (and all its detectors) as they are."""
-        cols = src.columns()
-        ops = cols.ops[rows]
-        tptr, targets = csr_take(cols.tptr, cols.targets, rows)
-        aptr, args = csr_take(cols.aptr, cols.args, rows)
-        rptr, recs = csr_take(cols.rptr, cols.recs, rows)
-        tlen = np.diff(tptr)
-        self._ops.extend(ops.tolist())
-        self._tlen.extend(tlen.tolist())
-        if targets.size:
-            self._tchunks.append(targets)
-            self.num_qubits = max(self.num_qubits, int(targets.max()) + 1)
-        self._alen.extend(np.diff(aptr).tolist())
-        self._args.extend(args.tolist())
-        self._rlen.extend(np.diff(rptr).tolist())
-        self._recs.extend((recs + rec_offset).tolist())
-        self._dlen.extend(np.diff(cols.dptr).tolist())
-        self._coords.extend(cols.coords.tolist())
-        self._basis.extend(cols.basis)
-        self.num_measurements += int(tlen[_IS_MEASURE[ops]].sum())
-        observed = args[aptr[:-1][ops == _OBSERVABLE]]
-        if observed.size:
-            self.num_observables = max(self.num_observables, int(observed.max()) + 1)
-        self.qubit_coords.update(src.qubit_coords)
+        recs = [r + self.num_measurements for r in other._recs]
+        self._ops.extend(other._ops)
+        self._tlen.extend(other._tlen)
+        self._tchunks.extend(other._tchunks)
+        self._alen.extend(other._alen)
+        self._args.extend(other._args)
+        self._rlen.extend(other._rlen)
+        self._recs.extend(recs)
+        self._dlen.extend(other._dlen)
+        self._coords.extend(other._coords)
+        self._basis.extend(other._basis)
+        self.num_qubits = max(self.num_qubits, other.num_qubits)
+        self.num_measurements += other.num_measurements
+        self.num_observables = max(self.num_observables, other.num_observables)
+        self.qubit_coords.update(other.qubit_coords)
         self._views.clear()
 
     # -- queries -----------------------------------------------------------
@@ -309,11 +300,13 @@ class Circuit:
         cols = self._views.get("columns")
         if cols is None:
             if len(self._tchunks) > 1:
-                self._tchunks = [np.concatenate(self._tchunks)]
+                merged = np.concatenate(self._tchunks)
+                merged.setflags(write=False)
+                self._tchunks = [merged]
             cols = self._views["columns"] = CircuitColumns(
                 np.array(self._ops, dtype=np.int64),
                 csr_indptr(self._tlen),
-                self._tchunks[0] if self._tchunks else np.zeros(0, dtype=np.int64),
+                self._tchunks[0] if self._tchunks else _NO_TARGETS,
                 csr_indptr(self._alen),
                 np.array(self._args, dtype=np.float64),
                 csr_indptr(self._rlen),
@@ -396,8 +389,29 @@ class Circuit:
 
     def without_noise(self) -> "Circuit":
         """Copy of the circuit with every noise channel removed."""
+        cols = self.columns()
+        rows = np.flatnonzero(~_IS_NOISE[cols.ops])
+        tptr, targets = csr_take(cols.tptr, cols.targets, rows)
+        aptr, args = csr_take(cols.aptr, cols.args, rows)
+        rptr, recs = csr_take(cols.rptr, cols.recs, rows)
         out = Circuit()
-        out._splice(self, np.flatnonzero(~_IS_NOISE[self.columns().ops]), 0)
+        out._ops = cols.ops[rows].tolist()
+        out._tlen = np.diff(tptr).tolist()
+        if targets.size:
+            targets.setflags(write=False)
+            out._tchunks = [targets]
+            out.num_qubits = int(targets.max()) + 1
+        out._alen = np.diff(aptr).tolist()
+        out._args = args.tolist()
+        out._rlen = np.diff(rptr).tolist()
+        out._recs = recs.tolist()
+        out._dlen = list(self._dlen)
+        out._coords = list(self._coords)
+        out._basis = list(self._basis)
+        # measurements and observable includes are not noise, so all stay
+        out.num_measurements = self.num_measurements
+        out.num_observables = self.num_observables
+        out.qubit_coords = dict(self.qubit_coords)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

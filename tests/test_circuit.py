@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.stab import Circuit
+from repro.stab.circuit import CircuitColumns
 from repro.stab.gates import GATES, GateKind
 
 
@@ -324,6 +325,60 @@ def test_extend_and_without_noise_copy_the_columns():
     assert clean.instructions == [i for i in a.instructions if i.name != "DEPOLARIZE2"]
     assert clean.qubit_coords == {1: (2.0, 3.0)} and clean.num_qubits == 2
     assert (clean.num_measurements, clean.num_observables) == (2, 2)
+
+
+def _every_column_kind():
+    c = Circuit()
+    c.append("QUBIT_COORDS", [2], coords=(1, 0.5))
+    c.append("R", [0, 1, 2])
+    c.append("H", [1])
+    c.append("DEPOLARIZE1", [1], [0.01])
+    c.append("CX", [1, 0, 2, 3])
+    c.append("PAULI_CHANNEL_1", [0, 3], [0.01, 0.02, 0.03])
+    rec = c.append("MR", [0, 3])
+    c.append_detectors([rec, rec[:1]], coords=[(0, 1, 2), (3.5,)], basis="Z")
+    c.tick()
+    rec += c.append("MX", [1])
+    c.detector(rec, basis="X")
+    c.observable_include(1, rec[1:])
+    return c
+
+
+def test_extend_equals_appending_the_instructions_one_by_one():
+    src = _every_column_kind()
+    spliced, appended = _one_measurement(), _one_measurement()
+    spliced.extend(src)
+    shift = 1
+    for inst in src.instructions:
+        rec = [r + shift for r in inst.rec]
+        if inst.name == "DETECTOR":
+            appended.detector(rec, coords=inst.coords, basis=inst.basis)
+        elif inst.name == "OBSERVABLE_INCLUDE":
+            appended.observable_include(inst.obs_index, rec)
+        else:
+            appended.append(inst.name, inst.targets, inst.args, coords=inst.coords)
+    for name, got, want in zip(
+        CircuitColumns._fields, spliced.columns(), appended.columns()
+    ):
+        if name == "basis":
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+    counts = ("num_qubits", "num_measurements", "num_detectors", "num_observables")
+    assert [getattr(spliced, k) for k in counts] == [getattr(appended, k) for k in counts]
+    assert spliced.qubit_coords == appended.qubit_coords == {2: (1.0, 0.5)}
+
+
+def test_target_chunks_shared_by_a_splice_are_read_only():
+    body = _every_column_kind()
+    replayed = Circuit()
+    replayed.extend(body)
+    replayed.extend(body)
+    for circuit in (body, replayed, replayed.without_noise()):
+        targets = circuit.columns().targets
+        with pytest.raises(ValueError, match="read-only"):
+            targets[0] = 7
+    assert body.columns().targets[0] == 2
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from repro.codes.repetition import repetition_experiment
 from repro.core.policies import make_policy
 from repro.experiments.ler import SurgeryLerConfig, _synthesize
 from repro.noise import GOOGLE, IBM, NoiseModel
-from repro.timing.schedule import PatchTimeline
+from repro.timing.schedule import PatchTimeline, RoundIdle
 
 
 def circuit_digest(circuit) -> str:
@@ -140,6 +140,28 @@ def _memory(basis):
     return memory_experiment(3, 3, noise, basis=basis, timeline=timeline).circuit
 
 
+def _memory_alternating_intra():
+    # two intra-round idles alternate over non-adjacent rounds, each round
+    # with its own pre-round idle, so equal round bodies recur apart
+    noise = NoiseModel(hardware=GOOGLE)
+    rounds = [
+        RoundIdle(pre_ns=pre, intra_ns=intra)
+        for pre, intra in [(0.0, 60.0), (35.0, 90.0), (80.0, 60.0), (0.0, 90.0), (15.0, 60.0)]
+    ]
+    timeline = PatchTimeline(rounds=rounds, final_idle_ns=45.0)
+    return memory_experiment(3, 5, noise, timeline=timeline).circuit
+
+
+def _memory_structural_mix():
+    # one intra-round idle, emitted as structural and as synchronization idle
+    noise = NoiseModel(hardware=IBM)
+    rounds = [
+        RoundIdle(intra_ns=120.0, intra_is_structural=structural)
+        for structural in (True, False, True, False)
+    ]
+    return memory_experiment(3, 4, noise, basis="X", timeline=PatchTimeline(rounds)).circuit
+
+
 def _memory_plain(**kwargs):
     return memory_experiment(3, 2, NoiseModel(hardware=IBM), **kwargs).circuit
 
@@ -165,6 +187,8 @@ CASES = {
     "memory-X": lambda: _memory("X"),
     "memory-Z-no-timeline": lambda: _memory_plain(),
     "memory-X-column-2": lambda: _memory_plain(basis="X", observable_column=2),
+    "memory-Z-alternating-intra": _memory_alternating_intra,
+    "memory-X-structural-mix": _memory_structural_mix,
     "css_memory-steane": _css_memory,
 }
 
@@ -174,6 +198,8 @@ DIGESTS = {
     "memory-X": "512d12db242bbb48504b4a307fd1d525dd6e4fd90774634dd6e535603a9585af",
     "memory-X-column-2": "c8df904bcb73541b90b60e84e402fc53a85ad290eeef40ee2c27c752ccdde7ec",
     "memory-Z": "1cafcdc071630b827ebeec45f5c905e09609bb4bad393288456387799879b80c",
+    "memory-X-structural-mix": "f6b6e01c3c53e3a776c9e0ea2832de4137ee11affc66487a7a1e2474c0d78189",
+    "memory-Z-alternating-intra": "17ceea9cd170490bc6c607570afd55dee266dae2ca919fa819640e2fcd20e5eb",
     "memory-Z-no-timeline": "70b2e8a2a52784a4cb77d5e0622116fbc770b6cb33f9d23c90322c41eb845e67",
     "multi_surgery": "6e81ae39a814f0fe731ade0d2ae8c426ad3b3ce82e4055aa6613949ef7fe0e3c",
     "multi_surgery-2-X": "c8d5982e9f3201c82bed1475d3acbe2c6c97c3883eb19838db8d58604b2db3f7",

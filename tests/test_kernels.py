@@ -615,47 +615,6 @@ def test_build_forbids_fused_multiply_adds():
     assert f"cc {' '.join(cext.CFLAGS)} -o uf.so uf.c" in cext.SOURCE.read_text()
 
 
-def test_no_compiler_ler_and_sweep_match_the_c_path(tmp_path, monkeypatch):
-    """A host without ``cc`` samples, dedups and decodes bit-identically."""
-    from repro.experiments.sweeps import PolicySpec, SweepSpec, run_sweep
-    from repro.store import ResultStore
-
-    cfg = SurgeryLerConfig(
-        distance=3, hardware=GOOGLE, policy_name="passive", tau_ns=1000.0, p=3e-3
-    )
-    spec = SweepSpec(
-        name="no-compiler",
-        distances=(2,),
-        taus_ns=(500.0,),
-        policies=(PolicySpec("passive"), PolicySpec("active")),
-        hardware=GOOGLE,
-        seed=5,
-        batch_shots=300,
-        min_shots=300,
-        max_shots=600,
-        p=5e-3,
-    )
-
-    def outcomes(store_dir):
-        ler = run_surgery_ler(cfg, make_policy("passive"), 3000, rng=3, batch_size=1000)
-        report = run_sweep(spec, ResultStore(store_dir))
-        return (
-            [e.successes for e in ler.estimates],
-            ler.decode_stats["distinct_syndromes"],
-            {
-                o.key: (o.record["failures"], o.record["decode_stats"]["distinct_syndromes"])
-                for o in report.outcomes
-            },
-        )
-
-    with_c = outcomes(tmp_path / "c")
-    monkeypatch.setattr(cext, "library", lambda: None)
-    assert kernels.backend() == "python"
-    without_c = outcomes(tmp_path / "python")
-    assert without_c == with_c
-    assert with_c[1] > 0 and all(f for f, _ in with_c[2].values())
-
-
 @requires_cc
 def test_c_bound_decoder_never_builds_the_scalar_lists():
     """The scalar pass's graph lists are built by its first decode, never by the C path."""

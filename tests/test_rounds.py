@@ -107,9 +107,21 @@ def _round_stream(circuit, start):
 
 def test_replayed_rounds_match_rounds_built_from_scratch(setup):
     layout, circuit, emitter, patch_qubits = setup
-    idles = [RoundIdle(), RoundIdle(pre_ns=80.0, intra_ns=120.0), RoundIdle(intra_ns=60.0)]
-    for idle in idles:
-        emitter.emit_round(layout.plaquettes, patch_qubits, idle)
+    # bodies recur apart, differ only in their pre-round idle, or only in
+    # whether the intra-round idle is structural
+    idles = [
+        RoundIdle(),
+        RoundIdle(pre_ns=80.0, intra_ns=120.0),
+        RoundIdle(intra_ns=60.0),
+        RoundIdle(intra_ns=120.0),
+        RoundIdle(pre_ns=30.0, intra_ns=60.0, intra_is_structural=True),
+        RoundIdle(pre_ns=10.0),
+    ]
+    n = len(layout.plaquettes)
+    for r, idle in enumerate(idles):
+        recs = emitter.emit_round(layout.plaquettes, patch_qubits, idle)
+        assert sorted(recs.values()) == list(range(r * n, (r + 1) * n))
+    assert len(emitter._body_cache) == 4
 
     fresh = Circuit()
     for idle in idles:
@@ -118,7 +130,7 @@ def test_replayed_rounds_match_rounds_built_from_scratch(setup):
             layout.plaquettes, patch_qubits, idle
         )
     assert _round_stream(circuit, 0) == _round_stream(fresh, 0)
-    assert circuit.num_measurements == fresh.num_measurements == 3 * len(layout.plaquettes)
+    assert circuit.num_measurements == fresh.num_measurements == len(idles) * n
 
 
 def test_layers_are_keyed_on_plaquette_values_not_positions():
@@ -187,3 +199,32 @@ def test_layer_cache_belongs_to_one_emitter(setup):
         other.ancilla(p.pos) for p in sorted(layout.plaquettes, key=lambda p: p.pos)
     )
     assert _round_stream(c2, 0) != _round_stream(circuit, 0)
+
+
+def test_repeated_rounds_replay_one_body(monkeypatch):
+    # a round's gates and noise are appended once per distinct body, so
+    # doubling the pre-merge rounds adds at most each new round's pre-idle
+    from repro.core.policies import make_policy
+    from repro.experiments.ler import SurgeryLerConfig, _synthesize
+
+    calls = []
+    append = Circuit.append
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return append(self, *args, **kwargs)
+
+    monkeypatch.setattr(Circuit, "append", counting)
+    counts = {}
+    for rounds in (3, 6):
+        calls.clear()
+        config = SurgeryLerConfig(
+            distance=3, hardware=GOOGLE, policy_name="passive", tau_ns=500.0, base_rounds=rounds
+        )
+        _, art = _synthesize(config, make_policy("passive"))
+        counts[rounds] = (len(calls), art.circuit.num_measurements)
+    (few, m_few), (many, m_many) = counts[3], counts[6]
+    assert m_many > m_few
+    # three more rounds on each of two patches, at most one pre-idle each
+    assert 0 <= many - few <= 2 * 3
+
