@@ -5,11 +5,15 @@ surgery synthesis (``ler.analyze.circuit``), backward DEM extraction
 (``ler.analyze.dem``) and matching-graph plus sampler build
 (``ler.analyze.graph``).  For IBM Active at tau = 1000 ns and p = 1e-3
 (``perfbench``'s ``cold_points`` configuration) over d = 5, 7, 9 and 11,
-this records the median seconds of each span over traced cold analyses, and
-races the two DEM walks on the same circuit: the C walk (``dem_walk`` in
+this records the seconds of each span over traced cold analyses, and races
+the two DEM walks on the same circuit: the C walk (``dem_walk`` in
 ``uf.c``) against the Python fallback, forced by hiding the C library,
-asserting their models are ``==``.  The
-``walk_ratio`` column is the C walk's median time over the fallback's.
+asserting their models are ``==``.  Each timed column is the median of
+:data:`REPEATS` runs, with the fastest and slowest run beside it
+(``<column>_min``/``<column>_max``): a single run swings by ~50% on a
+shared host, so two refreshes can only be compared where their ranges
+part.  The ``walk_ratio`` column is the C walk's median time over the
+fallback's.
 
 Writes ``benchmarks/results/analysis_throughput.json``.
 """
@@ -29,8 +33,9 @@ from repro.noise import IBM
 from repro.stab import circuit_to_dem
 
 DISTANCES = (5, 7, 9, 11)
-#: timed repetitions of each cold analysis and DEM walk (medians are recorded)
-REPEATS = 3
+#: timed repetitions of each cold analysis and DEM walk (median, min and
+#: max are recorded)
+REPEATS = 7
 SPANS = ("ler.analyze.circuit", "ler.analyze.dem", "ler.analyze.graph")
 
 
@@ -38,8 +43,17 @@ def _config(d: int) -> SurgeryLerConfig:
     return SurgeryLerConfig(distance=d, hardware=IBM, policy_name="active", tau_ns=1000.0, p=1e-3)
 
 
+def _spread(column: str, times: list) -> dict:
+    """The median of ``times`` under ``column``, its min and max beside it."""
+    return {
+        column: statistics.median(times),
+        f"{column}_min": min(times),
+        f"{column}_max": max(times),
+    }
+
+
 def _traced_analysis(config):
-    """The pipeline of cold analyses and their median ``ler.analyze.*`` seconds."""
+    """The pipeline of cold analyses and each ``ler.analyze.*`` span's seconds."""
     runs = {name: [] for name in SPANS}
     for _ in range(REPEATS):
         clear_pipeline_cache()
@@ -54,7 +68,7 @@ def _traced_analysis(config):
             if e["name"] in runs:
                 runs[e["name"]].append(e["dur"] / 1e9)
     assert all(len(times) == REPEATS for times in runs.values())
-    return pipe, {name: statistics.median(times) for name, times in runs.items()}
+    return pipe, runs
 
 
 def _timed_walk(circuit):
@@ -63,7 +77,7 @@ def _timed_walk(circuit):
         t0 = time.perf_counter()
         model = circuit_to_dem(circuit)
         times.append(time.perf_counter() - t0)
-    return statistics.median(times), model
+    return times, model
 
 
 @pytest.mark.skipif(cext.library() is None, reason="the C walk cannot build")
@@ -81,12 +95,12 @@ def test_analysis_throughput():
             {
                 "distance": d,
                 "dem_errors": len(pipe.dem.errors),
-                "circuit_s": seconds["ler.analyze.circuit"],
-                "dem_s": seconds["ler.analyze.dem"],
-                "graph_s": seconds["ler.analyze.graph"],
-                "walk_cext_s": c_s,
-                "walk_python_s": py_s,
-                "walk_ratio": c_s / py_s,
+                **_spread("circuit_s", seconds["ler.analyze.circuit"]),
+                **_spread("dem_s", seconds["ler.analyze.dem"]),
+                **_spread("graph_s", seconds["ler.analyze.graph"]),
+                **_spread("walk_cext_s", c_s),
+                **_spread("walk_python_s", py_s),
+                "walk_ratio": statistics.median(c_s) / statistics.median(py_s),
             }
         )
     record(

@@ -1,11 +1,11 @@
-"""Sweep scheduler microbenchmark: inline executor vs speculative threads.
+"""Sweep scheduler microbenchmark: inline executor vs decode threads.
 
 Every sweep runs through one scheduler
 (:func:`repro.experiments.sweeps.run_sweep`).  The baseline is the inline
 run — ``run_sweep(spec, store)``: one thread, one batch in flight.  The
 measured run keeps a pool of ``workers`` decode threads saturated: points
-interleave, and up to ``depth`` batches per point decode while the
-stopping rule is still evaluating earlier ones.
+interleave, and up to ``workers`` batches per point decode speculatively
+while the stopping rule is still evaluating earlier ones.
 
 This benchmark runs the same >= 4-point adaptive (``target_rse``) sweep
 both ways, asserts the stored records are bit-identical (the scheduler
@@ -45,8 +45,6 @@ BATCH_SHOTS = 2000
 #: decode threads of the speculative run: a pool cannot win on a single
 #: core, so one core selects the inline executor
 WORKERS = min(4, os.cpu_count() or 1)
-#: speculation depth of the speculative run
-DEPTH = 4
 
 
 def _spec(batch_shots: int) -> SweepSpec:
@@ -75,7 +73,7 @@ def _timed_sweep(spec, store, **kwargs):
     return report, time.perf_counter() - t0
 
 
-def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
+def _bench(batch_shots: int, workers: int, tmp_root) -> dict:
     spec = _spec(batch_shots)
     n_points = len(spec.points())
     assert n_points >= 4
@@ -89,7 +87,7 @@ def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
     obs.configure()
     try:
         speculative, speculative_s = _timed_sweep(
-            spec, ResultStore(tmp_root / "spec"), workers=workers, speculate=depth
+            spec, ResultStore(tmp_root / "spec"), workers=workers
         )
         phases = obs.phase_totals()
     finally:
@@ -107,7 +105,6 @@ def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
             "max_batches_per_point": 8,
             "target_rse": spec.target_rse,
             "workers": workers,
-            "speculate_depth": depth,
             "executor": "inline" if workers <= 1 else "threads",
             # threads cannot beat the inline run on a single core; readers
             # need this to interpret the recorded ratio
@@ -128,11 +125,10 @@ def _bench(batch_shots: int, workers: int, depth: int, tmp_root) -> dict:
 
 
 def test_speculative_scheduler_throughput(benchmark, tmp_path):
-    row = run_once(benchmark, _bench, BATCH_SHOTS, WORKERS, DEPTH, tmp_path)
+    row = run_once(benchmark, _bench, BATCH_SHOTS, WORKERS, tmp_path)
     print(
         f"\ninline {row['serial_seconds']:.2f}s   "
-        f"x{row['config']['workers']} workers speculative depth "
-        f"{row['config']['speculate_depth']} "
+        f"x{row['config']['workers']} workers "
         f"{row['speculative_seconds']:.2f}s   "
         f"speedup {row['speedup']:.2f}x   "
         f"overshoot {row['batches_overshoot']} batches"

@@ -2,7 +2,7 @@
 # Fast verification gate: the full tier-1 test suite plus the store/sweep
 # tests, the scheduler parity suite (tests/test_speculation.py — oracle vs
 # concurrent: stored records equal the scheduler-free tests/sweep_oracle.py
-# for any worker count/depth), the decode-kernel parity matrix (tests/test_kernels.py
+# for any worker count), the decode-kernel parity matrix (tests/test_kernels.py
 # — the host's decode path must stay bit-identical to the scalar pass), the
 # cross-decoder contract suite (tests/test_decoder_contract.py — defect-
 # parity preservation, dedup/decode-path metamorphic identities), and the
@@ -71,7 +71,7 @@ spec = SweepSpec(
     max_shots=400,
     target_rse=0.5,
 )
-run_sweep(spec, store=ResultStore(f"{sys.argv[1]}/store"), workers=2, speculate=2)
+run_sweep(spec, store=ResultStore(f"{sys.argv[1]}/store"), workers=2)
 EOF
 RUN_ID="$(python -m repro.cli runs list --store "$OBS_TMP/store" --format json \
   | python -c 'import json,sys; print(json.load(sys.stdin)[0]["run_id"])')"
@@ -80,9 +80,11 @@ python -m repro.cli sweep watch "$RUN_ID" --store "$OBS_TMP/store" --once > /dev
 python scripts/validate_results.py --ledger "$OBS_TMP/store/runs/$RUN_ID"
 echo "obs smoke: run ledger ($RUN_ID) list/show/watch + schema validation ok"
 # sweep scheduler smoke (docs/SWEEPS.md): --dry-run must plan the finished
-# check-ledger sweep as zero new work without writing anything, and the
-# inline executor (--workers 0 --speculate) must rerun it purely from the
-# store (a real inline decode is covered by tests/test_speculation.py)
+# check-ledger sweep as zero new work without writing anything, the inline
+# executor (--workers 0) must rerun it purely from the store (a real inline
+# decode is covered by tests/test_speculation.py), and no sweep may leave a
+# per-batch log: decoded batches wait in memory, the point record is the
+# only durable state
 cat > "$OBS_TMP/check-ledger-spec.json" <<'EOF'
 {
   "name": "check-ledger",
@@ -105,9 +107,11 @@ python -m repro.cli sweep run "$OBS_TMP/check-ledger-spec.json" \
 [ "$STORE_BEFORE" = "$(find "$OBS_TMP/store" -type f | sort | xargs md5sum)" ] \
   || { echo "sweep smoke: --dry-run wrote to the store" >&2; exit 1; }
 python -m repro.cli sweep run "$OBS_TMP/check-ledger-spec.json" \
-  --store "$OBS_TMP/store" --workers 0 --speculate 2 --no-ledger \
+  --store "$OBS_TMP/store" --workers 0 --no-ledger \
   | grep '"shots_decoded": 0' > /dev/null
-echo "sweep smoke: --dry-run read-only + inline executor store-served rerun ok"
+[ ! -e "$OBS_TMP/store/batches" ] \
+  || { echo "sweep smoke: a sweep wrote a batches/ log" >&2; exit 1; }
+echo "sweep smoke: --dry-run read-only + inline executor store-served rerun + no batch log ok"
 # figure-registry smoke (docs/FIGURES.md): list the registry, build one tiny
 # store-backed figure in all three export formats, schema-check the JSON and
 # Vega artifacts, then prove the warm rebuild is served from the figure

@@ -206,9 +206,9 @@ def validate_ledger_file(rundir: Path) -> list[str]:
     torn final event line; both are tolerated (the ledger is append-only and
     readers skip the truncated tail), so only structural damage fails.
     Batch provenance is checked against the manifest's ``workers``: a
-    decoded or overshot batch names the thread that decoded it — one of
-    the ``repro-decode`` pool threads when ``workers > 1``, the calling
-    thread otherwise — and a replayed batch names none.
+    batch is decoded or overshot, and names the thread that decoded it —
+    one of the ``repro-decode`` pool threads when ``workers > 1``, the
+    calling thread otherwise.
     """
     problems: list[str] = []
     manifest_path = rundir / "manifest.json"
@@ -272,8 +272,8 @@ def _batch_provenance_problems(event: dict, workers, i: int) -> list[str]:
     """Problems with the ``worker`` provenance of one ledger batch event."""
     worker = event.get("worker")
     where = f"events line {i + 1}"
-    if event.get("kind") == "replayed":
-        return [] if worker is None else [f"{where}: replayed batch names worker {worker!r}"]
+    if event.get("kind") not in ("decoded", "overshoot"):
+        return [f"{where}: unknown batch kind {event.get('kind')!r}"]
     if not isinstance(worker, str) or not worker:
         return [f"{where}: {event.get('kind')} batch has no worker thread name"]
     pooled = isinstance(workers, int) and workers > 1

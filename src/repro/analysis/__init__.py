@@ -1,7 +1,7 @@
 """Static determinism & contract analysis for the decode path (`repro lint`).
 
 Every subsystem above the decoders — content-addressed store keys,
-bit-identical sweep resume, decode-kernel parity, the speculative
+bit-identical sweep resume, decode-kernel parity, the sweep
 scheduler, and the multi-host decode-as-a-service direction — rests on one
 invariant: the decode path is deterministic, and its registries stay in
 contract with the tests and docs that gate them.  This package enforces

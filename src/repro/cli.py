@@ -12,8 +12,8 @@ Usage::
     python -m repro.cli lint --only salt-drift --format json
     python -m repro.cli lint --update-lock                # bless decode-path edits
 
-    python -m repro.cli sweep run spec.json --store results/store --resume
-    python -m repro.cli sweep run spec.json --workers 8 --speculate 4
+    python -m repro.cli sweep run spec.json --store results/store
+    python -m repro.cli sweep run spec.json --workers 8
     python -m repro.cli sweep status spec.json --store results/store
     python -m repro.cli sweep watch --latest --store results/store
     python -m repro.cli sweep export spec.json --store results/store --out rows.json
@@ -218,7 +218,6 @@ def _figures(args) -> int:
                 spec_overrides,
                 store=store,
                 workers=args.workers,
-                speculate=args.speculate,
                 strict=strict,
             )
         except ValueError as exc:
@@ -261,15 +260,9 @@ def _sweep_run(args) -> int:
     except ValueError as exc:
         print(f"sweep run: {exc}", file=sys.stderr)
         return 2
-    if args.restart and args.resume:
-        print("--restart and --resume are mutually exclusive", file=sys.stderr)
-        return 2
     store = _resolve_store(args.store)
     # resuming is the default: it is bit-identical to a fresh run and never
     # throws away checkpointed batches; --restart opts into recomputation
-    if args.speculate < 0:
-        print("--speculate must be non-negative", file=sys.stderr)
-        return 2
     if args.workers < 0:
         print("--workers must be non-negative", file=sys.stderr)
         return 2
@@ -280,23 +273,16 @@ def _sweep_run(args) -> int:
             if row["status"] in ("converged", "not_applicable"):
                 print(f"  {cfg}: {row['status']} (nothing to decode)")
                 continue
-            replay = (
-                f", {row['batches_ahead']} replayable from log"
-                if row["batches_ahead"]
-                else ""
-            )
             print(
                 f"  {cfg}: {row['status']} shots={row['shots']}/"
-                f"{row['max_shots']}, {row['batches_applied']} batches applied"
-                f"{replay}, <= {row['batches_remaining']} x "
-                f"{spec.batch_shots} shots to decode"
+                f"{row['max_shots']}, {row['batches_applied']} batches applied, "
+                f"<= {row['batches_remaining']} x {spec.batch_shots} shots to decode"
             )
         t = plan["totals"]
         print(
             f"dry run: {t['decode']}/{t['points']} point(s) need decoding, "
             f"<= {t['batches_remaining']} new batch(es) "
-            f"(~{t['est_new_shots']} shots); {t['batches_ahead']} batch(es) "
-            "replay free from the commit-ahead log"
+            f"(~{t['est_new_shots']} shots)"
         )
         print("estimates are the shot-cap worst case; target_rse may stop earlier")
         return 0
@@ -317,7 +303,6 @@ def _sweep_run(args) -> int:
             store,
             resume=not args.restart,
             workers=args.workers,
-            speculate=args.speculate,
             progress=lambda msg: print(f"  {msg}"),
             ledger=False if args.no_ledger else None,
         )
@@ -360,6 +345,7 @@ def _sweep_status(args) -> int:
         print(json.dumps(store.summary(), indent=2))
         return 0
     from .experiments.sweeps import SweepSpec
+    from .obs.ledger import estimate_point_cost
 
     spec = SweepSpec.from_json(args.spec)
     for pt in spec.points():
@@ -391,20 +377,18 @@ def _sweep_status(args) -> int:
                     f"distinct_ratio={distinct_ratio:.3f} "
                     f"shots_per_s={throughput:,.0f}"
                 )
-                # mid-run progress from the commit-ahead batch log: batches
-                # already applied + committed-ahead vs. the batches left to
-                # the shot cap (read-only, no decoding)
-                applied = int(rec.get("batches", 0))
-                ahead = sum(1 for i in store.batch_indices(key) if i >= applied)
+                # remaining work through the shared cost model (the same
+                # numbers --dry-run and `sweep watch` report)
                 if rec.get("converged"):
-                    progress = f"complete ({ahead} commit-ahead batches kept)"
+                    progress = "complete"
                 else:
-                    remaining = max(0, spec.max_shots - shots)
-                    est_total = applied + -(-remaining // spec.batch_shots)
+                    cost = estimate_point_cost(
+                        shots, spec.max_shots, spec.batch_shots
+                    )
                     progress = (
-                        f"batches {applied}+{ahead} committed / ~{est_total} "
-                        f"estimated, shots {shots}/{spec.max_shots}, "
-                        f"batch={spec.batch_shots}"
+                        f"{rec['batches']} batches applied, "
+                        f"<= {cost['batches_remaining']} x {spec.batch_shots} "
+                        f"shots to decode, shots {shots}/{spec.max_shots}"
                     )
                 print(f"      progress: {progress}")
     return 0
@@ -449,7 +433,7 @@ def _render_watch(snap: dict) -> str:
     """One text frame of `sweep watch` / `runs show` for a run snapshot."""
     lines = [
         f"run {snap['run_id']} sweep={snap['sweep']} status={snap['status']}"
-        f" workers={snap['workers']} speculate={snap['speculate']}"
+        f" workers={snap['workers']}"
     ]
     for p in snap["points"]:
         shots = (
@@ -458,8 +442,6 @@ def _render_watch(snap: dict) -> str:
         extra = []
         if p["status"] == "converged" and p.get("stop_reason"):
             extra.append(str(p["stop_reason"]))
-        if p.get("batches_ahead"):
-            extra.append(f"+{p['batches_ahead']} ahead")
         if p["status"] in ("pending", "running"):
             if isinstance(p.get("batches_remaining"), int):
                 extra.append(f"~{p['batches_remaining']} to go")
@@ -470,8 +452,8 @@ def _render_watch(snap: dict) -> str:
         )
     t = snap["totals"]
     tail = (
-        f"totals: {t['decoded']} decoded / {t['replayed']} replayed / "
-        f"{t['overshoot']} overshoot, {t['shots_decoded']} shots"
+        f"totals: {t['decoded']} decoded / {t['overshoot']} overshoot, "
+        f"{t['shots_decoded']} shots"
     )
     if snap.get("rate_batches_per_s"):
         tail += f", {snap['rate_batches_per_s']:.2f} batches/s"
@@ -544,7 +526,6 @@ def _runs_list(args) -> int:
                 "sweep": manifest.get("sweep"),
                 "status": ledger.status(rid),
                 "workers": manifest.get("workers"),
-                "speculate": manifest.get("speculate"),
                 "points": manifest.get("points"),
                 "shots_decoded": summary.get("shots_decoded"),
                 "batches_decoded": summary.get("batches_decoded"),
@@ -560,7 +541,7 @@ def _runs_list(args) -> int:
         shots = r["shots_decoded"] if r["shots_decoded"] is not None else "-"
         print(
             f"  {r['run_id']}  {str(r['sweep'] or '?'):<20} {r['status']:<12} "
-            f"workers={r['workers']} speculate={r['speculate']} "
+            f"workers={r['workers']} "
             f"points={r['points']} shots_decoded={shots}"
         )
     return 0
@@ -652,7 +633,6 @@ def _sweep_gc(args) -> int:
     verb = "would prune" if args.dry_run else "pruned"
     print(
         f"{verb} {summary['pruned']} of {summary['scanned']} records "
-        f"(+ {summary['batches_pruned']} commit-ahead batch records) "
         f"older than {args.older_than:g} days from {store.root}"
     )
     for key in summary["pruned_keys"]:
@@ -722,12 +702,6 @@ def main(argv=None) -> int:
     sweep_run.add_argument("spec", type=Path, help="sweep spec JSON file")
     sweep_run.add_argument("--store", type=Path, default=None, metavar="DIR")
     sweep_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue partial points from their last checkpoint (the default;"
-        " kept as an explicit flag for scripts)",
-    )
-    sweep_run.add_argument(
         "--restart",
         action="store_true",
         help="discard partial (non-converged) checkpoints and recompute them"
@@ -736,25 +710,16 @@ def main(argv=None) -> int:
     sweep_run.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="decode batches on a pool of N threads (the C kernel releases"
-        " the GIL); 0 or 1 decodes on the calling thread through the inline"
-        " executor.  Results are bit-identical for any N",
-    )
-    sweep_run.add_argument(
-        "--speculate",
-        type=int,
-        default=0,
-        metavar="DEPTH",
-        help="keep up to DEPTH batches per point in flight while the"
-        " stopping rule evaluates earlier ones; points are interleaved on one"
-        " shared executor and results are bit-identical for any DEPTH"
-        " (0 = one batch per worker, the default)",
+        " the GIL), with up to N batches per point in flight; 0 or 1 decodes"
+        " on the calling thread through the inline executor, one batch at a"
+        " time.  Results are bit-identical for any N",
     )
     sweep_run.add_argument(
         "--dry-run",
         action="store_true",
-        help="report per-point batches committed vs. needed, replayable"
-        " commit-ahead batches and estimated new shots, then exit without"
-        " decoding anything (read-only, shot-cap worst case)",
+        help="report per-point batches applied vs. needed and estimated new"
+        " shots, then exit without decoding anything (read-only, shot-cap"
+        " worst case)",
     )
     sweep_run.add_argument(
         "--target-rse",
@@ -832,8 +797,8 @@ def main(argv=None) -> int:
     sweep_watch = sweep_sub.add_parser(
         "watch",
         help="tail a live (or finished) run from its ledger: per-point"
-        " progress and an ETA from the commit-ahead batch log and the"
-        " shot cap (read-only)",
+        " progress and an ETA from the applied batches and the shot cap"
+        " (read-only)",
     )
     sweep_watch.add_argument(
         "run_id", nargs="?", default=None, help="run id from `repro runs list`"
@@ -976,9 +941,6 @@ def main(argv=None) -> int:
     )
     figures_build.add_argument(
         "--workers", type=int, default=1, help="decode threads for store pre-warm"
-    )
-    figures_build.add_argument(
-        "--speculate", type=int, default=0, help="speculative batch depth for pre-warm"
     )
 
     args = parser.parse_args(argv)

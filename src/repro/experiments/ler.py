@@ -67,7 +67,7 @@ def pipeline_analysis_count() -> int:
 PIPELINE_CACHE_SIZE = 32
 
 #: decode-stat counters that accumulate batch-by-batch into sweep records
-#: and per-batch commit-ahead store entries (see LerResult.batch_stats)
+#: (see LerResult.batch_stats)
 BATCH_STAT_KEYS = (
     "batches",
     "distinct_syndromes",
@@ -128,12 +128,11 @@ class LerResult:
         return self.estimates[index]
 
     def batch_stats(self) -> dict:
-        """JSON-safe accumulable counters of this run (commit-ahead form).
+        """JSON-safe accumulable counters of this run.
 
         The subset of ``decode_stats`` that sweep orchestration sums batch
         by batch into stored point records (:data:`BATCH_STAT_KEYS`), with
-        numpy scalars coerced so the dict serializes as plain JSON.  This is
-        what the speculative scheduler commits to the store per batch.
+        numpy scalars coerced so the dict serializes as plain JSON.
         """
         out = {}
         for key in BATCH_STAT_KEYS:

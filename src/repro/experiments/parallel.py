@@ -47,10 +47,8 @@ class InlineFuture(Future):
 
     ``submit`` on an :class:`InlineExecutor` returns one of these without
     running anything; the scheduler calls :meth:`force` when it actually
-    needs the result.  Laziness is what makes single-core speculation free:
-    a speculative batch whose point converges before it is forced can still
-    be *cancelled*, so the inline scheduler decodes exactly the batches the
-    estimates need.
+    needs the result, so dispatch and decode keep the same shape inline as
+    on the thread pool.
     """
 
     def __init__(self, fn, args):
@@ -127,7 +125,7 @@ def submit_task(pool, task: SweepTask):
     """Dispatch one task on a caller-owned executor, without blocking.
 
     Returns the ``concurrent.futures.Future`` immediately so a scheduler can
-    keep dispatching (speculative batches, other sweep points) while this
+    keep dispatching (later batches, other sweep points) while this
     task decodes.  ``pool`` may be a thread pool or an
     :class:`InlineExecutor` — the latter returns a lazy
     :class:`InlineFuture` the scheduler forces when it needs the result.

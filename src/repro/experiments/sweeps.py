@@ -19,22 +19,22 @@ Consequences:
   observable's Wilson interval is tight (relative half-width <=
   ``target_rse``) or the shot cap is hit.  Convergence is evaluated batch by
   batch in index order, so the stopping decision is independent of the
-  worker count (batches decoded past the stopping point stay in the
-  commit-ahead log; they are never accumulated).  Every batch is exactly
-  ``batch_shots`` shots.
+  worker count (batches decoded past the stopping point are counted as
+  overshoot and discarded; they are never accumulated).  Every batch is
+  exactly ``batch_shots`` shots.
 * **One scheduler** — every sweep, including the ones figure builds
   declare, runs through :meth:`_SweepRun.run_concurrent`: one executor is
   shared by *all* points of the sweep, a pool interleaves points, and while
   the stopping rule evaluates batch *k* of a point, batches ``k+1 ..
-  k+depth`` are already decoding (``depth`` is ``speculate``, or the worker count when
-  ``speculate=0``).  Results are *applied* strictly in batch-index order, so
-  estimates and stored records are bit-identical for any worker count and
-  speculation depth — equal to decoding the batches one by one in index
-  order; batches that complete after the stopping rule fired are committed
-  to the store's per-batch *commit-ahead log* (deterministic in ``(seed,
-  point key, batch index)``) where any later pass replays them instead of
-  decoding again.  Points are admitted largest estimated remaining work
-  first; outcomes are emitted in sweep order.
+  k+workers-1`` are already decoding (one batch in flight inline).  Decoded
+  batches wait in memory and are *applied* strictly in batch-index order,
+  so estimates and stored records are bit-identical for any worker count —
+  equal to decoding the batches one by one in index order.  The point
+  checkpoint (the applied prefix) is the only durable state: a crash
+  re-decodes at most the ``workers - 1`` batches that were decoded but not
+  applied, deterministically in ``(seed, point key, batch index)``.  Points
+  are admitted largest estimated remaining work first; outcomes are
+  emitted in sweep order.
 * **Exportable / collectable** — :func:`export_records` (CLI ``repro sweep
   export``) emits stored records in the benchmark-harness JSON row format
   without decoding anything, and ``repro sweep gc --older-than DAYS``
@@ -97,11 +97,10 @@ def _wallclock() -> float:
 def record_parity_view(record: dict) -> dict:
     """A stored record minus its execution-dependent fields.
 
-    This is the view the parity contract quantifies over: inline, threaded
-    and speculative runs must produce *identical* parity views for every
-    point, equal to an in-order batch-by-batch decode
-    (tests/test_speculation.py and the speculation microbenchmark both
-    compare through this helper).
+    This is the view the parity contract quantifies over: inline and
+    threaded runs must produce *identical* parity views for every point,
+    equal to an in-order batch-by-batch decode (tests/test_speculation.py
+    and the scheduler microbenchmark both compare through this helper).
     """
     return {
         k: v
@@ -110,8 +109,7 @@ def record_parity_view(record: dict) -> dict:
     }
 
 #: decode-stat counters accumulated batch-by-batch into stored records
-#: (shared with the per-batch commit-ahead records via
-#: :meth:`~repro.experiments.ler.LerResult.batch_stats`)
+#: (:meth:`~repro.experiments.ler.LerResult.batch_stats`)
 _ACCUM_KEYS = _ler.BATCH_STAT_KEYS
 
 
@@ -291,16 +289,10 @@ class SweepReport:
     #: decode threads are handed analyzed pipelines)
     analyses_parent: int = 0
     interrupted: bool = False
-    #: speculation depth requested for this pass (0 = one batch in flight
-    #: per worker)
-    speculate: int = 0
     #: run-ledger id of this invocation (None when the ledger is disabled)
     run_id: str | None = None
-    #: batches served from the commit-ahead log instead of being decoded
-    batches_replayed: int = 0
     #: batches decoded by this pass but excluded from the estimates (the
-    #: stopping rule fired first); they are committed to the store, not
-    #: wasted
+    #: stopping rule fired first); they are discarded
     batches_overshoot: int = 0
 
     @property
@@ -323,8 +315,6 @@ class SweepReport:
             ),
             "pipeline_analyses_parent": self.analyses_parent,
             "interrupted": self.interrupted,
-            "speculate": self.speculate,
-            "batches_replayed": self.batches_replayed,
             "batches_overshoot": self.batches_overshoot,
             "run_id": self.run_id,
         }
@@ -404,27 +394,22 @@ class _ConcurrentPoint:
     """Per-point state machine of the sweep scheduler.
 
     Tracks the gap between what has been *dispatched* for a point and what
-    has been *applied* to its record.  Results are applied strictly in batch
-    index order, so however futures complete, the record evolves
-    identically.
+    has been *applied* to its record.  Indices are dispatched contiguously
+    from the applied prefix and applied strictly in index order, so however
+    futures complete, the record evolves identically.
     """
 
-    def __init__(self, pt, key, record, pipeline, committed):
+    def __init__(self, pt, key, record, pipeline):
         self.pt = pt
         self.key = key
         self.record = record
         #: the point's analyzed pipeline, handed to every batch task
         self.pipeline = pipeline
-        #: indices available in the commit-ahead log (replayable)
-        self.committed = committed
         #: position in the sweep grid (emission order; admission may differ)
         self.pos = 0
-        #: index -> in-flight Future
-        self.inflight: dict = {}
-        #: index -> (batch record, replayed, worker thread name) completed
-        #: but not yet applied (the name is ledger provenance, never stored)
+        #: index -> decoded batch result, completed but not yet applied
         self.pending: dict = {}
-        #: next fresh index to dispatch (>= record["batches"])
+        #: next index to dispatch (>= record["batches"])
         self.next_index = record["batches"]
         self.new_shots = 0
         self.new_batches = 0
@@ -432,7 +417,8 @@ class _ConcurrentPoint:
 
     @property
     def unapplied(self) -> int:
-        return len(self.inflight) + len(self.pending)
+        """Batches dispatched (in flight or pending) but not yet applied."""
+        return self.next_index - self.record["batches"]
 
 
 class _SweepRun:
@@ -445,13 +431,10 @@ class _SweepRun:
         *,
         resume: bool = True,
         workers: int = 1,
-        speculate: int = 0,
         batch_limit: int | None = None,
         progress=None,
         ledger=None,
     ):
-        if speculate < 0:
-            raise ValueError("speculate must be non-negative")
         self.spec = spec
         self.store = store
         self.resume = resume
@@ -459,23 +442,27 @@ class _SweepRun:
         #: the calling thread through the same submit_task interface
         #: (``--workers 0`` is the CLI's explicit spelling)
         self.inline = workers <= 1
+        #: also each point's in-flight depth: one batch per decode thread
         self.workers = max(1, workers)
-        self.speculate = speculate
         self.budget = _BatchBudget(batch_limit)
         self.progress = progress or (lambda msg: None)
         #: run-ledger writer — pure observation (events, heartbeats); a
         #: no-op writer when the ledger is off, so call sites stay branchless
         self.ledger = ledger if ledger is not None else _oledger.NULL_RUN_WRITER
-        self.report = SweepReport(spec=spec, speculate=speculate)
+        self.report = SweepReport(spec=spec)
         #: one executor for the whole run (lazily created): a pool of
         #: ``workers`` decode threads, or the inline executor when
         #: ``workers <= 1``
         self._pool = None
 
     def close(self) -> None:
-        """Shut down the run's executor (if created)."""
+        """Shut down the run's executor (if created).
+
+        After a scheduler exception, batches not yet started are cancelled
+        and running ones are waited for; their results are discarded.
+        """
         if self._pool is not None:
-            self._pool.shutdown()
+            self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
     def _executor(self):
@@ -589,25 +576,22 @@ class _SweepRun:
             return True
         return not self.resume and not record.get("converged")
 
-    def _apply_batch(self, record: dict, br: dict, *, replayed: bool) -> None:
-        """Fold one batch record into the point record, in index order.
+    def _apply_batch(self, record: dict, result) -> None:
+        """Fold one decoded batch into the point record, in index order.
 
-        This is the *only* way shots enter an estimate, so inline, threaded
-        and speculative runs accumulate identically.  ``replayed`` batches
-        came from the commit-ahead log (decoded by an earlier pass).
+        This is the *only* way shots enter an estimate, so inline and
+        threaded runs accumulate identically.
         """
-        with obs.span("sweep.replay" if replayed else "sweep.apply"):
+        with obs.span("sweep.apply"):
             record["failures"] = [
-                a + int(b) for a, b in zip(record["failures"], br["failures"])
+                a + int(e.successes)
+                for a, e in zip(record["failures"], result.estimates)
             ]
-            record["shots"] += int(br["shots"])
+            record["shots"] += int(result.shots)
             record["batches"] += 1
-            stats = br.get("decode_stats") or {}
-            for k in _ACCUM_KEYS:
-                record["decode_stats"][k] = (
-                    record["decode_stats"].get(k, 0) + stats.get(k, 0)
-                )
-        obs.count("sweep.batches_replayed" if replayed else "sweep.batches_applied")
+            for k, v in result.batch_stats().items():
+                record["decode_stats"][k] = record["decode_stats"].get(k, 0) + v
+        obs.count("sweep.batches_applied")
 
     def _checkpoint(self, key: str, record: dict) -> None:
         record["updated_at"] = _wallclock()
@@ -618,70 +602,12 @@ class _SweepRun:
         )
 
     def _finalize_point(self, key: str, record: dict, reason: str | None) -> None:
-        """Persist a converged point.
-
-        The applied prefix of the commit-ahead log is trimmed (that data
-        now lives in the point record); speculative overshoot is kept for
-        future replays.
-        """
+        """Persist a converged point."""
         record.update(converged=True, stop_reason=reason, updated_at=_wallclock())
         self.store.put(key, record)
-        self.store.delete_batches(key, below=record["batches"])
         self.ledger.point_converged(
             key, stop_reason=reason, shots=record["shots"], batches=record["batches"]
         )
-
-    def _committed_batch(self, key: str, index: int, nobs: int) -> dict | None:
-        """A structurally valid commit-ahead batch record, or None.
-
-        Everything :meth:`_apply_batch` will sum must be numeric — a
-        valid-JSON-but-damaged record returns None and is re-decoded, same
-        as a truncated one — and the batch must hold exactly
-        ``batch_shots`` shots (only a scheduler that grew batches could have
-        committed another size).
-        """
-
-        def _count(x) -> bool:
-            return isinstance(x, int) and not isinstance(x, bool)
-
-        br = self.store.get_batch(key, index)
-        if not isinstance(br, dict):
-            return None
-        failures = br.get("failures")
-        if not _count(br.get("shots")) or not isinstance(failures, list):
-            return None
-        if br["shots"] != self.spec.batch_shots:
-            return None
-        if len(failures) != nobs or not all(_count(f) for f in failures):
-            return None
-        stats = br.get("decode_stats", {})
-        if not isinstance(stats, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in stats.values()
-        ):
-            return None
-        return br
-
-    def _replayable(self, key: str) -> set:
-        """Commit-ahead indices this pass may replay.
-
-        ``--restart`` (resume=False) means *recompute*: the point's stale
-        batch log is deleted so pre-restart results cannot leak back into
-        the fresh record through a replay.
-        """
-        if not self.resume:
-            self.store.delete_batches(key)
-            return set()
-        return set(self.store.batch_indices(key))
-
-    @staticmethod
-    def _batch_record_of(result) -> dict:
-        """The commit-ahead form of one decoded batch result."""
-        return {
-            "shots": int(result.shots),
-            "failures": [int(e.successes) for e in result.estimates],
-            "decode_stats": result.batch_stats(),
-        }
 
     # -- the scheduler -----------------------------------------------------
 
@@ -689,46 +615,35 @@ class _SweepRun:
         """Run every point on one shared executor, points interleaved.
 
         While the stopping rule is still digesting batch *k* of a point,
-        batches ``k+1 .. k+depth`` of that point (and pending batches of
-        every other point) are already decoding; ``depth`` is ``speculate``,
-        or the worker count when ``speculate=0``, so a pooled single-point
-        run keeps every worker busy.  Completed batches are committed to the
-        store's per-batch log immediately; they are *applied* to point
-        records strictly in batch-index order through :meth:`_apply_batch` /
+        batches ``k+1 .. k+workers-1`` of that point (and pending batches of
+        every other point) are already decoding, so a pooled single-point
+        run keeps every worker busy.  Completed batches wait in
+        ``_ConcurrentPoint.pending`` and are *applied* to point records
+        strictly in batch-index order through :meth:`_apply_batch` /
         :func:`_converged`, so estimates, shot counts and stored records
-        equal an in-order batch-by-batch decode for any worker count and any
-        speculation depth.  Batches that complete after their point's
-        stopping rule fired stay in the log (deterministic in
-        ``(seed, key, index)`` — a later resume or tightened ``target_rse``
-        replays them for free) but never enter the estimate.
+        equal an in-order batch-by-batch decode for any worker count.
+        Batches that complete after their point's stopping rule fired are
+        counted as overshoot and discarded.
 
         With ``workers > 1`` the executor is a pool of decode threads; with
-        ``workers <= 1`` it is the :class:`InlineExecutor`: dispatch creates
-        lazy futures, and :meth:`_await_some` forces them in submission
-        order — speculative futures of a point whose stopping rule already
-        fired are cancelled unrun, so the inline scheduler decodes exactly
-        the in-order batch set.  (Cancelled batches do *not* refund the
-        ``batch_limit`` budget: dispatch counts against the cap.)  Inline,
-        at most ``depth`` points are active at once — there is no pool to
-        keep busy — so the default depth-1 inline run finishes one point
-        before it admits the next.
+        ``workers <= 1`` it is the :class:`InlineExecutor`, one point and one
+        lazy future at a time, which :meth:`_await_some` forces: the inline
+        scheduler decodes exactly the in-order batch set and finishes one
+        point before it admits the next.
 
         Points are admitted by estimated remaining decode work, biggest
         first, so the long-tail point starts earliest; application stays
         per-point in-order, so admission order cannot change records, and
         outcomes are emitted in sweep order.
 
-        Worker exceptions propagate to the caller, but never silently lose
-        work: the ``finally`` block cancels or drains orphaned futures
-        (completed ones are still committed to the log) and checkpoints
-        every unfinished point's partial record, so a later resume replays
-        instead of re-decoding.
+        Worker exceptions propagate to the caller; the ``finally`` block
+        checkpoints every unfinished point's applied prefix, so a later
+        resume re-decodes only the batches that were never applied.
         """
-        depth = self.speculate or self.workers
         # points in flight at once: a thread pool also keeps ``workers``
         # points' analyses ahead of decoding; inline there is nothing to
         # overlap
-        capacity = depth if self.inline else self.workers + depth
+        capacity = 1 if self.inline else 2 * self.workers
         self._executor()
         queue = list(enumerate(points))
         if len(queue) > 1:
@@ -752,13 +667,7 @@ class _SweepRun:
                 ):
                     pos, pt = queue.pop(0)
                     key, record, pipe, resolved = self._prepare_point(pt)
-                    state = _ConcurrentPoint(
-                        pt,
-                        key,
-                        record,
-                        pipe,
-                        set() if resolved else self._replayable(key),
-                    )
+                    state = _ConcurrentPoint(pt, key, record, pipe)
                     state.pos = pos
                     order.append(state)
                     if resolved:
@@ -776,12 +685,12 @@ class _SweepRun:
                         max_shots=self.spec.max_shots,
                     )
                     active.append(state)
-                    self._dispatch_point(state, depth, futures)
+                    self._dispatch_point(state, futures)
                 for state in active:
-                    self._dispatch_point(state, depth, futures)
+                    self._dispatch_point(state, futures)
                 if self._drain(active):
                     active = [s for s in active if not s.finished]
-                    continue  # applied batches free speculation slots
+                    continue  # applied batches free in-flight slots
                 if futures:
                     self._await_some(futures)
                     continue
@@ -796,18 +705,14 @@ class _SweepRun:
                     "concurrent sweep scheduler stalled"
                 )  # pragma: no cover
 
-            # drain stray speculative futures of finished points: their
-            # results are committed to the log (nothing wasted, thread mode)
-            # or cancelled unrun (inline mode); never applied
+            # wait out stray futures of finished points (pool only): they
+            # count as overshoot and are never applied
             while futures:
                 self._await_some(futures)
         finally:
-            # a worker exception lands here with futures still in flight:
-            # cancel what never started, commit what completed, and
-            # checkpoint partial records so resume replays instead of
-            # re-decoding (on the clean path this is all a no-op)
-            if futures:
-                self._abandon(futures)
+            # a worker exception lands here with futures still in flight
+            # (close() cancels or waits for them): checkpoint the applied
+            # prefix of every unfinished point so a resume continues from it
             if queue or any(not s.finished for s in active):
                 self.report.interrupted = True
             for state in active:
@@ -824,8 +729,8 @@ class _SweepRun:
     def _admission_cost(self, pt: SweepPoint) -> int:
         """Estimated shots this point still needs to decode (read-only).
 
-        The scheduler's admission key: a store/commit-ahead-log peek
-        through the shared cost model
+        The scheduler's admission key: a store peek through the shared cost
+        model
         (:func:`repro.obs.ledger.estimate_point_cost`) — the same math
         ``sweep watch`` and ``--dry-run`` report.  Never analyzes a circuit
         and never writes.
@@ -846,7 +751,6 @@ class _SweepRun:
             "shots": 0,
             "max_shots": spec.max_shots,
             "batches_applied": 0,
-            "batches_ahead": 0,
             "batches_remaining": 0,
             "est_new_shots": 0,
         }
@@ -854,10 +758,7 @@ class _SweepRun:
             row["status"] = "not_applicable"
             return row
         if record is not None and self._restarts(record):
-            # recomputed from batch 0; under --restart its commit-ahead log
-            # is discarded too (nothing replayable), otherwise its batches
-            # of batch_shots shots replay
-            record = None
+            record = None  # recomputed from batch 0
             row["status"] = "restart"
         if record is not None:
             row["shots"] = int(record.get("shots", 0))
@@ -867,13 +768,8 @@ class _SweepRun:
                 row["status"] = "converged"
                 return row
             row["status"] = "partial"
-            row["batches_ahead"] = sum(
-                1
-                for i in self.store.batch_indices(key)
-                if i >= row["batches_applied"]
-            )
         cost = _oledger.estimate_point_cost(
-            row["shots"], spec.max_shots, spec.batch_shots, ahead=row["batches_ahead"]
+            row["shots"], spec.max_shots, spec.batch_shots
         )
         row["batches_remaining"] = cost["batches_remaining"]
         row["est_new_shots"] = cost["new_shots"]
@@ -882,102 +778,34 @@ class _SweepRun:
     def _await_some(self, futures: dict) -> None:
         """Block for at least one in-flight batch and receive all completed.
 
-        Thread mode waits on FIRST_COMPLETED; when a completed future raises,
-        the *other* completed futures are still received (committed to the
-        log) before the first exception propagates — a worker crash never
-        discards sibling work that already finished.  Inline mode forces the
-        earliest-submitted live future instead (batch-index order within a
-        point), after cancelling speculative futures of already-finished
-        points unrun.
+        Thread mode waits on FIRST_COMPLETED.  Inline mode holds one lazy
+        future, which it forces.  A failed batch raises here.
         """
         if self.inline:
-            self._await_inline(futures)
-            self.ledger.maybe_heartbeat(inflight=len(futures))
-            return
-        with obs.span("sweep.idle", lambda: {"inflight": len(futures)}):
-            done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-        failure = None
-        received = []
+            fut = next(iter(futures))
+            fut.force()
+            done = [fut]
+        else:
+            with obs.span("sweep.idle", lambda: {"inflight": len(futures)}):
+                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
         for fut in done:
             state, index = futures.pop(fut)
-            try:
-                result = fut.result()
-            except BaseException as exc:
-                state.inflight.pop(index, None)
-                if failure is None:
-                    failure = exc
-            else:
-                received.append((state, index, result))
-        for state, index, result in received:
-            self._receive(state, index, result)
-        if failure is not None:
-            raise failure
+            self._receive(state, index, fut.result())
         self.ledger.maybe_heartbeat(inflight=len(futures))
 
-    def _await_inline(self, futures: dict) -> None:
-        """Inline-executor counterpart of the FIRST_COMPLETED wait."""
-        # drop speculation for points whose stopping rule already fired:
-        # lazy futures cancel unrun, so nothing is decoded or committed
-        # (their dispatch already spent the batch budget — not refunded)
-        for fut in list(futures):
-            state, index = futures[fut]
-            if state.finished and fut.cancel():
-                del futures[fut]
-                state.inflight.pop(index, None)
-        if not futures:
-            return
-        fut = next(iter(futures))  # earliest submitted = index order
-        state, index = futures.pop(fut)
-        fut.force()
-        try:
-            result = fut.result()
-        except BaseException:
-            state.inflight.pop(index, None)
-            raise
-        self._receive(state, index, result)
-
-    def _abandon(self, futures: dict) -> None:
-        """Cancel or drain orphaned futures after a scheduler exception.
-
-        Never-started futures are cancelled; already-running ones are waited
-        for and their results committed to the commit-ahead log (resume
-        replays them), with secondary failures swallowed — the original
-        exception is the one the caller sees.
-        """
-        for fut in list(futures):
-            state, index = futures.pop(fut)
-            if fut.cancel():
-                state.inflight.pop(index, None)
-                continue
-            try:
-                self._receive(state, index, fut.result())
-            except BaseException:
-                state.inflight.pop(index, None)
-
-    def _dispatch_point(self, state: _ConcurrentPoint, depth: int, futures: dict) -> None:
-        """Fill one point's speculation window (replays count for free)."""
+    def _dispatch_point(self, state: _ConcurrentPoint, futures: dict) -> None:
+        """Fill one point's in-flight window of ``workers`` batches."""
         spec = self.spec
-        record = state.record
-        while not state.finished and state.unapplied < depth:
-            # never *speculate* past the shot cap.  An unconverged point with
+        while not state.finished and state.unapplied < self.workers:
+            # never decode past the shot cap.  An unconverged point with
             # nothing unapplied is below the cap, so its in-order batch is
             # always dispatched
-            if record["shots"] + state.unapplied * spec.batch_shots >= spec.max_shots:
+            if state.record["shots"] + state.unapplied * spec.batch_shots >= spec.max_shots:
                 return
-            index = state.next_index
-            if index in state.committed:
-                # serve from the commit-ahead log instead of decoding
-                state.committed.discard(index)
-                br = self._committed_batch(
-                    state.key, index, len(record["failures"])
-                )
-                if br is not None:
-                    state.pending[index] = (br, True, None)
-                    state.next_index += 1
-                    continue
             if self.budget.exhausted:
                 return
             self.budget.spend()
+            index = state.next_index
             with obs.span(
                 "sweep.dispatch", lambda: {"index": index, "shots": spec.batch_shots}
             ):
@@ -986,28 +814,26 @@ class _SweepRun:
                     self._make_task(state.pt, state.key, state.pipeline, index),
                 )
             obs.count("sweep.batches_dispatched")
-            state.inflight[index] = fut
             futures[fut] = (state, index)
             state.next_index += 1
 
     def _receive(self, state: _ConcurrentPoint, index: int, result) -> None:
-        """Commit one completed batch; queue it for in-order application."""
-        br = self._batch_record_of(result)
-        self.store.put_batch(state.key, index, br)
-        state.inflight.pop(index, None)
-        worker = result.decode_stats.get("worker")
+        """Queue one decoded batch for in-order application."""
         if state.finished:
-            # speculative overshoot: the stopping rule fired while this
-            # batch was decoding; committed above, excluded from estimates
-            self.report.batches_overshoot += 1
-            obs.event("sweep.overshoot", lambda: {"index": index})
-            obs.count("sweep.batches_overshoot")
-            self.ledger.batch(
-                state.key, index, int(br["shots"]), "overshoot",
-                worker=worker,
-            )
+            # the stopping rule fired while this batch was decoding
+            self._overshoot(state, index, result)
         else:
-            state.pending[index] = (br, False, worker)
+            state.pending[index] = result
+
+    def _overshoot(self, state: _ConcurrentPoint, index: int, result) -> None:
+        """Count one decoded batch the estimates exclude; it is discarded."""
+        self.report.batches_overshoot += 1
+        obs.event("sweep.overshoot", lambda: {"index": index})
+        obs.count("sweep.batches_overshoot")
+        self.ledger.batch(
+            state.key, index, int(result.shots), "overshoot",
+            worker=result.decode_stats.get("worker"),
+        )
 
     def _drain(self, active: list[_ConcurrentPoint]) -> bool:
         """Apply in-order pending batches; finish converged points."""
@@ -1022,34 +848,23 @@ class _SweepRun:
                 done, reason = _converged(record["failures"], record["shots"], spec)
                 if done:
                     self._finalize_point(state.key, record, reason)
-                    for idx, (pbr, replayed, pworker) in state.pending.items():
-                        if not replayed:
-                            self.report.batches_overshoot += 1
-                            obs.count("sweep.batches_overshoot")
-                            self.ledger.batch(
-                                state.key, idx, int(pbr["shots"]), "overshoot",
-                                worker=pworker,
-                            )
+                    for index, result in state.pending.items():
+                        self._overshoot(state, index, result)
                     state.pending.clear()
                     state.finished = True
                     progressed = True
                     break
                 index = record["batches"]
-                entry = state.pending.pop(index, None)
-                if entry is None:
+                result = state.pending.pop(index, None)
+                if result is None:
                     break  # next batch still in flight (or not dispatched)
-                br, replayed, worker = entry
-                self._apply_batch(record, br, replayed=replayed)
-                if replayed:
-                    self.report.batches_replayed += 1
-                    self.ledger.batch(state.key, index, int(br["shots"]), "replayed")
-                else:
-                    state.new_shots += int(br["shots"])
-                    state.new_batches += 1
-                    self.ledger.batch(
-                        state.key, index, int(br["shots"]), "decoded",
-                        worker=worker,
-                    )
+                self._apply_batch(record, result)
+                state.new_shots += int(result.shots)
+                state.new_batches += 1
+                self.ledger.batch(
+                    state.key, index, int(result.shots), "decoded",
+                    worker=result.decode_stats.get("worker"),
+                )
                 applied = True
                 progressed = True
             if applied and not state.finished:
@@ -1079,17 +894,16 @@ def run_sweep(
     them from batch 0 — the result is bit-identical either way, resuming just
     skips the already-decoded prefix.  ``workers`` > 1 decodes batches on a
     pool of decode threads shared by *all* points
-    (:meth:`_SweepRun.run_concurrent`); ``speculate`` >= 1 keeps up to that
-    many batches in flight per point while the stopping rule is still
-    evaluating earlier ones (0 means one per worker).  Estimates and stored
-    records are bit-identical for any ``(workers, speculate)``;
-    completed-but-excluded batches land in the store's commit-ahead log,
-    where later passes replay them for free.  With ``workers <= 1`` the
-    scheduler decodes on the calling thread through the inline executor and
-    cancels unneeded speculation lazily, so it decodes
-    exactly the batches the estimates need.  Every batch is exactly
-    ``spec.batch_shots`` shots, and points are admitted largest estimated
-    remaining work first (outcomes are still emitted in sweep order).
+    (:meth:`_SweepRun.run_concurrent`), with up to ``workers`` batches per
+    point in flight while the stopping rule is still evaluating earlier
+    ones; batches decoded past the stopping point are discarded.  With
+    ``workers <= 1`` the scheduler decodes on the calling thread through the
+    inline executor, one batch at a time, so it decodes exactly the batches
+    the estimates need.  Estimates and stored records are bit-identical for
+    any ``workers``.  Every batch is exactly ``spec.batch_shots`` shots, and
+    points are admitted largest estimated remaining work first (outcomes are
+    still emitted in sweep order).  ``speculate`` accepts only 0 and 1,
+    which change nothing; the in-flight depth is set by ``workers``.
     ``batch_limit`` caps how many *new* batches this invocation decodes (the
     interruption hook used by tests and the microbenchmark); when the cap is
     hit the partial state is checkpointed and ``report.interrupted`` is set.
@@ -1100,6 +914,11 @@ def run_sweep(
     is used as-is (tests pin heartbeat pacing this way).  The ledger is pure
     observation — records and estimates are bit-identical with it on or off.
     """
+    if speculate not in (0, 1):
+        raise ValueError(
+            f"speculate={speculate} is not supported: each point keeps "
+            "`workers` batches in flight (one inline); set workers instead"
+        )
     writer = None
     if ledger is None:
         ledger = _oledger.ledger_env_enabled()
@@ -1108,14 +927,13 @@ def run_sweep(
     elif ledger:
         writer = _oledger.RunWriter(
             store.runs_root,
-            _oledger.sweep_manifest(spec, workers=workers, speculate=speculate),
+            _oledger.sweep_manifest(spec, workers=workers),
         )
     run = _SweepRun(
         spec,
         store,
         resume=resume,
         workers=workers,
-        speculate=speculate,
         batch_limit=batch_limit,
         progress=progress,
         ledger=writer,
@@ -1142,9 +960,8 @@ def plan_sweep(
     """Estimate a sweep's remaining work without decoding anything.
 
     The engine behind ``repro sweep run --dry-run``: for every point of the
-    expanded grid, report batches already applied, commit-ahead batches
-    waiting to replay, batches still to decode, and the estimated new shots —
-    all through the same cost model the scheduler's admission order and
+    expanded grid, report batches already applied, batches still to decode,
+    and the estimated new shots — all through the same cost model the scheduler's admission order and
     ``sweep watch`` use
     (:func:`repro.obs.ledger.estimate_point_cost`).  Purely read-only: no
     store write, no circuit analysis, no decode.  Estimates are the
@@ -1152,7 +969,7 @@ def plan_sweep(
     missing point that would resolve ``not_applicable`` (which only circuit
     analysis can tell) is costed as a full run.
     """
-    run = _SweepRun(spec, store, resume=resume, workers=1, speculate=0)
+    run = _SweepRun(spec, store, resume=resume, workers=1)
     try:
         points = [run._plan_point(pt) for pt in spec.points()]
     finally:
@@ -1164,7 +981,6 @@ def plan_sweep(
             "points": len(points),
             "decode": sum(1 for p in points if p["batches_remaining"] > 0),
             "batches_remaining": sum(p["batches_remaining"] for p in points),
-            "batches_ahead": sum(p["batches_ahead"] for p in points),
             "est_new_shots": sum(p["est_new_shots"] for p in points),
         },
     }

@@ -81,7 +81,6 @@ def build_figure(
     *,
     store: "ResultStore | None | bool" = None,
     workers: int = 1,
-    speculate: int = 0,
     strict: bool = True,
 ) -> FigureResult:
     """Build figure ``name`` (canonical or alias), store-served if possible.
@@ -92,7 +91,7 @@ def build_figure(
     equal a store-backed build's (this is the build the benchmark harness
     checks).  ``strict`` controls whether unknown override keys raise
     (single-figure builds) or are dropped (bulk ``--all`` overrides).
-    ``workers``/``speculate`` are forwarded to ``run_sweep``.
+    ``workers`` is forwarded to ``run_sweep``.
     """
     spec = get(name)
     params = spec.resolve_params(overrides, strict=strict)
@@ -100,9 +99,7 @@ def build_figure(
         store = default_store()
     if store is None or store is False:
         with tempfile.TemporaryDirectory(prefix="repro-figure-") as root:
-            rows = _build_rows(
-                spec, params, ResultStore(root), workers=workers, speculate=speculate
-            )
+            rows = _build_rows(spec, params, ResultStore(root), workers=workers)
         return FigureResult(spec, params, rows)
     key = figure_cache_key(spec.name, params) if spec.cacheable else None
     if key is not None:
@@ -110,7 +107,7 @@ def build_figure(
         if cached is not None and cached.get("schema") == CACHE_SCHEMA:
             rows = [dict(r) for r in cached.get("rows", [])]
             return FigureResult(spec, params, rows, served_from_store=True)
-    rows = _build_rows(spec, params, store, workers=workers, speculate=speculate)
+    rows = _build_rows(spec, params, store, workers=workers)
     if key is not None:
         store.put(
             key,
@@ -130,11 +127,10 @@ def _build_rows(
     store: ResultStore,
     *,
     workers: int,
-    speculate: int,
 ) -> list:
     """Run the spec's declared sweeps against ``store``, then its builder."""
     reports = [
-        run_sweep(sweep_spec, store, workers=workers, speculate=speculate, ledger=False)
+        run_sweep(sweep_spec, store, workers=workers, ledger=False)
         for sweep_spec in spec.sweep_specs(params)
     ]
     return [export.plain(r) for r in spec.builder(dict(params), reports)]

@@ -1,7 +1,7 @@
 """repro.obs: deterministic tracing, metrics & profiling for the pipeline.
 
 Span instrumentation (sample → dedup → kernel decode → cache → store
-commit; dispatch/apply/replay/overshoot/idle in the sweep schedulers),
+commit; dispatch/apply/overshoot/idle in the sweep scheduler),
 worker-count-independent latency histograms, and Chrome-trace/metrics
 exporters, plus a durable run ledger (:mod:`.ledger` — manifests + event
 logs under ``runs/`` in the store).  Zero-overhead when disabled;

@@ -12,13 +12,13 @@ under ``runs/`` inside the result store it writes to::
 
 The **manifest** answers "what produced the records in this store": spec
 digest + full spec dict, ``STORE_SALT``, the decode path the host runs
-(``backend_resolved``: ``cext`` or ``python``), workers/speculate,
+(``backend_resolved``: ``cext`` or ``python``), workers,
 python/platform, a snapshot of every ``REPRO_*`` environment knob, and —
 once the run finishes — the exit status, report summary and final
 :mod:`repro.obs` metrics snapshot.
 
 The **event log** answers "what happened, when": run start/finish, point
-started/converged/store-served, every batch decoded/replayed/overshot (with
+started/converged/store-served, every batch decoded/overshot (with
 the name of the thread that decoded it), and periodic heartbeats with cumulative
 progress.  It is append-only and crash-tolerant: each event is one flushed
 line, and the reader skips a truncated tail line (the signature of a crash
@@ -59,21 +59,16 @@ __all__ = [
 ]
 
 
-def estimate_point_cost(
-    shots: int, max_shots: int, batch_shots: int, *, ahead: int = 0
-) -> dict:
+def estimate_point_cost(shots: int, max_shots: int, batch_shots: int) -> dict:
     """Remaining-work estimate for one sweep point, pure numbers in and out.
 
     The single cost model shared by ``sweep watch`` ETAs
     (:func:`watch_snapshot`), the concurrent scheduler's cost-ordered point
-    admission and the ``sweep run --dry-run`` planner: given the applied
-    ``shots``, the spec's ``max_shots`` cap and ``batch_shots``, and the
-    number of commit-ahead log entries at or past the applied prefix
-    (``ahead`` — nearly free to apply, so they are excluded from the decode
-    estimate), it returns::
+    admission, the ``sweep run --dry-run`` planner and ``sweep status
+    --verbose``: given the applied ``shots``, the spec's ``max_shots`` cap
+    and ``batch_shots``, it returns::
 
-        {"batches_total": ...,      # batches to the cap, ignoring the log
-         "batches_remaining": ...,  # of those, batches still to *decode*
+        {"batches_remaining": ...,  # batches still to decode to the cap
          "new_shots": ...}          # projected decode volume (the final
                                     # batch may overshoot the cap; that is
                                     # real work, so it is counted)
@@ -84,10 +79,8 @@ def estimate_point_cost(
     """
     size = max(1, int(batch_shots))
     remaining_shots = max(0, int(max_shots) - int(shots))
-    batches_total = math.ceil(remaining_shots / size)
-    batches_remaining = max(0, batches_total - max(0, int(ahead)))
+    batches_remaining = math.ceil(remaining_shots / size)
     return {
-        "batches_total": batches_total,
         "batches_remaining": batches_remaining,
         "new_shots": batches_remaining * size,
     }
@@ -141,7 +134,7 @@ def _env_snapshot() -> dict:
     return {k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")}
 
 
-def sweep_manifest(spec, *, workers: int = 1, speculate: int = 0) -> dict:
+def sweep_manifest(spec, *, workers: int = 1) -> dict:
     """The provenance manifest of one sweep run (before it starts).
 
     ``run_id``/``created_at`` are stamped by :class:`RunWriter`;
@@ -168,7 +161,6 @@ def sweep_manifest(spec, *, workers: int = 1, speculate: int = 0) -> dict:
         "seed": spec.seed,
         "store_salt": STORE_SALT,
         "workers": int(workers),
-        "speculate": int(speculate),
         "backend_resolved": kernels.backend(),
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -205,7 +197,7 @@ class RunWriter:
         self.manifest["created_at"] = _wallclock()
         self.heartbeat_interval = float(heartbeat_interval)
         self.shots_decoded = 0
-        self.batch_counts = {"decoded": 0, "replayed": 0, "overshoot": 0}
+        self.batch_counts = {"decoded": 0, "overshoot": 0}
         self.workers_seen: dict[str, int] = {}
         self._last_beat: float | None = None
         self._closed = False
@@ -256,10 +248,9 @@ class RunWriter:
         )
 
     def batch(self, key: str, index: int, shots: int, kind: str, *, worker=None) -> None:
-        """One batch outcome; ``kind`` is decoded / replayed / overshoot.
+        """One batch outcome; ``kind`` is decoded / overshoot.
 
-        ``worker`` names the thread that decoded the batch (None for a
-        replay, which nothing decoded this run).
+        ``worker`` names the thread that decoded the batch.
         """
         if kind not in self.batch_counts:
             raise ValueError(f"unknown batch kind {kind!r}")
@@ -459,10 +450,8 @@ def _point_label(config) -> str:
 def watch_snapshot(store, run_id: str | None = None) -> dict:
     """One render-ready view of a live (or finished) run.
 
-    Joins three sources: the run's event log (which points exist, batch
-    cadence, status), the store's point records (shots so far), and the
-    commit-ahead batch log (speculative batches already decoded but not yet
-    applied — they are nearly free to apply, so the ETA excludes them).  The
+    Joins two sources: the run's event log (which points exist, batch
+    cadence, status) and the store's point records (shots so far).  The
     ETA divides the estimated remaining batch count by the observed decode
     cadence; both degrade gracefully to None.
     """
@@ -477,7 +466,7 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
     batch_shots = int(spec.get("batch_shots") or 0)
 
     points: dict[str, dict] = {}
-    totals = {"decoded": 0, "replayed": 0, "overshoot": 0}
+    totals = {"decoded": 0, "overshoot": 0}
     shots_decoded = 0
     decode_times: list[float] = []
     status = str(manifest.get("status", "running"))
@@ -494,7 +483,6 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
                 "shots": 0,
                 "max_shots": spec_max_shots or None,
                 "batches": 0,
-                "batches_ahead": 0,
                 "batches_remaining": None,
                 "stop_reason": None,
             },
@@ -532,8 +520,7 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
             status = str(ev.get("status", status))
             finished_at = ev.get("t", finished_at)
 
-    # overlay live store state: shots/batches applied so far and
-    # commit-ahead depth
+    # overlay live store state: shots/batches applied so far
     for key, row in points.items():
         record = store.get(key) if key else None
         if not record:
@@ -543,13 +530,9 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
         if record.get("converged") and row["status"] in ("pending", "running"):
             row["status"] = "converged"
             row["stop_reason"] = record.get("stop_reason")
-        ahead = [i for i in store.batch_indices(key) if i >= row["batches"]]
-        row["batches_ahead"] = len(ahead)
         max_shots = row["max_shots"] or 0
         if row["status"] in ("pending", "running") and batch_shots and max_shots:
-            cost = estimate_point_cost(
-                row["shots"], max_shots, batch_shots, ahead=len(ahead)
-            )
+            cost = estimate_point_cost(row["shots"], max_shots, batch_shots)
             row["batches_remaining"] = cost["batches_remaining"]
         elif row["status"] not in ("pending", "running"):
             row["batches_remaining"] = 0
@@ -576,7 +559,6 @@ def watch_snapshot(store, run_id: str | None = None) -> dict:
         "started_at": started_at,
         "finished_at": finished_at,
         "workers": manifest.get("workers"),
-        "speculate": manifest.get("speculate"),
         "points_expected": manifest.get("points"),
         "points": list(points.values()),
         "totals": dict(totals, shots_decoded=shots_decoded),

@@ -5,8 +5,6 @@ Layout under the store root::
     <root>/
       points/
         <key[:2]>/<key>.json            one record per point key
-      batches/
-        <key[:2]>/<key>/<index>.json    commit-ahead per-batch records
       runs/
         <run_id>/manifest.json          run-ledger provenance manifests
         <run_id>/events.jsonl           run-ledger event logs (append-only)
@@ -16,17 +14,7 @@ batches consumed, convergence state, decode statistics and the canonical key
 payload it was hashed from).  Writes are atomic (temp file + ``os.replace``)
 so an interrupted sweep never leaves a truncated record: the store always
 holds the state as of the last completed checkpoint, which is exactly what
-``repro sweep run --resume`` continues from.
-
-*Batch* records are the speculative scheduler's commit-ahead log: one batch's
-raw outcome (failure counts + accumulable decode counters), deterministic in
-``(sweep seed, point key, batch index, batch size)``.  The concurrent
-scheduler commits every decoded batch here the moment it completes — even
-batches the stopping rule later excludes from the estimate — so an
-interrupted speculative run resumes by *replaying* already-decoded batches
-instead of re-decoding them, and speculative overshoot is never wasted work.
-A batch record whose ``shots`` disagree with the spec's ``batch_shots`` is
-ignored on replay and overwritten on the next commit.
+``repro sweep run`` continues from.
 
 The root directory is configurable per store; :func:`default_store` resolves
 the default store from the ``REPRO_STORE_ROOT`` environment variable.
@@ -36,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -58,10 +47,6 @@ class ResultStore:
             raise ValueError(f"malformed store key {key!r}")
         return self.root / "points" / key[:2] / f"{key}.json"
 
-    def _batch_dir(self, key: str) -> Path:
-        self._path(key)  # key validation
-        return self.root / "batches" / key[:2] / key
-
     @property
     def runs_root(self) -> Path:
         """Where the run ledger lives (``repro.obs.ledger``): ``runs/``.
@@ -73,8 +58,8 @@ class ResultStore:
         return self.root / "runs"
 
     def _write_json(self, path: Path, record: dict) -> None:
-        # every durable write (point checkpoint or commit-ahead batch) funnels
-        # through here, so this one span is the whole store-commit phase
+        # every durable write funnels through here, so this one span is the
+        # whole store-commit phase
         with obs.span("store.commit", lambda: {"file": path.name}):
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -101,67 +86,6 @@ class ResultStore:
     def put(self, key: str, record: dict) -> None:
         """Atomically write (or overwrite) one record."""
         self._write_json(self._path(key), dict(record, key=key))
-
-    # -- commit-ahead batch records ---------------------------------------
-
-    def put_batch(self, key: str, index: int, record: dict) -> None:
-        """Commit one decoded batch of point ``key`` (atomic, overwrites).
-
-        ``record`` must carry the batch's ``shots`` and ``failures``; the
-        index is stamped in.  Batch records are deterministic in
-        ``(seed, key, index, shots)``, so overwriting is always harmless.
-        """
-        if index < 0:
-            raise ValueError("batch index must be non-negative")
-        self._write_json(
-            self._batch_dir(key) / f"{index}.json",
-            dict(record, key=key, index=int(index)),
-        )
-
-    def get_batch(self, key: str, index: int) -> dict | None:
-        """The committed batch record at ``(key, index)``, or None.
-
-        A truncated/corrupt file also returns None: batch records are pure
-        derived data (re-decodable from the seed), so replay must fall
-        through to a fresh decode instead of crashing the resume.
-        """
-        try:
-            with open(self._batch_dir(key) / f"{index}.json") as f:
-                return json.load(f)
-        except (FileNotFoundError, ValueError):
-            return None
-
-    def batch_indices(self, key: str) -> list[int]:
-        """Sorted indices of the batches committed ahead for ``key``."""
-        out = []
-        for p in self._batch_dir(key).glob("*.json"):
-            try:
-                out.append(int(p.stem))
-            except ValueError:
-                continue
-        return sorted(out)
-
-    def delete_batches(self, key: str, *, below: int | None = None) -> int:
-        """Drop commit-ahead batches of ``key``; returns how many.
-
-        ``below`` keeps indices >= below (used to trim the already-applied
-        prefix while preserving speculative overshoot); None drops them all.
-        """
-        removed = 0
-        batch_dir = self._batch_dir(key)
-        for index in self.batch_indices(key):
-            if below is not None and index >= below:
-                continue
-            try:
-                os.unlink(batch_dir / f"{index}.json")
-                removed += 1
-            except FileNotFoundError:
-                pass
-        try:
-            batch_dir.rmdir()  # only succeeds once emptied
-        except OSError:
-            pass
-        return removed
 
     def delete(self, key: str) -> bool:
         """Remove one record; returns whether it existed."""
@@ -190,27 +114,13 @@ class ResultStore:
         return len(self.keys())
 
     def clear(self) -> int:
-        """Delete every record (and commit-ahead batches); returns how many
-        point records were removed."""
-        removed = 0
-        for key in self.keys():
-            self.delete_batches(key)
-            removed += self.delete(key)
-        batches = self.root / "batches"
-        if batches.is_dir():
-            for batch_dir in batches.glob("??/*"):
-                if batch_dir.is_dir():  # orphans with no point record
-                    for p in batch_dir.glob("*.json"):
-                        p.unlink(missing_ok=True)
-                    try:
-                        batch_dir.rmdir()
-                    except OSError:
-                        pass
-            for prefix in batches.glob("??"):
-                try:
-                    prefix.rmdir()  # only succeeds once emptied
-                except OSError:
-                    pass
+        """Delete every record; returns how many point records were removed.
+
+        Also removes the ``batches/`` tree that stores written by older
+        versions of the sweep scheduler may hold (nothing reads it).
+        """
+        removed = sum(self.delete(key) for key in self.keys())
+        shutil.rmtree(self.root / "batches", ignore_errors=True)
         return removed
 
     def gc(
@@ -224,13 +134,11 @@ class ResultStore:
 
         A record's age comes from its ``updated_at`` stamp (written on every
         checkpoint) and falls back to the file's mtime for records that
-        never carried one.  A pruned point takes its commit-ahead batch
-        records with it, orphaned batch records (no point record at all) age
-        out by file mtime, and empty per-prefix point directories left
-        behind are removed too.  ``dry_run`` reports what would happen
-        without touching anything.  Returns a summary dict with the
-        scanned/pruned/kept counts, the pruned keys, the batch records
-        pruned, and the directories removed.
+        never carried one.  Empty per-prefix point directories left behind
+        are removed too.  ``dry_run`` reports what would happen without
+        touching anything.  Returns a summary dict with the
+        scanned/pruned/kept counts, the pruned keys and the directories
+        removed.
         """
         if older_than_seconds < 0:
             raise ValueError("older_than_seconds must be non-negative")
@@ -239,7 +147,6 @@ class ResultStore:
         now = time.time() if now is None else now  # lint: ok[determinism-time]
         horizon = now - older_than_seconds
         scanned = 0
-        batches_pruned = 0
         pruned_keys: list[str] = []
         for key in self.keys():
             path = self._path(key)
@@ -255,56 +162,8 @@ class ResultStore:
                     continue
             if float(stamp) < horizon:
                 pruned_keys.append(key)
-                if dry_run:
-                    batches_pruned += len(self.batch_indices(key))
-                else:
-                    batches_pruned += self.delete_batches(key)
+                if not dry_run:
                     self.delete(key)
-        # commit-ahead batches whose point record is gone entirely (orphans
-        # from a crashed speculative run) age out with the same horizon,
-        # judged by their file mtimes; per-prefix dirs the prune empties are
-        # removed (and dry-run-predicted) like the points/ tree below
-        pruned = set(pruned_keys)
-        live = set(self.keys()) - pruned
-        batch_dirs_removed: list[str] = []
-        batches_root = self.root / "batches"
-        if batches_root.is_dir():
-            for prefix in sorted(p for p in batches_root.glob("??") if p.is_dir()):
-                keeps_anything = False
-                for batch_dir in sorted(prefix.iterdir()):
-                    if not batch_dir.is_dir():
-                        keeps_anything = True  # never touch foreign files
-                        continue
-                    if batch_dir.name in live:
-                        keeps_anything = True
-                        continue
-                    if batch_dir.name in pruned:
-                        continue  # removed with its point (above / on real run)
-                    fresh = False
-                    for p in sorted(batch_dir.glob("*.json")):
-                        try:
-                            if p.stat().st_mtime < horizon:
-                                batches_pruned += 1
-                                if not dry_run:
-                                    p.unlink()
-                            else:
-                                fresh = True
-                        except OSError:
-                            fresh = True
-                    if fresh:
-                        keeps_anything = True
-                    elif not dry_run:
-                        try:
-                            batch_dir.rmdir()
-                        except OSError:
-                            keeps_anything = True
-                if not keeps_anything:
-                    batch_dirs_removed.append(f"batches/{prefix.name}")
-                    if not dry_run:
-                        try:
-                            prefix.rmdir()
-                        except OSError:
-                            pass
         pruned_set = {self._path(key).name for key in pruned_keys}
         dirs_removed = []
         points = self.root / "points"
@@ -327,8 +186,7 @@ class ResultStore:
             "pruned": len(pruned_keys),
             "kept": scanned - len(pruned_keys),
             "pruned_keys": pruned_keys,
-            "batches_pruned": batches_pruned,
-            "dirs_removed": dirs_removed + batch_dirs_removed,
+            "dirs_removed": dirs_removed,
         }
 
     def summary(self) -> dict:

@@ -6,8 +6,8 @@ SeedSequence(*batch_entropy(seed, key, i)))`` strictly in index order and
 stops as soon as the sweep's stopping rule (``_converged``) fires.  It
 shares no dispatch, apply or commit code with ``_SweepRun``, which makes it
 an independent reference for the scheduler parity tests: whatever the
-worker count, speculation depth or executor, the stored record of a point
-must equal what this plain loop computes.
+worker count or executor, the stored record of a point must equal what this
+plain loop computes.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ def test_sweep_run_then_rerun_serves_from_store(capsys, tmp_path, sweep_spec_fil
     assert cli.main(["sweep", "run", str(sweep_spec_file), "--store", str(store)]) == 0
     out = capsys.readouterr().out
     assert '"shots_decoded": 800' in out
-    assert cli.main(["sweep", "run", str(sweep_spec_file), "--store", str(store), "--resume"]) == 0
+    assert cli.main(["sweep", "run", str(sweep_spec_file), "--store", str(store)]) == 0
     out = capsys.readouterr().out
     assert '"shots_decoded": 0' in out
     assert '"points_from_store": 1' in out
@@ -234,17 +234,6 @@ def test_sweep_gc_dry_run_leaves_mtimes_untouched(capsys, tmp_path, sweep_spec_f
     assert key in store
 
 
-def test_sweep_run_restart_and_resume_are_mutually_exclusive(
-    capsys, tmp_path, sweep_spec_file
-):
-    rc = cli.main(
-        ["sweep", "run", str(sweep_spec_file), "--store", str(tmp_path / "s"),
-         "--restart", "--resume"]
-    )
-    assert rc == 2
-    assert "mutually exclusive" in capsys.readouterr().err
-
-
 def test_sweep_run_speculate_matches_sequential_records(capsys, tmp_path, sweep_spec_file):
     from repro.store import ResultStore
 
@@ -255,10 +244,10 @@ def test_sweep_run_speculate_matches_sequential_records(capsys, tmp_path, sweep_
     capsys.readouterr()
     assert cli.main(
         ["sweep", "run", str(sweep_spec_file), "--store", str(spec_store),
-         "--workers", "2", "--speculate", "2"]
+         "--workers", "2"]
     ) == 0
     out = capsys.readouterr().out
-    assert '"speculate": 2' in out
+    assert '"speculate"' not in out
     a, b = ResultStore(seq_store), ResultStore(spec_store)
     assert a.keys() == b.keys()
     for key in a.keys():
@@ -267,13 +256,23 @@ def test_sweep_run_speculate_matches_sequential_records(capsys, tmp_path, sweep_
         assert ra["shots"] == rb["shots"]
 
 
-def test_sweep_run_rejects_negative_speculate(capsys, tmp_path, sweep_spec_file):
-    rc = cli.main(
-        ["sweep", "run", str(sweep_spec_file), "--store", str(tmp_path / "s"),
-         "--speculate", "-1"]
-    )
-    assert rc == 2
-    assert "non-negative" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "run", "SPEC", "--speculate", "2"],
+        ["sweep", "run", "SPEC", "--resume"],
+        ["figures", "build", "fig10", "--no-store", "--speculate", "2"],
+    ],
+    ids=["sweep-speculate", "sweep-resume", "figures-speculate"],
+)
+def test_removed_scheduler_options_are_usage_errors(capsys, tmp_path, sweep_spec_file, argv):
+    # the in-flight depth is --workers, and resuming is the default
+    argv = [str(sweep_spec_file) if a == "SPEC" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--store", str(tmp_path / "s")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_version_flag_reports_package_version(capsys):
@@ -435,10 +434,9 @@ def test_sweep_status_verbose_reports_decode_stats(capsys, tmp_path, sweep_spec_
     assert "distinct_ratio=" in verbose
     assert "cache_hit_rate=" not in verbose
     assert "shots_per_s=" in verbose
-    # per-point progress from the commit-ahead batch log (converged points
+    # per-point progress through the shared cost model (converged points
     # report completion instead of an estimate)
-    assert "progress:" in verbose
-    assert "complete (" in verbose
+    assert "progress: complete" in verbose
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +603,11 @@ def test_sweep_run_workers_zero_runs_inline(capsys, tmp_path, sweep_spec_file):
     store = tmp_path / "store"
     rc = cli.main(
         ["sweep", "run", str(sweep_spec_file), "--store", str(store),
-         "--workers", "0", "--speculate", "2"]
+         "--workers", "0"]
     )
     assert rc == 0
     out = capsys.readouterr().out
     assert '"shots_decoded": 800' in out
-    assert '"speculate": 2' in out
 
 
 def test_sweep_run_rejects_negative_workers(capsys, tmp_path, sweep_spec_file):

@@ -4,7 +4,7 @@ Four families of guarantees:
 
 * **Bit-neutrality** — the ledger records *about* a sweep without touching
   it: stored point records are byte-identical with the ledger on vs. off,
-  at speculation depth 0 and 4 on 1 and 4 workers, and
+  on 0, 1, 2 and 4 workers, and
   a ledger-off run leaves no ``runs/`` directory at all.
 * **Accounting** — ledger batch events are emitted at exactly the sites
   where the sweep report's counters increment, so totals always agree.
@@ -82,30 +82,27 @@ def _pinned_writer(store, spec, **kwargs):
 
 
 def test_ledger_bit_neutral_across_schedulers(tmp_path):
-    """{ledger on, off} x {--speculate 0, --speculate 4} x {1, 4 workers}."""
+    """{ledger on, off} x {0, 1, 2, 4 workers}."""
     spec = _spec()
     store_ref = ResultStore(tmp_path / "ref")
     reference = _records(run_sweep(spec, store_ref, ledger=False))
     assert not store_ref.runs_root.exists()  # off really writes nothing
 
-    for speculate in (0, 4):
-        for workers in (1, 4):
-            clear_pipeline_cache()
-            store = ResultStore(tmp_path / f"s{speculate}w{workers}")
-            report = run_sweep(
-                spec, store, workers=workers, speculate=speculate, ledger=True
+    for workers in (0, 1, 2, 4):
+        clear_pipeline_cache()
+        store = ResultStore(tmp_path / f"w{workers}")
+        report = run_sweep(spec, store, workers=workers, ledger=True)
+        got = _records(report)
+        assert got.keys() == reference.keys()
+        for key, ref in reference.items():
+            assert record_parity_view(got[key]) == record_parity_view(ref), (
+                f"workers={workers}"
             )
-            got = _records(report)
-            assert got.keys() == reference.keys()
-            for key, ref in reference.items():
-                assert record_parity_view(got[key]) == record_parity_view(ref), (
-                    f"speculate={speculate} workers={workers}"
-                )
-            # the run really was recorded
-            ledger = RunLedger.for_store(store)
-            assert ledger.run_ids() == [report.run_id]
-            names = [ev["ev"] for ev in ledger.events(report.run_id)]
-            assert names[0] == "run_start" and names[-1] == "run_finish"
+        # the run really was recorded
+        ledger = RunLedger.for_store(store)
+        assert ledger.run_ids() == [report.run_id]
+        names = [ev["ev"] for ev in ledger.events(report.run_id)]
+        assert names[0] == "run_start" and names[-1] == "run_finish"
 
 
 def test_ledger_env_knob_disables_default(tmp_path, monkeypatch):
@@ -128,17 +125,13 @@ def test_ledger_data_never_reaches_point_records(tmp_path):
 
     def payload(store):
         out = {}
-        for sub in ("points", "batches"):
-            base = store.root / sub
-            for path in sorted(base.rglob("*.json")):
-                rec = json.loads(path.read_text())
-                # strip the wall-clock/scheduling-dependent fields parity
-                # ignores (decode_seconds, per-worker cache splits, ...)
-                if sub == "points":
-                    rec = record_parity_view(rec)
-                else:
-                    rec = {k: v for k, v in rec.items() if k != "decode_stats"}
-                out[str(path.relative_to(store.root))] = rec
+        for path in sorted(store.root.rglob("*.json")):
+            rel = path.relative_to(store.root)
+            if rel.parts[0] == "runs":
+                continue
+            # strip the wall-clock/scheduling-dependent fields parity
+            # ignores (decode_seconds, per-worker cache splits, ...)
+            out[str(rel)] = record_parity_view(json.loads(path.read_text()))
         return out
 
     assert payload(stores["on"]) == payload(stores["off"])
@@ -151,16 +144,14 @@ def test_ledger_data_never_reaches_point_records(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers,speculate", [(1, 0), (4, 4)])
-def test_ledger_batch_events_match_report_counters(tmp_path, workers, speculate):
+@pytest.mark.parametrize("workers", [1, 4])
+def test_ledger_batch_events_match_report_counters(tmp_path, workers):
     spec = _spec()
     store = ResultStore(tmp_path / "s")
-    writer = _pinned_writer(store, spec, workers=workers, speculate=speculate)
-    report = run_sweep(
-        spec, store, workers=workers, speculate=speculate, ledger=writer
-    )
+    writer = _pinned_writer(store, spec, workers=workers)
+    report = run_sweep(spec, store, workers=workers, ledger=writer)
     events = RunLedger.for_store(store).events(report.run_id)
-    kinds = {"decoded": 0, "replayed": 0, "overshoot": 0}
+    kinds = {"decoded": 0, "overshoot": 0}
     shots = 0
     for ev in events:
         if ev["ev"] == "batch":
@@ -168,7 +159,6 @@ def test_ledger_batch_events_match_report_counters(tmp_path, workers, speculate)
             if ev["kind"] == "decoded":
                 shots += ev["shots"]
     assert kinds["decoded"] == report.batches_decoded
-    assert kinds["replayed"] == report.batches_replayed
     assert kinds["overshoot"] == report.batches_overshoot
     assert shots == report.shots_decoded
     converged = [ev for ev in events if ev["ev"] == "point_converged"]
@@ -199,12 +189,12 @@ def test_manifest_captures_run_provenance(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUN_LEDGER", "1")
     spec = _spec(max_shots=400)
     store = ResultStore(tmp_path / "s")
-    report = run_sweep(spec, store, workers=1, speculate=0, ledger=True)
+    report = run_sweep(spec, store, workers=1, ledger=True)
     ledger = RunLedger.for_store(store)
     manifest = ledger.manifest(report.run_id)
     assert manifest["schema"] == "repro.obs.run/v2"
     assert manifest["sweep"] == spec.name
-    assert manifest["workers"] == 1 and manifest["speculate"] == 0
+    assert manifest["workers"] == 1 and "speculate" not in manifest
     assert manifest["seed"] == spec.seed
     assert len(manifest["spec_digest"]) == 64
     assert manifest["store_salt"]  # pinned to the store's key salt
@@ -312,9 +302,9 @@ def test_thread_workers_report_spans_and_names(tmp_path):
     spec = _spec(policies=(PolicySpec("passive"),), max_shots=800)
     obs.configure(trace_path=tmp_path / "t.json")
     store = ResultStore(tmp_path / "s")
-    writer = _pinned_writer(store, spec, workers=2, speculate=2)
+    writer = _pinned_writer(store, spec, workers=2)
     try:
-        report = run_sweep(spec, store, workers=2, speculate=2, ledger=writer)
+        report = run_sweep(spec, store, workers=2, ledger=writer)
         events = list(obs.active().events)
     finally:
         obs.reset()
@@ -343,17 +333,16 @@ def test_thread_workers_report_spans_and_names(tmp_path):
 
 
 def test_inline_executor_reports_coordinator_pid_provenance(tmp_path):
-    """workers<=1 + speculate runs the inline executor: every decoded batch
-    must name the calling (main) thread as provenance (no decode thread
-    ever exists), spans must still record, and parity with the depth-0 run
-    must hold."""
+    """workers<=1 runs the inline executor: every decoded batch must name
+    the calling (main) thread as provenance (no decode thread ever exists),
+    spans must still record, and parity with the default run must hold."""
     spec = _spec(policies=(PolicySpec("passive"),), max_shots=800)
     obs.reset()
     obs.configure(trace_path=tmp_path / "t.json")
     store = ResultStore(tmp_path / "s")
-    writer = _pinned_writer(store, spec, workers=0, speculate=2)
+    writer = _pinned_writer(store, spec, workers=0)
     try:
-        report = run_sweep(spec, store, workers=0, speculate=2, ledger=writer)
+        report = run_sweep(spec, store, workers=0, ledger=writer)
         events = list(obs.active().events)
     finally:
         obs.reset()
@@ -385,17 +374,18 @@ def test_estimate_point_cost_shared_model():
 
     # fresh point: every batch remains
     assert estimate_point_cost(0, 2000, 400) == {
-        "batches_total": 5, "batches_remaining": 5, "new_shots": 2000,
+        "batches_remaining": 5, "new_shots": 2000,
     }
-    # partial with commit-ahead batches: they replay, not decode
-    assert estimate_point_cost(800, 2000, 400, ahead=2) == {
-        "batches_total": 3, "batches_remaining": 1, "new_shots": 400,
+    # partial: the batches from the applied prefix to the cap
+    assert estimate_point_cost(800, 2000, 400) == {
+        "batches_remaining": 3, "new_shots": 1200,
     }
-    # log ahead of the cap never goes negative
-    assert estimate_point_cost(1600, 2000, 400, ahead=9) == {
-        "batches_total": 1, "batches_remaining": 0, "new_shots": 0,
+    # a cap that is not a batch multiple: the final batch overshoots it
+    assert estimate_point_cost(1700, 2000, 400) == {
+        "batches_remaining": 1, "new_shots": 400,
     }
-    # converged / at cap: nothing left
-    assert estimate_point_cost(2000, 2000, 400) == {
-        "batches_total": 0, "batches_remaining": 0, "new_shots": 0,
-    }
+    # converged / at or past the cap: nothing left, never negative
+    for shots in (2000, 2400):
+        assert estimate_point_cost(shots, 2000, 400) == {
+            "batches_remaining": 0, "new_shots": 0,
+        }

@@ -9,7 +9,7 @@ Three families of guarantees:
 * **Zero-cost when off** — disabled tracing hands back shared no-op
   singletons and never evaluates lazy span attributes.
 * **Bit-neutrality** — tracing on vs. off changes nothing in predictions
-  or stored records, at speculation depth 0 and 4 on 1 and 4 workers;
+  or stored records on 0, 1, 2 and 4 workers;
   decode threads record into the one recorder, one ``tid`` lane each.
 """
 
@@ -258,32 +258,28 @@ def _records(report):
 
 
 def test_tracing_bit_identity_across_schedulers(tmp_path):
-    """{--speculate 0, --speculate 4} x {1, 4 workers}, traced vs. untraced."""
+    """{0, 1, 2, 4 workers}, traced vs. untraced."""
     spec = _spec()
     reference = _records(run_sweep(spec, ResultStore(tmp_path / "ref")))
     assert not obs.enabled()  # the reference run really was untraced
 
-    for speculate in (0, 4):
-        for workers in (1, 4):
-            clear_pipeline_cache()
-            obs.configure()
-            try:
-                report = run_sweep(
-                    spec,
-                    ResultStore(tmp_path / f"s{speculate}w{workers}"),
-                    workers=workers,
-                    speculate=speculate,
-                )
-                events = list(obs.active().events)
-            finally:
-                obs.reset()
-            got = _records(report)
-            assert got.keys() == reference.keys()
-            for key, ref in reference.items():
-                assert record_parity_view(got[key]) == record_parity_view(ref), (
-                    f"speculate={speculate} workers={workers}"
-                )
-            assert events, f"speculate={speculate} workers={workers}: no spans"
+    for workers in (0, 1, 2, 4):
+        clear_pipeline_cache()
+        obs.configure()
+        try:
+            report = run_sweep(
+                spec, ResultStore(tmp_path / f"w{workers}"), workers=workers
+            )
+            events = list(obs.active().events)
+        finally:
+            obs.reset()
+        got = _records(report)
+        assert got.keys() == reference.keys()
+        for key, ref in reference.items():
+            assert record_parity_view(got[key]) == record_parity_view(ref), (
+                f"workers={workers}"
+            )
+        assert events, f"workers={workers}: no spans"
 
 
 def test_pipeline_spans_merge_across_decode_threads(tmp_path):
@@ -291,7 +287,7 @@ def test_pipeline_spans_merge_across_decode_threads(tmp_path):
     spec = _spec()
     obs.configure()
     try:
-        run_sweep(spec, ResultStore(tmp_path / "s"), workers=2, speculate=2)
+        run_sweep(spec, ResultStore(tmp_path / "s"), workers=2)
         events = list(obs.active().events)
         counters = dict(obs.active().counters)
     finally:
@@ -301,8 +297,7 @@ def test_pipeline_spans_merge_across_decode_threads(tmp_path):
     # decode-side spans recorded on the decode threads ...
     assert {"ler.sample", "decode.kernel", "store.commit"} <= kinds
     # ... and coordinator-side scheduler spans, in the same buffer
-    assert {"sweep.dispatch", "sweep.idle"} <= kinds
-    assert "sweep.apply" in kinds or "sweep.replay" in kinds
+    assert {"sweep.dispatch", "sweep.idle", "sweep.apply"} <= kinds
     # one process; every kernel span sits on a decode thread's lane, and
     # the scheduler's spans on the coordinator's
     main = threading.get_ident()
@@ -316,7 +311,7 @@ def test_pipeline_spans_merge_across_decode_threads(tmp_path):
         [ev for ev in events if ev["name"] == "decode.kernel"]
     ) == counters["sweep.batches_dispatched"]
     assert counters["sweep.batches_dispatched"] > 0
-    # the scheduler-triage shape the speculation benchmark records
+    # the scheduler-triage shape the scheduler benchmark records
     phases = obs.phase_totals(events)
     assert phases["sweep.dispatch"]["count"] == counters["sweep.batches_dispatched"]
 
@@ -338,18 +333,15 @@ def test_trace_keys_never_reach_stored_records(tmp_path):
     store = ResultStore(tmp_path / "s")
     obs.configure()
     try:
-        report = run_sweep(spec, store, workers=2, speculate=2)
+        report = run_sweep(spec, store, workers=2)
         assert obs.active().events
     finally:
         obs.reset()
     trace_keys = {"ts", "dur", "pid", "tid", "args", "worker"}
-    for key, record in _records(report).items():
+    for key in _records(report):
+        record = store.get(key)
         assert set(record["decode_stats"]) == set(BATCH_STAT_KEYS)
         assert not trace_keys & set(keys(record))
-        for index in store.batch_indices(key):
-            batch = store.get_batch(key, index)
-            assert set(batch["decode_stats"]) == set(BATCH_STAT_KEYS)
-            assert not trace_keys & set(keys(batch))
         assert "repro-decode" not in json.dumps(record)
 
 

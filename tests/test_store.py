@@ -105,103 +105,24 @@ def test_default_store_resolution(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# commit-ahead batch records (the speculative scheduler's log)
+# a leftover commit-ahead batch log (written by older schedulers)
 # ---------------------------------------------------------------------------
 
 
-def test_batch_records_roundtrip_and_ordering(tmp_path):
-    store = ResultStore(tmp_path)
-    key = _key()
-    assert store.get_batch(key, 0) is None
-    assert store.batch_indices(key) == []
-    for index in (2, 0, 1):
-        store.put_batch(key, index, {"shots": 500, "failures": [index]})
-    assert store.batch_indices(key) == [0, 1, 2]
-    got = store.get_batch(key, 2)
-    assert got["shots"] == 500
-    assert got["failures"] == [2]
-    assert got["index"] == 2 and got["key"] == key  # stamped on write
-    # overwriting is allowed (batch contents are deterministic per size)
-    store.put_batch(key, 2, {"shots": 1000, "failures": [9]})
-    assert store.get_batch(key, 2)["shots"] == 1000
-    with pytest.raises(ValueError):
-        store.put_batch(key, -1, {"shots": 1})
-    with pytest.raises(ValueError):
-        store.put_batch("zz", 0, {"shots": 1})
-
-
-def test_delete_batches_below_keeps_speculative_overshoot(tmp_path):
-    store = ResultStore(tmp_path)
-    key = _key()
-    for index in range(4):
-        store.put_batch(key, index, {"shots": 500, "failures": []})
-    assert store.delete_batches(key, below=2) == 2
-    assert store.batch_indices(key) == [2, 3]
-    assert store.delete_batches(key) == 2
-    assert store.batch_indices(key) == []
-    # the emptied per-key dir is gone too
-    assert not (tmp_path / "batches" / key[:2] / key).exists()
-
-
-def test_get_batch_tolerates_corrupt_records(tmp_path):
-    # batch records are derived data; a truncated write must read as
-    # "absent" (re-decode) rather than crash the resume
-    store = ResultStore(tmp_path)
-    key = _key()
-    store.put_batch(key, 0, {"shots": 100, "failures": [1]})
-    path = tmp_path / "batches" / key[:2] / key / "0.json"
-    path.write_text('{"shots": 100, "failu')  # truncated mid-write
-    assert store.get_batch(key, 0) is None
-    # overwriting repairs it
-    store.put_batch(key, 0, {"shots": 100, "failures": [2]})
-    assert store.get_batch(key, 0)["failures"] == [2]
-
-
 def test_clear_removes_batches_and_orphans(tmp_path):
+    """Older schedulers kept a per-batch log under ``batches/``; nothing
+    reads it now, and ``clear`` removes the whole tree, orphans included."""
     store = ResultStore(tmp_path)
     key, orphan = _key(), _key(seed=99)
     store.put(key, {"shots": 100})
-    store.put_batch(key, 0, {"shots": 100, "failures": [1]})
-    store.put_batch(orphan, 0, {"shots": 100, "failures": [0]})  # no record
+    for k in (key, orphan):  # the orphan has no point record
+        batch_dir = tmp_path / "batches" / k[:2] / k
+        batch_dir.mkdir(parents=True)
+        (batch_dir / "0.json").write_text('{"shots": 100, "failures": [1]}')
     assert store.clear() == 1
-    assert store.batch_indices(key) == []
-    assert store.batch_indices(orphan) == []
-    # emptied per-prefix dirs are gone too, not just the per-key dirs
-    assert not any((tmp_path / "batches").glob("??"))
-
-
-def test_gc_prunes_batches_with_their_point_and_orphans(tmp_path):
-    import os as _os
-
-    store = ResultStore(tmp_path)
-    stale, fresh, orphan = _key(seed=1), _key(seed=2), _key(seed=3)
-    store.put(stale, {"shots": 1, "updated_at": 1.0})
-    store.put_batch(stale, 0, {"shots": 1, "failures": []})
-    store.put(fresh, {"shots": 1})  # mtime now: survives
-    store.put_batch(fresh, 0, {"shots": 1, "failures": []})
-    store.put_batch(orphan, 0, {"shots": 1, "failures": []})
-    _os.utime(tmp_path / "batches" / orphan[:2] / orphan / "0.json", (1.0, 1.0))
-
-    preview = store.gc(older_than_seconds=30 * 86400, dry_run=True)
-    assert preview["pruned_keys"] == [stale]
-    assert preview["batches_pruned"] == 2  # stale's batch + the old orphan
-    assert store.batch_indices(stale) == [0]  # dry run touched nothing
-    assert store.batch_indices(orphan) == [0]
-    # the dry run predicts which batches/ prefix dirs the prune will empty
-    for key in (stale, orphan):
-        if key[:2] != fresh[:2]:
-            assert f"batches/{key[:2]}" in preview["dirs_removed"]
-    assert f"batches/{fresh[:2]}" not in preview["dirs_removed"]
-
-    result = store.gc(older_than_seconds=30 * 86400)
-    assert result["batches_pruned"] == 2
-    assert store.batch_indices(stale) == []
-    assert store.batch_indices(orphan) == []
-    assert store.batch_indices(fresh) == [0]  # fresh point keeps its log
-    for key in (stale, orphan):
-        if key[:2] != fresh[:2]:
-            assert not (tmp_path / "batches" / key[:2]).exists()
-    assert (tmp_path / "batches" / fresh[:2]).exists()
+    assert not (tmp_path / "batches").exists()
+    assert store.keys() == []
+    assert store.clear() == 0  # a store without the tree clears too
 
 
 # ---------------------------------------------------------------------------

@@ -287,8 +287,8 @@ def test_family_cache_persists_across_sweep_batches(tmp_path):
     assert stats["decode_calls"] == stats["distinct_syndromes"] > 0
 
 
-@pytest.mark.parametrize("speculate", [0, 1])
-def test_inline_sweep_builds_each_point_graph_once(tmp_path, speculate):
+@pytest.mark.parametrize("workers", [0, 1])  # both select the inline executor
+def test_inline_sweep_builds_each_point_graph_once(tmp_path, workers):
     # the inline executor reuses the coordinator's analyzed pipeline: one
     # matching graph and sampler per point
     spec = _spec(
@@ -299,7 +299,7 @@ def test_inline_sweep_builds_each_point_graph_once(tmp_path, speculate):
     ler_module.clear_pipeline_cache()
     recorder = obs.configure()
     try:
-        report = run_sweep(spec, ResultStore(tmp_path), workers=1, speculate=speculate)
+        report = run_sweep(spec, ResultStore(tmp_path), workers=workers)
         graphs = sum(1 for e in recorder.events if e["name"] == "ler.analyze.graph")
     finally:
         obs.disable()
@@ -356,15 +356,20 @@ def test_family_cache_survives_rounds_in_pooled_mode(tmp_path):
 
 
 def test_every_batch_is_batch_shots(tmp_path):
-    # a loose target on a speculative pool leaves overshoot in the log too
+    # a loose target on a pool: the overshoot batches are batch_shots too
+    from repro.obs import RunLedger
+
     spec = _spec(p=5e-3, max_shots=20_000, target_rse=0.3)
     store = ResultStore(tmp_path)
-    report = run_sweep(spec, store, workers=2, speculate=4)
+    report = run_sweep(spec, store, workers=2, ledger=True)
     (outcome,) = report.outcomes
     record = outcome.record
     assert record["batches"] * spec.batch_shots == record["shots"] < spec.max_shots
-    logged = [store.get_batch(outcome.key, i) for i in store.batch_indices(outcome.key)]
-    assert logged and all(br["shots"] == spec.batch_shots for br in logged)
+    assert report.batches_overshoot > 0
+    events = RunLedger.for_store(store).events(report.run_id)
+    sizes = [ev["shots"] for ev in events if ev["ev"] == "batch"]
+    assert len(sizes) == record["batches"] + report.batches_overshoot
+    assert set(sizes) == {spec.batch_shots}
 
 
 def _old_record(record: dict, next_size: int | None = None) -> dict:
@@ -388,7 +393,8 @@ def test_old_record_resumes_to_the_oracle(capsys, tmp_path):
     where = ["--store", str(store.root)]
     assert cli.main(["sweep", "status", str(spec_file), *where, "--verbose"]) == 0
     out = capsys.readouterr().out
-    assert "partial shots=1000" in out and "batches 2+0 committed / ~6" in out
+    assert "partial shots=1000" in out
+    assert "2 batches applied, <= 4 x 500 shots to decode" in out
     assert cli.main(["sweep", "run", str(spec_file), *where, "--dry-run"]) == 0
     assert "<= 4 x 500 shots to decode" in capsys.readouterr().out
 
@@ -409,8 +415,7 @@ def test_old_record_with_grown_batches_is_recomputed(tmp_path):
         grown = dict(store.get(key), shots=1500, converged=converged)
         store.put(key, _old_record(grown, next_size=1000))
         resumed = run_sweep(spec, store, ledger=False)
-        assert resumed.batches_decoded == 4  # batches 0 and 1 replay from the log
-        assert resumed.batches_replayed == 2
+        assert resumed.batches_decoded == 6  # recomputed from batch 0
         assert record_parity_view(resumed.outcomes[0].record) == oracle_record(spec, pt)
 
 
@@ -572,7 +577,7 @@ def test_scalar_backend_sweep_on_decode_threads_matches_inline(tmp_path, decoder
         inline = run_sweep(spec, ResultStore(tmp_path / "inline"), ledger=False)
         clear_pipeline_cache()
         threaded = run_sweep(
-            spec, ResultStore(tmp_path / "threads"), workers=2, speculate=2, ledger=False
+            spec, ResultStore(tmp_path / "threads"), workers=2, ledger=False
         )
     for a, b in zip(inline.outcomes, threaded.outcomes):
         assert a.key == b.key

@@ -268,7 +268,8 @@ def test_ledger_event_shape_problems_rejected(tmp_path, capsys):
 
 def test_ledger_batch_provenance_must_match_workers(tmp_path, capsys):
     # workers=2 runs decode on repro-decode threads; a main-thread name, a
-    # missing name, or a named replay is a mislabelled row
+    # missing name, or a batch kind the ledger never writes (the replays of
+    # the retired commit-ahead log) is a mislabelled row
     rundir = _write_valid_rundir(tmp_path)
     manifest = json.loads((rundir / "manifest.json").read_text())
     (rundir / "manifest.json").write_text(json.dumps(dict(manifest, workers=2)))
@@ -287,7 +288,7 @@ def test_ledger_batch_provenance_must_match_workers(tmp_path, capsys):
     assert "line 2" not in err
     assert "line 3: batch decoded by 'MainThread'" in err
     assert "line 4: overshoot batch has no worker" in err
-    assert "line 5: replayed batch names worker" in err
+    assert "line 5: unknown batch kind 'replayed'" in err
 
 
 def test_ledger_missing_rundir_rejected(tmp_path, capsys):
