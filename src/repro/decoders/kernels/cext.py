@@ -25,9 +25,12 @@ bit-identical to Python's) and loads it with :mod:`ctypes`:
 
 :class:`CextUnionFind` is stateless between calls: the C kernel allocates
 its scratch per call and ctypes releases the GIL around it, so one kernel
-may decode from several threads at once.  Each call splits its rows across
+may decode from several threads at once.  Each call decodes its rows on
 :func:`decode_threads` threads (one per 256 rows, at most one per usable
-CPU); rows are independent, so the masks never depend on that count.
+CPU), which take :data:`CHUNK_ROWS` rows at a time from one shared counter
+rather than one contiguous range each, so rows of unequal cost cannot
+leave one thread waiting on another; rows are independent, so the masks
+never depend on that count.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 ROWS_PER_THREAD = 256
 #: the most threads one call uses (``UF_MAX_THREADS`` in ``uf.c``)
 MAX_THREADS = 64
+#: rows a kernel thread takes per turn at the shared counter (``UF_CHUNK_ROWS``)
+CHUNK_ROWS = 32
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -240,7 +245,8 @@ class CextUnionFind:
     def decode_packed(self, words: np.ndarray) -> np.ndarray:
         """Observable bitmask per row of bit-packed detector words (:mod:`.plane`).
 
-        The rows are split across :func:`decode_threads` threads.
+        The rows are decoded on :func:`decode_threads` threads, which take
+        :data:`CHUNK_ROWS` rows at a time until none is left.
         """
         words = np.ascontiguousarray(words, dtype=np.uint64)
         n_words = (self.graph.num_detectors + 63) // 64

@@ -29,10 +29,18 @@
  * helpers (plane_xor_darts, plane_dedup) and the backward DEM walk
  * (dem_walk, dem_free), so one build serves all of them.
  *
- * uf_decode_packed splits its rows into n_threads contiguous ranges, each
- * decoded with its own scratch: the calling thread decodes the first range
- * and pthreads the others.  Rows are independent, so every mask is the
- * same for any thread count.
+ * Each edge's growth state (growth, the per-cluster push stamp, a per-call
+ * copy of its weight, the push count, the solid and dirty flags) is one
+ * record, so visiting a frontier edge touches one cache line.  Edges that
+ * grow are listed once (the dirty flag skips repeats), and only they are
+ * reset after the row, not every edge incident to a touched node.
+ *
+ * uf_decode_packed hands its rows out in chunks of UF_CHUNK_ROWS from one
+ * shared atomic counter: the calling thread and n_threads - 1 pthreads,
+ * each with its own scratch, take the next chunk until none is left, so a
+ * run of costly rows cannot leave one thread working while the others
+ * wait.  Rows are independent, so every mask is the same for any thread
+ * count.
  *
  * All scratch state is allocated per call: concurrent calls (ctypes drops
  * the GIL around foreign calls) never share memory.  Build with
@@ -46,24 +54,32 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* one edge's growth state: everything a frontier visit reads or writes */
+typedef struct {
+    int64_t growth; /* grown so far, in half-steps */
+    int64_t stamp;  /* edge_stamp of the last active cluster that pushed it */
+    int64_t w;      /* its integer weight */
+    int32_t count;  /* distinct active clusters pushing it this round */
+    uint8_t solid;  /* fully grown: its endpoints are unioned */
+    uint8_t dirty;  /* listed in dirty[], to be reset after the row */
+} uf_edge;
+
 typedef struct {
     /* graph, borrowed from the caller */
     int64_t boundary, max_rounds;
-    const int64_t *indptr, *eids, *eu, *ev, *w;
+    const int64_t *indptr, *eids, *eu, *ev;
     const uint64_t *eobs;
     /* union-find forest and cluster state, per node */
     int64_t *parent, *mnext, *mtail, *nstamp, *local;
     int32_t *rank;
     uint8_t *parity, *bnd, *occ, *dpar;
     /* growth state, per edge */
-    int64_t *growth, *estamp;
-    int32_t *fcount;
-    uint8_t *solid;
+    uf_edge *edges;
     /* work lists */
-    int64_t *defects, *touched, *active, *frontier, *completed, *solids;
+    int64_t *defects, *touched, *active, *frontier, *completed, *solids, *dirty;
     int64_t *lnode, *loff, *lpos, *ladj, *queue, *ochild, *oparent, *oedge;
     uint8_t *lvis;
-    int64_t n_touched, n_solid, node_stamp, edge_stamp;
+    int64_t n_touched, n_solid, n_dirty, node_stamp, edge_stamp;
 } uf_state;
 
 static int64_t find(uf_state *s, int64_t a)
@@ -146,8 +162,9 @@ static void sort_i64(int64_t *a, int64_t n)
 
 static void grow(uf_state *s, int64_t nd)
 {
-    const int64_t *indptr = s->indptr, *eids = s->eids, *w = s->w;
-    int64_t round, i, k, node, e, root, n_active, n_front, n_comp, step, need, g;
+    const int64_t *indptr = s->indptr, *eids = s->eids;
+    uf_edge *edges = s->edges, *ed;
+    int64_t round, i, k, node, e, root, n_active, n_front, n_comp, step, need, x;
 
     for (round = 0; round < s->max_rounds; round++) {
         /* active roots: odd clusters that do not touch the boundary */
@@ -170,37 +187,49 @@ static void grow(uf_state *s, int64_t nd)
             for (node = s->active[i]; node >= 0; node = s->mnext[node]) {
                 for (k = indptr[node]; k < indptr[node + 1]; k++) {
                     e = eids[k];
-                    if (s->solid[e] || s->estamp[e] == s->edge_stamp)
+                    ed = &edges[e];
+                    if (ed->solid || ed->stamp == s->edge_stamp)
                         continue;
-                    s->estamp[e] = s->edge_stamp;
-                    if (s->fcount[e] == 0)
+                    ed->stamp = s->edge_stamp;
+                    if (ed->count++ == 0)
                         s->frontier[n_front++] = e;
-                    s->fcount[e] += 1;
                 }
             }
         }
         if (n_front == 0)
             break; /* isolated odd cluster with no frontier: give up */
-        /* event-driven growth: jump straight to the next completion */
+        /* event-driven growth: jump straight to the next completion.  A
+         * frontier edge is not solid, so x = w - growth > 0, and one or two
+         * pushers need no division */
         step = -1;
         for (i = 0; i < n_front; i++) {
-            e = s->frontier[i];
-            need = ceil_div(w[e] - s->growth[e], s->fcount[e]);
+            ed = &edges[s->frontier[i]];
+            x = ed->w - ed->growth;
+            if (ed->count == 1)
+                need = x;
+            else if (ed->count == 2)
+                need = (x + 1) >> 1;
+            else
+                need = ceil_div(x, ed->count);
             if (step < 0 || need < step)
                 step = need;
         }
         n_comp = 0;
         for (i = 0; i < n_front; i++) {
             e = s->frontier[i];
-            g = s->growth[e] + (int64_t)s->fcount[e] * step;
-            s->growth[e] = g;
-            s->fcount[e] = 0;
-            if (g >= w[e])
+            ed = &edges[e];
+            ed->growth += (int64_t)ed->count * step;
+            ed->count = 0;
+            if (!ed->dirty) {
+                ed->dirty = 1;
+                s->dirty[s->n_dirty++] = e;
+            }
+            if (ed->growth >= ed->w)
                 s->completed[n_comp++] = e;
         }
         for (i = 0; i < n_comp; i++) {
             e = s->completed[i];
-            s->solid[e] = 1;
+            edges[e].solid = 1;
             s->solids[s->n_solid++] = e;
             add_node(s, s->eu[e]);
             add_node(s, s->ev[e]);
@@ -306,7 +335,8 @@ static uint64_t peel(uf_state *s, int64_t nd)
 /* decode the defect list already in s->defects[0..nd), ascending */
 static uint64_t decode_defects(uf_state *s, int64_t nd)
 {
-    int64_t i, k, a, d;
+    int64_t i, a, d;
+    uf_edge *ed;
     uint64_t mask;
 
     if (nd == 0)
@@ -329,7 +359,7 @@ static uint64_t decode_defects(uf_state *s, int64_t nd)
     grow(s, nd);
     mask = peel(s, nd);
     /* restore the pristine shape: growth and solidity only ever change on
-     * edges incident to touched nodes */
+     * edges that grew, and those are listed in dirty[] */
     for (i = 0; i < s->n_touched; i++) {
         a = s->touched[i];
         s->parent[a] = a;
@@ -337,11 +367,14 @@ static uint64_t decode_defects(uf_state *s, int64_t nd)
         s->parity[a] = 0;
         s->bnd[a] = 0;
         s->occ[a] = 0;
-        for (k = s->indptr[a]; k < s->indptr[a + 1]; k++) {
-            s->growth[s->eids[k]] = 0;
-            s->solid[s->eids[k]] = 0;
-        }
     }
+    for (i = 0; i < s->n_dirty; i++) {
+        ed = &s->edges[s->dirty[i]];
+        ed->growth = 0;
+        ed->solid = 0;
+        ed->dirty = 0;
+    }
+    s->n_dirty = 0;
     return mask;
 }
 
@@ -367,9 +400,9 @@ static void state_free(uf_state *s)
 {
     free(s->parent); free(s->mnext); free(s->mtail); free(s->nstamp);
     free(s->local); free(s->rank); free(s->parity); free(s->bnd); free(s->occ);
-    free(s->dpar); free(s->growth); free(s->estamp); free(s->fcount);
-    free(s->solid); free(s->defects); free(s->touched); free(s->active);
-    free(s->frontier); free(s->completed); free(s->solids); free(s->lnode);
+    free(s->dpar); free(s->edges); free(s->defects); free(s->touched);
+    free(s->active); free(s->frontier); free(s->completed); free(s->solids);
+    free(s->dirty); free(s->lnode);
     free(s->loff); free(s->lpos); free(s->ladj); free(s->queue); free(s->ochild);
     free(s->oparent); free(s->oedge); free(s->lvis);
 }
@@ -390,7 +423,6 @@ static int state_init(uf_state *s, int64_t n_nodes, int64_t n_edges,
     s->eids = eids;
     s->eu = eu;
     s->ev = ev;
-    s->w = w;
     s->eobs = eobs;
 
     s->parent = malloc(N * sizeof(int64_t));
@@ -403,16 +435,14 @@ static int state_init(uf_state *s, int64_t n_nodes, int64_t n_edges,
     s->bnd = calloc(N, 1);
     s->occ = calloc(N, 1);
     s->dpar = calloc(N, 1);
-    s->growth = calloc(E, sizeof(int64_t));
-    s->estamp = calloc(E, sizeof(int64_t));
-    s->fcount = calloc(E, sizeof(int32_t));
-    s->solid = calloc(E, 1);
+    s->edges = calloc(E, sizeof(uf_edge));
     s->defects = malloc(N * sizeof(int64_t));
     s->touched = malloc(N * sizeof(int64_t));
     s->active = malloc(N * sizeof(int64_t));
     s->frontier = malloc(E * sizeof(int64_t));
     s->completed = malloc(E * sizeof(int64_t));
     s->solids = malloc(E * sizeof(int64_t));
+    s->dirty = malloc(E * sizeof(int64_t));
     s->lnode = malloc(N * sizeof(int64_t));
     s->loff = malloc((N + 1) * sizeof(int64_t));
     s->lpos = malloc(N * sizeof(int64_t));
@@ -424,9 +454,9 @@ static int state_init(uf_state *s, int64_t n_nodes, int64_t n_edges,
     s->lvis = malloc(N);
 
     if (!s->parent || !s->mnext || !s->mtail || !s->nstamp || !s->local || !s->rank
-        || !s->parity || !s->bnd || !s->occ || !s->dpar || !s->growth || !s->estamp
-        || !s->fcount || !s->solid || !s->defects || !s->touched || !s->active
-        || !s->frontier || !s->completed || !s->solids || !s->lnode || !s->loff
+        || !s->parity || !s->bnd || !s->occ || !s->dpar || !s->edges || !s->defects
+        || !s->touched || !s->active || !s->frontier || !s->completed || !s->solids
+        || !s->dirty || !s->lnode || !s->loff
         || !s->lpos || !s->ladj || !s->queue || !s->ochild || !s->oparent
         || !s->oedge || !s->lvis) {
         state_free(s);
@@ -436,38 +466,57 @@ static int state_init(uf_state *s, int64_t n_nodes, int64_t n_edges,
         s->parent[i] = i;
         s->local[i] = -1;
     }
+    for (i = 0; i < n_edges; i++)
+        s->edges[i].w = w[i];
     return 0;
 }
 
-/* at most this many ranges per call, whatever n_threads asks for */
+/* at most this many threads per call, whatever n_threads asks for */
 #define UF_MAX_THREADS 64
+/* rows handed out per take of the shared counter */
+#define UF_CHUNK_ROWS 32
 
-/* one contiguous range of rows, decoded with its own scratch */
+/* one call's rows, shared by every thread that decodes them */
 typedef struct {
-    uf_state s;
     const uint64_t *words;
     int64_t n_rows, n_words, n_det;
     uint64_t *out;
-} uf_range;
+    int64_t next; /* first row not yet handed out; taken atomically */
+} uf_rows;
 
-static void *decode_range(void *arg)
+/* one decoding thread: its own scratch over the shared rows */
+typedef struct {
+    uf_state s;
+    uf_rows *rows;
+} uf_worker;
+
+/* take chunks of rows off the shared counter until none is left */
+static void *drain_rows(void *arg)
 {
-    uf_range *r = arg;
-    int64_t i;
+    uf_worker *wk = arg;
+    uf_rows *r = wk->rows;
+    int64_t i, lo, hi;
 
-    for (i = 0; i < r->n_rows; i++)
-        r->out[i] = decode_packed_row(&r->s, r->words + i * r->n_words, r->n_words,
-                                      r->n_det);
+    for (;;) {
+        lo = __atomic_fetch_add(&r->next, UF_CHUNK_ROWS, __ATOMIC_RELAXED);
+        if (lo >= r->n_rows)
+            break;
+        hi = lo + UF_CHUNK_ROWS < r->n_rows ? lo + UF_CHUNK_ROWS : r->n_rows;
+        for (i = lo; i < hi; i++)
+            r->out[i] = decode_packed_row(&wk->s, r->words + i * r->n_words, r->n_words,
+                                          r->n_det);
+    }
     return NULL;
 }
 
 /*
  * Decode n_rows bit-packed syndrome rows (row-major, n_words uint64 words
  * each, detector d in word d / 64, bit d % 64; n_det = n_nodes - 1) into
- * one observable bitmask per row, over n_threads contiguous row ranges
- * (clamped to [1, min(n_rows, UF_MAX_THREADS)]).  The caller decodes range
- * 0 and every range whose thread cannot be created.  Returns 0 on success
- * and -1 when scratch memory cannot be allocated.
+ * one observable bitmask per row, on n_threads threads (clamped to
+ * [1, min(n_rows, UF_MAX_THREADS)]) that take UF_CHUNK_ROWS rows at a time
+ * from one shared counter.  The calling thread drains the counter too, so
+ * rows meant for a thread that cannot be created are decoded all the same.
+ * Returns 0 on success and -1 when scratch memory cannot be allocated.
  */
 int uf_decode_packed(int64_t n_rows, const uint64_t *words, int64_t n_words,
                      int64_t n_nodes, int64_t n_edges, const int64_t *indptr,
@@ -475,10 +524,11 @@ int uf_decode_packed(int64_t n_rows, const uint64_t *words, int64_t n_words,
                      const int64_t *w, const uint64_t *eobs, int64_t boundary,
                      int64_t max_rounds, int64_t n_threads, uint64_t *out)
 {
-    uf_range *ranges;
+    uf_rows rows = {words, n_rows, n_words, n_nodes - 1, out, 0};
+    uf_worker *workers;
     pthread_t *tids;
     uint8_t *started;
-    int64_t t, lo, hi, n_init = 0;
+    int64_t t, n_init = 0;
     int status = -1;
 
     if (n_threads > n_rows)
@@ -487,37 +537,28 @@ int uf_decode_packed(int64_t n_rows, const uint64_t *words, int64_t n_words,
         n_threads = UF_MAX_THREADS;
     if (n_threads < 1)
         n_threads = 1;
-    ranges = calloc((size_t)n_threads, sizeof(*ranges));
+    workers = calloc((size_t)n_threads, sizeof(*workers));
     tids = calloc((size_t)n_threads, sizeof(*tids));
     started = calloc((size_t)n_threads, 1);
-    if (!ranges || !tids || !started)
+    if (!workers || !tids || !started)
         goto done;
     for (t = 0; t < n_threads; t++, n_init++) {
-        lo = n_rows * t / n_threads;
-        hi = n_rows * (t + 1) / n_threads;
-        ranges[t].words = words + lo * n_words;
-        ranges[t].n_rows = hi - lo;
-        ranges[t].n_words = n_words;
-        ranges[t].n_det = n_nodes - 1;
-        ranges[t].out = out + lo;
-        if (state_init(&ranges[t].s, n_nodes, n_edges, indptr, eids, eu, ev, w, eobs,
+        workers[t].rows = &rows;
+        if (state_init(&workers[t].s, n_nodes, n_edges, indptr, eids, eu, ev, w, eobs,
                        boundary, max_rounds) != 0)
             goto done;
     }
     for (t = 1; t < n_threads; t++)
-        started[t] = pthread_create(&tids[t], NULL, decode_range, &ranges[t]) == 0;
-    decode_range(&ranges[0]);
-    for (t = 1; t < n_threads; t++) {
+        started[t] = pthread_create(&tids[t], NULL, drain_rows, &workers[t]) == 0;
+    drain_rows(&workers[0]);
+    for (t = 1; t < n_threads; t++)
         if (started[t])
             pthread_join(tids[t], NULL);
-        else
-            decode_range(&ranges[t]);
-    }
     status = 0;
 done:
     for (t = 0; t < n_init; t++)
-        state_free(&ranges[t].s);
-    free(ranges);
+        state_free(&workers[t].s);
+    free(workers);
     free(tids);
     free(started);
     return status;

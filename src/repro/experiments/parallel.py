@@ -3,9 +3,10 @@
 The paper's artifact runs each configuration's shots as batches on a
 128-process pool.  Here one :class:`SweepTask` is one seeded shot batch of
 one sweep point; :func:`submit_task` hands it to a caller-owned executor —
-a ``concurrent.futures.ThreadPoolExecutor`` of decode threads, or the lazy
-in-process :class:`InlineExecutor` — without blocking, so the scheduler in
-:mod:`repro.experiments.sweeps` keeps dispatching while batches decode.
+a ``concurrent.futures.ThreadPoolExecutor`` of decode threads, which it
+does not wait for, so the scheduler in :mod:`repro.experiments.sweeps` keeps
+dispatching while batches decode; or the in-process :class:`InlineExecutor`,
+which decodes the batch before it returns.
 
 Threads are enough because the work that dominates a batch, the ``cext``
 union-find kernel, is a ``ctypes`` call that releases the GIL and
@@ -28,7 +29,6 @@ from .ler import LerResult, SurgeryLerConfig, clear_pipeline_cache, run_surgery_
 __all__ = [
     "SweepTask",
     "submit_task",
-    "InlineFuture",
     "InlineExecutor",
     "THREAD_NAME_PREFIX",
 ]
@@ -42,45 +42,26 @@ THREAD_NAME_PREFIX = "repro-decode"
 reset_warm_state = clear_pipeline_cache
 
 
-class InlineFuture(Future):
-    """A lazily evaluated in-process future.
-
-    ``submit`` on an :class:`InlineExecutor` returns one of these without
-    running anything; the scheduler calls :meth:`force` when it actually
-    needs the result, so dispatch and decode keep the same shape inline as
-    on the thread pool.
-    """
-
-    def __init__(self, fn, args):
-        super().__init__()
-        self._fn = fn
-        self._args = args
-
-    def force(self) -> None:
-        """Run the deferred call now (no-op if done or cancelled)."""
-        if self.done() or not self.set_running_or_notify_cancel():
-            return
-        try:
-            result = self._fn(*self._args)
-        except BaseException as exc:
-            self.set_exception(exc)
-        else:
-            self.set_result(result)
-
-
 class InlineExecutor:
-    """A ``submit``-shaped executor that runs tasks on the calling thread, lazily.
+    """A ``submit``-shaped executor that runs each task on the calling thread.
 
     The single-core counterpart of the decode-thread pool: schedulers built
-    on :func:`submit_task` work unchanged, and tasks execute when their
-    :class:`InlineFuture` is forced.
+    on :func:`submit_task` work unchanged, and ``submit`` returns a
+    ``Future`` that is already finished.
     """
 
     def submit(self, fn, /, *args, **kwargs):
-        """Defer ``fn(*args)`` into a lazy :class:`InlineFuture`."""
+        """Run ``fn(*args)`` now; its result or exception is in the returned ``Future``."""
         if kwargs:
             raise TypeError("InlineExecutor.submit takes positional args only")
-        return InlineFuture(fn, args)
+        fut = Future()
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            fut.set_exception(exc)
+        else:
+            fut.set_result(result)
+        return fut
 
     def shutdown(self, wait: bool = True, **kwargs) -> None:
         """Nothing to tear down (matches the ThreadPoolExecutor surface)."""
@@ -122,12 +103,11 @@ def _run_task(task: SweepTask) -> LerResult:
 
 
 def submit_task(pool, task: SweepTask):
-    """Dispatch one task on a caller-owned executor, without blocking.
+    """Dispatch one task on a caller-owned executor.
 
-    Returns the ``concurrent.futures.Future`` immediately so a scheduler can
-    keep dispatching (later batches, other sweep points) while this
-    task decodes.  ``pool`` may be a thread pool or an
-    :class:`InlineExecutor` — the latter returns a lazy
-    :class:`InlineFuture` the scheduler forces when it needs the result.
+    On a thread pool this returns the ``concurrent.futures.Future`` at once,
+    so a scheduler can keep dispatching (later batches, other sweep points)
+    while this task decodes.  An :class:`InlineExecutor` runs the task
+    first and returns a finished future.
     """
     return pool.submit(_run_task, task)

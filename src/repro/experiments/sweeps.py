@@ -627,9 +627,9 @@ class _SweepRun:
 
         With ``workers > 1`` the executor is a pool of decode threads; with
         ``workers <= 1`` it is the :class:`InlineExecutor`, one point and one
-        lazy future at a time, which :meth:`_await_some` forces: the inline
-        scheduler decodes exactly the in-order batch set and finishes one
-        point before it admits the next.
+        batch at a time, decoded as it is dispatched: the inline scheduler
+        decodes exactly the in-order batch set and finishes one point before
+        it admits the next.
 
         Points are admitted by estimated remaining decode work, biggest
         first, so the long-tail point starts earliest; application stays
@@ -778,13 +778,11 @@ class _SweepRun:
     def _await_some(self, futures: dict) -> None:
         """Block for at least one in-flight batch and receive all completed.
 
-        Thread mode waits on FIRST_COMPLETED.  Inline mode holds one lazy
-        future, which it forces.  A failed batch raises here.
+        Thread mode waits on FIRST_COMPLETED.  Inline mode holds one
+        finished future.  A failed batch raises here.
         """
         if self.inline:
-            fut = next(iter(futures))
-            fut.force()
-            done = [fut]
+            done = [next(iter(futures))]
         else:
             with obs.span("sweep.idle", lambda: {"inflight": len(futures)}):
                 done, _ = wait(list(futures), return_when=FIRST_COMPLETED)

@@ -251,9 +251,9 @@ def test_mutation_c_kernel_edit_without_salt_bump_fails(tmp_path, capsys):
     box = make_sandbox(tmp_path)
     uf = box / "src" / "repro" / "decoders" / "kernels" / "uf.c"
     src = uf.read_text()
-    needle = "if (g >= w[e])"
+    needle = "if (ed->growth >= ed->w)"
     assert needle in src
-    uf.write_text(src.replace(needle, "if (g > w[e])"))
+    uf.write_text(src.replace(needle, "if (ed->growth > ed->w)"))
     assert cli.main(["lint", "--root", str(box)]) == 1
     out = capsys.readouterr().out
     assert "src/repro/decoders/kernels/uf.c:1:" in out

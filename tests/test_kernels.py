@@ -422,20 +422,73 @@ def _decode_with_threads(kernel, words, n_threads):
 @requires_cc
 @pytest.mark.parametrize("graph_name", ["extra_rounds_graph", "ibm_active_graph"])
 def test_cext_masks_do_not_depend_on_the_thread_count(graph_name, request):
-    """Row ranges split across threads decode exactly as one thread does."""
+    """Rows shared out across threads decode exactly as one thread does."""
     graph = request.getfixturevalue(graph_name)
     kernel = cext.CextUnionFind(UnionFindDecoder(graph))
     det = build_dense_syndromes(graph, 2000, 0.01, seed=17)
     det[::3] = build_dense_syndromes(graph, det[::3].shape[0], 0.05, seed=18)
+    sampled = plane.pack_words(det)
+    # rows sorted by defect count: chunks taken early are cheap, late ones costly
+    by_defects = sampled[np.argsort(det.sum(axis=1), kind="stable")]
+    chunk = cext.CHUNK_ROWS
+    row_counts = (0, 1, 255, 256, 2000, chunk - 1, chunk, chunk + 1, 2 * chunk * 8 + 1)
+    for words in (sampled, by_defects):
+        for rows in row_counts:
+            part = np.ascontiguousarray(words[:rows])
+            expected = _decode_with_threads(kernel, part, 1)
+            if rows:
+                assert np.array_equal(expected, kernel.decode_packed(part))
+            for n_threads in (2, 3, 8, rows + 5):
+                masks = _decode_with_threads(kernel, part, n_threads)
+                assert masks.tolist() == expected.tolist(), (rows, n_threads)
+
+
+@requires_cc
+def test_cext_resets_grown_edges_between_rows(ibm_active_graph, monkeypatch):
+    """One call over ~2,000 rows decodes each row as a call of its own does.
+
+    A single defect's cluster stays odd until it reaches the boundary node
+    (223 edges on this graph); two defects joined by an edge lighter than
+    every other edge at either end merge first and never reach it.  The rows
+    alternate between the two kinds on one thread's scratch, so an edge a row
+    grew and the kernel failed to reset would change the next row's mask.
+    """
+    graph = ibm_active_graph
+    dec = UnionFindDecoder(graph)
+    kernel = cext.CextUnionFind(dec)
+    eu, ev, w, boundary = graph.edge_u, graph.edge_v, dec._weights, graph.boundary_node
+    indptr, eids = graph.adjacency()
+    lightest = np.array([w[eids[indptr[n]:indptr[n + 1]]].min() for n in range(boundary)])
+    pairs = [
+        sorted((int(eu[e]), int(ev[e])))
+        for e in range(graph.num_edges)
+        if boundary not in (eu[e], ev[e])
+        and eu[e] != ev[e]
+        and w[e] <= min(lightest[eu[e]], lightest[ev[e]])
+    ][:1000]
+    singles = [[i % graph.num_detectors] for i in range(len(pairs))]
+    assert len(pairs) == 1000
+
+    # the scalar reference's solid edges confirm which rows reach the boundary
+    reached = []
+    peel = dec._peel
+
+    def spy(defects, solid):
+        reached.append(any(boundary in (eu[e], ev[e]) for e in solid))
+        return peel(defects, solid)
+
+    monkeypatch.setattr(dec, "_peel", spy)
+    for defects in singles + pairs:
+        dec._decode_defects(defects)
+    assert reached == [True] * len(singles) + [False] * len(pairs)
+
+    det = np.zeros((2 * len(pairs), graph.num_detectors), dtype=bool)
+    for i, defects in enumerate(d for pair in zip(singles, pairs) for d in pair):
+        det[i, defects] = True
     words = plane.pack_words(det)
-    for rows in (0, 1, 255, 256, 2000):
-        part = np.ascontiguousarray(words[:rows])
-        expected = _decode_with_threads(kernel, part, 1)
-        if rows:
-            assert np.array_equal(expected, kernel.decode_packed(part))
-        for n_threads in (2, 3, 8, rows + 5):
-            masks = _decode_with_threads(kernel, part, n_threads)
-            assert masks.tolist() == expected.tolist(), (rows, n_threads)
+    alone = [kernel.decode_packed(words[i : i + 1])[0] for i in range(words.shape[0])]
+    assert _decode_with_threads(kernel, words, 1).tolist() == alone
+    assert kernel.decode_packed(words).tolist() == alone
 
 
 def test_decode_threads_follow_the_row_count_and_cpus(monkeypatch):
@@ -448,6 +501,7 @@ def test_decode_threads_follow_the_row_count_and_cpus(monkeypatch):
     monkeypatch.setattr(cext, "usable_cpus", lambda: 1000)
     assert cext.decode_threads(10**6) == cext.MAX_THREADS
     assert f"#define UF_MAX_THREADS {cext.MAX_THREADS}" in cext.SOURCE.read_text()
+    assert f"#define UF_CHUNK_ROWS {cext.CHUNK_ROWS}" in cext.SOURCE.read_text()
 
 
 @requires_cc
