@@ -40,7 +40,9 @@
  * each with its own scratch, take the next chunk until none is left, so a
  * run of costly rows cannot leave one thread working while the others
  * wait.  Rows are independent, so every mask is the same for any thread
- * count.
+ * count.  Every scratch array, every thread's state and the counter sit on
+ * cache lines of their own (line_alloc), so no thread writes a line that
+ * another reads, wherever the allocator puts the blocks.
  *
  * All scratch state is allocated per call: concurrent calls (ctypes drops
  * the GIL around foreign calls) never share memory.  Build with
@@ -396,6 +398,24 @@ static uint64_t decode_packed_row(uf_state *s, const uint64_t *row, int64_t n_wo
     return decode_defects(s, nd);
 }
 
+/* the cache line: no two scratch arrays, and no two threads' states, share one */
+#define UF_LINE 64
+
+/* n bytes on cache lines of their own, zeroed when zero is set; NULL when
+ * out of memory.  A line that one thread writes and another reads would
+ * ping-pong between their cores on every row, by an amount that depends
+ * on where the allocator happens to put each block. */
+static void *line_alloc(size_t n, int zero)
+{
+    void *p;
+
+    n = (n + UF_LINE - 1) / UF_LINE * UF_LINE;
+    p = aligned_alloc(UF_LINE, n ? n : UF_LINE);
+    if (p && zero)
+        memset(p, 0, n);
+    return p;
+}
+
 static void state_free(uf_state *s)
 {
     free(s->parent); free(s->mnext); free(s->mtail); free(s->nstamp);
@@ -425,33 +445,33 @@ static int state_init(uf_state *s, int64_t n_nodes, int64_t n_edges,
     s->ev = ev;
     s->eobs = eobs;
 
-    s->parent = malloc(N * sizeof(int64_t));
-    s->mnext = malloc(N * sizeof(int64_t));
-    s->mtail = malloc(N * sizeof(int64_t));
-    s->nstamp = calloc(N, sizeof(int64_t));
-    s->local = malloc(N * sizeof(int64_t));
-    s->rank = calloc(N, sizeof(int32_t));
-    s->parity = calloc(N, 1);
-    s->bnd = calloc(N, 1);
-    s->occ = calloc(N, 1);
-    s->dpar = calloc(N, 1);
-    s->edges = calloc(E, sizeof(uf_edge));
-    s->defects = malloc(N * sizeof(int64_t));
-    s->touched = malloc(N * sizeof(int64_t));
-    s->active = malloc(N * sizeof(int64_t));
-    s->frontier = malloc(E * sizeof(int64_t));
-    s->completed = malloc(E * sizeof(int64_t));
-    s->solids = malloc(E * sizeof(int64_t));
-    s->dirty = malloc(E * sizeof(int64_t));
-    s->lnode = malloc(N * sizeof(int64_t));
-    s->loff = malloc((N + 1) * sizeof(int64_t));
-    s->lpos = malloc(N * sizeof(int64_t));
-    s->ladj = malloc(2 * E * sizeof(int64_t));
-    s->queue = malloc(N * sizeof(int64_t));
-    s->ochild = malloc(N * sizeof(int64_t));
-    s->oparent = malloc(N * sizeof(int64_t));
-    s->oedge = malloc(N * sizeof(int64_t));
-    s->lvis = malloc(N);
+    s->parent = line_alloc(N * sizeof(int64_t), 0);
+    s->mnext = line_alloc(N * sizeof(int64_t), 0);
+    s->mtail = line_alloc(N * sizeof(int64_t), 0);
+    s->nstamp = line_alloc(N * sizeof(int64_t), 1);
+    s->local = line_alloc(N * sizeof(int64_t), 0);
+    s->rank = line_alloc(N * sizeof(int32_t), 1);
+    s->parity = line_alloc(N, 1);
+    s->bnd = line_alloc(N, 1);
+    s->occ = line_alloc(N, 1);
+    s->dpar = line_alloc(N, 1);
+    s->edges = line_alloc(E * sizeof(uf_edge), 1);
+    s->defects = line_alloc(N * sizeof(int64_t), 0);
+    s->touched = line_alloc(N * sizeof(int64_t), 0);
+    s->active = line_alloc(N * sizeof(int64_t), 0);
+    s->frontier = line_alloc(E * sizeof(int64_t), 0);
+    s->completed = line_alloc(E * sizeof(int64_t), 0);
+    s->solids = line_alloc(E * sizeof(int64_t), 0);
+    s->dirty = line_alloc(E * sizeof(int64_t), 0);
+    s->lnode = line_alloc(N * sizeof(int64_t), 0);
+    s->loff = line_alloc((N + 1) * sizeof(int64_t), 0);
+    s->lpos = line_alloc(N * sizeof(int64_t), 0);
+    s->ladj = line_alloc(2 * E * sizeof(int64_t), 0);
+    s->queue = line_alloc(N * sizeof(int64_t), 0);
+    s->ochild = line_alloc(N * sizeof(int64_t), 0);
+    s->oparent = line_alloc(N * sizeof(int64_t), 0);
+    s->oedge = line_alloc(N * sizeof(int64_t), 0);
+    s->lvis = line_alloc(N, 0);
 
     if (!s->parent || !s->mnext || !s->mtail || !s->nstamp || !s->local || !s->rank
         || !s->parity || !s->bnd || !s->occ || !s->dpar || !s->edges || !s->defects
@@ -476,17 +496,19 @@ static int state_init(uf_state *s, int64_t n_nodes, int64_t n_edges,
 /* rows handed out per take of the shared counter */
 #define UF_CHUNK_ROWS 32
 
-/* one call's rows, shared by every thread that decodes them */
+/* one call's rows, shared by every thread that decodes them; the counter
+ * has a cache line to itself */
 typedef struct {
     const uint64_t *words;
     int64_t n_rows, n_words, n_det;
     uint64_t *out;
-    int64_t next; /* first row not yet handed out; taken atomically */
+    _Alignas(UF_LINE) int64_t next; /* first row not yet handed out; taken atomically */
 } uf_rows;
 
-/* one decoding thread: its own scratch over the shared rows */
+/* one decoding thread: its own scratch over the shared rows, on cache
+ * lines of its own */
 typedef struct {
-    uf_state s;
+    _Alignas(UF_LINE) uf_state s;
     uf_rows *rows;
 } uf_worker;
 
@@ -494,17 +516,20 @@ typedef struct {
 static void *drain_rows(void *arg)
 {
     uf_worker *wk = arg;
-    uf_rows *r = wk->rows;
+    int64_t *next = &wk->rows->next;
+    const uint64_t *words = wk->rows->words;
+    const int64_t n_rows = wk->rows->n_rows, n_words = wk->rows->n_words;
+    const int64_t n_det = wk->rows->n_det;
+    uint64_t *out = wk->rows->out;
     int64_t i, lo, hi;
 
     for (;;) {
-        lo = __atomic_fetch_add(&r->next, UF_CHUNK_ROWS, __ATOMIC_RELAXED);
-        if (lo >= r->n_rows)
+        lo = __atomic_fetch_add(next, UF_CHUNK_ROWS, __ATOMIC_RELAXED);
+        if (lo >= n_rows)
             break;
-        hi = lo + UF_CHUNK_ROWS < r->n_rows ? lo + UF_CHUNK_ROWS : r->n_rows;
+        hi = lo + UF_CHUNK_ROWS < n_rows ? lo + UF_CHUNK_ROWS : n_rows;
         for (i = lo; i < hi; i++)
-            r->out[i] = decode_packed_row(&wk->s, r->words + i * r->n_words, r->n_words,
-                                          r->n_det);
+            out[i] = decode_packed_row(&wk->s, words + i * n_words, n_words, n_det);
     }
     return NULL;
 }
@@ -537,7 +562,7 @@ int uf_decode_packed(int64_t n_rows, const uint64_t *words, int64_t n_words,
         n_threads = UF_MAX_THREADS;
     if (n_threads < 1)
         n_threads = 1;
-    workers = calloc((size_t)n_threads, sizeof(*workers));
+    workers = line_alloc((size_t)n_threads * sizeof(*workers), 1);
     tids = calloc((size_t)n_threads, sizeof(*tids));
     started = calloc((size_t)n_threads, 1);
     if (!workers || !tids || !started)
