@@ -4,14 +4,14 @@
 
 The package layers, bottom to top:
 
-* :mod:`repro.stab` - from-scratch stabilizer substrate (circuits, tableau
-  and Pauli-frame simulators, detector error models) replacing Stim;
+* :mod:`repro.stab` - from-scratch stabilizer substrate (circuits,
+  detector error models, DEM sampling) replacing Stim;
 * :mod:`repro.decoders` - union-find (the workhorse) and MWPM (the
   accuracy reference) decoders replacing PyMatching;
 * :mod:`repro.codes` - rotated surface code, repetition code, and
   lattice-surgery circuit generation (the paper's ``lattice-sim``);
 * :mod:`repro.noise` / :mod:`repro.timing` - Table-3 hardware models,
-  Pauli-twirl idling, logical clocks and idle schedules;
+  Pauli-twirl idling and per-round idle schedules;
 * :mod:`repro.core` - the paper's contribution: Passive/Active/Hybrid
   synchronization policies, slack solvers (Eq. 1-2), and the Fig. 12
   synchronization microarchitecture;

@@ -1,8 +1,5 @@
 """Code constructions: rotated surface code, repetition code, lattice surgery."""
 
-from .color import steane_code, triangular_color_code
-from .css import CssCode, css_memory_experiment, syndrome_schedule
-from .defects import DefectMap, DefectiveSchedule, repair_schedule, sample_defect_map
 from .layout import PatchLayout, Plaquette, QubitRegistry, other_basis
 from .rotated_surface import MemoryArtifacts, memory_experiment
 from .rounds import StabilizerRoundEmitter
@@ -11,7 +8,6 @@ from .multi_surgery import (
     MultiSurgerySpec,
     multi_patch_surgery_experiment,
 )
-from .qldpc import bivariate_bicycle_code, make_gross_code, make_small_bb_code
 from .surgery import (
     OBS_JOINT,
     OBS_SINGLE,
@@ -21,27 +17,10 @@ from .surgery import (
     surgery_experiment,
 )
 
-from .teleport import TeleportArtifacts, TeleportSpec, teleport_experiment
-
 __all__ = [
-    "steane_code",
-    "triangular_color_code",
-    "CssCode",
-    "css_memory_experiment",
-    "syndrome_schedule",
-    "bivariate_bicycle_code",
-    "make_gross_code",
-    "make_small_bb_code",
     "MultiSurgeryArtifacts",
     "MultiSurgerySpec",
     "multi_patch_surgery_experiment",
-    "TeleportArtifacts",
-    "TeleportSpec",
-    "teleport_experiment",
-    "DefectMap",
-    "DefectiveSchedule",
-    "repair_schedule",
-    "sample_defect_map",
     "PatchLayout",
     "Plaquette",
     "QubitRegistry",

@@ -12,13 +12,13 @@ Synchronization idles (:class:`~repro.timing.schedule.RoundIdle`) are
 stitched in here: ``pre_ns`` before the round, ``intra_ns`` split evenly
 across the six internal layer boundaries.
 
-Every surface-code experiment (memory, surgery, k-patch, teleport) is
+Every surface-code experiment (memory, surgery, k-patch) is
 composed from the emitter's steps: patch rounds, merge, readout.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from ..noise.models import NoiseModel
@@ -271,23 +271,21 @@ class StabilizerRoundEmitter:
         basis: str,
         *,
         label: int = 0,
-        random_first: Collection[int] = (),
     ) -> int:
         """Run each ``(layout, qubits, timeline)`` patch, then its final idle.
 
         Round ``r`` of every patch runs before round ``r + 1`` of any; each
-        patch round adds one detector block at ``label + r``.  The patches
-        indexed in ``random_first`` were prepared in the other basis, so
-        their first round gets no detectors.  Returns the next label.
+        patch round adds one detector block at ``label + r``.  Returns the
+        next label.
         """
         num_rounds = max(timeline.num_rounds for _, _, timeline in patches)
         for r in range(num_rounds):
-            for i, (layout, qubits, timeline) in enumerate(patches):
+            for layout, qubits, timeline in patches:
                 if r >= timeline.num_rounds:
                     continue
                 recs = self.emit_round(layout.plaquettes, qubits, timeline.rounds[r])
                 rows = self._round_rows(layout.plaquettes, recs, basis)
-                self.add_detectors([] if r == 0 and i in random_first else rows, label + r, basis)
+                self.add_detectors(rows, label + r, basis)
         for _, qubits, timeline in patches:
             if timeline.final_idle_ns > 0:
                 self.noise.emit_idle(self.circuit, qubits, timeline.final_idle_ns)

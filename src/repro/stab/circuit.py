@@ -421,20 +421,6 @@ class Circuit:
             f"{self.num_observables} observables)"
         )
 
-    def to_text(self) -> str:
-        """Stim-flavoured textual dump (for debugging and golden tests)."""
-        lines = []
-        for inst in self.instructions:
-            parts = [inst.name]
-            if inst.args:
-                parts[0] += "(" + ", ".join(f"{a:g}" for a in inst.args) + ")"
-            parts.extend(str(t) for t in inst.targets)
-            parts.extend(f"rec[{r}]" for r in inst.rec)
-            if inst.obs_index >= 0:
-                parts.insert(1, str(inst.obs_index))
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
-
 
 def _validate(name: str, gate, t: np.ndarray, args: tuple[float, ...]) -> None:
     """Reject a malformed target list or argument list of one instruction."""

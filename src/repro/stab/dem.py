@@ -65,7 +65,6 @@ from .._util import (
     run_starts,
 )
 from .circuit import NAMES, OPCODES, Circuit
-from .frame import _KIND_BY_NAME
 from .gates import GATES, GateKind, ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
 
 __all__ = ["DemError", "DetectorErrorModel", "circuit_to_dem", "dem_walk"]
@@ -318,6 +317,38 @@ _OPCODES = {
     )
 }
 _MEASURES = [_OPCODES[k] for k in ("m", "mx", "mr")]
+
+
+#: the simulation kind of every non-annotation gate (the Pauli gates are
+#: ``skip``); the walk's opcodes and the frame oracle in ``tests/`` read it
+_KIND_BY_NAME = {
+    "I": "skip",
+    "X": "skip",
+    "Y": "skip",
+    "Z": "skip",
+    "H": "h",
+    "S": "s",
+    "S_DAG": "s",
+    "SQRT_X": "sqrt_x",
+    "SQRT_X_DAG": "sqrt_x",
+    "CX": "cx",
+    "CNOT": "cx",
+    "CZ": "cz",
+    "SWAP": "swap",
+    "R": "r",
+    "RZ": "r",
+    "RX": "r",
+    "M": "m",
+    "MZ": "m",
+    "MX": "mx",
+    "MR": "mr",
+    "X_ERROR": "x_error",
+    "Y_ERROR": "y_error",
+    "Z_ERROR": "z_error",
+    "DEPOLARIZE1": "depolarize1",
+    "DEPOLARIZE2": "depolarize2",
+    "PAULI_CHANNEL_1": "pauli_channel_1",
+}
 
 
 def _walk_opcode(name: str) -> int:

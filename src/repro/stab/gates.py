@@ -1,12 +1,11 @@
 """Gate set of the stabilizer substrate.
 
 Every instruction a :class:`repro.stab.circuit.Circuit` may contain is declared
-here, together with the data the simulators need:
+here, together with the data that extraction and validation need:
 
-* ``kind`` drives dispatch in the frame/tableau simulators,
-* ``frame1``/``frame2`` give the Pauli-frame action of Clifford gates as
-  update rules on (x, z) bit planes,
-* ``num_probabilities`` validates noise arguments.
+* ``kind`` drives dispatch in the DEM walk (:mod:`repro.stab.dem`),
+* ``targets_per_op`` and ``num_probabilities`` validate targets and noise
+  arguments.
 
 The set mirrors the subset of Stim used by the paper's circuit generator.
 """
@@ -40,8 +39,6 @@ class GateDef:
     targets_per_op: int = 1
     #: number of probability arguments required (noise channels only)
     num_probabilities: int = 0
-    #: for 1q Cliffords: (new_x, new_z) as strings over {"x","z","x^z"}
-    frame1: tuple[str, str] | None = None
     #: human-readable note
     doc: str = ""
     aliases: tuple[str, ...] = field(default=())
@@ -61,24 +58,13 @@ def _register(gate: GateDef) -> None:
 
 
 # --- single-qubit Cliffords -------------------------------------------------
-# frame1 encodes how an error frame (x, z) transforms under conjugation.
-_register(_g("I", GateKind.CLIFFORD_1, frame1=("x", "z"), doc="identity"))
-_register(_g("X", GateKind.CLIFFORD_1, frame1=("x", "z"), doc="Pauli X (frame-transparent)"))
-_register(_g("Y", GateKind.CLIFFORD_1, frame1=("x", "z"), doc="Pauli Y (frame-transparent)"))
-_register(_g("Z", GateKind.CLIFFORD_1, frame1=("x", "z"), doc="Pauli Z (frame-transparent)"))
-_register(_g("H", GateKind.CLIFFORD_1, frame1=("z", "x"), doc="Hadamard: X<->Z"))
-_register(
-    _g("S", GateKind.CLIFFORD_1, frame1=("x", "x^z"), doc="phase gate: X->Y", aliases=("S_DAG",))
-)
-_register(
-    _g(
-        "SQRT_X",
-        GateKind.CLIFFORD_1,
-        frame1=("x^z", "z"),
-        doc="sqrt(X): Z->Y",
-        aliases=("SQRT_X_DAG",),
-    )
-)
+_register(_g("I", GateKind.CLIFFORD_1, doc="identity"))
+_register(_g("X", GateKind.CLIFFORD_1, doc="Pauli X (frame-transparent)"))
+_register(_g("Y", GateKind.CLIFFORD_1, doc="Pauli Y (frame-transparent)"))
+_register(_g("Z", GateKind.CLIFFORD_1, doc="Pauli Z (frame-transparent)"))
+_register(_g("H", GateKind.CLIFFORD_1, doc="Hadamard: X<->Z"))
+_register(_g("S", GateKind.CLIFFORD_1, doc="phase gate: X->Y", aliases=("S_DAG",)))
+_register(_g("SQRT_X", GateKind.CLIFFORD_1, doc="sqrt(X): Z->Y", aliases=("SQRT_X_DAG",)))
 
 # --- two-qubit Cliffords ------------------------------------------------------
 _register(_g("CX", GateKind.CLIFFORD_2, targets_per_op=2, doc="CNOT", aliases=("CNOT",)))

@@ -1,6 +1,5 @@
-"""Cycle timing: logical clocks and per-round idle schedules."""
+"""Cycle timing: per-round idle schedules of a patch."""
 
-from .clocks import LogicalClock
 from .schedule import PatchTimeline, RoundIdle
 
-__all__ = ["LogicalClock", "PatchTimeline", "RoundIdle"]
+__all__ = ["PatchTimeline", "RoundIdle"]

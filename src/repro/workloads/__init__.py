@@ -12,7 +12,6 @@ from .generators import (
     wstate,
 )
 from .ir import CLIFFORD_GATES, LogicalCircuit, LogicalGate
-from .mapper import LatticeSurgeryOp, MappedProgram, map_circuit
 from .qasm import QasmError, parse_qasm
 from .resources import ResourceEstimate, estimate_resources, t_count_for_rotation
 from .sync_estimate import (
@@ -35,9 +34,6 @@ __all__ = [
     "CLIFFORD_GATES",
     "LogicalCircuit",
     "LogicalGate",
-    "LatticeSurgeryOp",
-    "MappedProgram",
-    "map_circuit",
     "QasmError",
     "parse_qasm",
     "ResourceEstimate",

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from frame_oracle import compile_instruction
 
 from repro._util import combine_flip_probabilities
 from repro.stab.circuit import Circuit
 from repro.stab.dem import DemError, DetectorErrorModel
-from repro.stab.frame import compile_instruction
 from repro.stab.gates import GateKind, TWO_QUBIT_PAULIS
 
 

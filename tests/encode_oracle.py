@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.decoders.kernels.plane import Signatures
 from repro.stab.circuit import Circuit
-from repro.stab.frame import _KIND_BY_NAME
+from repro.stab.dem import _KIND_BY_NAME
 from repro.stab.gates import GateKind, ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
 
 #: opcodes of ``dem_walk``'s instruction encoding, in ``uf.c``'s enum order

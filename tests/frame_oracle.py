@@ -1,4 +1,4 @@
-"""Vectorized Pauli-frame sampler.
+"""Vectorized Pauli-frame sampler, kept as a test oracle.
 
 Samples many shots of a noisy stabilizer circuit at once by tracking, for each
 shot, the Pauli *frame* (the difference between the noisy run and a noiseless
@@ -16,9 +16,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .._util import resolve_rng
-from .circuit import Circuit
-from .gates import GateKind
+from repro._util import resolve_rng
+from repro.stab.circuit import Circuit
+from repro.stab.dem import _KIND_BY_NAME
+from repro.stab.gates import GateKind
 
 __all__ = ["FrameSimulator", "sample_detectors"]
 
@@ -144,36 +145,6 @@ class _CompiledOp:
         self.a = a
         self.b = b
         self.p = p
-
-
-_KIND_BY_NAME = {
-    "I": "skip",
-    "X": "skip",
-    "Y": "skip",
-    "Z": "skip",
-    "H": "h",
-    "S": "s",
-    "S_DAG": "s",
-    "SQRT_X": "sqrt_x",
-    "SQRT_X_DAG": "sqrt_x",
-    "CX": "cx",
-    "CNOT": "cx",
-    "CZ": "cz",
-    "SWAP": "swap",
-    "R": "r",
-    "RZ": "r",
-    "RX": "r",
-    "M": "m",
-    "MZ": "m",
-    "MX": "mx",
-    "MR": "mr",
-    "X_ERROR": "x_error",
-    "Y_ERROR": "y_error",
-    "Z_ERROR": "z_error",
-    "DEPOLARIZE1": "depolarize1",
-    "DEPOLARIZE2": "depolarize2",
-    "PAULI_CHANNEL_1": "pauli_channel_1",
-}
 
 
 def compile_instruction(inst) -> list[_CompiledOp]:

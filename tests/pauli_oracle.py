@@ -1,10 +1,10 @@
-"""Dense Pauli-string algebra over qubit registers.
+"""Dense Pauli-string algebra over qubit registers, kept as a test oracle.
 
 A :class:`PauliString` stores per-qubit X and Z bit vectors plus a global
 phase exponent (power of ``i``).  It supports multiplication, commutation
-checks, and conversion to/from compact text like ``"+XIZY"``.  The stabilizer
-substrate uses it for observables, logical operators, and tests; the hot
-simulation paths use raw bit arrays instead.
+checks, and conversion to/from compact text like ``"+XIZY"``.  The tests use
+it to check the tableau oracle and the surface-code layouts' logical
+operators; the package's simulation paths use raw bit arrays instead.
 """
 
 from __future__ import annotations

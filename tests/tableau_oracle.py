@@ -1,4 +1,4 @@
-"""Aaronson–Gottesman CHP tableau simulator.
+"""Aaronson–Gottesman CHP tableau simulator, kept as a test oracle.
 
 This is the substrate's *verification oracle*: an independent, state-vector-
 equivalent stabilizer simulator used to check that generated circuits have
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._util import resolve_rng
-from .circuit import Circuit
-from .gates import GateKind
+from repro._util import resolve_rng
+from repro.stab.circuit import Circuit
+from repro.stab.gates import GateKind
 
 __all__ = ["TableauSimulator", "simulate_circuit"]
 

@@ -72,42 +72,3 @@ def test_code_cycle_models_ordering():
             < QLDPC_BB.cycle_time_ns(hw)
             < COLOR_CODE.cycle_time_ns(hw)
         )
-
-
-# --- speculative leakage-reduction drift (Sec. 3.2 "other sources") -----------
-
-
-def test_lrc_slack_bounded_and_seeded():
-    from repro.casestudies import LrcModel, leakage_slack_distribution
-
-    dist = leakage_slack_distribution(IBM, rounds=50, shots=20_000, rng=3)
-    assert (dist.samples_ns >= 0).all()
-    assert dist.worst_ns < IBM.cycle_time_ns
-    again = leakage_slack_distribution(IBM, rounds=50, shots=20_000, rng=3)
-    assert np.array_equal(dist.samples_ns, again.samples_ns)
-
-
-def test_lrc_slack_grows_with_rounds_then_wraps():
-    from repro.casestudies import leakage_slack_distribution
-
-    short = leakage_slack_distribution(IBM, rounds=5, shots=30_000, rng=1)
-    longer = leakage_slack_distribution(IBM, rounds=80, shots=30_000, rng=1)
-    assert longer.mean_ns > short.mean_ns
-
-
-def test_lrc_model_validation():
-    from repro.casestudies import LrcModel, leakage_slack_distribution
-
-    with pytest.raises(ValueError):
-        LrcModel(p_lrc=1.5)
-    with pytest.raises(ValueError):
-        leakage_slack_distribution(IBM, rounds=0)
-
-
-def test_lrc_zero_probability_never_drifts():
-    from repro.casestudies import LrcModel, leakage_slack_distribution
-
-    dist = leakage_slack_distribution(
-        IBM, rounds=40, shots=5_000, model=LrcModel(p_lrc=0.0), rng=2
-    )
-    assert dist.worst_ns == 0.0

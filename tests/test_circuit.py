@@ -219,17 +219,6 @@ def test_qubit_coords_tracked():
     assert c.qubit_coords[3] == (1.0, 2.0)
 
 
-def test_to_text_contains_instructions():
-    c = Circuit()
-    c.append("R", [0])
-    c.append("X_ERROR", [0], [0.25])
-    m = c.append("M", [0])
-    c.detector(m)
-    text = c.to_text()
-    assert "X_ERROR(0.25) 0" in text
-    assert "DETECTOR" in text
-
-
 def test_gate_table_consistency():
     for name, gate in GATES.items():
         assert gate.kind in vars(GateKind).values()

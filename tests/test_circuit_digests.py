@@ -17,13 +17,9 @@ import pytest
 from repro.codes import (
     MultiSurgerySpec,
     SurgerySpec,
-    TeleportSpec,
-    css_memory_experiment,
     memory_experiment,
     multi_patch_surgery_experiment,
-    steane_code,
     surgery_experiment,
-    teleport_experiment,
 )
 from repro.codes.repetition import repetition_experiment
 from repro.core.policies import make_policy
@@ -72,28 +68,6 @@ def _surgery(policy, ls_basis="Z", hardware=GOOGLE, seam=False):
     )
     _, art = _synthesize(config, make_policy(policy))
     return art.circuit
-
-
-def _teleport():
-    noise = NoiseModel(hardware=IBM)
-    spec = TeleportSpec(
-        distance=3, noise=noise, timeline_p=PatchTimeline.uniform(4, pre_ns=250.0)
-    )
-    return teleport_experiment(spec).circuit
-
-
-def _teleport_overrides():
-    # merged and post-split round counts away from d+1, and a structural
-    # intra-round extension on the target's pre-merge rounds
-    noise = NoiseModel(hardware=GOOGLE)
-    spec = TeleportSpec(
-        distance=3,
-        noise=noise,
-        rounds_merged=2,
-        rounds_post=3,
-        timeline_pp=PatchTimeline.uniform(4, intra_ns=90.0, intra_is_structural=True),
-    )
-    return teleport_experiment(spec).circuit
 
 
 def _multi_surgery_two_x():
@@ -166,10 +140,6 @@ def _memory_plain(**kwargs):
     return memory_experiment(3, 2, NoiseModel(hardware=IBM), **kwargs).circuit
 
 
-def _css_memory():
-    return css_memory_experiment(steane_code(), 2, NoiseModel(hardware=IBM)).circuit
-
-
 CASES = {
     **{
         f"surgery-{basis}-{policy}": (lambda p=policy, b=basis: _surgery(p, b))
@@ -178,8 +148,6 @@ CASES = {
     },
     "surgery-Z-active-ibm-seam": lambda: _surgery("active", hardware=IBM, seam=True),
     "surgery-X-uneven-seam": _surgery_uneven_seam,
-    "teleport": _teleport,
-    "teleport-overrides": _teleport_overrides,
     "multi_surgery": _multi_surgery,
     "multi_surgery-2-X": _multi_surgery_two_x,
     "repetition": _repetition,
@@ -189,12 +157,10 @@ CASES = {
     "memory-X-column-2": lambda: _memory_plain(basis="X", observable_column=2),
     "memory-Z-alternating-intra": _memory_alternating_intra,
     "memory-X-structural-mix": _memory_structural_mix,
-    "css_memory-steane": _css_memory,
 }
 
 #: circuit_digest of each case; a bit-exact synthesis change leaves every one unchanged
 DIGESTS = {
-    "css_memory-steane": "08c840c515d1c5f9b57b5d95e68bb35b26a91da25babac084a1a34a8dda1c1fb",
     "memory-X": "512d12db242bbb48504b4a307fd1d525dd6e4fd90774634dd6e535603a9585af",
     "memory-X-column-2": "c8df904bcb73541b90b60e84e402fc53a85ad290eeef40ee2c27c752ccdde7ec",
     "memory-Z": "1cafcdc071630b827ebeec45f5c905e09609bb4bad393288456387799879b80c",
@@ -216,8 +182,6 @@ DIGESTS = {
     "surgery-Z-extra_rounds": "dc7876ffa28c9de520c2c491067d980fe95371abe12d8808fb123ef786738b0d",
     "surgery-Z-hybrid": "7c535e0cd239cc8c0d5995b0f0a6c0f0200c4fd1259ad8e868133c2b3f22337e",
     "surgery-Z-passive": "4178bc9cd574535b4c0f6945bcf0c0b54f3401be4b46a86d2de9b8765d05b0d4",
-    "teleport": "809a224b6cbfde17b19b1a62617ea953539e5eae2967bd4f3dac383ba7d1802e",
-    "teleport-overrides": "3045a0d598eaa4b2b5bf9d136142954475af1e15c8f2acf04c6795def91865af",
 }
 
 

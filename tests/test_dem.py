@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from frame_oracle import FrameSimulator
 
 from repro._util import combine_flip_probabilities
-from repro.stab import Circuit, DemSampler, FrameSimulator, circuit_to_dem
+from repro.stab import Circuit, DemSampler, circuit_to_dem
 
 
 def _rep_code_circuit(p=0.01, rounds=2, n=3):

@@ -25,10 +25,8 @@ from factories import numpy_plane
 
 from repro.codes import (
     MultiSurgerySpec,
-    TeleportSpec,
     memory_experiment,
     multi_patch_surgery_experiment,
-    teleport_experiment,
 )
 from repro.codes.repetition import repetition_experiment
 from repro.core.policies import POLICIES, make_policy
@@ -37,8 +35,7 @@ from repro.experiments.ler import SurgeryLerConfig, _synthesize, prepared_pipeli
 from repro.noise import GOOGLE, IBM, NoiseModel
 from repro.noise.hardware import SHERBROOKE
 from repro.stab import Circuit, circuit_to_dem
-from repro.stab.dem import dem_walk
-from repro.stab.frame import _KIND_BY_NAME
+from repro.stab.dem import _KIND_BY_NAME, dem_walk
 from repro.stab.gates import GATES, GateKind
 
 requires_cc = pytest.mark.skipif(cext.library() is None, reason="the C walk cannot build")
@@ -98,10 +95,6 @@ def test_repetition_circuit_matches_oracle():
 @pytest.mark.parametrize("basis", ["X", "Z"])
 def test_memory_circuit_matches_oracle(basis, ibm_noise):
     _assert_parity(memory_experiment(3, 4, ibm_noise, basis=basis).circuit)
-
-
-def test_teleport_circuit_matches_oracle(google_noise):
-    _assert_parity(teleport_experiment(TeleportSpec(distance=3, noise=google_noise)).circuit)
 
 
 @pytest.mark.parametrize("ls_basis", ["X", "Z"])

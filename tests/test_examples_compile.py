@@ -1,12 +1,16 @@
-"""The examples must at least parse/compile and expose a main()."""
+"""The examples must compile, expose a main() and run to a clean exit."""
 
 import ast
+import os
 import pathlib
 import py_compile
+import subprocess
+import sys
 
 import pytest
 
-EXAMPLES = sorted((pathlib.Path(__file__).parent.parent / "examples").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 def test_examples_exist():
@@ -33,3 +37,19 @@ def test_example_structure(path):
             names = [a.name for a in node.names]
             for name in [module] + names:
                 assert not name.startswith("tests"), f"{path.name} imports test code"
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_example_runs(path, tmp_path):
+    # run from a scratch directory, so an example leaves no file in the checkout
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(path)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, f"{path.name} exited {done.returncode}:\n{done.stderr}"

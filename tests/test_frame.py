@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from frame_oracle import FrameSimulator
+from tableau_oracle import simulate_circuit
 
-from repro.stab import Circuit, FrameSimulator, simulate_circuit
+from repro.stab import Circuit
 
 
 def _one_qubit_probe(noise_name, args, measure="M"):

@@ -7,8 +7,10 @@ agree — exactly (deterministic errors) and statistically (random errors).
 
 import numpy as np
 import pytest
+from frame_oracle import FrameSimulator
+from tableau_oracle import simulate_circuit
 
-from repro.stab import Circuit, FrameSimulator, simulate_circuit
+from repro.stab import Circuit
 
 GATES_1Q = ["H", "S", "S_DAG", "SQRT_X", "X", "Y", "Z", "I"]
 GATES_2Q = ["CX", "CZ", "SWAP"]

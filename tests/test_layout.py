@@ -1,9 +1,9 @@
 """Rotated-surface-code geometry tests."""
 
 import pytest
+from pauli_oracle import PauliString
 
 from repro.codes import PatchLayout, QubitRegistry, other_basis
-from repro.stab.pauli import PauliString
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])

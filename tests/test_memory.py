@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from tableau_oracle import simulate_circuit
 
 from repro.codes import memory_experiment
 from repro.decoders import UnionFindDecoder, build_matching_graph
-from repro.stab import DemSampler, circuit_to_dem, simulate_circuit
+from repro.stab import DemSampler, circuit_to_dem
 from repro.timing import PatchTimeline
 
 

@@ -1,10 +1,11 @@
 """k-patch lattice-surgery experiment tests (Sec. 4.3)."""
 
 import pytest
+from tableau_oracle import simulate_circuit
 
 from repro.codes.multi_surgery import MultiSurgerySpec, multi_patch_surgery_experiment
 from repro.decoders import UnionFindDecoder, build_matching_graph, graphlike_distance
-from repro.stab import DemSampler, circuit_to_dem, simulate_circuit
+from repro.stab import DemSampler, circuit_to_dem
 from repro.timing import PatchTimeline
 
 

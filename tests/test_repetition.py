@@ -1,10 +1,11 @@
 """Repetition-code experiment tests (the Fig. 1c fixture)."""
 
 import pytest
+from tableau_oracle import simulate_circuit
 
 from repro.codes.repetition import repetition_experiment
 from repro.decoders import UnionFindDecoder, build_matching_graph
-from repro.stab import DemSampler, circuit_to_dem, simulate_circuit
+from repro.stab import DemSampler, circuit_to_dem
 from repro.noise import NoiseModel
 from repro.noise.hardware import SHERBROOKE
 

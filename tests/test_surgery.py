@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from frame_oracle import FrameSimulator
+from tableau_oracle import simulate_circuit
 
 from repro.codes import OBS_JOINT, OBS_SINGLE, OBS_SINGLE_PP, SurgerySpec, surgery_experiment
-from repro.stab import FrameSimulator, simulate_circuit
 from repro.timing import PatchTimeline, RoundIdle
 
 

