@@ -21,9 +21,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # static gate first: determinism/contract/salt-drift lint (docs/ANALYSIS.md)
 # fails in seconds, before any test decodes a shot
 python scripts/check_lint.py
-# observability smoke (docs/OBSERVABILITY.md): emit a tiny trace + metrics
-# pair through the real recorder, schema-check both artifacts, and make
-# sure `repro trace summarize` can read what `write_trace` wrote.
+# observability smoke (docs/OBSERVABILITY.md): emit a trace + metrics pair
+# of spans of different lengths through the real recorder, schema-check
+# both artifacts, and make sure `repro metrics summarize` prints exactly the
+# rows `repro trace summarize` computes from the same recorder's trace.
 # OBS_ARTIFACTS_DIR (set by the CI fast lane) keeps the artifacts for
 # upload; otherwise they live in a throwaway tmpdir.
 OBS_TMP="${OBS_ARTIFACTS_DIR:-$(mktemp -d)}"
@@ -33,12 +34,17 @@ if [ -z "${OBS_ARTIFACTS_DIR:-}" ]; then
 fi
 python - "$OBS_TMP" <<'EOF'
 import sys
+import time
 from repro import obs
 
 tmp = sys.argv[1]
 obs.configure(trace_path=f"{tmp}/t.json", metrics_path=f"{tmp}/m.json")
-with obs.span("decode.kernel", lambda: {"rows": 1}):
+for ms in (1, 4, 2, 5, 3):
+    with obs.span("decode.kernel", lambda: {"rows": ms}):
+        time.sleep(ms / 1000)
+with obs.span("store.commit"):
     pass
+obs.event("sweep.overshoot")
 obs.count("sweep.batches_dispatched")
 obs.write_trace()
 obs.write_metrics()
@@ -47,7 +53,18 @@ EOF
 python scripts/validate_results.py --trace "$OBS_TMP/t.json" --metrics "$OBS_TMP/m.json"
 python -m repro.cli trace summarize "$OBS_TMP/t.json" > /dev/null
 python -m repro.cli metrics summarize "$OBS_TMP/m.json" > /dev/null
-echo "obs smoke: trace/metrics summarize + schema validation ok"
+TRACE_ROWS="$(python -m repro.cli trace summarize "$OBS_TMP/t.json" --format json)"
+METRICS_SUMMARY="$(python -m repro.cli metrics summarize "$OBS_TMP/m.json" --format json)"
+python - "$TRACE_ROWS" "$METRICS_SUMMARY" <<'EOF'
+import json
+import sys
+
+trace_rows = json.loads(sys.argv[1])
+metrics_rows = json.loads(sys.argv[2])["rows"]
+if metrics_rows != trace_rows:
+    sys.exit(f"obs smoke: metrics rows {metrics_rows} != trace rows {trace_rows}")
+EOF
+echo "obs smoke: trace/metrics summarize agree + schema validation ok"
 # run-ledger smoke (docs/OBSERVABILITY.md): a tiny real sweep on 2 decode
 # threads writes a run manifest + event log into the store; the runs CLI,
 # the live watcher and the schema validator must all read it back, and the

@@ -30,7 +30,7 @@ directory).
 
 Observability artifacts (docs/OBSERVABILITY.md) are validated on demand:
 ``--trace FILE`` checks a ``repro.obs.trace/v1`` Chrome trace, ``--metrics
-FILE`` a ``repro.obs.metrics/v1`` snapshot and ``--ledger RUNDIR`` a
+FILE`` a ``repro.obs.metrics/v2`` snapshot and ``--ledger RUNDIR`` a
 run-ledger directory (``manifest.json`` + ``events.jsonl``).  All three
 flags repeat; ``scripts/check.sh`` runs them against freshly generated
 artifacts.
@@ -81,8 +81,11 @@ REQUIRED_KEYS = {
 
 #: schema tags the repro.obs exporters stamp into their artifacts
 TRACE_SCHEMA = "repro.obs.trace/v1"
-METRICS_SCHEMA = "repro.obs.metrics/v1"
+METRICS_SCHEMA = "repro.obs.metrics/v2"
 RUN_SCHEMA = "repro.obs.run/v2"
+
+#: the numeric columns of a metrics snapshot's span rows (repro.obs.summarize)
+SPAN_ROW_NUMBERS = ("total_s", "mean_us", "p50_us", "p95_us", "p99_us")
 
 #: schema tags of the figure-registry export layer (repro/figures/export.py)
 FIGURE_SCHEMA = "repro.figures.result/v1"
@@ -147,7 +150,7 @@ def validate_trace_file(path: Path) -> list[str]:
 
 
 def validate_metrics_file(path: Path) -> list[str]:
-    """All problems with one ``repro.obs.metrics/v1`` snapshot file."""
+    """All problems with one ``repro.obs.metrics/v2`` snapshot file."""
     try:
         data = _load_json(path)
     except (OSError, ValueError) as exc:
@@ -164,38 +167,41 @@ def validate_metrics_file(path: Path) -> list[str]:
         for name, value in counters.items():
             if not isinstance(value, int) or value < 0:
                 problems.append(f"counter {name!r} must be a non-negative integer")
-    hists = data.get("histograms")
-    if not isinstance(hists, dict):
-        problems.append("histograms must be a dict")
-        hists = {}
-    for name, hist in hists.items():
-        if not isinstance(hist, dict):
-            problems.append(f"histogram {name!r} is not a dict")
-            continue
-        missing = {"bucket_bounds_ns", "counts", "count", "sum_ns"} - set(hist)
-        if missing:
-            problems.append(
-                f"histogram {name!r} missing keys: {', '.join(sorted(missing))}"
-            )
-            continue
-        bounds, counts = hist["bucket_bounds_ns"], hist["counts"]
-        if not isinstance(bounds, list) or not isinstance(counts, list):
-            problems.append(f"histogram {name!r} bounds/counts must be lists")
-            continue
-        # counts has one overflow bucket past the last bound
-        if len(counts) != len(bounds) + 1:
-            problems.append(
-                f"histogram {name!r} has {len(counts)} counts for "
-                f"{len(bounds)} bounds (want bounds+1)"
-            )
-        if any(not isinstance(c, int) or c < 0 for c in counts):
-            problems.append(f"histogram {name!r} counts must be non-negative ints")
-        elif sum(counts) != hist["count"]:
-            problems.append(
-                f"histogram {name!r} count {hist['count']} != sum of bucket "
-                f"counts {sum(counts)}"
-            )
+    spans = data.get("spans")
+    if not isinstance(spans, list):
+        problems.append("spans must be a list")
+        spans = []
+    for i, row in enumerate(spans):
+        problems.extend(f"spans[{i}] {p}" for p in _span_row_problems(row))
     _walk_finite(data, "$", problems)
+    return problems
+
+
+def _span_row_problems(row) -> list[str]:
+    """Problems with one ``repro.obs.summarize`` row of a metrics snapshot."""
+    if not isinstance(row, dict):
+        return ["is not a dict"]
+    missing = {"name", "count", *SPAN_ROW_NUMBERS} - set(row)
+    if missing:
+        return [f"missing keys: {', '.join(sorted(missing))}"]
+    problems = []
+    if not isinstance(row["name"], str):
+        problems.append("name must be a string")
+    count = row["count"]
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        problems.append("count must be an integer >= 1")
+    bad = [
+        k
+        for k in SPAN_ROW_NUMBERS
+        if isinstance(row[k], bool)
+        or not isinstance(row[k], (int, float))
+        or not math.isfinite(row[k])
+        or row[k] < 0
+    ]
+    if bad:
+        problems.append(f"{', '.join(bad)} must be finite numbers >= 0")
+    elif not row["p50_us"] <= row["p95_us"] <= row["p99_us"]:
+        problems.append("percentiles must satisfy p50_us <= p95_us <= p99_us")
     return problems
 
 

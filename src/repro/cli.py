@@ -241,24 +241,34 @@ def _resolve_store(path):
     return ResultStore(root)
 
 
-def _sweep_run(args) -> int:
-    from .experiments.sweeps import SweepSpec, plan_sweep, run_sweep
+def _load_sweep_spec(cmd: str, path, **overrides):
+    """The sweep spec at ``path`` with the non-None ``overrides`` applied.
 
-    overrides = {}
-    if args.target_rse is not None:
-        overrides["target_rse"] = args.target_rse
-    if args.max_shots is not None:
-        overrides["max_shots"] = args.max_shots
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    # the spec validates itself (field and decoder names included), so a
-    # bad spec file or override fails here, before anything is decoded
+    The spec validates itself (field, hardware and decoder names included),
+    so a bad spec file or override fails here, before anything is decoded:
+    prints ``sweep <cmd>: <reason>`` and returns None.
+    """
+    from .experiments.sweeps import SweepSpec
+
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     try:
-        spec = SweepSpec.from_json(args.spec)
-        if overrides:
-            spec = dataclasses.replace(spec, **overrides)
-    except ValueError as exc:
-        print(f"sweep run: {exc}", file=sys.stderr)
+        return dataclasses.replace(SweepSpec.from_json(path), **overrides)
+    except (OSError, ValueError) as exc:
+        print(f"sweep {cmd}: {exc}", file=sys.stderr)
+        return None
+
+
+def _sweep_run(args) -> int:
+    from .experiments.sweeps import plan_sweep, run_sweep
+
+    spec = _load_sweep_spec(
+        "run",
+        args.spec,
+        target_rse=args.target_rse,
+        max_shots=args.max_shots,
+        seed=args.seed,
+    )
+    if spec is None:
         return 2
     store = _resolve_store(args.store)
     # resuming is the default: it is bit-identical to a fresh run and never
@@ -344,10 +354,11 @@ def _sweep_status(args) -> int:
     if args.spec is None:
         print(json.dumps(store.summary(), indent=2))
         return 0
-    from .experiments.sweeps import SweepSpec
     from .obs.ledger import estimate_point_cost
 
-    spec = SweepSpec.from_json(args.spec)
+    spec = _load_sweep_spec("status", args.spec)
+    if spec is None:
+        return 2
     for pt in spec.points():
         key = pt.key(seed=spec.seed, batch_shots=spec.batch_shots)
         rec = store.get(key)
@@ -413,19 +424,20 @@ def _metrics_summarize(args) -> int:
     from . import obs
 
     try:
-        data = obs.summarize_metrics(args.file)
+        data = obs.load_metrics(args.file)
     except (OSError, ValueError) as exc:
         print(f"cannot summarize {args.file}: {exc}", file=sys.stderr)
         return 2
+    counters = dict(sorted(data["counters"].items()))
     if args.format == "json":
-        print(json.dumps(data, indent=2))
+        print(json.dumps({"counters": counters, "rows": data["spans"]}, indent=2))
         return 0
-    if data["counters"]:
-        width = max(len(k) for k in data["counters"])
+    if counters:
+        width = max(len(k) for k in counters)
         print("counters:")
-        for name, value in data["counters"].items():
+        for name, value in counters.items():
             print(f"  {name:<{width}} {value}")
-    print(obs.format_summary(data["rows"]))
+    print(obs.format_summary(data["spans"]))
     return 0
 
 
@@ -605,13 +617,13 @@ def _runs_gc(args) -> int:
 
 
 def _sweep_export(args) -> int:
-    from .experiments.sweeps import SweepSpec, export_records
+    from .experiments.sweeps import export_records
 
-    spec = SweepSpec.from_json(args.spec)
-    if args.seed is not None:
-        # point keys depend on the seed: exports of a sweep that ran with
-        # `sweep run --seed N` need the same override to find its records
-        spec = dataclasses.replace(spec, seed=args.seed)
+    # point keys depend on the seed: exports of a sweep that ran with
+    # `sweep run --seed N` need the same override to find its records
+    spec = _load_sweep_spec("export", args.spec, seed=args.seed)
+    if spec is None:
+        return 2
     store = _resolve_store(args.store)
     rows = export_records(spec, store)
     payload = json.dumps(rows, indent=2, default=_jsonable)
@@ -744,9 +756,9 @@ def main(argv=None) -> int:
         type=Path,
         default=None,
         metavar="FILE",
-        help="write a repro.obs.metrics/v1 snapshot (counters + merged"
-        " worker-count-independent latency histograms; REPRO_METRICS is"
-        " the env spelling)",
+        help="write a repro.obs.metrics/v2 snapshot (counters + the exact"
+        " per-span rows `trace summarize` prints; REPRO_METRICS is the env"
+        " spelling)",
     )
     sweep_run.add_argument(
         "--no-ledger",
@@ -867,8 +879,9 @@ def main(argv=None) -> int:
     metrics_sub = metricsp.add_subparsers(dest="metrics_command", required=True)
     metrics_summarize = metrics_sub.add_parser(
         "summarize",
-        help="counters and per-span p50/p95/p99 from a repro.obs.metrics/v1"
-        " snapshot written by `sweep run --metrics-out`",
+        help="counters and the stored per-span rows (count, total, exact"
+        " p50/p95/p99) of a repro.obs.metrics/v2 snapshot written by"
+        " `sweep run --metrics-out`",
     )
     metrics_summarize.add_argument("file", type=Path, help="metrics snapshot JSON")
     metrics_summarize.add_argument(

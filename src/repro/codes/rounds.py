@@ -300,15 +300,15 @@ class StabilizerRoundEmitter:
         label: int,
         *,
         seam_pos: tuple[int, int] | None = None,
-    ) -> list[int]:
+    ) -> int | None:
         """Join ``patches`` into ``merged`` and run its ``rounds`` rounds from ``label``.
 
         The buffer starts in the other basis, the eigenbasis of the extended
         seam checks, so those stay deterministic.  The new ``basis`` seam
         checks are random in the first merged round; only their product,
-        the joint logical measurement, is deterministic.  Returns their
-        first records; with ``seam_pos`` that product also closes the first
-        merged round's block as one detector.
+        the joint logical measurement, is deterministic.  With ``seam_pos``
+        that product closes the first merged round's block as one detector,
+        whose index is returned; otherwise (or with no new checks) None.
         """
         existing = {p.pos for layout in patches for p in layout.plaquettes}
         patch_data = {c for layout in patches for c in layout.data_coords()}
@@ -323,12 +323,13 @@ class StabilizerRoundEmitter:
         for m in range(rounds):
             recs = self.emit_round(merged.plaquettes, qubits)
             rows = self._round_rows(merged.plaquettes, recs, basis, new_checks if m == 0 else ())
-            if m == 0:
+            if m == 0 and seam_pos is not None:
                 joint = [recs[p.pos] for p in merged.plaquettes if p.pos in new_checks]
-                if seam_pos is not None and joint:
+                if joint:
                     rows.append((joint, seam_pos))
             self.add_detectors(rows, label + m, basis)
-        return joint
+        # the seam row is the last of the first merged round's block
+        return self.detectors_by_round[label][-1] if joint else None
 
     def emit_readout(
         self, layout: PatchLayout, basis: str, label: int

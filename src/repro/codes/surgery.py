@@ -135,7 +135,7 @@ def surgery_experiment(spec: SurgerySpec) -> SurgeryArtifacts:
     label = emitter.emit_patch_rounds(
         [(layout_p, qubits_p, timeline_p), (layout_pp, qubits_pp, timeline_pp)], basis
     )
-    joint = emitter.emit_merge(
+    art.seam_detector_index = emitter.emit_merge(
         [layout_p, layout_pp],
         layout_merged,
         basis,
@@ -143,9 +143,6 @@ def surgery_experiment(spec: SurgerySpec) -> SurgeryArtifacts:
         label,
         seam_pos=(d, -1) if spec.include_seam_detector else None,
     )
-    if spec.include_seam_detector and joint:
-        # the seam product closes the first merged round's block
-        art.seam_detector_index = emitter.detectors_by_round[label][-1]
     finals = emitter.emit_readout(layout_merged, basis, label + rounds_merged)
 
     circuit.observable_include(OBS_SINGLE, [finals[c] for c in layout_p.vertical_logical()])

@@ -181,12 +181,29 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        """A spec from its JSON form; ``ValueError`` names what is wrong."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a sweep spec is a JSON object, got {type(data).__name__}")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(data) - {f.name for f in fields})
         if unknown:
             raise ValueError(f"unknown SweepSpec field(s): {', '.join(unknown)}")
+        missing = [
+            f.name
+            for f in fields
+            if f.name not in data
+            and f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        ]
+        if missing:
+            raise ValueError(f"missing SweepSpec field(s): {', '.join(missing)}")
         data = dict(data)
         hw = data["hardware"]
         if isinstance(hw, str):
+            if hw.lower() not in PRESETS:
+                raise ValueError(
+                    f"unknown hardware preset {hw!r}; known: {', '.join(sorted(PRESETS))}"
+                )
             data["hardware"] = PRESETS[hw.lower()]
         elif isinstance(hw, dict):
             data["hardware"] = HardwareConfig(**hw)

@@ -1,18 +1,17 @@
 """repro.obs: deterministic tracing, metrics & profiling for the pipeline.
 
-Span instrumentation (sample → dedup → kernel decode → cache → store
-commit; dispatch/apply/overshoot/idle in the sweep scheduler),
-worker-count-independent latency histograms, and Chrome-trace/metrics
-exporters, plus a durable run ledger (:mod:`.ledger` — manifests + event
-logs under ``runs/`` in the store).  Zero-overhead when disabled;
-observability output never enters store keys or prediction-affecting
-record fields (see docs/OBSERVABILITY.md for the span catalogue, run-ledger
-schema and the bit-identity contract).
+Span instrumentation (sample → dedup → kernel decode → store commit;
+dispatch/apply/overshoot/idle in the sweep scheduler), one exact span
+summary (:func:`summarize`) shared by ``repro trace summarize`` and the
+metrics snapshot, and Chrome-trace/metrics exporters, plus a durable run
+ledger (:mod:`.ledger` — manifests + event logs under ``runs/`` in the
+store).  Zero-overhead when disabled; observability output never enters
+store keys or prediction-affecting record fields (see
+docs/OBSERVABILITY.md for the span catalogue, run-ledger schema and the
+bit-identity contract).
 """
 
 from .core import (
-    DEFAULT_BUCKET_BOUNDS_NS,
-    LatencyHistogram,
     Recorder,
     Stopwatch,
     active,
@@ -35,7 +34,6 @@ from .export import (
     metrics_snapshot,
     phase_totals,
     summarize,
-    summarize_metrics,
     summarize_trace,
     write_metrics,
     write_trace,
@@ -52,8 +50,6 @@ from .ledger import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKET_BOUNDS_NS",
-    "LatencyHistogram",
     "Recorder",
     "Stopwatch",
     "active",
@@ -74,7 +70,6 @@ __all__ = [
     "metrics_snapshot",
     "phase_totals",
     "summarize",
-    "summarize_metrics",
     "summarize_trace",
     "write_metrics",
     "write_trace",

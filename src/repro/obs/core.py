@@ -3,13 +3,13 @@
 One module-level recorder per process, shared by the coordinator and the
 sweep's decode threads, activated by :func:`configure` or the
 ``REPRO_TRACE`` / ``REPRO_METRICS`` environment knobs.  Everything
-it produces is *observability output*: spans, counters and histograms are
-exported next to the run (Chrome trace JSON, metrics snapshot) and are
+it produces is *observability output*: spans and counters are exported
+next to the run (Chrome trace JSON, metrics snapshot) and are
 never allowed to enter store point keys, stored estimates or any
 prediction-affecting record field — the tracing-on/off bit-identity
 contract is enforced by ``tests/test_obs.py``.
 
-Three primitives:
+Two primitives:
 
 * :func:`span` — a ``with``-scoped trace event.  When the recorder is
   disabled it returns a shared no-op singleton and the (optionally
@@ -18,10 +18,6 @@ Three primitives:
   ``span.annotate(**args)`` adds args computed inside the block.
 * :func:`count` / :func:`event` — monotone counters and zero-duration
   instant events (e.g. speculative overshoot).
-* :class:`LatencyHistogram` — fixed-bucket integer-ns histograms whose
-  merge is an elementwise sum of exact integer counts, so metrics pooled
-  from any number of workers in any order are identical (worker-count
-  independence is a tested invariant, like the estimate parity contract).
 
 Threads: decode threads record their spans straight into the one
 recorder.  That is safe without a lock because every recording is a single
@@ -42,8 +38,6 @@ import threading
 import time
 
 __all__ = [
-    "DEFAULT_BUCKET_BOUNDS_NS",
-    "LatencyHistogram",
     "Recorder",
     "Stopwatch",
     "stopwatch",
@@ -56,120 +50,6 @@ __all__ = [
     "event",
     "count",
 ]
-
-#: 1-2-5 geometric bucket upper bounds, 100 ns .. 500 s.  Fixed (never
-#: derived from observed data), so histograms built by different processes
-#: are always mergeable and the merged result is worker-count-independent.
-DEFAULT_BUCKET_BOUNDS_NS: tuple[int, ...] = tuple(
-    m * 10**decade for decade in range(2, 12) for m in (1, 2, 5)
-)
-
-
-class LatencyHistogram:
-    """Fixed-bucket latency histogram over exact integer nanoseconds.
-
-    ``counts`` has one slot per bound plus an overflow slot; every counter
-    is an exact int, so :meth:`merge` (elementwise sum) is associative and
-    commutative — the pooled histogram is independent of how work was
-    split across workers.  Percentiles resolve to a bucket upper bound
-    (clamped to the observed max), trading sub-bucket precision for
-    merge-exactness.
-    """
-
-    __slots__ = ("bounds", "counts", "count", "sum_ns", "min_ns", "max_ns")
-
-    def __init__(self, bounds: tuple[int, ...] = DEFAULT_BUCKET_BOUNDS_NS):
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("bucket bounds must be non-empty and increasing")
-        self.bounds = tuple(int(b) for b in bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum_ns = 0
-        self.min_ns = 0
-        self.max_ns = 0
-
-    def _bucket(self, ns: int) -> int:
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ns <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def record_ns(self, ns: int) -> None:
-        """Record one duration (negative clamps to 0: clock granularity)."""
-        ns = max(0, int(ns))
-        self.counts[self._bucket(ns)] += 1
-        if self.count == 0:
-            self.min_ns = self.max_ns = ns
-        else:
-            self.min_ns = min(self.min_ns, ns)
-            self.max_ns = max(self.max_ns, ns)
-        self.count += 1
-        self.sum_ns += ns
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold another histogram in (exact elementwise sum); returns self."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        if other.count:
-            if self.count == 0:
-                self.min_ns, self.max_ns = other.min_ns, other.max_ns
-            else:
-                self.min_ns = min(self.min_ns, other.min_ns)
-                self.max_ns = max(self.max_ns, other.max_ns)
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.count += other.count
-        self.sum_ns += other.sum_ns
-        return self
-
-    def percentile_ns(self, q: float) -> int:
-        """Upper bound of the bucket holding the q-th percentile (0 < q <= 100).
-
-        The overflow bucket resolves to the exact observed max (which merges
-        exactly), so the estimate never exceeds a real observation.
-        """
-        if not 0.0 < q <= 100.0:
-            raise ValueError("q must be in (0, 100]")
-        if self.count == 0:
-            return 0
-        target = max(1, -(-int(q * self.count) // 100))  # ceil(q/100 * count)
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= target:
-                bound = self.bounds[i] if i < len(self.bounds) else self.max_ns
-                return min(bound, self.max_ns)
-        return self.max_ns  # pragma: no cover - counts always sum to count
-
-    def to_dict(self) -> dict:
-        """JSON form (``repro.obs.metrics/v1`` histogram entry)."""
-        return {
-            "bucket_bounds_ns": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum_ns": self.sum_ns,
-            "min_ns": self.min_ns,
-            "max_ns": self.max_ns,
-            "p50_ns": self.percentile_ns(50) if self.count else 0,
-            "p95_ns": self.percentile_ns(95) if self.count else 0,
-            "p99_ns": self.percentile_ns(99) if self.count else 0,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencyHistogram":
-        self = cls(tuple(data["bucket_bounds_ns"]))
-        counts = [int(c) for c in data["counts"]]
-        if len(counts) != len(self.counts):
-            raise ValueError("counts length does not match bucket bounds")
-        self.counts = counts
-        self.count = int(data["count"])
-        self.sum_ns = int(data["sum_ns"])
-        self.min_ns = int(data["min_ns"])
-        self.max_ns = int(data["max_ns"])
-        return self
 
 
 class _NoopSpan:
@@ -258,8 +138,8 @@ class Recorder:
     """Per-process event buffer + counters behind the module-level API.
 
     Events are plain dicts (``name``/``ts``/``dur``/``pid``/``tid`` and
-    optional ``args``); metrics histograms are folded from the event list
-    at snapshot time (never incrementally), so recording stays one append.
+    optional ``args``); span summaries are computed from the event list at
+    snapshot time (never incrementally), so recording stays one append.
     """
 
     def __init__(self, *, trace_path=None, metrics_path=None):
@@ -288,16 +168,6 @@ class Recorder:
         if args:
             ev["args"] = args
         self.events.append(ev)
-
-    def histograms(self) -> "dict[str, LatencyHistogram]":
-        """Per-span-kind latency histograms folded from the event list."""
-        out: dict[str, LatencyHistogram] = {}
-        for ev in self.events:
-            hist = out.get(ev["name"])
-            if hist is None:
-                hist = out[ev["name"]] = LatencyHistogram()
-            hist.record_ns(ev["dur"])
-        return out
 
 
 #: the per-process singleton; ``None`` + unresolved env means "not decided

@@ -7,13 +7,13 @@ Two on-disk schemas, both validated by ``scripts/validate_results.py``:
   https://ui.perfetto.dev.  Events are complete events (``"ph": "X"``) with
   microsecond ``ts``/``dur`` normalized to the earliest event, one
   ``tid`` lane per thread (the coordinator and each decode thread).
-* ``repro.obs.metrics/v1`` — a snapshot of counters plus per-span-kind
-  :class:`~repro.obs.core.LatencyHistogram` dumps.
+* ``repro.obs.metrics/v2`` — a snapshot of counters plus the
+  :func:`summarize` rows of the recorder's spans.
 
-:func:`summarize` is the analysis entry point behind ``repro trace
-summarize``: per-span-kind count/total and p50/p95/p99, computed *exactly*
-from the raw durations (the trace file keeps every event, so no bucket
-approximation is needed here — histograms exist for mergeable metrics).
+:func:`summarize` is the one span summary: per-span-kind count/total and
+p50/p95/p99, computed *exactly* from the raw durations.  ``repro trace
+summarize`` runs it over a trace file, and a metrics snapshot stores its
+rows, so both report the same numbers for the same recorder.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import LatencyHistogram, Recorder, active
+from .core import Recorder, active
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -39,7 +39,12 @@ __all__ = [
 ]
 
 TRACE_SCHEMA = "repro.obs.trace/v1"
-METRICS_SCHEMA = "repro.obs.metrics/v1"
+METRICS_SCHEMA = "repro.obs.metrics/v2"
+
+#: the keys of one :func:`summarize` row
+_ROW_KEYS = frozenset(
+    ("name", "count", "total_s", "mean_us", "p50_us", "p95_us", "p99_us")
+)
 
 
 def chrome_trace(events: list, counters: dict | None = None) -> dict:
@@ -76,18 +81,15 @@ def chrome_trace(events: list, counters: dict | None = None) -> dict:
 
 
 def metrics_snapshot(recorder: Recorder) -> dict:
-    """The ``repro.obs.metrics/v1`` snapshot of a recorder.
+    """The ``repro.obs.metrics/v2`` snapshot of a recorder.
 
-    Histograms are folded from the event list at snapshot time; snapshots
-    taken in different processes over a partition of the same events merge
-    exactly (worker-count independence).
+    ``spans`` holds the exact :func:`summarize` rows of every recorded
+    event, the rows ``repro trace summarize`` prints for the same recorder.
     """
     return {
         "schema": METRICS_SCHEMA,
         "counters": dict(recorder.counters),
-        "histograms": {
-            name: hist.to_dict() for name, hist in recorder.histograms().items()
-        },
+        "spans": summarize(recorder.events),
     }
 
 
@@ -147,8 +149,10 @@ def load_trace(path) -> list[dict]:
         events.append(
             {
                 "name": str(ev["name"]),
-                "ts": int(float(ev["ts"]) * 1000),
-                "dur": int(float(ev.get("dur", 0)) * 1000),
+                # round, not truncate: µs floats times 1000 land a hair
+                # either side of the integer ns that were written
+                "ts": round(float(ev["ts"]) * 1000),
+                "dur": round(float(ev.get("dur", 0)) * 1000),
                 "pid": ev.get("pid", 0),
                 "args": ev.get("args") or {},
             }
@@ -231,43 +235,23 @@ def format_summary(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-# re-export for metrics-file consumers (round-trip helpers live with the
-# schema they parse)
 def load_metrics(path) -> dict:
-    """Parse and structurally validate a metrics snapshot file."""
+    """Parse a ``repro.obs.metrics/v2`` snapshot file.
+
+    Raises ``ValueError`` unless the file has the v2 schema, a counters
+    dict and a ``spans`` list of :func:`summarize` rows.
+    """
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or data.get("schema") != METRICS_SCHEMA:
         raise ValueError(f"{path}: not a {METRICS_SCHEMA} snapshot")
-    for name, entry in data.get("histograms", {}).items():
-        LatencyHistogram.from_dict(entry)  # raises on malformed entries
-    return data
-
-
-def summarize_metrics(path) -> dict:
-    """Counters + per-span percentile rows of a metrics snapshot file.
-
-    The rows carry the same columns as :func:`summarize` (so
-    :func:`format_summary` renders both), but percentiles come from the
-    snapshot's fixed-bucket histograms — bucket upper bounds, not exact
-    durations, which is the precision the metrics schema stores.  The CLI
-    surface is ``repro metrics summarize``.
-    """
-    data = load_metrics(path)
-    rows = []
-    for name, entry in data.get("histograms", {}).items():
-        hist = LatencyHistogram.from_dict(entry)
-        if not hist.count:
-            continue
-        rows.append(
-            {
-                "name": name,
-                "count": hist.count,
-                "total_s": hist.sum_ns / 1e9,
-                "mean_us": hist.sum_ns / hist.count / 1000.0,
-                "p50_us": hist.percentile_ns(50) / 1000.0,
-                "p95_us": hist.percentile_ns(95) / 1000.0,
-                "p99_us": hist.percentile_ns(99) / 1000.0,
-            }
+    if not isinstance(data.get("counters"), dict):
+        raise ValueError(f"{path}: counters must be a dict")
+    spans = data.get("spans")
+    if not isinstance(spans, list) or not all(
+        isinstance(row, dict) and row.keys() == _ROW_KEYS for row in spans
+    ):
+        raise ValueError(
+            f"{path}: spans must be a list of rows with keys "
+            f"{', '.join(sorted(_ROW_KEYS))}"
         )
-    rows.sort(key=lambda r: (-r["total_s"], r["name"]))
-    return {"counters": dict(sorted(data.get("counters", {}).items())), "rows": rows}
+    return data

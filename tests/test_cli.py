@@ -150,6 +150,40 @@ def test_sweep_run_spec_naming_a_backend_is_clean_error(capsys, tmp_path, sweep_
     assert not (tmp_path / "s").exists()
 
 
+_BAD_SPECS = {
+    "missing-hardware": (lambda spec: {k: v for k, v in spec.items() if k != "hardware"},
+                         "missing SweepSpec field(s): hardware"),
+    "unknown-preset": (lambda spec: {**spec, "hardware": "nosuch"},
+                       "unknown hardware preset 'nosuch'; known: google, ibm, quera"),
+    "missing-name": (lambda spec: {k: v for k, v in spec.items() if k != "name"},
+                     "missing SweepSpec field(s): name"),
+    "unknown-field": (lambda spec: {**spec, "speculate": True},
+                      "unknown SweepSpec field(s): speculate"),
+    "missing-file": (None, "No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "status", "export"])
+@pytest.mark.parametrize("bad", sorted(_BAD_SPECS))
+def test_sweep_commands_reject_a_bad_spec_cleanly(
+    capsys, tmp_path, sweep_spec_file, bad, command
+):
+    # every command that reads a spec file reports what is wrong with it
+    # and exits 2, instead of raising, before it touches a store
+    edit, message = _BAD_SPECS[bad]
+    if edit is None:
+        sweep_spec_file.unlink()
+    else:
+        sweep_spec_file.write_text(
+            json.dumps(edit(json.loads(sweep_spec_file.read_text())))
+        )
+    rc = cli.main(["sweep", command, str(sweep_spec_file), "--store", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"sweep {command}: ") and message in err, err
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_run_spec_naming_a_deleted_decoder_is_clean_error(
     capsys, tmp_path, sweep_spec_file
 ):
@@ -353,8 +387,9 @@ def test_sweep_run_writes_trace_and_metrics(capsys, tmp_path, sweep_spec_file):
     # every decoded batch runs the kernel over its distinct syndromes
     assert "decode.kernel" in kinds
 
+    # the snapshot stores exactly the rows `trace summarize` computes
     snap = obs.load_metrics(metrics)
-    assert snap["histograms"]
+    assert snap["spans"] and snap["spans"] == obs.summarize_trace(trace)
 
 
 def test_trace_summarize_prints_percentile_breakdown(capsys, tmp_path, sweep_spec_file):

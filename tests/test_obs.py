@@ -2,10 +2,9 @@
 
 Three families of guarantees:
 
-* **Mergeable metrics** — :class:`repro.obs.LatencyHistogram` merge is
-  associative and worker-count-independent (any partition of the same
-  durations pools to the identical histogram), and survives the JSON
-  round-trip bit-exactly.
+* **One span summary** — a metrics snapshot stores the exact
+  :func:`repro.obs.summarize` rows, the rows ``trace summarize`` computes
+  from the trace of the same recorder.
 * **Zero-cost when off** — disabled tracing hands back shared no-op
   singletons and never evaluates lazy span attributes.
 * **Bit-neutrality** — tracing on vs. off changes nothing in predictions
@@ -41,78 +40,6 @@ def _obs_disabled():
     yield
     obs.reset()
     clear_pipeline_cache()
-
-
-# ---------------------------------------------------------------------------
-# histograms: merge algebra + round-trip
-# ---------------------------------------------------------------------------
-
-
-def _durations(n=500, seed=7):
-    rng = random.Random(seed)
-    # span the bucket range: sub-bucket ns up through seconds + overflow
-    return [rng.randrange(0, 2 * 10**12) for _ in range(n)]
-
-
-def test_histogram_merge_is_associative():
-    durs = _durations()
-    parts = [durs[0:100], durs[100:350], durs[350:500]]
-    hists = []
-    for part in parts:
-        h = obs.LatencyHistogram()
-        for d in part:
-            h.record_ns(d)
-        hists.append(h)
-
-    left = obs.LatencyHistogram().merge(hists[0]).merge(hists[1]).merge(hists[2])
-    h01 = obs.LatencyHistogram().merge(hists[0]).merge(hists[1])
-    right = obs.LatencyHistogram().merge(h01).merge(hists[2])
-    assert left.to_dict() == right.to_dict()
-
-
-def test_histogram_partition_independence():
-    """The pooled histogram is identical for any worker count / split."""
-    durs = _durations()
-    reference = obs.LatencyHistogram()
-    for d in durs:
-        reference.record_ns(d)
-
-    for k in (1, 2, 4, 8):
-        merged = obs.LatencyHistogram()
-        for w in range(k):
-            part = obs.LatencyHistogram()
-            for d in durs[w::k]:
-                part.record_ns(d)
-            merged.merge(part)
-        assert merged.to_dict() == reference.to_dict(), f"k={k}"
-
-
-def test_histogram_round_trip_and_percentiles():
-    h = obs.LatencyHistogram()
-    for d in (50, 150, 150, 10**6, 3 * 10**12):  # incl. overflow bucket
-        h.record_ns(d)
-    data = h.to_dict()
-    back = obs.LatencyHistogram.from_dict(data)
-    assert back.to_dict() == data
-    assert data["count"] == 5 and sum(data["counts"]) == 5
-    assert data["min_ns"] == 50 and data["max_ns"] == 3 * 10**12
-    # overflow percentile resolves to the exact observed max
-    assert h.percentile_ns(100) == 3 * 10**12
-    # percentile never exceeds a real observation
-    assert h.percentile_ns(50) <= data["max_ns"]
-    # json round-trip (what the metrics file does) is exact: ints stay ints
-    assert obs.LatencyHistogram.from_dict(json.loads(json.dumps(data))).to_dict() == data
-
-
-def test_histogram_rejects_foreign_bounds_and_clamps_negatives():
-    h = obs.LatencyHistogram()
-    h.record_ns(-5)  # clock granularity can yield tiny negatives
-    assert h.min_ns == 0 and h.count == 1
-    other = obs.LatencyHistogram(bounds=(10, 100))
-    with pytest.raises(ValueError):
-        h.merge(other)
-    with pytest.raises(ValueError):
-        obs.LatencyHistogram(bounds=(100, 100))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +132,23 @@ def test_load_trace_rejects_non_trace_files(tmp_path):
         obs.load_trace(bad)
 
 
+def test_load_trace_restores_every_integer_ns(tmp_path):
+    """Trace µs floats read back to the exact ns written (round, not truncate)."""
+    rec = obs.configure()
+    rng = random.Random(5)
+    durs = [4_120_521] + [rng.randrange(1, 10**10) for _ in range(300)]
+    ts = 10**12 + 17
+    for i, dur in enumerate(durs):
+        rec.events.append(
+            {"name": f"span{i % 3}", "ts": ts, "dur": dur, "pid": 1, "tid": 1}
+        )
+        ts += dur + rng.randrange(0, 10**6)
+    path = obs.write_trace(tmp_path / "t.json")
+
+    assert [ev["dur"] for ev in obs.load_trace(path)] == durs
+    assert obs.summarize_trace(path) == obs.summarize(rec.events)
+
+
 def test_metrics_file_round_trip(tmp_path):
     rec = obs.configure(metrics_path=tmp_path / "m.json")
     for _ in range(4):
@@ -214,12 +158,30 @@ def test_metrics_file_round_trip(tmp_path):
     obs.write_metrics()
 
     data = obs.load_metrics(tmp_path / "m.json")
-    assert data["schema"] == obs.METRICS_SCHEMA
-    hist = data["histograms"]["decode.kernel"]
-    assert hist["count"] == 4 and sum(hist["counts"]) == 4
+    assert data["schema"] == obs.METRICS_SCHEMA == "repro.obs.metrics/v2"
+    assert set(data) == {"schema", "counters", "spans"}
+    (row,) = data["spans"]
+    assert row["name"] == "decode.kernel" and row["count"] == 4
     assert data["counters"] == {"sweep.batches_applied": 1}
-    # snapshot equals what an in-process reader computes
+    # the stored rows are the exact summary of the recorder's events
+    assert data["spans"] == obs.summarize(rec.events)
     assert data == json.loads(json.dumps(obs.metrics_snapshot(rec)))
+
+
+def test_load_metrics_rejects_v1_and_malformed_rows(tmp_path):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({
+        "schema": "repro.obs.metrics/v1",
+        "counters": {},
+        "histograms": {"decode.kernel": {"count": 1}},
+    }))
+    with pytest.raises(ValueError, match="repro.obs.metrics/v2"):
+        obs.load_metrics(bad)
+    bad.write_text(json.dumps({
+        "schema": obs.METRICS_SCHEMA, "counters": {}, "spans": [{"name": "x"}],
+    }))
+    with pytest.raises(ValueError, match="spans must be a list of rows"):
+        obs.load_metrics(bad)
 
 
 def test_write_trace_requires_recorder_and_path(tmp_path):
@@ -285,13 +247,13 @@ def test_tracing_bit_identity_across_schedulers(tmp_path):
 def test_pipeline_spans_merge_across_decode_threads(tmp_path):
     """Decode threads record straight into the one recorder, one lane each."""
     spec = _spec()
-    obs.configure()
+    store = ResultStore(tmp_path / "s")
+    rec = obs.configure()
     try:
-        run_sweep(spec, ResultStore(tmp_path / "s"), workers=2)
-        events = list(obs.active().events)
-        counters = dict(obs.active().counters)
+        report = run_sweep(spec, store, workers=2)
     finally:
         obs.reset()
+    events, counters = rec.events, rec.counters
 
     kinds = {ev["name"] for ev in events}
     # decode-side spans recorded on the decode threads ...
@@ -314,6 +276,17 @@ def test_pipeline_spans_merge_across_decode_threads(tmp_path):
     # the scheduler-triage shape the scheduler benchmark records
     phases = obs.phase_totals(events)
     assert phases["sweep.dispatch"]["count"] == counters["sweep.batches_dispatched"]
+
+    # one span summary: the metrics snapshot, the run-ledger manifest and
+    # the trace written from the same recorder all carry the same exact rows
+    rows = obs.summarize(events)
+    assert obs.metrics_snapshot(rec)["spans"] == rows
+    manifest = json.loads(
+        (store.runs_root / report.run_id / "manifest.json").read_text()
+    )
+    assert manifest["metrics"]["schema"] == obs.METRICS_SCHEMA
+    assert manifest["metrics"]["spans"] == rows
+    assert obs.summarize_trace(obs.write_trace(tmp_path / "t.json", rec)) == rows
 
 
 def test_trace_keys_never_reach_stored_records(tmp_path):

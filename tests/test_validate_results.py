@@ -149,14 +149,26 @@ def test_trace_structural_problems_rejected(tmp_path, capsys):
     assert "negative ts" in err
 
 
-def test_metrics_count_mismatch_rejected(tmp_path, capsys):
+def test_metrics_span_row_problems_rejected(tmp_path, capsys):
     trace, metrics = _write_valid_obs_pair(tmp_path)
     snap = json.loads(metrics.read_text())
-    name, hist = next(iter(snap["histograms"].items()))
-    hist["count"] += 1  # no longer the sum of the bucket counts
+    row = snap["spans"][0]
+    snap["spans"] = [
+        {**row, "p50_us": row["p99_us"] + 1.0},  # percentiles out of order
+        {**row, "name": 7, "count": 1.5},
+        {**row, "total_s": -1.0, "mean_us": "fast"},
+        {k: v for k, v in row.items() if k != "p95_us"},
+        "decode.kernel",
+    ]
     metrics.write_text(json.dumps(snap))
     assert validate_results.main(["--metrics", str(metrics)]) == 1
-    assert "sum of bucket" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "spans[0] percentiles must satisfy p50_us <= p95_us <= p99_us" in err
+    assert "spans[1] name must be a string" in err
+    assert "spans[1] count must be an integer >= 1" in err
+    assert "spans[2] total_s, mean_us must be finite numbers >= 0" in err
+    assert "spans[3] missing keys: p95_us" in err
+    assert "spans[4] is not a dict" in err
 
 
 def test_metrics_bad_counts_shape_rejected(tmp_path, capsys):
@@ -164,15 +176,31 @@ def test_metrics_bad_counts_shape_rejected(tmp_path, capsys):
     bad.write_text(json.dumps({
         "schema": validate_results.METRICS_SCHEMA,
         "counters": {"ok": 1, "bad": -2},
+        "spans": [
+            {"name": "h", "count": 0, "total_s": 0.0, "mean_us": 0.0,
+             "p50_us": 0.0, "p95_us": 0.0, "p99_us": 0.0},
+        ],
+    }))
+    assert validate_results.main(["--metrics", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "non-negative integer" in err          # counter 'bad'
+    assert "count must be an integer >= 1" in err
+
+
+def test_metrics_v1_snapshot_rejected(tmp_path, capsys):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({
+        "schema": "repro.obs.metrics/v1",
+        "counters": {"ok": 1},
         "histograms": {
-            "h": {"bucket_bounds_ns": [100, 200], "counts": [1, 0],
+            "h": {"bucket_bounds_ns": [100, 200], "counts": [1, 0, 0],
                   "count": 1, "sum_ns": 50},
         },
     }))
     assert validate_results.main(["--metrics", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert "non-negative integer" in err          # counter 'bad'
-    assert "bounds+1" in err                      # counts length mismatch
+    assert "expected 'repro.obs.metrics/v2'" in err
+    assert "spans must be a list" in err
 
 
 def test_unreadable_obs_artifact_rejected(tmp_path, capsys):
