@@ -2,10 +2,9 @@
 
 One test per ``FigureSpec``: build without a persistent store, run the
 spec's paper-value ``checks`` on the rows, and record the result document
-into ``REPRO_BENCH_RESULTS``.  Cacheable specs are also pinned: their rows
-must equal the committed ``benchmarks/results/<name>.json`` rows, because
-an LER depends only on (spec, seed).  Wall-clock specs (fig20, fig22) are
-not pinned.
+into ``REPRO_BENCH_RESULTS``.  Every spec is also pinned: its rows must
+equal the committed ``benchmarks/results/<name>.json`` rows, because a
+figure's rows depend only on (spec, seed); no builder reads a clock.
 """
 
 import json
@@ -29,8 +28,7 @@ def test_figure(name, benchmark):
     print("\n" + format_table(result.document()))
     spec.checks(result.rows)
     record_figure(result)
-    if spec.cacheable:
-        assert result.rows == committed, (
-            f"rows differ from {path}; refresh it with "
-            "REPRO_BENCH_RESULTS=benchmarks/results python -m pytest benchmarks/test_figures.py"
-        )
+    assert result.rows == committed, (
+        f"rows differ from {path}; refresh it with "
+        "REPRO_BENCH_RESULTS=benchmarks/results python -m pytest benchmarks/test_figures.py"
+    )

@@ -55,29 +55,3 @@ def cycle_time_ns(model: CodeCycleModel, hw: HardwareConfig) -> float:
     """Convenience wrapper: syndrome cycle duration of ``model`` on ``hw``."""
     return model.cycle_time_ns(hw)
 
-
-def modular_cycle_time_ns(
-    hw: HardwareConfig,
-    *,
-    boundary_cnot_layers: int = 1,
-    coupler_slowdown: float = 3.0,
-) -> float:
-    """Cycle time of a patch straddling a chiplet boundary (Sec. 3.2.4).
-
-    Chip-to-chip couplers run slower two-qubit gates; a patch whose stabilizer
-    circuit crosses the boundary spends ``boundary_cnot_layers`` of its four
-    CNOT layers on the slow couplers, stretching its logical clock relative to
-    monolithic patches.
-    """
-    if boundary_cnot_layers < 0 or boundary_cnot_layers > 4:
-        raise ValueError("a surface-code cycle has four CNOT layers")
-    if coupler_slowdown < 1.0:
-        raise ValueError("chip-to-chip couplers are not faster than on-chip gates")
-    fast_layers = 4 - boundary_cnot_layers
-    return (
-        2 * hw.time_1q_ns
-        + fast_layers * hw.time_2q_ns
-        + boundary_cnot_layers * hw.time_2q_ns * coupler_slowdown
-        + hw.time_readout_ns
-        + hw.time_reset_ns
-    )

@@ -4,8 +4,8 @@ Generalizes two-patch synchronization: sort the patches by the time they need
 to finish their current syndrome cycle, identify the slowest (most lagging)
 patch, and synchronize every other patch pairwise against it.  All pairwise
 computations are independent, which is why the paper calls the hardware cost
-O(1): they can run in parallel.  This module is the software model that the
-Fig. 20 compilation-time benchmark measures.
+O(1): they can run in parallel.  This module is the software model whose
+planned work Fig. 20 reports.
 """
 
 from __future__ import annotations

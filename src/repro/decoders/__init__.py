@@ -23,8 +23,7 @@ Layers on top of the base class:
   loads; without it the scalar pass runs.  Both paths are bit-identical
   (docs/DECODERS.md).
 * Concrete decoders: :class:`UnionFindDecoder` (workhorse) and
-  :class:`MWPMDecoder` (accuracy reference; its
-  :func:`measure_decoder_latencies` feeds Fig. 22's latency model).
+  :class:`MWPMDecoder` (accuracy reference).
 """
 
 from . import kernels
@@ -37,7 +36,7 @@ from .batch import (
     expand_obs_masks,
 )
 from .graph import MatchingGraph, build_matching_graph, graphlike_distance
-from .mwpm import MWPMDecoder, measure_decoder_latencies
+from .mwpm import MWPMDecoder
 from .unionfind import UnionFindDecoder
 
 __all__ = [
@@ -52,6 +51,5 @@ __all__ = [
     "build_matching_graph",
     "graphlike_distance",
     "MWPMDecoder",
-    "measure_decoder_latencies",
     "UnionFindDecoder",
 ]

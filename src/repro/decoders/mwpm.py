@@ -1,7 +1,6 @@
 """Exact minimum-weight perfect matching decoder.
 
-Used as the accuracy reference for the union-find decoder and as the
-latency source of Fig. 22 (:func:`measure_decoder_latencies`).  Shortest
+Used as the accuracy reference for the union-find decoder.  Shortest
 paths between defects are taken on the matching graph (Dijkstra, scipy);
 the defect-level matching problem is solved exactly with networkx's blossom
 implementation using the standard virtual-boundary construction (one
@@ -14,11 +13,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .. import obs
 from .batch import Decoder
 from .graph import MatchingGraph
 
-__all__ = ["MWPMDecoder", "measure_decoder_latencies"]
+__all__ = ["MWPMDecoder"]
 
 
 class MWPMDecoder(Decoder):
@@ -125,22 +123,3 @@ class MWPMDecoder(Decoder):
             node = prev
         return mask
 
-
-def measure_decoder_latencies(
-    decoder,
-    detectors: np.ndarray,
-    *,
-    max_samples: int = 2000,
-) -> np.ndarray:
-    """Wall-clock latencies (ns) of ``decoder.decode`` on sampled syndromes.
-
-    Used to build the miss-latency dataset for Fig. 22 from our own matching
-    decoder, substituting for the paper's proprietary MWPM latency dataset.
-    """
-    n = min(max_samples, detectors.shape[0])
-    out = np.zeros(n, dtype=np.float64)
-    for s in range(n):
-        with obs.stopwatch() as sw:
-            decoder.decode(detectors[s])
-        out[s] = sw.ns
-    return out

@@ -133,6 +133,19 @@ class PolicySpec:
         raise TypeError(f"cannot interpret policy spec {value!r}")
 
 
+def _coerce_hardware(value) -> HardwareConfig:
+    """A preset name or a dict of :class:`HardwareConfig` fields."""
+    if isinstance(value, str):
+        if value.lower() not in PRESETS:
+            raise ValueError(
+                f"unknown hardware preset {value!r}; known: {', '.join(sorted(PRESETS))}"
+            )
+        return PRESETS[value.lower()]
+    if isinstance(value, dict):
+        return HardwareConfig(**value)
+    raise TypeError(f"expected a preset name or an object, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Declarative description of one LER sweep (JSON round-trippable)."""
@@ -198,18 +211,17 @@ class SweepSpec:
         if missing:
             raise ValueError(f"missing SweepSpec field(s): {', '.join(missing)}")
         data = dict(data)
-        hw = data["hardware"]
-        if isinstance(hw, str):
-            if hw.lower() not in PRESETS:
-                raise ValueError(
-                    f"unknown hardware preset {hw!r}; known: {', '.join(sorted(PRESETS))}"
-                )
-            data["hardware"] = PRESETS[hw.lower()]
-        elif isinstance(hw, dict):
-            data["hardware"] = HardwareConfig(**hw)
-        data["distances"] = tuple(int(d) for d in data["distances"])
-        data["taus_ns"] = tuple(float(t) for t in data["taus_ns"])
-        data["policies"] = tuple(PolicySpec.coerce(p) for p in data["policies"])
+        coercers = {
+            "hardware": _coerce_hardware,
+            "distances": lambda v: tuple(int(d) for d in v),
+            "taus_ns": lambda v: tuple(float(t) for t in v),
+            "policies": lambda v: tuple(PolicySpec.coerce(p) for p in v),
+        }
+        for name, coerce in coercers.items():
+            try:
+                data[name] = coerce(data[name])
+            except (TypeError, ValueError, KeyError) as exc:
+                raise ValueError(f"bad SweepSpec field {name!r}: {exc}") from None
         return cls(**data)
 
     @classmethod

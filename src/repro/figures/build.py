@@ -12,7 +12,7 @@ Two cache layers cooperate:
   maintains (shared with ``repro sweep``);
 * the *figure cache* — one record per (figure, resolved params) holding the
   final built rows (:data:`CACHE_SCHEMA`), so a warm rebuild of *any*
-  cacheable figure reads exactly one store file and decodes nothing.
+  figure reads exactly one store file and decodes nothing.
 
 Both are keyed under the same ``STORE_SALT``, so a salt bump invalidates
 figures and points together.
@@ -101,23 +101,21 @@ def build_figure(
         with tempfile.TemporaryDirectory(prefix="repro-figure-") as root:
             rows = _build_rows(spec, params, ResultStore(root), workers=workers)
         return FigureResult(spec, params, rows)
-    key = figure_cache_key(spec.name, params) if spec.cacheable else None
-    if key is not None:
-        cached = store.get(key)
-        if cached is not None and cached.get("schema") == CACHE_SCHEMA:
-            rows = [dict(r) for r in cached.get("rows", [])]
-            return FigureResult(spec, params, rows, served_from_store=True)
+    key = figure_cache_key(spec.name, params)
+    cached = store.get(key)
+    if cached is not None and cached.get("schema") == CACHE_SCHEMA:
+        rows = [dict(r) for r in cached.get("rows", [])]
+        return FigureResult(spec, params, rows, served_from_store=True)
     rows = _build_rows(spec, params, store, workers=workers)
-    if key is not None:
-        store.put(
-            key,
-            {
-                "schema": CACHE_SCHEMA,
-                "figure": spec.name,
-                "params": export.plain(dict(params)),
-                "rows": rows,
-            },
-        )
+    store.put(
+        key,
+        {
+            "schema": CACHE_SCHEMA,
+            "figure": spec.name,
+            "params": export.plain(dict(params)),
+            "rows": rows,
+        },
+    )
     return FigureResult(spec, params, rows, served_from_store=False)
 
 

@@ -70,8 +70,8 @@ class FigureSpec:
     name: str
     #: Coarse grouping used by ``repro figures list``: ``"analytic"`` (no
     #: sampling), ``"sampled"`` (Monte-Carlo but not an LER sweep),
-    #: ``"ler-sweep"`` (store-backed LER sweeps) or ``"engine"`` (wall-clock
-    #: engine measurements).
+    #: ``"ler-sweep"`` (store-backed LER sweeps) or ``"engine"`` (the
+    #: synchronization engine's planned work).
     category: str
     #: Paper anchor this spec reproduces, e.g. ``"Fig. 14"`` or ``"Table 2"``.
     anchor: str
@@ -92,10 +92,6 @@ class FigureSpec:
     sweeps: Callable[[dict], list] | None = None
     #: Vega-Lite encoding hints (``mark``/``x``/``y``/``color``/``detail``).
     vega: Mapping[str, str] = field(default_factory=dict)
-    #: Whether built rows may be cached in the result store.  Specs whose
-    #: rows are wall-clock measurements (fig20, fig22) set False: a cached
-    #: timing would describe whichever host and code built it first.
-    cacheable: bool = True
 
     def resolve_params(self, overrides: Mapping[str, Any] | None = None,
                        *, strict: bool = True) -> dict:

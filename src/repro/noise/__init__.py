@@ -2,7 +2,7 @@
 
 from .dd import BRISBANE_DD, DDModel
 from .hardware import GOOGLE, IBM, PRESETS, QUERA, HardwareConfig
-from .idle import idle_error_probability, idle_pauli_probs
+from .idle import idle_pauli_probs
 from .models import NoiseModel
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "PRESETS",
     "QUERA",
     "HardwareConfig",
-    "idle_error_probability",
     "idle_pauli_probs",
     "NoiseModel",
 ]

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .hardware import HardwareConfig
-
-__all__ = ["idle_pauli_probs", "idle_error_probability"]
+__all__ = ["idle_pauli_probs"]
 
 
 def idle_pauli_probs(tau_ns: float, t1_ns: float, t2_ns: float) -> tuple[float, float, float]:
@@ -31,8 +29,3 @@ def idle_pauli_probs(tau_ns: float, t1_ns: float, t2_ns: float) -> tuple[float, 
     pz = max(pz, 0.0)
     return (px, px, pz)
 
-
-def idle_error_probability(tau_ns: float, hw: HardwareConfig) -> float:
-    """Total probability of any Pauli error during an idle of ``tau_ns``."""
-    px, py, pz = idle_pauli_probs(tau_ns, hw.t1_ns, hw.t2_ns)
-    return px + py + pz

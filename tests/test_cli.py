@@ -160,6 +160,10 @@ _BAD_SPECS = {
     "unknown-field": (lambda spec: {**spec, "speculate": True},
                       "unknown SweepSpec field(s): speculate"),
     "missing-file": (None, "No such file or directory"),
+    "bad-hardware-field": (lambda spec: {**spec, "hardware": {"bogus": 1}},
+                           "bad SweepSpec field 'hardware': "),
+    "bad-policy": (lambda spec: {**spec, "policies": [5]},
+                   "bad SweepSpec field 'policies': cannot interpret policy spec 5"),
 }
 
 

@@ -9,7 +9,6 @@ from repro.codes.cycle_time import (
     TWIST_SURFACE,
     CodeCycleModel,
     cycle_time_ns,
-    modular_cycle_time_ns,
 )
 from repro.core import SyncScenario, make_policy
 from repro.noise import GOOGLE, IBM
@@ -42,25 +41,10 @@ def test_qldpc_drift_matches_fig4b_rates():
     )
 
 
-def test_modular_boundary_stretches_cycle():
-    base = modular_cycle_time_ns(IBM, boundary_cnot_layers=0)
-    crossed = modular_cycle_time_ns(IBM, boundary_cnot_layers=1, coupler_slowdown=3.0)
-    assert base == pytest.approx(IBM.cycle_time_ns)
-    assert crossed - base == pytest.approx(2 * IBM.time_2q_ns)
-    more = modular_cycle_time_ns(IBM, boundary_cnot_layers=2, coupler_slowdown=3.0)
-    assert more > crossed
-
-
-def test_modular_validation():
-    with pytest.raises(ValueError):
-        modular_cycle_time_ns(IBM, boundary_cnot_layers=5)
-    with pytest.raises(ValueError):
-        modular_cycle_time_ns(IBM, coupler_slowdown=0.5)
-
-
 def test_modular_patch_synchronizes_via_hybrid():
     """A boundary-straddling patch can be synchronized with extra rounds."""
-    t_pp = modular_cycle_time_ns(IBM, boundary_cnot_layers=1, coupler_slowdown=3.0)
+    # one of four CNOT layers on a 3x slower chip-to-chip coupler
+    t_pp = IBM.cycle_time_ns + 2 * IBM.time_2q_ns
     scenario = SyncScenario(
         t_p_ns=IBM.cycle_time_ns, t_pp_ns=t_pp, tau_ns=800.0, base_rounds=6
     )

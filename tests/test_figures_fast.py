@@ -61,11 +61,27 @@ def test_fig6_monotone_in_windows():
 
 
 def test_fig20_scaling_rows():
-    rows = _rows("fig20", {"patch_counts": (2, 10), "repeats": 20, "seed": 1})
-    timing = [r for r in rows if r["kind"] == "timing"]
-    assert [r["patches"] for r in timing] == [2, 10]
-    assert all(r["cpu_time_s"] > 0 for r in timing)
+    rows = _rows("fig20", {"patch_counts": (2, 10), "seed": 1})
+    plans = [r for r in rows if r["kind"] == "plan"]
+    assert [r["patches"] for r in plans] == [2, 10]
+    # one pairwise directive per non-slowest patch
+    assert [r["pair_directives"] for r in plans] == [1, 9]
+    for r in plans:
+        assert 0 <= r["hybrid_directives"] <= r["pair_directives"]
+        assert r["extra_rounds"] >= r["hybrid_directives"]
+        assert r["idle_ns"] >= 0 and r["max_slack_ns"] >= 0
     assert sum(r["kind"] == "max_concurrent_cnots" for r in rows) == 6
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("fig20", {"patch_counts": (2, 5, 10), "seed": 3}),
+    ("fig22", {"distances": (3,), "shots": 500, "seed": 3}),
+])
+def test_fig20_and_fig22_rebuild_to_equal_rows(name, overrides):
+    # the two paper timing claims read no clock: two builds give == rows
+    first = _rows(name, overrides)
+    assert first
+    assert _rows(name, overrides) == first
 
 
 def test_table5_rows_complete():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.decoders import MWPMDecoder, measure_decoder_latencies
+from repro.decoders import MWPMDecoder
 from repro.decoders.kernels import BatchedMWPM
 
 
@@ -118,11 +118,3 @@ def test_import_repro_does_not_load_networkx():
     )
     assert proc.stdout.strip() == "False"
 
-
-def test_measure_decoder_latencies_positive(chain_graph):
-    dec = MWPMDecoder(chain_graph(3))
-    rng = np.random.default_rng(2)
-    dets = rng.random((50, 3)) < 0.3
-    lat = measure_decoder_latencies(dec, dets, max_samples=20)
-    assert lat.shape == (20,)
-    assert (lat > 0).all()

@@ -13,7 +13,6 @@ from repro.noise import (
     QUERA,
     HardwareConfig,
     NoiseModel,
-    idle_error_probability,
     idle_pauli_probs,
 )
 from repro.stab import Circuit
@@ -56,13 +55,15 @@ def test_idle_probs_edge_cases():
 def test_idle_probability_monotone_in_duration():
     last = 0.0
     for tau in (10.0, 100.0, 1000.0, 10000.0):
-        p = idle_error_probability(tau, IBM)
+        p = sum(idle_pauli_probs(tau, IBM.t1_ns, IBM.t2_ns))
         assert p > last
         last = p
 
 
 def test_idle_probability_smaller_for_longer_coherence():
-    assert idle_error_probability(1000.0, QUERA) < idle_error_probability(1000.0, IBM)
+    assert sum(idle_pauli_probs(1000.0, QUERA.t1_ns, QUERA.t2_ns)) < sum(
+        idle_pauli_probs(1000.0, IBM.t1_ns, IBM.t2_ns)
+    )
 
 
 def test_noise_model_emissions():

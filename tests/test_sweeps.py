@@ -426,6 +426,20 @@ def test_retired_batch_sizing_fields_rejected():
             SweepSpec.from_dict(dict(data, **{name: value}))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("hardware", {"bogus": 1}),
+    ("hardware", 5),
+    ("policies", [5]),
+    ("policies", [{"kwargs": {}}]),
+    ("distances", 5),
+    ("taus_ns", ["slow"]),
+])
+def test_malformed_field_value_is_a_value_error_naming_the_field(name, value):
+    data = _spec().to_dict()
+    with pytest.raises(ValueError, match=f"bad SweepSpec field '{name}'"):
+        SweepSpec.from_dict(dict(data, **{name: value}))
+
+
 def test_spec_rejects_negative_observable_and_nonpositive_target():
     with pytest.raises(ValueError, match="observable"):
         _spec(observable=-1)
